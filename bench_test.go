@@ -642,23 +642,28 @@ func BenchmarkCompileSurgeryGraph(b *testing.B) {
 }
 
 // BenchmarkCompileDecoderGraph measures the one-time detector-error-model
-// compilation that the decoded shot loop amortizes (frame propagation of
-// every fault branch plus graph construction).
+// compilation that the decoded shot loop amortizes (64-lane forward frame
+// sweeps over every fault branch plus graph construction), at d=5 and d=9
+// with rounds = d.
 func BenchmarkCompileDecoderGraph(b *testing.B) {
-	mem, err := verify.MemoryExperiment(5, 5, pauli.Z)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sched := noise.Compile(noise.PaperTable5(hardware.Default()), mem.Prog)
-	dets, err := decoder.Extract(mem)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := decoder.CompileGraph(dets, sched); err != nil {
-			b.Fatal(err)
-		}
+	for _, d := range []int{5, 9} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
+			mem, err := verify.MemoryExperiment(d, d, pauli.Z)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sched := noise.Compile(noise.PaperTable5(hardware.Default()), mem.Prog)
+			dets, err := decoder.Extract(mem)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := decoder.CompileGraph(dets, sched); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -125,16 +125,51 @@ func TestDetectorExtraction(t *testing.T) {
 	}
 }
 
-// TestFrameMatchesTableauDiff cross-validates the cheap Pauli-frame symptom
-// propagation against full differential tableau simulation for every fault
-// branch of a depolarizing d=3 memory experiment: detector flips and
-// observable flips must agree exactly (they are deterministic parities, so
-// they are gauge-independent).
+// TestFrameMatchesTableauDiff cross-validates the batched Pauli-frame
+// symptom propagation against full differential tableau simulation, branch
+// for branch, under the paper's Table 5 noise (whose two-qubit faults fire
+// into all 15 two-qubit Paulis): detector flips and observable flips must
+// agree exactly (they are deterministic parities, so they are
+// gauge-independent). Memory cases cover both bases; the d=3 merge/split
+// cycles put 64-lane sweep groups across the merge and split region
+// boundaries and the seam.
 func TestFrameMatchesTableauDiff(t *testing.T) {
-	mem := mustMemory(t, 3, 2, pauli.Z)
-	det := mustDetectors(t, mem)
-	sched := noise.Compile(noise.PaperTable5(hardware.Default()), mem.Prog)
+	model := noise.PaperTable5(hardware.Default())
+	cases := []struct {
+		name       string
+		det        func(t *testing.T) (*orqcs.Program, *Detectors)
+		minChecked int
+	}{
+		{"memory-d3-Z", func(t *testing.T) (*orqcs.Program, *Detectors) {
+			mem := mustMemory(t, 3, 2, pauli.Z)
+			return mem.Prog, mustDetectors(t, mem)
+		}, 100},
+		{"memory-d3-X", func(t *testing.T) (*orqcs.Program, *Detectors) {
+			mem := mustMemory(t, 3, 2, pauli.X)
+			return mem.Prog, mustDetectors(t, mem)
+		}, 100},
+		{"surgery-d3-Z", func(t *testing.T) (*orqcs.Program, *Detectors) {
+			s := mustSurgery(t, 3, 1, 1, 1, pauli.Z)
+			return s.Prog, mustSurgeryDetectors(t, s)
+		}, 500},
+		{"surgery-d3-X", func(t *testing.T) (*orqcs.Program, *Detectors) {
+			s := mustSurgery(t, 3, 1, 1, 1, pauli.X)
+			return s.Prog, mustSurgeryDetectors(t, s)
+		}, 500},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, det := tc.det(t)
+			checkFrameMatchesTableau(t, prog, det, noise.Compile(model, prog), tc.minChecked)
+		})
+	}
+}
 
+// checkFrameMatchesTableau compares forEachMechanism's symptom stream with
+// one differential tableau run per fault branch, in enumeration order, and
+// requires at least minChecked non-trivial branches.
+func checkFrameMatchesTableau(t *testing.T, prog *orqcs.Program, det *Detectors, sched *noise.Schedule, minChecked int) {
+	t.Helper()
 	var frameSyms []mechanism
 	err := forEachMechanism(det, sched, func(m mechanism) error {
 		frameSyms = append(frameSyms, mechanism{
@@ -149,20 +184,22 @@ func TestFrameMatchesTableauDiff(t *testing.T) {
 	}
 
 	const seed = 7
-	base := orqcs.NewFromProgram(mem.Prog)
+	base := orqcs.NewFromProgram(prog)
 	base.RunShot(seed)
 	baseFired, baseObs := syndromeOf(det, base.Records())
 	if len(baseFired) != 0 {
 		t.Fatalf("baseline fired %d detectors", len(baseFired))
 	}
-	eng := orqcs.NewFromProgram(mem.Prog)
+	eng := orqcs.NewFromProgram(prog)
 	k := 0
-	checked := 0
 	for slot := 0; slot < sched.NumSlots(); slot++ {
 		for _, f := range sched.SlotFaults(slot) {
 			for b := 0; b < f.NumBranches(); b++ {
-				_, x1, z1, x2, z2 := f.Branch(b)
-				runWithPauli(eng, mem.Prog, seed, slot, f.Q1, x1, z1, f.Q2, x2, z2)
+				p, x1, z1, x2, z2 := f.Branch(b)
+				if p <= 0 {
+					continue // forEachMechanism skips impossible branches
+				}
+				runWithPauli(eng, prog, seed, slot, f.Q1, x1, z1, f.Q2, x2, z2)
 				fired, obs := syndromeOf(det, eng.Records())
 				obsFlip := obs != baseObs
 				if len(fired) == 0 && !obsFlip {
@@ -173,19 +210,18 @@ func TestFrameMatchesTableauDiff(t *testing.T) {
 				}
 				m := frameSyms[k]
 				k++
-				if !equalIDs(fired, m.dets) || obsFlip != m.obs {
-					t.Fatalf("slot %d fault %+v branch %d: tableau (%v, obs %v) vs frame (%v, obs %v)",
-						slot, f, b, fired, obsFlip, m.dets, m.obs)
+				if !equalIDs(fired, m.dets) || obsFlip != m.obs || p != m.p {
+					t.Fatalf("slot %d fault %+v branch %d: tableau (%v, obs %v, p %g) vs frame (%v, obs %v, p %g)",
+						slot, f, b, fired, obsFlip, p, m.dets, m.obs, m.p)
 				}
-				checked++
 			}
 		}
 	}
 	if k != len(frameSyms) {
 		t.Fatalf("frame propagation found %d non-trivial branches, tableau %d", len(frameSyms), k)
 	}
-	if checked < 100 {
-		t.Fatalf("only %d branches checked — model too sparse for a meaningful cross-check", checked)
+	if k < minChecked {
+		t.Fatalf("only %d branches checked — model too sparse for a meaningful cross-check", k)
 	}
 }
 

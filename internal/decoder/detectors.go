@@ -11,12 +11,14 @@
 //     surgery the per-region histories plus seam records — are folded into
 //     detectors, parity checks over records whose noiseless value is
 //     deterministic, plus the logical observable's record set;
-//   - decoding-graph construction (CompileGraph): every fault location of a
-//     compiled noise Schedule is propagated, branch by branch, through the
-//     lowered instruction stream as a Pauli frame; the detectors each branch
-//     flips (and whether it flips the observable) compile into a weighted
-//     matching graph, cached once per (program, model) exactly like the
-//     fault schedule itself;
+//   - decoding-graph construction (CompileGraph): the fault branches of a
+//     compiled noise Schedule are propagated through the lowered
+//     instruction stream as Pauli frames, 64 branches per forward sweep
+//     with one bit lane each (Stim's batched propagation); the detectors
+//     each branch flips (and whether it flips the observable) compile into
+//     a weighted matching graph, cached once per (program, model) exactly
+//     like the fault schedule itself, whose graphlike circuit distance
+//     Graph.Distance certifies;
 //   - union-find decoding (Graph.DecodeOutcome): per shot, fired detectors
 //     are clustered by Delfosse–Nickerson-style growth with boundary
 //     absorption and peeled for the correction's observable parity, with
@@ -232,27 +234,6 @@ func (d *Detectors) referenceValues(prog *orqcs.Program, wantObs bool) error {
 		}
 	}
 	return nil
-}
-
-// recIndex maps record ids to the detectors containing them and flags
-// observable membership; it is the reusable lookup behind symptom
-// accumulation (graph compilation) and per-shot syndrome evaluation.
-type recIndex struct {
-	dets map[int32][]int32
-	obs  map[int32]bool
-}
-
-func (d *Detectors) index() *recIndex {
-	ix := &recIndex{dets: make(map[int32][]int32), obs: make(map[int32]bool, len(d.Obs))}
-	for i := range d.Dets {
-		for _, id := range d.Dets[i].Recs {
-			ix.dets[id] = append(ix.dets[id], int32(i))
-		}
-	}
-	for _, id := range d.Obs {
-		ix.obs[id] = true
-	}
-	return ix
 }
 
 // sortedDetIDs returns det ids sorted ascending (symptoms are kept in a

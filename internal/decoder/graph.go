@@ -80,7 +80,8 @@ func mergeP(a, b float64) float64 { return a + b - 2*a*b }
 
 // CompileGraph compiles a noise schedule against a detector structure into a
 // union-find decoding graph. Every fault branch is propagated through the
-// lowered instruction stream as a Pauli frame; branches flipping ≤ 2
+// lowered instruction stream as one lane of a 64-lane Pauli frame sweep
+// (forEachMechanism); branches flipping ≤ 2
 // detectors become edges directly, and rarer hyper mechanisms (e.g. Y-type
 // or correlated two-qubit branches touching both stabilizer types) are
 // decomposed per stabilizer type into the graphlike edges already defined by
@@ -302,4 +303,66 @@ func (g *Graph) Stats() string {
 	}
 	return fmt.Sprintf("%d detectors, %d edges (%d boundary), %d undetectable, %d undecomposed",
 		len(g.det.Dets), len(g.edges), bnd, g.undetectable, g.undecomposed)
+}
+
+// Distance returns the graphlike circuit distance of the decoding graph:
+// the fewest edges whose symptoms cancel while their observable effects XOR
+// to one, i.e. the shortest closed walk of odd observable parity. It runs a
+// breadth-first search over (node, observable-parity) states with unit edge
+// weights from every node, the boundary first (where surface-code logical
+// strings end), so loops that avoid the boundary are certified too. A
+// search from s that reaches node v at depth a with one parity and at depth
+// b with the other has found an odd closed walk of length a+b through s;
+// splitting any odd walk at its midpoint shows both depths are at most half
+// its length, so each search stops once its depth reaches half the best
+// walk found. It returns -1 when no such walk exists (the edgeless graph of
+// an ideal model). Mechanisms that flip the observable with no symptom at
+// all are not edges; UndetectableMechanisms counts them.
+func (g *Graph) Distance() int {
+	n := int32(len(g.adjStart) - 1)
+	dist := make([]int32, 2*n) // state 2·node + parity → BFS depth, −1 unseen
+	for i := range dist {
+		dist[i] = -1
+	}
+	best := int32(math.MaxInt32)
+	var queue []int32
+	for k := int32(0); k < n; k++ {
+		s := (g.boundary + k) % n
+		dist[2*s] = 0
+		queue = append(queue[:0], 2*s)
+		for h := 0; h < len(queue); h++ {
+			st := queue[h]
+			next := dist[st] + 1
+			if 2*int64(next) > int64(best) {
+				break // breadth-first: every later state is at least as deep
+			}
+			u := st >> 1
+			for _, ei := range g.adj[g.adjStart[u]:g.adjStart[u+1]] {
+				e := &g.edges[ei]
+				v := e.U
+				if v == u {
+					v = e.V
+				}
+				to := 2*v + st&1
+				if e.Obs {
+					to ^= 1
+				}
+				if dist[to] >= 0 {
+					continue
+				}
+				dist[to] = next
+				queue = append(queue, to)
+				if other := dist[to^1]; other >= 0 && next+other < best {
+					best = next + other
+				}
+			}
+		}
+		for _, st := range queue {
+			dist[st] = -1
+		}
+	}
+	if best == math.MaxInt32 {
+		return -1
+	}
+	return int(best)
 }

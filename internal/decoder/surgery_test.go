@@ -94,69 +94,6 @@ func TestSurgeryDetectorExtraction(t *testing.T) {
 	}
 }
 
-// TestSurgeryFrameMatchesTableauDiff cross-validates the Pauli-frame
-// symptom propagation against full differential tableau simulation for
-// every fault branch of a d=3 surgery cycle: the detectors and observable a
-// branch flips must agree exactly between the two methods, exactly as the
-// memory-experiment harness of PR 3 established for single patches.
-func TestSurgeryFrameMatchesTableauDiff(t *testing.T) {
-	s := mustSurgery(t, 3, 1, 1, 1, pauli.Z)
-	det := mustSurgeryDetectors(t, s)
-	sched := noise.Compile(noise.PaperTable5(hardware.Default()), s.Prog)
-
-	var frameSyms []mechanism
-	err := forEachMechanism(det, sched, func(m mechanism) error {
-		frameSyms = append(frameSyms, mechanism{
-			p:    m.p,
-			dets: append([]int32(nil), m.dets...),
-			obs:  m.obs,
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const seed = 7
-	base := orqcs.NewFromProgram(s.Prog)
-	base.RunShot(seed)
-	baseFired, baseObs := syndromeOf(det, base.Records())
-	if len(baseFired) != 0 {
-		t.Fatalf("baseline fired %d detectors", len(baseFired))
-	}
-	eng := orqcs.NewFromProgram(s.Prog)
-	k, checked := 0, 0
-	for slot := 0; slot < sched.NumSlots(); slot++ {
-		for _, f := range sched.SlotFaults(slot) {
-			for b := 0; b < f.NumBranches(); b++ {
-				_, x1, z1, x2, z2 := f.Branch(b)
-				runWithPauli(eng, s.Prog, seed, slot, f.Q1, x1, z1, f.Q2, x2, z2)
-				fired, obs := syndromeOf(det, eng.Records())
-				obsFlip := obs != baseObs
-				if len(fired) == 0 && !obsFlip {
-					continue
-				}
-				if k >= len(frameSyms) {
-					t.Fatalf("tableau found more non-trivial branches than frame propagation (%d)", len(frameSyms))
-				}
-				m := frameSyms[k]
-				k++
-				if !equalIDs(fired, m.dets) || obsFlip != m.obs {
-					t.Fatalf("slot %d fault %+v branch %d: tableau (%v, obs %v) vs frame (%v, obs %v)",
-						slot, f, b, fired, obsFlip, m.dets, m.obs)
-				}
-				checked++
-			}
-		}
-	}
-	if k != len(frameSyms) {
-		t.Fatalf("frame propagation found %d non-trivial branches, tableau %d", len(frameSyms), k)
-	}
-	if checked < 500 {
-		t.Fatalf("only %d branches checked — model too sparse for a meaningful cross-check", checked)
-	}
-}
-
 // TestSurgeryWeightOneFaultsCorrected is the exhaustive fault-injection
 // harness of the surgery decoder: every single fault branch of a d=3
 // merge/split cycle — every slot, every branch (X, Y, Z and all 15

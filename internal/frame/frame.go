@@ -203,6 +203,40 @@ func (s *Sim) compilePauli(ps *pauli.String) *Op {
 	return o
 }
 
+// Conjugate applies unitary Clifford instruction in to the frame bit-planes
+// fx, fz (bit i of fx[q] / fz[q] is lane i's X / Z component on qubit q),
+// tracking each lane's Pauli modulo phase. It reports false for
+// instructions that are not unitary Cliffords — measurements, preparations
+// and non-Clifford gates — leaving the planes untouched. It is the one
+// Pauli-propagation kernel: the batch sampler and the decoder's
+// detector-error-model sweep both advance their frames through it. Small
+// enough to inline into their loops.
+func Conjugate(in *orqcs.Instr, fx, fz []uint64) bool {
+	q := in.Q1
+	switch in.Op {
+	case orqcs.OpX, orqcs.OpY, orqcs.OpZ:
+		// Paulis commute with the frame up to phase: no-op.
+	case orqcs.OpSqrtX, orqcs.OpSqrtXDg:
+		// Z → ±Y: the Z bit induces an X bit.
+		fx[q] ^= fz[q]
+	case orqcs.OpSqrtY, orqcs.OpSqrtYDg:
+		// X ↔ ±Z: swap the bits.
+		fx[q], fz[q] = fz[q], fx[q]
+	case orqcs.OpS, orqcs.OpSdg:
+		// X → ±Y: the X bit induces a Z bit.
+		fz[q] ^= fx[q]
+	case orqcs.OpZZ:
+		// X content on exactly one operand flips both Z bits (the fused-row
+		// update of tableau.ZZ).
+		one := fx[q] ^ fx[in.Q2]
+		fz[q] ^= one
+		fz[in.Q2] ^= one
+	default:
+		return false
+	}
+	return true
+}
+
 // Batch holds the mutable per-worker state of up to 64 concurrent shot
 // lanes. Batches are not safe for concurrent use; create one per worker.
 type Batch struct {
@@ -268,23 +302,11 @@ func (b *Batch) Run(first, count int, seed int64) {
 			fired += s.sched.SampleSlotBatch(i, b.fsts[:count], b.fx, b.fz)
 		}
 		in := &instrs[i]
-		switch in.Op {
-		case orqcs.OpMeasureZ, orqcs.OpPrepareZ:
+		switch {
+		case in.Op == orqcs.OpMeasureZ || in.Op == orqcs.OpPrepareZ:
 			b.measure(evi)
 			evi++
-		case orqcs.OpX, orqcs.OpY, orqcs.OpZ:
-			// Paulis commute with the frame up to phase: no-op.
-		case orqcs.OpSqrtX, orqcs.OpSqrtXDg:
-			b.fx[in.Q1] ^= b.fz[in.Q1]
-		case orqcs.OpSqrtY, orqcs.OpSqrtYDg:
-			b.fx[in.Q1], b.fz[in.Q1] = b.fz[in.Q1], b.fx[in.Q1]
-		case orqcs.OpS, orqcs.OpSdg:
-			b.fz[in.Q1] ^= b.fx[in.Q1]
-		case orqcs.OpZZ:
-			one := b.fx[in.Q1] ^ b.fx[in.Q2]
-			b.fz[in.Q1] ^= one
-			b.fz[in.Q2] ^= one
-		default:
+		case !Conjugate(in, b.fx, b.fz):
 			panic("frame: non-Clifford opcode survived New")
 		}
 	}

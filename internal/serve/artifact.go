@@ -164,6 +164,10 @@ type Artifact struct {
 	ProgBytes, SchedBytes, GraphBytes int
 	BundleBytes                       int
 	BundleCRC                         uint32
+
+	// Distance is the decoding graph's graphlike circuit distance, computed
+	// once by CompileArtifact so requests never pay for the search.
+	Distance int
 }
 
 // EncodeBundle serializes a full artifact — request key, outcome formula,
@@ -303,5 +307,6 @@ func CompileArtifact(k Key) (*Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: artifact round-trip failed: %w", err)
 	}
+	decoded.Distance = decoded.Graph.Distance()
 	return decoded, nil
 }

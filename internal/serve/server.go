@@ -112,6 +112,12 @@ type ArtifactInfo struct {
 	FaultSites    int    `json:"fault_sites"`
 	Detectors     int    `json:"detectors"`
 	Edges         int    `json:"edges"`
+	// Degraded-DEM report: hyper mechanisms dropped from the edge weights,
+	// observable flips no detector sees, and the graphlike circuit distance
+	// (decoder.Graph.Distance; −1 when no logical error is reachable).
+	Undecomposed int `json:"undecomposed_mechanisms"`
+	Undetectable int `json:"undetectable_mechanisms"`
+	Distance     int `json:"distance"`
 }
 
 // EstimateResult is the result section of the final response line.
@@ -393,6 +399,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			FaultSites:    art.Sched.NumFaultSites(),
 			Detectors:     art.Graph.Detectors().NumDetectors(),
 			Edges:         len(art.Graph.Edges()),
+			Undecomposed:  art.Graph.UndecomposedMechanisms(),
+			Undetectable:  art.Graph.UndetectableMechanisms(),
+			Distance:      art.Distance,
 		},
 	}
 	enc := json.NewEncoder(out)

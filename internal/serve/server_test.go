@@ -177,6 +177,17 @@ func TestEstimateMatchesInProcess(t *testing.T) {
 		got.Result.WilsonHigh != want.WilsonHigh || got.Result.StdErr != want.StdErr {
 		t.Fatalf("HTTP result differs from in-process pipeline:\nhttp:       %+v\nin-process: %+v", got.Result, want)
 	}
+	// The degraded-DEM report echoes the compiled graph: a distance-d
+	// memory experiment certifies distance d with nothing dropped.
+	a := got.Artifact
+	if a.Distance != d || a.Undetectable != 0 || a.Undecomposed != art.Graph.UndecomposedMechanisms() {
+		t.Fatalf("artifact DEM report %+v, want distance %d, 0 undetectable, %d undecomposed",
+			a, d, art.Graph.UndecomposedMechanisms())
+	}
+	if key := `"undetectable_mechanisms":0,"distance":3}`; !bytes.Contains(body, []byte(key)) ||
+		!bytes.Contains(body, []byte(`"undecomposed_mechanisms":`)) {
+		t.Errorf("response body lacks the DEM report fields: %s", body)
+	}
 }
 
 // TestCacheHitByteIdentical proves the second service contract: an identical
@@ -299,5 +310,9 @@ func TestSurgeryAndTable5Served(t *testing.T) {
 	}
 	if got.Artifact.BundleBytes == 0 || got.Artifact.Detectors == 0 || got.Artifact.Edges == 0 {
 		t.Fatalf("artifact manifest empty: %+v", got.Artifact)
+	}
+	if got.Artifact.Distance != 3 || got.Artifact.Undetectable != 0 {
+		t.Fatalf("surgery d=3 artifact reports distance %d with %d undetectable mechanisms, want 3 and 0",
+			got.Artifact.Distance, got.Artifact.Undetectable)
 	}
 }

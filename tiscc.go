@@ -40,6 +40,7 @@ import (
 	"tiscc/internal/core"
 	"tiscc/internal/decoder"
 	"tiscc/internal/expr"
+	"tiscc/internal/frame"
 	"tiscc/internal/grid"
 	"tiscc/internal/hardware"
 	"tiscc/internal/instr"
@@ -311,7 +312,21 @@ func EstimateLogicalErrorRate(d, rounds int, m NoiseModel, opt LogicalErrorOptio
 	if err != nil {
 		return LogicalErrorResult{}, err
 	}
-	return noise.EstimateLogicalError(noise.Compile(m, mem.Prog), mem.Outcome, mem.Reference, opt)
+	return estimateOnFrames(noise.Compile(m, mem.Prog), mem.Outcome, mem.Reference, opt)
+}
+
+// estimateOnFrames runs the logical-error estimator on the Pauli-frame
+// sampler unless the caller plugged in a sampler of their own. Frame records
+// are bit-identical to the tableau engines', so only the cost changes.
+func estimateOnFrames(s *FaultSchedule, outcome Expr, reference bool, opt LogicalErrorOptions) (LogicalErrorResult, error) {
+	if opt.Sampler == nil {
+		sim, err := frame.New(s.Program(), s)
+		if err != nil {
+			return LogicalErrorResult{}, err
+		}
+		opt.Sampler = sim
+	}
+	return noise.EstimateLogicalError(s, outcome, reference, opt)
 }
 
 // EstimateLogicalError runs the logical-error estimator over an
@@ -363,7 +378,7 @@ func EstimateDecodedLogicalErrorRate(d, rounds int, m NoiseModel, opt LogicalErr
 		return LogicalErrorResult{}, err
 	}
 	opt.Decoder = g
-	return noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference, opt)
+	return estimateOnFrames(sched, mem.Outcome, mem.Reference, opt)
 }
 
 // WriteDetectorErrorModel writes the Stim-compatible detector error model of
@@ -440,7 +455,7 @@ func EstimateDecodedSurgeryErrorRate(d, rounds int, m NoiseModel, opt LogicalErr
 		return LogicalErrorResult{}, err
 	}
 	opt.Decoder = g
-	return noise.EstimateLogicalError(sched, s.Outcome, s.Reference, opt)
+	return estimateOnFrames(sched, s.Outcome, s.Reference, opt)
 }
 
 // WriteSurgeryDetectorErrorModel writes the Stim-compatible detector error
