@@ -7,9 +7,9 @@
 //
 // Usage:
 //
-//	orqcs -circuit file.tiscc [-seed 1] [-shots 1] [-workers 0] [-expect "Z@0.2,X@4.6"] [-noise p] [-fuse] [-engine frame]
-//	orqcs -memory d[:rounds] [-noise p] [-decode] [-shots N] [-dem file.dem] [-engine frame]
-//	orqcs -surgery d[:rounds] [-noise p] [-decode] [-shots N] [-dem file.dem] [-engine frame]
+//	orqcs -circuit file.tiscc [-seed 1] [-shots 1] [-workers 0] [-expect "Z@0.2,X@4.6"] [-noise p] [-fuse]
+//	orqcs -memory d[:rounds] [-noise p] [-decode] [-shots N] [-dem file.dem]
+//	orqcs -surgery d[:rounds] [-noise p] [-decode] [-shots N] [-dem file.dem]
 //
 // The circuit is compiled once into a lowered program; multi-shot estimates
 // then run on a deterministic parallel worker pool (results depend only on
@@ -17,22 +17,26 @@
 // uniform circuit-level depolarizing model at physical error rate p, with
 // faults injected per instruction from a compiled fault schedule. -fuse
 // applies the single-qubit rotation fusion peephole before simulating.
+// Multi-shot estimates sample on the batch Pauli-frame engine for Clifford
+// circuits (bit-identical records, O(faults) per shot) and on the
+// bit-sliced tableau, whose quasi-probability branches handle T gates,
+// otherwise.
 //
 // -memory runs a compiled distance-d logical memory experiment instead of a
 // circuit file: with -noise p it estimates the logical error rate, with
 // -decode each shot's syndrome history is union-find decoded first, and
 // -dem writes the experiment's Stim-compatible detector error model so
-// external decoders (PyMatching et al.) can consume it.
+// external decoders (PyMatching et al.) can consume it. rounds defaults to
+// d, and 0 also means d.
 //
 // -surgery runs a distance-d two-patch ZZ-merge/split cycle instead: the
 // estimated quantity is the joint-parity error (final Z̄Z̄ readout against
 // the merge outcome), with detectors stitched across the merge and split
 // boundaries; rounds counts the merged-phase rounds (default d).
 //
-// -engine selects the multi-shot sampling engine: the batch Pauli-frame
-// sampler (frame, the default — bit-identical records, O(faults) per shot),
-// the bit-sliced tableau (sliced) or the row-major reference tableau
-// (rowmajor). Non-Clifford circuits fall back to the tableau engines.
+// Both experiments are an experiment.Spec compiled and run by the shared
+// experiment pipeline, the same path as tiscc-bench -noise, tiscc-serve and
+// the tiscc facade.
 //
 // -metrics (with -memory/-surgery) writes the run's structured manifest:
 // provenance, stage spans and the estimation point's program, noise, sampler
@@ -47,25 +51,21 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"tiscc/internal/circuit"
 	"tiscc/internal/decoder"
 	"tiscc/internal/diag"
-	"tiscc/internal/expr"
-	"tiscc/internal/frame"
+	"tiscc/internal/experiment"
 	"tiscc/internal/grid"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
 	"tiscc/internal/telemetry"
-	"tiscc/internal/verify"
 )
 
 func main() {
@@ -77,18 +77,17 @@ func main() {
 		expect  = flag.String("expect", "", "comma-separated Pauli ops, e.g. Z@0.2,X@4.6")
 		quiet   = flag.Bool("quiet", false, "suppress the record table")
 		noiseP  = flag.Float64("noise", 0, "uniform depolarizing physical error rate (0 = noiseless)")
-		fuse    = flag.Bool("fuse", false, "fuse adjacent single-qubit Clifford rotations before simulating")
+		fuse    = flag.Bool("fuse", false, "with -circuit: fuse adjacent single-qubit Clifford rotations before simulating")
 		memory  = flag.String("memory", "", "run a memory experiment instead of a circuit file: d or d:rounds")
 		surgery = flag.String("surgery", "", "run a two-patch ZZ-merge/split cycle instead of a circuit file: d or d:rounds")
 		decode  = flag.Bool("decode", false, "with -memory/-surgery -noise: union-find-decode each shot's syndrome history")
 		demFile = flag.String("dem", "", "with -memory/-surgery: write the Stim-compatible detector error model to this file")
-		engine  = flag.String("engine", "frame", "multi-shot sampling engine: frame (Pauli-frame, default), sliced (bit-sliced tableau), rowmajor (row-major reference tableau)")
 		metOut  = flag.String("metrics", "", "with -memory/-surgery: write the structured run manifest (provenance, spans, pipeline metrics) to this JSON file")
 		promOut = flag.String("prom", "", "with -memory/-surgery: write the run metrics in Prometheus text exposition format to this file")
 		diagOut = flag.Bool("diag", false, "with a noisy -memory/-surgery run: print the per-channel error-budget attribution table (and record it in the manifest)")
 		calOut  = flag.Bool("dem-calib", false, "with a decoded noisy -memory/-surgery run: print per-detector observed vs DEM-predicted fire rates with calibration residuals")
 	)
-	var progress progressFlag
+	var progress diag.ProgressFlag
 	flag.Var(&progress, "progress", "with a noisy -memory/-surgery run: stream NDJSON batch progress events (bare -progress → stderr, -progress=FILE → file)")
 	flag.Parse()
 	if *memory != "" && *surgery != "" {
@@ -101,13 +100,16 @@ func main() {
 	if *promOut != "" && !exp {
 		usageErr("-prom requires -memory or -surgery")
 	}
+	if *fuse && exp {
+		usageErr("-fuse applies to -circuit only")
+	}
 	if *diagOut && (!exp || *noiseP == 0) {
 		usageErr("-diag requires -memory or -surgery with -noise")
 	}
 	if *calOut && (!exp || *noiseP == 0 || !*decode) {
 		usageErr("-dem-calib requires a decoded noisy experiment (-memory or -surgery with -noise and -decode)")
 	}
-	if progress.dest != "" && (!exp || *noiseP == 0) {
+	if progress.Dest != "" && (!exp || *noiseP == 0) {
 		usageErr("-progress requires -memory or -surgery with -noise")
 	}
 	// Validate every numeric flag up front: invalid inputs must exit with a
@@ -122,17 +124,14 @@ func main() {
 	if *workers < 0 {
 		usageErr(fmt.Sprintf("-workers must be ≥ 0 (0 = GOMAXPROCS), got %d", *workers))
 	}
-	if err := validateEngine(*engine); err != nil {
-		usageErr(err.Error())
-	}
-	eo := estOpts{metricsFile: *metOut, promFile: *promOut,
-		diag: *diagOut, demCalib: *calOut, progress: progress.dest}
-	if *memory != "" {
-		runMemory(*memory, *noiseP, *decode, *demFile, eo, *shots, *seed, *workers, *fuse, *engine)
-		return
-	}
-	if *surgery != "" {
-		runSurgery(*surgery, *noiseP, *decode, *demFile, eo, *shots, *seed, *workers, *fuse, *engine)
+	if exp {
+		workload, spec := experiment.Memory, *memory
+		if *surgery != "" {
+			workload, spec = experiment.Surgery, *surgery
+		}
+		runExperiment(workload, spec, *noiseP, *decode, *demFile, *metOut, *promOut, progress, experiment.RunOptions{
+			Shots: *shots, Seed: *seed, Workers: *workers, Diag: *diagOut, DemCalib: *calOut,
+		})
 		return
 	}
 	if *file == "" {
@@ -162,15 +161,12 @@ func main() {
 	}
 	var sched *noise.Schedule
 	if *noiseP != 0 {
-		m := noise.Depolarizing(*noiseP)
-		if err := m.Validate(); err != nil {
-			fatal(err)
-		}
+		m, _ := experiment.Model(experiment.ModelDepolarizing, *noiseP) // -noise is validated above
 		sched = noise.Compile(m, prog)
 	}
 
 	if *shots > 1 && len(op) > 0 {
-		mean, stderr, err := estimateOp(prog, sched, op, *shots, *seed, *workers, *engine)
+		mean, stderr, err := experiment.EstimateOp(prog, sched, op, *shots, *seed, *workers)
 		if err != nil {
 			fatal(err)
 		}
@@ -184,9 +180,6 @@ func main() {
 	}
 
 	eng := orqcs.NewFromProgram(prog)
-	if *engine == "rowmajor" {
-		eng = orqcs.NewFromProgramRowMajor(prog)
-	}
 	if sched != nil {
 		sched.RunShot(eng, *seed)
 	} else {
@@ -242,85 +235,6 @@ func parseDSpec(flagName, spec string) (d, rounds int, err error) {
 	return d, rounds, nil
 }
 
-// estOpts bundles the estimation pipeline's observability outputs.
-type estOpts struct {
-	metricsFile string // run manifest destination ("" = none)
-	promFile    string // Prometheus text exposition destination ("" = none)
-	diag        bool   // print + record per-channel error-budget attribution
-	demCalib    bool   // print + record per-detector calibration residuals
-	progress    string // NDJSON progress destination: "", "stderr" or a path
-}
-
-// progressFlag is the -progress destination: a boolean-style flag (bare
-// -progress streams to stderr) that also accepts -progress=FILE.
-type progressFlag struct {
-	dest string // "" disabled, "stderr", or a file path
-}
-
-func (p *progressFlag) String() string { return p.dest }
-
-func (p *progressFlag) IsBoolFlag() bool { return true }
-
-func (p *progressFlag) Set(v string) error {
-	switch v {
-	case "", "true":
-		p.dest = "stderr"
-	case "false", "0":
-		p.dest = ""
-	default:
-		p.dest = v
-	}
-	return nil
-}
-
-// validateEngine checks the -engine selection names a known sampler.
-func validateEngine(engine string) error {
-	switch engine {
-	case "frame", "sliced", "rowmajor":
-		return nil
-	}
-	return fmt.Errorf("-engine must be frame, sliced or rowmajor, got %q", engine)
-}
-
-// estimateOp estimates one Pauli operator over a multi-shot run on the
-// selected engine. The Pauli-frame engine is the default for Clifford
-// programs (bit-identical to the tableaus, orders of magnitude faster on
-// noisy shots); non-Clifford programs need the tableaus' quasi-probability
-// T branches and fall back to the bit-sliced engine.
-func estimateOp(prog *orqcs.Program, sched *noise.Schedule, op orqcs.SitePauli, shots int, seed int64, workers int, engine string) (mean, stderr float64, err error) {
-	if engine == "frame" && !prog.Clifford() {
-		fmt.Fprintf(os.Stderr, "orqcs: %d T gates: falling back to the bit-sliced tableau engine\n", prog.NumTGates())
-		engine = "sliced"
-	}
-	switch engine {
-	case "frame":
-		sim, err := frame.New(prog, sched)
-		if err != nil {
-			return 0, 0, err
-		}
-		return sim.EstimateBatch(op, shots, seed, workers)
-	case "rowmajor":
-		var run orqcs.ShotFunc
-		if sched != nil {
-			run = sched.RunShot
-		}
-		means, stderrs, err := orqcs.EstimateManyEngines(prog, orqcs.NewFromProgramRowMajor, run,
-			[]orqcs.SitePauli{op}, shots, seed, workers)
-		if err != nil {
-			return 0, 0, err
-		}
-		return means[0], stderrs[0], nil
-	}
-	if sched != nil {
-		means, stderrs, err := sched.EstimateMany([]orqcs.SitePauli{op}, shots, seed, workers)
-		if err != nil {
-			return 0, 0, err
-		}
-		return means[0], stderrs[0], nil
-	}
-	return orqcs.EstimateBatch(prog, op, shots, seed, workers)
-}
-
 // validateProb checks a probability flag lies in [0, 1].
 func validateProb(name string, p float64) error {
 	if math.IsNaN(p) || p < 0 || p > 1 {
@@ -343,103 +257,33 @@ func usageErr(msg string) {
 	os.Exit(2)
 }
 
-// experiment is what the shared -memory/-surgery estimation pipeline needs
-// from a compiled workload: the lowered program, the outcome formula judged
-// per shot, and the workload-specific detector extraction.
-type experiment struct {
-	prog      *orqcs.Program
-	outcome   expr.Expr
-	reference bool
-	extract   func() (*decoder.Detectors, error)
-	rawLabel  string
-	labels    map[string]any   // manifest point coordinates (workload, d, rounds)
-	spans     *telemetry.Spans // stage spans, started before compilation
-}
-
-// runMemory compiles a distance-d memory experiment and hands it to the
-// shared estimation pipeline.
-func runMemory(spec string, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, fuse bool, engine string) {
-	d, rounds, err := parseDSpec("memory", spec)
+// runExperiment is -memory and -surgery: compile the experiment spec, write
+// the detector error model if requested, then estimate the (optionally
+// union-find-decoded) logical error rate under depolarizing noise through
+// the shared point runner, and write the run manifest (metricsFile),
+// Prometheus exposition (promFile), diagnostics reports and progress stream
+// the options request.
+func runExperiment(workload, dspec string, noiseP float64, decode bool, demFile, metricsFile, promFile string, progress diag.ProgressFlag, ro experiment.RunOptions) {
+	d, rounds, err := parseDSpec(workload, dspec)
 	if err != nil {
 		usageErr(err.Error())
 	}
+	m, _ := experiment.Model(experiment.ModelDepolarizing, noiseP) // -noise is validated by main
 	sp := telemetry.NewSpans()
-	endCompile := sp.Start("compile")
-	mem, err := verify.MemoryExperiment(d, rounds, pauli.Z)
+	circ, err := experiment.Build(experiment.Spec{Workload: workload, Distance: d, Rounds: rounds}, decode || demFile != "", sp)
 	if err != nil {
 		fatal(err)
 	}
-	if fuse {
-		// Fusion preserves shot outcomes bit-for-bit, so the experiment's
-		// outcome formula and reference stay valid on the fused program.
-		mem.Prog = mem.Prog.FuseRotations()
-	}
-	endCompile()
-	fmt.Printf("memory experiment d=%d rounds=%d: %d qubits, %d instructions\n",
-		d, rounds, mem.Prog.NumQubits(), mem.Prog.NumInstrs())
-	runExperiment(experiment{
-		prog:      mem.Prog,
-		outcome:   mem.Outcome,
-		reference: mem.Reference,
-		extract:   func() (*decoder.Detectors, error) { return decoder.Extract(mem) },
-		rawLabel:  "raw readout",
-		labels:    map[string]any{"workload": "memory", "d": d, "rounds": rounds},
-		spans:     sp,
-	}, noiseP, decode, demFile, eo, shots, seed, workers, engine)
-}
-
-// runSurgery compiles a distance-d two-patch ZZ-merge/split cycle and hands
-// it to the shared estimation pipeline; the estimated quantity is the joint
-// parity (final Z̄Z̄ readout against the merge outcome).
-func runSurgery(spec string, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, fuse bool, engine string) {
-	d, rounds, err := parseDSpec("surgery", spec)
-	if err != nil {
-		usageErr(err.Error())
-	}
-	sp := telemetry.NewSpans()
-	endCompile := sp.Start("compile")
-	s, err := verify.SurgeryExperiment(d, 1, rounds, 1, pauli.Z)
+	c, err := circ.Compile(m, decode && noiseP != 0, sp)
 	if err != nil {
 		fatal(err)
 	}
-	if fuse {
-		s.Prog = s.Prog.FuseRotations()
+	rawLabel, roundsName := "raw readout", "rounds"
+	if workload == experiment.Surgery {
+		rawLabel, roundsName = "raw joint-parity readout", "merged-rounds"
 	}
-	endCompile()
-	fmt.Printf("surgery experiment d=%d merged-rounds=%d: %d qubits, %d instructions\n",
-		d, rounds, s.Prog.NumQubits(), s.Prog.NumInstrs())
-	runExperiment(experiment{
-		prog:      s.Prog,
-		outcome:   s.Outcome,
-		reference: s.Reference,
-		extract:   func() (*decoder.Detectors, error) { return decoder.ExtractSurgery(s) },
-		rawLabel:  "raw joint-parity readout",
-		labels:    map[string]any{"workload": "surgery", "d": d, "rounds": rounds},
-		spans:     sp,
-	}, noiseP, decode, demFile, eo, shots, seed, workers, engine)
-}
-
-// runExperiment is the common tail of -memory and -surgery: write the
-// detector error model if requested, then estimate the (optionally
-// union-find-decoded) logical error rate under depolarizing noise, and write
-// the run manifest / Prometheus exposition / diagnostics reports the
-// estimation options request.
-func runExperiment(e experiment, noiseP float64, decode bool, demFile string, eo estOpts, shots int, seed int64, workers int, engine string) {
-	sp := e.spans
-	m := noise.Depolarizing(noiseP)
-	if err := m.Validate(); err != nil {
-		fatal(err)
-	}
-	endNoise := sp.Start("noise-compile")
-	sched := noise.Compile(m, e.prog)
-	endNoise()
-	var dets *decoder.Detectors
-	if demFile != "" || decode {
-		var err error
-		if dets, err = e.extract(); err != nil {
-			fatal(err)
-		}
-	}
+	fmt.Printf("%s experiment d=%d %s=%d: %d qubits, %d instructions\n",
+		workload, d, roundsName, c.Spec.NumRounds(), c.Prog.NumQubits(), c.Prog.NumInstrs())
 	if demFile != "" {
 		if noiseP == 0 {
 			fmt.Fprintln(os.Stderr, "orqcs: -dem with -noise 0 writes a detector error model with no error mechanisms")
@@ -448,160 +292,62 @@ func runExperiment(e experiment, noiseP float64, decode bool, demFile string, eo
 		if err != nil {
 			fatal(err)
 		}
-		if err := decoder.WriteDEM(f, dets, sched); err != nil {
+		if err := decoder.WriteDEM(f, c.Detectors, c.Sched); err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote detector error model (%d detectors, %d fault sites) to %s\n",
-			dets.NumDetectors(), sched.NumFaultSites(), demFile)
+			c.Detectors.NumDetectors(), c.Sched.NumFaultSites(), demFile)
 	}
 	writeManifest := func(pt telemetry.Point) {
-		if eo.metricsFile == "" && eo.promFile == "" {
+		if metricsFile == "" && promFile == "" {
 			return
 		}
 		man := telemetry.NewManifest("orqcs")
 		man.Config = map[string]any{
-			"noise": noiseP, "shots": shots, "seed": seed,
-			"workers": workers, "engine": engine, "decode": decode,
+			"noise": noiseP, "shots": ro.Shots, "seed": ro.Seed,
+			"workers": ro.Workers, "engine": "frame", "decode": decode,
 		}
 		man.AddPoint(pt)
 		man.Finish(sp)
-		if eo.metricsFile != "" {
-			if err := man.WriteFile(eo.metricsFile); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote run manifest to %s\n", eo.metricsFile)
-		}
-		if eo.promFile != "" {
-			if err := man.WritePrometheusFile(eo.promFile, "tiscc"); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote Prometheus metrics to %s\n", eo.promFile)
+		if err := man.WriteOutputs(metricsFile, promFile, os.Stdout); err != nil {
+			fatal(err)
 		}
 	}
 	if noiseP == 0 {
-		if decode || shots > 1 {
+		if decode || ro.Shots > 1 {
 			fmt.Fprintln(os.Stderr, "orqcs: -noise 0: nothing to estimate (-decode/-shots ignored)")
 		}
 		// The manifest still records the compile-time pipeline state.
 		writeManifest(telemetry.Point{
-			Labels: e.labels,
+			Labels: c.Labels(),
 			Metrics: map[string]*telemetry.Snapshot{
-				"program": e.prog.Metrics(),
-				"noise":   sched.Metrics(),
+				"program": c.Prog.Metrics(),
+				"noise":   c.Sched.Metrics(),
 			},
 		})
 		return
 	}
-	opt := noise.Options{Shots: shots, Seed: seed, Workers: workers}
-	var coll *diag.Collector
-	if eo.diag || eo.demCalib {
-		coll = diag.NewCollector(sched, dets, seed)
-		opt.Observer = coll
-	}
-	var pw *diag.ProgressWriter
-	if eo.progress != "" {
-		progW := io.Writer(os.Stderr)
-		if eo.progress != "stderr" {
-			f, err := os.Create(eo.progress)
-			if err != nil {
-				fatal(err)
-			}
-			defer f.Close()
-			progW = f
-		}
-		pw = diag.NewProgressWriter(progW,
-			fmt.Sprintf("%s p=%g engine=%s", e.labels["workload"], noiseP, engine), shots)
-		opt.Progress = pw.Batch
-	}
-	// Engine selection: all three samplers produce bit-identical records per
-	// (seed, shot), so the estimate is the same — the Pauli-frame default is
-	// purely a throughput choice. Every sampler is set explicitly (never left
-	// to the estimator's internal default) so each exposes merged Metrics.
-	var sampler interface{ Metrics() *telemetry.Snapshot }
-	switch engine {
-	case "frame":
-		sim, err := frame.New(e.prog, sched)
-		if err != nil {
-			fatal(err)
-		}
-		opt.Sampler, sampler = sim, sim
-	case "sliced":
-		es := &noise.EngineSampler{S: sched}
-		opt.Sampler, sampler = es, es
-	case "rowmajor":
-		es := &noise.EngineSampler{S: sched, RowMajor: true}
-		opt.Sampler, sampler = es, es
-	}
-	label := e.rawLabel
-	var g *decoder.Graph
-	if decode {
-		endGraph := sp.Start("decoder-compile")
-		var err error
-		g, err = decoder.CompileGraph(dets, sched)
-		endGraph()
-		if err != nil {
-			fatal(err)
-		}
-		opt.Decoder = g
-		label = "union-find decoded"
-	}
-	endEst := sp.Start("estimate")
-	t0 := time.Now()
-	res, err := noise.EstimateLogicalError(sched, e.outcome, e.reference, opt)
-	wall := time.Since(t0).Seconds()
-	endEst()
+	progW, closeProg, err := progress.Open()
 	if err != nil {
 		fatal(err)
 	}
-	if pw != nil {
-		pw.Done(res)
-		if perr := pw.Err(); perr != nil {
-			fatal(fmt.Errorf("progress stream: %w", perr))
-		}
+	defer closeProg()
+	ro.Progress, ro.Spans = progW, sp
+	ro.Label = fmt.Sprintf("%s p=%g engine=frame", workload, noiseP)
+	pt, err := c.Run(ro)
+	if err != nil {
+		fatal(err)
 	}
-	fmt.Printf("depolarizing p=%g (%s): %v\n", noiseP, label, res)
-	e.labels["engine"] = engine
-	e.labels["decoded"] = decode
-	e.labels["p"] = noiseP
-	metrics := map[string]*telemetry.Snapshot{
-		"program": e.prog.Metrics(),
-		"noise":   sched.Metrics(),
-		"sampler": sampler.Metrics(),
+	label := rawLabel
+	if decode {
+		label = "union-find decoded"
 	}
-	if g != nil {
-		metrics["decoder"] = g.Metrics()
-	}
-	point := telemetry.Point{
-		Labels: e.labels,
-		Result: map[string]any{
-			"shots": res.Shots, "requested": res.Requested, "errors": res.Errors,
-			"p_l": res.Rate, "stderr": res.StdErr,
-			"wilson_low": res.WilsonLow, "wilson_high": res.WilsonHigh,
-			"half_width": res.HalfWidth, "early_stop_batch": res.EarlyStopBatch,
-			"wall_seconds": wall,
-		},
-		Metrics: metrics,
-	}
-	if coll != nil {
-		att := coll.Attribution()
-		point.Attribution = att
-		metrics["error_budget"] = att.Snapshot()
-		if eo.diag {
-			fmt.Print(att.Table())
-		}
-		if eo.demCalib {
-			dr, derr := coll.DetectorReport()
-			if derr != nil {
-				fatal(derr)
-			}
-			point.Detectors = dr
-			fmt.Print(dr.Table())
-		}
-	}
-	writeManifest(point)
+	fmt.Printf("depolarizing p=%g (%s): %v\n", noiseP, label, pt.Result)
+	fmt.Print(pt.Tables)
+	writeManifest(pt.Telemetry)
 }
 
 func parseExpect(s string) (orqcs.SitePauli, error) {

@@ -64,19 +64,6 @@ func TestValidateShots(t *testing.T) {
 	}
 }
 
-func TestValidateEngine(t *testing.T) {
-	for _, e := range []string{"frame", "sliced", "rowmajor"} {
-		if err := validateEngine(e); err != nil {
-			t.Fatalf("validateEngine(%q): %v", e, err)
-		}
-	}
-	for _, e := range []string{"", "stim", "Frame"} {
-		if err := validateEngine(e); err == nil {
-			t.Fatalf("validateEngine(%q) accepted an unknown engine", e)
-		}
-	}
-}
-
 // TestCLIErrorPaths re-executes the test binary as the orqcs CLI with
 // invalid flags and asserts each run exits with a usage error (status 2,
 // "orqcs:" message) rather than an internal panic with a stack trace.
@@ -102,7 +89,9 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"noise-negative", []string{"-memory", "3", "-noise", "-0.25"}, "probability in [0, 1]"},
 		{"zero-shots", []string{"-memory", "3", "-shots", "0"}, "-shots must be ≥ 1"},
 		{"negative-workers", []string{"-memory", "3", "-workers", "-2"}, "-workers must be ≥ 0"},
-		{"bad-engine", []string{"-memory", "3", "-engine", "stim"}, "-engine must be frame, sliced or rowmajor"},
+		// -engine does not exist: the sampler follows from the program.
+		{"bad-engine", []string{"-memory", "3", "-engine", "stim"}, "flag provided but not defined: -engine"},
+		{"fuse-with-experiment", []string{"-memory", "3", "-fuse"}, "-fuse applies to -circuit only"},
 		{"both-experiments", []string{"-memory", "3", "-surgery", "3"}, "mutually exclusive"},
 		{"metrics-without-experiment", []string{"-circuit", "x.tiscc", "-metrics", "m.json"}, "-metrics requires -memory or -surgery"},
 		{"prom-without-experiment", []string{"-circuit", "x.tiscc", "-prom", "m.prom"}, "-prom requires -memory or -surgery"},

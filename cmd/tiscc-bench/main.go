@@ -13,12 +13,18 @@
 //	tiscc-bench -resources [-dlist 3,5,7,9,11,13]
 //	tiscc-bench -verify
 //	tiscc-bench -simbench [-d 5] [-shots 200] [-json]
-//	tiscc-bench -noise [-dlist 3,5] [-plist 1e-4,...] [-rounds 0] [-shots N] [-model depolarizing|table5] [-seed 1] [-workers 0] [-engine frame]
+//	tiscc-bench -noise [-dlist 3,5] [-plist 1e-4,...] [-rounds 0] [-shots N] [-model depolarizing|table5] [-seed 1] [-workers 0]
 //	tiscc-bench -noise -decode ...  (adds union-find syndrome decoding: p-vs-p_L threshold sweeps)
 //	tiscc-bench -noise -surgery ... (sweeps two-patch ZZ-merge/split cycles instead of idle memory)
 //	tiscc-bench -noise ... [-json] [-metrics run.json] [-prom run.prom]
 //	tiscc-bench -noise ... [-diag] [-dem-calib] [-progress[=events.ndjson]]
 //	tiscc-bench ... [-cpuprofile cpu.pprof] [-memprofile mem.pprof] [-trace trace.out]
+//
+// Noise sweeps compile every (d, p) point through internal/experiment — the
+// same spec → compiled experiment → estimate path as the tiscc facade,
+// tiscc-serve and orqcs -memory/-surgery — and sample on the Pauli-frame
+// engine. -rounds 0 (the default) runs d rounds; for -surgery it counts the
+// merged-phase rounds.
 //
 // Noise sweeps carry full observability: -metrics writes a structured run
 // manifest (provenance, config, stage spans, per-point results with merged
@@ -49,9 +55,8 @@ import (
 
 	"tiscc/internal/circuit"
 	"tiscc/internal/core"
-	"tiscc/internal/decoder"
 	"tiscc/internal/diag"
-	"tiscc/internal/expr"
+	"tiscc/internal/experiment"
 	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/instr"
@@ -82,7 +87,6 @@ func main() {
 		decode  = flag.Bool("decode", false, "with -noise (memory or -surgery sweeps): union-find-decode each shot's syndrome history")
 		surgery = flag.Bool("surgery", false, "with -noise: sweep two-patch ZZ-merge/split cycles (joint-parity error) instead of idle memory")
 		workers = flag.Int("workers", 0, "worker goroutines for the -noise sweep (0 = all cores)")
-		engine  = flag.String("engine", "frame", "sampling engine for the -noise sweep: frame (Pauli-frame, default), sliced (bit-sliced tableau) or rowmajor (row-major reference tableau)")
 		jsonOut = flag.Bool("json", false, "with -simbench, -noise or -surgery: emit results as JSON (benchmark records, or the full run manifest) instead of the table")
 		metOut  = flag.String("metrics", "", "with a noise sweep: write the structured run manifest (provenance, spans, per-point metrics) to this JSON file")
 		promOut = flag.String("prom", "", "with a noise sweep: write the aggregated run metrics in Prometheus text exposition format to this file")
@@ -92,7 +96,7 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a pprof heap profile (taken at exit, after a GC) to this file")
 		trcOut  = flag.String("trace", "", "write a runtime execution trace of the run to this file")
 	)
-	var progress progressFlag
+	var progress diag.ProgressFlag
 	flag.Var(&progress, "progress", "with a noise sweep: stream NDJSON batch progress events (bare -progress → stderr, -progress=FILE → file)")
 	flag.Parse()
 	// Validate every numeric flag up front: invalid inputs exit with a usage
@@ -109,9 +113,6 @@ func main() {
 	}
 	if *workers < 0 {
 		usageErr(fmt.Sprintf("-workers must be ≥ 0 (0 = all cores), got %d", *workers))
-	}
-	if err := validateEngine(*engine); err != nil {
-		usageErr(err.Error())
 	}
 	// -surgery on its own runs the noise sweep over surgery cycles, so every
 	// sweep-only flag accepts either spelling.
@@ -131,8 +132,11 @@ func main() {
 	if *calOut && (!sweep || !*decode) {
 		usageErr("-dem-calib requires a decoded sweep (-noise or -surgery, with -decode)")
 	}
-	if progress.dest != "" && !sweep {
+	if progress.Dest != "" && !sweep {
 		usageErr("-progress requires -noise or -surgery")
+	}
+	if _, err := experiment.Model(*model, 0); sweep && err != nil {
+		usageErr(fmt.Sprintf("bad -model: %v", err))
 	}
 	dlistVals, err := parseInts(*dlist)
 	if err != nil {
@@ -204,12 +208,16 @@ func main() {
 				nshots = *shots
 			}
 		})
+		ps := plistVals
+		if *model == experiment.ModelTable5 {
+			ps = []float64{0} // table5 ignores -plist: one point per distance
+		}
 		runNoiseSweep(sweepConfig{
-			ds: ds, ps: plistVals, rounds: *rounds, shots: nshots,
-			seed: *seed, workers: *workers, model: *model, engine: *engine,
+			ds: ds, ps: ps, rounds: *rounds, model: *model,
 			decode: *decode, surgery: *surgery,
-			json: *jsonOut, metricsFile: *metOut, promFile: *promOut,
-			diag: *diagOut, demCalib: *calOut, progress: progress.dest,
+			json: *jsonOut, metricsFile: *metOut, promFile: *promOut, progress: progress,
+			run: experiment.RunOptions{Shots: nshots, Seed: *seed, Workers: *workers,
+				Diag: *diagOut, DemCalib: *calOut},
 		})
 		did = true
 	}
@@ -233,61 +241,19 @@ func usageErr(msg string) {
 	os.Exit(2)
 }
 
-// progressFlag is the -progress destination: a boolean-style flag (bare
-// -progress streams to stderr) that also accepts -progress=FILE.
-type progressFlag struct {
-	dest string // "" disabled, "stderr", or a file path
-}
-
-func (p *progressFlag) String() string { return p.dest }
-
-func (p *progressFlag) IsBoolFlag() bool { return true }
-
-func (p *progressFlag) Set(v string) error {
-	switch v {
-	case "", "true":
-		p.dest = "stderr"
-	case "false", "0":
-		p.dest = ""
-	default:
-		p.dest = v
-	}
-	return nil
-}
-
-// validateEngine checks the -engine selection names a known sampler.
-func validateEngine(engine string) error {
-	switch engine {
-	case "frame", "sliced", "rowmajor":
-		return nil
-	}
-	return fmt.Errorf("-engine must be frame, sliced or rowmajor, got %q", engine)
-}
-
 // sweepConfig bundles the -noise sweep's flags.
 type sweepConfig struct {
 	ds          []int
 	ps          []float64
 	rounds      int
-	shots       int
-	seed        int64
-	workers     int
 	model       string
-	engine      string
 	decode      bool
 	surgery     bool
 	json        bool   // emit the run manifest to stdout instead of the table
 	metricsFile string // write the run manifest to this file
 	promFile    string // write Prometheus text exposition to this file
-	diag        bool   // print + record per-channel error-budget attribution
-	demCalib    bool   // print + record per-detector calibration residuals
-	progress    string // NDJSON progress destination: "", "stderr" or a path
-}
-
-// metricSampler is the slice of the RecordSampler implementations the sweep
-// needs back: merged per-run sampler counters at quiescence.
-type metricSampler interface {
-	Metrics() *telemetry.Snapshot
+	progress    diag.ProgressFlag
+	run         experiment.RunOptions // shots, seed, workers and diagnostics of every point
 }
 
 // runNoiseSweep estimates logical error rates across code distances and
@@ -301,46 +267,34 @@ type metricSampler interface {
 // noiseless reference. Output is deterministic for a fixed seed, regardless
 // of worker count or machine.
 //
-// The whole sweep is recorded in a telemetry.Manifest — provenance, config,
-// wall-clock stage spans (compile / noise-compile / decoder-compile /
-// estimate), and one Point per (d, model) with the merged program, noise,
-// sampler and decoder metric snapshots — written per cfg.json / metricsFile /
-// promFile. Telemetry never touches the samplers' RNG, so estimates stay
-// bit-identical with and without any of the outputs enabled.
+// Every point is one experiment.Spec, compiled and run by the shared
+// experiment pipeline. The whole sweep is recorded in a telemetry.Manifest
+// — provenance, config, wall-clock stage spans (compile / noise-compile /
+// decoder-compile / estimate), and one Point per (d, model) — written per
+// cfg.json / metricsFile / promFile. Telemetry never touches the samplers'
+// RNG, so estimates stay bit-identical with and without any of the outputs
+// enabled.
 func runNoiseSweep(cfg sweepConfig) {
-	if cfg.model != "depolarizing" && cfg.model != "table5" {
-		fmt.Fprintf(os.Stderr, "noise sweep: unknown -model %q (want depolarizing or table5)\n", cfg.model)
-		os.Exit(2)
-	}
-	if cfg.model == "depolarizing" && len(cfg.ps) == 0 {
-		fmt.Fprintln(os.Stderr, "noise sweep: -plist parsed to no error rates")
-		os.Exit(2)
-	}
 	sp := telemetry.NewSpans()
 	man := telemetry.NewManifest("tiscc-bench")
-	workload := "memory"
+	workload := experiment.Memory
 	if cfg.surgery {
-		workload = "surgery"
+		workload = experiment.Surgery
 	}
 	man.Config = map[string]any{
-		"workload": workload, "model": cfg.model, "shots": cfg.shots,
-		"seed": cfg.seed, "workers": cfg.workers, "engine": cfg.engine,
+		"workload": workload, "model": cfg.model, "shots": cfg.run.Shots,
+		"seed": cfg.run.Seed, "workers": cfg.run.Workers, "engine": "frame",
 		"decode": cfg.decode, "rounds": cfg.rounds,
 	}
 	// The progress stream is shared by every point of the sweep; point labels
 	// tell the interleaved runs apart.
-	var progW io.Writer
-	if cfg.progress == "stderr" {
-		progW = os.Stderr
-	} else if cfg.progress != "" {
-		f, err := os.Create(cfg.progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "noise sweep:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		progW = f
+	progW, closeProg, err := cfg.progress.Open()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "noise sweep:", err)
+		os.Exit(1)
 	}
+	defer closeProg()
+	cfg.run.Progress, cfg.run.Spans = progW, sp
 	quiet := cfg.json // the manifest replaces the human-readable table
 	if !quiet {
 		desc := "memory experiments"
@@ -352,183 +306,50 @@ func runNoiseSweep(cfg sweepConfig) {
 		if cfg.decode {
 			mode = "union-find decoded syndrome history"
 		}
-		fmt.Printf("model=%s, shots=%d/point, seed=%d, engine=%s (%s)\n",
-			cfg.model, cfg.shots, cfg.seed, cfg.engine, mode)
+		fmt.Printf("model=%s, shots=%d/point, seed=%d, engine=frame (%s)\n",
+			cfg.model, cfg.run.Shots, cfg.run.Seed, mode)
 	}
 	for _, d := range cfg.ds {
-		r := cfg.rounds
-		if r <= 0 {
-			r = d
-		}
-		var (
-			prog      *orqcs.Program
-			outcome   expr.Expr
-			reference bool
-			dets      *decoder.Detectors
-			err       error
-		)
-		endCompile := sp.Start("compile")
-		if cfg.surgery {
-			var s *verify.Surgery
-			if s, err = verify.SurgeryExperiment(d, 1, r, 1, pauli.Z); err == nil {
-				prog, outcome, reference = s.Prog, s.Outcome, s.Reference
-				if cfg.decode {
-					dets, err = decoder.ExtractSurgery(s)
-				}
-			}
-		} else {
-			var mem *verify.Memory
-			if mem, err = verify.MemoryExperiment(d, r, pauli.Z); err == nil {
-				prog, outcome, reference = mem.Prog, mem.Outcome, mem.Reference
-				if cfg.decode {
-					dets, err = decoder.Extract(mem)
-				}
-			}
-		}
-		endCompile()
+		circ, err := experiment.Build(experiment.Spec{Workload: workload, Distance: d, Rounds: cfg.rounds}, cfg.decode, sp)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "noise sweep:", err)
 			return
 		}
 		if !quiet {
-			fmt.Printf("\nd=%d (rounds=%d, %d qubits, %d instructions", d, r, prog.NumQubits(), prog.NumInstrs())
-			if dets != nil {
-				fmt.Printf(", %d detectors", dets.NumDetectors())
+			fmt.Printf("\nd=%d (rounds=%d, %d qubits, %d instructions", d, circ.Spec.Rounds, circ.Prog.NumQubits(), circ.Prog.NumInstrs())
+			if cfg.decode {
+				fmt.Printf(", %d detectors", circ.Detectors.NumDetectors())
 			}
 			fmt.Println(")")
 			fmt.Printf("  %-10s %-8s %-8s %-12s %-10s %s\n",
 				"p_phys", "shots", "errors", "p_L", "stderr", "95% Wilson CI")
 		}
-		models := make([]noise.Model, 0, len(cfg.ps))
-		if cfg.model == "table5" {
-			models = append(models, noise.PaperTable5(hardware.Default()))
-		} else {
-			for _, p := range cfg.ps {
-				models = append(models, noise.Depolarizing(p))
-			}
-		}
-		for _, m := range models {
-			if err := m.Validate(); err != nil {
-				fmt.Fprintln(os.Stderr, "noise sweep:", err)
-				return
-			}
-			endNoise := sp.Start("noise-compile")
-			sched := noise.Compile(m, prog)
-			endNoise()
-			opt := noise.Options{Shots: cfg.shots, Seed: cfg.seed, Workers: cfg.workers}
-			var coll *diag.Collector
-			if cfg.diag || cfg.demCalib {
-				coll = diag.NewCollector(sched, dets, cfg.seed)
-				opt.Observer = coll
-			}
-			pointLabel := m.Name
-			if cfg.model != "table5" {
-				pointLabel = fmt.Sprintf("p=%.1e", m.P1)
-			}
-			var pw *diag.ProgressWriter
-			if progW != nil {
-				pw = diag.NewProgressWriter(progW,
-					fmt.Sprintf("%s d=%d %s engine=%s", workload, d, pointLabel, cfg.engine),
-					cfg.shots)
-				opt.Progress = pw.Batch
-			}
-			var sampler metricSampler
-			switch cfg.engine {
-			case "frame":
-				sim, err := frame.New(prog, sched)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "noise sweep:", err)
-					return
-				}
-				opt.Sampler, sampler = sim, sim
-			case "sliced":
-				es := &noise.EngineSampler{S: sched}
-				opt.Sampler, sampler = es, es
-			case "rowmajor":
-				es := &noise.EngineSampler{S: sched, RowMajor: true}
-				opt.Sampler, sampler = es, es
-			}
-			var g *decoder.Graph
-			if cfg.decode {
-				endGraph := sp.Start("decoder-compile")
-				g, err = decoder.CompileGraph(dets, sched)
-				endGraph()
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "noise sweep:", err)
-					return
-				}
-				opt.Decoder = g
-			}
-			endEst := sp.Start("estimate")
-			t0 := time.Now()
-			res, err := noise.EstimateLogicalError(sched, outcome, reference, opt)
-			wall := time.Since(t0).Seconds()
-			endEst()
+		for _, p := range cfg.ps {
+			m, _ := experiment.Model(cfg.model, p) // validated by main
+			c, err := circ.Compile(m, cfg.decode, sp)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "noise sweep:", err)
 				return
 			}
-			if pw != nil {
-				pw.Done(res)
-				if perr := pw.Err(); perr != nil {
-					fmt.Fprintln(os.Stderr, "noise sweep: progress stream:", perr)
-					return
-				}
+			label, point := m.Name, m.Name
+			if cfg.model != experiment.ModelTable5 {
+				label = fmt.Sprintf("%.1e", m.P1)
+				point = "p=" + label
 			}
-			labels := map[string]any{
-				"workload": workload, "d": d, "rounds": r,
-				"model": m.Name, "engine": cfg.engine, "decoded": cfg.decode,
+			cfg.run.Label = fmt.Sprintf("%s d=%d %s engine=frame", workload, d, point)
+			pt, err := c.Run(cfg.run)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "noise sweep:", err)
+				return
 			}
-			if cfg.model != "table5" {
-				labels["p"] = m.P1
+			man.AddPoint(pt.Telemetry)
+			if quiet {
+				continue
 			}
-			metrics := map[string]*telemetry.Snapshot{
-				"program": prog.Metrics(),
-				"noise":   sched.Metrics(),
-				"sampler": sampler.Metrics(),
-			}
-			if g != nil {
-				metrics["decoder"] = g.Metrics()
-			}
-			point := telemetry.Point{
-				Labels: labels,
-				Result: map[string]any{
-					"shots": res.Shots, "requested": res.Requested, "errors": res.Errors,
-					"p_l": res.Rate, "stderr": res.StdErr,
-					"wilson_low": res.WilsonLow, "wilson_high": res.WilsonHigh,
-					"half_width": res.HalfWidth, "early_stop_batch": res.EarlyStopBatch,
-					"wall_seconds": wall,
-				},
-				Metrics: metrics,
-			}
-			if coll != nil {
-				att := coll.Attribution()
-				point.Attribution = att
-				metrics["error_budget"] = att.Snapshot()
-				if cfg.diag && !quiet {
-					fmt.Print(att.Table())
-				}
-				if cfg.demCalib {
-					dr, derr := coll.DetectorReport()
-					if derr != nil {
-						fmt.Fprintln(os.Stderr, "noise sweep:", derr)
-						return
-					}
-					point.Detectors = dr
-					if !quiet {
-						fmt.Print(dr.Table())
-					}
-				}
-			}
-			man.AddPoint(point)
-			if !quiet {
-				label := m.Name
-				if cfg.model != "table5" {
-					label = fmt.Sprintf("%.1e", m.P1)
-				}
-				fmt.Printf("  %-10s %-8d %-8d %-12.4e %-10.1e [%.4e, %.4e]\n",
-					label, res.Shots, res.Errors, res.Rate, res.StdErr, res.WilsonLow, res.WilsonHigh)
-			}
+			fmt.Print(pt.Tables)
+			res := pt.Result
+			fmt.Printf("  %-10s %-8d %-8d %-12.4e %-10.1e [%.4e, %.4e]\n",
+				label, res.Shots, res.Errors, res.Rate, res.StdErr, res.WilsonLow, res.WilsonHigh)
 		}
 	}
 	if !quiet {
@@ -540,23 +361,12 @@ func runNoiseSweep(cfg sweepConfig) {
 			fmt.Fprintln(os.Stderr, "noise sweep:", err)
 		}
 	}
-	if cfg.metricsFile != "" {
-		if err := man.WriteFile(cfg.metricsFile); err != nil {
-			fmt.Fprintln(os.Stderr, "noise sweep:", err)
-			return
-		}
-		if !quiet {
-			fmt.Printf("wrote run manifest to %s\n", cfg.metricsFile)
-		}
+	var log io.Writer = os.Stdout
+	if quiet {
+		log = io.Discard
 	}
-	if cfg.promFile != "" {
-		if err := man.WritePrometheusFile(cfg.promFile, "tiscc"); err != nil {
-			fmt.Fprintln(os.Stderr, "noise sweep:", err)
-			return
-		}
-		if !quiet {
-			fmt.Printf("wrote Prometheus metrics to %s\n", cfg.promFile)
-		}
+	if err := man.WriteOutputs(cfg.metricsFile, cfg.promFile, log); err != nil {
+		fmt.Fprintln(os.Stderr, "noise sweep:", err)
 	}
 }
 

@@ -55,19 +55,6 @@ func TestValidateDistance(t *testing.T) {
 	}
 }
 
-func TestValidateEngine(t *testing.T) {
-	for _, e := range []string{"frame", "sliced", "rowmajor"} {
-		if err := validateEngine(e); err != nil {
-			t.Fatalf("validateEngine(%q): %v", e, err)
-		}
-	}
-	for _, e := range []string{"", "stim", "FRAME", "bitsliced"} {
-		if err := validateEngine(e); err == nil {
-			t.Fatalf("validateEngine(%q) accepted an unknown engine", e)
-		}
-	}
-}
-
 // TestCLIErrorPaths re-executes the test binary as the tiscc-bench CLI with
 // invalid flags and asserts each run exits with a usage error (status 2)
 // rather than an internal panic with a stack trace.
@@ -93,7 +80,9 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"negative-rounds", []string{"-noise", "-rounds", "-1"}, "-rounds must be ≥ 0"},
 		{"zero-shots", []string{"-noise", "-shots", "0"}, "-shots must be ≥ 1"},
 		{"negative-workers", []string{"-noise", "-workers", "-1"}, "-workers must be ≥ 0"},
-		{"bad-engine", []string{"-noise", "-engine", "stim"}, "-engine must be frame, sliced or rowmajor"},
+		// -engine does not exist: the sampler follows from the program.
+		{"bad-engine", []string{"-noise", "-engine", "stim"}, "flag provided but not defined: -engine"},
+		{"bad-model", []string{"-noise", "-model", "exotic"}, "bad -model"},
 		{"json-alone", []string{"-json"}, "-json requires -simbench, -noise or -surgery"},
 		{"json-with-table", []string{"-table", "1", "-json"}, "-json requires -simbench, -noise or -surgery"},
 		{"metrics-without-noise", []string{"-simbench", "-metrics", "run.json"}, "-metrics requires -noise or -surgery"},

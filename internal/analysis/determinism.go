@@ -14,15 +14,16 @@ import (
 // for; inside these packages both require either a sort or an explicit
 // //tiscc:nondeterministic waiver.
 var DeterministicPackages = map[string]bool{
-	"tableau":   true,
-	"frame":     true,
-	"noise":     true,
-	"decoder":   true,
-	"orqcs":     true,
-	"verify":    true,
-	"wire":      true,
-	"serve":     true,
-	"telemetry": true,
+	"tableau":    true,
+	"frame":      true,
+	"noise":      true,
+	"decoder":    true,
+	"experiment": true,
+	"orqcs":      true,
+	"verify":     true,
+	"wire":       true,
+	"serve":      true,
+	"telemetry":  true,
 }
 
 // randConstructors are the math/rand entry points that build explicitly
@@ -43,7 +44,8 @@ var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: `forbid wall-clock reads (time.Now/Since/Until), the process-global
 math/rand RNG, and unsorted map iteration in the deterministic packages
-(tableau, frame, noise, decoder, orqcs, verify, wire, serve, telemetry).
+(tableau, frame, noise, decoder, experiment, orqcs, verify, wire, serve,
+telemetry).
 Map ranges are accepted when the loop body is order-insensitive (pure
 accumulation) or when the collected slice is sorted afterwards in the same
 function; anything else needs //tiscc:nondeterministic <reason>.`,

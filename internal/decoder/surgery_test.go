@@ -13,8 +13,29 @@ import (
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
+	"tiscc/internal/telemetry"
 	"tiscc/internal/verify"
 )
+
+// rowMajorSampler is the row-major reference tableau as a
+// noise.RecordSampler: one directly constructed engine per pool worker, each
+// registering a telemetry shard in met.
+type rowMajorSampler struct {
+	sched *noise.Schedule
+	met   *telemetry.Set
+}
+
+func (r *rowMajorSampler) SampleRecords(shots int, seed int64, workers int, visit func(shot int, records map[int32]bool) error) error {
+	newEngine := func() *orqcs.Engine {
+		e := orqcs.NewFromProgramRowMajor(r.sched.Program())
+		e.SetTelemetry(r.met.NewShard())
+		return e
+	}
+	return orqcs.RunPool(shots, workers, newEngine, func(e *orqcs.Engine, i int) error {
+		r.sched.RunShot(e, orqcs.ShotSeed(seed, i))
+		return visit(i, e.Records())
+	})
+}
 
 func mustSurgery(t testing.TB, d, pre, merge, post int, basis pauli.Kind) *verify.Surgery {
 	t.Helper()
@@ -230,10 +251,10 @@ func TestSurgeryDeterminismMatrix(t *testing.T) {
 				t.Fatalf("seed %d workers=%d: frame-engine %+v differs from tableau %+v", seed, workers, res, ref)
 			}
 		}
-		// The telemetry-instrumented tableau sampler (Set-registered shards
+		// The telemetry-instrumented row-major tableau (Set-registered shards
 		// merged across workers) must also land on the pinned expectations:
 		// metrics collection touches no RNG, so it cannot perturb records.
-		es := &noise.EngineSampler{S: sched}
+		es := &rowMajorSampler{sched: sched, met: telemetry.NewSet(orqcs.SamplerSchema)}
 		for _, workers := range []int{1, 4} {
 			res, err := noise.EstimateLogicalError(sched, s.Outcome, s.Reference,
 				noise.Options{Shots: 1500, Seed: seed, Workers: workers, Decoder: g, Sampler: es})
@@ -244,7 +265,7 @@ func TestSurgeryDeterminismMatrix(t *testing.T) {
 				t.Fatalf("seed %d workers=%d: instrumented sampler %+v differs from %+v", seed, workers, res, ref)
 			}
 		}
-		if snap := es.Metrics(); snap.Counter("shots") != 2*1500 {
+		if snap := es.met.Snapshot(); snap.Counter("shots") != 2*1500 {
 			t.Fatalf("instrumented sampler counted %d shots, want %d", snap.Counter("shots"), 2*1500)
 		}
 		golden := filepath.Join("testdata", fmt.Sprintf("decoded_surgery_d3_seed%d.golden", seed))

@@ -3,6 +3,7 @@ package diag
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"sync"
 	"time"
 
@@ -108,4 +109,44 @@ func (p *ProgressWriter) emit(ev ProgressEvent) {
 	if _, err := p.w.Write(line); err != nil && p.err == nil {
 		p.err = err
 	}
+}
+
+// ProgressFlag is the CLIs' -progress destination: a boolean-style flag
+// (bare -progress streams to stderr) that also accepts -progress=FILE.
+type ProgressFlag struct {
+	Dest string // "" disabled, "stderr", or a file path
+}
+
+func (p *ProgressFlag) String() string { return p.Dest }
+
+// IsBoolFlag lets the flag package accept a bare -progress.
+func (p *ProgressFlag) IsBoolFlag() bool { return true }
+
+// Set implements flag.Value.
+func (p *ProgressFlag) Set(v string) error {
+	switch v {
+	case "", "true":
+		p.Dest = "stderr"
+	case "false", "0":
+		p.Dest = ""
+	default:
+		p.Dest = v
+	}
+	return nil
+}
+
+// Open returns the progress destination's writer (nil when the stream is
+// disabled) and the function that closes it once the run is done.
+func (p *ProgressFlag) Open() (io.Writer, func() error, error) {
+	switch p.Dest {
+	case "":
+		return nil, func() error { return nil }, nil
+	case "stderr":
+		return os.Stderr, func() error { return nil }, nil
+	}
+	f, err := os.Create(p.Dest)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, f.Close, nil
 }

@@ -14,28 +14,25 @@ import (
 )
 
 // tableauRecords collects per-shot record tables from one of the tableau
-// reference engines.
+// reference engines, constructed directly and run shot by shot.
 func tableauRecords(t testing.TB, prog *orqcs.Program, sched *noise.Schedule, rowMajor bool, shots int, seed int64) []map[int32]bool {
 	t.Helper()
-	mk := orqcs.NewFromProgram
+	e := orqcs.NewFromProgram(prog)
 	if rowMajor {
-		mk = orqcs.NewFromProgramRowMajor
-	}
-	var run orqcs.ShotFunc
-	if sched != nil {
-		run = sched.RunShot
+		e = orqcs.NewFromProgramRowMajor(prog)
 	}
 	out := make([]map[int32]bool, shots)
-	err := orqcs.RunShotsEngines(prog, 0, shots, seed, 1, mk, run, func(i int, e *orqcs.Engine) error {
+	for i := range out {
+		if sched != nil {
+			sched.RunShot(e, orqcs.ShotSeed(seed, i))
+		} else {
+			e.RunShot(orqcs.ShotSeed(seed, i))
+		}
 		m := make(map[int32]bool, len(e.Records()))
 		for k, v := range e.Records() {
 			m[k] = v
 		}
 		out[i] = m
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("tableau run: %v", err)
 	}
 	return out
 }

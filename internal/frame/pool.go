@@ -1,10 +1,6 @@
 package frame
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 )
@@ -26,7 +22,8 @@ func (s *Sim) SampleRecords(shots int, seed int64, workers int, visit func(shot 
 	if workers < 0 {
 		return &noise.OptionError{Op: "frame.SampleRecords", Field: "Workers", Value: workers, Constraint: "must be ≥ 0"}
 	}
-	return s.runBatches(shots, seed, workers, func(b *Batch) error {
+	return orqcs.RunPool(batches(shots), workers, s.NewBatch, func(b *Batch, bi int) error {
+		b.runBatch(bi, shots, seed)
 		for lane := 0; lane < b.n; lane++ {
 			if err := visit(b.first+lane, b.Records(lane)); err != nil {
 				return err
@@ -36,66 +33,13 @@ func (s *Sim) SampleRecords(shots int, seed int64, workers int, visit func(shot 
 	})
 }
 
-// runBatches drives 64-shot batches through a worker pool, calling fold
-// after every completed batch (concurrently across workers, each worker
-// reusing one Batch). The pool mirrors orqcs.RunShotsEngines: an atomic
-// batch cursor, first visit error wins, every lane still seeded per shot.
-func (s *Sim) runBatches(shots int, seed int64, workers int, fold func(b *Batch) error) error {
-	if shots <= 0 {
-		return nil
-	}
-	batches := (shots + 63) / 64
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > batches {
-		workers = batches
-	}
-	runOne := func(b *Batch, bi int) error {
-		first := bi * 64
-		count := shots - first
-		if count > 64 {
-			count = 64
-		}
-		b.Run(first, count, seed)
-		return fold(b)
-	}
-	if workers == 1 {
-		b := s.NewBatch()
-		for bi := 0; bi < batches; bi++ {
-			if err := runOne(b, bi); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next    atomic.Int64
-		stop    atomic.Bool
-		errOnce sync.Once
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			b := s.NewBatch()
-			for !stop.Load() {
-				bi := int(next.Add(1)) - 1
-				if bi >= batches {
-					return
-				}
-				if err := runOne(b, bi); err != nil {
-					errOnce.Do(func() { firstEr = err })
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstEr
+// batches is the number of 64-lane batches covering shots shots.
+func batches(shots int) int { return (shots + 63) / 64 }
+
+// runBatch runs batch bi of a shots-shot run: shots [64·bi, 64·bi+64), every
+// lane still seeded per shot.
+func (b *Batch) runBatch(bi, shots int, seed int64) {
+	b.Run(bi*64, min(64, shots-bi*64), seed)
 }
 
 // EstimateMany Monte-Carlo-estimates several Pauli operators over the
@@ -121,47 +65,35 @@ func (s *Sim) EstimateMany(ops []orqcs.SitePauli, shots int, seed int64, workers
 		}
 	}
 	st := orqcs.NewStats(len(ops))
-	type batchVals struct {
+	// Each pool worker owns a Batch and its per-operator value buffers.
+	type worker struct {
+		b     *Batch
 		flips []uint64
 		vals  []float64
 	}
-	var scratch sync.Pool // per-worker value buffers without Batch growth
-	scratch.New = func() any {
-		return &batchVals{flips: make([]uint64, len(ops)), vals: make([]float64, len(ops))}
+	newWorker := func() *worker {
+		return &worker{b: s.NewBatch(), flips: make([]uint64, len(ops)), vals: make([]float64, len(ops))}
 	}
-	if err := s.runBatches(shots, seed, workers, func(b *Batch) error {
-		bv := scratch.Get().(*batchVals)
-		defer scratch.Put(bv)
+	if err := orqcs.RunPool(batches(shots), workers, newWorker, func(w *worker, bi int) error {
+		b := w.b
+		b.runBatch(bi, shots, seed)
 		for j, ro := range ros {
-			bv.flips[j] = b.FlipWord(ro)
+			w.flips[j] = b.FlipWord(ro)
 		}
 		for lane := 0; lane < b.n; lane++ {
 			for j, ro := range ros {
 				v := ro.ref
-				if bv.flips[j]>>uint(lane)&1 == 1 {
+				if w.flips[j]>>uint(lane)&1 == 1 {
 					v = -v
 				}
-				bv.vals[j] = v
+				w.vals[j] = v
 			}
-			st.Add(b.first+lane, bv.vals)
+			st.Add(b.first+lane, w.vals)
 		}
 		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
-	means = make([]float64, len(ops))
-	stderrs = make([]float64, len(ops))
-	for j := range ops {
-		means[j], stderrs[j] = st.MeanStderr(j)
-	}
+	means, stderrs = st.Results()
 	return means, stderrs, nil
-}
-
-// EstimateBatch is EstimateMany for a single operator.
-func (s *Sim) EstimateBatch(op orqcs.SitePauli, shots int, seed int64, workers int) (mean, stderr float64, err error) {
-	means, stderrs, err := s.EstimateMany([]orqcs.SitePauli{op}, shots, seed, workers)
-	if err != nil {
-		return 0, 0, err
-	}
-	return means[0], stderrs[0], nil
 }

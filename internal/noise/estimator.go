@@ -3,12 +3,10 @@ package noise
 import (
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"tiscc/internal/expr"
 	"tiscc/internal/orqcs"
-	"tiscc/internal/telemetry"
 )
 
 // OptionError reports an invalid Options field in one consistent format,
@@ -79,51 +77,12 @@ type ShotObserver interface {
 }
 
 // RecordSampler produces the record tables of noisy shots without exposing
-// an engine. The contract mirrors orqcs.RunShotsRange: shot i's records
+// an engine. The contract mirrors orqcs.RunShotsFunc: shot i's records
 // derive from orqcs.ShotSeed(seed, i) for any worker count; visit may be
 // called concurrently for distinct shots; the map is only valid during the
 // call; a non-nil visit error stops the run and is returned.
 type RecordSampler interface {
 	SampleRecords(shots int, seed int64, workers int, visit func(shot int, records map[int32]bool) error) error
-}
-
-// EngineSampler adapts the tableau shot loop to the RecordSampler contract,
-// so engine selection stays uniform for callers that switch between the
-// frame engine and a tableau reference. RowMajor selects the row-major
-// tableau.T engine instead of the default bit-sliced one. Each worker's
-// engine registers a telemetry shard, so Metrics reports the merged sampler
-// counters of every SampleRecords run. Runs must not overlap on one sampler.
-type EngineSampler struct {
-	S        *Schedule
-	RowMajor bool
-	met      *telemetry.Set
-}
-
-// SampleRecords implements RecordSampler on the deterministic tableau pool.
-func (es *EngineSampler) SampleRecords(shots int, seed int64, workers int, visit func(shot int, records map[int32]bool) error) error {
-	if es.met == nil {
-		es.met = telemetry.NewSet(orqcs.SamplerSchema)
-	}
-	mk0 := orqcs.NewFromProgram
-	if es.RowMajor {
-		mk0 = orqcs.NewFromProgramRowMajor
-	}
-	mk := func(p *orqcs.Program) *orqcs.Engine {
-		e := mk0(p)
-		e.SetTelemetry(es.met.NewShard())
-		return e
-	}
-	return orqcs.RunShotsEngines(es.S.prog, 0, shots, seed, workers, mk, es.S.RunShot,
-		func(i int, e *orqcs.Engine) error { return visit(i, e.Records()) })
-}
-
-// Metrics merges the sampler counters of all completed runs. Only call at
-// quiescence (no SampleRecords in flight).
-func (es *EngineSampler) Metrics() *telemetry.Snapshot {
-	if es.met == nil {
-		es.met = telemetry.NewSet(orqcs.SamplerSchema)
-	}
-	return es.met.Snapshot()
 }
 
 // Decoder turns one noisy shot's measurement-record table into a corrected
@@ -250,7 +209,7 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 		if opt.Sampler != nil {
 			return opt.Sampler.SampleRecords(shots, opt.Seed, opt.Workers, visit)
 		}
-		return orqcs.RunShotsRange(s.prog, 0, shots, opt.Seed, opt.Workers, s.RunShot,
+		return orqcs.RunShotsFunc(s.prog, s.RunShot, shots, opt.Seed, opt.Workers,
 			func(i int, e *orqcs.Engine) error { return visit(i, e.Records()) })
 	}
 	// judged evaluates one shot and feeds the observer before the outcome
@@ -281,80 +240,40 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 	if batch == 0 {
 		batch = 256
 	}
-	st := &stopFold{batch: batch, target: opt.TargetStdErr, onBatch: opt.Progress, pending: map[int]bool{}}
+	// The ordered fold counts errors in strict shot order and takes the
+	// early-stopping decision at every batch boundary, so the counted prefix
+	// depends only on the shot sequence, never on worker scheduling: an
+	// early-stopped run is an exact prefix of the full run. Shots completed
+	// beyond the cutoff before the pool drains are discarded uncounted.
+	var errs, done, stopBatch int
+	fold := orqcs.NewOrdered(func(shot int, bad bool) bool {
+		if bad {
+			errs++
+		}
+		done = shot + 1
+		if done%batch != 0 {
+			return false
+		}
+		stop := opt.TargetStdErr > 0 && wilsonStdErr(errs, done) <= opt.TargetStdErr
+		if stop {
+			stopBatch = done / batch
+		}
+		if opt.Progress != nil {
+			opt.Progress(done, errs, stop)
+		}
+		return stop
+	})
 	err := sample(func(i int, records map[int32]bool) error {
-		return st.add(i, judged(i, records))
+		if fold.Add(i, judged(i, records)) {
+			return errStop
+		}
+		return nil
 	})
 	if err != nil && err != errStop {
 		return Result{}, err
 	}
-	return result(st.errs, st.done, shots, st.stopBatch, reference), nil
+	return result(errs, done, shots, stopBatch, reference), nil
 }
 
 // errStop signals the worker pool that the target precision is reached.
 var errStop = fmt.Errorf("noise: target standard error reached")
-
-// stopFold folds per-shot error bits in strict shot order (buffering the
-// ≤ workers out-of-order arrivals — the same mutex/next/pending mechanism
-// as orqcs.streamStats, which cannot be shared directly because its payload
-// buffering recycles float slices while this fold carries a bit and a stop
-// decision; a change to either ordering invariant must be mirrored in the
-// other) and takes the early-stopping decision at every batch boundary of
-// the fold.
-// The counted prefix therefore depends only on the shot sequence, never on
-// worker scheduling: an early-stopped run is an exact prefix of the full
-// run. Shots completed beyond the cutoff before the pool drains are
-// discarded uncounted.
-type stopFold struct {
-	mu               sync.Mutex
-	next, errs, done int
-	batch            int
-	target           float64 // ≤ 0: fold for progress only, never stop
-	stopped          bool
-	stopBatch        int                             // 1-based batch index at which the run stopped, 0 if never
-	onBatch          func(done, errs int, stop bool) // progress hook, may be nil
-	pending          map[int]bool
-}
-
-func (st *stopFold) add(shot int, bad bool) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.stopped {
-		return errStop
-	}
-	if shot != st.next {
-		st.pending[shot] = bad
-		return nil
-	}
-	st.fold(bad)
-	for !st.stopped {
-		b, ok := st.pending[st.next]
-		if !ok {
-			break
-		}
-		delete(st.pending, st.next)
-		st.fold(b)
-	}
-	if st.stopped {
-		return errStop
-	}
-	return nil
-}
-
-func (st *stopFold) fold(bad bool) {
-	if bad {
-		st.errs++
-	}
-	st.next++
-	st.done++
-	if st.done%st.batch != 0 {
-		return
-	}
-	if st.target > 0 && wilsonStdErr(st.errs, st.done) <= st.target {
-		st.stopped = true
-		st.stopBatch = st.done / st.batch
-	}
-	if st.onBatch != nil {
-		st.onBatch(st.done, st.errs, st.stopped)
-	}
-}

@@ -332,7 +332,7 @@ func branch(u, p float64, n int) int {
 // stream, fired faults update the tableau's Pauli frame in place, and no
 // allocation happens per shot. The engine must have been built from the same
 // program. For a fixed schedule the shot outcome depends only on the seed.
-// RunShot is an orqcs.ShotFunc, so it plugs directly into RunShotsRange and
+// RunShot is an orqcs.ShotFunc, so it plugs directly into RunShotsFunc and
 // EstimateManyFunc.
 //
 //tiscc:hotpath
@@ -460,7 +460,7 @@ func (s *Schedule) SampleSlotBatch(slot int, states []uint64, fx, fz []uint64) i
 // the noisy counterpart of orqcs.RunShots, with the same visit contract and
 // worker-count-independent per-shot seeding.
 func (s *Schedule) RunShots(shots int, seed int64, workers int, visit func(shot int, e *orqcs.Engine) error) error {
-	return orqcs.RunShotsRange(s.prog, 0, shots, seed, workers, s.RunShot, visit)
+	return orqcs.RunShotsFunc(s.prog, s.RunShot, shots, seed, workers, visit)
 }
 
 // EstimateMany Monte-Carlo-estimates several Pauli operators over the

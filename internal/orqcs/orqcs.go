@@ -143,32 +143,21 @@ func (s *shotSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // outcomes are bit-identical to the row-major engine's
 // (NewFromProgramRowMajor) for every seed, just faster.
 func NewFromProgram(p *Program) *Engine {
-	src := &shotSource{}
-	rng := rand.New(src)
-	return &Engine{
-		prog:   p,
-		tb:     tableau.NewSliced(p.n, rng),
-		src:    src,
-		rng:    rng,
-		weight: 1,
-		tel:    telemetry.NewShard(SamplerSchema),
-	}
+	return newEngine(p, func(n int, rng *rand.Rand) tableau.State { return tableau.NewSliced(n, rng) })
 }
 
 // NewFromProgramRowMajor is NewFromProgram on the row-major tableau.T state:
-// the reference engine for differential cross-validation of the bit-sliced
-// transpose (and a fallback while comparing representations).
+// the reference engine, kept as the test oracle for differential
+// cross-validation of the bit-sliced transpose and the Pauli-frame sampler.
 func NewFromProgramRowMajor(p *Program) *Engine {
+	return newEngine(p, func(n int, rng *rand.Rand) tableau.State { return tableau.New(n, rng) })
+}
+
+func newEngine(p *Program, state func(n int, rng *rand.Rand) tableau.State) *Engine {
 	src := &shotSource{}
 	rng := rand.New(src)
-	return &Engine{
-		prog:   p,
-		tb:     tableau.New(p.n, rng),
-		src:    src,
-		rng:    rng,
-		weight: 1,
-		tel:    telemetry.NewShard(SamplerSchema),
-	}
+	return &Engine{prog: p, tb: state(p.n, rng), src: src, rng: rng, weight: 1,
+		tel: telemetry.NewShard(SamplerSchema)}
 }
 
 // Program returns the compiled program this engine executes.

@@ -367,6 +367,61 @@ func ShotSeed(base int64, shot int) int64 {
 
 // --- Multi-shot runners ------------------------------------------------------
 
+// RunPool is the deterministic worker pool behind every multi-shot runner:
+// it runs items [0, n) across workers goroutines (≤ 0 selects GOMAXPROCS),
+// each owning one state built by newState (an engine, a 64-lane frame batch)
+// and claiming items in index order from a shared atomic cursor. Callers
+// derive every item's randomness from its index alone, so results never
+// depend on the worker count. run may be called concurrently for distinct
+// items; the first non-nil error stops the pool and is returned.
+func RunPool[S any](n, workers int, newState func() S, run func(s S, i int) error) error {
+	if n <= 0 {
+		return nil
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers == 1 {
+		s := newState()
+		for i := 0; i < n; i++ {
+			if err := run(s, i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next    atomic.Int64
+		stop    atomic.Bool
+		errOnce sync.Once
+		firstEr error
+		wg      sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := newState()
+			for !stop.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				if err := run(s, i); err != nil {
+					errOnce.Do(func() { firstEr = err })
+					stop.Store(true)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return firstEr
+}
+
 // ShotFunc executes one shot on an engine with the given derived shot seed.
 // The noise subsystem supplies fault-injecting runners; nil means the plain
 // noiseless Engine.RunShot.
@@ -383,81 +438,88 @@ type ShotFunc func(e *Engine, shotSeed int64)
 // only valid until that worker starts its next shot: copy anything that
 // must outlive the call. A non-nil error from visit stops the run.
 func RunShots(p *Program, shots int, seed int64, workers int, visit func(shot int, e *Engine) error) error {
-	return RunShotsRange(p, 0, shots, seed, workers, nil, visit)
+	return RunShotsFunc(p, nil, shots, seed, workers, visit)
 }
 
-// RunShotsRange is RunShots over the global shot indices [first, first+count):
-// shot i still runs with ShotSeed(seed, i), so a run split into consecutive
-// ranges is shot-for-shot identical to one contiguous run — the mechanism
-// behind deterministic early stopping. run, if non-nil, replaces the
-// noiseless Engine.RunShot as the per-shot executor (fault injection hooks
-// in here).
-func RunShotsRange(p *Program, first, count int, seed int64, workers int, run ShotFunc, visit func(shot int, e *Engine) error) error {
-	return RunShotsEngines(p, first, count, seed, workers, NewFromProgram, run, visit)
+// RunShotsFunc is RunShots with a pluggable per-shot executor: a non-nil run
+// (e.g. a noise schedule's fault-injecting shot loop) replaces the noiseless
+// Engine.RunShot.
+func RunShotsFunc(p *Program, run ShotFunc, shots int, seed int64, workers int, visit func(shot int, e *Engine) error) error {
+	if run == nil {
+		run = (*Engine).RunShot
+	}
+	return RunPool(shots, workers, func() *Engine { return NewFromProgram(p) }, func(e *Engine, i int) error {
+		run(e, ShotSeed(seed, i))
+		if visit == nil {
+			return nil
+		}
+		return visit(i, e)
+	})
 }
 
-// RunShotsEngines is RunShotsRange with a pluggable per-worker engine
-// constructor (NewFromProgram or NewFromProgramRowMajor), so engine selection
-// composes with the deterministic pool instead of forking it.
-func RunShotsEngines(p *Program, first, count int, seed int64, workers int, mk func(*Program) *Engine, run ShotFunc, visit func(shot int, e *Engine) error) error {
-	if count <= 0 {
-		return nil
+// --- Ordered fold ------------------------------------------------------------
+
+// Ordered folds per-shot values in strict shot order, whatever order the
+// pool's workers finish them in. Workers claim shots in index order and
+// hold at most one each, so at most `workers` out-of-order values are ever
+// pending; they are buffered until the contiguous prefix catches up. The
+// fold sequence — and so every float sum, error count and stopping decision
+// — is therefore identical for any worker count. It is the one ordered fold
+// behind the streaming statistics (Stats) and the logical-error estimator's
+// early stopping and progress stream.
+type Ordered[T any] struct {
+	// Hold, when non-nil, copies a value that arrives ahead of its turn and
+	// must be buffered (the caller may reuse the original once Add returns);
+	// Release gets the copy back once it has been folded. Both run under the
+	// fold's lock.
+	Hold    func(T) T
+	Release func(T)
+
+	fold    func(shot int, v T) (stop bool)
+	mu      sync.Mutex
+	next    int
+	stopped bool
+	pending map[int]T
+}
+
+// NewOrdered returns an ordered fold calling fold once per shot, in shot
+// order from 0. A fold that returns true stops the fold: that shot is the
+// last one folded, and every later Add reports the stop.
+func NewOrdered[T any](fold func(shot int, v T) (stop bool)) *Ordered[T] {
+	return &Ordered[T]{fold: fold, pending: map[int]T{}}
+}
+
+// Add hands over the value of one shot and reports whether the fold has
+// stopped. Every index from 0 upward must eventually arrive exactly once
+// (unless the fold stops first).
+func (o *Ordered[T]) Add(shot int, v T) (stopped bool) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.stopped {
+		return true
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	if shot != o.next {
+		if o.Hold != nil {
+			v = o.Hold(v)
+		}
+		o.pending[shot] = v
+		return false
 	}
-	if workers > count {
-		workers = count
-	}
-	oneShot := func(e *Engine, i int) {
-		if run == nil {
-			e.RunShot(ShotSeed(seed, i))
-		} else {
-			run(e, ShotSeed(seed, i))
+	o.stopped = o.fold(shot, v)
+	o.next++
+	for !o.stopped {
+		b, ok := o.pending[o.next]
+		if !ok {
+			break
+		}
+		delete(o.pending, o.next)
+		o.stopped = o.fold(o.next, b)
+		o.next++
+		if o.Release != nil {
+			o.Release(b)
 		}
 	}
-	if workers == 1 {
-		e := mk(p)
-		for i := first; i < first+count; i++ {
-			oneShot(e, i)
-			if visit != nil {
-				if err := visit(i, e); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	var (
-		next    atomic.Int64
-		stop    atomic.Bool
-		errOnce sync.Once
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e := mk(p)
-			for !stop.Load() {
-				i := first + int(next.Add(1)) - 1
-				if i >= first+count {
-					return
-				}
-				oneShot(e, i)
-				if visit != nil {
-					if err := visit(i, e); err != nil {
-						errOnce.Do(func() { firstEr = err })
-						stop.Store(true)
-						return
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return firstEr
+	return o.stopped
 }
 
 // --- Streaming shot statistics ----------------------------------------------
@@ -478,81 +540,58 @@ func (k *kahan) add(x float64) {
 
 func (k *kahan) value() float64 { return k.sum + k.c }
 
-// streamStats folds per-shot operator values into running compensated sums in
-// strict shot order, without materializing a per-shot slice: memory is
-// O(workers), not O(shots). Workers claim shots in index order and hold at
-// most one each, so at most `workers` out-of-order values are ever pending;
-// they are buffered until the contiguous prefix catches up, which keeps the
-// fold sequence — and therefore every float — identical for any worker count.
-// (noise.stopFold mirrors this ordering mechanism for its early-stopping
-// decision; a change to the invariant here must be mirrored there.)
-type streamStats struct {
-	mu         sync.Mutex
-	nOps       int
-	next       int // next shot index to fold
-	pending    map[int][]float64
+// Stats folds per-shot operator values into running compensated sums in
+// strict shot order (an Ordered fold), without materializing a per-shot
+// slice: memory is O(workers), not O(shots). Any multi-shot executor — the
+// tableau pool here, the Pauli-frame engine — that feeds the same per-shot
+// values through Add gets means and standard errors bit-identical to
+// EstimateMany's, for any worker count.
+type Stats struct {
+	ord        *Ordered[[]float64]
 	free       [][]float64 // recycled pending buffers
 	sum, sumSq []kahan
-	count      int
+	count      int // shots folded
 }
 
-func newStreamStats(nOps int) *streamStats {
-	return &streamStats{
-		nOps:    nOps,
-		pending: make(map[int][]float64),
-		sum:     make([]kahan, nOps),
-		sumSq:   make([]kahan, nOps),
-	}
-}
-
-// add folds the values of one shot (vals is copied if it must be buffered;
-// callers may reuse it immediately).
-func (st *streamStats) add(shot int, vals []float64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if shot != st.next {
-		buf := vals
-		if n := len(st.free); n > 0 {
-			buf = st.free[n-1]
-			st.free = st.free[:n-1]
+// NewStats returns a reduction over nOps per-shot values.
+func NewStats(nOps int) *Stats {
+	s := &Stats{sum: make([]kahan, nOps), sumSq: make([]kahan, nOps)}
+	s.ord = NewOrdered(func(shot int, vals []float64) bool {
+		for j, x := range vals {
+			s.sum[j].add(x)
+			s.sumSq[j].add(x * x)
+		}
+		s.count = shot + 1
+		return false
+	})
+	s.ord.Hold = func(vals []float64) []float64 {
+		if n := len(s.free); n > 0 {
+			buf := s.free[n-1]
+			s.free = s.free[:n-1]
 			copy(buf, vals)
-		} else {
-			buf = append([]float64(nil), vals...)
+			return buf
 		}
-		st.pending[shot] = buf
-		return
+		return append([]float64(nil), vals...)
 	}
-	st.fold(vals)
-	for {
-		buf, ok := st.pending[st.next]
-		if !ok {
-			return
-		}
-		delete(st.pending, st.next)
-		st.fold(buf)
-		st.free = append(st.free, buf)
-	}
+	s.ord.Release = func(buf []float64) { s.free = append(s.free, buf) }
+	return s
 }
 
-func (st *streamStats) fold(vals []float64) {
-	for j, x := range vals {
-		st.sum[j].add(x)
-		st.sumSq[j].add(x * x)
-	}
-	st.next++
-	st.count++
-}
+// Add folds the values of one shot. Shots may arrive out of order (vals is
+// copied if it must be buffered; callers may reuse it immediately), but every
+// index from 0 upward must eventually arrive exactly once.
+func (s *Stats) Add(shot int, vals []float64) { s.ord.Add(shot, vals) }
 
-// meanStderr reduces operator j's running sums to (mean, standard error of
-// the mean).
-func (st *streamStats) meanStderr(j int) (mean, stderr float64) {
-	n := float64(st.count)
-	if st.count == 0 {
+// MeanStderr reduces operator j's running sums to (mean, standard error of
+// the mean). Call it once every shot has been added.
+func (s *Stats) MeanStderr(j int) (mean, stderr float64) {
+	if s.count == 0 {
 		return 0, 0
 	}
-	sum, sumSq := st.sum[j].value(), st.sumSq[j].value()
+	n := float64(s.count)
+	sum, sumSq := s.sum[j].value(), s.sumSq[j].value()
 	mean = sum / n
-	if st.count > 1 {
+	if s.count > 1 {
 		varr := (sumSq - sum*sum/n) / (n - 1)
 		if varr < 0 {
 			varr = 0
@@ -562,29 +601,14 @@ func (st *streamStats) meanStderr(j int) (mean, stderr float64) {
 	return mean, stderr
 }
 
-// Stats is the exported face of the streaming reduction, for multi-shot
-// executors that live outside this package (the Pauli-frame engine): feeding
-// the same per-shot values through Add yields means and standard errors
-// bit-identical to EstimateMany's, for any worker count.
-type Stats struct{ st *streamStats }
-
-// NewStats returns a reduction over nOps per-shot values.
-func NewStats(nOps int) *Stats { return &Stats{st: newStreamStats(nOps)} }
-
-// Add folds the values of one shot. Shots may arrive out of order (vals is
-// copied if it must be buffered; callers may reuse it immediately), but every
-// index from 0 upward must eventually arrive exactly once.
-func (s *Stats) Add(shot int, vals []float64) { s.st.add(shot, vals) }
-
-// Count returns the number of shots folded into the contiguous prefix.
-func (s *Stats) Count() int {
-	s.st.mu.Lock()
-	defer s.st.mu.Unlock()
-	return s.st.count
+// Results reduces every operator's sums (see MeanStderr).
+func (s *Stats) Results() (means, stderrs []float64) {
+	means, stderrs = make([]float64, len(s.sum)), make([]float64, len(s.sum))
+	for j := range means {
+		means[j], stderrs[j] = s.MeanStderr(j)
+	}
+	return means, stderrs
 }
-
-// MeanStderr reduces operator j's sums to (mean, standard error of the mean).
-func (s *Stats) MeanStderr(j int) (mean, stderr float64) { return s.st.meanStderr(j) }
 
 // --- Batch estimation --------------------------------------------------------
 
@@ -615,12 +639,6 @@ func EstimateMany(p *Program, ops []SitePauli, shots int, seed int64, workers in
 // non-nil run (e.g. a noise schedule's fault-injecting shot loop) replaces
 // the noiseless Engine.RunShot.
 func EstimateManyFunc(p *Program, run ShotFunc, ops []SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
-	return EstimateManyEngines(p, NewFromProgram, run, ops, shots, seed, workers)
-}
-
-// EstimateManyEngines is EstimateManyFunc with a pluggable per-worker engine
-// constructor, mirroring RunShotsEngines.
-func EstimateManyEngines(p *Program, mk func(*Program) *Engine, run ShotFunc, ops []SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
 	if shots <= 0 {
 		return nil, nil, fmt.Errorf("orqcs: EstimateBatch needs shots ≥ 1, got %d", shots)
 	}
@@ -633,21 +651,17 @@ func EstimateManyEngines(p *Program, mk func(*Program) *Engine, run ShotFunc, op
 			return nil, nil, err
 		}
 	}
-	st := newStreamStats(len(ops))
-	if err := RunShotsEngines(p, 0, shots, seed, workers, mk, run, func(i int, e *Engine) error {
+	st := NewStats(len(ops))
+	if err := RunShotsFunc(p, run, shots, seed, workers, func(i int, e *Engine) error {
 		vals := e.scratch(len(ops))
 		for j, ps := range pss {
 			vals[j] = e.weight * e.tb.ExpectationValue(ps)
 		}
-		st.add(i, vals)
+		st.Add(i, vals)
 		return nil
 	}); err != nil {
 		return nil, nil, err
 	}
-	means = make([]float64, len(ops))
-	stderrs = make([]float64, len(ops))
-	for j := range ops {
-		means[j], stderrs[j] = st.meanStderr(j)
-	}
+	means, stderrs = st.Results()
 	return means, stderrs, nil
 }

@@ -1,9 +1,12 @@
 package orqcs
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"tiscc/internal/circuit"
@@ -691,5 +694,75 @@ func TestEliminateMissingSiteErrorDeterministic(t *testing.T) {
 		if want := "no ion at site 3.7"; !strings.Contains(err.Error(), want) {
 			t.Fatalf("iteration %d: PauliFor error %q does not name the smallest site (%s)", i, err, want)
 		}
+	}
+}
+
+// TestRunPool checks the shared worker pool: every item runs exactly once on
+// a worker-owned state for any worker count, and the first error stops it.
+func TestRunPool(t *testing.T) {
+	for _, workers := range []int{1, 3, 8} {
+		var mu sync.Mutex
+		seen := map[int]int{}
+		states := 0
+		newState := func() *int {
+			mu.Lock()
+			defer mu.Unlock()
+			states++
+			return new(int)
+		}
+		err := RunPool(50, workers, newState, func(s *int, i int) error {
+			*s++ // worker-owned: no lock needed
+			mu.Lock()
+			defer mu.Unlock()
+			seen[i]++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != 50 || states != workers {
+			t.Fatalf("workers=%d: %d items seen, %d states", workers, len(seen), states)
+		}
+		for i, n := range seen {
+			if n != 1 {
+				t.Fatalf("workers=%d: item %d ran %d times", workers, i, n)
+			}
+		}
+		boom := errors.New("boom")
+		if err := RunPool(50, workers, newState, func(_ *int, i int) error {
+			if i == 7 {
+				return boom
+			}
+			return nil
+		}); err != boom {
+			t.Fatalf("workers=%d: err = %v, want the item's error", workers, err)
+		}
+	}
+}
+
+// TestOrderedFold checks the ordered fold: values fold in shot order
+// whatever order they arrive in, early arrivals go through Hold and come
+// back through Release, and a fold that returns true stops it for good.
+func TestOrderedFold(t *testing.T) {
+	var folded []int
+	o := NewOrdered(func(shot, v int) bool {
+		folded = append(folded, v)
+		return shot == 5
+	})
+	held, released := 0, 0
+	o.Hold = func(v int) int { held++; return v }
+	o.Release = func(int) { released++ }
+	var stops []bool
+	for _, shot := range []int{2, 0, 1, 4, 3, 6, 5, 7} {
+		stops = append(stops, o.Add(shot, 10*shot))
+	}
+	if fmt.Sprint(folded) != "[0 10 20 30 40 50]" {
+		t.Fatalf("folded %v, want shots 0..5 in order", folded)
+	}
+	if fmt.Sprint(stops) != "[false false false false false false true true]" {
+		t.Fatalf("stop reports %v", stops)
+	}
+	if held != 3 || released != 2 {
+		t.Fatalf("held %d, released %d; want 3 and 2 (shot 6 stays buffered past the stop)", held, released)
 	}
 }

@@ -17,12 +17,10 @@ import (
 	"hash/crc32"
 
 	"tiscc/internal/decoder"
+	"tiscc/internal/experiment"
 	"tiscc/internal/expr"
-	"tiscc/internal/hardware"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
-	"tiscc/internal/pauli"
-	"tiscc/internal/verify"
 	"tiscc/internal/wire"
 )
 
@@ -238,71 +236,33 @@ func DecodeBundle(data []byte) (*Artifact, error) {
 	return a, nil
 }
 
-// Workload and model names accepted by CompileArtifact and the HTTP API.
+// Workload and model names accepted by CompileArtifact and the HTTP API
+// (the experiment package's names).
 const (
-	WorkloadMemory  = "memory"
-	WorkloadSurgery = "surgery"
+	WorkloadMemory  = experiment.Memory
+	WorkloadSurgery = experiment.Surgery
 
-	ModelDepolarizing = "depolarizing"
-	ModelTable5       = "table5"
+	ModelDepolarizing = experiment.ModelDepolarizing
+	ModelTable5       = experiment.ModelTable5
 )
 
-// CompileArtifact compiles the artifact for one cache key: the workload's
-// circuit lowered to a program, the noise model flattened to a fault
-// schedule, and the detector structure compiled to a union-find decoding
-// graph — then round-trips the result through the wire format, so every
-// served artifact is a decoded one and serialization is exercised on the
-// production path, not only in tests.
+// CompileArtifact compiles the artifact for one cache key through the
+// experiment pipeline — the workload's circuit lowered to a program, the
+// noise model flattened to a fault schedule, and the detector structure
+// compiled to a union-find decoding graph — then round-trips the result
+// through the wire format, so every served artifact is a decoded one and
+// serialization is exercised on the production path, not only in tests.
 func CompileArtifact(k Key) (*Artifact, error) {
-	rounds := k.Rounds
-	if rounds <= 0 {
-		rounds = k.Distance
-	}
-	a := &Artifact{Key: k}
-	var (
-		prog *orqcs.Program
-		dets *decoder.Detectors
-		err  error
-	)
-	switch k.Workload {
-	case WorkloadMemory:
-		var mem *verify.Memory
-		if mem, err = verify.MemoryExperiment(k.Distance, rounds, pauli.Z); err != nil {
-			return nil, err
-		}
-		prog, a.Outcome, a.Reference = mem.Prog, mem.Outcome, mem.Reference
-		dets, err = decoder.Extract(mem)
-	case WorkloadSurgery:
-		var s *verify.Surgery
-		if s, err = verify.SurgeryExperiment(k.Distance, 1, rounds, 1, pauli.Z); err != nil {
-			return nil, err
-		}
-		prog, a.Outcome, a.Reference = s.Prog, s.Outcome, s.Reference
-		dets, err = decoder.ExtractSurgery(s)
-	default:
-		return nil, fmt.Errorf("serve: unknown workload %q", k.Workload)
-	}
+	spec, err := k.Spec()
 	if err != nil {
 		return nil, err
 	}
-	var model noise.Model
-	switch k.Model {
-	case ModelDepolarizing:
-		model = noise.Depolarizing(k.P)
-	case ModelTable5:
-		model = noise.PaperTable5(hardware.Default())
-	default:
-		return nil, fmt.Errorf("serve: unknown noise model %q", k.Model)
-	}
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	sched := noise.Compile(model, prog)
-	graph, err := decoder.CompileGraph(dets, sched)
+	c, err := experiment.Compile(spec, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	a.Prog, a.Sched, a.Graph = prog, sched, graph
+	a := &Artifact{Key: k, Prog: c.Prog, Sched: c.Sched, Graph: c.Graph,
+		Outcome: c.Outcome, Reference: c.Reference}
 	decoded, err := DecodeBundle(EncodeBundle(a))
 	if err != nil {
 		return nil, fmt.Errorf("serve: artifact round-trip failed: %w", err)

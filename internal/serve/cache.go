@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"tiscc/internal/experiment"
 	"tiscc/internal/telemetry"
 )
 
@@ -29,6 +30,16 @@ func (k Key) Normalize() Key {
 		k.P = 0
 	}
 	return k
+}
+
+// Spec maps the key onto the experiment spec it compiles (Rounds 0 means
+// the distance in both).
+func (k Key) Spec() (experiment.Spec, error) {
+	m, err := experiment.Model(k.Model, k.P)
+	if err != nil {
+		return experiment.Spec{}, err
+	}
+	return experiment.Spec{Workload: k.Workload, Distance: k.Distance, Rounds: k.Rounds, Model: m}, nil
 }
 
 func (k Key) String() string {

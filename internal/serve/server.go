@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"tiscc/internal/diag"
-	"tiscc/internal/frame"
+	"tiscc/internal/experiment"
 	"tiscc/internal/noise"
 	"tiscc/internal/telemetry"
 )
@@ -61,23 +61,24 @@ func (q *EstimateRequest) validate() error {
 	if q.Workload == "" {
 		q.Workload = WorkloadMemory
 	}
-	if q.Workload != WorkloadMemory && q.Workload != WorkloadSurgery {
-		return fmt.Errorf("workload must be %q or %q, got %q", WorkloadMemory, WorkloadSurgery, q.Workload)
-	}
-	if q.Distance < 2 || q.Distance > MaxDistance {
-		return fmt.Errorf("distance must be in [2, %d], got %d", MaxDistance, q.Distance)
-	}
-	if q.Rounds < 0 || q.Rounds > MaxRounds {
-		return fmt.Errorf("rounds must be in [0, %d] (0 = distance), got %d", MaxRounds, q.Rounds)
-	}
 	if q.Model == "" {
 		q.Model = ModelDepolarizing
 	}
-	if q.Model != ModelDepolarizing && q.Model != ModelTable5 {
-		return fmt.Errorf("model must be %q or %q, got %q", ModelDepolarizing, ModelTable5, q.Model)
+	if q.Distance > MaxDistance {
+		return fmt.Errorf("distance must be ≤ %d, got %d", MaxDistance, q.Distance)
+	}
+	if q.Rounds > MaxRounds {
+		return fmt.Errorf("rounds must be ≤ %d, got %d", MaxRounds, q.Rounds)
 	}
 	if math.IsNaN(q.P) || q.P < 0 || q.P > 1 {
 		return fmt.Errorf("p must be a probability in [0, 1], got %v", q.P)
+	}
+	spec, err := Key{Workload: q.Workload, Distance: q.Distance, Rounds: q.Rounds, Model: q.Model, P: q.P}.Spec()
+	if err != nil {
+		return err
+	}
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 	if q.Shots == 0 {
 		q.Shots = 1000
@@ -298,6 +299,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := req.key()
+	spec, _ := key.Spec() // validated with the request
 	art, hit, err := s.cache.Get(key)
 	if err != nil {
 		s.met.Inc(CtrErrors)
@@ -311,21 +313,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Tiscc-Cache", disposition)
 
-	// The frame sampler is rebuilt per request (cheap: one reference shot)
-	// so concurrent requests never share mutable sampler state; the heavy
-	// artifacts — program, schedule, graph — are the shared cached ones.
-	sim, err := frame.New(art.Prog, art.Sched)
-	if err != nil {
-		s.met.Inc(CtrErrors)
-		httpError(w, http.StatusInternalServerError, "sampler: %v", err)
-		return
-	}
 	opt := noise.Options{
 		Shots:   req.Shots,
 		Seed:    req.Seed,
 		Workers: req.Workers,
 		Decoder: art.Graph,
-		Sampler: sim,
 	}
 
 	var out io.Writer = w
@@ -333,11 +325,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		fw := &flushWriter{w: w}
 		out = fw
-		label := fmt.Sprintf("%s d=%d %s", req.Workload, req.Distance, req.Model)
-		if req.Model == ModelDepolarizing {
-			label = fmt.Sprintf("%s d=%d p=%g", req.Workload, req.Distance, req.P)
-		}
-		pw := diag.NewProgressWriter(fw, label, req.Shots)
+		pw := diag.NewProgressWriter(fw, spec.String(), req.Shots)
 		opt.Progress = pw.Batch
 		defer func() {
 			if perr := pw.Err(); perr != nil {
@@ -348,7 +336,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 	}
 
-	res, err := noise.EstimateLogicalError(art.Sched, art.Outcome, art.Reference, opt)
+	// experiment.Estimate builds the frame sampler per request (cheap: one
+	// reference shot), so concurrent requests never share mutable sampler
+	// state; the heavy artifacts — program, schedule, graph — are the shared
+	// cached ones.
+	res, err := experiment.Estimate(art.Sched, art.Outcome, art.Reference, opt)
 	if err != nil {
 		s.met.Inc(CtrErrors)
 		var oe *noise.OptionError
@@ -365,15 +357,11 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.met.Add(CtrShotsServed, uint64(res.Shots))
 
-	rounds := req.Rounds
-	if rounds <= 0 {
-		rounds = req.Distance
-	}
 	resp := EstimateResponse{
 		Schema:   EstimateSchema,
 		Workload: req.Workload,
 		Distance: req.Distance,
-		Rounds:   rounds,
+		Rounds:   spec.NumRounds(),
 		Model:    req.Model,
 		P:        key.P,
 		Shots:    req.Shots,

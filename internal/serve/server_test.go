@@ -245,12 +245,18 @@ func TestProgressStream(t *testing.T) {
 	for i, line := range lines {
 		var probe struct {
 			Schema string `json:"schema"`
+			Label  string `json:"label"`
 		}
 		if err := json.Unmarshal(line, &probe); err != nil {
 			t.Fatalf("line %d is not JSON: %q", i, line)
 		}
 		switch probe.Schema {
 		case diag.ProgressSchema:
+			// The label spells p as the request did (%g), so clients can
+			// match events to the points they asked for.
+			if probe.Label != "memory d=3 p=0.002" {
+				t.Fatalf("line %d label %q, want %q", i, probe.Label, "memory d=3 p=0.002")
+			}
 		case EstimateSchema:
 			finals++
 			if i != len(lines)-1 {

@@ -223,6 +223,27 @@ func (m *Manifest) WritePrometheusFile(path, namespace string) error {
 	return f.Close()
 }
 
+// WriteOutputs writes the manifest to the run's requested destinations — the
+// JSON manifest to jsonPath and the Prometheus exposition (namespace
+// "tiscc") to promPath, each skipped when empty — and logs one "wrote ..."
+// line per file to log. It is the shared tail of both CLIs' -metrics / -prom
+// handling.
+func (m *Manifest) WriteOutputs(jsonPath, promPath string, log io.Writer) error {
+	if jsonPath != "" {
+		if err := m.WriteFile(jsonPath); err != nil {
+			return err
+		}
+		fmt.Fprintf(log, "wrote run manifest to %s\n", jsonPath)
+	}
+	if promPath != "" {
+		if err := m.WritePrometheusFile(promPath, "tiscc"); err != nil {
+			return err
+		}
+		fmt.Fprintf(log, "wrote Prometheus metrics to %s\n", promPath)
+	}
+	return nil
+}
+
 // SpanSecondsTotal sums the durations of all spans, in seconds. A healthy
 // CLI run accounts for ≥90% of its wall time in top-level stage spans.
 func (m *Manifest) SpanSecondsTotal() float64 {

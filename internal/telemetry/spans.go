@@ -27,10 +27,15 @@ type Spans struct {
 //tiscc:nondeterministic spans ARE wall-clock telemetry by design; they feed manifests, never records or artifacts
 func NewSpans() *Spans { return &Spans{t0: time.Now()} }
 
-// Start begins a span and returns the function that completes it.
+// Start begins a span and returns the function that completes it. On a nil
+// collector it records nothing, so pipeline stages can take an optional
+// *Spans.
 //
 //tiscc:nondeterministic spans ARE wall-clock telemetry by design; they feed manifests, never records or artifacts
 func (sp *Spans) Start(name string) func() {
+	if sp == nil {
+		return func() {}
+	}
 	start := time.Now()
 	return func() {
 		end := time.Now()

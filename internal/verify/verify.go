@@ -328,6 +328,9 @@ func MemoryExperiment(d, rounds int, basis pauli.Kind) (*Memory, error) {
 	if basis != pauli.Z && basis != pauli.X {
 		return nil, fmt.Errorf("verify: memory basis must be X or Z")
 	}
+	if rounds < 0 {
+		return nil, fmt.Errorf("verify: memory experiment needs rounds ≥ 0, got %d", rounds)
+	}
 	c := core.NewCompiler(d+2, d+3, hardware.Default())
 	lq, err := c.NewLogicalQubit(d, d, core.Cell{R: 1, C: 1})
 	if err != nil {

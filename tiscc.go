@@ -39,8 +39,8 @@ import (
 	"tiscc/internal/circuit"
 	"tiscc/internal/core"
 	"tiscc/internal/decoder"
+	"tiscc/internal/experiment"
 	"tiscc/internal/expr"
-	"tiscc/internal/frame"
 	"tiscc/internal/grid"
 	"tiscc/internal/hardware"
 	"tiscc/internal/instr"
@@ -293,47 +293,44 @@ func RunProgramNoisy(p *Program, m NoiseModel, seed int64) *Engine {
 // CompileMemoryExperiment compiles a distance-d logical-memory experiment
 // (transversal |0̄⟩ preparation, rounds cycles of error correction, then a
 // transversal logical-Z readout) together with the record formula that
-// decodes its logical outcome (paper Sec 4.5).
+// decodes its logical outcome (paper Sec 4.5). rounds is literal here: 0
+// compiles a memory experiment without syndrome rounds (estimate it with
+// EstimateLogicalError); negative rounds are an error.
 func CompileMemoryExperiment(d, rounds int) (*MemoryExperiment, error) {
 	return verify.MemoryExperiment(d, rounds, pauli.Z)
 }
 
 // EstimateLogicalErrorRate estimates the logical error rate of a distance-d
-// memory experiment under a noise model: noisy shots are run through the
-// fault-injecting simulator, each shot's logical outcome is decoded from its
+// memory experiment under a noise model: noisy shots are sampled on the
+// Pauli-frame engine, each shot's logical outcome is decoded from its
 // measurement records, and the rate of disagreement with the noiseless
-// reference is reported with a 95% Wilson confidence interval. The result is
-// deterministic in (d, rounds, model, options) for every worker count.
+// reference is reported with a 95% Wilson confidence interval. rounds counts
+// the syndrome rounds (0 selects d; negative rounds are an error). The
+// result is deterministic in (d, rounds, model, options) for every worker
+// count.
 func EstimateLogicalErrorRate(d, rounds int, m NoiseModel, opt LogicalErrorOptions) (LogicalErrorResult, error) {
-	if err := m.Validate(); err != nil {
-		return LogicalErrorResult{}, err
-	}
-	mem, err := verify.MemoryExperiment(d, rounds, pauli.Z)
+	return estimateSpec(experiment.Memory, d, rounds, m, false, opt)
+}
+
+// estimateSpec compiles and estimates one experiment spec through the shared
+// experiment pipeline, the same path as the CLIs and tiscc-serve.
+func estimateSpec(workload string, d, rounds int, m NoiseModel, decode bool, opt LogicalErrorOptions) (LogicalErrorResult, error) {
+	c, err := experiment.Compile(experiment.Spec{Workload: workload, Distance: d, Rounds: rounds, Model: m}, decode, nil)
 	if err != nil {
 		return LogicalErrorResult{}, err
 	}
-	return estimateOnFrames(noise.Compile(m, mem.Prog), mem.Outcome, mem.Reference, opt)
-}
-
-// estimateOnFrames runs the logical-error estimator on the Pauli-frame
-// sampler unless the caller plugged in a sampler of their own. Frame records
-// are bit-identical to the tableau engines', so only the cost changes.
-func estimateOnFrames(s *FaultSchedule, outcome Expr, reference bool, opt LogicalErrorOptions) (LogicalErrorResult, error) {
-	if opt.Sampler == nil {
-		sim, err := frame.New(s.Program(), s)
-		if err != nil {
-			return LogicalErrorResult{}, err
-		}
-		opt.Sampler = sim
-	}
-	return noise.EstimateLogicalError(s, outcome, reference, opt)
+	return c.Estimate(opt)
 }
 
 // EstimateLogicalError runs the logical-error estimator over an
 // already-compiled fault schedule and outcome formula — the lower-level
-// entry point behind EstimateLogicalErrorRate, for custom experiments.
+// entry point behind EstimateLogicalErrorRate, for custom experiments (a
+// CompileMemoryExperiment with 0 rounds, say). Like the Estimate*Rate
+// functions it samples on the Pauli-frame engine unless opt.Sampler is set
+// or the program has T gates (those run on the bit-sliced tableau); records,
+// and so results, are bit-identical either way.
 func EstimateLogicalError(s *FaultSchedule, outcome Expr, reference bool, opt LogicalErrorOptions) (LogicalErrorResult, error) {
-	return noise.EstimateLogicalError(s, outcome, reference, opt)
+	return experiment.Estimate(s, outcome, reference, opt)
 }
 
 // --- Syndrome decoding --------------------------------------------------------
@@ -362,23 +359,10 @@ func CompileDecoder(mem *MemoryExperiment, s *FaultSchedule) (*DecoderGraph, err
 // corrected logical outcome is compared against the noiseless reference.
 // Decoded rates fall with code distance below threshold — the raw
 // transversal readout's grow with it — so sweeps over d become genuine
-// threshold plots. Deterministic in (d, rounds, model, options) for every
-// worker count.
+// threshold plots. rounds follows EstimateLogicalErrorRate (0 selects d).
+// Deterministic in (d, rounds, model, options) for every worker count.
 func EstimateDecodedLogicalErrorRate(d, rounds int, m NoiseModel, opt LogicalErrorOptions) (LogicalErrorResult, error) {
-	if err := m.Validate(); err != nil {
-		return LogicalErrorResult{}, err
-	}
-	mem, err := verify.MemoryExperiment(d, rounds, pauli.Z)
-	if err != nil {
-		return LogicalErrorResult{}, err
-	}
-	sched := noise.Compile(m, mem.Prog)
-	g, err := CompileDecoder(mem, sched)
-	if err != nil {
-		return LogicalErrorResult{}, err
-	}
-	opt.Decoder = g
-	return estimateOnFrames(sched, mem.Outcome, mem.Reference, opt)
+	return estimateSpec(experiment.Memory, d, rounds, m, true, opt)
 }
 
 // WriteDetectorErrorModel writes the Stim-compatible detector error model of
@@ -397,14 +381,14 @@ func WriteDetectorErrorModel(w io.Writer, mem *MemoryExperiment, s *FaultSchedul
 // CompileSurgeryExperiment compiles a distance-d two-patch ZZ-merge/split
 // cycle: |0̄0̄⟩ prepared transversally, one pre-merge round per patch,
 // `rounds` rounds of the horizontally merged patch measuring Z̄Z̄ (0 selects
-// d), a split, one post-split round per patch, and transversal Z readout of
-// both patches. Its Outcome is the joint-parity observable — the final
+// d; negative rounds are an error), a split, one post-split round per patch,
+// and transversal Z readout of both patches. Its Outcome is the joint-parity observable — the final
 // Z̄aZ̄b readout folded with the merge outcome — whose noiseless value is
 // deterministic, making the surgery cycle a decodable logical-error
 // workload. Use verify.SurgeryExperiment directly for the X-basis (vertical
 // X̄X̄) variant or custom round structures.
 func CompileSurgeryExperiment(d, rounds int) (*SurgeryExperiment, error) {
-	if rounds <= 0 {
+	if rounds == 0 {
 		rounds = d
 	}
 	return verify.SurgeryExperiment(d, 1, rounds, 1, pauli.Z)
@@ -439,23 +423,10 @@ func CompileSurgeryDecoder(s *SurgeryExperiment, sched *FaultSchedule) (*Decoder
 // union-find-decoded and the corrected joint parity is compared against the
 // noiseless reference. This extends decoded estimates from idle memory to
 // the lattice-surgery instructions of paper Table 3. rounds counts the
-// merged-phase rounds (0 selects d). Deterministic in (d, rounds, model,
-// options) for every worker count.
+// merged-phase rounds (0 selects d; negative rounds are an error).
+// Deterministic in (d, rounds, model, options) for every worker count.
 func EstimateDecodedSurgeryErrorRate(d, rounds int, m NoiseModel, opt LogicalErrorOptions) (LogicalErrorResult, error) {
-	if err := m.Validate(); err != nil {
-		return LogicalErrorResult{}, err
-	}
-	s, err := CompileSurgeryExperiment(d, rounds)
-	if err != nil {
-		return LogicalErrorResult{}, err
-	}
-	sched := noise.Compile(m, s.Prog)
-	g, err := CompileSurgeryDecoder(s, sched)
-	if err != nil {
-		return LogicalErrorResult{}, err
-	}
-	opt.Decoder = g
-	return estimateOnFrames(sched, s.Outcome, s.Reference, opt)
+	return estimateSpec(experiment.Surgery, d, rounds, m, true, opt)
 }
 
 // WriteSurgeryDetectorErrorModel writes the Stim-compatible detector error
