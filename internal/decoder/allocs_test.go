@@ -1,6 +1,10 @@
 package decoder
 
 import (
+	"fmt"
+	"maps"
+	"runtime"
+	"sync"
 	"testing"
 
 	"tiscc/internal/noise"
@@ -47,5 +51,76 @@ func TestDecodeZeroAllocs(t *testing.T) {
 	}
 	if err := snap.Check(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScratchSurvivesGC pins the decoder's scratch reuse: a garbage
+// collection between shots must not make the graph allocate a new scratch,
+// which would also register a new telemetry shard with the graph for good —
+// a leak on graphs that live as long as the service's artifact cache.
+func TestScratchSurvivesGC(t *testing.T) {
+	mem := mustMemory(t, 3, 3, pauli.Z)
+	sched := noise.Compile(noise.Depolarizing(2e-2), mem.Prog)
+	g := mustGraph(t, mustDetectors(t, mem), sched)
+	eng := orqcs.NewFromProgram(mem.Prog)
+	for shot := 0; shot < 20; shot++ {
+		sched.RunShot(eng, orqcs.ShotSeed(5, shot))
+		g.DecodeOutcome(eng.Records())
+		if len(g.all) != 1 {
+			t.Fatalf("shot %d: the graph holds %d scratches after sequential decodes, want 1", shot, len(g.all))
+		}
+		runtime.GC()
+	}
+	if n := g.Metrics().Counter("shots"); n != 20 {
+		t.Fatalf("decoder counted %d shots, want 20", n)
+	}
+}
+
+// TestScratchClaimConcurrent decodes the same shots from several goroutines
+// while collections empty the scratch pool: every decode must match the
+// sequential one (no two decodes ever share a scratch), and the graph must
+// hold no more scratches than decodes ever ran at once.
+func TestScratchClaimConcurrent(t *testing.T) {
+	const workers, shots = 4, 64
+	mem := mustMemory(t, 3, 3, pauli.Z)
+	sched := noise.Compile(noise.Depolarizing(2e-2), mem.Prog)
+	g := mustGraph(t, mustDetectors(t, mem), sched)
+	eng := orqcs.NewFromProgram(mem.Prog)
+	recs := make([]map[int32]bool, shots)
+	want := make([]bool, shots)
+	for i := range recs {
+		sched.RunShot(eng, orqcs.ShotSeed(7, i))
+		recs[i] = maps.Clone(eng.Records())
+		want[i] = g.DecodeOutcome(recs[i])
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := range 8 {
+				for i := range recs {
+					if got := g.DecodeOutcome(recs[i]); got != want[i] {
+						errs <- fmt.Sprintf("worker %d shot %d: decoded %v, sequential %v", w, i, got, want[i])
+						return
+					}
+				}
+				if w == 0 && rep%2 == 0 {
+					runtime.GC()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+	if n := len(g.all); n > workers {
+		t.Fatalf("the graph holds %d scratches for %d concurrent workers", n, workers)
+	}
+	if n := g.Metrics().Counter("shots"); n != shots*(1+workers*8) {
+		t.Fatalf("decoder counted %d shots, want %d", n, shots*(1+workers*8))
 	}
 }

@@ -45,8 +45,18 @@ type Graph struct {
 
 	protoParent []int32
 	maxGrow     int32
-	pool        sync.Pool
 	met         *telemetry.Set // per-scratch decode counters (DecoderSchema)
+
+	// Per-worker decoder scratch. The pool hands each shot the scratch its
+	// P used last, with no write to memory another worker touches. It drops
+	// entries at a garbage collection (and, under the race detector, at
+	// random), so all keeps every scratch the graph made: a dropped idle
+	// one is claimed again instead of allocated anew, and a long-lived
+	// graph (a cached service artifact) registers one telemetry shard per
+	// concurrent worker instead of a new one after every collection.
+	pool sync.Pool
+	mu   sync.Mutex // guards all
+	all  []*scratch
 }
 
 // Detectors returns the detector structure the graph decodes.
@@ -290,7 +300,6 @@ func (g *Graph) finish(edges []Edge) {
 		}
 	}
 	g.met = telemetry.NewSet(DecoderSchema)
-	g.pool.New = func() any { return g.newScratch() }
 }
 
 // Stats summarizes the compiled graph for reports.

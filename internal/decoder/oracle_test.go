@@ -1,0 +1,330 @@
+package decoder
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"tiscc/internal/hardware"
+	"tiscc/internal/noise"
+	"tiscc/internal/pauli"
+	"tiscc/internal/telemetry"
+)
+
+// decodeFullScan is the reference growth loop: every round scans every
+// edge of the graph, with two finds per edge. It is the oracle for the
+// frontier-driven growth in decode, which must reproduce its parity, its
+// grown-edge order and its counters exactly.
+func (g *Graph) decodeFullScan(sc *scratch) bool {
+	sc.reset(g)
+	odd := 0
+	for _, d := range sc.defects {
+		sc.defect[d] = true
+		sc.parity[d] = 1
+		odd++
+	}
+	sc.tel.Add(ctrClustersSeeded, uint64(odd))
+	sc.bnd[g.boundary] = true
+
+	maxRounds := int(g.maxGrow) * (int(g.boundary) + 1)
+	rounds, peakFrontier := uint64(0), uint64(0)
+	for round := 0; odd > 0; round++ {
+		if round > maxRounds {
+			sc.tel.Inc(ctrRawFallbacks)
+			sc.finishDecode(rounds, peakFrontier)
+			return false
+		}
+		rounds++
+		frontier := uint64(0)
+		progressed := false
+		for ei := range g.edges {
+			if sc.grown[ei] {
+				continue
+			}
+			e := &g.edges[ei]
+			ru, rv := sc.find(e.U), sc.find(e.V)
+			inc := int32(0)
+			if sc.active(ru) {
+				inc++
+			}
+			if rv != ru && sc.active(rv) {
+				inc++
+			}
+			if inc == 0 {
+				continue
+			}
+			frontier++
+			progressed = true
+			sc.growth[ei] += inc
+			if sc.growth[ei] < e.Len {
+				continue
+			}
+			sc.grown[ei] = true
+			sc.grownList = append(sc.grownList, int32(ei))
+			if ru == rv {
+				continue
+			}
+			before := 0
+			if sc.active(ru) {
+				before++
+			}
+			if sc.active(rv) {
+				before++
+			}
+			if ru > rv {
+				ru, rv = rv, ru
+			}
+			sc.parent[rv] = ru
+			sc.parity[ru] ^= sc.parity[rv]
+			if sc.bnd[rv] {
+				sc.bnd[ru] = true
+			}
+			sc.tel.Inc(ctrMerges)
+			after := 0
+			if sc.active(ru) {
+				after++
+			}
+			odd += after - before
+		}
+		if frontier > peakFrontier {
+			peakFrontier = frontier
+		}
+		if !progressed {
+			sc.tel.Inc(ctrRawFallbacks)
+			sc.finishDecode(rounds, peakFrontier)
+			return false
+		}
+	}
+	sc.tel.Add(ctrEdgesGrown, uint64(len(sc.grownList)))
+	sc.finishDecode(rounds, peakFrontier)
+	return g.peel(sc)
+}
+
+// ufPair decodes the same syndromes through the frontier decoder and the
+// full-scan oracle, each with its own scratch and telemetry.
+type ufPair struct {
+	g               *Graph
+	fast, ref       *scratch
+	fastMet, refMet *telemetry.Set
+}
+
+func newUFPair(g *Graph) *ufPair {
+	p := &ufPair{g: g, fast: g.newScratch(), ref: g.newScratch(),
+		fastMet: telemetry.NewSet(DecoderSchema), refMet: telemetry.NewSet(DecoderSchema)}
+	p.fast.tel, p.ref.tel = p.fastMet.NewShard(), p.refMet.NewShard()
+	return p
+}
+
+// decode returns both decoders' correction parities for the fired
+// detectors in defects (sorted ascending), failing t if their grown-edge
+// orders differ. An empty syndrome needs no correction.
+func (p *ufPair) decode(t *testing.T, defects []int32) (fast, ref bool) {
+	t.Helper()
+	if len(defects) == 0 {
+		return false, false
+	}
+	p.fast.defects = append(p.fast.defects[:0], defects...)
+	p.ref.defects = append(p.ref.defects[:0], defects...)
+	fast, ref = p.g.decode(p.fast), p.g.decodeFullScan(p.ref)
+	if !equalIDs(p.fast.grownList, p.ref.grownList) {
+		t.Fatalf("defects %v: frontier grew edges %v, full scan %v", defects, p.fast.grownList, p.ref.grownList)
+	}
+	return fast, ref
+}
+
+// decodeFast returns the frontier decoder's correction parity alone.
+func (p *ufPair) decodeFast(defects []int32) bool {
+	if len(defects) == 0 {
+		return false
+	}
+	p.fast.defects = append(p.fast.defects[:0], defects...)
+	return p.g.decode(p.fast)
+}
+
+// checkTelemetry fails t unless both decoders counted the same growth
+// rounds, merges, grown edges and fallbacks, with the same per-shot
+// histograms.
+func (p *ufPair) checkTelemetry(t *testing.T, what string) {
+	t.Helper()
+	a, b := p.fastMet.Snapshot(), p.refMet.Snapshot()
+	if !reflect.DeepEqual(a.Counters, b.Counters) {
+		t.Fatalf("%s: frontier counters %v, full scan %v (%v)", what, a.Counters, b.Counters, DecoderSchema.Counters)
+	}
+	for _, name := range DecoderSchema.Hists {
+		if ha, hb := a.Hist(name), b.Hist(name); *ha != *hb {
+			t.Fatalf("%s: histogram %s: frontier %+v, full scan %+v", what, name, *ha, *hb)
+		}
+	}
+}
+
+// syndromeOfEdges returns the detectors fired by the edges in set and the
+// observable parity of the set.
+func syndromeOfEdges(g *Graph, set []int) (defects []int32, obs bool) {
+	fired := map[int32]bool{}
+	for _, ei := range set {
+		e := g.edges[ei]
+		fired[e.U] = !fired[e.U]
+		if e.V != g.boundary {
+			fired[e.V] = !fired[e.V]
+		}
+		obs = obs != e.Obs
+	}
+	for d, on := range fired {
+		if on {
+			defects = append(defects, d)
+		}
+	}
+	sort.Slice(defects, func(i, j int) bool { return defects[i] < defects[j] })
+	return defects, obs
+}
+
+// TestFrontierGrowthMatchesFullScan decodes random syndromes of varied
+// density — error chains of a few to many random edges, and uniformly
+// random detector sets from single defects to half the detectors — through
+// the frontier decoder and the full-scan oracle on the memory (d=3..9) and
+// surgery (d=3,5) graphs of both bases under both noise models, and
+// requires the same parity, grown-edge order, counters and histograms.
+func TestFrontierGrowthMatchesFullScan(t *testing.T) {
+	models := []noise.Model{noise.Depolarizing(1e-3), noise.PaperTable5(hardware.Default())}
+	perGraph := 300
+	if testing.Short() || raceEnabled {
+		perGraph = 40
+	}
+	type target struct {
+		name string
+		det  *Detectors
+		sch  func(noise.Model) *noise.Schedule
+	}
+	var targets []target
+	for _, basis := range []pauli.Kind{pauli.Z, pauli.X} {
+		for _, d := range []int{3, 5, 7, 9} {
+			mem := mustMemory(t, d, d, basis)
+			targets = append(targets, target{fmt.Sprintf("memory-d%d-%v", d, basis), mustDetectors(t, mem),
+				func(m noise.Model) *noise.Schedule { return noise.Compile(m, mem.Prog) }})
+		}
+		for _, d := range []int{3, 5} {
+			s := mustSurgery(t, d, 1, d, 1, basis)
+			targets = append(targets, target{fmt.Sprintf("surgery-d%d-%v", d, basis), mustSurgeryDetectors(t, s),
+				func(m noise.Model) *noise.Schedule { return noise.Compile(m, s.Prog) }})
+		}
+	}
+	for _, tg := range targets {
+		for _, m := range models {
+			t.Run(tg.name+"-"+m.Name, func(t *testing.T) {
+				g := mustGraph(t, tg.det, tg.sch(m))
+				p := newUFPair(g)
+				rng := rand.New(rand.NewSource(int64(len(g.edges))))
+				nDet := len(g.det.Dets)
+				densities := []float64{0.005, 0.02, 0.05, 0.2, 0.5}
+				for i := 0; i < perGraph; i++ {
+					var defects []int32
+					if i%2 == 0 {
+						set := make([]int, 1+rng.Intn(1+len(g.edges)/(4<<(i%8))))
+						for k := range set {
+							set[k] = rng.Intn(len(g.edges))
+						}
+						defects, _ = syndromeOfEdges(g, set)
+					} else {
+						rho := densities[(i/2)%len(densities)]
+						for d := 0; d < nDet; d++ {
+							if rng.Float64() < rho {
+								defects = append(defects, int32(d))
+							}
+						}
+					}
+					if fast, ref := p.decode(t, defects); fast != ref {
+						t.Fatalf("syndrome %d (%d defects): frontier parity %v, full scan %v", i, len(defects), fast, ref)
+					}
+					p.checkTelemetry(t, fmt.Sprintf("syndrome %d", i))
+				}
+				if p.fastMet.Snapshot().Counter("raw_fallbacks") != 0 {
+					t.Fatal("a compiled graph fell back to the raw readout")
+				}
+			})
+		}
+	}
+	// A component with no boundary edge and an odd defect count cannot be
+	// neutralized: both decoders give up after the same rounds.
+	t.Run("stuck", func(t *testing.T) {
+		g := &Graph{det: &Detectors{Dets: make([]Detector, 5)}, boundary: 5}
+		edges := []Edge{{U: 0, V: 5, Len: 6}, {U: 1, V: 2, Len: 4}, {U: 2, V: 3, Len: 10}, {U: 3, V: 4, Len: 2}}
+		g.finish(edges)
+		p := newUFPair(g)
+		for _, defects := range [][]int32{{2}, {1, 3, 4}, {0, 2}, {4}} {
+			if fast, ref := p.decode(t, defects); fast != ref {
+				t.Fatalf("defects %v: frontier parity %v, full scan %v", defects, fast, ref)
+			}
+			p.checkTelemetry(t, fmt.Sprint(defects))
+		}
+		if got := p.fastMet.Snapshot().Counter("raw_fallbacks"); got != 4 {
+			t.Fatalf("raw_fallbacks %d, want 4", got)
+		}
+	})
+}
+
+// TestExhaustiveWeightTwo decodes every single edge and every pair of edges
+// of the d=5 memory graphs (both bases, both noise models) through the
+// frontier decoder and the full-scan oracle, requires them to agree, and
+// pins how many pairs each miscorrects (decoded parity differs from the
+// pair's observable parity). A distance-5 code corrects any two faults
+// under minimum-weight decoding; the weighted union-find growth does not
+// for some Z-basis depolarizing pairs. The oracle is ~35× slower than the
+// frontier decoder on these sparse syndromes, so short and race runs check
+// it on every 97th pair only; the pinned counts always cover every pair.
+func TestExhaustiveWeightTwo(t *testing.T) {
+	oracleStride := 1
+	if testing.Short() || raceEnabled {
+		oracleStride = 97
+	}
+	wantMiscorrected := map[string]int{
+		"Z/depolarizing(0.001)": 70, "Z/table5": 0, "X/depolarizing(0.001)": 0, "X/table5": 0,
+	}
+	models := []noise.Model{noise.Depolarizing(1e-3), noise.PaperTable5(hardware.Default())}
+	for _, basis := range []pauli.Kind{pauli.Z, pauli.X} {
+		mem := mustMemory(t, 5, 5, basis)
+		det := mustDetectors(t, mem)
+		for _, m := range models {
+			name := fmt.Sprintf("%v/%s", basis, m.Name)
+			t.Run(name, func(t *testing.T) {
+				g := mustGraph(t, det, noise.Compile(m, mem.Prog))
+				p := newUFPair(g)
+				cases := 0
+				miscorrected := func(set ...int) bool {
+					defects, obs := syndromeOfEdges(g, set)
+					cases++
+					if cases%oracleStride != 0 {
+						return p.decodeFast(defects) != obs
+					}
+					fast, ref := p.decode(t, defects)
+					if fast != ref {
+						t.Fatalf("edges %v: frontier parity %v, full scan %v", set, fast, ref)
+					}
+					return fast != obs
+				}
+				for a := range g.edges {
+					if miscorrected(a) {
+						t.Fatalf("single edge %d (%+v) miscorrected", a, g.edges[a])
+					}
+				}
+				pairs, wrong := 0, 0
+				for a := range g.edges {
+					for b := a + 1; b < len(g.edges); b++ {
+						pairs++
+						if miscorrected(a, b) {
+							wrong++
+						}
+					}
+				}
+				if oracleStride == 1 {
+					p.checkTelemetry(t, name)
+				}
+				t.Logf("%s: %d edges, %d of %d pairs miscorrected", name, len(g.edges), wrong, pairs)
+				if want, ok := wantMiscorrected[name]; !ok || wrong != want {
+					t.Fatalf("%s: %d of %d pairs miscorrected, pinned %d", name, wrong, pairs, want)
+				}
+			})
+		}
+	}
+}

@@ -6,8 +6,23 @@ package decoder
 // grown edges is peeled leaf-first to read off the correction's observable
 // parity. Decoding is a pure function of the syndrome — no randomness — so
 // decoded estimates stay bit-identical for any worker count.
+//
+// Growth is frontier-driven: each cluster keeps a circular member list, and
+// a round visits only the ungrown edges incident to the members of active
+// clusters (an edge bitset walked in ascending edge index), never the rest
+// of the graph or the high-degree boundary node. Between two rounds in which
+// some edge completes, every frontier edge just gains its constant
+// increment, so those idle rounds are applied in one step. Both keep the
+// result, the grown-edge order and every counter identical to a scan of all
+// edges every round (the test oracle in oracle_test.go).
 
-import "tiscc/internal/telemetry"
+import (
+	"math"
+	"math/bits"
+	"sync/atomic"
+
+	"tiscc/internal/telemetry"
+)
 
 // scratch is the per-worker decoder state: every slice is allocated once at
 // full size, so a decode performs zero heap allocations. Shots with an empty
@@ -18,12 +33,16 @@ type scratch struct {
 	parity []uint8 // root-indexed: defect-count parity of the cluster
 	bnd    []bool  // root-indexed: cluster absorbed the boundary
 	defect []bool  // node-indexed: detector fired (mutated during peeling)
+	next   []int32 // node-indexed: circular member list of each cluster
 
-	growth []int32 // edge-indexed: accumulated growth
-	grown  []bool  // edge-indexed: fully grown
+	growth []int32  // edge-indexed: accumulated growth
+	grown  []bool   // edge-indexed: fully grown
+	front  []uint64 // edge bitset: the current round's growth frontier
+	listed []bool   // root-indexed: cluster's edges already in front
 
 	grownList []int32 // edges grown, in growth order
 	defects   []int32 // fired detector ids
+	roots     []int32 // active cluster roots of the current round
 
 	// Peeling forest.
 	visited  []bool
@@ -34,9 +53,13 @@ type scratch struct {
 	inForest []bool
 	nodes    []int32 // nodes incident to grown edges
 
-	tel *telemetry.Shard // single-owner decode counters (never nil)
+	tel  *telemetry.Shard // single-owner decode counters (never nil)
+	busy atomic.Bool      // held by a decode (see getScratch)
 }
 
+// newScratch allocates one worker's decoder scratch.
+//
+//tiscc:allow(hotpath) runs once per concurrent worker of a graph; getScratch reuses the scratch for every later shot
 func (g *Graph) newScratch() *scratch {
 	n := int(g.boundary) + 1
 	e := len(g.edges)
@@ -45,10 +68,14 @@ func (g *Graph) newScratch() *scratch {
 		parity:    make([]uint8, n),
 		bnd:       make([]bool, n),
 		defect:    make([]bool, n),
+		next:      make([]int32, n),
 		growth:    make([]int32, e),
 		grown:     make([]bool, e),
+		front:     make([]uint64, (e+63)/64),
+		listed:    make([]bool, n),
 		grownList: make([]int32, 0, e),
 		defects:   make([]int32, 0, n),
+		roots:     make([]int32, 0, n),
 		visited:   make([]bool, n),
 		treeUsed:  make([]bool, e),
 		fparent:   make([]int32, n),
@@ -60,8 +87,48 @@ func (g *Graph) newScratch() *scratch {
 	}
 }
 
+// getScratch takes an idle scratch: from the pool when it holds one, else
+// from the graph's list of every scratch. A scratch is claimed by setting
+// busy, so a pool entry that claimScratch took meanwhile is skipped.
+func (g *Graph) getScratch() *scratch {
+	for {
+		sc, _ := g.pool.Get().(*scratch)
+		if sc == nil {
+			return g.claimScratch()
+		}
+		if sc.busy.CompareAndSwap(false, true) {
+			return sc
+		}
+	}
+}
+
+// claimScratch claims an idle scratch the pool no longer holds, allocating
+// one only when every scratch of the graph is in use.
+//
+//tiscc:allow(hotpath) reached only when the pool is empty: once per concurrent worker, and after a collection emptied the pool
+func (g *Graph) claimScratch() *scratch {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, sc := range g.all {
+		if sc.busy.CompareAndSwap(false, true) {
+			return sc
+		}
+	}
+	sc := g.newScratch()
+	sc.busy.Store(true)
+	g.all = append(g.all, sc)
+	return sc
+}
+
+// putScratch releases a scratch to the pool.
+func (g *Graph) putScratch(sc *scratch) {
+	sc.busy.Store(false)
+	g.pool.Put(sc)
+}
+
 func (sc *scratch) reset(g *Graph) {
 	copy(sc.parent, g.protoParent)
+	copy(sc.next, g.protoParent)
 	clear(sc.parity)
 	clear(sc.bnd)
 	clear(sc.defect)
@@ -85,8 +152,8 @@ func (sc *scratch) find(x int32) int32 {
 
 // DecodeOutcome evaluates the shot's syndrome against the detector set,
 // union-find-decodes it and returns the corrected logical outcome. It
-// implements noise.Decoder and is safe for concurrent use (per-worker
-// scratch is pooled). With an empty syndrome the raw readout is returned
+// implements noise.Decoder and is safe for concurrent use (each call claims
+// its own scratch; see getScratch). With an empty syndrome the raw readout is returned
 // unchanged; if the decoder cannot neutralize every cluster (a structurally
 // disconnected graph, which compiled memory experiments never produce), it
 // also falls back to the raw readout.
@@ -97,8 +164,8 @@ func (g *Graph) DecodeOutcome(records map[int32]bool) bool {
 	if len(g.edges) == 0 {
 		return raw
 	}
-	sc := g.pool.Get().(*scratch)
-	defer g.pool.Put(sc)
+	sc := g.getScratch()
+	defer g.putScratch(sc)
 	sc.defects = sc.defects[:0]
 	for i := range g.det.Dets {
 		det := &g.det.Dets[i]
@@ -135,86 +202,198 @@ func (g *Graph) decode(sc *scratch) bool {
 	sc.tel.Add(ctrClustersSeeded, uint64(odd))
 	sc.bnd[g.boundary] = true
 
-	// active reports whether the cluster rooted at r still drives growth.
-	active := func(r int32) bool { return sc.parity[r] == 1 && !sc.bnd[r] }
-
 	// Growth: each round, every edge incident to an active cluster grows by
-	// one half-edge unit per active side. The edge scan is O(E) per round,
-	// and rounds are bounded by the quantized edge lengths times the cluster
-	// diameter; both are small for the sparse syndromes that dominate.
+	// one half-edge unit per active side. Rounds are bounded by the
+	// quantized edge lengths times the cluster diameter; skipped idle
+	// rounds count toward the bound, the round total and the frontier peak
+	// exactly as executed ones.
 	maxRounds := int(g.maxGrow) * (int(g.boundary) + 1)
-	rounds, peakFrontier := uint64(0), uint64(0)
-	for round := 0; odd > 0; round++ {
-		if round > maxRounds {
-			sc.tel.Inc(ctrRawFallbacks)
-			sc.finishDecode(rounds, peakFrontier)
-			return false // structurally stuck; caller falls back to raw
+	rounds, peakFrontier := 0, 0
+	for odd > 0 {
+		if rounds > maxRounds {
+			return sc.fallback(rounds, peakFrontier)
+		}
+		size := g.collectFrontier(sc)
+		if size == 0 {
+			return sc.fallback(rounds+1, peakFrontier) // no edge can grow
+		}
+		if idle := min(g.idleRounds(sc), maxRounds+1-rounds); idle > 0 {
+			g.skipRounds(sc, idle)
+			rounds += idle
+			peakFrontier = max(peakFrontier, size)
+			if rounds > maxRounds {
+				return sc.fallback(rounds, peakFrontier)
+			}
 		}
 		rounds++
-		frontier := uint64(0)
-		progressed := false
-		for ei := range g.edges {
-			if sc.grown[ei] {
-				continue
+		peakFrontier = max(peakFrontier, g.growRound(sc, &odd))
+	}
+	sc.tel.Add(ctrEdgesGrown, uint64(len(sc.grownList)))
+	sc.finishDecode(uint64(rounds), uint64(peakFrontier))
+	return g.peel(sc)
+}
+
+// active reports whether the cluster rooted at r still drives growth.
+func (sc *scratch) active(r int32) bool { return sc.parity[r] == 1 && !sc.bnd[r] }
+
+// edgeInc returns edge e's endpoint roots and its growth per round: one
+// half-edge unit per active side.
+func (sc *scratch) edgeInc(e *Edge) (ru, rv, inc int32) {
+	ru, rv = sc.find(e.U), sc.find(e.V)
+	if sc.active(ru) {
+		inc++
+	}
+	if rv != ru && sc.active(rv) {
+		inc++
+	}
+	return ru, rv, inc
+}
+
+// collectFrontier fills sc.front with the ungrown edges incident to the
+// members of the active clusters — exactly the edges that grow this round
+// unless a merge intervenes — and returns their number.
+func (g *Graph) collectFrontier(sc *scratch) int {
+	clear(sc.front)
+	sc.roots = sc.roots[:0]
+	for _, d := range sc.defects {
+		r := sc.find(d)
+		if sc.listed[r] || !sc.active(r) {
+			continue
+		}
+		sc.listed[r] = true
+		sc.roots = append(sc.roots, r)
+		g.addMembers(sc, r)
+	}
+	for _, r := range sc.roots {
+		sc.listed[r] = false
+	}
+	size := 0
+	for _, w := range sc.front {
+		size += bits.OnesCount64(w)
+	}
+	return size
+}
+
+// addMembers adds the ungrown edges incident to the members of the cluster
+// rooted at r to the frontier.
+func (g *Graph) addMembers(sc *scratch, r int32) {
+	v := r
+	for {
+		for _, ei := range g.adj[g.adjStart[v]:g.adjStart[v+1]] {
+			if !sc.grown[ei] {
+				sc.front[ei>>6] |= 1 << (ei & 63)
 			}
+		}
+		if v = sc.next[v]; v == r {
+			return
+		}
+	}
+}
+
+// idleRounds returns how many rounds the frontier can grow before any of
+// its edges completes: in those rounds nothing merges, so each edge only
+// gains its constant increment.
+func (g *Graph) idleRounds(sc *scratch) int {
+	idle := int32(math.MaxInt32)
+	for w, word := range sc.front {
+		for ; word != 0; word &= word - 1 {
+			ei := w<<6 | bits.TrailingZeros64(word)
+			_, _, inc := sc.edgeInc(&g.edges[ei])
+			idle = min(idle, (g.edges[ei].Len-sc.growth[ei]-1)/inc)
+		}
+	}
+	return int(idle)
+}
+
+// skipRounds applies n idle rounds of growth to the frontier.
+func (g *Graph) skipRounds(sc *scratch, n int) {
+	for w, word := range sc.front {
+		for ; word != 0; word &= word - 1 {
+			ei := w<<6 | bits.TrailingZeros64(word)
+			_, _, inc := sc.edgeInc(&g.edges[ei])
+			sc.growth[ei] += int32(n) * inc
+		}
+	}
+}
+
+// growRound runs one growth round over the frontier in ascending edge
+// index, merging clusters as edges complete, and returns the number of
+// edges that grew. Each word is re-read as the round goes: a merge that
+// activates an even cluster adds its edges, and those above the current
+// index grow in this same round, as they would in a scan of every edge.
+func (g *Graph) growRound(sc *scratch, odd *int) int {
+	frontier := 0
+	for w := range sc.front {
+		for lo := uint(0); lo < 64; {
+			word := sc.front[w] >> lo << lo
+			if word == 0 {
+				break
+			}
+			b := uint(bits.TrailingZeros64(word))
+			lo = b + 1
+			ei := w<<6 | int(b)
 			e := &g.edges[ei]
-			ru, rv := sc.find(e.U), sc.find(e.V)
-			inc := int32(0)
-			if active(ru) {
-				inc++
-			}
-			if rv != ru && active(rv) {
-				inc++
-			}
+			ru, rv, inc := sc.edgeInc(e)
 			if inc == 0 {
-				continue
+				continue // an earlier merge this round deactivated both sides
 			}
 			frontier++
-			progressed = true
 			sc.growth[ei] += inc
 			if sc.growth[ei] < e.Len {
 				continue
 			}
 			sc.grown[ei] = true
 			sc.grownList = append(sc.grownList, int32(ei))
-			if ru == rv {
-				continue
+			if ru != rv {
+				g.union(sc, ru, rv, odd)
 			}
-			before := 0
-			if active(ru) {
-				before++
-			}
-			if active(rv) {
-				before++
-			}
-			// Union by root id order (deterministic).
-			if ru > rv {
-				ru, rv = rv, ru
-			}
-			sc.parent[rv] = ru
-			sc.parity[ru] ^= sc.parity[rv]
-			if sc.bnd[rv] {
-				sc.bnd[ru] = true
-			}
-			sc.tel.Inc(ctrMerges)
-			after := 0
-			if active(ru) {
-				after++
-			}
-			odd += after - before
-		}
-		if frontier > peakFrontier {
-			peakFrontier = frontier
-		}
-		if !progressed {
-			sc.tel.Inc(ctrRawFallbacks)
-			sc.finishDecode(rounds, peakFrontier)
-			return false
 		}
 	}
-	sc.tel.Add(ctrEdgesGrown, uint64(len(sc.grownList)))
-	sc.finishDecode(rounds, peakFrontier)
-	return g.peel(sc)
+	return frontier
+}
+
+// union merges the clusters rooted at ru and rv (the smaller root id
+// survives, deterministically) and updates the active-cluster count. When
+// an active cluster absorbs an even one, the merged cluster stays active
+// and the even part's edges join the frontier.
+func (g *Graph) union(sc *scratch, ru, rv int32, odd *int) {
+	before := 0
+	if sc.active(ru) {
+		before++
+	}
+	if sc.active(rv) {
+		before++
+	}
+	if ru > rv {
+		ru, rv = rv, ru
+	}
+	if sc.parity[ru] != sc.parity[rv] && !sc.bnd[ru] && !sc.bnd[rv] {
+		if sc.active(ru) {
+			g.addMembers(sc, rv)
+		} else {
+			g.addMembers(sc, ru)
+		}
+	}
+	sc.next[ru], sc.next[rv] = sc.next[rv], sc.next[ru]
+	sc.parent[rv] = ru
+	sc.parity[ru] ^= sc.parity[rv]
+	if sc.bnd[rv] {
+		sc.bnd[ru] = true
+	}
+	sc.tel.Inc(ctrMerges)
+	after := 0
+	if sc.active(ru) {
+		after++
+	}
+	*odd += after - before
+}
+
+// fallback records a decode that could not neutralize every cluster; the
+// caller falls back to the raw readout.
+func (sc *scratch) fallback(rounds, peakFrontier int) bool {
+	sc.tel.Inc(ctrRawFallbacks)
+	sc.finishDecode(uint64(rounds), uint64(peakFrontier))
+	return false
 }
 
 // finishDecode flushes one decode's growth observations (every exit path).

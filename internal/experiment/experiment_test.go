@@ -240,3 +240,44 @@ func TestEstimateOpSamplerChoice(t *testing.T) {
 		t.Fatalf("⟨X⟩ after T|+⟩ = %v, want ≈ 0.7071", mean)
 	}
 }
+
+// TestNoRawFallbacks estimates the standard decoded workloads — memory
+// d=3..9 and the surgery cycle d=3,5, under the depolarizing and Table 5
+// models — and requires that the decoder neutralized every syndrome: a
+// silent fallback to the raw readout would bias p_L.
+func TestNoRawFallbacks(t *testing.T) {
+	shots := 2000
+	if testing.Short() {
+		shots = 128
+	}
+	models := []noise.Model{noise.Depolarizing(3e-3), noise.PaperTable5(hardware.Default())}
+	var specs []Spec
+	for _, d := range []int{3, 5, 7, 9} {
+		specs = append(specs, Spec{Workload: Memory, Distance: d})
+	}
+	for _, d := range []int{3, 5} {
+		specs = append(specs, Spec{Workload: Surgery, Distance: d})
+	}
+	for _, s := range specs {
+		for _, m := range models {
+			s.Model = m
+			t.Run(s.String(), func(t *testing.T) {
+				c, err := Compile(s, true, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Estimate(noise.Options{Shots: shots, Seed: 1}); err != nil {
+					t.Fatal(err)
+				}
+				met := c.Graph.Metrics()
+				if met.Counter("shots") != uint64(shots) || met.Counter("defects") == 0 {
+					t.Fatalf("decoder saw %d shots with %d defects, want %d shots with some defects",
+						met.Counter("shots"), met.Counter("defects"), shots)
+				}
+				if n := met.Counter("raw_fallbacks"); n != 0 {
+					t.Fatalf("%d of %d decodes fell back to the raw readout", n, shots)
+				}
+			})
+		}
+	}
+}
