@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"tiscc/internal/frame"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
@@ -44,6 +45,23 @@ func TestDecodeZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("noisy decode loop allocates %.1f objects/shot, want 0", allocs)
+	}
+	// The plane path: a frame batch sampled and decoded 64 shots at a time.
+	sim, err := frame.New(mem.Prog, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := sim.NewBatch()
+	batch.Run(0, 64, 1)
+	g.DecodePlanes(batch.Planes())
+	first := 64
+	allocs = testing.AllocsPerRun(50, func() {
+		batch.Run(first, 64, 1)
+		g.DecodePlanes(batch.Planes())
+		first += 64
+	})
+	if allocs != 0 {
+		t.Fatalf("plane decode loop allocates %.1f objects/batch, want 0", allocs)
 	}
 	snap := g.Metrics()
 	if snap.Counter("shots") == 0 {

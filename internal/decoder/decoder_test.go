@@ -77,7 +77,7 @@ func syndromeOf(d *Detectors, recs map[int32]bool) (fired []int32, obs bool) {
 			fired = append(fired, int32(i))
 		}
 	}
-	return fired, d.RawOutcome(recs)
+	return fired, d.observable().Eval(recs)
 }
 
 func equalIDs(a, b []int32) bool {
@@ -245,7 +245,7 @@ func TestWeightOneFaultsCorrected(t *testing.T) {
 					_, x1, z1, x2, z2 := f.Branch(b)
 					runWithPauli(eng, mem.Prog, 11, slot, f.Q1, x1, z1, f.Q2, x2, z2)
 					recs := eng.Records()
-					if det.RawOutcome(recs) != mem.Reference {
+					if det.observable().Eval(recs) != mem.Reference {
 						rawWrong++
 					}
 					if got := g.DecodeOutcome(recs); got != mem.Reference {

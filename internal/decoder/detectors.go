@@ -19,7 +19,9 @@
 //     a weighted matching graph, cached once per (program, model) exactly
 //     like the fault schedule itself, whose graphlike circuit distance
 //     Graph.Distance certifies;
-//   - union-find decoding (Graph.DecodeOutcome): per shot, fired detectors
+//   - union-find decoding (Graph.DecodePlanes): per 64-shot batch of record
+//     planes, each detector's word is an XOR of record words; lanes with an
+//     empty syndrome skip decoding, and each other lane's fired detectors
 //     are clustered by Delfosse–Nickerson-style growth with boundary
 //     absorption and peeled for the correction's observable parity, with
 //     zero allocations in the hot loop via pooled per-worker scratch state.
@@ -31,6 +33,8 @@ import (
 	"sort"
 
 	"tiscc/internal/core"
+	"tiscc/internal/expr"
+	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
 	"tiscc/internal/verify"
@@ -86,23 +90,54 @@ func (d *Detectors) Rounds() int { return d.rounds }
 // Basis returns the memory basis of the underlying experiment.
 func (d *Detectors) Basis() pauli.Kind { return d.basis }
 
-// RawOutcome evaluates the uncorrected observable readout against a shot's
-// record table.
-func (d *Detectors) RawOutcome(records map[int32]bool) bool {
-	v := d.ObsConst
-	for _, id := range d.Obs {
-		if records[id] {
-			v = !v
-		}
-	}
-	return v
+// observable returns the logical observable's readout formula.
+func (d *Detectors) observable() expr.Expr {
+	return expr.Expr{IDs: d.Obs, Const: d.ObsConst}
 }
 
-// Syndrome appends the ids of the detectors a shot fires — those whose
-// record XOR differs from the deterministic reference — to buf and returns
-// it. It is the same evaluation the union-find decoder performs per shot,
-// exposed for the diagnostics layer's calibration and failure-localization
-// accumulators; with a caller-reused buf it does not allocate.
+// CheckRecords reports an error unless every record id the detectors and
+// the observable read lies in [0, n): the structure must pass it before it
+// reads n-record planes (detectors decoded from the wire name arbitrary
+// ids).
+func (d *Detectors) CheckRecords(n int) error {
+	if err := d.observable().CheckRecords(n); err != nil {
+		return fmt.Errorf("decoder: observable: %w", err)
+	}
+	for i := range d.Dets {
+		if err := (expr.Expr{IDs: d.Dets[i].Recs}).CheckRecords(n); err != nil {
+			return fmt.Errorf("decoder: detector %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// Fire is the detector word kernel: it sets fired[i] (len(fired) ≥
+// NumDetectors) to the lanes of p on which detector i fires — Ref XORed
+// with the words of its records, masked to p.Lanes — and returns the lanes
+// whose syndrome is non-empty. One XOR covers a whole 64-shot batch. The
+// decoder and the diagnostics layer both read syndromes through it.
+func (d *Detectors) Fire(p *noise.Planes, fired []uint64) (live uint64) {
+	for i := range d.Dets {
+		det := &d.Dets[i]
+		var w uint64
+		if det.Ref {
+			w = ^w
+		}
+		for _, id := range det.Recs {
+			w ^= p.Words[id]
+		}
+		w &= p.Lanes
+		fired[i] = w
+		live |= w
+	}
+	return live
+}
+
+// Syndrome appends the ids of the detectors one shot's record table fires
+// — those whose record XOR differs from the deterministic reference — to
+// buf in ascending order and returns it: the per-shot counterpart of Fire,
+// for callers that hold a record map. With a caller-reused buf it does not
+// allocate.
 func (d *Detectors) Syndrome(records map[int32]bool, buf []int32) []int32 {
 	for i := range d.Dets {
 		det := &d.Dets[i]
@@ -229,7 +264,7 @@ func (d *Detectors) referenceValues(prog *orqcs.Program, wantObs bool) error {
 				return fmt.Errorf("decoder: detector %d (%v round %d) is not deterministic", i, det.Face, det.Round)
 			}
 		}
-		if got := d.RawOutcome(recs); got != wantObs {
+		if got := d.observable().Eval(recs); got != wantObs {
 			return fmt.Errorf("decoder: noiseless observable %v, reference says %v", got, wantObs)
 		}
 	}

@@ -59,6 +59,11 @@ type Graph struct {
 	all  []*scratch
 }
 
+// CheckRecords reports an error unless every record id the graph's
+// detectors and observable read lies in [0, n): noise.Decoder's binding
+// check, run before the graph decodes n-record planes.
+func (g *Graph) CheckRecords(n int) error { return g.det.CheckRecords(n) }
+
 // Detectors returns the detector structure the graph decodes.
 func (g *Graph) Detectors() *Detectors { return g.det }
 

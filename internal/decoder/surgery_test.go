@@ -19,21 +19,34 @@ import (
 
 // rowMajorSampler is the row-major reference tableau as a
 // noise.RecordSampler: one directly constructed engine per pool worker, each
-// registering a telemetry shard in met.
+// registering a telemetry shard in met, handing each shot on as a one-lane
+// plane.
 type rowMajorSampler struct {
 	sched *noise.Schedule
 	met   *telemetry.Set
 }
 
-func (r *rowMajorSampler) SampleRecords(shots int, seed int64, workers int, visit func(shot int, records map[int32]bool) error) error {
-	newEngine := func() *orqcs.Engine {
-		e := orqcs.NewFromProgramRowMajor(r.sched.Program())
-		e.SetTelemetry(r.met.NewShard())
-		return e
+func (r *rowMajorSampler) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
+	prog := r.sched.Program()
+	type worker struct {
+		e *orqcs.Engine
+		p noise.Planes
 	}
-	return orqcs.RunPool(shots, workers, newEngine, func(e *orqcs.Engine, i int) error {
-		r.sched.RunShot(e, orqcs.ShotSeed(seed, i))
-		return visit(i, e.Records())
+	newWorker := func() *worker {
+		e := orqcs.NewFromProgramRowMajor(prog)
+		e.SetTelemetry(r.met.NewShard())
+		return &worker{e: e, p: noise.Planes{N: 1, Lanes: 1, Words: make([]uint64, prog.NumRecords())}}
+	}
+	return orqcs.RunPool(shots, workers, newWorker, func(w *worker, i int) error {
+		r.sched.RunShot(w.e, orqcs.ShotSeed(seed, i))
+		for id := range w.p.Words {
+			w.p.Words[id] = 0
+			if w.e.Records()[int32(id)] {
+				w.p.Words[id] = 1
+			}
+		}
+		w.p.First = i
+		return visit(&w.p)
 	})
 }
 
@@ -138,7 +151,7 @@ func TestSurgeryWeightOneFaultsCorrected(t *testing.T) {
 					_, x1, z1, x2, z2 := f.Branch(b)
 					runWithPauli(eng, s.Prog, 11, slot, f.Q1, x1, z1, f.Q2, x2, z2)
 					recs := eng.Records()
-					if det.RawOutcome(recs) != s.Reference {
+					if det.observable().Eval(recs) != s.Reference {
 						rawWrong++
 					}
 					if got := g.DecodeOutcome(recs); got != s.Reference {

@@ -21,6 +21,7 @@ import (
 	"math/bits"
 	"sync/atomic"
 
+	"tiscc/internal/noise"
 	"tiscc/internal/telemetry"
 )
 
@@ -43,6 +44,11 @@ type scratch struct {
 	grownList []int32 // edges grown, in growth order
 	defects   []int32 // fired detector ids
 	roots     []int32 // active cluster roots of the current round
+	fellBack  bool    // the decode fell back to the raw readout
+
+	// Batch syndrome (DecodePlanes).
+	fired  []uint64 // detector-indexed: lanes on which the detector fires
+	firing []int32  // detectors firing on at least one lane
 
 	// Peeling forest.
 	visited  []bool
@@ -76,6 +82,8 @@ func (g *Graph) newScratch() *scratch {
 		grownList: make([]int32, 0, e),
 		defects:   make([]int32, 0, n),
 		roots:     make([]int32, 0, n),
+		fired:     make([]uint64, n-1),
+		firing:    make([]int32, 0, n-1),
 		visited:   make([]bool, n),
 		treeUsed:  make([]bool, e),
 		fparent:   make([]int32, n),
@@ -140,6 +148,7 @@ func (sc *scratch) reset(g *Graph) {
 	sc.grownList = sc.grownList[:0]
 	sc.order = sc.order[:0]
 	sc.nodes = sc.nodes[:0]
+	sc.fellBack = false
 }
 
 func (sc *scratch) find(x int32) int32 {
@@ -150,43 +159,95 @@ func (sc *scratch) find(x int32) int32 {
 	return x
 }
 
-// DecodeOutcome evaluates the shot's syndrome against the detector set,
-// union-find-decodes it and returns the corrected logical outcome. It
-// implements noise.Decoder and is safe for concurrent use (each call claims
-// its own scratch; see getScratch). With an empty syndrome the raw readout is returned
-// unchanged; if the decoder cannot neutralize every cluster (a structurally
-// disconnected graph, which compiled memory experiments never produce), it
-// also falls back to the raw readout.
+// DecodePlanes decodes a batch of up to 64 shots from their record planes
+// and returns the corrected outcome word (bit i is lane i's logical
+// outcome) and the lanes on which the decoder fell back to the raw readout.
+// It implements noise.Decoder and is safe for concurrent use (each call
+// claims its own scratch; see getScratch).
+//
+// Detector words come from the word kernel (Detectors.Fire), one XOR per
+// record per batch. Lanes with an empty syndrome keep the raw readout and
+// never touch growth; each other lane's fired detectors are listed in
+// ascending id order and union-find decoded exactly as DecodeOutcome
+// decodes one shot, with identical counters. A lane whose decode cannot
+// neutralize every cluster (a structurally disconnected graph, which
+// compiled experiments never produce) keeps the raw readout and sets its
+// fallback bit.
 //
 //tiscc:hotpath
+func (g *Graph) DecodePlanes(p *noise.Planes) (outcome, fallback uint64) {
+	outcome = g.det.observable().EvalWords(p.Words)
+	if len(g.edges) == 0 {
+		return outcome, 0
+	}
+	sc := g.getScratch()
+	defer g.putScratch(sc)
+	live := g.det.Fire(p, sc.fired)
+	empty := uint64(bits.OnesCount64(p.Lanes &^ live))
+	sc.tel.Add(ctrShots, empty)
+	sc.tel.Add(ctrEmptySyndromes, empty)
+	for range empty {
+		sc.tel.Observe(histDefectsPerShot, 0)
+	}
+	if live == 0 {
+		return outcome, 0
+	}
+	sc.firing = sc.firing[:0]
+	for i, w := range sc.fired[:len(g.det.Dets)] {
+		if w != 0 {
+			sc.firing = append(sc.firing, int32(i))
+		}
+	}
+	for w := live; w != 0; w &= w - 1 {
+		lane := uint(bits.TrailingZeros64(w))
+		sc.defects = sc.defects[:0]
+		for _, i := range sc.firing {
+			if sc.fired[i]>>lane&1 == 1 {
+				sc.defects = append(sc.defects, i)
+			}
+		}
+		flip, ok := g.decodeShot(sc)
+		if !ok {
+			fallback |= 1 << lane
+		} else if flip {
+			outcome ^= 1 << lane
+		}
+	}
+	return outcome, fallback
+}
+
+// DecodeOutcome decodes one shot from its record table and returns the
+// corrected logical outcome: the per-shot counterpart of DecodePlanes, for
+// callers that hold a record map. It reads the syndrome through
+// Detectors.Syndrome and decodes it with the same core and counters. With
+// an empty syndrome, or when the decode falls back, the raw readout is
+// returned unchanged. Safe for concurrent use.
 func (g *Graph) DecodeOutcome(records map[int32]bool) bool {
-	raw := g.det.RawOutcome(records)
+	raw := g.det.observable().Eval(records)
 	if len(g.edges) == 0 {
 		return raw
 	}
 	sc := g.getScratch()
 	defer g.putScratch(sc)
-	sc.defects = sc.defects[:0]
-	for i := range g.det.Dets {
-		det := &g.det.Dets[i]
-		v := det.Ref
-		for _, id := range det.Recs {
-			if records[id] {
-				v = !v
-			}
-		}
-		if v {
-			sc.defects = append(sc.defects, int32(i))
-		}
-	}
+	sc.defects = g.det.Syndrome(records, sc.defects[:0])
+	flip, _ := g.decodeShot(sc)
+	return raw != flip
+}
+
+// decodeShot counts one shot's syndrome, held in sc.defects in ascending
+// order, and union-find decodes it when it is non-empty: flip is the
+// correction's observable parity, ok is false when the decode fell back to
+// the raw readout (flip is then false).
+func (g *Graph) decodeShot(sc *scratch) (flip, ok bool) {
 	sc.tel.Inc(ctrShots)
 	sc.tel.Add(ctrDefects, uint64(len(sc.defects)))
 	sc.tel.Observe(histDefectsPerShot, uint64(len(sc.defects)))
 	if len(sc.defects) == 0 {
 		sc.tel.Inc(ctrEmptySyndromes)
-		return raw
+		return false, true
 	}
-	return raw != g.decode(sc)
+	flip = g.decode(sc)
+	return flip, !sc.fellBack
 }
 
 // decode grows and peels the clusters of the syndrome in sc.defects,
@@ -391,6 +452,7 @@ func (g *Graph) union(sc *scratch, ru, rv int32, odd *int) {
 // fallback records a decode that could not neutralize every cluster; the
 // caller falls back to the raw readout.
 func (sc *scratch) fallback(rounds, peakFrontier int) bool {
+	sc.fellBack = true
 	sc.tel.Inc(ctrRawFallbacks)
 	sc.finishDecode(uint64(rounds), uint64(peakFrontier))
 	return false

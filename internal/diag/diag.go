@@ -20,14 +20,18 @@
 //   - streaming sweep progress (ProgressWriter): schema-versioned NDJSON
 //     batch heartbeats from the estimator's in-order fold.
 //
-// The Collector implements noise.ShotObserver; calls may be concurrent, so
-// accumulation goes through pooled per-worker scratches (bounded, allocated
-// once per worker) merged only at report time — the same single-owner shard
-// discipline as internal/telemetry. Observation is read-only with respect to
-// the run: records stay bit-identical with and without it.
+// The Collector implements noise.ShotObserver, one call per sampled batch of
+// record planes; calls may be concurrent, so accumulation goes through
+// pooled per-worker scratches (bounded, allocated once per worker) merged
+// only at report time — the same single-owner shard discipline as
+// internal/telemetry. Per-detector counts are popcounts of the detector
+// words; only the fault replay and the failure samples work lane by lane.
+// Observation is read-only with respect to the run: records stay
+// bit-identical with and without it.
 package diag
 
 import (
+	"math/bits"
 	"sync"
 
 	"tiscc/internal/decoder"
@@ -68,10 +72,10 @@ type Collector struct {
 // performs no heap allocation beyond the FiredFaults replay buffer's initial
 // growth.
 type scratch struct {
-	fired   []int32  // FiredFaults replay buffer
+	faults  []int32  // FiredFaults replay buffer
 	perShot []uint32 // per-channel fires of the current shot
 	touched []uint16 // channels touched by the current shot
-	syn     []int32  // syndrome buffer
+	fired   []uint64 // detector words of the current batch
 
 	shotsOK, shotsFail uint64
 	chanOK, chanFail   []uint64  // per-channel fire counts by outcome
@@ -114,7 +118,7 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors, seed int64) *C
 	}
 	c.pool.New = func() any {
 		sc := &scratch{
-			fired:    make([]int32, 0, 64),
+			faults:   make([]int32, 0, 64),
 			perShot:  make([]uint32, len(c.chans)),
 			touched:  make([]uint16, 0, len(c.chans)),
 			chanOK:   make([]uint64, len(c.chans)),
@@ -123,7 +127,7 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors, seed int64) *C
 		}
 		if c.dets != nil {
 			nd := c.dets.NumDetectors()
-			sc.syn = make([]int32, 0, nd)
+			sc.fired = make([]uint64, nd)
 			sc.detFired = make([]uint64, nd)
 			sc.detFail = make([]uint64, nd)
 		}
@@ -135,15 +139,42 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors, seed int64) *C
 	return c
 }
 
-// ObserveShot implements noise.ShotObserver: it replays the shot's fired
-// faults from its seed, buckets them per error-budget channel by outcome,
-// and — when a detector structure is attached — accumulates the shot's
-// syndrome into the per-detector observed-rate and failure-localization
-// counters. Safe for concurrent use (pooled per-worker scratch).
-func (c *Collector) ObserveShot(shot int, bad bool, records map[int32]bool) {
+// ObserveBatch implements noise.ShotObserver: for every lane of the batch
+// it replays the shot's fired faults from its seed and buckets them per
+// error-budget channel by outcome; when a detector structure is attached,
+// it adds the batch's detector words to the per-detector observed-rate
+// counters (popcounts) and localizes the first failing shots. Safe for
+// concurrent use (pooled per-worker scratch).
+func (c *Collector) ObserveBatch(p *noise.Planes, bad uint64) {
 	sc := c.pool.Get().(*scratch)
-	sc.fired = c.sched.FiredFaults(orqcs.ShotSeed(c.seed, shot), sc.fired[:0])
-	for _, k := range sc.fired {
+	for lane := 0; lane < p.N; lane++ {
+		c.observeShot(sc, p.First+lane, bad>>uint(lane)&1 == 1)
+	}
+	if c.dets != nil {
+		c.dets.Fire(p, sc.fired)
+		for i, w := range sc.fired {
+			sc.detFired[i] += uint64(bits.OnesCount64(w))
+			sc.detFail[i] += uint64(bits.OnesCount64(w & bad))
+		}
+		for w := bad & p.Lanes; w != 0 && len(sc.failures) < maxFailureSamples; w &= w - 1 {
+			lane := uint(bits.TrailingZeros64(w))
+			f := FailureSample{Shot: p.First + int(lane)}
+			for i, fw := range sc.fired {
+				if fw>>lane&1 == 1 {
+					f.Defects = append(f.Defects, int32(i))
+				}
+			}
+			sc.failures = append(sc.failures, f)
+		}
+	}
+	c.pool.Put(sc)
+}
+
+// observeShot replays one shot's fired faults and buckets them per
+// error-budget channel by outcome.
+func (c *Collector) observeShot(sc *scratch, shot int, bad bool) {
+	sc.faults = c.sched.FiredFaults(orqcs.ShotSeed(c.seed, shot), sc.faults[:0])
+	for _, k := range sc.faults {
 		ch := c.siteChan[k]
 		if sc.perShot[ch] == 0 {
 			sc.touched = append(sc.touched, ch)
@@ -158,7 +189,7 @@ func (c *Collector) ObserveShot(shot int, bad bool, records map[int32]bool) {
 		// contributions sum to p_L by construction. A failing shot always
 		// has ≥ 1 fired fault (a fault-free shot reproduces the noiseless
 		// reference bit-for-bit), but guard the division anyway.
-		if total := float64(len(sc.fired)); total > 0 {
+		if total := float64(len(sc.faults)); total > 0 {
 			for _, ch := range sc.touched {
 				n := sc.perShot[ch]
 				sc.chanFail[ch] += uint64(n)
@@ -175,26 +206,10 @@ func (c *Collector) ObserveShot(shot int, bad bool, records map[int32]bool) {
 		sc.perShot[ch] = 0
 	}
 	sc.touched = sc.touched[:0]
-	if c.dets != nil {
-		sc.syn = c.dets.Syndrome(records, sc.syn[:0])
-		for _, di := range sc.syn {
-			sc.detFired[di]++
-			if bad {
-				sc.detFail[di]++
-			}
-		}
-		if bad && len(sc.failures) < maxFailureSamples {
-			sc.failures = append(sc.failures, FailureSample{
-				Shot:    shot,
-				Defects: append([]int32(nil), sc.syn...),
-			})
-		}
-	}
-	c.pool.Put(sc)
 }
 
 // merged folds every worker scratch into one totals view. Only call at
-// quiescence (no ObserveShot in flight).
+// quiescence (no ObserveBatch in flight).
 func (c *Collector) merged() *scratch {
 	m := &scratch{
 		chanOK:   make([]uint64, len(c.chans)),

@@ -266,8 +266,12 @@ func TestNoRawFallbacks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := c.Estimate(noise.Options{Shots: shots, Seed: 1}); err != nil {
+				res, err := c.Estimate(noise.Options{Shots: shots, Seed: 1})
+				if err != nil {
 					t.Fatal(err)
+				}
+				if res.RawFallbacks != 0 {
+					t.Fatalf("result reports %d raw fallbacks in %d shots", res.RawFallbacks, shots)
 				}
 				met := c.Graph.Metrics()
 				if met.Counter("shots") != uint64(shots) || met.Counter("defects") == 0 {

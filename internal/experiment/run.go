@@ -101,7 +101,7 @@ func (c *Compiled) Run(o RunOptions) (*Point, error) {
 			"p_l": res.Rate, "stderr": res.StdErr,
 			"wilson_low": res.WilsonLow, "wilson_high": res.WilsonHigh,
 			"half_width": res.HalfWidth, "early_stop_batch": res.EarlyStopBatch,
-			"wall_seconds": wall,
+			"raw_fallbacks": res.RawFallbacks, "wall_seconds": wall,
 		},
 		Metrics: metrics,
 	}}

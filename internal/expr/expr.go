@@ -109,6 +109,33 @@ func (e Expr) Eval(records map[int32]bool) bool {
 	return v
 }
 
+// EvalWords evaluates e on up to 64 shots at once against record-major
+// words: words[id] holds record id's outcome with bit i for shot lane i,
+// and bit i of the result is e's value on lane i. Every id must index
+// words (ids are dense and non-negative in a record plane).
+func (e Expr) EvalWords(words []uint64) uint64 {
+	var v uint64
+	if e.Const {
+		v = ^v
+	}
+	for _, id := range e.IDs {
+		v ^= words[id]
+	}
+	return v
+}
+
+// CheckRecords reports an error unless every record id of e lies in
+// [0, n): a formula must pass it before it is read against an n-record
+// plane.
+func (e Expr) CheckRecords(n int) error {
+	for _, id := range e.IDs {
+		if id < 0 || int(id) >= n {
+			return fmt.Errorf("expr: record %d outside [0, %d)", id, n)
+		}
+	}
+	return nil
+}
+
 // Equal reports structural equality.
 func (e Expr) Equal(o Expr) bool {
 	if e.Const != o.Const || len(e.IDs) != len(o.IDs) {

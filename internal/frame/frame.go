@@ -74,6 +74,7 @@ type site struct {
 // reference shot.
 type event struct {
 	rec    int32 // record id (virtual ids for resets)
+	slot   int32 // outcome-word index: rec for explicit records, after them for resets
 	q      int32 // measured qubit
 	det    bool  // outcome forced by the state (shot-invariant property)
 	ref    bool  // reference outcome; for random events the reference coin
@@ -88,6 +89,8 @@ type Sim struct {
 	prog     *orqcs.Program
 	sched    *noise.Schedule // nil ⇒ noiseless sampling
 	events   []event
+	nrec     int    // explicit record slots [0, nrec); reset slots follow
+	nslot    int    // outcome words per batch
 	collapse []site // concatenated collapse-row supports
 	tb       tableau.State
 	met      *telemetry.Set // per-batch sampler shards (orqcs.SamplerSchema)
@@ -110,7 +113,8 @@ func newSim(prog *orqcs.Program, sched *noise.Schedule, seed int64) (*Sim, error
 	if sched != nil && sched.Program() != prog {
 		return nil, fmt.Errorf("frame: schedule compiled against a different program")
 	}
-	s := &Sim{prog: prog, sched: sched, met: telemetry.NewSet(orqcs.SamplerSchema)}
+	s := &Sim{prog: prog, sched: sched, nrec: prog.NumRecords(), met: telemetry.NewSet(orqcs.SamplerSchema)}
+	s.nslot = s.nrec
 	e := orqcs.NewFromProgram(prog)
 	e.BeginShot(seed)
 	tb, ok := e.Tableau().(*tableau.Sliced)
@@ -122,11 +126,15 @@ func newSim(prog *orqcs.Program, sched *noise.Schedule, seed int64) (*Sim, error
 		in := &instrs[i]
 		switch in.Op {
 		case orqcs.OpMeasureZ:
-			s.addEvent(tb, int(in.Q1), in.Rec, false)
+			if in.Rec < 0 || int(in.Rec) >= s.nrec {
+				return nil, fmt.Errorf("frame: record id %d outside [0, %d)", in.Rec, s.nrec)
+			}
+			s.addEvent(tb, int(in.Q1), in.Rec, in.Rec, false)
 		case orqcs.OpPrepareZ:
 			// Replicate tableau Reset step by step so the event is observable:
 			// virtual-id allocation, Z measurement, conditional X.
-			s.addEvent(tb, int(in.Q1), tb.VirtualID(), true)
+			s.addEvent(tb, int(in.Q1), tb.VirtualID(), int32(s.nslot), true)
+			s.nslot++
 		default:
 			e.Exec(in)
 		}
@@ -136,10 +144,10 @@ func newSim(prog *orqcs.Program, sched *noise.Schedule, seed int64) (*Sim, error
 }
 
 // addEvent performs one reference measurement and records its trace.
-func (s *Sim) addEvent(tb *tableau.Sliced, q int, rec int32, reset bool) {
+func (s *Sim) addEvent(tb *tableau.Sliced, q int, rec, slot int32, reset bool) {
 	o := tb.MeasureZ(q, rec)
 	bit := tb.Records()[rec]
-	ev := event{rec: rec, q: int32(q), det: o.Deterministic, ref: bit, reset: reset}
+	ev := event{rec: rec, slot: slot, q: int32(q), det: o.Deterministic, ref: bit, reset: reset}
 	if !o.Deterministic {
 		ev.d0 = int32(len(s.collapse))
 		tb.LastCollapse(func(j int, x, z bool) {
@@ -158,10 +166,6 @@ func (s *Sim) Program() *orqcs.Program { return s.prog }
 
 // Schedule returns the fault schedule (nil for noiseless sampling).
 func (s *Sim) Schedule() *noise.Schedule { return s.sched }
-
-// NumEvents returns the number of measurement events per shot (explicit
-// measurements plus reset-implied virtual ones) — the size of a record table.
-func (s *Sim) NumEvents() int { return len(s.events) }
 
 // Metrics merges the sampler counters of every batch created from this Sim
 // (shots, batches, faults fired, measurement character, collapse
@@ -242,13 +246,11 @@ func Conjugate(in *orqcs.Instr, fx, fz []uint64) bool {
 type Batch struct {
 	sim    *Sim
 	fx, fz []uint64 // frame bit-planes, one word (64 lanes) per qubit
-	out    []uint64 // per-event actual-outcome words
+	out    []uint64 // per-slot actual-outcome words: records, then resets
 	coins  []uint64 // per-lane measurement-coin stream states
 	fsts   []uint64 // per-lane fault stream states (noisy sims)
-	n      int      // active lanes
-	first  int      // global index of lane 0's shot
-	lanes  uint64   // mask of active lanes
-	recs   map[int32]bool
+	p      noise.Planes
+	recs   map[int32]bool   // Records' table, allocated on first use
 	tel    *telemetry.Shard // single-owner sampler metrics (never nil)
 }
 
@@ -258,11 +260,13 @@ func (s *Sim) NewBatch() *Batch {
 		sim:   s,
 		fx:    make([]uint64, s.prog.NumQubits()),
 		fz:    make([]uint64, s.prog.NumQubits()),
-		out:   make([]uint64, len(s.events)),
+		out:   make([]uint64, s.nslot),
 		coins: make([]uint64, 64),
-		recs:  make(map[int32]bool, len(s.events)),
 		tel:   s.met.NewShard(),
 	}
+	// The record plane is the record prefix of the outcome words: the
+	// sampler writes it in place and hands it on without copying.
+	b.p.Words = b.out[:s.nrec]
 	if s.sched != nil {
 		b.fsts = make([]uint64, 64)
 	}
@@ -281,8 +285,8 @@ func (b *Batch) Run(first, count int, seed int64) {
 		panic("frame: batch size must be 1..64")
 	}
 	s := b.sim
-	b.first, b.n = first, count
-	b.lanes = ^uint64(0) >> uint(64-count)
+	b.p.First, b.p.N = first, count
+	b.p.Lanes = ^uint64(0) >> uint(64-count)
 	clear(b.fx)
 	clear(b.fz)
 	for i := 0; i < count; i++ {
@@ -324,26 +328,26 @@ func (b *Batch) measure(evi int) {
 	q := ev.q
 	if ev.det {
 		if !ev.reset {
-			b.tel.Add(orqcs.CtrMeasDet, uint64(b.n))
+			b.tel.Add(orqcs.CtrMeasDet, uint64(b.p.N))
 		}
 		// A frame X on q flips the forced outcome; nothing else can.
 		w := b.fx[q]
 		if ev.ref {
 			w = ^w
 		}
-		b.out[evi] = w
+		b.out[ev.slot] = w
 	} else {
 		if !ev.reset {
-			b.tel.Add(orqcs.CtrMeasRandom, uint64(b.n))
+			b.tel.Add(orqcs.CtrMeasRandom, uint64(b.p.N))
 		}
 		// Fresh per-lane coins: bit 33 of the SplitMix64 output is exactly
 		// the engine rand source's Intn(2) draw.
 		var c uint64
-		for i := 0; i < b.n; i++ {
+		for i := 0; i < b.p.N; i++ {
 			c |= (splitmix64(b.coins[i]) >> 33 & 1) << uint(i)
 			b.coins[i] += golden
 		}
-		b.out[evi] = c
+		b.out[ev.slot] = c
 		// Lanes whose coin disagrees with what their frame would read from
 		// the reference collapse branch (ref coin ⊕ frame-X on q) switch
 		// branches: multiply the recorded collapse row into their frames.
@@ -351,7 +355,7 @@ func (b *Batch) measure(evi int) {
 		if ev.ref {
 			mask = ^mask
 		}
-		mask &= b.lanes
+		mask &= b.p.Lanes
 		if mask != 0 {
 			b.tel.Add(orqcs.CtrCollapseMults, uint64(bits.OnesCount64(mask)))
 			for _, st := range s.collapse[ev.d0:ev.d1] {
@@ -365,7 +369,7 @@ func (b *Batch) measure(evi int) {
 		}
 	}
 	if ev.reset {
-		b.tel.Add(orqcs.CtrResets, uint64(b.n))
+		b.tel.Add(orqcs.CtrResets, uint64(b.p.N))
 		// The conditional X cancels the frame's X component exactly (both
 		// the lane and the reference end in |0⟩); the Z component is a
 		// global phase on a Z eigenstate. Frames are canonical: cleared.
@@ -374,17 +378,23 @@ func (b *Batch) measure(evi int) {
 	}
 }
 
-// OutcomeWord returns event evi's actual-outcome word (bit i = lane i's
-// measured bit). Bits of inactive lanes are unspecified.
-func (b *Batch) OutcomeWord(evi int) uint64 { return b.out[evi] }
+// Planes returns the batch's record plane: valid after Run, until the next
+// Run. Its words are the batch's own outcome words, not a copy.
+func (b *Batch) Planes() *noise.Planes { return &b.p }
 
 // Records fills and returns the batch's reusable record table with lane
 // i's shot: bit-identical to tableau Engine.Records() for the same shot
-// seed. The map is valid until the next Records or Run call.
+// seed, virtual reset records included. It is a per-lane helper for
+// comparisons against the tableau engines; the estimator reads Planes. The
+// map is valid until the next Records or Run call.
 func (b *Batch) Records(lane int) map[int32]bool {
+	if b.recs == nil {
+		b.recs = make(map[int32]bool, len(b.sim.events))
+	}
 	clear(b.recs)
-	for evi := range b.sim.events {
-		b.recs[b.sim.events[evi].rec] = b.out[evi]>>uint(lane)&1 == 1
+	for i := range b.sim.events {
+		ev := &b.sim.events[i]
+		b.recs[ev.rec] = b.out[ev.slot]>>uint(lane)&1 == 1
 	}
 	return b.recs
 }

@@ -2,7 +2,9 @@ package frame
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"tiscc/internal/circuit"
@@ -37,16 +39,16 @@ func tableauRecords(t testing.TB, prog *orqcs.Program, sched *noise.Schedule, ro
 	return out
 }
 
-// frameRecords collects per-shot record tables from the frame sampler.
+// frameRecords collects per-shot record tables from the frame sampler,
+// batches spread over a worker pool as SamplePlanes spreads them.
 func frameRecords(t testing.TB, sim *Sim, shots int, seed int64, workers int) []map[int32]bool {
 	t.Helper()
 	out := make([]map[int32]bool, shots)
-	err := sim.SampleRecords(shots, seed, workers, func(i int, records map[int32]bool) error {
-		m := make(map[int32]bool, len(records))
-		for k, v := range records {
-			m[k] = v
+	err := orqcs.RunPool(batches(shots), workers, sim.NewBatch, func(b *Batch, bi int) error {
+		b.runBatch(bi, shots, seed)
+		for lane := 0; lane < b.p.N; lane++ {
+			out[b.p.First+lane] = maps.Clone(b.Records(lane))
 		}
-		out[i] = m
 		return nil
 	})
 	if err != nil {
@@ -322,7 +324,9 @@ func TestFrameRejectsNonClifford(t *testing.T) {
 }
 
 // TestFrameBatchAllocs guards the zero-allocation contract of the hot loop:
-// running a warmed batch and reading its record tables must not allocate.
+// sampling batches through SamplePlanes and reading their record planes
+// must not allocate, and neither may running a warmed batch and reading
+// its per-lane record tables.
 func TestFrameBatchAllocs(t *testing.T) {
 	mem, err := verify.MemoryExperiment(3, 3, pauli.Z)
 	if err != nil {
@@ -334,15 +338,91 @@ func TestFrameBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := sim.NewBatch()
-	b.Run(0, 64, 1) // warm the record map
-	b.Records(0)
-	allocs := testing.AllocsPerRun(20, func() {
-		b.Run(64, 64, 1)
-		for lane := 0; lane < 64; lane += 13 {
-			b.Records(lane)
+	t.Run("planes", func(t *testing.T) {
+		var sink uint64
+		visit := func(p *noise.Planes) error {
+			for _, w := range p.Words {
+				sink ^= w & p.Lanes
+			}
+			return nil
+		}
+		bi := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := b.sampleBatch(bi, 64*20+37, 1, visit); err != nil {
+				t.Fatal(err)
+			}
+			bi++
+		})
+		if allocs != 0 {
+			t.Fatalf("plane batch loop allocates %v per batch, want 0", allocs)
+		}
+		_ = sink
+	})
+	t.Run("records", func(t *testing.T) {
+		b.Run(0, 64, 1) // warm the record map
+		b.Records(0)
+		allocs := testing.AllocsPerRun(20, func() {
+			b.Run(64, 64, 1)
+			for lane := 0; lane < 64; lane += 13 {
+				b.Records(lane)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("frame batch loop allocates %v per run, want 0", allocs)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("frame batch loop allocates %v per run, want 0", allocs)
+}
+
+// TestSamplePlanesMatchesRecords pins the record plane against the per-lane
+// record tables: every explicit record word bit equals Records(lane), the
+// plane holds exactly Program.NumRecords words, batches tile the shots with
+// a partial last batch, and the planes are identical for every worker
+// count.
+func TestSamplePlanesMatchesRecords(t *testing.T) {
+	const shots, seed = 64*3 + 21, 5
+	for _, w := range testWorkloads(t) {
+		t.Run(w.name, func(t *testing.T) {
+			sim, err := New(w.prog, w.sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := frameRecords(t, sim, shots, seed, 1)
+			nrec := w.prog.NumRecords()
+			for _, workers := range []int{1, 3} {
+				var mu sync.Mutex
+				seen := make([]bool, shots)
+				err := sim.SamplePlanes(shots, seed, workers, func(p *noise.Planes) error {
+					mu.Lock()
+					defer mu.Unlock()
+					if len(p.Words) != nrec {
+						return fmt.Errorf("plane has %d words, program %d records", len(p.Words), nrec)
+					}
+					if p.Lanes != ^uint64(0)>>uint(64-p.N) || p.First%64 != 0 {
+						return fmt.Errorf("batch at %d: %d lanes, mask %x", p.First, p.N, p.Lanes)
+					}
+					for lane := 0; lane < p.N; lane++ {
+						shot := p.First + lane
+						if seen[shot] {
+							return fmt.Errorf("shot %d sampled twice", shot)
+						}
+						seen[shot] = true
+						for id := range p.Words {
+							if got := p.Words[id]>>uint(lane)&1 == 1; got != want[shot][int32(id)] {
+								return fmt.Errorf("shot %d record %d: plane %v, records %v", shot, id, got, want[shot][int32(id)])
+							}
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				for shot, ok := range seen {
+					if !ok {
+						t.Fatalf("workers=%d: shot %d never sampled", workers, shot)
+					}
+				}
+			}
+		})
 	}
 }

@@ -5,32 +5,34 @@ import (
 	"tiscc/internal/orqcs"
 )
 
-// SampleRecords runs shots shot lanes through the frame sampler across a
-// deterministic worker pool and hands each shot's record table to visit:
-// the frame-engine counterpart of the tableau engines' RunShots, and the
-// noise.RecordSampler implementation that plugs the engine into
-// noise.EstimateLogicalError.
+// SamplePlanes runs shots shot lanes through the frame sampler across a
+// deterministic worker pool, 64 per batch, and hands each batch's record
+// plane to visit: the noise.RecordSampler implementation that plugs the
+// engine into noise.EstimateLogicalError.
 //
 // Shot i's records derive from orqcs.ShotSeed(seed, i) regardless of worker
 // count or batch placement. visit may be called concurrently from different
-// workers (always for distinct shots); the map is only valid for the
+// workers (always for distinct batches); the planes are only valid for the
 // duration of the call. A non-nil error from visit stops the run.
-func (s *Sim) SampleRecords(shots int, seed int64, workers int, visit func(shot int, records map[int32]bool) error) error {
+func (s *Sim) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
 	if shots < 0 {
-		return &noise.OptionError{Op: "frame.SampleRecords", Field: "Shots", Value: shots, Constraint: "must be ≥ 0"}
+		return &noise.OptionError{Op: "frame.SamplePlanes", Field: "Shots", Value: shots, Constraint: "must be ≥ 0"}
 	}
 	if workers < 0 {
-		return &noise.OptionError{Op: "frame.SampleRecords", Field: "Workers", Value: workers, Constraint: "must be ≥ 0"}
+		return &noise.OptionError{Op: "frame.SamplePlanes", Field: "Workers", Value: workers, Constraint: "must be ≥ 0"}
 	}
 	return orqcs.RunPool(batches(shots), workers, s.NewBatch, func(b *Batch, bi int) error {
-		b.runBatch(bi, shots, seed)
-		for lane := 0; lane < b.n; lane++ {
-			if err := visit(b.first+lane, b.Records(lane)); err != nil {
-				return err
-			}
-		}
-		return nil
+		return b.sampleBatch(bi, shots, seed, visit)
 	})
+}
+
+// sampleBatch runs batch bi and hands its record plane to visit, with no
+// per-shot work in between.
+//
+//tiscc:hotpath
+func (b *Batch) sampleBatch(bi, shots int, seed int64, visit func(p *noise.Planes) error) error {
+	b.runBatch(bi, shots, seed)
+	return visit(&b.p)
 }
 
 // batches is the number of 64-lane batches covering shots shots.
@@ -80,7 +82,7 @@ func (s *Sim) EstimateMany(ops []orqcs.SitePauli, shots int, seed int64, workers
 		for j, ro := range ros {
 			w.flips[j] = b.FlipWord(ro)
 		}
-		for lane := 0; lane < b.n; lane++ {
+		for lane := 0; lane < b.p.N; lane++ {
 			for j, ro := range ros {
 				v := ro.ref
 				if w.flips[j]>>uint(lane)&1 == 1 {
@@ -88,7 +90,7 @@ func (s *Sim) EstimateMany(ops []orqcs.SitePauli, shots int, seed int64, workers
 				}
 				w.vals[j] = v
 			}
-			st.Add(b.first+lane, w.vals)
+			st.Add(b.p.First+lane, w.vals)
 		}
 		return nil
 	}); err != nil {

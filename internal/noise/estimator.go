@@ -1,8 +1,10 @@
 package noise
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync/atomic"
 
 	"tiscc/internal/expr"
@@ -46,19 +48,19 @@ type Options struct {
 	// estimator without this package importing it.
 	Decoder Decoder
 	// Sampler, when non-nil, replaces the tableau shot loop as the source of
-	// per-shot record tables. This is how the Pauli-frame engine
-	// (internal/frame, bit-identical records at a fraction of the cost)
-	// plugs into the estimator without this package importing it; it must
-	// have been compiled against the same schedule.
+	// record planes. This is how the Pauli-frame engine (internal/frame,
+	// bit-identical records at a fraction of the cost) plugs into the
+	// estimator without this package importing it; it must have been
+	// compiled against the same schedule.
 	Sampler RecordSampler
-	// Observer, when non-nil, receives every sampled shot's judged outcome
-	// (the diagnostics layer's attribution/calibration hook). Calls may be
-	// concurrent for distinct shots and the records map is only valid during
-	// the call. Observation happens outside the counting fold and touches no
-	// RNG stream, so results stay bit-identical with and without it; in an
-	// early-stopped run the observer may see a handful of sampled shots
-	// beyond the counted prefix. The default nil path is untouched (the
-	// noisy shot loop keeps 0 allocs/shot).
+	// Observer, when non-nil, receives every sampled batch with its judged
+	// outcomes (the diagnostics layer's attribution/calibration hook).
+	// Calls may be concurrent for distinct batches and the planes are only
+	// valid during the call. Observation happens outside the counting fold
+	// and touches no RNG stream, so results stay bit-identical with and
+	// without it; in an early-stopped run the observer may see the rest of
+	// the batch that stopped the run and batches beyond it. The default nil
+	// path is untouched (the sampling loop keeps 0 allocs per batch).
 	Observer ShotObserver
 	// Progress, when non-nil, is called at every Batch boundary of the
 	// in-order error fold with the counted prefix so far — the streaming
@@ -68,30 +70,52 @@ type Options struct {
 	Progress func(done, errors int, stopped bool)
 }
 
-// ShotObserver receives judged per-shot outcomes from the estimator: shot is
-// the shot index (its records derive from orqcs.ShotSeed(Options.Seed, shot)),
-// bad reports whether the shot's logical outcome disagreed with the noiseless
-// reference. Implementations must be safe for concurrent use.
-type ShotObserver interface {
-	ObserveShot(shot int, bad bool, records map[int32]bool)
+// Planes is one batch of up to 64 shots in record-major form: Words[id]
+// holds measurement record id's outcome for every shot of the batch, bit i
+// for lane i, the shot with index First+i. Only the N lanes of the Lanes
+// mask are sampled; the bits of other lanes are unspecified, so every
+// consumer masks with Lanes. Words has one word per record id of the
+// program, len(Words) == Program.NumRecords().
+type Planes struct {
+	First int      // shot index of lane 0
+	N     int      // sampled lanes: 1..64
+	Lanes uint64   // mask of the sampled lanes, the low N bits
+	Words []uint64 // record words, indexed by record id
 }
 
-// RecordSampler produces the record tables of noisy shots without exposing
+// ShotObserver receives the judged batches of an estimate: bit i of bad
+// reports whether lane i's logical outcome disagreed with the noiseless
+// reference (only the bits of p.Lanes are meaningful). Lane i's records
+// derive from orqcs.ShotSeed(Options.Seed, p.First+i). Implementations
+// must be safe for concurrent use.
+type ShotObserver interface {
+	ObserveBatch(p *Planes, bad uint64)
+}
+
+// RecordSampler produces the record planes of noisy shots without exposing
 // an engine. The contract mirrors orqcs.RunShotsFunc: shot i's records
-// derive from orqcs.ShotSeed(seed, i) for any worker count; visit may be
-// called concurrently for distinct shots; the map is only valid during the
+// derive from orqcs.ShotSeed(seed, i) for any worker count and batching;
+// batches cover [0, shots) without overlap; visit may be called
+// concurrently for distinct batches; the planes are only valid during the
 // call; a non-nil visit error stops the run and is returned.
 type RecordSampler interface {
-	SampleRecords(shots int, seed int64, workers int, visit func(shot int, records map[int32]bool) error) error
+	SamplePlanes(shots int, seed int64, workers int, visit func(p *Planes) error) error
 }
 
-// Decoder turns one noisy shot's measurement-record table into a corrected
-// logical outcome (syndrome decoding plus observable readout).
+// Decoder turns a batch of noisy shots' record planes into corrected
+// logical outcomes (syndrome decoding plus observable readout).
 // Implementations must be safe for concurrent use: EstimateLogicalError
-// calls DecodeOutcome from every shot worker, and the record map passed in
-// is only valid for the duration of the call.
+// calls DecodePlanes from every sampling worker, and the planes are only
+// valid for the duration of the call.
 type Decoder interface {
-	DecodeOutcome(records map[int32]bool) bool
+	// CheckRecords reports an error unless every record id the decoder
+	// reads lies in [0, n); the estimator calls it once before sampling
+	// n-record planes.
+	CheckRecords(n int) error
+	// DecodePlanes returns the batch's corrected outcome word (bit i is
+	// lane i's logical outcome) and the lanes on which the decoder fell
+	// back to the raw readout. Bits outside p.Lanes are unspecified.
+	DecodePlanes(p *Planes) (outcome, fallback uint64)
 }
 
 // Result reports a logical-error-rate estimate.
@@ -110,6 +134,10 @@ type Result struct {
 	// stopped the run, 0 if it ran to the shot cap.
 	EarlyStopBatch int
 	Reference      bool // the noiseless logical outcome compared against
+	// RawFallbacks counts the counted shots whose decode could not
+	// neutralize every cluster and fell back to the raw readout (always 0
+	// without a decoder).
+	RawFallbacks int
 }
 
 func (r Result) String() string {
@@ -168,11 +196,13 @@ func wilsonStdErr(errors, shots int) float64 {
 // reports the rate at which it disagrees with the noiseless reference,
 // with a 95% Wilson confidence interval.
 //
-// The run is deterministic in (schedule, outcome, Options): error bits are
-// folded in strict shot order and early stopping truncates the fixed shot
-// sequence only at batch boundaries, so neither the worker count nor
-// scheduling can change the result. The whole run — early stopping
-// included — uses one worker pool, so engines are allocated once.
+// Shots are sampled and judged a batch at a time on record planes (64
+// shots per frame batch, one per tableau shot): the raw readout is one word
+// XOR per record of the formula, and a decoder sees the whole batch. The run is deterministic in (schedule, outcome, Options):
+// error bits are folded in strict shot order and early stopping truncates
+// the fixed shot sequence only at Options.Batch boundaries, so neither the
+// worker count nor scheduling can change the result. The whole run — early
+// stopping included — uses one worker pool, so engines are allocated once.
 func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Options) (Result, error) {
 	const op = "noise.EstimateLogicalError"
 	if opt.Shots < 0 {
@@ -184,18 +214,19 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 	if opt.Batch < 0 {
 		return Result{}, &OptionError{Op: op, Field: "Batch", Value: opt.Batch, Constraint: "must be ≥ 0"}
 	}
-	// judge reports whether one finished shot's logical outcome disagrees
-	// with the noiseless reference: via the decoder when one is configured,
-	// via the raw readout formula otherwise.
-	judge := func(records map[int32]bool) bool {
-		return outcome.Eval(records) != reference
+	nrec := s.prog.NumRecords()
+	j := &judge{outcome: outcome, dec: opt.Decoder, obs: opt.Observer, nrec: nrec}
+	if reference {
+		j.ref = ^uint64(0)
 	}
 	if opt.Decoder != nil {
-		judge = func(records map[int32]bool) bool {
-			return opt.Decoder.DecodeOutcome(records) != reference
+		if err := opt.Decoder.CheckRecords(nrec); err != nil {
+			return Result{}, fmt.Errorf("noise: decoder: %w", err)
 		}
 	} else if outcome.HasVirtual() {
 		return Result{}, fmt.Errorf("noise: outcome formula references virtual records: %v", outcome)
+	} else if err := outcome.CheckRecords(nrec); err != nil {
+		return Result{}, fmt.Errorf("noise: outcome formula: %w", err)
 	}
 	shots := opt.Shots
 	if shots <= 0 {
@@ -205,66 +236,67 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 	// other RecordSampler) when one is plugged in, the tableau pool
 	// otherwise. Either way shot i's records derive from ShotSeed(Seed, i),
 	// so the estimate cannot depend on the source's batching.
-	sample := func(visit func(shot int, records map[int32]bool) error) error {
+	sample := func(visit func(p *Planes) error) error {
 		if opt.Sampler != nil {
-			return opt.Sampler.SampleRecords(shots, opt.Seed, opt.Workers, visit)
+			return opt.Sampler.SamplePlanes(shots, opt.Seed, opt.Workers, visit)
 		}
-		return orqcs.RunShotsFunc(s.prog, s.RunShot, shots, opt.Seed, opt.Workers,
-			func(i int, e *orqcs.Engine) error { return visit(i, e.Records()) })
-	}
-	// judged evaluates one shot and feeds the observer before the outcome
-	// enters the counting fold, so observation can never perturb counting.
-	judged := func(i int, records map[int32]bool) bool {
-		bad := judge(records)
-		if opt.Observer != nil {
-			opt.Observer.ObserveShot(i, bad, records)
-		}
-		return bad
+		return s.samplePlanes(shots, opt.Seed, opt.Workers, visit)
 	}
 	if opt.TargetStdErr <= 0 && opt.Progress == nil {
 		// No stopping checks and no progress stream: a plain
 		// order-independent count suffices.
-		var errCount atomic.Int64
-		err := sample(func(i int, records map[int32]bool) error {
-			if judged(i, records) {
-				errCount.Add(1)
-			}
-			return nil
+		var errCount, fallbacks atomic.Int64
+		err := sample(func(p *Planes) error {
+			bad, fb, err := j.batch(p)
+			errCount.Add(int64(bits.OnesCount64(bad)))
+			fallbacks.Add(int64(bits.OnesCount64(fb)))
+			return err
 		})
 		if err != nil {
 			return Result{}, err
 		}
-		return result(int(errCount.Load()), shots, shots, 0, reference), nil
+		r := result(int(errCount.Load()), shots, shots, 0, reference)
+		r.RawFallbacks = int(fallbacks.Load())
+		return r, nil
 	}
 	batch := opt.Batch
 	if batch == 0 {
 		batch = 256
 	}
-	// The ordered fold counts errors in strict shot order and takes the
-	// early-stopping decision at every batch boundary, so the counted prefix
-	// depends only on the shot sequence, never on worker scheduling: an
+	// The ordered fold counts errors in strict shot order, one sampled
+	// batch per entry, and takes the early-stopping decision lane by lane
+	// at every Options.Batch boundary, so the counted prefix depends only on
+	// the shot sequence, never on worker scheduling or sampler batching: an
 	// early-stopped run is an exact prefix of the full run. Shots completed
 	// beyond the cutoff before the pool drains are discarded uncounted.
-	var errs, done, stopBatch int
-	fold := orqcs.NewOrdered(func(shot int, bad bool) bool {
-		if bad {
-			errs++
+	var errs, fbs, done, stopBatch int
+	fold := orqcs.NewOrdered(func(first, n int, v verdict) bool {
+		for lane := 0; lane < n; lane++ {
+			errs += int(v.bad >> uint(lane) & 1)
+			fbs += int(v.fallback >> uint(lane) & 1)
+			done = first + lane + 1
+			if done%batch != 0 {
+				continue
+			}
+			stop := opt.TargetStdErr > 0 && wilsonStdErr(errs, done) <= opt.TargetStdErr
+			if stop {
+				stopBatch = done / batch
+			}
+			if opt.Progress != nil {
+				opt.Progress(done, errs, stop)
+			}
+			if stop {
+				return true
+			}
 		}
-		done = shot + 1
-		if done%batch != 0 {
-			return false
-		}
-		stop := opt.TargetStdErr > 0 && wilsonStdErr(errs, done) <= opt.TargetStdErr
-		if stop {
-			stopBatch = done / batch
-		}
-		if opt.Progress != nil {
-			opt.Progress(done, errs, stop)
-		}
-		return stop
+		return false
 	})
-	err := sample(func(i int, records map[int32]bool) error {
-		if fold.Add(i, judged(i, records)) {
+	err := sample(func(p *Planes) error {
+		bad, fb, err := j.batch(p)
+		if err != nil {
+			return err
+		}
+		if fold.Add(p.First, p.N, verdict{bad: bad, fallback: fb}) {
 			return errStop
 		}
 		return nil
@@ -272,8 +304,76 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 	if err != nil && err != errStop {
 		return Result{}, err
 	}
-	return result(errs, done, shots, stopBatch, reference), nil
+	r := result(errs, done, shots, stopBatch, reference)
+	r.RawFallbacks = fbs
+	return r, nil
+}
+
+// verdict is one judged batch in the ordered fold.
+type verdict struct{ bad, fallback uint64 }
+
+// judge turns a sampled batch into its error and fallback words: via the
+// decoder when one is configured, via the raw readout formula otherwise.
+type judge struct {
+	outcome expr.Expr
+	ref     uint64 // the reference outcome on every lane
+	nrec    int    // record words a batch must carry
+	dec     Decoder
+	obs     ShotObserver
+}
+
+// batch judges one batch and feeds the observer before the outcome enters
+// the counting fold, so observation can never perturb counting. Only the
+// bits of p.Lanes are set in bad and fallback.
+//
+//tiscc:hotpath
+func (j *judge) batch(p *Planes) (bad, fallback uint64, err error) {
+	if len(p.Words) < j.nrec {
+		return 0, 0, errShortPlanes
+	}
+	var out uint64
+	if j.dec != nil {
+		out, fallback = j.dec.DecodePlanes(p)
+	} else {
+		out = j.outcome.EvalWords(p.Words)
+	}
+	bad = (out ^ j.ref) & p.Lanes
+	if j.obs != nil {
+		j.obs.ObserveBatch(p, bad)
+	}
+	return bad, fallback & p.Lanes, nil
+}
+
+// samplePlanes is the tableau record source, for programs with T gates and
+// estimates without a Sampler: one engine per pool worker runs shot i under
+// ShotSeed(seed, i), and lane 0 of a one-lane Planes is filled from the
+// engine's record table — the only place a record map becomes a plane.
+func (s *Schedule) samplePlanes(shots int, seed int64, workers int, visit func(p *Planes) error) error {
+	type worker struct {
+		e *orqcs.Engine
+		p Planes
+	}
+	nrec := s.prog.NumRecords()
+	newWorker := func() *worker {
+		return &worker{e: orqcs.NewFromProgram(s.prog), p: Planes{N: 1, Lanes: 1, Words: make([]uint64, nrec)}}
+	}
+	return orqcs.RunPool(shots, workers, newWorker, func(w *worker, i int) error {
+		s.RunShot(w.e, orqcs.ShotSeed(seed, i))
+		recs := w.e.Records()
+		for id := range w.p.Words {
+			w.p.Words[id] = 0
+			if recs[int32(id)] {
+				w.p.Words[id] = 1
+			}
+		}
+		w.p.First = i
+		return visit(&w.p)
+	})
 }
 
 // errStop signals the worker pool that the target precision is reached.
 var errStop = fmt.Errorf("noise: target standard error reached")
+
+// errShortPlanes reports a sampler whose planes lack the program's records:
+// one compiled for a different program.
+var errShortPlanes = errors.New("noise: sampler planes carry fewer records than the program: sampler compiled for another program")

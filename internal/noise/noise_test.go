@@ -352,3 +352,56 @@ func TestLogicalErrorRateGrowsWithP(t *testing.T) {
 		last = res.Rate
 	}
 }
+
+// TestTableauPlanesTGate covers the tableau record source, the one place a
+// record map becomes a plane: on a program with a T gate (which the frame
+// sampler rejects) the estimator's one-lane planes must count exactly the
+// errors a shot-by-shot Expr.Eval over Engine.Records() counts, with a shot
+// count that is no multiple of 64, through both the plain count and the
+// ordered fold, at every worker count.
+func TestTableauPlanesTGate(t *testing.T) {
+	g := grid.New(1, 2)
+	b := hardware.NewBuilder(g, hardware.Default())
+	a := b.MustAddIon(grid.Site{R: 0, C: 2})
+	c := b.MustAddIon(grid.Site{R: 0, C: 3})
+	b.Prepare(a)
+	b.Prepare(c)
+	b.Gate1(circuit.YPi4, a)
+	b.Gate1(circuit.ZPi8, a)
+	b.Gate1(circuit.YmPi4, a)
+	outcome := expr.FromID(b.Measure(a)).Xor(expr.FromID(b.Measure(c)))
+	prog, err := orqcs.Compile(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prog.Clifford() {
+		t.Fatal("test program lost its T gate")
+	}
+	s := Compile(Depolarizing(1e-2), prog)
+	const shots, seed = 64*3 + 11, 19
+	e := orqcs.NewFromProgram(prog)
+	want := 0
+	for i := 0; i < shots; i++ {
+		s.RunShot(e, orqcs.ShotSeed(seed, i))
+		if outcome.Eval(e.Records()) {
+			want++
+		}
+	}
+	if want == 0 || want == shots {
+		t.Fatalf("degenerate fixture: %d/%d shots read 1", want, shots)
+	}
+	for _, workers := range []int{1, 3} {
+		for _, opt := range []Options{
+			{Shots: shots, Seed: seed, Workers: workers},
+			{Shots: shots, Seed: seed, Workers: workers, Batch: 50, Progress: func(int, int, bool) {}},
+		} {
+			res, err := EstimateLogicalError(s, outcome, false, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Errors != want || res.Shots != shots || res.RawFallbacks != 0 {
+				t.Fatalf("workers=%d progress=%v: %+v, want %d errors in %d shots", workers, opt.Progress != nil, res, want, shots)
+			}
+		}
+	}
+}

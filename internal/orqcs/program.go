@@ -124,6 +124,14 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 		restNs[q], moveCt[q] = 0, 0
 		return idle, mv
 	}
+	// Record ids index the samplers' record planes directly, so they must
+	// be dense: every id in [0, number of measurements).
+	nMeas := 0
+	for _, e := range c.Events {
+		if e.Gate == circuit.MeasureZ {
+			nMeas++
+		}
+	}
 	err := walkPositions(c,
 		func(s grid.Site) int {
 			q := p.n
@@ -164,6 +172,9 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 				}
 				in.Op = OpPrepareZ
 			case circuit.MeasureZ:
+				if e.Record < 0 || int(e.Record) >= nMeas {
+					return fmt.Errorf("orqcs: measurement record id %d outside [0, %d): record ids must be dense", e.Record, nMeas)
+				}
 				in.Op, in.Rec = OpMeasureZ, e.Record
 			case circuit.XPi2:
 				in.Op = OpX
@@ -212,6 +223,20 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 
 // NumQubits returns the number of tableau qubits the program addresses.
 func (p *Program) NumQubits() int { return p.n }
+
+// NumRecords returns one past the largest measurement record id: the
+// number of record words a record plane carries. Record ids are dense in
+// [0, NumRecords) (Compile and DecodeProgram reject any id at or beyond the
+// number of measurements), so an id indexes a plane directly.
+func (p *Program) NumRecords() int {
+	n := 0
+	for i := range p.instrs {
+		if in := &p.instrs[i]; in.Op == OpMeasureZ && int(in.Rec) >= n {
+			n = int(in.Rec) + 1
+		}
+	}
+	return n
+}
 
 // NumInstrs returns the length of the lowered instruction stream.
 func (p *Program) NumInstrs() int { return len(p.instrs) }
@@ -459,14 +484,15 @@ func RunShotsFunc(p *Program, run ShotFunc, shots int, seed int64, workers int, 
 
 // --- Ordered fold ------------------------------------------------------------
 
-// Ordered folds per-shot values in strict shot order, whatever order the
-// pool's workers finish them in. Workers claim shots in index order and
-// hold at most one each, so at most `workers` out-of-order values are ever
-// pending; they are buffered until the contiguous prefix catches up. The
-// fold sequence — and so every float sum, error count and stopping decision
-// — is therefore identical for any worker count. It is the one ordered fold
-// behind the streaming statistics (Stats) and the logical-error estimator's
-// early stopping and progress stream.
+// Ordered folds per-item values in strict item order, whatever order the
+// pool's workers finish them in. An entry covers a run of consecutive items
+// (one shot, or one 64-shot batch); workers claim entries in index order
+// and hold at most one each, so at most `workers` out-of-order entries are
+// ever pending; they are buffered until the contiguous prefix catches up.
+// The fold sequence — and so every float sum, error count and stopping
+// decision — is therefore identical for any worker count. It is the one
+// ordered fold behind the streaming statistics (Stats) and the
+// logical-error estimator's early stopping and progress stream.
 type Ordered[T any] struct {
 	// Hold, when non-nil, copies a value that arrives ahead of its turn and
 	// must be buffered (the caller may reuse the original once Add returns);
@@ -475,48 +501,55 @@ type Ordered[T any] struct {
 	Hold    func(T) T
 	Release func(T)
 
-	fold    func(shot int, v T) (stop bool)
+	fold    func(first, n int, v T) (stop bool)
 	mu      sync.Mutex
 	next    int
 	stopped bool
-	pending map[int]T
+	pending map[int]pendingEntry[T]
 }
 
-// NewOrdered returns an ordered fold calling fold once per shot, in shot
-// order from 0. A fold that returns true stops the fold: that shot is the
-// last one folded, and every later Add reports the stop.
-func NewOrdered[T any](fold func(shot int, v T) (stop bool)) *Ordered[T] {
-	return &Ordered[T]{fold: fold, pending: map[int]T{}}
+// pendingEntry is one buffered entry: n items and their value.
+type pendingEntry[T any] struct {
+	n int
+	v T
 }
 
-// Add hands over the value of one shot and reports whether the fold has
-// stopped. Every index from 0 upward must eventually arrive exactly once
-// (unless the fold stops first).
-func (o *Ordered[T]) Add(shot int, v T) (stopped bool) {
+// NewOrdered returns an ordered fold calling fold once per entry, in item
+// order from 0, with the entry's first item and item count. A fold that
+// returns true stops the fold: that entry is the last one folded, and every
+// later Add reports the stop.
+func NewOrdered[T any](fold func(first, n int, v T) (stop bool)) *Ordered[T] {
+	return &Ordered[T]{fold: fold, pending: map[int]pendingEntry[T]{}}
+}
+
+// Add hands over the value of the n ≥ 1 items [first, first+n) and reports
+// whether the fold has stopped. Entries must tile the items from 0 upward:
+// each must eventually arrive exactly once (unless the fold stops first).
+func (o *Ordered[T]) Add(first, n int, v T) (stopped bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if o.stopped {
 		return true
 	}
-	if shot != o.next {
+	if first != o.next {
 		if o.Hold != nil {
 			v = o.Hold(v)
 		}
-		o.pending[shot] = v
+		o.pending[first] = pendingEntry[T]{n: n, v: v}
 		return false
 	}
-	o.stopped = o.fold(shot, v)
-	o.next++
+	o.stopped = o.fold(first, n, v)
+	o.next += n
 	for !o.stopped {
 		b, ok := o.pending[o.next]
 		if !ok {
 			break
 		}
 		delete(o.pending, o.next)
-		o.stopped = o.fold(o.next, b)
-		o.next++
+		o.stopped = o.fold(o.next, b.n, b.v)
+		o.next += b.n
 		if o.Release != nil {
-			o.Release(b)
+			o.Release(b.v)
 		}
 	}
 	return o.stopped
@@ -556,7 +589,7 @@ type Stats struct {
 // NewStats returns a reduction over nOps per-shot values.
 func NewStats(nOps int) *Stats {
 	s := &Stats{sum: make([]kahan, nOps), sumSq: make([]kahan, nOps)}
-	s.ord = NewOrdered(func(shot int, vals []float64) bool {
+	s.ord = NewOrdered(func(shot, _ int, vals []float64) bool {
 		for j, x := range vals {
 			s.sum[j].add(x)
 			s.sumSq[j].add(x * x)
@@ -580,7 +613,7 @@ func NewStats(nOps int) *Stats {
 // Add folds the values of one shot. Shots may arrive out of order (vals is
 // copied if it must be buffered; callers may reuse it immediately), but every
 // index from 0 upward must eventually arrive exactly once.
-func (s *Stats) Add(shot int, vals []float64) { s.ord.Add(shot, vals) }
+func (s *Stats) Add(shot int, vals []float64) { s.ord.Add(shot, 1, vals) }
 
 // MeanStderr reduces operator j's running sums to (mean, standard error of
 // the mean). Call it once every shot has been added.

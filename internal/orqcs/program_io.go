@@ -119,6 +119,12 @@ func DecodeProgram(data []byte) (*Program, error) {
 	if p.n < 0 {
 		return nil, fmt.Errorf("orqcs: decode: negative qubit count %d", p.n)
 	}
+	nMeas := 0
+	for i := range p.instrs {
+		if p.instrs[i].Op == OpMeasureZ {
+			nMeas++
+		}
+	}
 	for i := range p.instrs {
 		in := &p.instrs[i]
 		if in.Op > OpZZ {
@@ -135,8 +141,8 @@ func DecodeProgram(data []byte) (*Program, error) {
 			return nil, fmt.Errorf("orqcs: decode: one-qubit instruction %d carries Q2=%d", i, in.Q2)
 		}
 		if in.Op == OpMeasureZ {
-			if in.Rec < 0 {
-				return nil, fmt.Errorf("orqcs: decode: measurement %d has negative record index %d", i, in.Rec)
+			if in.Rec < 0 || int(in.Rec) >= nMeas {
+				return nil, fmt.Errorf("orqcs: decode: measurement %d record index %d outside [0, %d)", i, in.Rec, nMeas)
 			}
 		} else if in.Rec != -1 {
 			return nil, fmt.Errorf("orqcs: decode: non-measurement %d carries record index %d", i, in.Rec)

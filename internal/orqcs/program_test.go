@@ -745,7 +745,7 @@ func TestRunPool(t *testing.T) {
 // back through Release, and a fold that returns true stops it for good.
 func TestOrderedFold(t *testing.T) {
 	var folded []int
-	o := NewOrdered(func(shot, v int) bool {
+	o := NewOrdered(func(shot, _, v int) bool {
 		folded = append(folded, v)
 		return shot == 5
 	})
@@ -754,7 +754,7 @@ func TestOrderedFold(t *testing.T) {
 	o.Release = func(int) { released++ }
 	var stops []bool
 	for _, shot := range []int{2, 0, 1, 4, 3, 6, 5, 7} {
-		stops = append(stops, o.Add(shot, 10*shot))
+		stops = append(stops, o.Add(shot, 1, 10*shot))
 	}
 	if fmt.Sprint(folded) != "[0 10 20 30 40 50]" {
 		t.Fatalf("folded %v, want shots 0..5 in order", folded)
@@ -764,5 +764,25 @@ func TestOrderedFold(t *testing.T) {
 	}
 	if held != 3 || released != 2 {
 		t.Fatalf("held %d, released %d; want 3 and 2 (shot 6 stays buffered past the stop)", held, released)
+	}
+}
+
+// TestOrderedFoldSpans checks entries that cover several items (the
+// estimator's 64-shot batches, the last one partial): they fold in item
+// order and the fold sees each entry's first item and length.
+func TestOrderedFoldSpans(t *testing.T) {
+	var folded []string
+	o := NewOrdered(func(first, n int, v string) bool {
+		folded = append(folded, fmt.Sprintf("%s@%d+%d", v, first, n))
+		return false
+	})
+	o.Add(128, 5, "c")
+	o.Add(64, 64, "b")
+	o.Add(0, 64, "a")
+	if got := fmt.Sprint(folded); got != "[a@0+64 b@64+64 c@128+5]" {
+		t.Fatalf("folded %v", got)
+	}
+	if o.Add(133, 1, "d") || len(folded) != 4 {
+		t.Fatalf("entry after a partial batch not folded: %v", folded)
 	}
 }

@@ -230,6 +230,15 @@ func DecodeBundle(data []byte) (*Artifact, error) {
 	if a.Graph, err = DecodeGraph(subs[2]); err != nil {
 		return nil, fmt.Errorf("serve: bundle graph: %w", err)
 	}
+	// Estimates read the outcome, observable and detector records straight
+	// out of the program's record planes: every id must index one.
+	n := a.Prog.NumRecords()
+	if err := a.Outcome.CheckRecords(n); err != nil {
+		return nil, fmt.Errorf("serve: bundle outcome: %w", err)
+	}
+	if err := a.Graph.CheckRecords(n); err != nil {
+		return nil, fmt.Errorf("serve: bundle graph: %w", err)
+	}
 	a.ProgBytes, a.SchedBytes, a.GraphBytes = len(subs[0]), len(subs[1]), len(subs[2])
 	a.BundleBytes = len(data)
 	a.BundleCRC = crc32.ChecksumIEEE(payload)

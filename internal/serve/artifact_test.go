@@ -3,10 +3,13 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"reflect"
 	"testing"
 
 	"tiscc/internal/decoder"
+	"tiscc/internal/experiment"
+	"tiscc/internal/expr"
 	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/noise"
@@ -136,6 +139,28 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeBundleRejectsRecordRange pins the bundle's record-range check:
+// estimates read outcome ids straight out of the program's record planes,
+// so a CRC-valid bundle whose outcome names a record the program never
+// measures must fail to decode instead of indexing past a plane later.
+func TestDecodeBundleRejectsRecordRange(t *testing.T) {
+	art, err := CompileArtifact(Key{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: 1e-3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int32(art.Prog.NumRecords())
+	for _, id := range []int32{n, n + 1000, -2} {
+		bad := *art
+		bad.Outcome = art.Outcome.Xor(expr.FromID(id))
+		if _, err := DecodeBundle(EncodeBundle(&bad)); err == nil {
+			t.Errorf("outcome record %d (program has %d records): decode succeeded, want error", id, n)
+		}
+	}
+	if _, err := DecodeBundle(EncodeBundle(art)); err != nil {
+		t.Fatalf("valid bundle: %v", err)
+	}
+}
+
 func TestDecodeRejectsHeaderDamage(t *testing.T) {
 	art := compileFresh(t, Key{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: 1e-3})
 	good := EncodeProgram(art.Prog)
@@ -226,16 +251,12 @@ func runArtifact(t *testing.T, a *Artifact, shots int, seed int64, workers int) 
 		t.Fatalf("EstimateLogicalError: %v", err)
 	}
 	recs := make([]map[int32]bool, shots)
-	err = sim.SampleRecords(shots, seed, workers, func(i int, records map[int32]bool) error {
-		m := make(map[int32]bool, len(records))
-		for k, v := range records {
-			m[k] = v
+	b := sim.NewBatch()
+	for first := 0; first < shots; first += 64 {
+		b.Run(first, min(64, shots-first), seed)
+		for lane := range min(64, shots-first) {
+			recs[first+lane] = maps.Clone(b.Records(lane))
 		}
-		recs[i] = m
-		return nil
-	})
-	if err != nil {
-		t.Fatalf("SampleRecords: %v", err)
 	}
 	return artifactRun{res: res, records: recs}
 }
@@ -301,6 +322,13 @@ func FuzzDecodeBundle(f *testing.F) {
 	}
 	fuzzCorpus(f, EncodeBundle(art))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_, _ = DecodeBundle(data) // must not panic
+		a, err := DecodeBundle(data) // must not panic
+		if err != nil {
+			return
+		}
+		// A bundle that decodes must also estimate without panicking: its
+		// record ids all index the program's record planes.
+		_, _ = experiment.Estimate(a.Sched, a.Outcome, a.Reference,
+			noise.Options{Shots: 64, Seed: 1, Workers: 1, Decoder: a.Graph})
 	})
 }

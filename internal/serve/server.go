@@ -133,6 +133,9 @@ type EstimateResult struct {
 	HalfWidth      float64 `json:"ci_half_width"`
 	EarlyStopBatch int     `json:"early_stop_batch"`
 	Reference      bool    `json:"reference"`
+	// RawFallbacks counts the shots whose decode fell back to the raw
+	// readout (noise.Result.RawFallbacks).
+	RawFallbacks int `json:"raw_fallbacks"`
 }
 
 // EstimateResponse is the final line of a /v1/estimate response: the result,
@@ -373,7 +376,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 			PL: res.Rate, StdErr: res.StdErr,
 			WilsonLow: res.WilsonLow, WilsonHigh: res.WilsonHigh,
 			HalfWidth: res.HalfWidth, EarlyStopBatch: res.EarlyStopBatch,
-			Reference: res.Reference,
+			Reference: res.Reference, RawFallbacks: res.RawFallbacks,
 		},
 		Artifact: ArtifactInfo{
 			BundleBytes:   art.BundleBytes,
