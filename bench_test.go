@@ -642,29 +642,44 @@ func BenchmarkCompileSurgeryGraph(b *testing.B) {
 }
 
 // BenchmarkCompileDecoderGraph measures the one-time detector-error-model
-// compilation that the decoded shot loop amortizes (64-lane forward frame
-// sweeps over every fault branch plus graph construction), at d=5 and d=9
-// with rounds = d.
+// compilation that the decoded shot loop amortizes (the backward effect
+// pass over the instruction stream plus graph construction): memory
+// experiments at d=5, 9 and 13 with rounds = d, and the d=5 merge/split
+// cycle (pre 1, merge 5, post 1), all under the paper's Table 5 model.
 func BenchmarkCompileDecoderGraph(b *testing.B) {
-	for _, d := range []int{5, 9} {
+	bench := func(b *testing.B, prog *orqcs.Program, dets *decoder.Detectors) {
+		sched := noise.Compile(noise.PaperTable5(hardware.Default()), prog)
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := decoder.CompileGraph(dets, sched); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, d := range []int{5, 9, 13} {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
 			mem, err := verify.MemoryExperiment(d, d, pauli.Z)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sched := noise.Compile(noise.PaperTable5(hardware.Default()), mem.Prog)
 			dets, err := decoder.Extract(mem)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := decoder.CompileGraph(dets, sched); err != nil {
-					b.Fatal(err)
-				}
-			}
+			bench(b, mem.Prog, dets)
 		})
 	}
+	b.Run("surgery/d=5", func(b *testing.B) {
+		s, err := verify.SurgeryExperiment(5, 1, 5, 1, pauli.Z)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dets, err := decoder.ExtractSurgery(s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bench(b, s.Prog, dets)
+	})
 }
 
 // BenchmarkFuseRotations measures the rotation-fusion peephole: the one-time

@@ -11,14 +11,13 @@
 //     surgery the per-region histories plus seam records — are folded into
 //     detectors, parity checks over records whose noiseless value is
 //     deterministic, plus the logical observable's record set;
-//   - decoding-graph construction (CompileGraph): the fault branches of a
-//     compiled noise Schedule are propagated through the lowered
-//     instruction stream as Pauli frames, 64 branches per forward sweep
-//     with one bit lane each (Stim's batched propagation); the detectors
-//     each branch flips (and whether it flips the observable) compile into
-//     a weighted matching graph, cached once per (program, model) exactly
-//     like the fault schedule itself, whose graphlike circuit distance
-//     Graph.Distance certifies;
+//   - decoding-graph construction (CompileGraph): one backward pass over
+//     the lowered instruction stream, 64 detectors per lane group (Stim's
+//     backward sensitivity propagation), yields the detectors each fault
+//     branch of a compiled noise Schedule flips and whether it flips the
+//     observable; those compile into a weighted matching graph, cached
+//     once per (program, model) exactly like the fault schedule itself,
+//     whose graphlike circuit distance Graph.Distance certifies;
 //   - union-find decoding (Graph.DecodePlanes): per 64-shot batch of record
 //     planes, each detector's word is an XOR of record words; lanes with an
 //     empty syndrome skip decoding, and each other lane's fired detectors

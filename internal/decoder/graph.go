@@ -1,9 +1,10 @@
 package decoder
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"tiscc/internal/noise"
@@ -94,13 +95,14 @@ type edgeKey struct {
 func mergeP(a, b float64) float64 { return a + b - 2*a*b }
 
 // CompileGraph compiles a noise schedule against a detector structure into a
-// union-find decoding graph. Every fault branch is propagated through the
-// lowered instruction stream as one lane of a 64-lane Pauli frame sweep
-// (forEachMechanism); branches flipping ≤ 2
-// detectors become edges directly, and rarer hyper mechanisms (e.g. Y-type
-// or correlated two-qubit branches touching both stabilizer types) are
-// decomposed per stabilizer type into the graphlike edges already defined by
-// simpler branches, which keeps every component's observable effect exact.
+// union-find decoding graph. One backward pass over the lowered instruction
+// stream finds the symptom of every fault branch (forEachMechanism).
+// Branches flipping ≤ 2 detectors become edges directly, and rarer hyper
+// mechanisms (e.g. Y-type or correlated two-qubit branches touching both
+// stabilizer types) are decomposed per stabilizer type into the graphlike
+// edges already defined by simpler branches, which keeps every component's
+// observable effect exact. Edges are ordered by (u, v, obs) with a stable
+// sort.
 func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
 	g := &Graph{det: d, boundary: int32(len(d.Dets))}
 	type accum struct {
@@ -229,15 +231,21 @@ func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
 	}
 
 	// Deterministic edge order.
-	sort.SliceStable(ordered, func(i, j int) bool {
-		a, b := ordered[i].key, ordered[j].key
+	slices.SortStableFunc(ordered, func(x, y accum) int {
+		a, b := x.key, y.key
 		if a.u != b.u {
-			return a.u < b.u
+			return cmp.Compare(a.u, b.u)
 		}
 		if a.v != b.v {
-			return a.v < b.v
+			return cmp.Compare(a.v, b.v)
 		}
-		return !a.obs && b.obs
+		switch {
+		case !a.obs && b.obs:
+			return -1
+		case a.obs && !b.obs:
+			return 1
+		}
+		return 0
 	})
 	edges := make([]Edge, len(ordered))
 	minW := math.Inf(1)

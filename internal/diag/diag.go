@@ -72,10 +72,10 @@ type Collector struct {
 // performs no heap allocation beyond the FiredFaults replay buffer's initial
 // growth.
 type scratch struct {
-	faults  []int32  // FiredFaults replay buffer
-	perShot []uint32 // per-channel fires of the current shot
-	touched []uint16 // channels touched by the current shot
-	fired   []uint64 // detector words of the current batch
+	faults  []noise.FiredFault // FiredFaults replay buffer
+	perShot []uint32           // per-channel fires of the current shot
+	touched []uint16           // channels touched by the current shot
+	fired   []uint64           // detector words of the current batch
 
 	shotsOK, shotsFail uint64
 	chanOK, chanFail   []uint64  // per-channel fire counts by outcome
@@ -118,7 +118,7 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors, seed int64) *C
 	}
 	c.pool.New = func() any {
 		sc := &scratch{
-			faults:   make([]int32, 0, 64),
+			faults:   make([]noise.FiredFault, 0, 64),
 			perShot:  make([]uint32, len(c.chans)),
 			touched:  make([]uint16, 0, len(c.chans)),
 			chanOK:   make([]uint64, len(c.chans)),
@@ -174,8 +174,8 @@ func (c *Collector) ObserveBatch(p *noise.Planes, bad uint64) {
 // error-budget channel by outcome.
 func (c *Collector) observeShot(sc *scratch, shot int, bad bool) {
 	sc.faults = c.sched.FiredFaults(orqcs.ShotSeed(c.seed, shot), sc.faults[:0])
-	for _, k := range sc.faults {
-		ch := c.siteChan[k]
+	for _, f := range sc.faults {
+		ch := c.siteChan[f.Site]
 		if sc.perShot[ch] == 0 {
 			sc.touched = append(sc.touched, ch)
 		}

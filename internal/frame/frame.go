@@ -211,10 +211,18 @@ func (s *Sim) compilePauli(ps *pauli.String) *Op {
 // fx, fz (bit i of fx[q] / fz[q] is lane i's X / Z component on qubit q),
 // tracking each lane's Pauli modulo phase. It reports false for
 // instructions that are not unitary Cliffords — measurements, preparations
-// and non-Clifford gates — leaving the planes untouched. It is the one
-// Pauli-propagation kernel: the batch sampler and the decoder's
-// detector-error-model sweep both advance their frames through it. Small
-// enough to inline into their loops.
+// and non-Clifford gates — leaving the planes untouched.
+//
+// It is the one Pauli-propagation kernel. The batch sampler advances its
+// frames forward through it. The decoder's backward detector-error-model
+// pass calls it with the planes swapped, Conjugate(in, sz, sx), on
+// sensitivity planes: sx[q] / sz[q] hold the lanes an X / Z error on q
+// flips. Moving those planes back across a gate takes the transpose of the
+// gate's forward map on (x, z) bits; the swapped call applies the inverse
+// transpose, and the two agree because every gate here acts on Paulis,
+// modulo phase, as an involution. A gate added to this switch must keep
+// that property, or the decoder needs its own backward rule. Small enough
+// to inline into both loops.
 func Conjugate(in *orqcs.Instr, fx, fz []uint64) bool {
 	q := in.Q1
 	switch in.Op {

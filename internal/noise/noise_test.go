@@ -89,7 +89,7 @@ func TestFiredFaultsDeterministic(t *testing.T) {
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("fault schedule diverged at %d: %d vs %d", i, a[i], b[i])
+			t.Fatalf("fault schedule diverged at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
 	c := s.FiredFaults(43, nil)

@@ -354,16 +354,25 @@ func (s *Schedule) RunShot(e *orqcs.Engine, seed int64) {
 	tel.Observe(orqcs.HistFaultsPerBatch, uint64(fired))
 }
 
+// FiredFault is one fault firing of a replayed shot: the site's index into
+// the schedule's fault table and the branch it fired into, in Fault.Branch
+// order.
+type FiredFault struct {
+	Site, Branch int32
+}
+
 // FiredFaults replays the fault sampling of one shot without simulating,
-// appending the indices (into the schedule's fault table) of the locations
-// that fire to buf. It draws the exact sequence RunShot draws, so the result
-// is the fault schedule that shot experiences — used by determinism tests
-// and fault-trace debugging.
-func (s *Schedule) FiredFaults(seed int64, buf []int32) []int32 {
+// appending the locations that fire, each with the branch it fires into, to
+// buf. It draws the exact sequence RunShot draws and maps each fired draw
+// to its branch exactly as applySlot does, so the result is the fault
+// schedule that shot experiences — used by the diagnostics layer's
+// attribution, determinism tests and the detector-error-model check.
+func (s *Schedule) FiredFaults(seed int64, buf []FiredFault) []FiredFault {
 	r := nrng{state: uint64(seed) ^ noiseSalt}
 	for k := range s.faults {
-		if r.next() < s.faults[k].P {
-			buf = append(buf, int32(k))
+		f := &s.faults[k]
+		if u := r.next(); u < f.P {
+			buf = append(buf, FiredFault{Site: int32(k), Branch: int32(branch(u, f.P, f.NumBranches()))})
 		}
 	}
 	return buf
