@@ -14,6 +14,7 @@ import (
 	"tiscc/internal/circuit"
 	"tiscc/internal/core"
 	"tiscc/internal/decoder"
+	"tiscc/internal/experiment"
 	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/instr"
@@ -680,6 +681,40 @@ func BenchmarkCompileDecoderGraph(b *testing.B) {
 		}
 		bench(b, s.Prog, dets)
 	})
+}
+
+// BenchmarkSetup measures an experiment's whole set-up — circuit, detector
+// extraction, fault schedule, decoding graph when decoded, and the frame
+// sampler — on the benchmark's workload shapes: memory d=9 decoded and d=13
+// raw at depolarizing(1e-3), and the decoded d=5 merge/split cycle at
+// depolarizing(5e-5). Every Compile builds a fresh program, so each
+// iteration pays for its one noiseless reference pass.
+func BenchmarkSetup(b *testing.B) {
+	for _, c := range []struct {
+		name     string
+		workload string
+		d        int
+		p        float64
+		decode   bool
+	}{
+		{"memory/d=9/decoded", experiment.Memory, 9, 1e-3, true},
+		{"memory/d=13/raw", experiment.Memory, 13, 1e-3, false},
+		{"surgery/d=5/decoded", experiment.Surgery, 5, 5e-5, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			spec := experiment.Spec{Workload: c.workload, Distance: c.d, Model: noise.Depolarizing(c.p)}
+			b.ReportAllocs()
+			for b.Loop() {
+				cc, err := experiment.Compile(spec, c.decode, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := frame.New(cc.Prog, cc.Sched); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFuseRotations measures the rotation-fusion peephole: the one-time

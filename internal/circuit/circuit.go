@@ -8,7 +8,9 @@ package circuit
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -133,7 +135,7 @@ func (c *Circuit) Sites() []grid.Site {
 // SortByTime orders events by start time, breaking ties by emission order
 // (stable sort preserves program order for equal times).
 func (c *Circuit) SortByTime() {
-	sort.SliceStable(c.Events, func(i, j int) bool { return c.Events[i].Start < c.Events[j].Start })
+	slices.SortStableFunc(c.Events, func(a, b Event) int { return cmp.Compare(a.Start, b.Start) })
 }
 
 // Append concatenates another circuit's events (times are preserved).

@@ -1,10 +1,12 @@
 package decoder
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 
+	"tiscc/internal/core"
 	"tiscc/internal/hardware"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
@@ -122,6 +124,36 @@ func TestDetectorExtraction(t *testing.T) {
 		if obs != mem.Reference {
 			t.Fatalf("basis %v: noiseless observable %v, want %v", basis, obs, mem.Reference)
 		}
+	}
+}
+
+// TestExtractRejectsNondeterministicDetector pins the determinism check of
+// detector extraction: a detector on the random first-round record of a
+// plaquette the preparation does not fix (memory and surgery, d=3) reads
+// differently across the 64 noiseless lanes and must be rejected.
+func TestExtractRejectsNondeterministicDetector(t *testing.T) {
+	mem := mustMemory(t, 3, 3, pauli.Z)
+	s := mustSurgery(t, 3, 1, 3, 1, pauli.Z)
+	for _, c := range []struct {
+		name  string
+		det   *Detectors
+		prog  *orqcs.Program
+		first *core.RoundResult
+		basis pauli.Kind
+		ref   bool
+	}{
+		{"memory", mustDetectors(t, mem), mem.Prog, mem.RoundRecords[0], mem.Basis, mem.Reference},
+		{"surgery", mustSurgeryDetectors(t, s), s.Prog, s.PreA[0], s.Basis, s.Reference},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			i := slices.IndexFunc(c.first.Plaqs, func(p *core.Plaquette) bool { return p.Type != c.basis })
+			p := c.first.Plaqs[i]
+			c.det.Dets = append(c.det.Dets, Detector{Recs: []int32{c.first.Records[p.Face]}, Face: p.Face, Type: p.Type})
+			err := c.det.referenceValues(c.prog, c.ref)
+			if err == nil || !strings.Contains(err.Error(), "not deterministic") {
+				t.Fatalf("random first-round record of %v accepted as a detector: %v", p.Face, err)
+			}
+		})
 	}
 }
 

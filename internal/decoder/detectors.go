@@ -29,10 +29,11 @@ package decoder
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"tiscc/internal/core"
 	"tiscc/internal/expr"
+	"tiscc/internal/frame"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
@@ -165,15 +166,13 @@ func (d *Detectors) Syndrome(records map[int32]bool, buf []int32) []int32 {
 //     not read out transversally), bulk detectors between consecutive rounds
 //     only.
 //
-// Every detector's reference value is computed from noiseless runs of the
-// program (and cross-checked across two seeds, which catches any
-// non-deterministic parity combination — a compiler/decoder mismatch).
+// Every detector's reference value is read from 64 noiseless lanes of the
+// frame sampler on the program's shared reference trace, and must agree on
+// all of them, which catches any non-deterministic parity combination — a
+// compiler/decoder mismatch.
 func Extract(mem *verify.Memory) (*Detectors, error) {
 	if mem.Prog == nil {
 		return nil, fmt.Errorf("decoder: memory experiment has no compiled program")
-	}
-	if !mem.Prog.Clifford() {
-		return nil, fmt.Errorf("decoder: program contains non-Clifford gates")
 	}
 	if mem.Outcome.HasVirtual() {
 		return nil, fmt.Errorf("decoder: outcome formula references virtual records")
@@ -238,34 +237,37 @@ func Extract(mem *verify.Memory) (*Detectors, error) {
 	return d, nil
 }
 
-// referenceValues fills in each detector's deterministic noiseless value,
-// verifying determinism across two differently-seeded runs.
+// referenceValues fills in each detector's deterministic noiseless value
+// from 64 noiseless lanes of the frame sampler, each with its own
+// measurement coins: lane 0 sets every Ref, and every detector must then be
+// silent on all 64 lanes, which catches any non-deterministic parity
+// combination (a compiler/decoder mismatch), and the observable must read
+// wantObs on each.
 func (d *Detectors) referenceValues(prog *orqcs.Program, wantObs bool) error {
-	eng := orqcs.NewFromProgram(prog)
-	for pass, seed := range []int64{2, 5} {
-		eng.RunShot(seed)
-		recs := eng.Records()
-		for i := range d.Dets {
-			det := &d.Dets[i]
-			v := false
-			for _, id := range det.Recs {
-				b, ok := recs[id]
-				if !ok {
-					return fmt.Errorf("decoder: detector record %d absent from simulation", id)
-				}
-				if b {
-					v = !v
-				}
-			}
-			if pass == 0 {
-				det.Ref = v
-			} else if det.Ref != v {
-				return fmt.Errorf("decoder: detector %d (%v round %d) is not deterministic", i, det.Face, det.Round)
-			}
-		}
-		if got := d.observable().Eval(recs); got != wantObs {
-			return fmt.Errorf("decoder: noiseless observable %v, reference says %v", got, wantObs)
-		}
+	if err := d.CheckRecords(prog.NumRecords()); err != nil {
+		return err
+	}
+	sim, err := frame.New(prog, nil)
+	if err != nil {
+		return err
+	}
+	b := sim.NewBatch()
+	b.Run(0, 64, 2)
+	p := b.Planes()
+	for i := range d.Dets {
+		d.Dets[i].Ref = expr.Expr{IDs: d.Dets[i].Recs}.EvalWords(p.Words)&1 == 1
+	}
+	fired := make([]uint64, len(d.Dets))
+	if d.Fire(p, fired) != 0 {
+		i := slices.IndexFunc(fired, func(w uint64) bool { return w != 0 })
+		return fmt.Errorf("decoder: detector %d (%v round %d) is not deterministic", i, d.Dets[i].Face, d.Dets[i].Round)
+	}
+	want := uint64(0)
+	if wantObs {
+		want = p.Lanes
+	}
+	if got := d.observable().EvalWords(p.Words) & p.Lanes; got != want {
+		return fmt.Errorf("decoder: noiseless observable lanes %#x, reference says %v", got, wantObs)
 	}
 	return nil
 }
@@ -273,6 +275,6 @@ func (d *Detectors) referenceValues(prog *orqcs.Program, wantObs bool) error {
 // sortedDetIDs returns det ids sorted ascending (symptoms are kept in a
 // canonical order so edge keys and DEM output are deterministic).
 func sortedDetIDs(ids []int32) []int32 {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -180,6 +181,100 @@ func syndromeOfEdges(g *Graph, set []int) (defects []int32, obs bool) {
 	return defects, obs
 }
 
+// mwpm is an exact minimum-weight matching decoder for syndromes of a few
+// defects, the oracle the weight-2 triage judges union-find against. Path
+// weights are the union-find growth lengths (Edge.Len); each defect pairs
+// with another defect or with the boundary, and paths end at the boundary
+// but never pass through it.
+type mwpm struct {
+	g *Graph
+	// dist[s][2·v+par] is the shortest path length from detector s to node
+	// v with observable parity par.
+	dist [][]int64
+}
+
+const mwpmInf = int64(1) << 60
+
+func newMWPM(g *Graph) *mwpm {
+	o := &mwpm{g: g, dist: make([][]int64, g.boundary)}
+	for s := range o.dist {
+		o.dist[s] = o.shortest(int32(s))
+	}
+	return o
+}
+
+// shortest is Dijkstra from src over (node, observable parity) states.
+func (o *mwpm) shortest(src int32) []int64 {
+	g := o.g
+	dist := make([]int64, 2*(g.boundary+1))
+	done := make([]bool, len(dist))
+	for i := range dist {
+		dist[i] = mwpmInf
+	}
+	dist[2*src] = 0
+	for {
+		u := -1
+		for v, d := range dist {
+			if !done[v] && d < mwpmInf && (u < 0 || d < dist[u]) {
+				u = v
+			}
+		}
+		if u < 0 {
+			return dist
+		}
+		done[u] = true
+		node, par := int32(u/2), u%2
+		if node == g.boundary {
+			continue
+		}
+		for _, ei := range g.adj[g.adjStart[node]:g.adjStart[node+1]] {
+			e := &g.edges[ei]
+			next := e.U
+			if next == node {
+				next = e.V
+			}
+			v := 2*int(next) + par
+			if e.Obs {
+				v ^= 1
+			}
+			dist[v] = min(dist[v], dist[u]+int64(e.Len))
+		}
+	}
+}
+
+// parities reports which observable parities the minimum-weight
+// corrections of defects have: one of them, or both on a tie. It tries
+// every pairing, boundary matches included.
+func (o *mwpm) parities(defects []int32) (zero, one bool) {
+	best := mwpmInf
+	var match func(rest []int32, cost int64, par int)
+	match = func(rest []int32, cost int64, par int) {
+		if len(rest) == 0 {
+			if cost < best {
+				best, zero, one = cost, false, false
+			}
+			if cost == best {
+				zero, one = zero || par == 0, one || par == 1
+			}
+			return
+		}
+		da := o.dist[rest[0]]
+		for p := 0; p < 2; p++ {
+			if d := da[2*o.g.boundary+int32(p)]; d < mwpmInf {
+				match(rest[1:], cost+d, par^p)
+			}
+			for j := 1; j < len(rest); j++ {
+				if d := da[2*rest[j]+int32(p)]; d < mwpmInf {
+					others := slices.Concat(rest[1:j], rest[j+1:])
+					match(others, cost+d, par^p)
+				}
+			}
+		}
+	}
+	match(defects, 0, 0)
+	return zero, one
+}
+
 // TestFrontierGrowthMatchesFullScan decodes random syndromes of varied
 // density — error chains of a few to many random edges, and uniformly
 // random detector sets from single defects to half the detectors — through
@@ -269,10 +364,16 @@ func TestFrontierGrowthMatchesFullScan(t *testing.T) {
 // frontier decoder and the full-scan oracle, requires them to agree, and
 // pins how many pairs each miscorrects (decoded parity differs from the
 // pair's observable parity). A distance-5 code corrects any two faults
-// under minimum-weight decoding; the weighted union-find growth does not
-// for some Z-basis depolarizing pairs. The oracle is ~35× slower than the
-// frontier decoder on these sparse syndromes, so short and race runs check
-// it on every 97th pair only; the pinned counts always cover every pair.
+// under minimum-weight decoding with unit weights; the weighted union-find
+// growth does not for some Z-basis depolarizing pairs. An exact
+// minimum-weight matching on the same edge lengths triages each of them:
+// the matching also miscorrects, it ties between both parities, or only
+// union-find is wrong. The pins say the edge weights imply every one of
+// these miscorrections (the matching is wrong or tied on all of them), and
+// that no pair fools the matching alone. The full-scan oracle is ~35×
+// slower than the frontier decoder on these sparse syndromes, so short and
+// race runs check it on every 97th pair only and skip the triage; the
+// pinned miscorrection counts always cover every pair.
 func TestExhaustiveWeightTwo(t *testing.T) {
 	oracleStride := 1
 	if testing.Short() || raceEnabled {
@@ -281,6 +382,10 @@ func TestExhaustiveWeightTwo(t *testing.T) {
 	wantMiscorrected := map[string]int{
 		"Z/depolarizing(0.001)": 70, "Z/table5": 0, "X/depolarizing(0.001)": 0, "X/table5": 0,
 	}
+	// The triage of the miscorrected pairs: the matching is also wrong,
+	// ties, or is right; and pairs only the matching gets wrong.
+	type triage struct{ bothWrong, tie, onlyUF, onlyMWPM int }
+	wantTriage := map[string]triage{"Z/depolarizing(0.001)": {56, 14, 0, 0}}
 	models := []noise.Model{noise.Depolarizing(1e-3), noise.PaperTable5(hardware.Default())}
 	for _, basis := range []pauli.Kind{pauli.Z, pauli.X} {
 		mem := mustMemory(t, 5, 5, basis)
@@ -290,16 +395,35 @@ func TestExhaustiveWeightTwo(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				g := mustGraph(t, det, noise.Compile(m, mem.Prog))
 				p := newUFPair(g)
+				mw := newMWPM(g)
 				cases := 0
+				var got triage
 				miscorrected := func(set ...int) bool {
 					defects, obs := syndromeOfEdges(g, set)
 					cases++
+					var fast bool
 					if cases%oracleStride != 0 {
-						return p.decodeFast(defects) != obs
+						fast = p.decodeFast(defects)
+					} else {
+						var ref bool
+						if fast, ref = p.decode(t, defects); fast != ref {
+							t.Fatalf("edges %v: frontier parity %v, full scan %v", set, fast, ref)
+						}
 					}
-					fast, ref := p.decode(t, defects)
-					if fast != ref {
-						t.Fatalf("edges %v: frontier parity %v, full scan %v", set, fast, ref)
+					if oracleStride == 1 {
+						zero, one := mw.parities(defects)
+						switch {
+						case zero && one:
+							if fast != obs {
+								got.tie++
+							}
+						case fast != obs && one != obs:
+							got.bothWrong++
+						case fast != obs:
+							got.onlyUF++
+						case one != obs:
+							got.onlyMWPM++
+						}
 					}
 					return fast != obs
 				}
@@ -320,9 +444,12 @@ func TestExhaustiveWeightTwo(t *testing.T) {
 				if oracleStride == 1 {
 					p.checkTelemetry(t, name)
 				}
-				t.Logf("%s: %d edges, %d of %d pairs miscorrected", name, len(g.edges), wrong, pairs)
+				t.Logf("%s: %d edges, %d of %d pairs miscorrected; triage %+v", name, len(g.edges), wrong, pairs, got)
 				if want, ok := wantMiscorrected[name]; !ok || wrong != want {
 					t.Fatalf("%s: %d of %d pairs miscorrected, pinned %d", name, wrong, pairs, want)
+				}
+				if oracleStride == 1 && got != wantTriage[name] {
+					t.Fatalf("%s: triage %+v, pinned %+v", name, got, wantTriage[name])
 				}
 			})
 		}

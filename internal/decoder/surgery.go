@@ -82,15 +82,12 @@ func chainOf(rounds []*core.RoundResult, p *core.Plaquette) ([]int32, error) {
 
 // ExtractSurgery walks the per-region record tables of a compiled
 // lattice-surgery experiment and emits its detector/observable structure
-// under the region rules above. Every detector's reference value is
-// computed from noiseless runs and cross-checked across two seeds, which
-// rejects any mis-stitched region boundary outright.
+// under the region rules above. Every detector's reference value is read
+// from 64 noiseless lanes of the frame sampler and must agree on all of
+// them, which rejects any mis-stitched region boundary outright.
 func ExtractSurgery(s *verify.Surgery) (*Detectors, error) {
 	if s.Prog == nil {
 		return nil, fmt.Errorf("decoder: surgery experiment has no compiled program")
-	}
-	if !s.Prog.Clifford() {
-		return nil, fmt.Errorf("decoder: program contains non-Clifford gates")
 	}
 	if s.Outcome.HasVirtual() {
 		return nil, fmt.Errorf("decoder: outcome formula references virtual records")

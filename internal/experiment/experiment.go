@@ -103,7 +103,7 @@ type Circuit struct {
 	Spec      Spec // Rounds resolved (never 0); Model set by Compile only
 	Prog      *orqcs.Program
 	Outcome   expr.Expr          // the logical outcome as an XOR of records
-	Reference bool               // the outcome's noiseless value
+	Reference bool               // the outcome's value on Prog's reference trace
 	Detectors *decoder.Detectors // nil unless built with detectors
 }
 

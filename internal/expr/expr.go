@@ -8,7 +8,7 @@ package expr
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -152,7 +152,7 @@ func (e Expr) Equal(o Expr) bool {
 // Normalize sorts and deduplicates ids in place (mod-2 cancellation).
 // Exprs built via Xor are always normalized; this is for hand-built values.
 func (e *Expr) Normalize() {
-	sort.Slice(e.IDs, func(i, j int) bool { return e.IDs[i] < e.IDs[j] })
+	slices.Sort(e.IDs)
 	out := e.IDs[:0]
 	for i := 0; i < len(e.IDs); {
 		j := i

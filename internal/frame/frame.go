@@ -2,11 +2,13 @@
 // programs: the Stim-style observation that under purely Pauli (stochastic
 // Clifford-frame) noise, a noisy shot differs from a fixed noiseless
 // reference shot only by a Pauli operator — the frame — that faults inject
-// and Clifford gates merely conjugate. One reference shot through the exact
-// tableau engine records everything shot-invariant (each measurement's
-// deterministic/random character, its reference outcome, and the stabilizer
-// row a random measurement collapses); after that, shots cost O(fault sites
-// + measurements) instead of O(instructions × tableau words).
+// and Clifford gates merely conjugate. The program's one noiseless
+// reference trace (orqcs.Program.Reference: a shot through the exact
+// tableau engine, run once per program and shared with experiment set-up)
+// records everything shot-invariant (each measurement's deterministic/random
+// character, its reference outcome, and the stabilizer row a random
+// measurement collapses); after that, shots cost O(fault sites +
+// measurements) instead of O(instructions × tableau words).
 //
 // Frames are stored as bit-planes over shots: fx[q] and fz[q] are 64-bit
 // words whose bit i is shot-lane i's X/Z frame component on tableau qubit q,
@@ -40,7 +42,6 @@ import (
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
-	"tiscc/internal/tableau"
 	"tiscc/internal/telemetry"
 )
 
@@ -57,108 +58,37 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// refSeed seeds the reference shot. Any value works: the batch runner's
-// collapse masks absorb every difference between the reference coins and a
-// lane's coins, so records never depend on this choice (a property test
-// pins that too).
-const refSeed int64 = 0x7153CC
-
-// site is one qubit of a collapse row's support with its X/Z bits.
-type site struct {
-	q    int32
-	x, z bool
-}
-
-// event is one measurement the program performs — an explicit Measure_Z or
-// the implicit Z measurement inside a Prepare_Z reset — as observed on the
-// reference shot.
-type event struct {
-	rec    int32 // record id (virtual ids for resets)
-	slot   int32 // outcome-word index: rec for explicit records, after them for resets
-	q      int32 // measured qubit
-	det    bool  // outcome forced by the state (shot-invariant property)
-	ref    bool  // reference outcome; for random events the reference coin
-	reset  bool  // part of a Prepare_Z: a conditional X follows
-	d0, d1 int32 // random events: collapse-row support is sim.collapse[d0:d1]
-}
-
 // Sim is a compiled frame sampler: one program (optionally with a compiled
-// fault schedule), one reference trace. A Sim is immutable after New and may
-// be shared by any number of concurrent Batches.
+// fault schedule) and the program's shared reference trace. A Sim is
+// immutable after New and may be shared by any number of concurrent Batches.
 type Sim struct {
-	prog     *orqcs.Program
-	sched    *noise.Schedule // nil ⇒ noiseless sampling
-	events   []event
-	nrec     int    // explicit record slots [0, nrec); reset slots follow
-	nslot    int    // outcome words per batch
-	collapse []site // concatenated collapse-row supports
-	tb       tableau.State
-	met      *telemetry.Set // per-batch sampler shards (orqcs.SamplerSchema)
+	prog  *orqcs.Program
+	sched *noise.Schedule // nil ⇒ noiseless sampling
+	ref   *orqcs.Reference
+	met   *telemetry.Set // per-batch sampler shards (orqcs.SamplerSchema)
 }
 
 // New compiles a frame sampler for prog, sampling faults from sched (nil for
 // noiseless shots). The program must be Clifford: T-gate programs need the
-// tableau engines' quasi-probability branches and are rejected here so
-// callers can fall back.
+// tableau engines' quasi-probability branches and are rejected here (the
+// program has no reference trace) so callers can fall back. The reference
+// shot runs once per program, on the first New or other Program.Reference
+// call; later samplers reuse it.
 func New(prog *orqcs.Program, sched *noise.Schedule) (*Sim, error) {
-	return newSim(prog, sched, refSeed)
+	ref, err := prog.Reference()
+	if err != nil {
+		return nil, fmt.Errorf("frame: %w", err)
+	}
+	return newSim(prog, sched, ref)
 }
 
-// newSim is New with an explicit reference seed (tests pin that the choice
-// is immaterial).
-func newSim(prog *orqcs.Program, sched *noise.Schedule, seed int64) (*Sim, error) {
-	if !prog.Clifford() {
-		return nil, fmt.Errorf("frame: program has %d T gates; Pauli-frame sampling needs a Clifford program", prog.NumTGates())
-	}
+// newSim is New on a given reference trace (tests pin that the trace's
+// seed is immaterial).
+func newSim(prog *orqcs.Program, sched *noise.Schedule, ref *orqcs.Reference) (*Sim, error) {
 	if sched != nil && sched.Program() != prog {
 		return nil, fmt.Errorf("frame: schedule compiled against a different program")
 	}
-	s := &Sim{prog: prog, sched: sched, nrec: prog.NumRecords(), met: telemetry.NewSet(orqcs.SamplerSchema)}
-	s.nslot = s.nrec
-	e := orqcs.NewFromProgram(prog)
-	e.BeginShot(seed)
-	tb, ok := e.Tableau().(*tableau.Sliced)
-	if !ok {
-		return nil, fmt.Errorf("frame: reference engine is not bit-sliced")
-	}
-	instrs := prog.Instructions()
-	for i := range instrs {
-		in := &instrs[i]
-		switch in.Op {
-		case orqcs.OpMeasureZ:
-			if in.Rec < 0 || int(in.Rec) >= s.nrec {
-				return nil, fmt.Errorf("frame: record id %d outside [0, %d)", in.Rec, s.nrec)
-			}
-			s.addEvent(tb, int(in.Q1), in.Rec, in.Rec, false)
-		case orqcs.OpPrepareZ:
-			// Replicate tableau Reset step by step so the event is observable:
-			// virtual-id allocation, Z measurement, conditional X.
-			s.addEvent(tb, int(in.Q1), tb.VirtualID(), int32(s.nslot), true)
-			s.nslot++
-		default:
-			e.Exec(in)
-		}
-	}
-	s.tb = tb
-	return s, nil
-}
-
-// addEvent performs one reference measurement and records its trace.
-func (s *Sim) addEvent(tb *tableau.Sliced, q int, rec, slot int32, reset bool) {
-	o := tb.MeasureZ(q, rec)
-	bit := tb.Records()[rec]
-	ev := event{rec: rec, slot: slot, q: int32(q), det: o.Deterministic, ref: bit, reset: reset}
-	if !o.Deterministic {
-		ev.d0 = int32(len(s.collapse))
-		tb.LastCollapse(func(j int, x, z bool) {
-			s.collapse = append(s.collapse, site{q: int32(j), x: x, z: z})
-		})
-		ev.d1 = int32(len(s.collapse))
-	}
-	s.events = append(s.events, ev)
-	if reset && bit {
-		tb.X(q)
-	}
+	return &Sim{prog: prog, sched: sched, ref: ref, met: telemetry.NewSet(orqcs.SamplerSchema)}, nil
 }
 
 // Program returns the program the sampler was compiled for.
@@ -193,7 +123,7 @@ func (s *Sim) CompileOp(op orqcs.SitePauli) (*Op, error) {
 }
 
 func (s *Sim) compilePauli(ps *pauli.String) *Op {
-	o := &Op{ref: s.tb.ExpectationValue(ps)}
+	o := &Op{ref: s.ref.ExpectationValue(ps)}
 	for j := 0; j < s.prog.NumQubits(); j++ {
 		// Anticommutation bookkeeping: the operator's X component meets the
 		// frame's Z plane and vice versa.
@@ -268,13 +198,13 @@ func (s *Sim) NewBatch() *Batch {
 		sim:   s,
 		fx:    make([]uint64, s.prog.NumQubits()),
 		fz:    make([]uint64, s.prog.NumQubits()),
-		out:   make([]uint64, s.nslot),
+		out:   make([]uint64, s.ref.NumSlots),
 		coins: make([]uint64, 64),
 		tel:   s.met.NewShard(),
 	}
 	// The record plane is the record prefix of the outcome words: the
 	// sampler writes it in place and hands it on without copying.
-	b.p.Words = b.out[:s.nrec]
+	b.p.Words = b.out[:len(s.ref.Words)]
 	if s.sched != nil {
 		b.fsts = make([]uint64, 64)
 	}
@@ -332,20 +262,20 @@ func (b *Batch) Run(first, count int, seed int64) {
 // measure advances every lane through measurement event evi.
 func (b *Batch) measure(evi int) {
 	s := b.sim
-	ev := &s.events[evi]
-	q := ev.q
-	if ev.det {
-		if !ev.reset {
+	ev := &s.ref.Events[evi]
+	q := ev.Q
+	if ev.Det {
+		if !ev.Reset {
 			b.tel.Add(orqcs.CtrMeasDet, uint64(b.p.N))
 		}
 		// A frame X on q flips the forced outcome; nothing else can.
 		w := b.fx[q]
-		if ev.ref {
+		if ev.Ref {
 			w = ^w
 		}
-		b.out[ev.slot] = w
+		b.out[ev.Slot] = w
 	} else {
-		if !ev.reset {
+		if !ev.Reset {
 			b.tel.Add(orqcs.CtrMeasRandom, uint64(b.p.N))
 		}
 		// Fresh per-lane coins: bit 33 of the SplitMix64 output is exactly
@@ -355,28 +285,28 @@ func (b *Batch) measure(evi int) {
 			c |= (splitmix64(b.coins[i]) >> 33 & 1) << uint(i)
 			b.coins[i] += golden
 		}
-		b.out[ev.slot] = c
+		b.out[ev.Slot] = c
 		// Lanes whose coin disagrees with what their frame would read from
 		// the reference collapse branch (ref coin ⊕ frame-X on q) switch
 		// branches: multiply the recorded collapse row into their frames.
 		mask := c ^ b.fx[q]
-		if ev.ref {
+		if ev.Ref {
 			mask = ^mask
 		}
 		mask &= b.p.Lanes
 		if mask != 0 {
 			b.tel.Add(orqcs.CtrCollapseMults, uint64(bits.OnesCount64(mask)))
-			for _, st := range s.collapse[ev.d0:ev.d1] {
-				if st.x {
-					b.fx[st.q] ^= mask
+			for _, st := range s.ref.Collapse[ev.D0:ev.D1] {
+				if st.X {
+					b.fx[st.Q] ^= mask
 				}
-				if st.z {
-					b.fz[st.q] ^= mask
+				if st.Z {
+					b.fz[st.Q] ^= mask
 				}
 			}
 		}
 	}
-	if ev.reset {
+	if ev.Reset {
 		b.tel.Add(orqcs.CtrResets, uint64(b.p.N))
 		// The conditional X cancels the frame's X component exactly (both
 		// the lane and the reference end in |0⟩); the Z component is a
@@ -397,12 +327,12 @@ func (b *Batch) Planes() *noise.Planes { return &b.p }
 // map is valid until the next Records or Run call.
 func (b *Batch) Records(lane int) map[int32]bool {
 	if b.recs == nil {
-		b.recs = make(map[int32]bool, len(b.sim.events))
+		b.recs = make(map[int32]bool, len(b.sim.ref.Events))
 	}
 	clear(b.recs)
-	for i := range b.sim.events {
-		ev := &b.sim.events[i]
-		b.recs[ev.rec] = b.out[ev.slot]>>uint(lane)&1 == 1
+	for i := range b.sim.ref.Events {
+		ev := &b.sim.ref.Events[i]
+		b.recs[ev.Rec] = b.out[ev.Slot]>>uint(lane)&1 == 1
 	}
 	return b.recs
 }

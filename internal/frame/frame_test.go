@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -214,6 +215,8 @@ func TestFrameRandomPrograms(t *testing.T) {
 
 // TestFrameReferenceSeedImmaterial pins that the reference shot's seed never
 // leaks into sampled records: the collapse masks absorb coin differences.
+// The first sampler runs on the program's shared trace, the others on
+// unmemoized traces of other seeds.
 func TestFrameReferenceSeedImmaterial(t *testing.T) {
 	mem, err := verify.MemoryExperiment(3, 2, pauli.Z)
 	if err != nil {
@@ -221,8 +224,15 @@ func TestFrameReferenceSeedImmaterial(t *testing.T) {
 	}
 	sched := noise.Compile(noise.Depolarizing(2e-3), mem.Prog)
 	var ref []map[int32]bool
-	for i, rs := range []int64{refSeed, 1, -77, 123456789} {
-		sim, err := newSim(mem.Prog, sched, rs)
+	for i, rs := range []int64{0, 1, -77, 123456789} {
+		trace, err := mem.Prog.Reference()
+		if i > 0 {
+			trace, err = orqcs.NewReference(mem.Prog, rs)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := newSim(mem.Prog, sched, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -447,6 +457,84 @@ func TestConjugateInvolution(t *testing.T) {
 		}
 		if fx[0] != x0[0] || fx[1] != x0[1] || fz[0] != z0[0] || fz[1] != z0[1] {
 			t.Fatalf("opcode %d: applying Conjugate twice changed the planes", op)
+		}
+	}
+}
+
+// TestReferenceSharedConcurrent runs samplers on a fresh program from 8
+// goroutines at once: the first Program.Reference call races the others,
+// batches run and operators compile (expectations read the trace's shared
+// final tableau) concurrently. Every sampler must hold the one trace and
+// reproduce, lane for lane, the records and values of a sequential run on
+// an identical fresh program.
+func TestReferenceSharedConcurrent(t *testing.T) {
+	ops := []orqcs.SitePauli{
+		{grid.Site{R: 0, C: 0}: pauli.Z},
+		{grid.Site{R: 0, C: 1}: pauli.X, grid.Site{R: 0, C: 2}: pauli.Z},
+	}
+	type run struct {
+		ref  *orqcs.Reference
+		recs []map[int32]bool
+		vals []float64
+	}
+	sample := func(prog *orqcs.Program, sched *noise.Schedule) (run, error) {
+		sim, err := New(prog, sched)
+		if err != nil {
+			return run{}, err
+		}
+		r := run{ref: sim.ref}
+		b := sim.NewBatch()
+		b.Run(0, 64, 11)
+		for lane := 0; lane < 64; lane++ {
+			r.recs = append(r.recs, maps.Clone(b.Records(lane)))
+		}
+		for _, op := range ops {
+			o, err := sim.CompileOp(op)
+			if err != nil {
+				return run{}, err
+			}
+			for lane := 0; lane < 64; lane++ {
+				r.vals = append(r.vals, b.Value(o, lane))
+			}
+		}
+		return r, nil
+	}
+	fresh := func() (*orqcs.Program, *noise.Schedule) {
+		prog := randomProgram(t, rand.New(rand.NewSource(8)), 6, 240)
+		return prog, noise.Compile(noise.Depolarizing(0.01), prog)
+	}
+	want, err := sample(fresh())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, sched := fresh()
+	got := make([]run, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = sample(prog, sched)
+		}()
+	}
+	wg.Wait()
+	shared, err := prog.Reference()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g, r := range got {
+		if errs[g] != nil {
+			t.Fatalf("goroutine %d: %v", g, errs[g])
+		}
+		if r.ref != shared {
+			t.Fatalf("goroutine %d: sampler holds its own reference trace", g)
+		}
+		for lane := range want.recs {
+			diffRecords(t, fmt.Sprintf("goroutine %d", g), lane, want.recs[lane], r.recs[lane])
+		}
+		if !slices.Equal(r.vals, want.vals) {
+			t.Fatalf("goroutine %d: operator values %v, sequential %v", g, r.vals, want.vals)
 		}
 	}
 }

@@ -253,11 +253,12 @@ func (f *Fault) NumBranches() int {
 }
 
 // Branch returns branch b of the fault: its firing probability and the X/Z
-// bits of the Pauli applied to Q1 (and, for two-qubit faults, Q2). The
-// branch order matches applySlot's conditional-branch mapping (depol1:
-// X, Y, Z; depol2: depol2Table order), so a branch index is meaningful
-// against FiredFaults replays. The decoder subsystem enumerates branches to
-// compile a fault schedule into a detector error model.
+// bits of the Pauli applied to Q1 (and, for two-qubit faults, Q2), in the
+// order depol1: X, Y, Z; depol2: depol2Table order. It is the one
+// fault-branch mapping: both shot samplers apply a fired fault's branch
+// through it, FiredFaults replays report branch indices into it, and the
+// decoder subsystem enumerates branches through it to compile a fault
+// schedule into a detector error model.
 func (f *Fault) Branch(b int) (p float64, x1, z1, x2, z2 bool) {
 	switch f.Kind {
 	case FaultFlipX:
@@ -294,25 +295,11 @@ func (s *Schedule) applySlot(slot int, tb tableau.State, r *nrng) int {
 			continue
 		}
 		fired++
-		switch f.Kind {
-		case FaultFlipX:
-			tb.ApplyPauliError(int(f.Q1), true, false)
-		case FaultDephase:
-			tb.ApplyPauliError(int(f.Q1), false, true)
-		case FaultDepol1:
-			// Reuse u: u/P is uniform in [0, 1) given the fault fired.
-			switch branch(u, f.P, 3) {
-			case 0:
-				tb.ApplyPauliError(int(f.Q1), true, false) // X
-			case 1:
-				tb.ApplyPauliError(int(f.Q1), true, true) // Y
-			default:
-				tb.ApplyPauliError(int(f.Q1), false, true) // Z
-			}
-		case FaultDepol2:
-			pp := &depol2Table[branch(u, f.P, 15)]
-			tb.ApplyPauliError(int(f.Q1), pp.x1, pp.z1)
-			tb.ApplyPauliError(int(f.Q2), pp.x2, pp.z2)
+		// Reuse u: u/P is uniform in [0, 1) given the fault fired.
+		_, x1, z1, x2, z2 := f.Branch(branch(u, f.P, f.NumBranches()))
+		tb.ApplyPauliError(int(f.Q1), x1, z1)
+		if f.Kind == FaultDepol2 {
+			tb.ApplyPauliError(int(f.Q2), x2, z2)
 		}
 	}
 	return fired
@@ -416,53 +403,32 @@ func (s *Schedule) SampleSlotBatch(slot int, states []uint64, fx, fz []uint64) i
 		}
 		total += bits.OnesCount64(fired)
 		f := &s.faults[k]
-		switch f.Kind {
-		case FaultFlipX:
-			fx[f.Q1] ^= fired
-		case FaultDephase:
-			fz[f.Q1] ^= fired
-		case FaultDepol1:
-			var mx, mz uint64
-			for m := fired; m != 0; m &= m - 1 {
-				i := uint(bits.TrailingZeros64(m))
-				// Reuse the fired draw, exactly as applySlot does.
-				switch branch(raw[i]/(1<<53), f.P, 3) {
-				case 0:
-					mx |= 1 << i // X
-				case 1:
-					mx |= 1 << i // Y
-					mz |= 1 << i
-				default:
-					mz |= 1 << i // Z
-				}
-			}
-			fx[f.Q1] ^= mx
-			fz[f.Q1] ^= mz
-		case FaultDepol2:
-			var mx1, mz1, mx2, mz2 uint64
-			for m := fired; m != 0; m &= m - 1 {
-				i := uint(bits.TrailingZeros64(m))
-				pp := &depol2Table[branch(raw[i]/(1<<53), f.P, 15)]
-				if pp.x1 {
-					mx1 |= 1 << i
-				}
-				if pp.z1 {
-					mz1 |= 1 << i
-				}
-				if pp.x2 {
-					mx2 |= 1 << i
-				}
-				if pp.z2 {
-					mz2 |= 1 << i
-				}
-			}
-			fx[f.Q1] ^= mx1
-			fz[f.Q1] ^= mz1
+		var mx1, mz1, mx2, mz2 uint64
+		for m := fired; m != 0; m &= m - 1 {
+			i := uint(bits.TrailingZeros64(m))
+			// Reuse the fired draw, exactly as applySlot does.
+			_, x1, z1, x2, z2 := f.Branch(branch(raw[i]/(1<<53), f.P, f.NumBranches()))
+			mx1 |= b2w(x1) << i
+			mz1 |= b2w(z1) << i
+			mx2 |= b2w(x2) << i
+			mz2 |= b2w(z2) << i
+		}
+		fx[f.Q1] ^= mx1
+		fz[f.Q1] ^= mz1
+		if f.Kind == FaultDepol2 {
 			fx[f.Q2] ^= mx2
 			fz[f.Q2] ^= mz2
 		}
 	}
 	return total
+}
+
+// b2w is 1 for true, 0 for false.
+func b2w(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // RunShots executes noisy shots across the deterministic worker pool:

@@ -86,6 +86,11 @@ type Program struct {
 	srcEvents    int
 	fusedRemoved int
 	elimRemoved  int
+
+	// The noiseless reference trace, computed on first use (Reference).
+	refOnce sync.Once
+	ref     *Reference
+	refErr  error
 }
 
 // Compile lowers a circuit into a Program. It runs the movement semantics

@@ -339,10 +339,10 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 	}
 
-	// experiment.Estimate builds the frame sampler per request (cheap: one
-	// reference shot), so concurrent requests never share mutable sampler
-	// state; the heavy artifacts — program, schedule, graph — are the shared
-	// cached ones.
+	// experiment.Estimate builds the frame sampler per request (cheap: the
+	// cached program keeps its reference trace, so no tableau pass runs), so
+	// concurrent requests never share mutable sampler state; the heavy
+	// artifacts — program, schedule, graph — are the shared cached ones.
 	res, err := experiment.Estimate(art.Sched, art.Outcome, art.Reference, opt)
 	if err != nil {
 		s.met.Inc(CtrErrors)

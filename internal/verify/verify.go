@@ -302,7 +302,7 @@ func InjectTBloch(dx, dz int, shots int, seed int64) (mean, stderr tomo.Bloch, e
 type Memory struct {
 	Prog      *orqcs.Program
 	Outcome   expr.Expr // logical outcome as an XOR of measurement records
-	Reference bool      // the outcome's value on a noiseless run
+	Reference bool      // the outcome's value on the program's noiseless reference trace
 	Distance  int
 	Rounds    int
 	Basis     pauli.Kind
@@ -387,12 +387,14 @@ func MemoryExperiment(d, rounds int, basis pauli.Kind) (*Memory, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := orqcs.NewFromProgram(prog)
-	eng.RunShot(1)
+	ref, err := prog.Reference()
+	if err != nil {
+		return nil, err
+	}
 	return &Memory{
 		Prog:         prog,
 		Outcome:      outcome,
-		Reference:    outcome.Eval(eng.Records()),
+		Reference:    outcome.EvalWords(ref.Words) != 0,
 		Distance:     d,
 		Rounds:       rounds,
 		Basis:        basis,
@@ -422,7 +424,7 @@ func MemoryExperiment(d, rounds int, basis pauli.Kind) (*Memory, error) {
 type Surgery struct {
 	Prog      *orqcs.Program
 	Outcome   expr.Expr // joint parity: final B̄aB̄b readout ⊕ merge outcome
-	Reference bool      // the outcome's value on a noiseless run
+	Reference bool      // the outcome's value on the program's noiseless reference trace
 	Distance  int
 	Pre       int        // syndrome rounds per patch before the merge
 	Merge     int        // rounds of the merged patch
@@ -592,11 +594,14 @@ func SurgeryExperiment(d, pre, merge, post int, basis pauli.Kind) (*Surgery, err
 		return nil, err
 	}
 	s.Prog = prog
-	// Two differently-seeded noiseless runs: the merge outcome may differ,
-	// the joint parity must not.
+	ref, err := prog.Reference()
+	if err != nil {
+		return nil, err
+	}
+	s.Reference = outcome.EvalWords(ref.Words) != 0
+	// A differently-seeded noiseless engine run cross-checks the trace: the
+	// merge outcome may differ, the joint parity must not.
 	eng := orqcs.NewFromProgram(prog)
-	eng.RunShot(1)
-	s.Reference = outcome.Eval(eng.Records())
 	eng.RunShot(4)
 	if outcome.Eval(eng.Records()) != s.Reference {
 		return nil, fmt.Errorf("verify: surgery joint parity is not deterministic")
