@@ -826,7 +826,9 @@ func BenchmarkHadamardRotate(b *testing.B) {
 // bit-identical records per seed; the transpose turns every gate and fault
 // update into O(rows/64) word operations, so the ratio grows with distance
 // (the README's "Bit-sliced engine" table is this benchmark's output). The
-// acceptance target is ≥ 2× at d ≥ 11.
+// acceptance target is ≥ 2× at d ≥ 11. A last frame case runs the sparse
+// workload, a d=5 lattice-surgery cycle at p=5e-5, where nearly every fault
+// draw misses and the draw loop is almost all of the shot.
 func BenchmarkShotEngines(b *testing.B) {
 	for _, d := range []int{5, 7, 9, 11, 13} {
 		mem, err := verify.MemoryExperiment(d, d, pauli.Z)
@@ -850,25 +852,28 @@ func BenchmarkShotEngines(b *testing.B) {
 				}
 			})
 		}
-		b.Run(fmt.Sprintf("d=%d/frame", d), func(b *testing.B) {
-			sim, err := frame.New(mem.Prog, sched)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bt := sim.NewBatch()
-			b.ReportAllocs()
-			b.ResetTimer()
-			// One iteration = one shot, amortized over 64-lane batches; the
-			// same ShotSeed(1, i) stream as the tableau engines above.
-			for i := 0; i < b.N; i++ {
-				if i%64 == 0 {
-					n := b.N - i
-					if n > 64 {
-						n = 64
-					}
-					bt.Run(i, n, 1)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("d=%d/frame", d), func(b *testing.B) { benchFrameShots(b, sched) })
+	}
+	sur, err := verify.SurgeryExperiment(5, 1, 5, 1, pauli.Z)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sparse := noise.Compile(noise.Depolarizing(5e-5), sur.Prog)
+	b.Run("surgery/d=5/p=5e-5/frame", func(b *testing.B) { benchFrameShots(b, sparse) })
+}
+
+// benchFrameShots times frame-sampler shots of the schedule's program. One
+// iteration = one shot, amortized over 64-lane batches; the same
+// ShotSeed(1, i) stream as the tableau engines' RunShot loop.
+func benchFrameShots(b *testing.B, sched *noise.Schedule) {
+	sim, err := frame.New(sched.Program(), sched)
+	if err != nil {
+		b.Fatal(err)
+	}
+	bt := sim.NewBatch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 64 {
+		bt.Run(i, min(64, b.N-i), 1)
 	}
 }

@@ -5,9 +5,10 @@
 // Three legs, all opt-in and all outside the sampling hot path:
 //
 //   - error-budget attribution (Collector + AttributionReport): every judged
-//     shot's fired faults are replayed from its seed (noise.FiredFaults — a
-//     pure function of the shot seed, never touching the samplers' RNG
-//     streams) and accumulated per error-budget channel (gate class ×
+//     shot's fired faults are listed again from its seed by
+//     noise.FiredFaults, the one draw loop the samplers themselves apply (a
+//     pure function of the shot seed, so the list is the very faults the
+//     shot fired), and accumulated per error-budget channel (gate class ×
 //     fault kind) split by shot outcome, yielding fire counts, smoothed
 //     fail/ok odds ratios, and an empirical per-channel decomposition of the
 //     logical error rate that sums to p_L exactly;

@@ -30,33 +30,23 @@
 //     (a pre-measurement stabilizer anticommuting with the measured
 //     operator) is multiplied into the lane's frame: Π_c F = F Π_{c⊕f} and
 //     Π_{1−r}|ψ⟩ ∝ D Π_r|ψ⟩ convert between the two collapse branches.
-//   - Fault firings. Each lane keeps the shot's dedicated fault stream and
-//     noise.SampleSlotBatch draws exactly one uniform per fault site in
-//     schedule order, firing the very faults noise.Schedule.RunShot fires.
+//   - Fault firings. Each lane's shot seed goes through
+//     noise.Schedule.FiredFaults, the one fault-draw loop, which lists the
+//     very firings noise.Schedule.RunShot applies. The batch gathers its
+//     lanes' lists into one list sorted by site and XORs each firing into
+//     its lane's frame as the instruction walk reaches the site's slot.
 package frame
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
 	"tiscc/internal/telemetry"
 )
-
-// golden is the SplitMix64 increment (must match orqcs.shotSource).
-const golden = 0x9E3779B97F4A7C15
-
-// splitmix64 is the SplitMix64 output function, duplicated from orqcs so the
-// coin lanes replay the engine's rand source exactly (differential tests pin
-// the equivalence).
-func splitmix64(x uint64) uint64 {
-	x += golden
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
 
 // Sim is a compiled frame sampler: one program (optionally with a compiled
 // fault schedule) and the program's shared reference trace. A Sim is
@@ -183,10 +173,11 @@ func Conjugate(in *orqcs.Instr, fx, fz []uint64) bool {
 // lanes. Batches are not safe for concurrent use; create one per worker.
 type Batch struct {
 	sim    *Sim
-	fx, fz []uint64 // frame bit-planes, one word (64 lanes) per qubit
-	out    []uint64 // per-slot actual-outcome words: records, then resets
-	coins  []uint64 // per-lane measurement-coin stream states
-	fsts   []uint64 // per-lane fault stream states (noisy sims)
+	fx, fz []uint64           // frame bit-planes, one word (64 lanes) per qubit
+	out    []uint64           // per-slot actual-outcome words: records, then resets
+	coins  []uint64           // per-lane measurement-coin stream states
+	fired  []uint64           // the batch's fault firings, sorted (see firing)
+	lane   []noise.FiredFault // one lane's FiredFaults list
 	p      noise.Planes
 	recs   map[int32]bool   // Records' table, allocated on first use
 	tel    *telemetry.Shard // single-owner sampler metrics (never nil)
@@ -205,10 +196,14 @@ func (s *Sim) NewBatch() *Batch {
 	// The record plane is the record prefix of the outcome words: the
 	// sampler writes it in place and hands it on without copying.
 	b.p.Words = b.out[:len(s.ref.Words)]
-	if s.sched != nil {
-		b.fsts = make([]uint64, 64)
-	}
 	return b
+}
+
+// A firing packs one lane's fired fault into a word, site<<32 | branch<<6 |
+// lane, so sorting a batch's firings orders them by site. Firings at one
+// site on different lanes commute, so the order among them is immaterial.
+func firing(f noise.FiredFault, lane int) uint64 {
+	return uint64(f.Site)<<32 | uint64(f.Branch)<<6 | uint64(lane)
 }
 
 // Run samples shot lanes for the global shot indices [first, first+count),
@@ -227,21 +222,25 @@ func (b *Batch) Run(first, count int, seed int64) {
 	b.p.Lanes = ^uint64(0) >> uint(64-count)
 	clear(b.fx)
 	clear(b.fz)
+	b.fired = b.fired[:0]
 	for i := 0; i < count; i++ {
 		ss := orqcs.ShotSeed(seed, first+i)
 		b.coins[i] = uint64(ss)
 		if s.sched != nil {
-			b.fsts[i] = noise.FaultStreamState(ss)
+			b.lane = s.sched.FiredFaults(ss, b.lane[:0])
+			for _, f := range b.lane {
+				b.fired = append(b.fired, firing(f, i))
+			}
 		}
 	}
+	slices.Sort(b.fired)
 	b.tel.Add(orqcs.CtrShots, uint64(count))
 	b.tel.Inc(orqcs.CtrBatches)
-	fired := 0
 	instrs := s.prog.Instructions()
-	evi := 0
+	evi, fi := 0, 0 // next measurement event, next firing
 	for i := range instrs {
-		if s.sched != nil {
-			fired += s.sched.SampleSlotBatch(i, b.fsts[:count], b.fx, b.fz)
+		if fi < len(b.fired) {
+			fi = b.applyFired(fi, s.sched.SlotEnd(i))
 		}
 		in := &instrs[i]
 		switch {
@@ -252,11 +251,38 @@ func (b *Batch) Run(first, count int, seed int64) {
 			panic("frame: non-Clifford opcode survived New")
 		}
 	}
-	if s.sched != nil {
-		fired += s.sched.SampleSlotBatch(len(instrs), b.fsts[:count], b.fx, b.fz)
+	if fi < len(b.fired) {
+		b.applyFired(fi, s.sched.SlotEnd(len(instrs)))
 	}
-	b.tel.Add(orqcs.CtrFaultsFired, uint64(fired))
-	b.tel.Observe(orqcs.HistFaultsPerBatch, uint64(fired))
+	b.tel.Add(orqcs.CtrFaultsFired, uint64(len(b.fired)))
+	b.tel.Observe(orqcs.HistFaultsPerBatch, uint64(len(b.fired)))
+}
+
+// applyFired XORs the batch's firings from index fi up to the first at a
+// site not below end into their lanes' frames, and returns that index.
+func (b *Batch) applyFired(fi int, end int32) int {
+	for ; fi < len(b.fired); fi++ {
+		w := b.fired[fi]
+		if int32(w>>32) >= end {
+			break
+		}
+		f := b.sim.sched.SiteFault(int(w >> 32))
+		_, x1, z1, x2, z2 := f.Branch(int(w >> 6 & 0xF))
+		m := uint64(1) << (w & 63)
+		if x1 {
+			b.fx[f.Q1] ^= m
+		}
+		if z1 {
+			b.fz[f.Q1] ^= m
+		}
+		if x2 {
+			b.fx[f.Q2] ^= m
+		}
+		if z2 {
+			b.fz[f.Q2] ^= m
+		}
+	}
+	return fi
 }
 
 // measure advances every lane through measurement event evi.
@@ -282,8 +308,8 @@ func (b *Batch) measure(evi int) {
 		// the engine rand source's Intn(2) draw.
 		var c uint64
 		for i := 0; i < b.p.N; i++ {
-			c |= (splitmix64(b.coins[i]) >> 33 & 1) << uint(i)
-			b.coins[i] += golden
+			c |= (orqcs.SplitMix64(b.coins[i]) >> 33 & 1) << uint(i)
+			b.coins[i] += orqcs.SplitMix64Gamma
 		}
 		b.out[ev.Slot] = c
 		// Lanes whose coin disagrees with what their frame would read from

@@ -137,8 +137,12 @@ func TestFrameMatchesTableaus(t *testing.T) {
 
 // randomProgram compiles a random Clifford hardware circuit: every qubit
 // prepared up front, then a stream of random one-qubit Cliffords, ZZ pairs,
-// mid-circuit measurements and resets, then a full transversal readout.
-func randomProgram(t testing.TB, rng *rand.Rand, nq, length int) *orqcs.Program {
+// mid-circuit measurements and resets, then a full transversal readout,
+// then tail unitary gates walking over the qubits (each qubit in turn, a ZZ
+// with its neighbour or a random Z-bus Clifford), so the program ends in a
+// gate and its trailing fault slot is not empty. Tail gates commute with Z,
+// so Z-type operators keep a definite value that the trailing faults flip.
+func randomProgram(t testing.TB, rng *rand.Rand, nq, length, tail int) *orqcs.Program {
 	t.Helper()
 	gates := []circuit.Gate{
 		circuit.XPi2, circuit.XPi4, circuit.XmPi4,
@@ -176,6 +180,15 @@ func randomProgram(t testing.TB, rng *rand.Rand, nq, length int) *orqcs.Program 
 		add(circuit.Event{Gate: circuit.MeasureZ, S1: site(q), Record: rec})
 		rec++
 	}
+	zbus := gates[6:] // Z_{π/2}, Z_{π/4}, Z_{−π/4}
+	for i := 0; i < tail; i++ {
+		q := i % nq
+		if i%3 == 1 && nq > 1 {
+			add(circuit.Event{Gate: circuit.ZZ, S1: site(q), S2: site((q + 1) % nq), Record: -1})
+		} else {
+			add(circuit.Event{Gate: zbus[rng.Intn(len(zbus))], S1: site(q), Record: -1})
+		}
+	}
 	prog, err := orqcs.Compile(c)
 	if err != nil {
 		t.Fatalf("compile random circuit: %v", err)
@@ -191,7 +204,7 @@ func TestFrameRandomPrograms(t *testing.T) {
 	const shots = 32
 	for trial := 0; trial < 8; trial++ {
 		nq := 2 + rng.Intn(6)
-		prog := randomProgram(t, rng, nq, 80+rng.Intn(120))
+		prog := randomProgram(t, rng, nq, 80+rng.Intn(120), 0)
 		var sched *noise.Schedule
 		if trial%2 == 1 {
 			// High physical rates so many faults fire per shot.
@@ -248,35 +261,50 @@ func TestFrameReferenceSeedImmaterial(t *testing.T) {
 }
 
 // TestFrameEstimateManyMatchesTableau pins the streaming estimate — means
-// and standard errors — float for float against the tableau path.
+// and standard errors — float for float against the tableau path, on a
+// random program and on one that ends in gates after its readout, whose
+// faults sit in the trailing slot (after the last instruction).
 func TestFrameEstimateManyMatchesTableau(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	prog := randomProgram(t, rng, 5, 60)
-	sched := noise.Compile(noise.Depolarizing(0.02), prog)
+	progs := []struct {
+		name string
+		prog *orqcs.Program
+	}{
+		{"random", randomProgram(t, rng, 5, 60, 0)},
+		{"gate-tail", randomProgram(t, rng, 5, 60, 12)},
+	}
 	ops := []orqcs.SitePauli{
 		{grid.Site{R: 0, C: 0}: pauli.Z},
 		{grid.Site{R: 0, C: 1}: pauli.Z, grid.Site{R: 0, C: 2}: pauli.Z},
 		{grid.Site{R: 0, C: 3}: pauli.X, grid.Site{R: 0, C: 4}: pauli.Y},
 	}
-	wantM, wantS, err := sched.EstimateMany(ops, 300, 9, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := New(prog, sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 3} {
-		gotM, gotS, err := sim.EstimateMany(ops, 300, 9, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range ops {
-			if gotM[j] != wantM[j] || gotS[j] != wantS[j] {
-				t.Fatalf("workers=%d op %d: frame (%v ± %v) != tableau (%v ± %v)",
-					workers, j, gotM[j], gotS[j], wantM[j], wantS[j])
+	for _, pc := range progs {
+		t.Run(pc.name, func(t *testing.T) {
+			sched := noise.Compile(noise.Depolarizing(0.02), pc.prog)
+			if pc.name == "gate-tail" && len(sched.SlotFaults(pc.prog.NumInstrs())) == 0 {
+				t.Fatal("gate tail left the trailing fault slot empty")
 			}
-		}
+			wantM, wantS, err := sched.EstimateMany(ops, 300, 9, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim, err := New(pc.prog, sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				gotM, gotS, err := sim.EstimateMany(ops, 300, 9, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range ops {
+					if gotM[j] != wantM[j] || gotS[j] != wantS[j] {
+						t.Fatalf("workers=%d op %d: frame (%v ± %v) != tableau (%v ± %v)",
+							workers, j, gotM[j], gotS[j], wantM[j], wantS[j])
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -500,7 +528,7 @@ func TestReferenceSharedConcurrent(t *testing.T) {
 		return r, nil
 	}
 	fresh := func() (*orqcs.Program, *noise.Schedule) {
-		prog := randomProgram(t, rand.New(rand.NewSource(8)), 6, 240)
+		prog := randomProgram(t, rand.New(rand.NewSource(8)), 6, 240, 0)
 		return prog, noise.Compile(noise.Depolarizing(0.01), prog)
 	}
 	want, err := sample(fresh())

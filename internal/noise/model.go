@@ -95,7 +95,8 @@ func (m Model) IsIdeal() bool {
 }
 
 // Validate checks that every probability lies in [0, 1] and T2 is
-// non-negative.
+// non-negative. NaN fails both: Compile would silently drop every fault of
+// a NaN channel.
 func (m Model) Validate() error {
 	for _, c := range []struct {
 		name string
@@ -104,12 +105,12 @@ func (m Model) Validate() error {
 		{"P1", m.P1}, {"P1Z", m.P1Z}, {"P2", m.P2},
 		{"PPrep", m.PPrep}, {"PMeas", m.PMeas}, {"PMove", m.PMove},
 	} {
-		if c.p < 0 || c.p > 1 {
+		if !(c.p >= 0 && c.p <= 1) {
 			return fmt.Errorf("noise: %s = %v outside [0, 1]", c.name, c.p)
 		}
 	}
-	if m.T2 < 0 {
-		return fmt.Errorf("noise: T2 = %v negative", m.T2)
+	if !(m.T2 >= 0) {
+		return fmt.Errorf("noise: T2 = %v outside [0, ∞)", m.T2)
 	}
 	return nil
 }

@@ -330,6 +330,18 @@ func TestModelValidateAndPresets(t *testing.T) {
 	if err := (Model{T2: -1}).Validate(); err == nil {
 		t.Fatal("negative T2 passed validation")
 	}
+	// NaN compares false both ways; Compile would drop every fault of it.
+	if err := Depolarizing(math.NaN()).Validate(); err == nil {
+		t.Fatal("Depolarizing(NaN) passed validation")
+	}
+	if err := (Model{PMove: math.NaN()}).Validate(); err == nil {
+		t.Fatal("PMove = NaN passed validation")
+	}
+	tab := PaperTable5(hardware.Default())
+	tab.T2 = math.NaN()
+	if err := tab.Validate(); err == nil {
+		t.Fatal("T2 = NaN passed validation")
+	}
 }
 
 // TestLogicalErrorRateGrowsWithP sanity-checks monotonicity on a real memory

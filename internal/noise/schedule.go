@@ -2,10 +2,8 @@ package noise
 
 import (
 	"math"
-	"math/bits"
 
 	"tiscc/internal/orqcs"
-	"tiscc/internal/tableau"
 )
 
 // FaultKind names the sampling rule of one fault location.
@@ -83,11 +81,7 @@ type Schedule struct {
 	faults []Fault
 	class  []GateClass // per-site gate class, parallel to faults
 	start  []int32     // CSR offsets: slot i is faults[start[i]:start[i+1]]
-	// thresh[k] = faults[k].P · 2⁵³: the firing test u < P on the raw 53-bit
-	// draw, avoiding the uniform's division on the batch sampler's hot path.
-	// Both sides are exact (power-of-two scaling), so the comparison is
-	// bit-equivalent to applySlot's.
-	thresh []float64
+	thresh []float64   // per-site firing thresholds (see thresholds)
 }
 
 // Program returns the program the schedule was compiled against.
@@ -112,8 +106,14 @@ func (s *Schedule) SlotFaults(slot int) []Fault {
 	return s.faults[s.start[slot]:s.start[slot+1]]
 }
 
+// SlotEnd returns the end of slot's fault sites: slot i holds sites
+// [SlotEnd(i−1), SlotEnd(i)), and SlotEnd(NumSlots()−1) is NumFaultSites().
+// A sampler walking the instruction stream applies a fired site before
+// instruction i when the site is below SlotEnd(i).
+func (s *Schedule) SlotEnd(slot int) int32 { return s.start[slot+1] }
+
 // SiteFault returns fault site k of the flat fault table — the site indexed
-// by FiredFaults replay output.
+// by FiredFaults output.
 func (s *Schedule) SiteFault(k int) Fault { return s.faults[k] }
 
 // SiteClass returns the gate class of fault site k: which model channel
@@ -191,32 +191,28 @@ func Compile(m Model, p *orqcs.Program) *Schedule {
 		s.faults = append(s.faults, sl...)
 		s.class = append(s.class, classes[i]...)
 	}
-	s.thresh = make([]float64, len(s.faults))
-	for i := range s.faults {
-		s.thresh[i] = s.faults[i].P * (1 << 53)
-	}
+	s.thresh = thresholds(s.faults)
 	return s
 }
 
 // --- Fault sampling ----------------------------------------------------------
 
 // noiseSalt separates the fault-sampling stream from the measurement-outcome
-// stream derived from the same shot seed.
+// stream derived from the same shot seed: a shot's fault stream is the
+// SplitMix64 stream in state seed ^ noiseSalt, so the faults a shot fires
+// are a pure function of its seed, independent of measurement randomness.
 const noiseSalt = 0xD1B54A32D192ED03
 
-// nrng is the schedule's dedicated SplitMix64 fault stream (the same O(1)
-// reseed generator the engine uses for measurement outcomes, on a decorrelated
-// seed). Keeping the streams separate makes the fault schedule of a shot a
-// pure function of the shot seed, independent of measurement randomness.
-type nrng struct{ state uint64 }
-
-func (r *nrng) next() float64 {
-	r.state += 0x9E3779B97F4A7C15
-	x := r.state
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	x ^= x >> 31
-	return float64(x>>11) / (1 << 53)
+// thresholds returns the firing threshold of every fault: P · 2⁵³, the test
+// u < P on the raw 53-bit draw without the uniform's division. Both sides
+// are exact (power-of-two scaling), so the comparison is bit-equivalent to
+// the uniform's.
+func thresholds(faults []Fault) []float64 {
+	th := make([]float64, len(faults))
+	for i := range faults {
+		th[i] = faults[i].P * (1 << 53)
+	}
+	return th
 }
 
 // depol2Pauli holds the X/Z bits of one two-qubit Pauli branch.
@@ -255,10 +251,10 @@ func (f *Fault) NumBranches() int {
 // Branch returns branch b of the fault: its firing probability and the X/Z
 // bits of the Pauli applied to Q1 (and, for two-qubit faults, Q2), in the
 // order depol1: X, Y, Z; depol2: depol2Table order. It is the one
-// fault-branch mapping: both shot samplers apply a fired fault's branch
-// through it, FiredFaults replays report branch indices into it, and the
-// decoder subsystem enumerates branches through it to compile a fault
-// schedule into a detector error model.
+// fault-branch mapping: FiredFaults picks branch indices into it, both shot
+// engines apply a fired fault's branch through it, and the decoder
+// subsystem enumerates branches through it to compile a fault schedule into
+// a detector error model.
 func (f *Fault) Branch(b int) (p float64, x1, z1, x2, z2 bool) {
 	switch f.Kind {
 	case FaultFlipX:
@@ -281,30 +277,6 @@ func (f *Fault) Branch(b int) (p float64, x1, z1, x2, z2 bool) {
 	panic("noise: unknown fault kind")
 }
 
-// applySlot samples every fault of one slot, applying fired ones to the
-// tableau as Pauli frame updates, and returns how many fired. Exactly one
-// uniform draw per fault location, fired or not, so the draw sequence is
-// schedule-shaped and a shot can be replayed (FiredFaults) without
-// simulating.
-func (s *Schedule) applySlot(slot int, tb tableau.State, r *nrng) int {
-	fired := 0
-	for k := s.start[slot]; k < s.start[slot+1]; k++ {
-		f := &s.faults[k]
-		u := r.next()
-		if u >= f.P {
-			continue
-		}
-		fired++
-		// Reuse u: u/P is uniform in [0, 1) given the fault fired.
-		_, x1, z1, x2, z2 := f.Branch(branch(u, f.P, f.NumBranches()))
-		tb.ApplyPauliError(int(f.Q1), x1, z1)
-		if f.Kind == FaultDepol2 {
-			tb.ApplyPauliError(int(f.Q2), x2, z2)
-		}
-	}
-	return fired
-}
-
 // branch maps a fired draw u < p to one of n equiprobable branches.
 func branch(u, p float64, n int) int {
 	b := int(u * float64(n) / p)
@@ -314,121 +286,80 @@ func branch(u, p float64, n int) int {
 	return b
 }
 
-// RunShot executes one noisy shot of the schedule's program on the engine:
-// the compiled fault schedule is interleaved with the lowered instruction
-// stream, fired faults update the tableau's Pauli frame in place, and no
-// allocation happens per shot. The engine must have been built from the same
-// program. For a fixed schedule the shot outcome depends only on the seed.
-// RunShot is an orqcs.ShotFunc, so it plugs directly into RunShotsFunc and
-// EstimateManyFunc.
-//
-//tiscc:hotpath
-func (s *Schedule) RunShot(e *orqcs.Engine, seed int64) {
-	e.BeginShot(seed)
-	tb := e.Tableau()
-	r := nrng{state: uint64(seed) ^ noiseSalt}
-	instrs := s.prog.Instructions()
-	fired := 0
-	for i := range instrs {
-		fired += s.applySlot(i, tb, &r)
-		e.Exec(&instrs[i])
-	}
-	fired += s.applySlot(len(instrs), tb, &r)
-	// One tableau shot is one sampler dispatch (a batch of a single lane).
-	tel := e.Telemetry()
-	tel.Inc(orqcs.CtrBatches)
-	tel.Add(orqcs.CtrFaultsFired, uint64(fired))
-	tel.Observe(orqcs.HistFaultsPerBatch, uint64(fired))
-}
-
-// FiredFault is one fault firing of a replayed shot: the site's index into
-// the schedule's fault table and the branch it fired into, in Fault.Branch
+// FiredFault is one fault firing of a shot: the site's index into the
+// schedule's fault table and the branch it fired into, in Fault.Branch
 // order.
 type FiredFault struct {
 	Site, Branch int32
 }
 
-// FiredFaults replays the fault sampling of one shot without simulating,
-// appending the locations that fire, each with the branch it fires into, to
-// buf. It draws the exact sequence RunShot draws and maps each fired draw
-// to its branch exactly as applySlot does, so the result is the fault
-// schedule that shot experiences — used by the diagnostics layer's
-// attribution, determinism tests and the detector-error-model check.
+// FiredFaults samples the fault stream of the shot with the given seed,
+// appending the sites that fire, in ascending site order and each with the
+// branch it fires into, to buf. It is the one draw loop: the tableau
+// RunShot and the frame sampler's batches apply exactly this list, and the
+// diagnostics layer's attribution, the determinism tests and the
+// detector-error-model check read it without simulating.
 func (s *Schedule) FiredFaults(seed int64, buf []FiredFault) []FiredFault {
-	r := nrng{state: uint64(seed) ^ noiseSalt}
-	for k := range s.faults {
-		f := &s.faults[k]
-		if u := r.next(); u < f.P {
-			buf = append(buf, FiredFault{Site: int32(k), Branch: int32(branch(u, f.P, f.NumBranches()))})
-		}
-	}
+	add := func(f FiredFault) { buf = append(buf, f) }
+	s.eachFired(seed, add)
 	return buf
 }
 
-// FaultStreamState returns the initial state of one shot's fault-sampling
-// SplitMix64 stream — the stream RunShot seeds from the same shot seed. Batch
-// samplers (the Pauli-frame engine) seed one lane per shot with this and
-// advance the lanes through SampleSlotBatch.
-func FaultStreamState(shotSeed int64) uint64 { return uint64(shotSeed) ^ noiseSalt }
-
-// SampleSlotBatch samples every fault of one slot for up to 64 concurrent
-// shots, XOR-ing fired Paulis into per-qubit frame bit-planes: bit i of
-// fx[q] / fz[q] is lane i's X / Z frame on tableau qubit q. states[i] is lane
-// i's fault-stream state (seed with FaultStreamState), advanced in place by
-// exactly one draw per fault site, fired or not — the same sequence RunShot
-// draws — so lane i fires exactly the faults FiredFaults reports for its
-// seed, and frame-engine shots stay bit-identical to tableau shots. It
-// returns the number of (site, lane) fault firings applied.
-//
-//tiscc:hotpath
-func (s *Schedule) SampleSlotBatch(slot int, states []uint64, fx, fz []uint64) int {
-	var raw [64]float64
-	total := 0
-	for k := s.start[slot]; k < s.start[slot+1]; k++ {
-		th := s.thresh[k]
-		var fired uint64
-		for i := range states {
-			states[i] += 0x9E3779B97F4A7C15
-			x := states[i]
-			x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-			x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-			x ^= x >> 31
-			if v := float64(x >> 11); v < th {
-				fired |= 1 << uint(i)
-				raw[i] = v
-			}
-		}
-		if fired == 0 {
-			continue
-		}
-		total += bits.OnesCount64(fired)
-		f := &s.faults[k]
-		var mx1, mz1, mx2, mz2 uint64
-		for m := fired; m != 0; m &= m - 1 {
-			i := uint(bits.TrailingZeros64(m))
-			// Reuse the fired draw, exactly as applySlot does.
-			_, x1, z1, x2, z2 := f.Branch(branch(raw[i]/(1<<53), f.P, f.NumBranches()))
-			mx1 |= b2w(x1) << i
-			mz1 |= b2w(z1) << i
-			mx2 |= b2w(x2) << i
-			mz2 |= b2w(z2) << i
-		}
-		fx[f.Q1] ^= mx1
-		fz[f.Q1] ^= mz1
-		if f.Kind == FaultDepol2 {
-			fx[f.Q2] ^= mx2
-			fz[f.Q2] ^= mz2
+// eachFired is FiredFaults' loop, handing each firing to visit instead of a
+// list so RunShot can interleave it with the instruction stream without a
+// buffer. Exactly one draw per fault site, fired or not: draw k is
+// SplitMix64 output k of the shot's fault stream, its top 53 bits v fire
+// the site when v < thresh[k], and v/2⁵³ (uniform in [0, P) given the fire)
+// picks the branch.
+func (s *Schedule) eachFired(seed int64, visit func(FiredFault)) {
+	st := uint64(seed) ^ noiseSalt
+	for k, th := range s.thresh {
+		v := float64(orqcs.SplitMix64(st) >> 11)
+		st += orqcs.SplitMix64Gamma
+		if v < th {
+			f := &s.faults[k]
+			visit(FiredFault{Site: int32(k), Branch: int32(branch(v/(1<<53), f.P, f.NumBranches()))})
 		}
 	}
-	return total
 }
 
-// b2w is 1 for true, 0 for false.
-func b2w(b bool) uint64 {
-	if b {
-		return 1
+// RunShot executes one noisy shot of the schedule's program on the engine:
+// the shot's fired faults (FiredFaults' stream) are applied to the
+// tableau's Pauli frame in place as the lowered instruction stream reaches
+// their slots, and no allocation happens per shot. The engine must have
+// been built from the same program. For a fixed schedule the shot outcome
+// depends only on the seed. RunShot is an orqcs.ShotFunc, so it plugs
+// directly into RunShotsFunc and EstimateManyFunc.
+//
+//tiscc:hotpath
+func (s *Schedule) RunShot(e *orqcs.Engine, seed int64) {
+	e.BeginShot(seed)
+	tb := e.Tableau()
+	instrs := s.prog.Instructions()
+	next, fired := 0, 0 // instructions executed, faults applied
+	apply := func(ff FiredFault) {
+		// Slot i's faults precede instruction i: catch up to the site's slot.
+		for s.start[next+1] <= ff.Site {
+			e.Exec(&instrs[next])
+			next++
+		}
+		fired++
+		f := &s.faults[ff.Site]
+		_, x1, z1, x2, z2 := f.Branch(int(ff.Branch))
+		tb.ApplyPauliError(int(f.Q1), x1, z1)
+		if f.Kind == FaultDepol2 {
+			tb.ApplyPauliError(int(f.Q2), x2, z2)
+		}
 	}
-	return 0
+	s.eachFired(seed, apply)
+	for ; next < len(instrs); next++ {
+		e.Exec(&instrs[next])
+	}
+	// One tableau shot is one sampler dispatch (a batch of a single lane).
+	tel := e.Telemetry()
+	tel.Inc(orqcs.CtrBatches)
+	tel.Add(orqcs.CtrFaultsFired, uint64(fired))
+	tel.Observe(orqcs.HistFaultsPerBatch, uint64(fired))
 }
 
 // RunShots executes noisy shots across the deterministic worker pool:

@@ -116,9 +116,6 @@ func DecodeSchedule(data []byte, prog *orqcs.Program) (*Schedule, error) {
 			return nil, fmt.Errorf("noise: decode: slot offset %d decreases (%d → %d)", i, s.start[i-1], s.start[i])
 		}
 	}
-	s.thresh = make([]float64, len(s.faults))
-	for i := range s.faults {
-		s.thresh[i] = s.faults[i].P * (1 << 53)
-	}
+	s.thresh = thresholds(s.faults)
 	return s, nil
 }

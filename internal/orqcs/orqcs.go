@@ -129,8 +129,8 @@ type shotSource struct{ state uint64 }
 func (s *shotSource) Seed(seed int64) { s.state = uint64(seed) }
 
 func (s *shotSource) Uint64() uint64 {
-	out := splitmix64(s.state)
-	s.state += 0x9E3779B97F4A7C15
+	out := SplitMix64(s.state)
+	s.state += SplitMix64Gamma
 	return out
 }
 

@@ -380,9 +380,16 @@ func (p *Program) PauliFor(op SitePauli) (*pauli.String, error) {
 
 // --- Deterministic per-shot seeding -----------------------------------------
 
-// splitmix64 is the SplitMix64 output function (Steele, Lea & Flood 2014).
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
+// SplitMix64Gamma is the SplitMix64 stream increment: a stream in state x
+// outputs SplitMix64(x) and moves to x + SplitMix64Gamma.
+const SplitMix64Gamma = 0x9E3779B97F4A7C15
+
+// SplitMix64 is the SplitMix64 output function (Steele, Lea & Flood 2014):
+// the one generator behind shot seeds, the engine's measurement coins and
+// the noise subsystem's fault draws. Small enough to inline into their
+// loops.
+func SplitMix64(x uint64) uint64 {
+	x += SplitMix64Gamma
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
 	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
 	return x ^ (x >> 31)
@@ -392,7 +399,7 @@ func splitmix64(x uint64) uint64 {
 // depends only on (base, shot), never on worker scheduling, so multi-shot
 // runs are reproducible for any worker count.
 func ShotSeed(base int64, shot int) int64 {
-	return int64(splitmix64(uint64(base) + 0x9E3779B97F4A7C15*uint64(shot)))
+	return int64(SplitMix64(uint64(base) + SplitMix64Gamma*uint64(shot)))
 }
 
 // --- Multi-shot runners ------------------------------------------------------

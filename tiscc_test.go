@@ -1,6 +1,7 @@
 package tiscc_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -204,6 +205,12 @@ func TestFacadeNoise(t *testing.T) {
 	}
 	if ideal.Errors != 0 {
 		t.Fatalf("ideal noise produced logical errors: %v", ideal)
+	}
+
+	// A NaN model must be rejected, not compiled into an empty schedule
+	// that reports p_L = 0.
+	if res, err := tiscc.EstimateLogicalErrorRate(3, 3, tiscc.DepolarizingNoise(math.NaN()), tiscc.LogicalErrorOptions{Shots: 200, Seed: 5}); err == nil {
+		t.Fatalf("NaN noise model accepted: %+v", res)
 	}
 }
 
