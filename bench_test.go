@@ -7,7 +7,6 @@ package tiscc_test
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
 	"tiscc"
@@ -415,11 +414,11 @@ func BenchmarkAblationFastTransport(b *testing.B) {
 }
 
 // --- Compile-once/run-many benchmarks: the Monte-Carlo verification hot
-// path (Sec 4.1) before and after the Program refactor.
+// path (Sec 4.1).
 
 // injectionSetup compiles a d×d T-state injection circuit (the statistical
-// verification workload) and resolves its logical-X measurement operator.
-func injectionSetup(b *testing.B, d int) (*circuit.Circuit, orqcs.SitePauli) {
+// verification workload).
+func injectionSetup(b *testing.B, d int) *circuit.Circuit {
 	b.Helper()
 	c := core.NewCompiler(d+8, d+7, hardware.Default())
 	lq, err := c.NewLogicalQubit(d, d, core.Cell{R: 1, C: 2})
@@ -427,51 +426,7 @@ func injectionSetup(b *testing.B, d int) (*circuit.Circuit, orqcs.SitePauli) {
 		b.Fatal(err)
 	}
 	lq.InjectState(core.InjectT)
-	site, _ := c.SitePauli(lq.GeoRep(core.LogicalX))
-	return c.Build(), site
-}
-
-// BenchmarkEstimateBatchVsLegacy compares the compiled multi-shot estimator
-// (one Program, reused engine state, N workers) against the legacy loop that
-// re-runs RunOnce — re-resolving movement semantics and re-allocating the
-// tableau — for every shot, on a d=5 injection circuit at 200 shots. The
-// ns/op ratio between the legacy and program sub-benchmarks is the
-// compile-once/run-many speedup.
-func BenchmarkEstimateBatchVsLegacy(b *testing.B) {
-	const d, shots = 5, 200
-	circ, op := injectionSetup(b, d)
-	b.Run("legacy-runonce-loop", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var sum float64
-			for s := 0; s < shots; s++ {
-				e, err := orqcs.RunOnce(circ, int64(s)*7919+1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				v, err := e.Expectation(op)
-				if err != nil {
-					b.Fatal(err)
-				}
-				sum += e.Weight() * v
-			}
-			if math.Abs(sum) > shots*math.Sqrt2 {
-				b.Fatal("impossible weighted sum")
-			}
-		}
-	})
-	prog, err := orqcs.Compile(circ)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("program-workers-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := orqcs.EstimateBatch(prog, op, shots, 1, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	return c.Build()
 }
 
 // BenchmarkRunShotReuse isolates the per-shot cost of a reused engine (the
@@ -479,7 +434,7 @@ func BenchmarkEstimateBatchVsLegacy(b *testing.B) {
 func BenchmarkRunShotReuse(b *testing.B) {
 	for _, d := range []int{3, 5} {
 		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			circ, _ := injectionSetup(b, d)
+			circ := injectionSetup(b, d)
 			prog, err := orqcs.Compile(circ)
 			if err != nil {
 				b.Fatal(err)
@@ -496,7 +451,7 @@ func BenchmarkRunShotReuse(b *testing.B) {
 // BenchmarkCompileProgram measures the one-time lowering cost that the batch
 // path amortizes over all shots.
 func BenchmarkCompileProgram(b *testing.B) {
-	circ, _ := injectionSetup(b, 5)
+	circ := injectionSetup(b, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := orqcs.Compile(circ); err != nil {
@@ -756,10 +711,14 @@ func BenchmarkLogicalErrorRate(b *testing.B) {
 		b.Fatal(err)
 	}
 	sched := noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
+	sim, err := frame.New(mem.Prog, sched)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference,
-			noise.Options{Shots: 200, Seed: int64(i)})
+			noise.Options{Shots: 200, Seed: int64(i), Sampler: sim})
 		if err != nil {
 			b.Fatal(err)
 		}

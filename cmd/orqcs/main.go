@@ -17,10 +17,11 @@
 // uniform circuit-level depolarizing model at physical error rate p, with
 // faults injected per instruction from a compiled fault schedule. -fuse
 // applies the single-qubit rotation fusion peephole before simulating.
-// Multi-shot estimates sample on the batch Pauli-frame engine for Clifford
+// -expect estimates sample on the batch Pauli-frame engine for Clifford
 // circuits (bit-identical records, O(faults) per shot) and on the
-// bit-sliced tableau, whose quasi-probability branches handle T gates,
-// otherwise.
+// bit-sliced tableau, whose weighted quasi-probability branches handle T
+// gates, otherwise. Logical error rates (-memory, -surgery) always sample
+// on the frame engine.
 //
 // -memory runs a compiled distance-d logical memory experiment instead of a
 // circuit file: with -noise p it estimates the logical error rate, with

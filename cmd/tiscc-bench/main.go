@@ -12,7 +12,6 @@
 //	tiscc-bench -figure 1 | 2 | 3 | 4 | 6
 //	tiscc-bench -resources [-dlist 3,5,7,9,11,13]
 //	tiscc-bench -verify
-//	tiscc-bench -simbench [-d 5] [-shots 200] [-json]
 //	tiscc-bench -noise [-dlist 3,5] [-plist 1e-4,...] [-rounds 0] [-shots N] [-model depolarizing|table5] [-seed 1] [-workers 0]
 //	tiscc-bench -noise -decode ...  (adds union-find syndrome decoding: p-vs-p_L threshold sweeps)
 //	tiscc-bench -noise -surgery ... (sweeps two-patch ZZ-merge/split cycles instead of idle memory)
@@ -40,7 +39,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -51,17 +49,13 @@ import (
 	"runtime/trace"
 	"strconv"
 	"strings"
-	"time"
 
 	"tiscc/internal/circuit"
 	"tiscc/internal/core"
 	"tiscc/internal/diag"
 	"tiscc/internal/experiment"
-	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/instr"
-	"tiscc/internal/noise"
-	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
 	"tiscc/internal/resource"
 	"tiscc/internal/telemetry"
@@ -75,9 +69,8 @@ func main() {
 		figure  = flag.Int("figure", 0, "print one paper figure (1, 2, 3, 4 or 6)")
 		res     = flag.Bool("resources", false, "print per-instruction resource estimates")
 		ver     = flag.Bool("verify", false, "run the verification matrix")
-		sim     = flag.Bool("simbench", false, "benchmark compiled-program vs legacy per-shot simulation")
 		noisy   = flag.Bool("noise", false, "sweep physical vs logical error rates over memory experiments")
-		shots   = flag.Int("shots", 200, "Monte-Carlo shots for -simbench (and -noise, where the default is 1000)")
+		shots   = flag.Int("shots", 1000, "Monte-Carlo shots per point of the -noise sweep")
 		dlist   = flag.String("dlist", "3,5,7,9", "code distances for the resource sweep (-noise defaults to 3,5)")
 		d       = flag.Int("d", 3, "code distance for tables/figures")
 		plist   = flag.String("plist", "1e-4,3e-4,1e-3,3e-3,1e-2", "physical error rates for the -noise sweep")
@@ -87,7 +80,7 @@ func main() {
 		decode  = flag.Bool("decode", false, "with -noise (memory or -surgery sweeps): union-find-decode each shot's syndrome history")
 		surgery = flag.Bool("surgery", false, "with -noise: sweep two-patch ZZ-merge/split cycles (joint-parity error) instead of idle memory")
 		workers = flag.Int("workers", 0, "worker goroutines for the -noise sweep (0 = all cores)")
-		jsonOut = flag.Bool("json", false, "with -simbench, -noise or -surgery: emit results as JSON (benchmark records, or the full run manifest) instead of the table")
+		jsonOut = flag.Bool("json", false, "with -noise or -surgery: emit the full run manifest as JSON instead of the table")
 		metOut  = flag.String("metrics", "", "with a noise sweep: write the structured run manifest (provenance, spans, per-point metrics) to this JSON file")
 		promOut = flag.String("prom", "", "with a noise sweep: write the aggregated run metrics in Prometheus text exposition format to this file")
 		diagOut = flag.Bool("diag", false, "with a noise sweep: print the per-channel error-budget attribution table for every point (and record it in the manifest)")
@@ -117,8 +110,8 @@ func main() {
 	// -surgery on its own runs the noise sweep over surgery cycles, so every
 	// sweep-only flag accepts either spelling.
 	sweep := *noisy || *surgery
-	if *jsonOut && !*sim && !sweep {
-		usageErr("-json requires -simbench, -noise or -surgery")
+	if *jsonOut && !sweep {
+		usageErr("-json requires -noise or -surgery")
 	}
 	if *metOut != "" && !sweep {
 		usageErr("-metrics requires -noise or -surgery")
@@ -192,20 +185,13 @@ func main() {
 		runVerify()
 		did = true
 	}
-	if *sim {
-		runSimBench(*d, *shots, *jsonOut)
-		did = true
-	}
 	if sweep {
-		// -dlist and -shots default differently under -noise; apply the
-		// noise defaults only when the user left them untouched.
-		ds, nshots := []int{3, 5}, 1000
+		// -dlist defaults differently under -noise; apply the noise default
+		// only when the user left it untouched.
+		ds := []int{3, 5}
 		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "dlist":
+			if f.Name == "dlist" {
 				ds = dlistVals
-			case "shots":
-				nshots = *shots
 			}
 		})
 		ps := plistVals
@@ -216,7 +202,7 @@ func main() {
 			ds: ds, ps: ps, rounds: *rounds, model: *model,
 			decode: *decode, surgery: *surgery,
 			json: *jsonOut, metricsFile: *metOut, promFile: *promOut, progress: progress,
-			run: experiment.RunOptions{Shots: nshots, Seed: *seed, Workers: *workers,
+			run: experiment.RunOptions{Shots: *shots, Seed: *seed, Workers: *workers,
 				Diag: *diagOut, DemCalib: *calOut},
 		})
 		did = true
@@ -427,202 +413,6 @@ func parseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-// benchRecord is one benchmark measurement. Under -json the -simbench run
-// emits an array of these instead of the human-readable table.
-type benchRecord struct {
-	Name          string  `json:"name"`
-	Engine        string  `json:"engine"`
-	D             int     `json:"d"`
-	Shots         int     `json:"shots"`
-	Seconds       float64 `json:"seconds"`
-	ShotsPerSec   float64 `json:"shots_per_sec"`
-	AllocsPerShot float64 `json:"allocs_per_shot"`
-}
-
-// duration converts the record's wall-clock back to a time.Duration for the
-// human-readable table.
-func (r benchRecord) duration() time.Duration {
-	return time.Duration(r.Seconds * float64(time.Second))
-}
-
-// timeShots runs fn once over `shots` shots, measuring wall-clock time and
-// the heap-allocation count delta (runtime.MemStats.Mallocs) per shot.
-func timeShots(name, engine string, d, shots int, fn func()) benchRecord {
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	fn()
-	el := time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	return benchRecord{
-		Name: name, Engine: engine, D: d, Shots: shots,
-		Seconds:       el.Seconds(),
-		ShotsPerSec:   float64(shots) / el.Seconds(),
-		AllocsPerShot: float64(m1.Mallocs-m0.Mallocs) / float64(shots),
-	}
-}
-
-// runSimBench times the Monte-Carlo verification hot path (a d×d T-state
-// injection estimated over N shots) on the legacy per-shot RunOnce loop and
-// on the compile-once/run-many batch runner, and prints the speedup. With
-// jsonOut the measurements are emitted as a JSON array instead.
-func runSimBench(d, shots int, jsonOut bool) {
-	if !jsonOut {
-		fmt.Printf("== Simulation throughput: compiled program vs legacy (d=%d, %d shots) ==\n", d, shots)
-	}
-	c := core.NewCompiler(d+8, d+7, hardware.Default())
-	lq, err := c.NewLogicalQubit(d, d, core.Cell{R: 1, C: 2})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return
-	}
-	lq.InjectState(core.InjectT)
-	site, _ := c.SitePauli(lq.GeoRep(core.LogicalX))
-	circ := c.Build()
-
-	var recs []benchRecord
-	var sum float64
-	var runErr error
-	legacy := timeShots("legacy RunOnce loop", "sliced", d, shots, func() {
-		for s := 0; s < shots; s++ {
-			eng, err := orqcs.RunOnce(circ, int64(s)*7919+1)
-			if err != nil {
-				runErr = err
-				return
-			}
-			v, err := eng.Expectation(site)
-			if err != nil {
-				runErr = err
-				return
-			}
-			sum += eng.Weight() * v
-		}
-	})
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", runErr)
-		return
-	}
-	recs = append(recs, legacy)
-	if !jsonOut {
-		fmt.Printf("  legacy per-shot RunOnce loop   %10v  (%.0f shots/s, mean %.4f)\n",
-			legacy.duration(), legacy.ShotsPerSec, sum/float64(shots))
-	}
-
-	t0 := time.Now()
-	prog, err := orqcs.Compile(circ)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return
-	}
-	compileTime := time.Since(t0)
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		var mean, stderr float64
-		rec := timeShots(fmt.Sprintf("EstimateBatch workers=%d", workers), "sliced", d, shots, func() {
-			mean, stderr, runErr = orqcs.EstimateBatch(prog, site, shots, 1, workers)
-		})
-		if runErr != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", runErr)
-			return
-		}
-		recs = append(recs, rec)
-		if !jsonOut {
-			fmt.Printf("  EstimateBatch (%d worker(s))    %10v  (%.0f shots/s, mean %.4f ± %.4f, %.1f× legacy)\n",
-				workers, rec.duration(), rec.ShotsPerSec, mean, stderr, legacy.Seconds/rec.Seconds)
-		}
-	}
-	if !jsonOut {
-		fmt.Printf("  one-time Compile: %v, %d instructions, %d qubits, %d T gates\n",
-			compileTime, prog.NumInstrs(), prog.NumQubits(), prog.NumTGates())
-	}
-
-	// Fault-injection overhead: the noisy per-shot loop (depolarizing
-	// p=1e-3 schedule interleaved with the instruction stream) against the
-	// noiseless loop on the same engine. The acceptance target is ≤ 2×.
-	eng := orqcs.NewFromProgram(prog)
-	clean := timeShots("noiseless RunShot loop", "sliced", d, shots, func() {
-		for s := 0; s < shots; s++ {
-			eng.RunShot(orqcs.ShotSeed(1, s))
-		}
-	})
-	sched := noise.Compile(noise.Depolarizing(1e-3), prog)
-	noisy := timeShots("noisy RunShot loop p=1e-3", "sliced", d, shots, func() {
-		for s := 0; s < shots; s++ {
-			sched.RunShot(eng, orqcs.ShotSeed(1, s))
-		}
-	})
-	recs = append(recs, clean, noisy)
-	if !jsonOut {
-		fmt.Printf("  noiseless RunShot loop         %10v  (%.0f shots/s)\n",
-			clean.duration(), clean.ShotsPerSec)
-		fmt.Printf("  noisy RunShot loop (p=1e-3)    %10v  (%.0f shots/s, %.2f× noiseless, %d fault sites)\n",
-			noisy.duration(), noisy.ShotsPerSec, noisy.Seconds/clean.Seconds, sched.NumFaultSites())
-	}
-
-	// Engine comparison: the row-major reference, the bit-sliced tableau
-	// and the batch Pauli-frame sampler on a noisy memory-experiment
-	// workload. All three produce bit-identical records per seed; only
-	// throughput (and allocation behaviour) differs.
-	recs = append(recs, runEngineBench(d, shots, jsonOut)...)
-	if jsonOut {
-		out := struct {
-			Provenance telemetry.Provenance `json:"provenance"`
-			Benchmarks []benchRecord        `json:"benchmarks"`
-		}{telemetry.NewProvenance(), recs}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "simbench:", err)
-		}
-		return
-	}
-	fmt.Println()
-}
-
-// runEngineBench times noisy memory-experiment shots on the row-major,
-// bit-sliced and Pauli-frame engines and prints the relative speedups.
-func runEngineBench(d, shots int, jsonOut bool) []benchRecord {
-	mem, err := verify.MemoryExperiment(d, d, pauli.Z)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return nil
-	}
-	sched := noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
-	bench1 := func(engine string, e *orqcs.Engine) benchRecord {
-		return timeShots("noisy memory", engine, d, shots, func() {
-			for s := 0; s < shots; s++ {
-				sched.RunShot(e, orqcs.ShotSeed(1, s))
-			}
-		})
-	}
-	rm := bench1("rowmajor", orqcs.NewFromProgramRowMajor(mem.Prog))
-	sl := bench1("sliced", orqcs.NewFromProgram(mem.Prog))
-	sim, err := frame.New(mem.Prog, sched)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		return []benchRecord{rm, sl}
-	}
-	bt := sim.NewBatch()
-	fr := timeShots("noisy memory", "frame", d, shots, func() {
-		for s := 0; s < shots; s += 64 {
-			n := shots - s
-			if n > 64 {
-				n = 64
-			}
-			bt.Run(s, n, 1)
-		}
-	})
-	if !jsonOut {
-		fmt.Printf("  row-major noisy memory (d=%d)   %10v  (%.0f shots/s)\n",
-			d, rm.duration(), rm.ShotsPerSec)
-		fmt.Printf("  bit-sliced noisy memory (d=%d)  %10v  (%.0f shots/s, %.2f× row-major)\n",
-			d, sl.duration(), sl.ShotsPerSec, rm.Seconds/sl.Seconds)
-		fmt.Printf("  Pauli-frame noisy memory (d=%d) %10v  (%.0f shots/s, %.1f× bit-sliced, %.2f allocs/shot)\n",
-			d, fr.duration(), fr.ShotsPerSec, sl.Seconds/fr.Seconds, fr.AllocsPerShot)
-	}
-	return []benchRecord{rm, sl, fr}
 }
 
 func parseInts(s string) ([]int, error) {

@@ -71,7 +71,7 @@ func TestCLIErrorPaths(t *testing.T) {
 		want string
 	}{
 		{"negative-d", []string{"-table", "1", "-d", "-3"}, "code distance must be ≥ 2"},
-		{"zero-d", []string{"-simbench", "-d", "0"}, "code distance must be ≥ 2"},
+		{"zero-d", []string{"-figure", "1", "-d", "0"}, "code distance must be ≥ 2"},
 		{"negative-dlist", []string{"-noise", "-dlist", "-3", "-plist", "1e-3"}, "code distance must be ≥ 2"},
 		{"bad-dlist", []string{"-noise", "-dlist", "3,x"}, "bad -dlist"},
 		{"bad-plist", []string{"-noise", "-plist", "zzz"}, "bad -plist"},
@@ -83,13 +83,13 @@ func TestCLIErrorPaths(t *testing.T) {
 		// -engine does not exist: the sampler follows from the program.
 		{"bad-engine", []string{"-noise", "-engine", "stim"}, "flag provided but not defined: -engine"},
 		{"bad-model", []string{"-noise", "-model", "exotic"}, "bad -model"},
-		{"json-alone", []string{"-json"}, "-json requires -simbench, -noise or -surgery"},
-		{"json-with-table", []string{"-table", "1", "-json"}, "-json requires -simbench, -noise or -surgery"},
-		{"metrics-without-noise", []string{"-simbench", "-metrics", "run.json"}, "-metrics requires -noise or -surgery"},
+		{"json-alone", []string{"-json"}, "-json requires -noise or -surgery"},
+		{"json-with-table", []string{"-table", "1", "-json"}, "-json requires -noise or -surgery"},
+		{"metrics-without-noise", []string{"-table", "1", "-metrics", "run.json"}, "-metrics requires -noise or -surgery"},
 		{"prom-without-noise", []string{"-verify", "-prom", "run.prom"}, "-prom requires -noise or -surgery"},
 		{"diag-without-sweep", []string{"-verify", "-diag"}, "-diag requires -noise or -surgery"},
 		{"dem-calib-without-decode", []string{"-noise", "-dem-calib"}, "-dem-calib requires a decoded sweep"},
-		{"progress-without-sweep", []string{"-simbench", "-progress"}, "-progress requires -noise or -surgery"},
+		{"progress-without-sweep", []string{"-table", "1", "-progress"}, "-progress requires -noise or -surgery"},
 	}
 	for _, tc := range cases {
 		tc := tc

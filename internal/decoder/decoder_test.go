@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tiscc/internal/core"
+	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
@@ -30,6 +31,17 @@ func mustDetectors(t testing.TB, mem *verify.Memory) *Detectors {
 		t.Fatal(err)
 	}
 	return det
+}
+
+// withFrame returns opt with the frame sampler of s as its record source.
+func withFrame(t testing.TB, s *noise.Schedule, opt noise.Options) noise.Options {
+	t.Helper()
+	sim, err := frame.New(s.Program(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Sampler = sim
+	return opt
 }
 
 func mustGraph(t testing.TB, det *Detectors, s *noise.Schedule) *Graph {
@@ -309,12 +321,12 @@ func TestDecodedDistanceHelps(t *testing.T) {
 		sched := noise.Compile(model, mem.Prog)
 		g := mustGraph(t, det, sched)
 		raw, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference,
-			noise.Options{Shots: shots, Seed: 3})
+			withFrame(t, sched, noise.Options{Shots: shots, Seed: 3}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		dec, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference,
-			noise.Options{Shots: shots, Seed: 3, Decoder: g})
+			withFrame(t, sched, noise.Options{Shots: shots, Seed: 3, Decoder: g}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,7 +357,7 @@ func TestDecoderDeterministicAcrossWorkers(t *testing.T) {
 	var ref noise.Result
 	for i, workers := range []int{1, 4, 8} {
 		res, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference,
-			noise.Options{Shots: 1500, Seed: 17, Workers: workers, Decoder: g})
+			withFrame(t, sched, noise.Options{Shots: 1500, Seed: 17, Workers: workers, Decoder: g}))
 		if err != nil {
 			t.Fatal(err)
 		}

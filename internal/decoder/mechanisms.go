@@ -307,28 +307,6 @@ func forEachMechanism(d *Detectors, s *noise.Schedule, visit func(m mechanism) e
 	return nil
 }
 
-// Mechanism is the public view of one elementary error mechanism: a fault
-// branch's firing probability, the sorted detector ids it flips, and whether
-// it flips the logical observable. It is the unit the diagnostics layer
-// consumes for DEM-predicted detector statistics.
-type Mechanism struct {
-	P    float64
-	Dets []int32 // sorted; aliases internal scratch, valid only during visit
-	Obs  bool
-}
-
-// ForEachMechanism enumerates every (fault, branch) of the schedule compiled
-// against the detector structure in (slot, fault, branch) order, reading
-// each branch's symptom from one backward pass over the lowered instruction
-// stream, and hands each resulting mechanism to visit. Branches with empty symptom and no
-// observable effect are skipped. The Dets slice passed to visit is only
-// valid during the call.
-func ForEachMechanism(d *Detectors, s *noise.Schedule, visit func(m Mechanism) error) error {
-	return forEachMechanism(d, s, func(m mechanism) error {
-		return visit(Mechanism{P: m.p, Dets: m.dets, Obs: m.obs})
-	})
-}
-
 // PredictedDetectorRates returns, per detector, the fire probability the
 // detector error model predicts: the odd-fire combination (p ⊕ q = p + q −
 // 2pq) of every mechanism whose symptom contains the detector, mechanisms

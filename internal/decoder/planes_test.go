@@ -147,8 +147,9 @@ func TestCheckRecords(t *testing.T) {
 			t.Errorf("%s record outside [0, %d) passed the check", name, n)
 		}
 		g := &Graph{det: d}
-		if _, err := noise.EstimateLogicalError(noise.Compile(noise.Depolarizing(1e-3), mem.Prog), mem.Outcome, mem.Reference,
-			noise.Options{Shots: 10, Decoder: g}); err == nil {
+		sched := noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
+		if _, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference,
+			withFrame(t, sched, noise.Options{Shots: 10, Decoder: g})); err == nil {
 			t.Errorf("%s: the estimator bound a decoder reading outside the plane", name)
 		}
 	}

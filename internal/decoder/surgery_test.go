@@ -26,6 +26,8 @@ type rowMajorSampler struct {
 	met   *telemetry.Set
 }
 
+func (r *rowMajorSampler) Schedule() *noise.Schedule { return r.sched }
+
 func (r *rowMajorSampler) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
 	prog := r.sched.Program()
 	type worker struct {
@@ -186,13 +188,13 @@ func TestDecodedSurgeryDistanceHelps(t *testing.T) {
 		var err error
 		if wantRaw {
 			raw, err = noise.EstimateLogicalError(sched, s.Outcome, s.Reference,
-				noise.Options{Shots: shots, Seed: 3})
+				withFrame(t, sched, noise.Options{Shots: shots, Seed: 3}))
 			if err != nil {
 				t.Fatal(err)
 			}
 		}
 		dec, err = noise.EstimateLogicalError(sched, s.Outcome, s.Reference,
-			noise.Options{Shots: shots, Seed: 3, Decoder: g})
+			withFrame(t, sched, noise.Options{Shots: shots, Seed: 3, Decoder: g}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,20 +226,25 @@ func surgeryGolden(res noise.Result) string {
 }
 
 // TestSurgeryDeterminismMatrix pins the decoded surgery estimate down
-// completely: bit-identical across 1, 4 and 8 workers, and — for two
-// different seeds — equal to the expectation files committed under
-// testdata, so any change to the sampler, the extraction or the decoder
-// that shifts results is caught as a diff against fixed expectations.
+// completely: bit-identical across 1, 4 and 8 workers, equal to the
+// row-major tableau's, and — for two different seeds — equal to the
+// expectation files committed under testdata, so any change to the
+// sampler, the extraction or the decoder that shifts results is caught as a
+// diff against fixed expectations.
 func TestSurgeryDeterminismMatrix(t *testing.T) {
 	s := mustSurgery(t, 3, 1, 2, 1, pauli.Z)
 	det := mustSurgeryDetectors(t, s)
 	sched := noise.Compile(noise.Depolarizing(2e-3), s.Prog)
 	g := mustGraph(t, det, sched)
+	sim, err := frame.New(s.Prog, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, seed := range []int64{7, 11} {
 		var ref noise.Result
 		for i, workers := range []int{1, 4, 8} {
 			res, err := noise.EstimateLogicalError(sched, s.Outcome, s.Reference,
-				noise.Options{Shots: 1500, Seed: seed, Workers: workers, Decoder: g})
+				noise.Options{Shots: 1500, Seed: seed, Workers: workers, Decoder: g, Sampler: sim})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,23 +252,6 @@ func TestSurgeryDeterminismMatrix(t *testing.T) {
 				ref = res
 			} else if res != ref {
 				t.Fatalf("seed %d workers=%d: %+v differs from single-worker %+v", seed, workers, res, ref)
-			}
-		}
-		// The Pauli-frame engine (the CLIs' default noisy sampler) must land
-		// on the very same pinned expectations: records are bit-identical,
-		// so the decoded estimate is too, at every worker count.
-		sim, err := frame.New(s.Prog, sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, workers := range []int{1, 4, 8} {
-			res, err := noise.EstimateLogicalError(sched, s.Outcome, s.Reference,
-				noise.Options{Shots: 1500, Seed: seed, Workers: workers, Decoder: g, Sampler: sim})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res != ref {
-				t.Fatalf("seed %d workers=%d: frame-engine %+v differs from tableau %+v", seed, workers, res, ref)
 			}
 		}
 		// The telemetry-instrumented row-major tableau (Set-registered shards

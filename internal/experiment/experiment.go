@@ -199,13 +199,12 @@ func (c *Compiled) Estimate(opt noise.Options) (noise.Result, error) {
 	return Estimate(c.Sched, c.Outcome, c.Reference, opt)
 }
 
-// Estimate runs noise.EstimateLogicalError on the pipeline's sampler: the
-// Pauli-frame sampler for Clifford programs, the bit-sliced tableau (the
-// estimator's own default) for programs with T gates. A caller-supplied
-// opt.Sampler is used as is. Frame records are bit-identical to the
-// tableau's, so the choice changes the cost, never the result.
+// Estimate runs noise.EstimateLogicalError on the Pauli-frame sampler of s,
+// or on opt.Sampler when the caller supplies one. Programs with T gates are
+// rejected (frame.New needs a noiseless reference trace, and the estimator
+// refuses their weighted quasi-probability records).
 func Estimate(s *noise.Schedule, outcome expr.Expr, reference bool, opt noise.Options) (noise.Result, error) {
-	if opt.Sampler == nil && s.Program().Clifford() {
+	if opt.Sampler == nil {
 		sim, err := frame.New(s.Program(), s)
 		if err != nil {
 			return noise.Result{}, err
@@ -216,9 +215,9 @@ func Estimate(s *noise.Schedule, outcome expr.Expr, reference bool, opt noise.Op
 }
 
 // EstimateOp Monte-Carlo-estimates ⟨op⟩ over a compiled program, under sched
-// when it is non-nil, with Estimate's sampler choice: the Pauli-frame
-// sampler for Clifford programs, the bit-sliced tableau's quasi-probability
-// T branches otherwise.
+// when it is non-nil: on the Pauli-frame sampler for Clifford programs, on
+// the bit-sliced tableau's weighted quasi-probability T branches otherwise
+// (an expectation carries the branch weights; an error count cannot).
 func EstimateOp(prog *orqcs.Program, sched *noise.Schedule, op orqcs.SitePauli, shots int, seed int64, workers int) (mean, stderr float64, err error) {
 	ops := []orqcs.SitePauli{op}
 	var means, stderrs []float64

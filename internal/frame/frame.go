@@ -59,11 +59,11 @@ type Sim struct {
 }
 
 // New compiles a frame sampler for prog, sampling faults from sched (nil for
-// noiseless shots). The program must be Clifford: T-gate programs need the
-// tableau engines' quasi-probability branches and are rejected here (the
-// program has no reference trace) so callers can fall back. The reference
-// shot runs once per program, on the first New or other Program.Reference
-// call; later samplers reuse it.
+// noiseless shots). The program must be Clifford: a T-gate program has no
+// noiseless reference trace, and its quasi-probability branches are the
+// tableau engines' to sample, so it is rejected. The reference shot runs
+// once per program, on the first New or other Program.Reference call; later
+// samplers reuse it.
 func New(prog *orqcs.Program, sched *noise.Schedule) (*Sim, error) {
 	ref, err := prog.Reference()
 	if err != nil {

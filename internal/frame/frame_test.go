@@ -308,6 +308,26 @@ func TestFrameEstimateManyMatchesTableau(t *testing.T) {
 	}
 }
 
+// tableauSampler is the bit-sliced tableau as a noise.RecordSampler, the
+// estimator-level oracle for the frame sampler: shot i runs under
+// ShotSeed(seed, i) and is handed on as a one-lane plane.
+type tableauSampler struct{ sched *noise.Schedule }
+
+func (ts tableauSampler) Schedule() *noise.Schedule { return ts.sched }
+
+func (ts tableauSampler) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
+	nrec := ts.sched.Program().NumRecords()
+	return ts.sched.RunShots(shots, seed, workers, func(i int, e *orqcs.Engine) error {
+		p := noise.Planes{First: i, N: 1, Lanes: 1, Words: make([]uint64, nrec)}
+		for id := range p.Words {
+			if e.Records()[int32(id)] {
+				p.Words[id] = 1
+			}
+		}
+		return visit(&p)
+	})
+}
+
 // TestFrameEstimateLogicalError pins Options.Sampler: same Result — early
 // stopping included — as the tableau shot loop.
 func TestFrameEstimateLogicalError(t *testing.T) {
@@ -324,14 +344,15 @@ func TestFrameEstimateLogicalError(t *testing.T) {
 		{Shots: 500, Seed: 3},
 		{Shots: 4000, Seed: 3, TargetStdErr: 0.01, Batch: 128},
 	} {
-		want, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, workers := range []int{1, 4} {
 			o := opt
-			o.Sampler = sim
 			o.Workers = workers
+			o.Sampler = tableauSampler{sched}
+			want, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Sampler = sim
 			got, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference, o)
 			if err != nil {
 				t.Fatal(err)

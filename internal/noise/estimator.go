@@ -47,11 +47,10 @@ type Options struct {
 	// decoder (internal/decoder's union-find matching) plugs into the
 	// estimator without this package importing it.
 	Decoder Decoder
-	// Sampler, when non-nil, replaces the tableau shot loop as the source of
-	// record planes. This is how the Pauli-frame engine (internal/frame,
-	// bit-identical records at a fraction of the cost) plugs into the
-	// estimator without this package importing it; it must have been
-	// compiled against the same schedule.
+	// Sampler is the estimator's only record source and is required: the
+	// Pauli-frame engine (internal/frame's Sim) plugs in here without this
+	// package importing it. It must have been compiled against the
+	// estimated schedule (Sampler.Schedule() == s).
 	Sampler RecordSampler
 	// Observer, when non-nil, receives every sampled batch with its judged
 	// outcomes (the diagnostics layer's attribution/calibration hook).
@@ -93,13 +92,14 @@ type ShotObserver interface {
 }
 
 // RecordSampler produces the record planes of noisy shots without exposing
-// an engine. The contract mirrors orqcs.RunShotsFunc: shot i's records
-// derive from orqcs.ShotSeed(seed, i) for any worker count and batching;
-// batches cover [0, shots) without overlap; visit may be called
-// concurrently for distinct batches; the planes are only valid during the
-// call; a non-nil visit error stops the run and is returned.
+// an engine: shot i's records derive from orqcs.ShotSeed(seed, i) for any
+// worker count and batching; batches cover [0, shots) without overlap;
+// visit may be called concurrently for distinct batches; the planes are
+// only valid during the call; a non-nil visit error stops the run and is
+// returned. Schedule reports the fault schedule the sampler draws from.
 type RecordSampler interface {
 	SamplePlanes(shots int, seed int64, workers int, visit func(p *Planes) error) error
+	Schedule() *Schedule
 }
 
 // Decoder turns a batch of noisy shots' record planes into corrected
@@ -196,13 +196,19 @@ func wilsonStdErr(errors, shots int) float64 {
 // reports the rate at which it disagrees with the noiseless reference,
 // with a 95% Wilson confidence interval.
 //
+// Options.Sampler is the only record source. Programs with T gates are
+// rejected: their shots are quasi-probability branches that carry a ±√2
+// weight per T gate, so an unweighted count of their records is not a
+// physical error rate.
+//
 // Shots are sampled and judged a batch at a time on record planes (64
-// shots per frame batch, one per tableau shot): the raw readout is one word
-// XOR per record of the formula, and a decoder sees the whole batch. The run is deterministic in (schedule, outcome, Options):
-// error bits are folded in strict shot order and early stopping truncates
-// the fixed shot sequence only at Options.Batch boundaries, so neither the
-// worker count nor scheduling can change the result. The whole run — early
-// stopping included — uses one worker pool, so engines are allocated once.
+// shots per frame batch): the raw readout is one word XOR per record of the
+// formula, and a decoder sees the whole batch. The run is deterministic in
+// (schedule, outcome, Options): error bits are folded in strict shot order
+// and early stopping truncates the fixed shot sequence only at
+// Options.Batch boundaries, so neither the worker count nor scheduling can
+// change the result. The whole run — early stopping included — uses one
+// worker pool, so engines are allocated once.
 func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Options) (Result, error) {
 	const op = "noise.EstimateLogicalError"
 	if opt.Shots < 0 {
@@ -213,6 +219,15 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 	}
 	if opt.Batch < 0 {
 		return Result{}, &OptionError{Op: op, Field: "Batch", Value: opt.Batch, Constraint: "must be ≥ 0"}
+	}
+	if !s.prog.Clifford() {
+		return Result{}, fmt.Errorf("noise: program has %d T gates: its shots are weighted quasi-probability branches, so counting their records gives no logical error rate", s.prog.NumTGates())
+	}
+	if opt.Sampler == nil {
+		return Result{}, &OptionError{Op: op, Field: "Sampler", Value: nil, Constraint: "must be set; frame.New compiles one"}
+	}
+	if opt.Sampler.Schedule() != s {
+		return Result{}, &OptionError{Op: op, Field: "Sampler", Value: fmt.Sprintf("%T", opt.Sampler), Constraint: "must be compiled against the estimated schedule"}
 	}
 	nrec := s.prog.NumRecords()
 	j := &judge{outcome: outcome, dec: opt.Decoder, obs: opt.Observer, nrec: nrec}
@@ -232,21 +247,11 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 	if shots <= 0 {
 		shots = 1000
 	}
-	// sample drives the configured record source: the frame engine (or any
-	// other RecordSampler) when one is plugged in, the tableau pool
-	// otherwise. Either way shot i's records derive from ShotSeed(Seed, i),
-	// so the estimate cannot depend on the source's batching.
-	sample := func(visit func(p *Planes) error) error {
-		if opt.Sampler != nil {
-			return opt.Sampler.SamplePlanes(shots, opt.Seed, opt.Workers, visit)
-		}
-		return s.samplePlanes(shots, opt.Seed, opt.Workers, visit)
-	}
 	if opt.TargetStdErr <= 0 && opt.Progress == nil {
 		// No stopping checks and no progress stream: a plain
 		// order-independent count suffices.
 		var errCount, fallbacks atomic.Int64
-		err := sample(func(p *Planes) error {
+		err := opt.Sampler.SamplePlanes(shots, opt.Seed, opt.Workers, func(p *Planes) error {
 			bad, fb, err := j.batch(p)
 			errCount.Add(int64(bits.OnesCount64(bad)))
 			fallbacks.Add(int64(bits.OnesCount64(fb)))
@@ -291,7 +296,7 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 		}
 		return false
 	})
-	err := sample(func(p *Planes) error {
+	err := opt.Sampler.SamplePlanes(shots, opt.Seed, opt.Workers, func(p *Planes) error {
 		bad, fb, err := j.batch(p)
 		if err != nil {
 			return err
@@ -342,33 +347,6 @@ func (j *judge) batch(p *Planes) (bad, fallback uint64, err error) {
 		j.obs.ObserveBatch(p, bad)
 	}
 	return bad, fallback & p.Lanes, nil
-}
-
-// samplePlanes is the tableau record source, for programs with T gates and
-// estimates without a Sampler: one engine per pool worker runs shot i under
-// ShotSeed(seed, i), and lane 0 of a one-lane Planes is filled from the
-// engine's record table — the only place a record map becomes a plane.
-func (s *Schedule) samplePlanes(shots int, seed int64, workers int, visit func(p *Planes) error) error {
-	type worker struct {
-		e *orqcs.Engine
-		p Planes
-	}
-	nrec := s.prog.NumRecords()
-	newWorker := func() *worker {
-		return &worker{e: orqcs.NewFromProgram(s.prog), p: Planes{N: 1, Lanes: 1, Words: make([]uint64, nrec)}}
-	}
-	return orqcs.RunPool(shots, workers, newWorker, func(w *worker, i int) error {
-		s.RunShot(w.e, orqcs.ShotSeed(seed, i))
-		recs := w.e.Records()
-		for id := range w.p.Words {
-			w.p.Words[id] = 0
-			if recs[int32(id)] {
-				w.p.Words[id] = 1
-			}
-		}
-		w.p.First = i
-		return visit(&w.p)
-	})
 }
 
 // errStop signals the worker pool that the target precision is reached.

@@ -1,17 +1,32 @@
-package noise
+package noise_test
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"tiscc/internal/circuit"
 	"tiscc/internal/expr"
+	"tiscc/internal/frame"
 	"tiscc/internal/grid"
 	"tiscc/internal/hardware"
+	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
 	"tiscc/internal/verify"
 )
+
+// withFrame returns opt with the frame sampler of s as its record source.
+func withFrame(t testing.TB, s *noise.Schedule, opt noise.Options) noise.Options {
+	t.Helper()
+	sim, err := frame.New(s.Program(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Sampler = sim
+	return opt
+}
 
 // singleQubitMemory builds a one-ion circuit: Prepare_Z, then gates pairs of
 // X_{π/2} (an identity in pairs), then Measure_Z. It is the analytic test
@@ -36,7 +51,7 @@ func singleQubitMemory(t testing.TB, gates int) (*orqcs.Program, int32) {
 
 func TestIdealScheduleIsEmpty(t *testing.T) {
 	p, rec := singleQubitMemory(t, 4)
-	s := Compile(Ideal(), p)
+	s := noise.Compile(noise.Ideal(), p)
 	if s.NumFaultSites() != 0 {
 		t.Fatalf("ideal schedule has %d fault sites, want 0", s.NumFaultSites())
 	}
@@ -48,7 +63,7 @@ func TestIdealScheduleIsEmpty(t *testing.T) {
 	if noisy.Records()[rec] != ref.Records()[rec] {
 		t.Fatal("ideal schedule changed a measurement record")
 	}
-	res, err := EstimateLogicalError(s, expr.FromID(rec), false, Options{Shots: 100, Seed: 3})
+	res, err := noise.EstimateLogicalError(s, expr.FromID(rec), false, withFrame(t, s, noise.Options{Shots: 100, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,8 +78,8 @@ func TestScheduleFaultSiteLayout(t *testing.T) {
 	if p.NumInstrs() != 5 {
 		t.Fatalf("instrs = %d, want 5", p.NumInstrs())
 	}
-	m := Model{P1: 1e-3, PMeas: 1e-3}
-	s := Compile(m, p)
+	m := noise.Model{P1: 1e-3, PMeas: 1e-3}
+	s := noise.Compile(m, p)
 	// One depol per gate + one flip before the measure.
 	if s.NumFaultSites() != 5 {
 		t.Fatalf("fault sites = %d, want 5", s.NumFaultSites())
@@ -78,7 +93,7 @@ func TestScheduleFaultSiteLayout(t *testing.T) {
 // seeds replay bit-identical schedules, distinct seeds diverge.
 func TestFiredFaultsDeterministic(t *testing.T) {
 	p, _ := singleQubitMemory(t, 40)
-	s := Compile(Depolarizing(0.3), p)
+	s := noise.Compile(noise.Depolarizing(0.3), p)
 	a := s.FiredFaults(42, nil)
 	b := s.FiredFaults(42, nil)
 	if len(a) == 0 {
@@ -117,8 +132,8 @@ func TestDepolarizingClosedForm(t *testing.T) {
 		shots = 20000
 	)
 	prog, rec := singleQubitMemory(t, gates)
-	s := Compile(Model{P1: p}, prog)
-	res, err := EstimateLogicalError(s, expr.FromID(rec), false, Options{Shots: shots, Seed: 5})
+	s := noise.Compile(noise.Model{P1: p}, prog)
+	res, err := noise.EstimateLogicalError(s, expr.FromID(rec), false, withFrame(t, s, noise.Options{Shots: shots, Seed: 5}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +151,8 @@ func TestDepolarizingClosedForm(t *testing.T) {
 func TestMeasurementFlipRate(t *testing.T) {
 	const pm = 0.05
 	prog, rec := singleQubitMemory(t, 0)
-	s := Compile(Model{PMeas: pm}, prog)
-	res, err := EstimateLogicalError(s, expr.FromID(rec), false, Options{Shots: 20000, Seed: 9})
+	s := noise.Compile(noise.Model{PMeas: pm}, prog)
+	res, err := noise.EstimateLogicalError(s, expr.FromID(rec), false, withFrame(t, s, noise.Options{Shots: 20000, Seed: 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +171,11 @@ func TestFoldedPrepStillErrs(t *testing.T) {
 		t.Fatalf("expected the prep to fold away (instrs=%d, folded=%d)",
 			prog.NumInstrs(), len(prog.FoldedPreps()))
 	}
-	s := Compile(Model{PPrep: pp}, prog)
+	s := noise.Compile(noise.Model{PPrep: pp}, prog)
 	if s.NumFaultSites() != 1 {
 		t.Fatalf("fault sites = %d, want 1 (the folded prep)", s.NumFaultSites())
 	}
-	res, err := EstimateLogicalError(s, expr.FromID(rec), false, Options{Shots: 20000, Seed: 15})
+	res, err := noise.EstimateLogicalError(s, expr.FromID(rec), false, withFrame(t, s, noise.Options{Shots: 20000, Seed: 15}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +198,11 @@ func TestIdleDephasingHarmlessOnZ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Compile(Model{T2: 1e6}, prog) // T2 ≪ idle ⇒ p_Z ≈ 1/2
+	s := noise.Compile(noise.Model{T2: 1e6}, prog) // T2 ≪ idle ⇒ p_Z ≈ 1/2
 	if s.NumFaultSites() == 0 {
 		t.Fatal("idle window produced no dephasing fault site")
 	}
-	res, err := EstimateLogicalError(s, expr.FromID(rec), false, Options{Shots: 2000, Seed: 11})
+	res, err := noise.EstimateLogicalError(s, expr.FromID(rec), false, withFrame(t, s, noise.Options{Shots: 2000, Seed: 11}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,8 +219,8 @@ func TestLogicalErrorDeterministicAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Compile(Depolarizing(3e-3), mem.Prog)
-	ref, err := EstimateLogicalError(s, mem.Outcome, mem.Reference, Options{Shots: 200, Seed: 21, Workers: 1})
+	s := noise.Compile(noise.Depolarizing(3e-3), mem.Prog)
+	ref, err := noise.EstimateLogicalError(s, mem.Outcome, mem.Reference, withFrame(t, s, noise.Options{Shots: 200, Seed: 21, Workers: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +229,7 @@ func TestLogicalErrorDeterministicAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range []int{1, 4, 8} {
 		for rerun := 0; rerun < 2; rerun++ {
-			got, err := EstimateLogicalError(s, mem.Outcome, mem.Reference, Options{Shots: 200, Seed: 21, Workers: workers})
+			got, err := noise.EstimateLogicalError(s, mem.Outcome, mem.Reference, withFrame(t, s, noise.Options{Shots: 200, Seed: 21, Workers: workers}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +248,7 @@ func TestNoisyShotsDeterministicRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := Compile(PaperTable5(hardware.Default()), mem.Prog)
+	s := noise.Compile(noise.PaperTable5(hardware.Default()), mem.Prog)
 	const shots = 32
 	run := func(workers int) []map[int32]bool {
 		out := make([]map[int32]bool, shots)
@@ -267,13 +282,13 @@ func TestNoisyShotsDeterministicRecords(t *testing.T) {
 // and that the early-stopped result is a prefix of the full run.
 func TestEarlyStopping(t *testing.T) {
 	prog, rec := singleQubitMemory(t, 10)
-	s := Compile(Model{P1: 0.05}, prog)
-	full, err := EstimateLogicalError(s, expr.FromID(rec), false, Options{Shots: 10000, Seed: 13})
+	s := noise.Compile(noise.Model{P1: 0.05}, prog)
+	full, err := noise.EstimateLogicalError(s, expr.FromID(rec), false, withFrame(t, s, noise.Options{Shots: 10000, Seed: 13}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	early, err := EstimateLogicalError(s, expr.FromID(rec), false,
-		Options{Shots: 10000, Seed: 13, TargetStdErr: 0.02, Batch: 100})
+	early, err := noise.EstimateLogicalError(s, expr.FromID(rec), false,
+		withFrame(t, s, noise.Options{Shots: 10000, Seed: 13, TargetStdErr: 0.02, Batch: 100}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,12 +298,12 @@ func TestEarlyStopping(t *testing.T) {
 	if early.Shots%100 != 0 {
 		t.Fatalf("stopped off a batch boundary: %d", early.Shots)
 	}
-	if wilsonStdErr(early.Errors, early.Shots) > 0.02 {
+	if noise.WilsonStdErr(early.Errors, early.Shots) > 0.02 {
 		t.Fatalf("stopped above target: %+v", early)
 	}
 	// Prefix property: recounting the first early.Shots shots of the full
 	// sequence must reproduce the early result exactly.
-	recount, err := EstimateLogicalError(s, expr.FromID(rec), false, Options{Shots: early.Shots, Seed: 13})
+	recount, err := noise.EstimateLogicalError(s, expr.FromID(rec), false, withFrame(t, s, noise.Options{Shots: early.Shots, Seed: 13}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,46 +313,46 @@ func TestEarlyStopping(t *testing.T) {
 }
 
 func TestWilsonInterval(t *testing.T) {
-	lo, hi := Wilson(0, 100)
+	lo, hi := noise.Wilson(0, 100)
 	if lo != 0 || hi <= 0 || hi > 0.1 {
 		t.Fatalf("Wilson(0, 100) = [%v, %v]", lo, hi)
 	}
-	lo, hi = Wilson(50, 100)
+	lo, hi = noise.Wilson(50, 100)
 	if !(lo < 0.5 && 0.5 < hi) {
 		t.Fatalf("Wilson(50, 100) = [%v, %v] does not bracket 0.5", lo, hi)
 	}
-	if lo2, hi2 := Wilson(500, 1000); hi2-lo2 >= hi-lo {
+	if lo2, hi2 := noise.Wilson(500, 1000); hi2-lo2 >= hi-lo {
 		t.Fatal("Wilson interval did not shrink with n")
 	}
 }
 
 func TestModelValidateAndPresets(t *testing.T) {
-	if !Ideal().IsIdeal() {
+	if !noise.Ideal().IsIdeal() {
 		t.Fatal("Ideal() not ideal")
 	}
-	if Depolarizing(1e-3).IsIdeal() {
+	if noise.Depolarizing(1e-3).IsIdeal() {
 		t.Fatal("Depolarizing(1e-3) claims ideal")
 	}
-	if err := Depolarizing(1e-3).Validate(); err != nil {
+	if err := noise.Depolarizing(1e-3).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := PaperTable5(hardware.Default()).Validate(); err != nil {
+	if err := noise.PaperTable5(hardware.Default()).Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := (Model{P2: 1.5}).Validate(); err == nil {
+	if err := (noise.Model{P2: 1.5}).Validate(); err == nil {
 		t.Fatal("P2 = 1.5 passed validation")
 	}
-	if err := (Model{T2: -1}).Validate(); err == nil {
+	if err := (noise.Model{T2: -1}).Validate(); err == nil {
 		t.Fatal("negative T2 passed validation")
 	}
 	// NaN compares false both ways; Compile would drop every fault of it.
-	if err := Depolarizing(math.NaN()).Validate(); err == nil {
+	if err := noise.Depolarizing(math.NaN()).Validate(); err == nil {
 		t.Fatal("Depolarizing(NaN) passed validation")
 	}
-	if err := (Model{PMove: math.NaN()}).Validate(); err == nil {
+	if err := (noise.Model{PMove: math.NaN()}).Validate(); err == nil {
 		t.Fatal("PMove = NaN passed validation")
 	}
-	tab := PaperTable5(hardware.Default())
+	tab := noise.PaperTable5(hardware.Default())
 	tab.T2 = math.NaN()
 	if err := tab.Validate(); err == nil {
 		t.Fatal("T2 = NaN passed validation")
@@ -353,8 +368,8 @@ func TestLogicalErrorRateGrowsWithP(t *testing.T) {
 	}
 	var last float64 = -1
 	for _, p := range []float64{1e-3, 1e-2} {
-		s := Compile(Depolarizing(p), mem.Prog)
-		res, err := EstimateLogicalError(s, mem.Outcome, mem.Reference, Options{Shots: 600, Seed: 17})
+		s := noise.Compile(noise.Depolarizing(p), mem.Prog)
+		res, err := noise.EstimateLogicalError(s, mem.Outcome, mem.Reference, withFrame(t, s, noise.Options{Shots: 600, Seed: 17}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,55 +380,112 @@ func TestLogicalErrorRateGrowsWithP(t *testing.T) {
 	}
 }
 
-// TestTableauPlanesTGate covers the tableau record source, the one place a
-// record map becomes a plane: on a program with a T gate (which the frame
-// sampler rejects) the estimator's one-lane planes must count exactly the
-// errors a shot-by-shot Expr.Eval over Engine.Records() counts, with a shot
-// count that is no multiple of 64, through both the plain count and the
-// ordered fold, at every worker count.
-func TestTableauPlanesTGate(t *testing.T) {
-	g := grid.New(1, 2)
-	b := hardware.NewBuilder(g, hardware.Default())
-	a := b.MustAddIon(grid.Site{R: 0, C: 2})
-	c := b.MustAddIon(grid.Site{R: 0, C: 3})
-	b.Prepare(a)
-	b.Prepare(c)
-	b.Gate1(circuit.YPi4, a)
-	b.Gate1(circuit.ZPi8, a)
-	b.Gate1(circuit.YmPi4, a)
-	outcome := expr.FromID(b.Measure(a)).Xor(expr.FromID(b.Measure(c)))
-	prog, err := orqcs.Compile(b.Build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.Clifford() {
-		t.Fatal("test program lost its T gate")
-	}
-	s := Compile(Depolarizing(1e-2), prog)
-	const shots, seed = 64*3 + 11, 19
-	e := orqcs.NewFromProgram(prog)
-	want := 0
-	for i := 0; i < shots; i++ {
-		s.RunShot(e, orqcs.ShotSeed(seed, i))
-		if outcome.Eval(e.Records()) {
-			want++
-		}
-	}
-	if want == 0 || want == shots {
-		t.Fatalf("degenerate fixture: %d/%d shots read 1", want, shots)
-	}
-	for _, workers := range []int{1, 3} {
-		for _, opt := range []Options{
-			{Shots: shots, Seed: seed, Workers: workers},
-			{Shots: shots, Seed: seed, Workers: workers, Batch: 50, Progress: func(int, int, bool) {}},
-		} {
-			res, err := EstimateLogicalError(s, outcome, false, opt)
+// tGateCircuits are two one-T-gate programs: a two-ion circuit read out as
+// m0 ⊕ m1, and the five-event T rotation of |0⟩ read out as m0, whose true
+// flip probability is (1 − 1/√2)/2 ≈ 0.146 while an unweighted count of its
+// quasi-probability branches reads ≈ 0.396.
+var tGateCircuits = []struct {
+	name, text string
+	outcome    expr.Expr
+}{
+	{"two-ion", `Prepare_Z 0.2 t=0 d=10000
+Prepare_Z 0.3 t=0 d=10000
+Y_pi/4 0.2 t=10000 d=10000
+Measure_Z 0.3 t=10000 d=120000 m=1
+Z_pi/8 0.2 t=20000 d=3000
+Y_-pi/4 0.2 t=23000 d=10000
+Measure_Z 0.2 t=33000 d=120000 m=0
+`, expr.FromID(0).Xor(expr.FromID(1))},
+	{"five-event", `Prepare_Z 0.1
+Y_pi/4 0.1
+Z_pi/8 0.1
+Y_-pi/4 0.1
+Measure_Z 0.1 m=0
+`, expr.FromID(0)},
+}
+
+// refusedSampler claims a schedule and fails the test if it is ever asked
+// for planes.
+type refusedSampler struct {
+	t testing.TB
+	s *noise.Schedule
+}
+
+func (r refusedSampler) SamplePlanes(int, int64, int, func(*noise.Planes) error) error {
+	r.t.Error("the estimator sampled a T-gate program")
+	return nil
+}
+
+func (r refusedSampler) Schedule() *noise.Schedule { return r.s }
+
+// TestEstimateRejectsTGates pins that the estimator refuses programs with T
+// gates instead of counting their weighted quasi-probability records as
+// errors, with or without a sampler and under any noise.
+func TestEstimateRejectsTGates(t *testing.T) {
+	for _, tc := range tGateCircuits {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := circuit.Parse(tc.text)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.Errors != want || res.Shots != shots || res.RawFallbacks != 0 {
-				t.Fatalf("workers=%d progress=%v: %+v, want %d errors in %d shots", workers, opt.Progress != nil, res, want, shots)
+			prog, err := orqcs.Compile(c)
+			if err != nil {
+				t.Fatal(err)
 			}
+			if prog.Clifford() {
+				t.Fatal("test program lost its T gate")
+			}
+			for _, m := range []noise.Model{noise.Ideal(), noise.Depolarizing(1e-2)} {
+				s := noise.Compile(m, prog)
+				for _, sampler := range []noise.RecordSampler{nil, refusedSampler{t, s}} {
+					res, err := noise.EstimateLogicalError(s, tc.outcome, false, noise.Options{Shots: 20000, Seed: 1, Sampler: sampler})
+					if err == nil || !strings.Contains(err.Error(), "T gates") {
+						t.Fatalf("model %+v, sampler %T: got %v, %v; want a T-gate error", m, sampler, res, err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEstimateSamplerOptionErrors pins the Sampler OptionErrors: a missing
+// sampler, and samplers compiled for another schedule — noiseless, another
+// schedule of the same program, or a d=5 memory sampler handed a d=3 memory
+// schedule (its planes carry more records than d=3 reads, so no plane-length
+// check can catch it).
+func TestEstimateSamplerOptionErrors(t *testing.T) {
+	mem3, err := verify.MemoryExperiment(3, 3, pauli.Z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem5, err := verify.MemoryExperiment(5, 5, pauli.Z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := noise.Compile(noise.Depolarizing(1e-3), mem3.Prog)
+	sim := func(prog *orqcs.Program, s *noise.Schedule) noise.RecordSampler {
+		f, err := frame.New(prog, s)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return f
+	}
+	for _, tc := range []struct {
+		name    string
+		sampler noise.RecordSampler
+	}{
+		{"nil", nil},
+		{"noiseless", sim(mem3.Prog, nil)},
+		{"other-schedule", sim(mem3.Prog, noise.Compile(noise.Depolarizing(1e-3), mem3.Prog))},
+		{"d=5-memory", sim(mem5.Prog, noise.Compile(noise.Depolarizing(1e-3), mem5.Prog))},
+	} {
+		res, err := noise.EstimateLogicalError(s, mem3.Outcome, mem3.Reference, noise.Options{Shots: 64, Seed: 1, Sampler: tc.sampler})
+		var oe *noise.OptionError
+		if !errors.As(err, &oe) || oe.Field != "Sampler" {
+			t.Fatalf("%s: got %v, %v; want an OptionError on Sampler", tc.name, res, err)
+		}
+	}
+	if _, err := noise.EstimateLogicalError(s, mem3.Outcome, mem3.Reference, withFrame(t, s, noise.Options{Shots: 64, Seed: 1})); err != nil {
+		t.Fatalf("the schedule's own frame sampler was refused: %v", err)
 	}
 }

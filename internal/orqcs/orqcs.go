@@ -293,13 +293,10 @@ func (op SitePauli) Sites() []grid.Site {
 	return sites
 }
 
-// pauliFor builds the tableau-indexed Pauli string for a site-keyed operator.
-func (e *Engine) pauliFor(op SitePauli) (*pauli.String, error) { return e.prog.PauliFor(op) }
-
 // Expectation returns the exact expectation (+1/−1/0) of a site-keyed Pauli
 // string in this shot's final state (unweighted).
 func (e *Engine) Expectation(op SitePauli) (float64, error) {
-	p, err := e.pauliFor(op)
+	p, err := e.prog.PauliFor(op)
 	if err != nil {
 		return 0, err
 	}

@@ -15,6 +15,7 @@ import (
 	"tiscc"
 	"tiscc/internal/experiment"
 	"tiscc/internal/noise"
+	"tiscc/internal/orqcs"
 	"tiscc/internal/serve"
 )
 
@@ -73,10 +74,29 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
+// tableauSampler is the bit-sliced tableau as a noise.RecordSampler: shot i
+// runs under ShotSeed(seed, i) and is handed on as a one-lane plane.
+type tableauSampler struct{ sched *noise.Schedule }
+
+func (ts tableauSampler) Schedule() *noise.Schedule { return ts.sched }
+
+func (ts tableauSampler) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
+	nrec := ts.sched.Program().NumRecords()
+	return ts.sched.RunShots(shots, seed, workers, func(i int, e *orqcs.Engine) error {
+		p := noise.Planes{First: i, N: 1, Lanes: 1, Words: make([]uint64, nrec)}
+		for id := range p.Words {
+			if e.Records()[int32(id)] {
+				p.Words[id] = 1
+			}
+		}
+		return visit(&p)
+	})
+}
+
 // TestEstimateLogicalErrorMatchesTableau checks that the facade's
 // lower-level EstimateLogicalError, which samples on the Pauli-frame engine
-// by default, returns exactly the tableau reference's result (the noise
-// estimator with no sampler), raw and decoded, for memory and surgery.
+// by default, returns exactly the result of the estimator sampling on the
+// bit-sliced tableau, raw and decoded, for memory and surgery.
 func TestEstimateLogicalErrorMatchesTableau(t *testing.T) {
 	m := tiscc.DepolarizingNoise(agreementP)
 	mem, err := tiscc.CompileMemoryExperiment(3, 3)
@@ -115,6 +135,7 @@ func TestEstimateLogicalErrorMatchesTableau(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			opt.Sampler = tableauSampler{tc.sched}
 			want, err := noise.EstimateLogicalError(tc.sched, tc.outcome, tc.reference, opt)
 			if err != nil {
 				t.Fatal(err)

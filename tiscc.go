@@ -144,7 +144,9 @@ type (
 	// flat per-instruction fault table sampled in the per-shot hot loop.
 	FaultSchedule = noise.Schedule
 	// LogicalErrorOptions configures a logical-error-rate estimation run
-	// (shots, seed, workers, early-stopping target).
+	// (shots, seed, workers, early-stopping target, decoder). Sampler may be
+	// left nil: the facade samples on the Pauli-frame engine compiled for
+	// the schedule.
 	LogicalErrorOptions = noise.Options
 	// LogicalErrorResult reports a logical error rate with its 95% Wilson
 	// confidence interval.
@@ -327,8 +329,10 @@ func estimateSpec(workload string, d, rounds int, m NoiseModel, decode bool, opt
 // entry point behind EstimateLogicalErrorRate, for custom experiments (a
 // CompileMemoryExperiment with 0 rounds, say). Like the Estimate*Rate
 // functions it samples on the Pauli-frame engine unless opt.Sampler is set
-// or the program has T gates (those run on the bit-sliced tableau); records,
-// and so results, are bit-identical either way.
+// (it must then be compiled for s). Programs with T gates are rejected:
+// their quasi-probability shots carry ±√2 weights, so counting their
+// records gives no error rate; estimate their weighted expectation values
+// with EstimateBatch instead.
 func EstimateLogicalError(s *FaultSchedule, outcome Expr, reference bool, opt LogicalErrorOptions) (LogicalErrorResult, error) {
 	return experiment.Estimate(s, outcome, reference, opt)
 }

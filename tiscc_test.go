@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tiscc"
+	"tiscc/internal/expr"
 )
 
 // TestFacadeQuickstart exercises the documented public-API workflow.
@@ -291,6 +292,48 @@ func TestFacadeDecodedEstimate(t *testing.T) {
 	}
 	if manual != dec {
 		t.Fatalf("long-form pipeline %+v differs from EstimateDecodedLogicalErrorRate %+v", manual, dec)
+	}
+}
+
+// TestFacadeRejectsTGates pins that the logical-error estimator refuses
+// programs with T gates instead of counting their weighted
+// quasi-probability shots. The five-event T rotation of |0⟩ flips its
+// readout with probability (1 − 1/√2)/2 ≈ 0.146; an unweighted count of its
+// records reads ≈ 0.396.
+func TestFacadeRejectsTGates(t *testing.T) {
+	for _, tc := range []struct {
+		name, text string
+		outcome    tiscc.Expr
+	}{
+		{"two-ion", `Prepare_Z 0.2 t=0 d=10000
+Prepare_Z 0.3 t=0 d=10000
+Y_pi/4 0.2 t=10000 d=10000
+Measure_Z 0.3 t=10000 d=120000 m=1
+Z_pi/8 0.2 t=20000 d=3000
+Y_-pi/4 0.2 t=23000 d=10000
+Measure_Z 0.2 t=33000 d=120000 m=0
+`, expr.FromID(0).Xor(expr.FromID(1))},
+		{"five-event", `Prepare_Z 0.1
+Y_pi/4 0.1
+Z_pi/8 0.1
+Y_-pi/4 0.1
+Measure_Z 0.1 m=0
+`, expr.FromID(0)},
+	} {
+		c, err := tiscc.ParseCircuit(tc.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := tiscc.CompileProgram(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []tiscc.NoiseModel{tiscc.IdealNoise(), tiscc.DepolarizingNoise(1e-2)} {
+			s := tiscc.CompileNoise(m, prog)
+			if res, err := tiscc.EstimateLogicalError(s, tc.outcome, false, tiscc.LogicalErrorOptions{Shots: 20000, Seed: 1}); err == nil {
+				t.Fatalf("%s: estimated %v on a T-gate program", tc.name, res)
+			}
+		}
 	}
 }
 
