@@ -787,7 +787,7 @@ func BenchmarkHadamardRotate(b *testing.B) {
 // (the README's "Bit-sliced engine" table is this benchmark's output). The
 // acceptance target is ≥ 2× at d ≥ 11. A last frame case runs the sparse
 // workload, a d=5 lattice-surgery cycle at p=5e-5, where nearly every fault
-// draw misses and the draw loop is almost all of the shot.
+// draw misses and the draw kernel is almost all of the shot.
 func BenchmarkShotEngines(b *testing.B) {
 	for _, d := range []int{5, 7, 9, 11, 13} {
 		mem, err := verify.MemoryExperiment(d, d, pauli.Z)

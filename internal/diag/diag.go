@@ -5,13 +5,13 @@
 // Three legs, all opt-in and all outside the sampling hot path:
 //
 //   - error-budget attribution (Collector + AttributionReport): every judged
-//     shot's fired faults are listed again from its seed by
-//     noise.FiredFaults, the one draw loop the samplers themselves apply (a
-//     pure function of the shot seed, so the list is the very faults the
-//     shot fired), and accumulated per error-budget channel (gate class ×
-//     fault kind) split by shot outcome, yielding fire counts, smoothed
-//     fail/ok odds ratios, and an empirical per-channel decomposition of the
-//     logical error rate that sums to p_L exactly;
+//     batch's fired faults are listed again from its shot seeds by
+//     noise.Schedule.FiredBatch, the draw kernel the samplers themselves
+//     apply (a pure function of the shot seeds, so the lists are the very
+//     faults the shots fired), and accumulated per error-budget channel
+//     (gate class × fault kind) split by shot outcome, yielding fire
+//     counts, smoothed fail/ok odds ratios, and an empirical per-channel
+//     decomposition of the logical error rate that sums to p_L exactly;
 //   - decoder calibration introspection (DetectorReport): per-detector
 //     observed fire rates against the DEM-predicted marginals
 //     (decoder.PredictedDetectorRates) with binomial z-scores — the
@@ -26,7 +26,8 @@
 // pooled per-worker scratches (bounded, allocated once per worker) merged
 // only at report time — the same single-owner shard discipline as
 // internal/telemetry. Per-detector counts are popcounts of the detector
-// words; only the fault replay and the failure samples work lane by lane.
+// words; only the per-lane channel fold and the failure samples work lane by
+// lane.
 // Observation is read-only with respect to the run: records stay
 // bit-identical with and without it.
 package diag
@@ -70,13 +71,13 @@ type Collector struct {
 
 // scratch is one worker's accumulation state: every slice is allocated once
 // at full size when the worker first observes a shot, so observation itself
-// performs no heap allocation beyond the FiredFaults replay buffer's initial
+// performs no heap allocation beyond the FiredBatch replay buffer's initial
 // growth.
 type scratch struct {
-	faults  []noise.FiredFault // FiredFaults replay buffer
-	perShot []uint32           // per-channel fires of the current shot
-	touched []uint16           // channels touched by the current shot
-	fired   []uint64           // detector words of the current batch
+	seeds   [64]uint64 // shot seeds of the current batch
+	faults  []uint64   // FiredBatch replay buffer (packed firings)
+	perShot []uint32   // per-lane, per-channel fires of the current batch, lane-major
+	fired   []uint64   // detector words of the current batch
 
 	shotsOK, shotsFail uint64
 	chanOK, chanFail   []uint64  // per-channel fire counts by outcome
@@ -119,9 +120,8 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors, seed int64) *C
 	}
 	c.pool.New = func() any {
 		sc := &scratch{
-			faults:   make([]noise.FiredFault, 0, 64),
-			perShot:  make([]uint32, len(c.chans)),
-			touched:  make([]uint16, 0, len(c.chans)),
+			faults:   make([]uint64, 0, 64),
+			perShot:  make([]uint32, 64*len(c.chans)),
 			chanOK:   make([]uint64, len(c.chans)),
 			chanFail: make([]uint64, len(c.chans)),
 			plNum:    make([]float64, len(c.chans)),
@@ -140,16 +140,24 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors, seed int64) *C
 	return c
 }
 
-// ObserveBatch implements noise.ShotObserver: for every lane of the batch
-// it replays the shot's fired faults from its seed and buckets them per
-// error-budget channel by outcome; when a detector structure is attached,
-// it adds the batch's detector words to the per-detector observed-rate
-// counters (popcounts) and localizes the first failing shots. Safe for
-// concurrent use (pooled per-worker scratch).
+// ObserveBatch implements noise.ShotObserver: it replays the batch's fired
+// faults from its shot seeds in one FiredBatch call and, lane by lane,
+// buckets them per error-budget channel by outcome; when a detector
+// structure is attached, it adds the batch's detector words to the
+// per-detector observed-rate counters (popcounts) and localizes the first
+// failing shots. Safe for concurrent use (pooled per-worker scratch).
 func (c *Collector) ObserveBatch(p *noise.Planes, bad uint64) {
 	sc := c.pool.Get().(*scratch)
 	for lane := 0; lane < p.N; lane++ {
-		c.observeShot(sc, p.First+lane, bad>>uint(lane)&1 == 1)
+		sc.seeds[lane] = uint64(orqcs.ShotSeed(c.seed, p.First+lane))
+	}
+	sc.faults = c.sched.FiredBatch(sc.seeds[:p.N], sc.faults[:0])
+	nc := len(c.chans)
+	for _, w := range sc.faults { // site<<32 | branch<<6 | lane
+		sc.perShot[int(w&63)*nc+int(c.siteChan[w>>32])]++
+	}
+	for lane := 0; lane < p.N; lane++ {
+		c.observeShot(sc, sc.perShot[lane*nc:(lane+1)*nc], bad>>uint(lane)&1 == 1)
 	}
 	if c.dets != nil {
 		c.dets.Fire(p, sc.fired)
@@ -171,17 +179,9 @@ func (c *Collector) ObserveBatch(p *noise.Planes, bad uint64) {
 	c.pool.Put(sc)
 }
 
-// observeShot replays one shot's fired faults and buckets them per
-// error-budget channel by outcome.
-func (c *Collector) observeShot(sc *scratch, shot int, bad bool) {
-	sc.faults = c.sched.FiredFaults(orqcs.ShotSeed(c.seed, shot), sc.faults[:0])
-	for _, f := range sc.faults {
-		ch := c.siteChan[f.Site]
-		if sc.perShot[ch] == 0 {
-			sc.touched = append(sc.touched, ch)
-		}
-		sc.perShot[ch]++
-	}
+// observeShot buckets one shot's per-channel fire counts by outcome and
+// clears them.
+func (c *Collector) observeShot(sc *scratch, counts []uint32, bad bool) {
 	if bad {
 		sc.shotsFail++
 		// Distribute this failure fractionally across the channels that
@@ -190,23 +190,23 @@ func (c *Collector) observeShot(sc *scratch, shot int, bad bool) {
 		// contributions sum to p_L by construction. A failing shot always
 		// has ≥ 1 fired fault (a fault-free shot reproduces the noiseless
 		// reference bit-for-bit), but guard the division anyway.
-		if total := float64(len(sc.faults)); total > 0 {
-			for _, ch := range sc.touched {
-				n := sc.perShot[ch]
+		var total uint32
+		for _, n := range counts {
+			total += n
+		}
+		if total > 0 {
+			for ch, n := range counts {
 				sc.chanFail[ch] += uint64(n)
-				sc.plNum[ch] += float64(n) / total
+				sc.plNum[ch] += float64(n) / float64(total)
 			}
 		}
 	} else {
 		sc.shotsOK++
-		for _, ch := range sc.touched {
-			sc.chanOK[ch] += uint64(sc.perShot[ch])
+		for ch, n := range counts {
+			sc.chanOK[ch] += uint64(n)
 		}
 	}
-	for _, ch := range sc.touched {
-		sc.perShot[ch] = 0
-	}
-	sc.touched = sc.touched[:0]
+	clear(counts)
 }
 
 // merged folds every worker scratch into one totals view. Only call at

@@ -30,11 +30,13 @@
 //     (a pre-measurement stabilizer anticommuting with the measured
 //     operator) is multiplied into the lane's frame: Π_c F = F Π_{c⊕f} and
 //     Π_{1−r}|ψ⟩ ∝ D Π_r|ψ⟩ convert between the two collapse branches.
-//   - Fault firings. Each lane's shot seed goes through
-//     noise.Schedule.FiredFaults, the one fault-draw loop, which lists the
-//     very firings noise.Schedule.RunShot applies. The batch gathers its
-//     lanes' lists into one list sorted by site and XORs each firing into
-//     its lane's frame as the instruction walk reaches the site's slot.
+//   - Fault firings. The batch hands its lanes' shot seeds to
+//     noise.Schedule.FiredBatch in one call. Its draw kernel, the one code
+//     that draws fault variates, runs four lanes per pass over the fault
+//     table and lists, per lane, the very firings noise.Schedule.RunShot
+//     applies, packed as site<<32 | branch<<6 | lane. The batch sorts the
+//     words by site and XORs each firing into its lane's frame as the
+//     instruction walk reaches the site's slot.
 package frame
 
 import (
@@ -173,11 +175,10 @@ func Conjugate(in *orqcs.Instr, fx, fz []uint64) bool {
 // lanes. Batches are not safe for concurrent use; create one per worker.
 type Batch struct {
 	sim    *Sim
-	fx, fz []uint64           // frame bit-planes, one word (64 lanes) per qubit
-	out    []uint64           // per-slot actual-outcome words: records, then resets
-	coins  []uint64           // per-lane measurement-coin stream states
-	fired  []uint64           // the batch's fault firings, sorted (see firing)
-	lane   []noise.FiredFault // one lane's FiredFaults list
+	fx, fz []uint64 // frame bit-planes, one word (64 lanes) per qubit
+	out    []uint64 // per-slot actual-outcome words: records, then resets
+	coins  []uint64 // per-lane measurement-coin stream states
+	fired  []uint64 // the batch's packed fault firings, sorted (see noise.Schedule.FiredBatch)
 	p      noise.Planes
 	recs   map[int32]bool   // Records' table, allocated on first use
 	tel    *telemetry.Shard // single-owner sampler metrics (never nil)
@@ -199,13 +200,6 @@ func (s *Sim) NewBatch() *Batch {
 	return b
 }
 
-// A firing packs one lane's fired fault into a word, site<<32 | branch<<6 |
-// lane, so sorting a batch's firings orders them by site. Firings at one
-// site on different lanes commute, so the order among them is immaterial.
-func firing(f noise.FiredFault, lane int) uint64 {
-	return uint64(f.Site)<<32 | uint64(f.Branch)<<6 | uint64(lane)
-}
-
 // Run samples shot lanes for the global shot indices [first, first+count),
 // count ≤ 64, each lane seeded with orqcs.ShotSeed(seed, index) — the same
 // per-shot derivation every tableau multi-shot runner uses, so batch
@@ -222,18 +216,17 @@ func (b *Batch) Run(first, count int, seed int64) {
 	b.p.Lanes = ^uint64(0) >> uint(64-count)
 	clear(b.fx)
 	clear(b.fz)
-	b.fired = b.fired[:0]
 	for i := 0; i < count; i++ {
-		ss := orqcs.ShotSeed(seed, first+i)
-		b.coins[i] = uint64(ss)
-		if s.sched != nil {
-			b.lane = s.sched.FiredFaults(ss, b.lane[:0])
-			for _, f := range b.lane {
-				b.fired = append(b.fired, firing(f, i))
-			}
-		}
+		b.coins[i] = uint64(orqcs.ShotSeed(seed, first+i))
 	}
-	slices.Sort(b.fired)
+	b.fired = b.fired[:0]
+	if s.sched != nil {
+		// Each coin stream starts at its lane's shot seed. Firings at one site
+		// on different lanes commute, so sorting the packed words by value
+		// (by site) is all the order the slot walk needs.
+		b.fired = s.sched.FiredBatch(b.coins[:count], b.fired)
+		slices.Sort(b.fired)
+	}
 	b.tel.Add(orqcs.CtrShots, uint64(count))
 	b.tel.Inc(orqcs.CtrBatches)
 	instrs := s.prog.Instructions()

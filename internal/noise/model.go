@@ -11,9 +11,10 @@
 // and a per-transport-step depolarizing for motional heating during Move
 // events. Compile flattens a Model against a lowered orqcs.Program into a
 // fault Schedule — a per-instruction list of potential error locations with
-// precomputed probabilities — so that the per-shot loop only draws one
-// uniform variate per location and applies fired faults as Pauli frame
-// updates, with zero allocations per shot.
+// precomputed probabilities — so that the per-shot loop only reads one
+// uniform variate per location (the draw kernel, Schedule.eachFired) and
+// applies fired faults as Pauli frame updates, with zero allocations per
+// shot.
 package noise
 
 import (

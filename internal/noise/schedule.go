@@ -81,7 +81,7 @@ type Schedule struct {
 	faults []Fault
 	class  []GateClass // per-site gate class, parallel to faults
 	start  []int32     // CSR offsets: slot i is faults[start[i]:start[i+1]]
-	thresh []float64   // per-site firing thresholds (see thresholds)
+	reject []uint64    // per-site draw-kernel reject bounds (see rejectBounds)
 }
 
 // Program returns the program the schedule was compiled against.
@@ -191,7 +191,7 @@ func Compile(m Model, p *orqcs.Program) *Schedule {
 		s.faults = append(s.faults, sl...)
 		s.class = append(s.class, classes[i]...)
 	}
-	s.thresh = thresholds(s.faults)
+	s.reject = rejectBounds(s.faults)
 	return s
 }
 
@@ -203,16 +203,31 @@ func Compile(m Model, p *orqcs.Program) *Schedule {
 // are a pure function of its seed, independent of measurement randomness.
 const noiseSalt = 0xD1B54A32D192ED03
 
-// thresholds returns the firing threshold of every fault: P · 2⁵³, the test
-// u < P on the raw 53-bit draw without the uniform's division. Both sides
-// are exact (power-of-two scaling), so the comparison is bit-equivalent to
-// the uniform's.
-func thresholds(faults []Fault) []float64 {
-	th := make([]float64, len(faults))
+// rejectMask is the low 33 bits a SplitMix64 output can differ in from its
+// pre-finalizer mix (orqcs.SplitMix64Mix): o = m ^ m>>31 keeps m's top 31
+// bits.
+const rejectMask = 1<<33 - 1
+
+// rejectBounds returns every site's reject bound for the draw kernel. Site
+// k fires on draw o when its top 53 bits v = o>>11 satisfy v < P·2⁵³; both
+// sides are exact (v < 2⁵³, power-of-two scaling), so for integer v that is
+// v < ceil(P·2⁵³), i.e. o ≤ lim = ceil(P·2⁵³)<<11 − 1. Since o and its
+// pre-finalizer mix m share their top 31 bits, o ≤ lim implies
+// m>>33 ≤ lim>>33, i.e. m ≤ lim | rejectMask: a draw whose mix exceeds the
+// bound cannot fire. A P = 0 site fires on no draw, so any bound is sound
+// for it; it takes lim = 0 rather than the wrapped ceil(0)<<11 − 1 = 2⁶⁴ − 1,
+// which would make every draw a candidate. (P = 1 wraps to 2⁶⁴ − 1 too, and
+// rightly: every draw fires.)
+func rejectBounds(faults []Fault) []uint64 {
+	r := make([]uint64, len(faults))
 	for i := range faults {
-		th[i] = faults[i].P * (1 << 53)
+		var lim uint64
+		if c := math.Ceil(faults[i].P * (1 << 53)); c > 0 {
+			lim = uint64(c)<<11 - 1
+		}
+		r[i] = lim | rejectMask
 	}
-	return th
+	return r
 }
 
 // depol2Pauli holds the X/Z bits of one two-qubit Pauli branch.
@@ -295,32 +310,98 @@ type FiredFault struct {
 
 // FiredFaults samples the fault stream of the shot with the given seed,
 // appending the sites that fire, in ascending site order and each with the
-// branch it fires into, to buf. It is the one draw loop: the tableau
-// RunShot and the frame sampler's batches apply exactly this list, and the
-// diagnostics layer's attribution, the determinism tests and the
-// detector-error-model check read it without simulating.
+// branch it fires into, to buf. It runs the draw kernel (eachFired) on one
+// lane. The tableau RunShot and the frame sampler's batches apply exactly
+// this list, and the determinism tests and the detector-error-model check
+// read it without simulating.
 func (s *Schedule) FiredFaults(seed int64, buf []FiredFault) []FiredFault {
-	add := func(f FiredFault) { buf = append(buf, f) }
-	s.eachFired(seed, add)
+	seeds := [1]uint64{uint64(seed)}
+	s.eachFired(seeds[:], 0, func(w uint64) {
+		buf = append(buf, FiredFault{Site: int32(w >> 32), Branch: int32(w >> 6 & 0xF)})
+	})
 	return buf
 }
 
-// eachFired is FiredFaults' loop, handing each firing to visit instead of a
-// list so RunShot can interleave it with the instruction stream without a
-// buffer. Exactly one draw per fault site, fired or not: draw k is
-// SplitMix64 output k of the shot's fault stream, its top 53 bits v fire
-// the site when v < thresh[k], and v/2⁵³ (uniform in [0, P) given the fire)
-// picks the branch.
-func (s *Schedule) eachFired(seed int64, visit func(FiredFault)) {
-	st := uint64(seed) ^ noiseSalt
-	for k, th := range s.thresh {
-		v := float64(orqcs.SplitMix64(st) >> 11)
-		st += orqcs.SplitMix64Gamma
-		if v < th {
-			f := &s.faults[k]
-			visit(FiredFault{Site: int32(k), Branch: int32(branch(v/(1<<53), f.P, f.NumBranches()))})
-		}
+// FiredBatch appends the firings of up to 64 shots to buf, lane i being the
+// shot with seed int64(seeds[i]) (orqcs.ShotSeed's value), and returns the
+// extended buffer. Each firing is packed into one word,
+// site<<32 | branch<<6 | lane, with lane i's firings exactly
+// FiredFaults(int64(seeds[i])). Lanes run through the draw kernel four at a
+// time; each group of four lists its firings in ascending site order, lanes
+// ascending within a site, so sorting the words orders the whole batch by
+// site.
+func (s *Schedule) FiredBatch(seeds []uint64, buf []uint64) []uint64 {
+	if len(seeds) > 64 {
+		panic("noise: FiredBatch takes at most 64 lanes")
 	}
+	add := func(w uint64) { buf = append(buf, w) }
+	for g := 0; g < len(seeds); g += 4 {
+		s.eachFired(seeds[g:min(g+4, len(seeds))], g, add)
+	}
+	return buf
+}
+
+// eachFired is the draw kernel, the one code that draws fault variates: it
+// walks the fault table once for the fault streams of one to four shots
+// (seeds, lanes lane0 onwards) and hands each firing to visit packed as
+// site<<32 | branch<<6 | lane, in ascending site order, lanes ascending
+// within a site. Lanes past len(seeds) are padding copies of the last seed,
+// so they add no candidates of their own.
+//
+// Shot seed x's fault stream is the SplitMix64 stream in state
+// x ^ noiseSalt, with exactly one draw per fault site, fired or not: draw k
+// is that stream's output k. Its top 53 bits v fire site k when
+// v < P·2⁵³, and v/2⁵³ (uniform in [0, P) given the fire) picks the
+// branch. scan rejects most draws on their pre-finalizer mix against the
+// site's reject bound (see rejectBounds); only the candidates it stops at
+// finish the output and take the exact test.
+//
+//tiscc:hotpath
+func (s *Schedule) eachFired(seeds []uint64, lane0 int, visit func(w uint64)) {
+	n := len(seeds)
+	pad := func(i int) uint64 { return seeds[min(i, n-1)] ^ noiseSalt }
+	x0, x1, x2, x3 := pad(0), pad(1), pad(2), pad(3)
+	for k := 0; ; k++ {
+		k, x0, x1, x2, x3 = scan(s.reject, k, x0, x1, x2, x3)
+		if k == len(s.reject) {
+			return
+		}
+		f := &s.faults[k]
+		th := f.P * (1 << 53)
+		xs := [4]uint64{x0, x1, x2, x3}
+		for i, x := range xs[:n] {
+			v := float64(orqcs.SplitMix64(x) >> 11)
+			if v < th {
+				b := branch(v/(1<<53), f.P, f.NumBranches())
+				visit(uint64(k)<<32 | uint64(b)<<6 | uint64(lane0+i))
+			}
+		}
+		x0 += orqcs.SplitMix64Gamma
+		x1 += orqcs.SplitMix64Gamma
+		x2 += orqcs.SplitMix64Gamma
+		x3 += orqcs.SplitMix64Gamma
+	}
+}
+
+// scan is the draw kernel's hot loop. From site k on, with the four fault
+// streams in states x0..x3, it returns the first site at which any
+// stream's pre-finalizer mix is within the site's reject bound (a
+// candidate; len(reject) when no site is one) and the four states at that
+// site. The loop makes no calls: orqcs.SplitMix64Mix inlines.
+//
+//tiscc:hotpath
+func scan(reject []uint64, k int, x0, x1, x2, x3 uint64) (int, uint64, uint64, uint64, uint64) {
+	for ; k < len(reject); k++ {
+		m := min(orqcs.SplitMix64Mix(x0), orqcs.SplitMix64Mix(x1), orqcs.SplitMix64Mix(x2), orqcs.SplitMix64Mix(x3))
+		if m <= reject[k] {
+			break
+		}
+		x0 += orqcs.SplitMix64Gamma
+		x1 += orqcs.SplitMix64Gamma
+		x2 += orqcs.SplitMix64Gamma
+		x3 += orqcs.SplitMix64Gamma
+	}
+	return k, x0, x1, x2, x3
 }
 
 // RunShot executes one noisy shot of the schedule's program on the engine:
@@ -337,21 +418,23 @@ func (s *Schedule) RunShot(e *orqcs.Engine, seed int64) {
 	tb := e.Tableau()
 	instrs := s.prog.Instructions()
 	next, fired := 0, 0 // instructions executed, faults applied
-	apply := func(ff FiredFault) {
+	apply := func(w uint64) {
 		// Slot i's faults precede instruction i: catch up to the site's slot.
-		for s.start[next+1] <= ff.Site {
+		site := int32(w >> 32)
+		for s.start[next+1] <= site {
 			e.Exec(&instrs[next])
 			next++
 		}
 		fired++
-		f := &s.faults[ff.Site]
-		_, x1, z1, x2, z2 := f.Branch(int(ff.Branch))
+		f := &s.faults[site]
+		_, x1, z1, x2, z2 := f.Branch(int(w >> 6 & 0xF))
 		tb.ApplyPauliError(int(f.Q1), x1, z1)
 		if f.Kind == FaultDepol2 {
 			tb.ApplyPauliError(int(f.Q2), x2, z2)
 		}
 	}
-	s.eachFired(seed, apply)
+	seeds := [1]uint64{uint64(seed)}
+	s.eachFired(seeds[:], 0, apply)
 	for ; next < len(instrs); next++ {
 		e.Exec(&instrs[next])
 	}

@@ -1,8 +1,10 @@
 // Binary serialization of compiled fault schedules: the export/import hook
 // behind the compiled-artifact cache and wire format (internal/serve). The
-// payload holds the model and the flat fault CSR; the firing thresholds are
-// derived state and are recomputed on decode, so a decoded schedule samples
-// the exact draw sequence of a freshly compiled one.
+// payload holds the model and the flat fault CSR; the draw kernel's reject
+// bounds are derived state and are rebuilt on decode (a P = 0 site, which
+// Compile never emits but the format admits, gets a bound that never fires),
+// so a decoded schedule samples the exact draw sequence of a freshly
+// compiled one.
 package noise
 
 import (
@@ -116,6 +118,6 @@ func DecodeSchedule(data []byte, prog *orqcs.Program) (*Schedule, error) {
 			return nil, fmt.Errorf("noise: decode: slot offset %d decreases (%d → %d)", i, s.start[i-1], s.start[i])
 		}
 	}
-	s.thresh = thresholds(s.faults)
+	s.reject = rejectBounds(s.faults)
 	return s, nil
 }

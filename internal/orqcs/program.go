@@ -389,10 +389,18 @@ const SplitMix64Gamma = 0x9E3779B97F4A7C15
 // the noise subsystem's fault draws. Small enough to inline into their
 // loops.
 func SplitMix64(x uint64) uint64 {
+	x = SplitMix64Mix(x)
+	return x ^ (x >> 31)
+}
+
+// SplitMix64Mix is SplitMix64 without its final xorshift: SplitMix64(x) is
+// m ^ m>>31 for m = SplitMix64Mix(x), so m and the output share their top 31
+// bits. The noise subsystem's draw kernel bounds most draws on m alone and
+// finishes the output only for the rare ones that might fire.
+func SplitMix64Mix(x uint64) uint64 {
 	x += SplitMix64Gamma
 	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
+	return (x ^ (x >> 27)) * 0x94D049BB133111EB
 }
 
 // ShotSeed derives the RNG seed of one shot from a base seed. The derivation

@@ -97,6 +97,16 @@ func TestContainerRoundTrip(t *testing.T) {
 	if !bytes.Equal(EncodeSchedule(sched), EncodeSchedule(fresh.Sched)) {
 		t.Fatal("re-encoded schedule differs from the original encoding")
 	}
+	// The draw kernel's reject bounds are rebuilt on decode: the decoded
+	// schedule must fire exactly the compiled one's faults (P = 0 sites are
+	// covered by noise's TestDecodedScheduleFires).
+	for shot := 0; shot < 256; shot++ {
+		seed := orqcs.ShotSeed(1, shot)
+		got, want := sched.FiredFaults(seed, nil), fresh.Sched.FiredFaults(seed, nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("shot %d: decoded schedule fired %v, compiled %v", shot, got, want)
+		}
+	}
 
 	graph, err := DecodeGraph(EncodeGraph(fresh.Graph))
 	if err != nil {
