@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	orqcs -circuit file.tiscc [-seed 1] [-shots 1] [-workers 0] [-expect "Z@0.2,X@4.6"] [-noise p] [-fuse]
+//	orqcs -circuit file.tiscc [-seed 1] [-shots 1] [-workers 0] [-expect "Z@0.2,X@4.6"] [-noise p | -fuse]
 //	orqcs -memory d[:rounds] [-noise p] [-decode] [-shots N] [-dem file.dem]
 //	orqcs -surgery d[:rounds] [-noise p] [-decode] [-shots N] [-dem file.dem]
 //
@@ -16,7 +16,10 @@
 // the seed, never on the worker count). With -noise p, shots run under a
 // uniform circuit-level depolarizing model at physical error rate p, with
 // faults injected per instruction from a compiled fault schedule. -fuse
-// applies the single-qubit rotation fusion peephole before simulating.
+// applies the single-qubit rotation fusion peephole before simulating; it
+// is noiseless-only, because fusion drops instructions and the schedule
+// charges gate faults per instruction, so a fused noisy run would estimate
+// a different circuit.
 // -expect estimates sample on the batch Pauli-frame engine for Clifford
 // circuits (bit-identical records, O(faults) per shot) and on the
 // bit-sliced tableau, whose weighted quasi-probability branches handle T
@@ -45,8 +48,8 @@
 // text exposition format. -diag prints per-channel error-budget attribution,
 // -dem-calib the per-detector observed-vs-DEM-predicted calibration
 // residuals, and -progress streams NDJSON batch progress events. All
-// observability paths replay fired faults from shot seeds and touch no RNG,
-// so the estimate is bit-identical with and without them.
+// observability paths read the faults each sampled batch fired and touch no
+// RNG, so the estimate is bit-identical with and without them.
 package main
 
 import (
@@ -78,7 +81,7 @@ func main() {
 		expect  = flag.String("expect", "", "comma-separated Pauli ops, e.g. Z@0.2,X@4.6")
 		quiet   = flag.Bool("quiet", false, "suppress the record table")
 		noiseP  = flag.Float64("noise", 0, "uniform depolarizing physical error rate (0 = noiseless)")
-		fuse    = flag.Bool("fuse", false, "with -circuit: fuse adjacent single-qubit Clifford rotations before simulating")
+		fuse    = flag.Bool("fuse", false, "with a noiseless -circuit run: fuse adjacent single-qubit Clifford rotations before simulating")
 		memory  = flag.String("memory", "", "run a memory experiment instead of a circuit file: d or d:rounds")
 		surgery = flag.String("surgery", "", "run a two-patch ZZ-merge/split cycle instead of a circuit file: d or d:rounds")
 		decode  = flag.Bool("decode", false, "with -memory/-surgery -noise: union-find-decode each shot's syndrome history")
@@ -103,6 +106,9 @@ func main() {
 	}
 	if *fuse && exp {
 		usageErr("-fuse applies to -circuit only")
+	}
+	if *fuse && *noiseP != 0 {
+		usageErr("-fuse cannot be combined with -noise: fusion drops instructions, and faults are charged per instruction")
 	}
 	if *diagOut && (!exp || *noiseP == 0) {
 		usageErr("-diag requires -memory or -surgery with -noise")

@@ -92,6 +92,7 @@ func TestCLIErrorPaths(t *testing.T) {
 		// -engine does not exist: the sampler follows from the program.
 		{"bad-engine", []string{"-memory", "3", "-engine", "stim"}, "flag provided but not defined: -engine"},
 		{"fuse-with-experiment", []string{"-memory", "3", "-fuse"}, "-fuse applies to -circuit only"},
+		{"fuse-with-noise", []string{"-circuit", "x.tiscc", "-fuse", "-noise", "1e-3"}, "-fuse cannot be combined with -noise"},
 		{"both-experiments", []string{"-memory", "3", "-surgery", "3"}, "mutually exclusive"},
 		{"metrics-without-experiment", []string{"-circuit", "x.tiscc", "-metrics", "m.json"}, "-metrics requires -memory or -surgery"},
 		{"prom-without-experiment", []string{"-circuit", "x.tiscc", "-prom", "m.prom"}, "-prom requires -memory or -surgery"},

@@ -33,8 +33,8 @@
 // attribution (which noise channels drive logical failure), -dem-calib the
 // per-detector observed-vs-predicted calibration residuals, and -progress a
 // streaming NDJSON feed of batch-level estimator progress. All diagnostics
-// replay fired faults from shot seeds and never touch the samplers' RNG, so
-// records stay bit-identical with or without them. The pprof flags profile
+// read the faults each sampled batch fired and never touch the samplers'
+// RNG, so records stay bit-identical with or without them. The pprof flags profile
 // any workload.
 package main
 

@@ -194,7 +194,7 @@ func (c *Circuit) String() string {
 func Parse(text string) (*Circuit, error) {
 	c := &Circuit{}
 	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
+	sc.Buffer(nil, 1024*1024) // lines up to 1 MiB; the buffer grows on demand
 	line := 0
 	for sc.Scan() {
 		line++
@@ -204,6 +204,13 @@ func Parse(text string) (*Circuit, error) {
 		}
 		g := Gate(fields[0])
 		e := Event{Gate: g, Record: -1}
+		nsites := 1
+		if g.TwoQubit() {
+			nsites = 2
+		}
+		if len(fields) <= nsites {
+			return nil, fmt.Errorf("line %d: %s needs %d site(s), got %d", line, g, nsites, len(fields)-1)
+		}
 		i := 1
 		s1, err := grid.ParseSite(fields[i])
 		if err != nil {

@@ -90,6 +90,9 @@ func TestParseErrors(t *testing.T) {
 		"ZZ 0.2 t=0 d=1",        // missing second site
 		"Prepare_Z 0.2 q=3",     // unknown field
 		"Prepare_Z 0.2 t=x d=1", // bad time
+		"ZZ 0.1",                // truncated: second site missing
+		"Move 0.1",              // truncated: destination missing
+		"Prepare_Z",             // truncated: no site at all
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("no error for %q", bad)

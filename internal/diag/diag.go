@@ -5,10 +5,8 @@
 // Three legs, all opt-in and all outside the sampling hot path:
 //
 //   - error-budget attribution (Collector + AttributionReport): every judged
-//     batch's fired faults are listed again from its shot seeds by
-//     noise.Schedule.FiredBatch, the draw kernel the samplers themselves
-//     apply (a pure function of the shot seeds, so the lists are the very
-//     faults the shots fired), and accumulated per error-budget channel
+//     batch's fired faults — the list the sampler drew and applied, handed
+//     on in noise.Planes.Fired — are accumulated per error-budget channel
 //     (gate class × fault kind) split by shot outcome, yielding fire
 //     counts, smoothed fail/ok odds ratios, and an empirical per-channel
 //     decomposition of the logical error rate that sums to p_L exactly;
@@ -38,7 +36,6 @@ import (
 
 	"tiscc/internal/decoder"
 	"tiscc/internal/noise"
-	"tiscc/internal/orqcs"
 )
 
 // maxFailureSamples bounds the localized failing-shot defect sets kept per
@@ -59,7 +56,6 @@ type channel struct {
 type Collector struct {
 	sched *noise.Schedule
 	dets  *decoder.Detectors // nil: attribution only, no detector stats
-	seed  int64
 
 	chans    []channel
 	siteChan []uint16 // fault site → dense channel index
@@ -71,13 +67,10 @@ type Collector struct {
 
 // scratch is one worker's accumulation state: every slice is allocated once
 // at full size when the worker first observes a shot, so observation itself
-// performs no heap allocation beyond the FiredBatch replay buffer's initial
-// growth.
+// performs no heap allocation beyond the bounded failure samples.
 type scratch struct {
-	seeds   [64]uint64 // shot seeds of the current batch
-	faults  []uint64   // FiredBatch replay buffer (packed firings)
-	perShot []uint32   // per-lane, per-channel fires of the current batch, lane-major
-	fired   []uint64   // detector words of the current batch
+	perShot []uint32 // per-lane, per-channel fires of the current batch, lane-major
+	fired   []uint64 // detector words of the current batch
 
 	shotsOK, shotsFail uint64
 	chanOK, chanFail   []uint64  // per-channel fire counts by outcome
@@ -93,13 +86,13 @@ type FailureSample struct {
 	Defects []int32 `json:"defects"`
 }
 
-// NewCollector builds a collector for one estimation run: sched and seed
-// must match the run's schedule and Options.Seed (shot i replays its faults
-// from orqcs.ShotSeed(seed, i)). dets, when non-nil, additionally enables
-// per-detector observed-rate accumulation and failure localization; it must
-// be the detector structure of the decoded experiment.
-func NewCollector(sched *noise.Schedule, dets *decoder.Detectors, seed int64) *Collector {
-	c := &Collector{sched: sched, dets: dets, seed: seed}
+// NewCollector builds a collector for one estimation run: sched must be the
+// run's schedule (its fault sites key the channels of Planes.Fired). dets,
+// when non-nil, additionally enables per-detector observed-rate
+// accumulation and failure localization; it must be the detector structure
+// of the decoded experiment.
+func NewCollector(sched *noise.Schedule, dets *decoder.Detectors) *Collector {
+	c := &Collector{sched: sched, dets: dets}
 	n := sched.NumFaultSites()
 	dense := make([]int16, int(noise.NumFaultKinds)*int(noise.NumGateClasses))
 	for i := range dense {
@@ -120,7 +113,6 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors, seed int64) *C
 	}
 	c.pool.New = func() any {
 		sc := &scratch{
-			faults:   make([]uint64, 0, 64),
 			perShot:  make([]uint32, 64*len(c.chans)),
 			chanOK:   make([]uint64, len(c.chans)),
 			chanFail: make([]uint64, len(c.chans)),
@@ -140,20 +132,16 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors, seed int64) *C
 	return c
 }
 
-// ObserveBatch implements noise.ShotObserver: it replays the batch's fired
-// faults from its shot seeds in one FiredBatch call and, lane by lane,
-// buckets them per error-budget channel by outcome; when a detector
-// structure is attached, it adds the batch's detector words to the
-// per-detector observed-rate counters (popcounts) and localizes the first
-// failing shots. Safe for concurrent use (pooled per-worker scratch).
+// ObserveBatch implements noise.ShotObserver: it counts the batch's fired
+// faults (p.Fired) per lane and error-budget channel and, lane by lane,
+// buckets them by outcome; when a detector structure is attached, it adds
+// the batch's detector words to the per-detector observed-rate counters
+// (popcounts) and localizes the first failing shots. Safe for concurrent
+// use (pooled per-worker scratch).
 func (c *Collector) ObserveBatch(p *noise.Planes, bad uint64) {
 	sc := c.pool.Get().(*scratch)
-	for lane := 0; lane < p.N; lane++ {
-		sc.seeds[lane] = uint64(orqcs.ShotSeed(c.seed, p.First+lane))
-	}
-	sc.faults = c.sched.FiredBatch(sc.seeds[:p.N], sc.faults[:0])
 	nc := len(c.chans)
-	for _, w := range sc.faults { // site<<32 | branch<<6 | lane
+	for _, w := range p.Fired { // site<<32 | branch<<6 | lane
 		sc.perShot[int(w&63)*nc+int(c.siteChan[w>>32])]++
 	}
 	for lane := 0; lane < p.N; lane++ {

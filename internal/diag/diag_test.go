@@ -70,7 +70,7 @@ func TestDiagDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coll := NewCollector(sched, dets, seed)
+		coll := NewCollector(sched, dets)
 		got, _, _ := estimate(t, 3, model, shots, workers, seed, true, coll, func(int, int, bool) {})
 		if got != base {
 			t.Fatalf("workers=%d with diag: result %+v != baseline %+v", workers, got, base)
@@ -97,7 +97,7 @@ func TestAttributionSumsToPL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coll := NewCollector(sched, dets, seed)
+	coll := NewCollector(sched, dets)
 	res, _, _ := estimate(t, 3, noise.Depolarizing(3e-3), shots, 4, seed, true, coll, nil)
 	att := coll.Attribution()
 	if att.PL != res.Rate {
@@ -146,7 +146,7 @@ func TestCalibration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		coll := NewCollector(sched, dets, 11)
+		coll := NewCollector(sched, dets)
 		// Calibration needs syndromes, not corrections: raw readout keeps
 		// d=5 cheap while exercising the same record tables.
 		res, _, _ := estimate(t, tc.d, model, tc.shots, 4, 11, false, coll, nil)

@@ -52,8 +52,9 @@ func (c *Compiled) Labels() map[string]any {
 // orqcs -memory/-surgery: it estimates the compiled experiment's logical
 // error rate on the Pauli-frame sampler, wiring in the diagnostics
 // collector and progress stream the options ask for, and assembles the
-// point's manifest entry. Diagnostics replay fired faults from shot seeds
-// and touch no RNG, so the result is bit-identical with and without them.
+// point's manifest entry. Diagnostics read the firings each sampled batch
+// already carries and touch no RNG, so the result is bit-identical with and
+// without them.
 func (c *Compiled) Run(o RunOptions) (*Point, error) {
 	sim, err := frame.New(c.Prog, c.Sched)
 	if err != nil {
@@ -62,7 +63,7 @@ func (c *Compiled) Run(o RunOptions) (*Point, error) {
 	opt := noise.Options{Shots: o.Shots, Seed: o.Seed, Workers: o.Workers, Sampler: sim}
 	var coll *diag.Collector
 	if o.Diag || o.DemCalib {
-		coll = diag.NewCollector(c.Sched, c.Detectors, o.Seed)
+		coll = diag.NewCollector(c.Sched, c.Detectors)
 		opt.Observer = coll
 	}
 	var pw *diag.ProgressWriter

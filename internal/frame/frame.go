@@ -227,6 +227,7 @@ func (b *Batch) Run(first, count int, seed int64) {
 		b.fired = s.sched.FiredBatch(b.coins[:count], b.fired)
 		slices.Sort(b.fired)
 	}
+	b.p.Fired = b.fired
 	b.tel.Add(orqcs.CtrShots, uint64(count))
 	b.tel.Inc(orqcs.CtrBatches)
 	instrs := s.prog.Instructions()

@@ -1,4 +1,4 @@
-package frame
+package frame_test
 
 import (
 	"fmt"
@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tiscc/internal/circuit"
+	"tiscc/internal/frame"
 	"tiscc/internal/grid"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
@@ -42,13 +43,13 @@ func tableauRecords(t testing.TB, prog *orqcs.Program, sched *noise.Schedule, ro
 
 // frameRecords collects per-shot record tables from the frame sampler,
 // batches spread over a worker pool as SamplePlanes spreads them.
-func frameRecords(t testing.TB, sim *Sim, shots int, seed int64, workers int) []map[int32]bool {
+func frameRecords(t testing.TB, sim *frame.Sim, shots int, seed int64, workers int) []map[int32]bool {
 	t.Helper()
 	out := make([]map[int32]bool, shots)
-	err := orqcs.RunPool(batches(shots), workers, sim.NewBatch, func(b *Batch, bi int) error {
-		b.runBatch(bi, shots, seed)
-		for lane := 0; lane < b.p.N; lane++ {
-			out[b.p.First+lane] = maps.Clone(b.Records(lane))
+	err := orqcs.RunPool(frame.Batches(shots), workers, sim.NewBatch, func(b *frame.Batch, bi int) error {
+		b.RunBatch(bi, shots, seed)
+		for lane := 0; lane < b.Planes().N; lane++ {
+			out[b.Planes().First+lane] = maps.Clone(b.Records(lane))
 		}
 		return nil
 	})
@@ -121,7 +122,7 @@ func TestFrameMatchesTableaus(t *testing.T) {
 			for shot := range sliced {
 				diffRecords(t, "rowmajor vs sliced", shot, sliced[shot], rowMajor[shot])
 			}
-			sim, err := New(w.prog, w.sched)
+			sim, err := frame.New(w.prog, w.sched)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -213,7 +214,7 @@ func TestFrameRandomPrograms(t *testing.T) {
 		seed := rng.Int63()
 		sliced := tableauRecords(t, prog, sched, false, shots, seed)
 		rowMajor := tableauRecords(t, prog, sched, true, shots, seed)
-		sim, err := New(prog, sched)
+		sim, err := frame.New(prog, sched)
 		if err != nil {
 			t.Fatalf("trial %d: New: %v", trial, err)
 		}
@@ -245,7 +246,7 @@ func TestFrameReferenceSeedImmaterial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := newSim(mem.Prog, sched, trace)
+		sim, err := frame.NewSim(mem.Prog, sched, trace)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -288,7 +289,7 @@ func TestFrameEstimateManyMatchesTableau(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := New(pc.prog, sched)
+			sim, err := frame.New(pc.prog, sched)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,7 +337,7 @@ func TestFrameEstimateLogicalError(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := noise.Compile(noise.Depolarizing(4e-3), mem.Prog)
-	sim, err := New(mem.Prog, sched)
+	sim, err := frame.New(mem.Prog, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +378,7 @@ func TestFrameRejectsNonClifford(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(prog, nil); err == nil {
+	if _, err := frame.New(prog, nil); err == nil {
 		t.Fatal("New accepted a non-Clifford program")
 	}
 }
@@ -392,7 +393,7 @@ func TestFrameBatchAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
-	sim, err := New(mem.Prog, sched)
+	sim, err := frame.New(mem.Prog, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestFrameBatchAllocs(t *testing.T) {
 		}
 		bi := 0
 		allocs := testing.AllocsPerRun(20, func() {
-			if err := b.sampleBatch(bi, 64*20+37, 1, visit); err != nil {
+			if err := b.SampleBatch(bi, 64*20+37, 1, visit); err != nil {
 				t.Fatal(err)
 			}
 			bi++
@@ -441,7 +442,7 @@ func TestSamplePlanesMatchesRecords(t *testing.T) {
 	const shots, seed = 64*3 + 21, 5
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			sim, err := New(w.prog, w.sched)
+			sim, err := frame.New(w.prog, w.sched)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -496,13 +497,13 @@ func TestConjugateInvolution(t *testing.T) {
 		in := orqcs.Instr{Op: op, Q1: 0, Q2: 1, Rec: -1}
 		fx, fz := []uint64{rng.Uint64(), rng.Uint64()}, []uint64{rng.Uint64(), rng.Uint64()}
 		x0, z0 := append([]uint64(nil), fx...), append([]uint64(nil), fz...)
-		ok := Conjugate(&in, fx, fz)
+		ok := frame.Conjugate(&in, fx, fz)
 		unitary := op != orqcs.OpPrepareZ && op != orqcs.OpMeasureZ && op != orqcs.OpT && op != orqcs.OpTdg
 		if ok != unitary {
 			t.Fatalf("opcode %d: Conjugate reports %v, want %v", op, ok, unitary)
 		}
 		if ok {
-			Conjugate(&in, fx, fz)
+			frame.Conjugate(&in, fx, fz)
 		}
 		if fx[0] != x0[0] || fx[1] != x0[1] || fz[0] != z0[0] || fz[1] != z0[1] {
 			t.Fatalf("opcode %d: applying Conjugate twice changed the planes", op)
@@ -527,11 +528,11 @@ func TestReferenceSharedConcurrent(t *testing.T) {
 		vals []float64
 	}
 	sample := func(prog *orqcs.Program, sched *noise.Schedule) (run, error) {
-		sim, err := New(prog, sched)
+		sim, err := frame.New(prog, sched)
 		if err != nil {
 			return run{}, err
 		}
-		r := run{ref: sim.ref}
+		r := run{ref: sim.Trace()}
 		b := sim.NewBatch()
 		b.Run(0, 64, 11)
 		for lane := 0; lane < 64; lane++ {

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"tiscc/internal/orqcs"
-	"tiscc/internal/pauli"
 	"tiscc/internal/telemetry"
-	"tiscc/internal/verify"
 )
 
 // TestNoisyShotZeroAllocs is the allocs/shot regression guard for the noisy
@@ -17,18 +15,15 @@ import (
 // enabled throughout (Set-registered shards on every engine), proving the
 // instrumentation itself is allocation-free on the hot path.
 func TestNoisyShotZeroAllocs(t *testing.T) {
-	mem, err := verify.MemoryExperiment(3, 3, pauli.Z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := Compile(Depolarizing(1e-3), mem.Prog)
+	prog := memoryProgram(t, 3, 3)
+	sched := Compile(Depolarizing(1e-3), prog)
 	set := telemetry.NewSet(orqcs.SamplerSchema)
 	engines := []struct {
 		name string
 		e    *orqcs.Engine
 	}{
-		{"bitsliced", orqcs.NewFromProgram(mem.Prog)},
-		{"rowmajor", orqcs.NewFromProgramRowMajor(mem.Prog)},
+		{"bitsliced", orqcs.NewFromProgram(prog)},
+		{"rowmajor", orqcs.NewFromProgramRowMajor(prog)},
 	}
 	for _, eng := range engines {
 		eng := eng

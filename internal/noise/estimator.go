@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
-	"sync/atomic"
 
 	"tiscc/internal/expr"
 	"tiscc/internal/orqcs"
@@ -80,6 +78,11 @@ type Planes struct {
 	N     int      // sampled lanes: 1..64
 	Lanes uint64   // mask of the sampled lanes, the low N bits
 	Words []uint64 // record words, indexed by record id
+	// Fired lists the batch's fault firings, packed
+	// site<<32 | branch<<6 | lane and ascending by site, exactly as
+	// Schedule.FiredBatch draws them from the lanes' shot seeds: the faults
+	// the sampler applied. Empty for a noiseless batch.
+	Fired []uint64
 }
 
 // ShotObserver receives the judged batches of an estimate: bit i of bad
@@ -207,8 +210,9 @@ func wilsonStdErr(errors, shots int) float64 {
 // (schedule, outcome, Options): error bits are folded in strict shot order
 // and early stopping truncates the fixed shot sequence only at
 // Options.Batch boundaries, so neither the worker count nor scheduling can
-// change the result. The whole run — early stopping included — uses one
-// worker pool, so engines are allocated once.
+// change the result. Every run counts through that one ordered fold, with
+// or without early stopping and progress, and uses one worker pool, so
+// engines are allocated once.
 func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Options) (Result, error) {
 	const op = "noise.EstimateLogicalError"
 	if opt.Shots < 0 {
@@ -246,23 +250,6 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 	shots := opt.Shots
 	if shots <= 0 {
 		shots = 1000
-	}
-	if opt.TargetStdErr <= 0 && opt.Progress == nil {
-		// No stopping checks and no progress stream: a plain
-		// order-independent count suffices.
-		var errCount, fallbacks atomic.Int64
-		err := opt.Sampler.SamplePlanes(shots, opt.Seed, opt.Workers, func(p *Planes) error {
-			bad, fb, err := j.batch(p)
-			errCount.Add(int64(bits.OnesCount64(bad)))
-			fallbacks.Add(int64(bits.OnesCount64(fb)))
-			return err
-		})
-		if err != nil {
-			return Result{}, err
-		}
-		r := result(int(errCount.Load()), shots, shots, 0, reference)
-		r.RawFallbacks = int(fallbacks.Load())
-		return r, nil
 	}
 	batch := opt.Batch
 	if batch == 0 {

@@ -8,8 +8,6 @@ import (
 
 	"tiscc/internal/hardware"
 	"tiscc/internal/orqcs"
-	"tiscc/internal/pauli"
-	"tiscc/internal/verify"
 )
 
 // referenceFired is the plain one-stream draw loop the kernel must
@@ -75,10 +73,7 @@ func checkAgainstReference(t *testing.T, s *Schedule, seeds []int64, ref [][]Fir
 // compiled schedules: every lane count 1..64 (padded groups included) and
 // every model, PaperTable5's spread of idle probabilities among them.
 func TestKernelMatchesReference(t *testing.T) {
-	mem, err := verify.MemoryExperiment(3, 3, pauli.Z)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prog := memoryProgram(t, 3, 3)
 	models := []Model{
 		Depolarizing(1e-4), Depolarizing(1e-3), Depolarizing(0.3), Depolarizing(1),
 		PaperTable5(hardware.Default()),
@@ -89,7 +84,7 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 	for _, m := range models {
 		t.Run(fmt.Sprintf("%s/%g", m.Name, m.P2), func(t *testing.T) {
-			s := Compile(m, mem.Prog)
+			s := Compile(m, prog)
 			ref := make([][]FiredFault, len(seeds))
 			fired := 0
 			for i, sd := range seeds {
@@ -250,16 +245,13 @@ func TestRejectLemma(t *testing.T) {
 // (a bound built naively as ceil(0)<<11 − 1 wraps to 2⁶⁴ − 1 and would
 // make every draw a candidate).
 func TestDecodedScheduleFires(t *testing.T) {
-	mem, err := verify.MemoryExperiment(3, 3, pauli.Z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := Compile(Depolarizing(3e-3), mem.Prog)
+	prog := memoryProgram(t, 3, 3)
+	s := Compile(Depolarizing(3e-3), prog)
 	for k, p := range map[int]float64{0: 0, 1: 1, 2: 0.5, 3: 1e-300} {
 		s.faults[k].P = p
 	}
 	s.reject = rejectBounds(s.faults)
-	dec, err := DecodeSchedule(AppendSchedule(nil, s), mem.Prog)
+	dec, err := DecodeSchedule(AppendSchedule(nil, s), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,12 +286,9 @@ func TestDecodedScheduleFires(t *testing.T) {
 // memory shots, the frame sampler's per-batch call, at a dense and a sparse
 // depolarizing rate; ns/draw is per fault site per lane.
 func BenchmarkFiredBatch(b *testing.B) {
-	mem, err := verify.MemoryExperiment(13, 13, pauli.Z)
-	if err != nil {
-		b.Fatal(err)
-	}
+	prog := memoryProgram(b, 13, 13)
 	for _, p := range []float64{1e-3, 5e-5} {
-		s := Compile(Depolarizing(p), mem.Prog)
+		s := Compile(Depolarizing(p), prog)
 		b.Run(fmt.Sprintf("d=13/p=%g", p), func(b *testing.B) {
 			seeds := make([]uint64, 64)
 			var buf []uint64

@@ -10,8 +10,14 @@
 //
 // Sliced is concrete-mode only (it always samples measurement outcomes with
 // an RNG): per-row phases are representable as a single sign bit, which is
-// exactly what packs into words. The symbolic compiler-side tracker stays on
-// the row-major T, whose per-row expression slots have no bit-sliced form.
+// exactly what packs into words. It implements the State engine contract —
+// the native gate set of lowered programs (ZZ and the nine single-qubit
+// rotations), Z measurement and reset, Pauli faults and expectation values —
+// plus the virtual ids and collapse rows the reference trace reads
+// (VirtualID, LastCollapse) and the row inspection the differential tests
+// use. Observable rows, conditional Paulis and H/CX/CZ/Swap belong to the
+// compiler's symbolic tracker and live only on the row-major T, whose
+// per-row expression slots have no bit-sliced form.
 //
 // Row phases use the canonical single-sign-bit convention: a row is
 // (−1)^s · P_1 ⊗ … ⊗ P_n with literal Pauli matrices (Y itself, not iXZ).
@@ -30,14 +36,11 @@ import (
 )
 
 // Sliced is the bit-sliced concrete-mode stabilizer engine. It implements
-// State with the same observable behaviour as a concrete-mode T: identical
-// measurement-record tables (virtual ids included) for identical seeds.
+// State with the same behaviour as a concrete-mode T: identical measurement
+// record tables (virtual ids included) for identical seeds.
 type Sliced struct {
 	n  int // qubits
 	wd int // words per destabilizer/stabilizer plane: ceil(n/64)
-	wo int // words per observable plane (grows with AddObservable)
-
-	nobs int // live observable rows
 
 	// qp holds the destabilizer/stabilizer planes interleaved per qubit:
 	// qubit q owns qp[q*4*wd:(q+1)*4*wd] laid out as
@@ -45,11 +48,8 @@ type Sliced struct {
 	// working set is one contiguous block plus the sign words.
 	qp []uint64
 
-	// Observable planes, qubit q at ox[q*wo:(q+1)*wo] (same for oz).
-	ox, oz []uint64
-
 	// Sign planes: bit r is the sign of row r within its group.
-	ds, ss, os []uint64
+	ds, ss []uint64
 
 	rng         *rand.Rand
 	records     map[int32]bool
@@ -58,9 +58,9 @@ type Sliced struct {
 	// Reusable measurement scratch: anticommutation row masks per group,
 	// the 2-bit mod-4 phase accumulators of the CHP rowsum, and the
 	// row-major extraction of the collapsing stabilizer.
-	mad, mas, mao []uint64
-	lo, hi        []uint64
-	srcX, srcZ    pauli.Bits
+	mad, mas   []uint64
+	lo, hi     []uint64
+	srcX, srcZ pauli.Bits
 
 	single  *pauli.String // reusable weight-≤1 scratch operator
 	singleQ int
@@ -110,20 +110,11 @@ func (t *Sliced) planes(q int) []uint64 {
 	return t.qp[s : s+4*t.wd : s+4*t.wd]
 }
 
-func (t *Sliced) oxq(q int) []uint64 { return t.ox[q*t.wo : (q+1)*t.wo] }
-func (t *Sliced) ozq(q int) []uint64 { return t.oz[q*t.wo : (q+1)*t.wo] }
-
 // N returns the number of qubits.
 func (t *Sliced) N() int { return t.n }
 
-// Symbolic reports whether the tableau runs in symbolic mode (never).
-func (t *Sliced) Symbolic() bool { return false }
-
 // Records exposes the record table of the current shot.
 func (t *Sliced) Records() map[int32]bool { return t.records }
-
-// Value returns the concrete bit of an outcome.
-func (t *Sliced) Value(o Outcome) bool { return t.records[o.Record] }
 
 // VirtualID allocates a fresh negative record id (same even-negative range
 // as a concrete-mode T, so record tables are interchangeable).
@@ -139,10 +130,6 @@ func (t *Sliced) ResetAll() {
 	clear(t.qp)
 	clear(t.ds)
 	clear(t.ss)
-	clear(t.ox)
-	clear(t.oz)
-	clear(t.os)
-	t.nobs = 0
 	clear(t.records)
 	t.nextVirtual = -2
 	t.initRows()
@@ -165,29 +152,9 @@ func (t *Sliced) singlePauli(q int, k pauli.Kind) *pauli.String {
 //
 // Each gate is a whole-word update of its operand qubits' planes. The sign
 // rules are the conjugation tables in single-sign-bit form; the destabilizer
-// and stabilizer halves are fused in one loop (their planes are adjacent),
-// with a trailing loop for observables when any are registered.
-
-// H applies a Hadamard on qubit q (X↔Z, Y→−Y).
-func (t *Sliced) H(q int) {
-	pl, wd := t.planes(q), t.wd
-	for w := 0; w < wd; w++ {
-		x, z := pl[w], pl[wd+w]
-		t.ds[w] ^= x & z
-		pl[w], pl[wd+w] = z, x
-		x, z = pl[2*wd+w], pl[3*wd+w]
-		t.ss[w] ^= x & z
-		pl[2*wd+w], pl[3*wd+w] = z, x
-	}
-	if t.nobs > 0 {
-		ox, oz := t.oxq(q), t.ozq(q)
-		for w := range ox {
-			x, z := ox[w], oz[w]
-			t.os[w] ^= x & z
-			ox[w], oz[w] = z, x
-		}
-	}
-}
+// and stabilizer halves are fused in one loop (their planes are adjacent).
+// The set is exactly the native gates of lowered programs: the nine
+// single-qubit rotations and ZZ.
 
 // S applies the phase gate on qubit q (X→Y, Y→−X).
 func (t *Sliced) S(q int) {
@@ -197,13 +164,6 @@ func (t *Sliced) S(q int) {
 		pl[wd+w] ^= pl[w]
 		t.ss[w] ^= pl[2*wd+w] & pl[3*wd+w]
 		pl[3*wd+w] ^= pl[2*wd+w]
-	}
-	if t.nobs > 0 {
-		ox, oz := t.oxq(q), t.ozq(q)
-		for w := range ox {
-			t.os[w] ^= ox[w] & oz[w]
-			oz[w] ^= ox[w]
-		}
 	}
 }
 
@@ -216,13 +176,6 @@ func (t *Sliced) Sdg(q int) {
 		t.ss[w] ^= pl[2*wd+w] &^ pl[3*wd+w]
 		pl[3*wd+w] ^= pl[2*wd+w]
 	}
-	if t.nobs > 0 {
-		ox, oz := t.oxq(q), t.ozq(q)
-		for w := range ox {
-			t.os[w] ^= ox[w] &^ oz[w]
-			oz[w] ^= ox[w]
-		}
-	}
 }
 
 // X applies Pauli X on qubit q (Z→−Z, Y→−Y).
@@ -231,12 +184,6 @@ func (t *Sliced) X(q int) {
 	for w := 0; w < wd; w++ {
 		t.ds[w] ^= pl[wd+w]
 		t.ss[w] ^= pl[3*wd+w]
-	}
-	if t.nobs > 0 {
-		oz := t.ozq(q)
-		for w := range oz {
-			t.os[w] ^= oz[w]
-		}
 	}
 }
 
@@ -247,12 +194,6 @@ func (t *Sliced) Z(q int) {
 		t.ds[w] ^= pl[w]
 		t.ss[w] ^= pl[2*wd+w]
 	}
-	if t.nobs > 0 {
-		ox := t.oxq(q)
-		for w := range ox {
-			t.os[w] ^= ox[w]
-		}
-	}
 }
 
 // Y applies Pauli Y on qubit q (X→−X, Z→−Z).
@@ -261,12 +202,6 @@ func (t *Sliced) Y(q int) {
 	for w := 0; w < wd; w++ {
 		t.ds[w] ^= pl[w] ^ pl[wd+w]
 		t.ss[w] ^= pl[2*wd+w] ^ pl[3*wd+w]
-	}
-	if t.nobs > 0 {
-		ox, oz := t.oxq(q), t.ozq(q)
-		for w := range ox {
-			t.os[w] ^= ox[w] ^ oz[w]
-		}
 	}
 }
 
@@ -279,13 +214,6 @@ func (t *Sliced) SqrtX(q int) {
 		t.ss[w] ^= pl[2*wd+w] & pl[3*wd+w]
 		pl[2*wd+w] ^= pl[3*wd+w]
 	}
-	if t.nobs > 0 {
-		ox, oz := t.oxq(q), t.ozq(q)
-		for w := range ox {
-			t.os[w] ^= ox[w] & oz[w]
-			ox[w] ^= oz[w]
-		}
-	}
 }
 
 // SqrtXDg applies X_{−π/4} (Z→−Y, Y→Z).
@@ -296,13 +224,6 @@ func (t *Sliced) SqrtXDg(q int) {
 		pl[w] ^= pl[wd+w]
 		t.ss[w] ^= pl[3*wd+w] &^ pl[2*wd+w]
 		pl[2*wd+w] ^= pl[3*wd+w]
-	}
-	if t.nobs > 0 {
-		ox, oz := t.oxq(q), t.ozq(q)
-		for w := range ox {
-			t.os[w] ^= oz[w] &^ ox[w]
-			ox[w] ^= oz[w]
-		}
 	}
 }
 
@@ -317,14 +238,6 @@ func (t *Sliced) SqrtY(q int) {
 		t.ss[w] ^= x &^ z
 		pl[2*wd+w], pl[3*wd+w] = z, x
 	}
-	if t.nobs > 0 {
-		ox, oz := t.oxq(q), t.ozq(q)
-		for w := range ox {
-			x, z := ox[w], oz[w]
-			t.os[w] ^= x &^ z
-			ox[w], oz[w] = z, x
-		}
-	}
 }
 
 // SqrtYDg applies Y_{−π/4} (X→Z, Z→−X).
@@ -337,60 +250,6 @@ func (t *Sliced) SqrtYDg(q int) {
 		x, z = pl[2*wd+w], pl[3*wd+w]
 		t.ss[w] ^= z &^ x
 		pl[2*wd+w], pl[3*wd+w] = z, x
-	}
-	if t.nobs > 0 {
-		ox, oz := t.oxq(q), t.ozq(q)
-		for w := range ox {
-			x, z := ox[w], oz[w]
-			t.os[w] ^= z &^ x
-			ox[w], oz[w] = z, x
-		}
-	}
-}
-
-// CX applies a CNOT with control c and target d.
-func (t *Sliced) CX(c, d int) {
-	pc, pd, wd := t.planes(c), t.planes(d), t.wd
-	for w := 0; w < wd; w++ {
-		xc, zc, xd, zd := pc[w], pc[wd+w], pd[w], pd[wd+w]
-		t.ds[w] ^= xc & zd &^ (xd ^ zc)
-		pd[w] = xd ^ xc
-		pc[wd+w] = zc ^ zd
-		xc, zc, xd, zd = pc[2*wd+w], pc[3*wd+w], pd[2*wd+w], pd[3*wd+w]
-		t.ss[w] ^= xc & zd &^ (xd ^ zc)
-		pd[2*wd+w] = xd ^ xc
-		pc[3*wd+w] = zc ^ zd
-	}
-	if t.nobs > 0 {
-		xc, zc, xd, zd := t.oxq(c), t.ozq(c), t.oxq(d), t.ozq(d)
-		for w := range xc {
-			t.os[w] ^= xc[w] & zd[w] &^ (xd[w] ^ zc[w])
-			xd[w] ^= xc[w]
-			zc[w] ^= zd[w]
-		}
-	}
-}
-
-// CZ applies a controlled-Z between a and b.
-func (t *Sliced) CZ(a, b int) {
-	pa, pb, wd := t.planes(a), t.planes(b), t.wd
-	for w := 0; w < wd; w++ {
-		xa, za, xb, zb := pa[w], pa[wd+w], pb[w], pb[wd+w]
-		t.ds[w] ^= xa & xb & (za ^ zb)
-		pa[wd+w] = za ^ xb
-		pb[wd+w] = zb ^ xa
-		xa, za, xb, zb = pa[2*wd+w], pa[3*wd+w], pb[2*wd+w], pb[3*wd+w]
-		t.ss[w] ^= xa & xb & (za ^ zb)
-		pa[3*wd+w] = za ^ xb
-		pb[3*wd+w] = zb ^ xa
-	}
-	if t.nobs > 0 {
-		xa, za, xb, zb := t.oxq(a), t.ozq(a), t.oxq(b), t.ozq(b)
-		for w := range xa {
-			t.os[w] ^= xa[w] & xb[w] & (za[w] ^ zb[w])
-			za[w] ^= xb[w]
-			zb[w] ^= xa[w]
-		}
 	}
 }
 
@@ -411,19 +270,7 @@ func (t *Sliced) ZZ(a, b int) {
 		pa[3*wd+w] = za ^ one
 		pb[3*wd+w] = zb ^ one
 	}
-	if t.nobs > 0 {
-		xa, za, xb, zb := t.oxq(a), t.ozq(a), t.oxq(b), t.ozq(b)
-		for w := range xa {
-			one := xa[w] ^ xb[w]
-			t.os[w] ^= one & ((xa[w] & za[w]) ^ (xb[w] & zb[w]))
-			za[w] ^= one
-			zb[w] ^= one
-		}
-	}
 }
-
-// Swap exchanges the states of qubits a and b (three CNOTs, matching T).
-func (t *Sliced) Swap(a, b int) { t.CX(a, b); t.CX(b, a); t.CX(a, b) }
 
 // ApplyPauliError applies the Pauli X^x Z^z on qubit q as a stochastic fault
 // (Pauli frame update): a row anticommuting with the error picks up −1. In
@@ -446,19 +293,6 @@ func (t *Sliced) ApplyPauliError(q int, x, z bool) {
 		}
 		t.ds[w] ^= fd
 		t.ss[w] ^= fs
-	}
-	if t.nobs > 0 {
-		ox, oz := t.oxq(q), t.ozq(q)
-		for w := range ox {
-			var f uint64
-			if x {
-				f ^= oz[w]
-			}
-			if z {
-				f ^= ox[w]
-			}
-			t.os[w] ^= f
-		}
 	}
 }
 
@@ -497,37 +331,6 @@ func (t *Sliced) antiMaskDS(dst []uint64, stab bool, p *pauli.String, sq int, sk
 		pl := t.planes(j)
 		for w := 0; w < t.wd; w++ {
 			dst[w] ^= pl[zo+w]
-		}
-	})
-}
-
-// antiMaskObs is antiMaskDS over the observable rows.
-func (t *Sliced) antiMaskObs(dst []uint64, p *pauli.String, sq int, sk pauli.Kind, single bool) {
-	if single {
-		switch sk {
-		case pauli.Z:
-			copy(dst, t.oxq(sq))
-		case pauli.X:
-			copy(dst, t.ozq(sq))
-		default:
-			ox, oz := t.oxq(sq), t.ozq(sq)
-			for w := range dst {
-				dst[w] = ox[w] ^ oz[w]
-			}
-		}
-		return
-	}
-	clear(dst)
-	eachSetBit(p.ZBits, func(j int) {
-		ox := t.oxq(j)
-		for w := range dst {
-			dst[w] ^= ox[w]
-		}
-	})
-	eachSetBit(p.XBits, func(j int) {
-		oz := t.ozq(j)
-		for w := range dst {
-			dst[w] ^= oz[w]
 		}
 	})
 }
@@ -688,18 +491,10 @@ func (t *Sliced) MeasurePauli(p *pauli.String, rec int32) Outcome {
 	t.antiMaskDS(mad, false, p, sq, sk, single)
 	mad[ipw] &^= 1 << ipb
 	mas[ipw] &^= 1 << ipb
-	var mao []uint64
-	if t.nobs > 0 {
-		mao = t.mao[:t.wo]
-		t.antiMaskObs(mao, p, sq, sk, single)
-	}
 
 	// Multiply the old stabilizer into every masked row.
 	t.fixDS(false, mad, srcSign)
 	t.fixDS(true, mas, srcSign)
-	if t.nobs > 0 {
-		t.fixObs(mao, srcSign)
-	}
 
 	// Recycle: destabilizer row ip takes the old stabilizer; stabilizer row
 	// ip becomes (−1)^outcome · p.
@@ -821,20 +616,6 @@ func (t *Sliced) fixDS(stab bool, m []uint64, srcSign bool) {
 	rowsumSigns(sg, m, lo, hi, srcSign)
 }
 
-// fixObs is fixDS over the observable rows.
-func (t *Sliced) fixObs(m []uint64, srcSign bool) {
-	if !anyBit(m) {
-		return
-	}
-	lo, hi := t.lo[:t.wo], t.hi[:t.wo]
-	clear(lo)
-	clear(hi)
-	t.eachSrcQubit(func(j int, x1, z1 bool) {
-		rowsumQubit(x1, z1, t.oxq(j), t.ozq(j), m, lo, hi)
-	})
-	rowsumSigns(t.os, m, lo, hi, srcSign)
-}
-
 // MeasureZ measures Pauli Z on qubit q under record index rec without
 // allocating the measurement operator (the hot path of compiled programs).
 func (t *Sliced) MeasureZ(q int, rec int32) Outcome {
@@ -853,139 +634,37 @@ func (t *Sliced) Reset(q int) {
 	}
 }
 
-// ConditionalPauli applies the Pauli p conditioned on the bit e. Sliced is
-// concrete-mode, so the expression is evaluated against the record table
-// immediately (T defers the evaluation symbolically; the observable
-// behaviour is identical once records are read).
-func (t *Sliced) ConditionalPauli(p *pauli.String, e expr.Expr) {
-	if !e.Eval(t.records) {
-		return
-	}
-	sq, sk, single := p.SingleQubit()
-	mad, mas := t.mad[:t.wd], t.mas[:t.wd]
-	t.antiMaskDS(mad, false, p, sq, sk, single)
-	t.antiMaskDS(mas, true, p, sq, sk, single)
-	for w := 0; w < t.wd; w++ {
-		t.ds[w] ^= mad[w]
-		t.ss[w] ^= mas[w]
-	}
-	if t.nobs > 0 {
-		mao := t.mao[:t.wo]
-		t.antiMaskObs(mao, p, sq, sk, single)
-		for w := range mao {
-			t.os[w] ^= mao[w]
-		}
-	}
-}
-
-// Expectation returns (defined, value) for the Hermitian Pauli p: defined is
-// false when p anticommutes with some stabilizer (⟨p⟩ = 0); otherwise value
-// is the ±1 sign as a constant bit expression (true = −1).
-func (t *Sliced) Expectation(p *pauli.String) (bool, expr.Expr) {
+// ExpectationValue returns the expectation of the Hermitian Pauli p: 0 when
+// p anticommutes with some stabilizer, otherwise its ±1 sign.
+func (t *Sliced) ExpectationValue(p *pauli.String) float64 {
 	sq, sk, single := p.SingleQubit()
 	mas := t.mas[:t.wd]
 	t.antiMaskDS(mas, true, p, sq, sk, single)
 	if anyBit(mas) {
-		return false, expr.Zero()
+		return 0
 	}
 	mad := t.mad[:t.wd]
 	t.antiMaskDS(mad, false, p, sq, sk, single)
-	return true, expr.FromConst(t.detValue(p, mad))
-}
-
-// ExpectationValue returns the expectation of p as a float: +1, −1 or 0.
-func (t *Sliced) ExpectationValue(p *pauli.String) float64 {
-	ok, e := t.Expectation(p)
-	if !ok {
-		return 0
-	}
-	if e.Const {
+	if t.detValue(p, mad) {
 		return -1
 	}
 	return 1
 }
 
-// --- Observables ------------------------------------------------------------
-
-// AddObservable registers a Hermitian Pauli to be tracked through subsequent
-// gates and measurements; returns its handle. Observables must commute with
-// the stabilizer group whenever a measurement collapses the state (logical
-// operators do by construction); a violation panics in the fix loop.
-func (t *Sliced) AddObservable(p *pauli.String) int {
-	s := signBit(p) // panics on non-Hermitian input
-	h := t.nobs
-	if h == t.wo*64 {
-		t.growObs()
-	}
-	w, b := h>>6, uint(h)&63
-	for j := 0; j < t.n; j++ {
-		setPlaneBit(t.oxq(j), w, b, p.XBits.Get(j))
-		setPlaneBit(t.ozq(j), w, b, p.ZBits.Get(j))
-	}
-	setPlaneBit(t.os, w, b, s)
-	t.nobs++
-	return h
-}
-
-// growObs adds one word to every observable plane, re-striding in place.
-func (t *Sliced) growObs() {
-	nwo := t.wo + 1
-	nox := make([]uint64, t.n*nwo)
-	noz := make([]uint64, t.n*nwo)
-	for j := 0; j < t.n; j++ {
-		copy(nox[j*nwo:], t.ox[j*t.wo:(j+1)*t.wo])
-		copy(noz[j*nwo:], t.oz[j*t.wo:(j+1)*t.wo])
-	}
-	t.ox, t.oz = nox, noz
-	t.os = append(t.os, 0)
-	t.wo = nwo
-	if len(t.mao) < nwo {
-		t.mao = make([]uint64, nwo)
-	}
-	if len(t.lo) < nwo {
-		t.lo = make([]uint64, nwo)
-		t.hi = make([]uint64, nwo)
-	}
-}
-
-// Observable returns the current form of observable h: the Pauli content in
-// canonical literal form (phase = its Y count) and the sign as a constant
-// expression (true meaning an extra −1), mirroring T.Observable's contract
-// of "original observable = (−1)^corr × returned Pauli".
-func (t *Sliced) Observable(h int) (*pauli.String, expr.Expr) {
-	if h < 0 || h >= t.nobs {
-		panic("tableau: observable handle out of range")
-	}
-	p := t.rowString(0, 0, false, nil, h)
-	return p, expr.FromConst(t.os[h>>6]>>(uint(h)&63)&1 == 1)
-}
-
-// ObservableXorSign folds an extra sign term into a tracked observable.
-func (t *Sliced) ObservableXorSign(h int, e expr.Expr) {
-	if e.Eval(t.records) {
-		t.os[h>>6] ^= 1 << (uint(h) & 63)
-	}
-}
-
 // --- Inspection -------------------------------------------------------------
 
-// rowString extracts one row as a pauli.String: content plus the exact
-// i-exponent (Y count, plus twice the sign bit when a sign plane is given),
-// matching what a row-major T would report for the same operator.
-func (t *Sliced) rowString(xo, zo int, strided bool, sg []uint64, r int) *pauli.String {
+// rowString extracts row r of the planes at offsets xo/zo, with sign plane
+// sg, as a pauli.String: content plus the exact i-exponent (Y count plus
+// twice the sign bit), matching what a row-major T would report for the
+// same operator.
+func (t *Sliced) rowString(xo, zo int, sg []uint64, r int) *pauli.String {
 	p := pauli.NewString(t.n)
 	w, b := r>>6, uint(r)&63
 	y := 0
 	for j := 0; j < t.n; j++ {
-		var xb, zb bool
-		if strided {
-			pl := t.planes(j)
-			xb = pl[xo+w]>>b&1 == 1
-			zb = pl[zo+w]>>b&1 == 1
-		} else {
-			xb = t.oxq(j)[w]>>b&1 == 1
-			zb = t.ozq(j)[w]>>b&1 == 1
-		}
+		pl := t.planes(j)
+		xb := pl[xo+w]>>b&1 == 1
+		zb := pl[zo+w]>>b&1 == 1
 		p.XBits.Set(j, xb)
 		p.ZBits.Set(j, zb)
 		if xb && zb {
@@ -993,7 +672,7 @@ func (t *Sliced) rowString(xo, zo int, strided bool, sg []uint64, r int) *pauli.
 		}
 	}
 	ph := y % 4
-	if sg != nil && sg[w]>>b&1 == 1 {
+	if sg[w]>>b&1 == 1 {
 		ph = (ph + 2) % 4
 	}
 	p.Phase = uint8(ph)
@@ -1004,7 +683,7 @@ func (t *Sliced) rowString(xo, zo int, strided bool, sg []uint64, r int) *pauli.
 func (t *Sliced) StabilizerStrings() []*pauli.String {
 	out := make([]*pauli.String, t.n)
 	for i := 0; i < t.n; i++ {
-		out[i] = t.rowString(2*t.wd, 3*t.wd, true, t.ss, i)
+		out[i] = t.rowString(2*t.wd, 3*t.wd, t.ss, i)
 	}
 	return out
 }
@@ -1013,7 +692,7 @@ func (t *Sliced) StabilizerStrings() []*pauli.String {
 func (t *Sliced) DestabilizerStrings() []*pauli.String {
 	out := make([]*pauli.String, t.n)
 	for i := 0; i < t.n; i++ {
-		out[i] = t.rowString(0, t.wd, true, t.ds, i)
+		out[i] = t.rowString(0, t.wd, t.ds, i)
 	}
 	return out
 }

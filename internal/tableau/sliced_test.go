@@ -129,7 +129,9 @@ func compareStates(t *testing.T, step string, rm *T, sl *Sliced) {
 }
 
 // drive applies one random operation (gate, Pauli frame injection, reset or
-// measurement) identically to both engines.
+// measurement) identically to both engines. Gates are the native set only —
+// the nine single-qubit rotations and ZZ, which together generate the full
+// Clifford group — applied singly or as short composites.
 func drive(opRng *rand.Rand, rm *T, sl *Sliced, n int, nextRec *int32) string {
 	q := opRng.Intn(n)
 	q2 := opRng.Intn(n)
@@ -137,10 +139,12 @@ func drive(opRng *rand.Rand, rm *T, sl *Sliced, n int, nextRec *int32) string {
 		q2 = opRng.Intn(n)
 	}
 	switch op := opRng.Intn(18); op {
-	case 0:
-		rm.H(q)
-		sl.H(q)
-		return fmt.Sprintf("H(%d)", q)
+	case 0: // Hadamard up to global phase: X·SqrtY
+		for _, st := range []State{rm, sl} {
+			st.SqrtY(q)
+			st.X(q)
+		}
+		return fmt.Sprintf("SqrtY+X(%d)", q)
 	case 1:
 		rm.S(q)
 		sl.S(q)
@@ -192,27 +196,39 @@ func drive(opRng *rand.Rand, rm *T, sl *Sliced, n int, nextRec *int32) string {
 			sl.X(q)
 			return fmt.Sprintf("X(%d)", q)
 		}
-		rm.CX(q, q2)
-		sl.CX(q, q2)
-		return fmt.Sprintf("CX(%d,%d)", q, q2)
+		rm.ZZ(q2, q)
+		sl.ZZ(q2, q)
+		return fmt.Sprintf("ZZ(%d,%d)", q2, q)
 	case 12:
 		if n == 1 {
 			rm.S(q)
 			sl.S(q)
 			return fmt.Sprintf("S(%d)", q)
 		}
-		rm.CZ(q, q2)
-		sl.CZ(q, q2)
-		return fmt.Sprintf("CZ(%d,%d)", q, q2)
+		// XX coupling: ZZ conjugated by Y rotations on both operands.
+		for _, st := range []State{rm, sl} {
+			st.SqrtYDg(q)
+			st.SqrtYDg(q2)
+			st.ZZ(q, q2)
+			st.SqrtY(q)
+			st.SqrtY(q2)
+		}
+		return fmt.Sprintf("XX(%d,%d)", q, q2)
 	case 13:
 		if n == 1 {
-			rm.H(q)
-			sl.H(q)
-			return fmt.Sprintf("H(%d)", q)
+			rm.SqrtX(q)
+			sl.SqrtX(q)
+			return fmt.Sprintf("SqrtX(%d)", q)
 		}
-		rm.Swap(q, q2)
-		sl.Swap(q, q2)
-		return fmt.Sprintf("Swap(%d,%d)", q, q2)
+		// YY coupling: ZZ conjugated by X rotations on both operands.
+		for _, st := range []State{rm, sl} {
+			st.SqrtX(q)
+			st.SqrtX(q2)
+			st.ZZ(q, q2)
+			st.SqrtXDg(q)
+			st.SqrtXDg(q2)
+		}
+		return fmt.Sprintf("YY(%d,%d)", q, q2)
 	case 14: // injected Pauli frame (the noise subsystem's fault update)
 		x, z := opRng.Intn(2) == 1, opRng.Intn(2) == 1
 		rm.ApplyPauliError(q, x, z)
@@ -347,70 +363,3 @@ func TestSlicedResetAllReuse(t *testing.T) {
 
 // nil2 returns a placeholder RNG (replaced by run before use).
 func nil2() *rand.Rand { return rand.New(rand.NewSource(1)) }
-
-// observableSign reads the effective sign bit of observable h (content sign
-// plus accumulated correction expression).
-func observableSign(st State, h int) (*pauli.String, bool) {
-	p, e := st.Observable(h)
-	s := p.Sign() == -1
-	if e.Eval(st.Records()) {
-		s = !s
-	}
-	return p, s
-}
-
-// TestSlicedObservables tracks observable rows — products of the current
-// stabilizer group, i.e. exactly the shape of compiled logical operators —
-// through further gates, frame injections and collapses on both engines,
-// comparing the tracked operator and its sign at the end.
-func TestSlicedObservables(t *testing.T) {
-	const n = 9
-	for trial := 0; trial < 8; trial++ {
-		seed := int64(300 + trial)
-		rm := New(n, rand.New(rand.NewSource(seed)))
-		sl := NewSliced(n, rand.New(rand.NewSource(seed)))
-		opRng := rand.New(rand.NewSource(seed * 31))
-		nextRec := int32(0)
-		// Scramble into a random stabilizer state first.
-		for s := 0; s < 40; s++ {
-			drive(opRng, rm, sl, n, &nextRec)
-		}
-		// Register observables that commute with the stabilizer group by
-		// construction: products of random subsets of the current
-		// generators (with signs folded in, so both engines get the same
-		// well-defined operator).
-		_, stabs := rowsOf(t, rm)
-		for h := 0; h < 3; h++ {
-			obs := pauli.NewString(n)
-			for i, g := range stabs {
-				if opRng.Intn(2) == 1 {
-					_ = i
-					obs.Mul(g)
-				}
-			}
-			if obs.IsIdentity() {
-				obs.Mul(stabs[h])
-			}
-			ha := rm.AddObservable(obs)
-			hb := sl.AddObservable(obs)
-			if ha != hb {
-				t.Fatalf("handle mismatch %d vs %d", ha, hb)
-			}
-		}
-		// Keep driving with observables attached.
-		for s := 0; s < 60; s++ {
-			step := drive(opRng, rm, sl, n, &nextRec)
-			compareStates(t, fmt.Sprintf("obs trial %d step %d (%s)", trial, s, step), rm, sl)
-		}
-		for h := 0; h < 3; h++ {
-			pa, sa := observableSign(rm, h)
-			pb, sb := observableSign(sl, h)
-			if !pa.EqualUpToPhase(pb) {
-				t.Fatalf("observable %d content differs: %s vs %s", h, pa, pb)
-			}
-			if sa != sb {
-				t.Fatalf("observable %d sign differs: %v vs %v", h, sa, sb)
-			}
-		}
-	}
-}

@@ -1,49 +1,36 @@
 package tableau
 
-import (
-	"tiscc/internal/expr"
-	"tiscc/internal/pauli"
-)
+import "tiscc/internal/pauli"
 
-// State is the concrete-mode stabilizer-simulator contract the simulation
-// engine drives: everything the compiled-program executor, the noise
-// subsystem's fault-injecting shot loop and the verification harnesses need
-// from a stabilizer state. Both the row-major T and the bit-sliced Sliced
-// implement it with bit-identical observable behaviour (records, outcomes,
-// expectation values) for identical seeds, which is what lets the engine
-// swap representations without perturbing any pinned golden expectation.
+// State is the engine contract: exactly what the simulation engine calls on
+// a stabilizer state to run lowered programs — the compiled-program
+// executor, the noise subsystem's fault-injecting shot loop and the
+// verification harnesses driving them. Lowered programs use the native gate
+// set only (ZZ and the nine single-qubit rotations), so no other gate is
+// part of it. Both the row-major T and the bit-sliced Sliced implement it
+// with bit-identical behaviour (records, outcomes, expectation values) for
+// identical seeds, which is what lets the engine swap representations
+// without perturbing any pinned golden expectation. T's symbolic-tracker
+// API (observable rows, conditional Paulis, H/CX/CZ/Swap) is not part of
+// the contract.
 type State interface {
 	N() int
 	ResetAll()
 	Reset(q int)
 	MeasureZ(q int, rec int32) Outcome
-	MeasurePauli(p *pauli.String, rec int32) Outcome
-	H(q int)
-	S(q int)
-	Sdg(q int)
+	ZZ(a, b int)
 	X(q int)
 	Y(q int)
 	Z(q int)
+	S(q int)
+	Sdg(q int)
 	SqrtX(q int)
 	SqrtXDg(q int)
 	SqrtY(q int)
 	SqrtYDg(q int)
-	CX(c, d int)
-	CZ(a, b int)
-	ZZ(a, b int)
-	Swap(a, b int)
 	ApplyPauliError(q int, x, z bool)
-	ConditionalPauli(p *pauli.String, e expr.Expr)
-	Expectation(p *pauli.String) (bool, expr.Expr)
 	ExpectationValue(p *pauli.String) float64
-	AddObservable(p *pauli.String) int
-	Observable(h int) (*pauli.String, expr.Expr)
-	ObservableXorSign(h int, e expr.Expr)
 	Records() map[int32]bool
-	Value(o Outcome) bool
-	VirtualID() int32
-	StabilizerStrings() []*pauli.String
-	CheckInvariants() error
 }
 
 var (

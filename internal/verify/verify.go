@@ -11,6 +11,7 @@ import (
 
 	"tiscc/internal/core"
 	"tiscc/internal/expr"
+	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
@@ -599,11 +600,21 @@ func SurgeryExperiment(d, pre, merge, post int, basis pauli.Kind) (*Surgery, err
 		return nil, err
 	}
 	s.Reference = outcome.EvalWords(ref.Words) != 0
-	// A differently-seeded noiseless engine run cross-checks the trace: the
-	// merge outcome may differ, the joint parity must not.
-	eng := orqcs.NewFromProgram(prog)
-	eng.RunShot(4)
-	if outcome.Eval(eng.Records()) != s.Reference {
+	// One noiseless 64-lane frame batch over the same reference cross-checks
+	// the trace: every lane draws its own coins for the random measurements,
+	// so the merge outcome may differ from lane to lane, but the joint parity
+	// must read Reference on all 64.
+	sim, err := frame.New(prog, nil)
+	if err != nil {
+		return nil, err
+	}
+	batch := sim.NewBatch()
+	batch.Run(0, 64, 4)
+	want := uint64(0)
+	if s.Reference {
+		want = ^want
+	}
+	if outcome.EvalWords(batch.Planes().Words) != want {
 		return nil, fmt.Errorf("verify: surgery joint parity is not deterministic")
 	}
 	return s, nil
