@@ -466,7 +466,12 @@ func BenchmarkCompileProgram(b *testing.B) {
 // BenchmarkNoisyVsNoiselessShot measures the per-shot overhead of fault
 // injection at p = 1e-3 on a d=5 memory experiment. The acceptance target
 // of the noise subsystem is that the noisy loop stays within 2× of the
-// noiseless loop; compare the two sub-benchmarks' ns/op.
+// noiseless loop; compare the two sub-benchmarks' ns/op. That ratio is all
+// it resolves: on a shared 2-core host the noiseless sub-benchmark alone
+// moves by ~30% between runs, so a change to the per-shot fault path
+// smaller than that does not show here. Time the draw kernel with
+// BenchmarkFiredBatch (internal/noise) and end-to-end throughput with
+// alternating parent/change perfbench runs instead.
 func BenchmarkNoisyVsNoiselessShot(b *testing.B) {
 	mem, err := verify.MemoryExperiment(5, 2, pauli.Z)
 	if err != nil {

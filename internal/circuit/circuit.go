@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"tiscc/internal/grid"
@@ -228,23 +229,23 @@ func Parse(text string) (*Circuit, error) {
 		}
 		for ; i < len(fields); i++ {
 			f := fields[i]
+			var err error
 			switch {
 			case strings.HasPrefix(f, "t="):
-				if _, err := fmt.Sscanf(f, "t=%d", &e.Start); err != nil {
-					return nil, fmt.Errorf("line %d: %v", line, err)
-				}
+				e.Start, err = strconv.ParseInt(f[2:], 10, 64)
 			case strings.HasPrefix(f, "d="):
-				if _, err := fmt.Sscanf(f, "d=%d", &e.Dur); err != nil {
-					return nil, fmt.Errorf("line %d: %v", line, err)
-				}
+				e.Dur, err = strconv.ParseInt(f[2:], 10, 64)
 			case strings.HasPrefix(f, "m="):
-				if _, err := fmt.Sscanf(f, "m=%d", &e.Record); err != nil {
-					return nil, fmt.Errorf("line %d: %v", line, err)
-				}
+				var m int64
+				m, err = strconv.ParseInt(f[2:], 10, 32)
+				e.Record = int32(m)
 			case f == "J":
 				e.ViaJunction = true
 			default:
 				return nil, fmt.Errorf("line %d: unknown field %q", line, f)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("line %d: field %q: want a whole integer", line, f)
 			}
 		}
 		c.Events = append(c.Events, e)

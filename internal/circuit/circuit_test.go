@@ -93,9 +93,21 @@ func TestParseErrors(t *testing.T) {
 		"ZZ 0.1",                // truncated: second site missing
 		"Move 0.1",              // truncated: destination missing
 		"Prepare_Z",             // truncated: no site at all
+		// Trailing garbage in a field.
+		"Prepare_Z 0.2xyz t=5abc d=7zz",
+		"Prepare_Z 0.2xyz t=5 d=7",
+		"Prepare_Z 0.2 t=5abc d=7",
+		"Prepare_Z 0.2 t=5 d=7zz",
+		"Measure_Z 1.2.3 m=4",
+		"Measure_Z 1.2 t=0 d=1 m=4q",
+		"Measure_Z 1.2.3 m=4q",
+		"ZZ 0.1 0.3x t=0 d=1",
 	} {
-		if _, err := Parse(bad); err == nil {
+		_, err := Parse("# header\n" + bad)
+		if err == nil {
 			t.Errorf("no error for %q", bad)
+		} else if !strings.HasPrefix(err.Error(), "line 2: ") {
+			t.Errorf("%q: error %q does not name line 2", bad, err)
 		}
 	}
 }

@@ -33,7 +33,8 @@ func memoryText(f *testing.F) string {
 // String/Parse round trip after one normalization.
 func FuzzParseCircuit(f *testing.F) {
 	f.Add(memoryText(f))
-	for _, s := range []string{"ZZ 0.1", "Move 0.1", "Prepare_Z", "Move 0.3 1.4 t=0 d=210000 J"} {
+	for _, s := range []string{"ZZ 0.1", "Move 0.1", "Prepare_Z", "Move 0.3 1.4 t=0 d=210000 J",
+		"Prepare_Z 0.2xyz t=5abc d=7zz", "Measure_Z 1.2.3 m=4q"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {

@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -465,5 +466,23 @@ func TestSortedDetIDs(t *testing.T) {
 	got := sortedDetIDs(ids)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Fatalf("not sorted: %v", got)
+	}
+}
+
+// TestDecodeGraphEdgeLength pins the growth-length range a wire graph may
+// carry: [2, maxEdgeLen], the range CompileGraph quantizes into. A longer
+// edge would size the decoder's bucket queue past what compiled graphs use.
+func TestDecodeGraphEdgeLength(t *testing.T) {
+	det := mustDetectors(t, mustMemory(t, 3, 3, pauli.Z))
+	for _, tc := range []struct {
+		len int32
+		ok  bool
+	}{{1, false}, {2, true}, {maxEdgeLen, true}, {maxEdgeLen + 1, false}, {math.MaxInt32, false}} {
+		g := &Graph{det: det, boundary: int32(len(det.Dets))}
+		g.finish([]Edge{{U: 0, V: g.boundary, Len: tc.len, P: 0.01}})
+		_, err := DecodeGraph(AppendGraph(nil, g))
+		if (err == nil) != tc.ok {
+			t.Errorf("edge length %d: DecodeGraph error %v, want ok=%v", tc.len, err, tc.ok)
+		}
 	}
 }

@@ -17,13 +17,18 @@ import (
 // whether the mechanism flips the logical observable.
 type Edge struct {
 	U, V int32 // node ids; V == Graph.Boundary() for boundary edges
-	// Len is the edge's growth length in half-edge units (even, ≥ 2):
-	// proportional to the log-likelihood weight ln((1−p)/p), quantized so
-	// that union-find cluster growth can step it in integers.
+	// Len is the edge's growth length in half-edge units (even, in
+	// [2, 256]): proportional to the log-likelihood weight ln((1−p)/p),
+	// quantized so that union-find cluster growth can step it in integers.
 	Len int32
 	Obs bool
 	P   float64
 }
+
+// maxEdgeLen bounds Edge.Len: the least likely edge weighs at most 128
+// times the most likely one. The decoder's bucket queue spans that many
+// rounds, so DecodeGraph rejects longer edges.
+const maxEdgeLen = 256
 
 // Graph is a noise model's decoding graph compiled against one memory
 // experiment: detectors as nodes, elementary fault mechanisms as weighted
@@ -272,10 +277,7 @@ func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
 		if w < 1 {
 			w = 1
 		}
-		if w > 128 {
-			w = 128
-		}
-		edges[i].Len = 2 * w
+		edges[i].Len = 2 * min(w, maxEdgeLen/2)
 	}
 	g.finish(edges)
 	return g, nil

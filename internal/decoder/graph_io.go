@@ -123,8 +123,8 @@ func DecodeGraph(data []byte) (*Graph, error) {
 		if e.U < 0 || e.U > g.boundary || e.V < 0 || e.V > g.boundary {
 			return nil, fmt.Errorf("decoder: decode: edge %d nodes (%d, %d) outside [0, %d]", i, e.U, e.V, g.boundary)
 		}
-		if e.Len < 2 {
-			return nil, fmt.Errorf("decoder: decode: edge %d growth length %d < 2", i, e.Len)
+		if e.Len < 2 || e.Len > maxEdgeLen {
+			return nil, fmt.Errorf("decoder: decode: edge %d growth length %d outside [2, %d]", i, e.Len, maxEdgeLen)
 		}
 		if math.IsNaN(e.P) || e.P < 0 || e.P > 1 {
 			return nil, fmt.Errorf("decoder: decode: edge %d probability %v outside [0, 1]", i, e.P)

@@ -8,18 +8,31 @@ import (
 	"sort"
 	"testing"
 
+	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/noise"
+	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
 	"tiscc/internal/telemetry"
 )
 
 // decodeFullScan is the reference growth loop: every round scans every
-// edge of the graph, with two finds per edge. It is the oracle for the
-// frontier-driven growth in decode, which must reproduce its parity, its
-// grown-edge order and its counters exactly.
+// edge of the graph, with two finds per edge, and grows each edge's
+// edgeState.base directly. It is the oracle for the event-driven growth in
+// decode, which must reproduce its parity, its grown-edge order and its
+// counters exactly. It clears the whole scratch first, so it never relies
+// on the decoder's O(touched) reset.
 func (g *Graph) decodeFullScan(sc *scratch) bool {
-	sc.reset(g)
+	copy(sc.parent, g.protoParent)
+	clear(sc.parity)
+	clear(sc.bnd)
+	clear(sc.defect)
+	clear(sc.es)
+	clear(sc.visited)
+	clear(sc.inForest)
+	sc.grownList = sc.grownList[:0]
+	sc.order = sc.order[:0]
+	sc.nodes = sc.nodes[:0]
 	odd := 0
 	for _, d := range sc.defects {
 		sc.defect[d] = true
@@ -29,6 +42,13 @@ func (g *Graph) decodeFullScan(sc *scratch) bool {
 	sc.tel.Add(ctrClustersSeeded, uint64(odd))
 	sc.bnd[g.boundary] = true
 
+	find := func(x int32) int32 {
+		for sc.parent[x] != x {
+			sc.parent[x] = sc.parent[sc.parent[x]] // path halving
+			x = sc.parent[x]
+		}
+		return x
+	}
 	maxRounds := int(g.maxGrow) * (int(g.boundary) + 1)
 	rounds, peakFrontier := uint64(0), uint64(0)
 	for round := 0; odd > 0; round++ {
@@ -41,11 +61,11 @@ func (g *Graph) decodeFullScan(sc *scratch) bool {
 		frontier := uint64(0)
 		progressed := false
 		for ei := range g.edges {
-			if sc.grown[ei] {
+			if sc.es[ei].grown {
 				continue
 			}
 			e := &g.edges[ei]
-			ru, rv := sc.find(e.U), sc.find(e.V)
+			ru, rv := find(e.U), find(e.V)
 			inc := int32(0)
 			if sc.active(ru) {
 				inc++
@@ -58,11 +78,11 @@ func (g *Graph) decodeFullScan(sc *scratch) bool {
 			}
 			frontier++
 			progressed = true
-			sc.growth[ei] += inc
-			if sc.growth[ei] < e.Len {
+			sc.es[ei].base += inc
+			if sc.es[ei].base < e.Len {
 				continue
 			}
-			sc.grown[ei] = true
+			sc.es[ei].grown = true
 			sc.grownList = append(sc.grownList, int32(ei))
 			if ru == rv {
 				continue
@@ -103,7 +123,7 @@ func (g *Graph) decodeFullScan(sc *scratch) bool {
 	return g.peel(sc)
 }
 
-// ufPair decodes the same syndromes through the frontier decoder and the
+// ufPair decodes the same syndromes through the event-driven decoder and the
 // full-scan oracle, each with its own scratch and telemetry.
 type ufPair struct {
 	g               *Graph
@@ -130,12 +150,12 @@ func (p *ufPair) decode(t *testing.T, defects []int32) (fast, ref bool) {
 	p.ref.defects = append(p.ref.defects[:0], defects...)
 	fast, ref = p.g.decode(p.fast), p.g.decodeFullScan(p.ref)
 	if !equalIDs(p.fast.grownList, p.ref.grownList) {
-		t.Fatalf("defects %v: frontier grew edges %v, full scan %v", defects, p.fast.grownList, p.ref.grownList)
+		t.Fatalf("defects %v: event-driven decoder grew edges %v, full scan %v", defects, p.fast.grownList, p.ref.grownList)
 	}
 	return fast, ref
 }
 
-// decodeFast returns the frontier decoder's correction parity alone.
+// decodeFast returns the event-driven decoder's correction parity alone.
 func (p *ufPair) decodeFast(defects []int32) bool {
 	if len(defects) == 0 {
 		return false
@@ -151,11 +171,11 @@ func (p *ufPair) checkTelemetry(t *testing.T, what string) {
 	t.Helper()
 	a, b := p.fastMet.Snapshot(), p.refMet.Snapshot()
 	if !reflect.DeepEqual(a.Counters, b.Counters) {
-		t.Fatalf("%s: frontier counters %v, full scan %v (%v)", what, a.Counters, b.Counters, DecoderSchema.Counters)
+		t.Fatalf("%s: event-driven counters %v, full scan %v (%v)", what, a.Counters, b.Counters, DecoderSchema.Counters)
 	}
 	for _, name := range DecoderSchema.Hists {
 		if ha, hb := a.Hist(name), b.Hist(name); *ha != *hb {
-			t.Fatalf("%s: histogram %s: frontier %+v, full scan %+v", what, name, *ha, *hb)
+			t.Fatalf("%s: histogram %s: event-driven %+v, full scan %+v", what, name, *ha, *hb)
 		}
 	}
 }
@@ -278,9 +298,12 @@ func (o *mwpm) parities(defects []int32) (zero, one bool) {
 // TestFrontierGrowthMatchesFullScan decodes random syndromes of varied
 // density — error chains of a few to many random edges, and uniformly
 // random detector sets from single defects to half the detectors — through
-// the frontier decoder and the full-scan oracle on the memory (d=3..9) and
-// surgery (d=3,5) graphs of both bases under both noise models, and
-// requires the same parity, grown-edge order, counters and histograms.
+// the event-driven decoder and the full-scan oracle on the memory (d=3..9)
+// and surgery (d=3,5) graphs of both bases under both noise models, and
+// requires the same parity, grown-edge order, counters and histograms. It
+// then does the same for frame-sampled syndromes, whose clustered defects
+// are where merges land in the middle of a round: memory d=9 under
+// depolarizing 1e-3 and 1e-2, and surgery d=5 under depolarizing 5e-5.
 func TestFrontierGrowthMatchesFullScan(t *testing.T) {
 	models := []noise.Model{noise.Depolarizing(1e-3), noise.PaperTable5(hardware.Default())}
 	perGraph := 300
@@ -330,7 +353,7 @@ func TestFrontierGrowthMatchesFullScan(t *testing.T) {
 						}
 					}
 					if fast, ref := p.decode(t, defects); fast != ref {
-						t.Fatalf("syndrome %d (%d defects): frontier parity %v, full scan %v", i, len(defects), fast, ref)
+						t.Fatalf("syndrome %d (%d defects): event-driven parity %v, full scan %v", i, len(defects), fast, ref)
 					}
 					p.checkTelemetry(t, fmt.Sprintf("syndrome %d", i))
 				}
@@ -339,6 +362,40 @@ func TestFrontierGrowthMatchesFullScan(t *testing.T) {
 				}
 			})
 		}
+	}
+	batches := 4
+	if testing.Short() || raceEnabled {
+		batches = 1
+	}
+	type sampled struct {
+		name string
+		prog *orqcs.Program
+		det  *Detectors
+		p    float64
+	}
+	var samples []sampled
+	for _, basis := range []pauli.Kind{pauli.Z, pauli.X} {
+		mem := mustMemory(t, 9, 9, basis)
+		det := mustDetectors(t, mem)
+		for _, p := range []float64{1e-3, 1e-2} {
+			samples = append(samples, sampled{fmt.Sprintf("memory-d9-%v", basis), mem.Prog, det, p})
+		}
+		s := mustSurgery(t, 5, 1, 5, 1, basis)
+		samples = append(samples, sampled{fmt.Sprintf("surgery-d5-%v", basis), s.Prog, mustSurgeryDetectors(t, s), 5e-5})
+	}
+	for _, sm := range samples {
+		m := noise.Depolarizing(sm.p)
+		t.Run(fmt.Sprintf("sampled-%s-%s", sm.name, m.Name), func(t *testing.T) {
+			sched := noise.Compile(m, sm.prog)
+			g := mustGraph(t, sm.det, sched)
+			p := newUFPair(g)
+			for i, defects := range sampledSyndromes(t, g, sched, batches) {
+				if fast, ref := p.decode(t, defects); fast != ref {
+					t.Fatalf("shot %d (%d defects): event-driven parity %v, full scan %v", i, len(defects), fast, ref)
+				}
+				p.checkTelemetry(t, fmt.Sprintf("shot %d", i))
+			}
+		})
 	}
 	// A component with no boundary edge and an odd defect count cannot be
 	// neutralized: both decoders give up after the same rounds.
@@ -349,7 +406,7 @@ func TestFrontierGrowthMatchesFullScan(t *testing.T) {
 		p := newUFPair(g)
 		for _, defects := range [][]int32{{2}, {1, 3, 4}, {0, 2}, {4}} {
 			if fast, ref := p.decode(t, defects); fast != ref {
-				t.Fatalf("defects %v: frontier parity %v, full scan %v", defects, fast, ref)
+				t.Fatalf("defects %v: event-driven parity %v, full scan %v", defects, fast, ref)
 			}
 			p.checkTelemetry(t, fmt.Sprint(defects))
 		}
@@ -359,9 +416,80 @@ func TestFrontierGrowthMatchesFullScan(t *testing.T) {
 	})
 }
 
+// FuzzFrontierGrowth builds a small graph from the fuzz input and decodes
+// a few syndromes on it through the event-driven decoder and the full-scan
+// oracle, which must agree on parity, grown-edge order, counters and
+// histograms. The input's first byte sets the detector count (1..16) and
+// the second the edge count; each edge takes three bytes, two endpoints
+// (the boundary included) and a growth length of 1..8, so lengths tie
+// often, self-loops and duplicate edges between one node pair occur, and
+// components can lack a boundary edge. The remaining bytes are syndromes,
+// one detector bitmask of two bytes each, decoded in turn on one scratch.
+func FuzzFrontierGrowth(f *testing.F) {
+	f.Add([]byte{4, 4, 0, 4, 2, 1, 2, 2, 2, 3, 2, 3, 4, 6, 0x0f, 0, 0x05, 0, 0x02, 0})
+	f.Add([]byte{5, 4, 0, 5, 6, 1, 2, 4, 2, 3, 10, 3, 4, 2, 0x04, 0, 0x1a, 0, 0x05, 0, 0x10, 0})
+	f.Add([]byte{3, 6, 0, 1, 1, 0, 1, 1, 1, 2, 2, 1, 2, 2, 2, 3, 1, 0, 3, 1, 0x07, 0, 0x03, 0, 0x01, 0})
+	f.Add([]byte{8, 10, 0, 1, 3, 1, 2, 3, 2, 3, 3, 3, 8, 3, 4, 5, 5, 5, 6, 5, 6, 7, 5, 7, 8, 5, 0, 2, 7, 4, 7, 1, 0xff, 0, 0x81, 0, 0x3c, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		n := 1 + int(data[0])%16
+		m := int(data[1]) % 49
+		data = data[2:]
+		edges := make([]Edge, 0, m)
+		for ; m > 0 && len(data) >= 3; m, data = m-1, data[3:] {
+			edges = append(edges, Edge{U: int32(data[0]) % int32(n+1), V: int32(data[1]) % int32(n+1), Len: 1 + int32(data[2])%8})
+		}
+		g := &Graph{det: &Detectors{Dets: make([]Detector, n)}, boundary: int32(n)}
+		g.finish(edges)
+		p := newUFPair(g)
+		for k := 0; k < 8 && len(data) >= 2; k, data = k+1, data[2:] {
+			mask := int(data[0]) | int(data[1])<<8
+			var defects []int32
+			for d := range n {
+				if mask>>d&1 == 1 {
+					defects = append(defects, int32(d))
+				}
+			}
+			if fast, ref := p.decode(t, defects); fast != ref {
+				t.Fatalf("edges %+v, defects %v: event-driven parity %v, full scan %v", edges, defects, fast, ref)
+			}
+			p.checkTelemetry(t, fmt.Sprintf("edges %+v, defects %v", edges, defects))
+		}
+	})
+}
+
+// sampledSyndromes returns the fired detectors of every shot of the first
+// batches 64-shot frame batches of sched (seed 1), empty syndromes included.
+func sampledSyndromes(t *testing.T, g *Graph, sched *noise.Schedule, batches int) [][]int32 {
+	t.Helper()
+	sim, err := frame.New(sched.Program(), sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := sim.NewBatch()
+	fired := make([]uint64, len(g.det.Dets))
+	var out [][]int32
+	for b := range batches {
+		batch.Run(64*b, 64, 1)
+		g.det.Fire(batch.Planes(), fired)
+		for lane := range 64 {
+			var defects []int32
+			for d, w := range fired {
+				if w>>lane&1 == 1 {
+					defects = append(defects, int32(d))
+				}
+			}
+			out = append(out, defects)
+		}
+	}
+	return out
+}
+
 // TestExhaustiveWeightTwo decodes every single edge and every pair of edges
 // of the d=5 memory graphs (both bases, both noise models) through the
-// frontier decoder and the full-scan oracle, requires them to agree, and
+// event-driven decoder and the full-scan oracle, requires them to agree, and
 // pins how many pairs each miscorrects (decoded parity differs from the
 // pair's observable parity). A distance-5 code corrects any two faults
 // under minimum-weight decoding with unit weights; the weighted union-find
@@ -370,9 +498,9 @@ func TestFrontierGrowthMatchesFullScan(t *testing.T) {
 // the matching also miscorrects, it ties between both parities, or only
 // union-find is wrong. The pins say the edge weights imply every one of
 // these miscorrections (the matching is wrong or tied on all of them), and
-// that no pair fools the matching alone. The full-scan oracle is ~35×
-// slower than the frontier decoder on these sparse syndromes, so short and
-// race runs check it on every 97th pair only and skip the triage; the
+// that no pair fools the matching alone. The full-scan oracle is ~25×
+// slower than the event-driven decoder on these sparse syndromes, so short
+// and race runs check it on every 97th pair only and skip the triage; the
 // pinned miscorrection counts always cover every pair.
 func TestExhaustiveWeightTwo(t *testing.T) {
 	oracleStride := 1
@@ -407,7 +535,7 @@ func TestExhaustiveWeightTwo(t *testing.T) {
 					} else {
 						var ref bool
 						if fast, ref = p.decode(t, defects); fast != ref {
-							t.Fatalf("edges %v: frontier parity %v, full scan %v", set, fast, ref)
+							t.Fatalf("edges %v: event-driven parity %v, full scan %v", set, fast, ref)
 						}
 					}
 					if oracleStride == 1 {

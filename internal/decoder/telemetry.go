@@ -27,7 +27,7 @@ var DecoderSchema = &telemetry.Schema{
 	Hists: []string{
 		"defects_per_shot", // fired detectors per decoded shot
 		"rounds_per_shot",  // growth rounds per decoded shot
-		"frontier_edges",   // peak growth frontier: most edges grown in one round, skipped idle rounds included
+		"frontier_edges",   // peak growth frontier: most edges grown in one round, the idle rounds between completion events included
 	},
 }
 

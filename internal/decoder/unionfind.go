@@ -7,28 +7,46 @@ package decoder
 // parity. Decoding is a pure function of the syndrome — no randomness — so
 // decoded estimates stay bit-identical for any worker count.
 //
-// Growth is frontier-driven: each cluster keeps a circular member list, and
-// a round visits only the ungrown edges incident to the members of active
-// clusters (an edge bitset walked in ascending edge index), never the rest
-// of the graph or the high-degree boundary node. Between two rounds in which
-// some edge completes, every frontier edge just gains its constant
-// increment, so those idle rounds are applied in one step. Both keep the
-// result, the grown-edge order and every counter identical to a scan of all
-// edges every round (the test oracle in oracle_test.go).
+// Growth is event-driven (Dial's bucket queue, as in Sparse Blossom's
+// flooding): an edge grows by one half-edge unit per round for each active
+// cluster at its ends, so its growth is stored lazily as a base, a rate and
+// the round the base holds through, and the round in which it completes is
+// known the moment its rate is. Each growing edge waits in the bucket of its
+// completion round. The loop jumps to the next non-empty bucket and
+// completes its edges in ascending edge index; a merge re-keys only the
+// edges at the members of the clusters whose activity it changed, and an
+// edge above the cursor that now completes this round joins it. The
+// result, the grown-edge order and every counter equal those of a scan of
+// all edges every round (the test oracle in oracle_test.go).
 
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"tiscc/internal/noise"
 	"tiscc/internal/telemetry"
 )
 
+// edgeState is one edge's growth: base half-edge units through round since,
+// plus rate units per later round until the rate changes.
+type edgeState struct {
+	base, since int32
+	// key is the round the edge completes in: 0 before the decode reaches
+	// the edge, −1 while it does not grow.
+	key          int32
+	qnext, qprev int32 // links in the bucket of round key (−1 ends)
+	rate         uint8 // active clusters at its ends: 0, 1 or 2
+	grown        bool  // fully grown
+	tree         bool  // in the peeling forest
+}
+
 // scratch is the per-worker decoder state: every slice is allocated once at
-// full size, so a decode performs zero heap allocations. Shots with an empty
-// syndrome (the common case at low physical error rates) return before
-// touching any of it.
+// full size, so a decode performs zero heap allocations. A decode writes
+// only the nodes and edges it reaches and reset clears only those. Shots
+// with an empty syndrome (the common case at low physical error rates)
+// return before touching any of it.
 type scratch struct {
 	parent []int32 // cluster union-find (node-indexed)
 	parity []uint8 // root-indexed: defect-count parity of the cluster
@@ -36,14 +54,22 @@ type scratch struct {
 	defect []bool  // node-indexed: detector fired (mutated during peeling)
 	next   []int32 // node-indexed: circular member list of each cluster
 
-	growth []int32  // edge-indexed: accumulated growth
-	grown  []bool   // edge-indexed: fully grown
-	front  []uint64 // edge bitset: the current round's growth frontier
-	listed []bool   // root-indexed: cluster's edges already in front
+	es   []edgeState // edge-indexed
+	head []int32     // bucket queue: round&mask → first edge (−1 empty)
+	mask int32
+	cur  []int32 // the current round's completing edges, ascending
+	pos  int     // cur[pos:] are still to come
 
+	// The growth clock: edges up to cursor have been passed in round, the
+	// rest only in round−1 (cursor is MaxInt32 between rounds).
+	round, cursor int32
+	live          int // growing edges (rate > 0)
+	front         int // edges grown in the current round
+
+	keyed     []int32 // edges the decode reached (key != 0)
+	seeded    []int32 // the decode's defects
 	grownList []int32 // edges grown, in growth order
 	defects   []int32 // fired detector ids
-	roots     []int32 // active cluster roots of the current round
 	fellBack  bool    // the decode fell back to the raw readout
 
 	// Batch syndrome (DecodePlanes).
@@ -52,7 +78,6 @@ type scratch struct {
 
 	// Peeling forest.
 	visited  []bool
-	treeUsed []bool
 	fparent  []int32 // node → tree-parent node (−1 for roots)
 	fedge    []int32 // node → edge to tree parent
 	order    []int32 // BFS order over forest nodes
@@ -69,23 +94,25 @@ type scratch struct {
 func (g *Graph) newScratch() *scratch {
 	n := int(g.boundary) + 1
 	e := len(g.edges)
-	return &scratch{
-		parent:    make([]int32, n),
+	// A completion round lies at most maxGrow rounds past the current one.
+	buckets := 1 << bits.Len32(uint32(g.maxGrow))
+	sc := &scratch{
+		parent:    slices.Clone(g.protoParent),
 		parity:    make([]uint8, n),
 		bnd:       make([]bool, n),
 		defect:    make([]bool, n),
-		next:      make([]int32, n),
-		growth:    make([]int32, e),
-		grown:     make([]bool, e),
-		front:     make([]uint64, (e+63)/64),
-		listed:    make([]bool, n),
+		next:      slices.Clone(g.protoParent),
+		es:        make([]edgeState, e),
+		head:      make([]int32, buckets),
+		mask:      int32(buckets - 1),
+		cur:       make([]int32, 0, e),
+		keyed:     make([]int32, 0, e),
+		seeded:    make([]int32, 0, n),
 		grownList: make([]int32, 0, e),
 		defects:   make([]int32, 0, n),
-		roots:     make([]int32, 0, n),
 		fired:     make([]uint64, n-1),
 		firing:    make([]int32, 0, n-1),
 		visited:   make([]bool, n),
-		treeUsed:  make([]bool, e),
 		fparent:   make([]int32, n),
 		fedge:     make([]int32, n),
 		order:     make([]int32, 0, n),
@@ -93,6 +120,10 @@ func (g *Graph) newScratch() *scratch {
 		nodes:     make([]int32, 0, n),
 		tel:       g.met.NewShard(),
 	}
+	for i := range sc.head {
+		sc.head[i] = -1
+	}
+	return sc
 }
 
 // getScratch takes an idle scratch: from the pool when it holds one, else
@@ -134,26 +165,42 @@ func (g *Graph) putScratch(sc *scratch) {
 	g.pool.Put(sc)
 }
 
+// reset undoes the previous decode's writes: its defects, the ends of the
+// edges it grew (every node it merged, forested or peeled) and the edges it
+// reached, emptying the buckets they still wait in.
 func (sc *scratch) reset(g *Graph) {
-	copy(sc.parent, g.protoParent)
-	copy(sc.next, g.protoParent)
-	clear(sc.parity)
-	clear(sc.bnd)
-	clear(sc.defect)
-	clear(sc.growth)
-	clear(sc.grown)
-	clear(sc.visited)
-	clear(sc.treeUsed)
-	clear(sc.inForest)
+	for _, v := range sc.seeded {
+		sc.clearNode(v)
+	}
+	for _, ei := range sc.grownList {
+		sc.clearNode(g.edges[ei].U)
+		sc.clearNode(g.edges[ei].V)
+	}
+	for _, ei := range sc.keyed {
+		if k := sc.es[ei].key; k > 0 {
+			sc.head[k&sc.mask] = -1
+		}
+		sc.es[ei] = edgeState{}
+	}
+	sc.keyed = sc.keyed[:0]
+	sc.seeded = sc.seeded[:0]
 	sc.grownList = sc.grownList[:0]
 	sc.order = sc.order[:0]
 	sc.nodes = sc.nodes[:0]
+	sc.live = 0
 	sc.fellBack = false
 }
 
+// clearNode returns node v to a singleton cluster outside any forest.
+func (sc *scratch) clearNode(v int32) {
+	sc.parent[v], sc.next[v] = v, v
+	sc.parity[v] = 0
+	sc.bnd[v], sc.defect[v], sc.visited[v], sc.inForest[v] = false, false, false, false
+}
+
+// find returns the root of x's cluster, one step away at most (see union).
 func (sc *scratch) find(x int32) int32 {
 	for sc.parent[x] != x {
-		sc.parent[x] = sc.parent[sc.parent[x]] // path halving
 		x = sc.parent[x]
 	}
 	return x
@@ -252,206 +299,225 @@ func (g *Graph) decodeShot(sc *scratch) (flip, ok bool) {
 
 // decode grows and peels the clusters of the syndrome in sc.defects,
 // returning the correction's observable parity.
+//
+//tiscc:hotpath
 func (g *Graph) decode(sc *scratch) bool {
 	sc.reset(g)
-	odd := 0
+	sc.seeded = append(sc.seeded, sc.defects...)
 	for _, d := range sc.defects {
 		sc.defect[d] = true
 		sc.parity[d] = 1
-		odd++
 	}
+	odd := len(sc.defects)
 	sc.tel.Add(ctrClustersSeeded, uint64(odd))
 	sc.bnd[g.boundary] = true
+	sc.round, sc.cursor = 0, math.MaxInt32
+	for _, d := range sc.defects {
+		g.rekeyCluster(sc, d, d)
+	}
 
-	// Growth: each round, every edge incident to an active cluster grows by
-	// one half-edge unit per active side. Rounds are bounded by the
-	// quantized edge lengths times the cluster diameter; skipped idle
-	// rounds count toward the bound, the round total and the frontier peak
-	// exactly as executed ones.
-	maxRounds := int(g.maxGrow) * (int(g.boundary) + 1)
-	rounds, peakFrontier := 0, 0
+	// Rounds are bounded by the quantized edge lengths times the cluster
+	// diameter. The rounds between two completion events are idle: every
+	// growing edge grows in each, so they count toward the bound, the round
+	// total and the frontier peak exactly as executed rounds.
+	maxRounds := int32(min(int(g.maxGrow)*(int(g.boundary)+1), math.MaxInt32/2))
+	peakFrontier := 0
 	for odd > 0 {
-		if rounds > maxRounds {
-			return sc.fallback(rounds, peakFrontier)
+		if sc.round > maxRounds {
+			return sc.fallback(sc.round, peakFrontier)
 		}
-		size := g.collectFrontier(sc)
-		if size == 0 {
-			return sc.fallback(rounds+1, peakFrontier) // no edge can grow
+		if sc.live == 0 {
+			return sc.fallback(sc.round+1, peakFrontier) // no edge can grow
 		}
-		if idle := min(g.idleRounds(sc), maxRounds+1-rounds); idle > 0 {
-			g.skipRounds(sc, idle)
-			rounds += idle
-			peakFrontier = max(peakFrontier, size)
-			if rounds > maxRounds {
-				return sc.fallback(rounds, peakFrontier)
-			}
+		r := sc.round + 1
+		for sc.head[r&sc.mask] < 0 {
+			r++
 		}
-		rounds++
-		peakFrontier = max(peakFrontier, g.growRound(sc, &odd))
+		if r > sc.round+1 {
+			peakFrontier = max(peakFrontier, sc.live)
+		}
+		if r > maxRounds+1 {
+			return sc.fallback(maxRounds+1, peakFrontier)
+		}
+		peakFrontier = max(peakFrontier, g.growRound(sc, r, &odd))
 	}
 	sc.tel.Add(ctrEdgesGrown, uint64(len(sc.grownList)))
-	sc.finishDecode(uint64(rounds), uint64(peakFrontier))
+	sc.finishDecode(uint64(sc.round), uint64(peakFrontier))
 	return g.peel(sc)
 }
 
 // active reports whether the cluster rooted at r still drives growth.
 func (sc *scratch) active(r int32) bool { return sc.parity[r] == 1 && !sc.bnd[r] }
 
-// edgeInc returns edge e's endpoint roots and its growth per round: one
-// half-edge unit per active side.
-func (sc *scratch) edgeInc(e *Edge) (ru, rv, inc int32) {
-	ru, rv = sc.find(e.U), sc.find(e.V)
-	if sc.active(ru) {
-		inc++
+// growRound runs round r: it completes the edges of r's bucket in ascending
+// edge index, merging clusters as they complete, and returns the number of
+// edges that grew in the round. A merge re-keys the edges whose rate it
+// changes; those above the cursor that now complete in round r are added to
+// cur in order.
+//
+//tiscc:hotpath
+func (g *Graph) growRound(sc *scratch, r int32, odd *int) int {
+	sc.round = r
+	sc.front = sc.live
+	b := r & sc.mask
+	sc.cur = sc.cur[:0]
+	for ei := sc.head[b]; ei >= 0; ei = sc.es[ei].qnext {
+		sc.cur = append(sc.cur, ei)
 	}
-	if rv != ru && sc.active(rv) {
-		inc++
-	}
-	return ru, rv, inc
-}
-
-// collectFrontier fills sc.front with the ungrown edges incident to the
-// members of the active clusters — exactly the edges that grow this round
-// unless a merge intervenes — and returns their number.
-func (g *Graph) collectFrontier(sc *scratch) int {
-	clear(sc.front)
-	sc.roots = sc.roots[:0]
-	for _, d := range sc.defects {
-		r := sc.find(d)
-		if sc.listed[r] || !sc.active(r) {
-			continue
+	sc.head[b] = -1
+	slices.Sort(sc.cur)
+	for sc.pos = 0; sc.pos < len(sc.cur) && *odd > 0; {
+		ei := sc.cur[sc.pos]
+		sc.pos++
+		s := &sc.es[ei]
+		if s.key != r {
+			continue // re-keyed after it joined the round
 		}
-		sc.listed[r] = true
-		sc.roots = append(sc.roots, r)
-		g.addMembers(sc, r)
+		sc.cursor = ei
+		s.grown = true
+		sc.live--
+		sc.grownList = append(sc.grownList, ei)
+		e := &g.edges[ei]
+		if ru, rv := sc.find(e.U), sc.find(e.V); ru != rv {
+			g.union(sc, ru, rv, odd)
+		}
 	}
-	for _, r := range sc.roots {
-		sc.listed[r] = false
-	}
-	size := 0
-	for _, w := range sc.front {
-		size += bits.OnesCount64(w)
-	}
-	return size
+	sc.cursor = math.MaxInt32
+	return sc.front
 }
 
-// addMembers adds the ungrown edges incident to the members of the cluster
-// rooted at r to the frontier.
-func (g *Graph) addMembers(sc *scratch, r int32) {
-	v := r
-	for {
-		for _, ei := range g.adj[g.adjStart[v]:g.adjStart[v+1]] {
-			if !sc.grown[ei] {
-				sc.front[ei>>6] |= 1 << (ei & 63)
+// union merges the clusters rooted at ru and rv, updates the active-cluster
+// count and re-keys the edges at the members of each side whose activity
+// changed: both sides when two active clusters neutralize each other, the
+// active side when it absorbs the boundary, and the even side when an
+// active cluster absorbs it. The boundary cluster never changes activity,
+// so its high-degree node is never walked. The root of a side that is not
+// walked survives, and the walk points every member of the other side
+// straight at it, so every member of every cluster points straight at its
+// root.
+//
+//tiscc:hotpath
+func (g *Graph) union(sc *scratch, ru, rv int32, odd *int) {
+	au, av := sc.active(ru), sc.active(rv)
+	a := sc.parity[ru] != sc.parity[rv] && !sc.bnd[ru] && !sc.bnd[rv]
+	if av == a { // side v is not walked: its root survives
+		ru, rv, au, av = rv, ru, av, au
+	}
+	sc.parent[rv] = ru
+	sc.parity[ru] ^= sc.parity[rv]
+	sc.bnd[ru] = sc.bnd[ru] || sc.bnd[rv]
+	// Each side is still its own member ring until the splice below.
+	if au != a {
+		g.rekeyCluster(sc, ru, ru)
+	}
+	g.rekeyCluster(sc, rv, ru)
+	sc.next[ru], sc.next[rv] = sc.next[rv], sc.next[ru]
+	sc.tel.Inc(ctrMerges)
+	*odd += b2i(a) - b2i(au) - b2i(av)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// rekeyCluster re-keys the ungrown edges at the members of the ring that
+// starts at v, all of which belong to the cluster rooted at root; it points
+// each member straight at root on the way.
+//
+//tiscc:hotpath
+func (g *Graph) rekeyCluster(sc *scratch, v, root int32) {
+	a := sc.active(root)
+	for m := v; ; {
+		sc.parent[m] = root
+		for _, ei := range g.adj[g.adjStart[m]:g.adjStart[m+1]] {
+			if sc.es[ei].grown {
+				continue
 			}
+			e := &g.edges[ei]
+			var rate uint8
+			if a {
+				rate = 1
+			}
+			if rw := sc.find(e.U ^ e.V ^ m); rw != root && sc.active(rw) {
+				rate++
+			}
+			sc.setRate(ei, e.Len, rate)
 		}
-		if v = sc.next[v]; v == r {
+		if m = sc.next[m]; m == v {
 			return
 		}
 	}
 }
 
-// idleRounds returns how many rounds the frontier can grow before any of
-// its edges completes: in those rounds nothing merges, so each edge only
-// gains its constant increment.
-func (g *Graph) idleRounds(sc *scratch) int {
-	idle := int32(math.MaxInt32)
-	for w, word := range sc.front {
-		for ; word != 0; word &= word - 1 {
-			ei := w<<6 | bits.TrailingZeros64(word)
-			_, _, inc := sc.edgeInc(&g.edges[ei])
-			idle = min(idle, (g.edges[ei].Len-sc.growth[ei]-1)/inc)
-		}
+// setRate sets the growth rate of edge ei, whose growth length is length.
+// When the rate changes it settles the edge's growth through the last round
+// the growth clock has passed it in and moves it to the bucket of its new
+// completion round; the live and current-round frontier counts follow.
+//
+//tiscc:hotpath
+func (sc *scratch) setRate(ei, length int32, rate uint8) {
+	s := &sc.es[ei]
+	if rate == s.rate {
+		return
 	}
-	return int(idle)
-}
-
-// skipRounds applies n idle rounds of growth to the frontier.
-func (g *Graph) skipRounds(sc *scratch, n int) {
-	for w, word := range sc.front {
-		for ; word != 0; word &= word - 1 {
-			ei := w<<6 | bits.TrailingZeros64(word)
-			_, _, inc := sc.edgeInc(&g.edges[ei])
-			sc.growth[ei] += int32(n) * inc
-		}
+	last := sc.round
+	above := ei > sc.cursor // not yet passed in this round
+	if above {
+		last--
 	}
-}
-
-// growRound runs one growth round over the frontier in ascending edge
-// index, merging clusters as edges complete, and returns the number of
-// edges that grew. Each word is re-read as the round goes: a merge that
-// activates an even cluster adds its edges, and those above the current
-// index grow in this same round, as they would in a scan of every edge.
-func (g *Graph) growRound(sc *scratch, odd *int) int {
-	frontier := 0
-	for w := range sc.front {
-		for lo := uint(0); lo < 64; {
-			word := sc.front[w] >> lo << lo
-			if word == 0 {
-				break
-			}
-			b := uint(bits.TrailingZeros64(word))
-			lo = b + 1
-			ei := w<<6 | int(b)
-			e := &g.edges[ei]
-			ru, rv, inc := sc.edgeInc(e)
-			if inc == 0 {
-				continue // an earlier merge this round deactivated both sides
-			}
-			frontier++
-			sc.growth[ei] += inc
-			if sc.growth[ei] < e.Len {
-				continue
-			}
-			sc.grown[ei] = true
-			sc.grownList = append(sc.grownList, int32(ei))
-			if ru != rv {
-				g.union(sc, ru, rv, odd)
-			}
-		}
+	s.base += int32(s.rate) * (last - s.since)
+	s.since = last
+	delta := b2i(rate > 0) - b2i(s.rate > 0)
+	sc.live += delta
+	if above {
+		sc.front += delta
 	}
-	return frontier
-}
-
-// union merges the clusters rooted at ru and rv (the smaller root id
-// survives, deterministically) and updates the active-cluster count. When
-// an active cluster absorbs an even one, the merged cluster stays active
-// and the even part's edges join the frontier.
-func (g *Graph) union(sc *scratch, ru, rv int32, odd *int) {
-	before := 0
-	if sc.active(ru) {
-		before++
+	s.rate = rate
+	old := s.key
+	if old == 0 {
+		sc.keyed = append(sc.keyed, ei)
 	}
-	if sc.active(rv) {
-		before++
+	key := int32(-1)
+	if rest := length - s.base; rate == 1 {
+		key = last + rest
+	} else if rate == 2 {
+		key = last + (rest+1)>>1
 	}
-	if ru > rv {
-		ru, rv = rv, ru
+	if key == old {
+		return
 	}
-	if sc.parity[ru] != sc.parity[rv] && !sc.bnd[ru] && !sc.bnd[rv] {
-		if sc.active(ru) {
-			g.addMembers(sc, rv)
+	if old > sc.round { // waiting in its bucket; key == round means in cur
+		if s.qprev >= 0 {
+			sc.es[s.qprev].qnext = s.qnext
 		} else {
-			g.addMembers(sc, ru)
+			sc.head[old&sc.mask] = s.qnext
+		}
+		if s.qnext >= 0 {
+			sc.es[s.qnext].qprev = s.qprev
 		}
 	}
-	sc.next[ru], sc.next[rv] = sc.next[rv], sc.next[ru]
-	sc.parent[rv] = ru
-	sc.parity[ru] ^= sc.parity[rv]
-	if sc.bnd[rv] {
-		sc.bnd[ru] = true
+	s.key = key
+	switch {
+	case key == sc.round: // above the cursor: completes in this round
+		if i, found := slices.BinarySearch(sc.cur[sc.pos:], ei); !found {
+			sc.cur = slices.Insert(sc.cur, sc.pos+i, ei)
+		}
+	case key > 0:
+		b := key & sc.mask
+		s.qprev, s.qnext = -1, sc.head[b]
+		if s.qnext >= 0 {
+			sc.es[s.qnext].qprev = ei
+		}
+		sc.head[b] = ei
 	}
-	sc.tel.Inc(ctrMerges)
-	after := 0
-	if sc.active(ru) {
-		after++
-	}
-	*odd += after - before
 }
 
 // fallback records a decode that could not neutralize every cluster; the
 // caller falls back to the raw readout.
-func (sc *scratch) fallback(rounds, peakFrontier int) bool {
+func (sc *scratch) fallback(rounds int32, peakFrontier int) bool {
 	sc.fellBack = true
 	sc.tel.Inc(ctrRawFallbacks)
 	sc.finishDecode(uint64(rounds), uint64(peakFrontier))
@@ -494,7 +560,7 @@ func (g *Graph) peel(sc *scratch) bool {
 			v := sc.order[i]
 			for k := g.adjStart[v]; k < g.adjStart[v+1]; k++ {
 				ei := g.adj[k]
-				if !sc.grown[ei] || sc.treeUsed[ei] {
+				if s := &sc.es[ei]; !s.grown || s.tree {
 					continue
 				}
 				e := &g.edges[ei]
@@ -505,7 +571,7 @@ func (g *Graph) peel(sc *scratch) bool {
 				if w == v || sc.visited[w] {
 					continue
 				}
-				sc.treeUsed[ei] = true
+				sc.es[ei].tree = true
 				sc.visited[w] = true
 				sc.fparent[w] = v
 				sc.fedge[w] = int32(ei)

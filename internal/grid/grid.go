@@ -19,6 +19,7 @@ package grid
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -52,11 +53,14 @@ type Site struct {
 
 func (s Site) String() string { return fmt.Sprintf("%d.%d", s.R, s.C) }
 
-// ParseSite parses the "r.c" form produced by Site.String.
+// ParseSite parses the "r.c" form produced by Site.String. Both parts must
+// be whole integers: "0.2xyz" and "1.2.3" are errors.
 func ParseSite(str string) (Site, error) {
-	var r, c int
-	if _, err := fmt.Sscanf(str, "%d.%d", &r, &c); err != nil {
-		return Site{}, fmt.Errorf("grid: bad site %q: %v", str, err)
+	rs, cs, ok := strings.Cut(str, ".")
+	r, errR := strconv.Atoi(rs)
+	c, errC := strconv.Atoi(cs)
+	if !ok || errR != nil || errC != nil {
+		return Site{}, fmt.Errorf("grid: bad site %q: want integers r.c", str)
 	}
 	return Site{r, c}, nil
 }
