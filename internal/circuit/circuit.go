@@ -8,9 +8,8 @@ package circuit
 
 import (
 	"bufio"
-	"cmp"
 	"fmt"
-	"slices"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -134,9 +133,88 @@ func (c *Circuit) Sites() []grid.Site {
 }
 
 // SortByTime orders events by start time, breaking ties by emission order
-// (stable sort preserves program order for equal times).
-func (c *Circuit) SortByTime() {
-	slices.SortStableFunc(c.Events, func(a, b Event) int { return cmp.Compare(a.Start, b.Start) })
+// (the order of a stable sort).
+func (c *Circuit) SortByTime() { c.Events = c.TimeOrdered() }
+
+// TimeOrdered returns the events in the order SortByTime gives them:
+// c.Events itself when it is already in that order, else a sorted copy.
+func (c *Circuit) TimeOrdered() []Event {
+	if inTimeOrder(c.Events) {
+		return c.Events
+	}
+	return SortedByTime(c.Events)
+}
+
+// SortedByTime returns a new slice holding the events of blocks,
+// concatenated, ordered by start time with ties in concatenation order. It
+// sorts compact keys and then writes each event once.
+func SortedByTime(blocks ...[]Event) []Event {
+	order := timeOrder(blocks...)
+	out := make([]Event, len(order))
+	for i, k := range order {
+		out[i] = blocks[k.at>>32][k.at&math.MaxUint32]
+	}
+	return out
+}
+
+// inTimeOrder reports whether events are ordered by start time.
+func inTimeOrder(events []Event) bool {
+	for i := 1; i < len(events); i++ {
+		if events[i].Start < events[i-1].Start {
+			return false
+		}
+	}
+	return true
+}
+
+// timeKey is one event's sort key: its start time with the sign bit
+// flipped, so that unsigned order is signed order, and its position: block
+// index << 32 | index within the block.
+type timeKey struct {
+	start uint64
+	at    int
+}
+
+// timeOrder returns the positions of the blocks' events ordered by start
+// time, ties in concatenation order: a stable LSD radix sort of the keys,
+// one byte per pass, skipping the bytes on which every key agrees.
+func timeOrder(blocks ...[]Event) []timeKey {
+	n := 0
+	for _, b := range blocks {
+		n += len(b)
+	}
+	a := make([]timeKey, 0, n)
+	or, and := uint64(0), ^uint64(0)
+	for bi, b := range blocks {
+		for i := range b {
+			k := uint64(b[i].Start) ^ 1<<63
+			a = append(a, timeKey{k, bi<<32 | i})
+			or |= k
+			and &= k
+		}
+	}
+	tmp := make([]timeKey, n)
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (or^and)>>shift&0xff == 0 {
+			continue
+		}
+		var at [256]int
+		for _, k := range a {
+			at[k.start>>shift&0xff]++
+		}
+		sum := 0
+		for d, c := range at {
+			at[d] = sum
+			sum += c
+		}
+		for _, k := range a {
+			d := k.start >> shift & 0xff
+			tmp[at[d]] = k
+			at[d]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
 }
 
 // Append concatenates another circuit's events (times are preserved).

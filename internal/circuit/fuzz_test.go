@@ -1,6 +1,10 @@
 package circuit_test
 
 import (
+	"cmp"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 
 	"tiscc/internal/circuit"
@@ -50,5 +54,134 @@ func FuzzParseCircuit(f *testing.F) {
 		if twice := c2.String(); twice != once {
 			t.Fatalf("round trip not stable:\n%s\nvs\n%s", once, twice)
 		}
+	})
+}
+
+// startsFromBytes decodes a fuzz input into event start times: a byte below
+// 0x80 is a small start in [−3, 4] (heavy ties, negatives), any other byte
+// is followed by a full little-endian int64.
+func startsFromBytes(data []byte) []int64 {
+	var starts []int64
+	for len(data) > 0 {
+		b := data[0]
+		data = data[1:]
+		if b < 0x80 || len(data) < 8 {
+			starts = append(starts, int64(b&7)-3)
+			continue
+		}
+		starts = append(starts, int64(binary.LittleEndian.Uint64(data)))
+		data = data[8:]
+	}
+	return starts
+}
+
+// startsToBytes is the inverse of startsFromBytes, writing every start in
+// full.
+func startsToBytes(starts []int64) []byte {
+	var out []byte
+	for _, s := range starts {
+		out = binary.LittleEndian.AppendUint64(append(out, 0xff), uint64(s))
+	}
+	return out
+}
+
+// checkSortByTime compares SortByTime, TimeOrdered and SortedByTime (on one
+// slice and on blocks) with the stable-sort oracle element for element. Each event's Record is its input position, so
+// equal events are told apart and any tie reordering shows.
+func checkSortByTime(t *testing.T, starts []int64) {
+	t.Helper()
+	in := make([]circuit.Event, len(starts))
+	for i, s := range starts {
+		in[i] = circuit.Event{Gate: circuit.ZPi2, Start: s, Dur: int64(i % 5), Record: int32(i)}
+	}
+	want := slices.Clone(in)
+	slices.SortStableFunc(want, func(a, b circuit.Event) int { return cmp.Compare(a.Start, b.Start) })
+	orig := slices.Clone(in)
+	if got := circuit.SortedByTime(in); !slices.Equal(got, want) {
+		t.Fatalf("SortedByTime(%v) differs from the stable sort", starts)
+	}
+	if !slices.Equal(in, orig) {
+		t.Fatalf("SortedByTime modified its input")
+	}
+	// The same events in blocks of sizes 0, 1, 2, …, as a builder holds them.
+	var blocks [][]circuit.Event
+	for rest, size := in, 0; len(rest) > 0 || size == 0; size++ {
+		k := min(size, len(rest))
+		blocks = append(blocks, rest[:k])
+		rest = rest[k:]
+	}
+	if got := circuit.SortedByTime(blocks...); !slices.Equal(got, want) {
+		t.Fatalf("SortedByTime over %d blocks (%v) differs from the stable sort", len(blocks), starts)
+	}
+	c := &circuit.Circuit{Events: in}
+	if got := c.TimeOrdered(); !slices.Equal(got, want) {
+		t.Fatalf("TimeOrdered(%v) differs from the stable sort", starts)
+	}
+	if !slices.Equal(in, orig) {
+		t.Fatalf("TimeOrdered modified the circuit")
+	}
+	c.SortByTime()
+	if !slices.Equal(c.Events, want) {
+		t.Fatalf("SortByTime(%v) differs from the stable sort", starts)
+	}
+}
+
+// sortCorpus returns start-time lists covering the radix sort's edge cases:
+// empty and single inputs, heavy ties, negative and extreme starts, already
+// sorted and reversed runs.
+func sortCorpus() [][]int64 {
+	corpus := [][]int64{
+		nil,
+		{7},
+		{5, 5, 1, 5, 1, 1, 5},
+		{0, -1, 1, math.MinInt64, math.MaxInt64, -1, 0, math.MinInt64, math.MaxInt64, 1},
+		{math.MaxInt64, math.MinInt64 + 1, -256, 255, 256, -255, 1 << 40, -(1 << 40)},
+	}
+	sorted := make([]int64, 300)
+	reversed := make([]int64, 300)
+	ties := make([]int64, 300)
+	for i := range sorted {
+		sorted[i] = int64(i/3) * 1000
+		reversed[i] = int64(300-i) << 20
+		ties[i] = int64(i*7919%5) - 2
+	}
+	return append(corpus, sorted, reversed, ties)
+}
+
+// TestSortByTimeMatchesStable checks the radix event sort against the
+// stable-sort oracle on the edge-case corpus and on a real compiled circuit
+// shuffled out of time order.
+func TestSortByTimeMatchesStable(t *testing.T) {
+	for _, starts := range sortCorpus() {
+		checkSortByTime(t, starts)
+	}
+	c := core.NewCompiler(5, 6, hardware.Default())
+	lq, err := c.NewLogicalQubit(3, 3, core.Cell{R: 1, C: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lq.TransversalPrepareZ()
+	if _, err := lq.Idle(3); err != nil {
+		t.Fatal(err)
+	}
+	ev := c.Build().Events
+	starts := make([]int64, len(ev))
+	for i := range ev {
+		// A fixed interleaving of the time-ordered stream: many equal
+		// starts, far out of order.
+		starts[i] = ev[(i*7919)%len(ev)].Start
+	}
+	checkSortByTime(t, starts)
+}
+
+// FuzzSortByTime checks the radix event sort against the stable-sort oracle
+// on arbitrary start times (see startsFromBytes).
+func FuzzSortByTime(f *testing.F) {
+	for _, starts := range sortCorpus() {
+		f.Add(startsToBytes(starts))
+	}
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 2, 3, 7, 7, 7, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkSortByTime(t, startsFromBytes(data))
 	})
 }

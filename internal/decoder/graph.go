@@ -235,8 +235,8 @@ func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
 		return g, nil
 	}
 
-	// Deterministic edge order.
-	slices.SortStableFunc(ordered, func(x, y accum) int {
+	// Deterministic edge order (the keys are distinct, so it is total).
+	slices.SortFunc(ordered, func(x, y accum) int {
 		a, b := x.key, y.key
 		if a.u != b.u {
 			return cmp.Compare(a.u, b.u)

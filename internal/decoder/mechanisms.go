@@ -40,7 +40,8 @@ func newSymptomIndex(d *Detectors, instrs []orqcs.Instr) *symptomIndex {
 	for _, rec := range d.Obs {
 		byRec = append(byRec, entry{rec, int32(len(d.Dets))})
 	}
-	slices.SortStableFunc(byRec, func(a, b entry) int { return cmp.Compare(a.rec, b.rec) })
+	// Ties in rec keep append order, which is ascending det.
+	slices.SortFunc(byRec, func(a, b entry) int { return cmp.Or(cmp.Compare(a.rec, b.rec), cmp.Compare(a.det, b.det)) })
 	ix := &symptomIndex{start: make([]int32, len(instrs)+1)}
 	for i := range instrs {
 		if in := &instrs[i]; in.Op == orqcs.OpMeasureZ {
@@ -145,7 +146,8 @@ func compileEffects(d *Detectors, s *noise.Schedule) (*effectTable, error) {
 			t.lanes = append(t.lanes, int32(i))
 		}
 	}
-	slices.SortStableFunc(t.lanes, func(a, b int32) int { return cmp.Compare(last[a], last[b]) })
+	// Ties in last keep append order, which is ascending detector.
+	slices.SortFunc(t.lanes, func(a, b int32) int { return cmp.Or(cmp.Compare(last[a], last[b]), cmp.Compare(a, b)) })
 	laneOf := last // reused: detector → lane
 	for l, di := range t.lanes {
 		laneOf[di] = int32(l)

@@ -120,7 +120,73 @@ func (g *Graph) decodeFullScan(sc *scratch) bool {
 	}
 	sc.tel.Add(ctrEdgesGrown, uint64(len(sc.grownList)))
 	sc.finishDecode(rounds, peakFrontier)
-	return g.peel(sc)
+	return g.peelFullScan(sc)
+}
+
+// peelFullScan is the reference peel: its forest BFS scans every node's
+// whole adjacency, the boundary node's included. peel must build the same
+// forest (BFS order, tree parents and tree edges) and return the same
+// parity.
+func (g *Graph) peelFullScan(sc *scratch) bool {
+	for _, ei := range sc.grownList {
+		for _, v := range [2]int32{g.edges[ei].U, g.edges[ei].V} {
+			if !sc.inForest[v] {
+				sc.inForest[v] = true
+				sc.nodes = append(sc.nodes, v)
+			}
+		}
+	}
+	bfs := func(root int32) {
+		if sc.visited[root] {
+			return
+		}
+		sc.visited[root] = true
+		sc.fparent[root] = -1
+		sc.fedge[root] = -1
+		start := len(sc.order)
+		sc.order = append(sc.order, root)
+		for i := start; i < len(sc.order); i++ {
+			v := sc.order[i]
+			for _, ei := range g.adj[g.adjStart[v]:g.adjStart[v+1]] {
+				if s := &sc.es[ei]; !s.grown || s.tree {
+					continue
+				}
+				e := &g.edges[ei]
+				w := e.U
+				if w == v {
+					w = e.V
+				}
+				if w == v || sc.visited[w] {
+					continue
+				}
+				sc.es[ei].tree = true
+				sc.visited[w] = true
+				sc.fparent[w] = v
+				sc.fedge[w] = ei
+				sc.order = append(sc.order, w)
+			}
+		}
+	}
+	if sc.inForest[g.boundary] {
+		bfs(g.boundary)
+	}
+	for _, v := range sc.nodes {
+		bfs(v)
+	}
+	obs := false
+	for i := len(sc.order) - 1; i >= 0; i-- {
+		v := sc.order[i]
+		if sc.fparent[v] < 0 || !sc.defect[v] {
+			continue
+		}
+		if g.edges[sc.fedge[v]].Obs {
+			obs = !obs
+		}
+		p := sc.fparent[v]
+		sc.defect[p] = !sc.defect[p]
+		sc.defect[v] = false
+	}
+	return obs
 }
 
 // ufPair decodes the same syndromes through the event-driven decoder and the
@@ -151,6 +217,15 @@ func (p *ufPair) decode(t *testing.T, defects []int32) (fast, ref bool) {
 	fast, ref = p.g.decode(p.fast), p.g.decodeFullScan(p.ref)
 	if !equalIDs(p.fast.grownList, p.ref.grownList) {
 		t.Fatalf("defects %v: event-driven decoder grew edges %v, full scan %v", defects, p.fast.grownList, p.ref.grownList)
+	}
+	if !equalIDs(p.fast.order, p.ref.order) {
+		t.Fatalf("defects %v: peeling forest visits %v, full scan %v", defects, p.fast.order, p.ref.order)
+	}
+	for _, v := range p.fast.order {
+		if p.fast.fparent[v] != p.ref.fparent[v] || p.fast.fedge[v] != p.ref.fedge[v] {
+			t.Fatalf("defects %v: node %d hangs from node %d by edge %d, full scan from %d by %d",
+				defects, v, p.fast.fparent[v], p.fast.fedge[v], p.ref.fparent[v], p.ref.fedge[v])
+		}
 	}
 	return fast, ref
 }

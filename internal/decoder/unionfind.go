@@ -83,6 +83,7 @@ type scratch struct {
 	order    []int32 // BFS order over forest nodes
 	inForest []bool
 	nodes    []int32 // nodes incident to grown edges
+	bgrown   []int32 // grown edges at the boundary node, ascending
 
 	tel  *telemetry.Shard // single-owner decode counters (never nil)
 	busy atomic.Bool      // held by a decode (see getScratch)
@@ -118,6 +119,7 @@ func (g *Graph) newScratch() *scratch {
 		order:     make([]int32, 0, n),
 		inForest:  make([]bool, n),
 		nodes:     make([]int32, 0, n),
+		bgrown:    make([]int32, 0, g.adjStart[n]-g.adjStart[n-1]),
 		tel:       g.met.NewShard(),
 	}
 	for i := range sc.head {
@@ -536,14 +538,23 @@ func (sc *scratch) finishDecode(rounds, peakFrontier uint64) {
 // defect parity selects its parent edge into the correction and hands the
 // parity to its parent.
 func (g *Graph) peel(sc *scratch) bool {
+	sc.bgrown = sc.bgrown[:0]
 	for _, ei := range sc.grownList {
-		for _, v := range [2]int32{g.edges[ei].U, g.edges[ei].V} {
+		e := &g.edges[ei]
+		for _, v := range [2]int32{e.U, e.V} {
 			if !sc.inForest[v] {
 				sc.inForest[v] = true
 				sc.nodes = append(sc.nodes, v)
 			}
 		}
+		if (e.U == g.boundary) != (e.V == g.boundary) {
+			sc.bgrown = append(sc.bgrown, ei)
+		}
 	}
+	// The boundary node's adjacency is by far the largest, and few of its
+	// edges grow: its BFS step walks only the grown ones, in the same
+	// ascending order as its adjacency list, so the forest is unchanged.
+	slices.Sort(sc.bgrown)
 	// BFS from the boundary first so that clusters touching it are rooted
 	// there (leftover parity is absorbed); remaining components root at
 	// their first-seen node.
@@ -558,8 +569,11 @@ func (g *Graph) peel(sc *scratch) bool {
 		sc.order = append(sc.order, root)
 		for i := start; i < len(sc.order); i++ {
 			v := sc.order[i]
-			for k := g.adjStart[v]; k < g.adjStart[v+1]; k++ {
-				ei := g.adj[k]
+			adj := g.adj[g.adjStart[v]:g.adjStart[v+1]]
+			if v == g.boundary {
+				adj = sc.bgrown
+			}
+			for _, ei := range adj {
 				if s := &sc.es[ei]; !s.grown || s.tree {
 					continue
 				}

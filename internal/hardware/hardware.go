@@ -121,13 +121,14 @@ type Builder struct {
 	G *grid.Grid
 	P Params
 
-	pos    map[Ion]grid.Site
-	avail  map[Ion]int64
-	sites  map[grid.Site]*siteState
-	jwin   map[grid.Site][]window
-	events []circuit.Event
+	pos   []grid.Site // ion-indexed: current site
+	avail []int64     // ion-indexed: time the ion becomes free
+	sites map[grid.Site]*siteState
+	jwin  map[grid.Site][]window
+	// events holds the emitted events in blocks (see emit), in emission
+	// order.
+	events [][]circuit.Event
 
-	nextIon    Ion
 	nextRecord int32
 }
 
@@ -136,8 +137,6 @@ func NewBuilder(g *grid.Grid, p Params) *Builder {
 	return &Builder{
 		G:     g,
 		P:     p,
-		pos:   map[Ion]grid.Site{},
-		avail: map[Ion]int64{},
 		sites: map[grid.Site]*siteState{},
 		jwin:  map[grid.Site][]window{},
 	}
@@ -168,11 +167,10 @@ func (b *Builder) AddIon(s grid.Site) (Ion, error) {
 	if st.occupant != -1 {
 		return -1, fmt.Errorf("hardware: site %v already occupied", s)
 	}
-	id := b.nextIon
-	b.nextIon++
+	id := Ion(len(b.pos))
 	st.occupant = id
-	b.pos[id] = s
-	b.avail[id] = max64(b.Now(), st.freeFrom)
+	b.avail = append(b.avail, max64(b.Now(), st.freeFrom))
+	b.pos = append(b.pos, s)
 	return id, nil
 }
 
@@ -227,7 +225,7 @@ func (b *Builder) Gate1(g circuit.Gate, i Ion) {
 	}
 	d := b.P.Duration(g)
 	t := b.avail[i]
-	b.events = append(b.events, circuit.Event{Gate: g, S1: b.pos[i], Start: t, Dur: d, Record: -1})
+	b.emit(circuit.Event{Gate: g, S1: b.pos[i], Start: t, Dur: d, Record: -1})
 	b.avail[i] = t + d
 }
 
@@ -235,7 +233,7 @@ func (b *Builder) Gate1(g circuit.Gate, i Ion) {
 func (b *Builder) Prepare(i Ion) {
 	d := b.P.PrepareZ
 	t := b.avail[i]
-	b.events = append(b.events, circuit.Event{Gate: circuit.PrepareZ, S1: b.pos[i], Start: t, Dur: d, Record: -1})
+	b.emit(circuit.Event{Gate: circuit.PrepareZ, S1: b.pos[i], Start: t, Dur: d, Record: -1})
 	b.avail[i] = t + d
 }
 
@@ -245,7 +243,7 @@ func (b *Builder) Measure(i Ion) int32 {
 	t := b.avail[i]
 	rec := b.nextRecord
 	b.nextRecord++
-	b.events = append(b.events, circuit.Event{Gate: circuit.MeasureZ, S1: b.pos[i], Start: t, Dur: d, Record: rec})
+	b.emit(circuit.Event{Gate: circuit.MeasureZ, S1: b.pos[i], Start: t, Dur: d, Record: rec})
 	b.avail[i] = t + d
 	return rec
 }
@@ -263,7 +261,7 @@ func (b *Builder) ZZGate(a, c Ion) error {
 	emit := func(g circuit.Gate) {
 		d := b.P.Duration(g)
 		t := max64(b.avail[a], b.avail[c])
-		b.events = append(b.events, circuit.Event{Gate: g, S1: sa, S2: sc, Start: t, Dur: d, Record: -1})
+		b.emit(circuit.Event{Gate: g, S1: sa, S2: sc, Start: t, Dur: d, Record: -1})
 		b.avail[a] = t + d
 		b.avail[c] = t + d
 	}
@@ -350,7 +348,7 @@ func (b *Builder) step(i Ion, from, to grid.Site) error {
 	}
 	t := max64(b.avail[i], st.freeFrom)
 	d := b.P.Move
-	b.events = append(b.events, circuit.Event{Gate: circuit.Move, S1: from, S2: to, Start: t, Dur: d, Record: -1})
+	b.emit(circuit.Event{Gate: circuit.Move, S1: from, S2: to, Start: t, Dur: d, Record: -1})
 	b.vacate(from, t)
 	st.occupant = i
 	b.pos[i] = to
@@ -367,7 +365,7 @@ func (b *Builder) hop(i Ion, from, to, j grid.Site) error {
 	d := 2 * b.P.Junction
 	t := max64(b.avail[i], st.freeFrom)
 	t = b.reserveJunction(j, t, d)
-	b.events = append(b.events, circuit.Event{Gate: circuit.Move, S1: from, S2: to, Start: t, Dur: d, Record: -1, ViaJunction: true})
+	b.emit(circuit.Event{Gate: circuit.Move, S1: from, S2: to, Start: t, Dur: d, Record: -1, ViaJunction: true})
 	b.vacate(from, t)
 	st.occupant = i
 	b.pos[i] = to
@@ -424,11 +422,28 @@ func (b *Builder) BarrierAll() int64 {
 	return t
 }
 
+// maxEventBlock caps the capacity of a Builder's event blocks.
+const maxEventBlock = 1 << 12
+
+// emit appends e to the event stream. Events are stored in blocks whose
+// capacity doubles from 64 up to maxEventBlock, so emission never copies the
+// events already written; Build gathers them into one time-ordered copy.
+func (b *Builder) emit(e circuit.Event) {
+	n := len(b.events)
+	if n == 0 || len(b.events[n-1]) == cap(b.events[n-1]) {
+		size := maxEventBlock
+		if n < 6 {
+			size = 64 << n
+		}
+		b.events = append(b.events, make([]circuit.Event, 0, size))
+		n++
+	}
+	b.events[n-1] = append(b.events[n-1], e)
+}
+
 // Build returns the accumulated circuit, sorted by start time.
 func (b *Builder) Build() *circuit.Circuit {
-	c := &circuit.Circuit{Events: append([]circuit.Event(nil), b.events...)}
-	c.SortByTime()
-	return c
+	return &circuit.Circuit{Events: circuit.SortedByTime(b.events...)}
 }
 
 // Validate re-checks a finished circuit against the hardware rules: gates
@@ -439,9 +454,7 @@ func (b *Builder) Build() *circuit.Circuit {
 // validity checker", Sec 3.3), so externally produced or hand-edited
 // circuits can be checked too.
 func Validate(g *grid.Grid, c *circuit.Circuit) error {
-	events := append([]circuit.Event(nil), c.Events...)
-	cc := circuit.Circuit{Events: events}
-	cc.SortByTime()
+	events := c.TimeOrdered()
 
 	occupied := map[grid.Site]bool{}
 	touched := map[grid.Site]bool{} // sites that ever hosted an ion
@@ -468,7 +481,7 @@ func Validate(g *grid.Grid, c *circuit.Circuit) error {
 		return nil
 	}
 
-	for _, e := range cc.Events {
+	for _, e := range events {
 		if err := checkSite(e.S1); err != nil {
 			return err
 		}

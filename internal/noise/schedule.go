@@ -128,69 +128,73 @@ func (s *Schedule) SiteClass(k int) GateClass { return s.class[k] }
 func Compile(m Model, p *orqcs.Program) *Schedule {
 	s := &Schedule{prog: p, model: m}
 	instrs := p.Instructions()
-	slots := make([][]Fault, len(instrs)+1)
-	classes := make([][]GateClass, len(instrs)+1)
-	add := func(slot int, f Fault, c GateClass) {
+	folded := p.FoldedPreps()
+	// The table is written slot by slot, so no per-slot lists are needed.
+	// Slot i holds, in this order: the folded preparations that precede
+	// instruction i, the gate error of instruction i−1 (a measurement's flip
+	// is charged before it instead), instruction i's idle and transport
+	// channels per operand, and its measurement flip.
+	s.start = make([]int32, len(instrs)+2)
+	s.faults = make([]Fault, 0, len(folded)+len(instrs))
+	s.class = make([]GateClass, 0, len(folded)+len(instrs))
+	add := func(f Fault, c GateClass) {
 		if f.P > 1 {
 			f.P = 1 // defense against out-of-range models; see Model.Validate
 		}
 		if f.P > 0 {
-			slots[slot] = append(slots[slot], f)
-			classes[slot] = append(classes[slot], c)
+			s.faults = append(s.faults, f)
+			s.class = append(s.class, c)
 		}
 	}
-	// pre emits the gap-derived channels of one operand before slot i.
-	pre := func(slot int, q int32, idleNs int64, moves int32) {
+	// pre emits the gap-derived channels of one operand.
+	pre := func(q int32, idleNs int64, moves int32) {
 		if m.T2 > 0 && idleNs > 0 {
 			pz := (1 - math.Exp(-float64(idleNs)/m.T2)) / 2
-			add(slot, Fault{P: pz, Q1: q, Kind: FaultDephase}, ClassIdle)
+			add(Fault{P: pz, Q1: q, Kind: FaultDephase}, ClassIdle)
 		}
 		if m.PMove > 0 && moves > 0 {
 			// k per-step depolarizings compose to one: each step shrinks the
 			// Bloch vector by (1 − 4p/3), so the net channel is depolarizing
 			// with probability (3/4)(1 − (1 − 4p/3)^k).
 			pk := 0.75 * (1 - math.Pow(1-4*m.PMove/3, float64(moves)))
-			add(slot, Fault{P: pk, Q1: q, Kind: FaultDepol1}, ClassTransport)
+			add(Fault{P: pk, Q1: q, Kind: FaultDepol1}, ClassTransport)
 		}
 	}
-	// Constant-folded first-touch preparations still suffer SPAM errors:
-	// charge PPrep at the stream position each folded prep precedes.
-	for _, f := range p.FoldedPreps() {
-		add(int(f.Slot), Fault{P: m.PPrep, Q1: f.Q, Kind: FaultFlipX}, ClassPrep)
-	}
-	for i := range instrs {
-		in := &instrs[i]
-		g := p.Gap(i)
-		pre(i, in.Q1, g.Idle1, g.Moves1)
+	for slot := range len(instrs) + 1 {
+		s.start[slot] = int32(len(s.faults))
+		// Constant-folded first-touch preparations still suffer SPAM
+		// errors: charge PPrep at the stream position each one precedes.
+		for len(folded) > 0 && int(folded[0].Slot) == slot {
+			add(Fault{P: m.PPrep, Q1: folded[0].Q, Kind: FaultFlipX}, ClassPrep)
+			folded = folded[1:]
+		}
+		if slot > 0 {
+			switch in := &instrs[slot-1]; in.Op {
+			case orqcs.OpMeasureZ:
+			case orqcs.OpPrepareZ:
+				add(Fault{P: m.PPrep, Q1: in.Q1, Kind: FaultFlipX}, ClassPrep)
+			case orqcs.OpZZ:
+				add(Fault{P: m.P2, Q1: in.Q1, Q2: in.Q2, Kind: FaultDepol2}, ClassTwoQubit)
+			case orqcs.OpZ, orqcs.OpS, orqcs.OpSdg, orqcs.OpT, orqcs.OpTdg:
+				add(Fault{P: m.P1Z, Q1: in.Q1, Kind: FaultDepol1}, ClassOneQubitZ)
+			default: // X/Y-bus one-qubit rotations
+				add(Fault{P: m.P1, Q1: in.Q1, Kind: FaultDepol1}, ClassOneQubit)
+			}
+		}
+		if slot == len(instrs) {
+			break
+		}
+		in := &instrs[slot]
+		g := p.Gap(slot)
+		pre(in.Q1, g.Idle1, g.Moves1)
 		if in.Op == orqcs.OpZZ {
-			pre(i, in.Q2, g.Idle2, g.Moves2)
+			pre(in.Q2, g.Idle2, g.Moves2)
 		}
-		switch in.Op {
-		case orqcs.OpPrepareZ:
-			add(i+1, Fault{P: m.PPrep, Q1: in.Q1, Kind: FaultFlipX}, ClassPrep)
-		case orqcs.OpMeasureZ:
-			add(i, Fault{P: m.PMeas, Q1: in.Q1, Kind: FaultFlipX}, ClassMeas)
-		case orqcs.OpZZ:
-			add(i+1, Fault{P: m.P2, Q1: in.Q1, Q2: in.Q2, Kind: FaultDepol2}, ClassTwoQubit)
-		case orqcs.OpZ, orqcs.OpS, orqcs.OpSdg, orqcs.OpT, orqcs.OpTdg:
-			add(i+1, Fault{P: m.P1Z, Q1: in.Q1, Kind: FaultDepol1}, ClassOneQubitZ)
-		default: // X/Y-bus one-qubit rotations
-			add(i+1, Fault{P: m.P1, Q1: in.Q1, Kind: FaultDepol1}, ClassOneQubit)
+		if in.Op == orqcs.OpMeasureZ {
+			add(Fault{P: m.PMeas, Q1: in.Q1, Kind: FaultFlipX}, ClassMeas)
 		}
 	}
-	s.start = make([]int32, len(slots)+1)
-	total := 0
-	for i, sl := range slots {
-		s.start[i] = int32(total)
-		total += len(sl)
-	}
-	s.start[len(slots)] = int32(total)
-	s.faults = make([]Fault, 0, total)
-	s.class = make([]GateClass, 0, total)
-	for i, sl := range slots {
-		s.faults = append(s.faults, sl...)
-		s.class = append(s.class, classes[i]...)
-	}
+	s.start[len(instrs)+1] = int32(len(s.faults))
 	s.reject = rejectBounds(s.faults)
 	return s
 }

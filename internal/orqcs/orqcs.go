@@ -48,11 +48,10 @@ type Engine struct {
 // walkPositions drives the movement semantics shared by the counting pass
 // and the execution pass. birth is called when a site hosts an ion for the
 // first time; exec (optional) is called for every event with the resolved
-// qubit indices (q2 = -1 for one-site gates).
+// qubit indices (q2 = -1 for one-site gates). Events are walked in time
+// order; only a circuit that is out of order is copied and sorted.
 func walkPositions(c *circuit.Circuit, birth func(grid.Site) int, exec func(e circuit.Event, q1, q2 int) error) error {
-	events := append([]circuit.Event(nil), c.Events...)
-	cc := circuit.Circuit{Events: events}
-	cc.SortByTime()
+	events := c.TimeOrdered()
 	at := map[grid.Site]int{}
 	touched := map[grid.Site]bool{}
 	get := func(s grid.Site, allowReload bool) (int, error) {
@@ -68,7 +67,7 @@ func walkPositions(c *circuit.Circuit, birth func(grid.Site) int, exec func(e ci
 		at[s], touched[s] = q, true
 		return q, nil
 	}
-	for _, e := range cc.Events {
+	for _, e := range events {
 		switch e.Gate {
 		case circuit.Move:
 			q, err := get(e.S1, false)

@@ -130,13 +130,21 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 		return idle, mv
 	}
 	// Record ids index the samplers' record planes directly, so they must
-	// be dense: every id in [0, number of measurements).
-	nMeas := 0
-	for _, e := range c.Events {
-		if e.Gate == circuit.MeasureZ {
+	// be dense: every id in [0, number of measurements). Every event but a
+	// transport or well operation lowers to at most one instruction, which
+	// sizes the instruction and gap tables.
+	nMeas, nOps := 0, 0
+	for i := range c.Events {
+		switch c.Events[i].Gate {
+		case circuit.Move, circuit.MergeWells, circuit.SplitWells, circuit.Cool:
+			continue
+		case circuit.MeasureZ:
 			nMeas++
 		}
+		nOps++
 	}
+	p.instrs = make([]Instr, 0, nOps)
+	p.gaps = make([]Gap, 0, nOps)
 	err := walkPositions(c,
 		func(s grid.Site) int {
 			q := p.n

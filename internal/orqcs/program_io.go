@@ -158,6 +158,9 @@ func DecodeProgram(data []byte) (*Program, error) {
 		if f.Q < 0 || int(f.Q) >= p.n {
 			return nil, fmt.Errorf("orqcs: decode: folded prep %d qubit %d outside [0, %d)", i, f.Q, p.n)
 		}
+		if i > 0 && f.Slot < p.folded[i-1].Slot {
+			return nil, fmt.Errorf("orqcs: decode: folded prep %d slot %d precedes slot %d of the one before it", i, f.Slot, p.folded[i-1].Slot)
+		}
 	}
 	return p, nil
 }

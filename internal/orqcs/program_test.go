@@ -786,3 +786,29 @@ func TestOrderedFoldSpans(t *testing.T) {
 		t.Fatalf("entry after a partial batch not folded: %v", folded)
 	}
 }
+
+// TestDecodeProgramRejectsUnorderedFoldedPreps pins that folded
+// preparations decode only in ascending slot order, the order Compile,
+// Eliminate and FuseRotations write them in and the noise compiler reads
+// them in.
+func TestDecodeProgramRejectsUnorderedFoldedPreps(t *testing.T) {
+	p, err := Compile(buildMemoryish(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeProgram(AppendProgram(nil, p)); err != nil {
+		t.Fatalf("valid program: %v", err)
+	}
+	f := p.folded
+	i := 1
+	for i < len(f) && f[i].Slot == f[i-1].Slot {
+		i++
+	}
+	if i == len(f) {
+		t.Fatalf("all %d folded preparations share one slot", len(f))
+	}
+	f[i-1], f[i] = f[i], f[i-1]
+	if _, err := DecodeProgram(AppendProgram(nil, p)); err == nil {
+		t.Fatalf("folded slots %d, %d out of order: decode succeeded, want error", f[i-1].Slot, f[i].Slot)
+	}
+}

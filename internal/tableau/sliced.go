@@ -61,6 +61,7 @@ type Sliced struct {
 	mad, mas   []uint64
 	lo, hi     []uint64
 	srcX, srcZ pauli.Bits
+	nz         []int // detValue: the nonzero words of the row mask
 
 	single  *pauli.String // reusable weight-≤1 scratch operator
 	singleQ int
@@ -87,6 +88,7 @@ func NewSliced(n int, rng *rand.Rand) *Sliced {
 		hi:      make([]uint64, wd),
 		srcX:    pauli.NewBits(n),
 		srcZ:    pauli.NewBits(n),
+		nz:      make([]int, 0, wd),
 	}
 	t.nextVirtual = -2 // concrete-mode virtual-id range (even negatives)
 	t.initRows()
@@ -377,13 +379,6 @@ func prefixXor64(x uint64) uint64 {
 	return x
 }
 
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
 // detValue computes the outcome bit of a Pauli p that commutes with every
 // stabilizer, given the mask m of destabilizer rows anticommuting with p:
 // the product Q of the stabilizer partners of those rows equals ±p, and the
@@ -392,19 +387,27 @@ func b2i(b bool) int {
 // selected sign bits, the total Y count of the selected rows (mod 4), and
 // the pairwise-ordering cross parity Σ_{a<b}|z_a ∧ x_b| computed with a
 // prefix-parity trick inside each word. The per-qubit content parities
-// double as the reconstruction check (Q must equal p exactly).
+// double as the reconstruction check (Q must equal p exactly). Only the
+// nonzero words of m are walked: a zero mask word selects no row, so it
+// contributes to no count, parity or carry.
 func (t *Sliced) detValue(p *pauli.String, m []uint64) bool {
 	sgn := 0
+	nz := t.nz[:0]
 	for w, mw := range m {
-		sgn ^= bits.OnesCount64(t.ss[w]&mw) & 1
+		if mw != 0 {
+			sgn ^= bits.OnesCount64(t.ss[w]&mw) & 1
+			nz = append(nz, w)
+		}
 	}
 	ycnt, cross := 0, 0
 	wd := t.wd
+	var rx, rz uint64 // Q's content on the current word's qubits
 	for j := 0; j < t.n; j++ {
 		pl := t.planes(j)
 		carry := uint64(0)
-		xpar, zpar := 0, 0
-		for w, mw := range m {
+		xpar, zpar := uint64(0), uint64(0)
+		for _, w := range nz {
+			mw := m[w]
 			xw, zw := pl[2*wd+w]&mw, pl[3*wd+w]&mw
 			if xw|zw == 0 {
 				continue
@@ -415,11 +418,18 @@ func (t *Sliced) detValue(p *pauli.String, m []uint64) bool {
 			if bits.OnesCount64(zw)&1 == 1 {
 				carry = ^carry
 			}
-			xpar ^= bits.OnesCount64(xw) & 1
-			zpar ^= bits.OnesCount64(zw) & 1
+			xpar ^= uint64(bits.OnesCount64(xw))
+			zpar ^= uint64(bits.OnesCount64(zw))
 		}
-		if xpar != b2i(p.XBits.Get(j)) || zpar != b2i(p.ZBits.Get(j)) {
-			panic("tableau: deterministic reconstruction failed (operator not in group?)")
+		b := uint(j) & 63
+		rx |= (xpar & 1) << b
+		rz |= (zpar & 1) << b
+		if b == 63 || j == t.n-1 {
+			keep := ^uint64(0) >> (63 - b)
+			if rx != p.XBits[j>>6]&keep || rz != p.ZBits[j>>6]&keep {
+				panic("tableau: deterministic reconstruction failed (operator not in group?)")
+			}
+			rx, rz = 0, 0
 		}
 	}
 	d := (int(p.Phase) - (ycnt + 2*cross + 2*sgn)) % 4

@@ -133,10 +133,16 @@ func compareStates(t *testing.T, step string, rm *T, sl *Sliced) {
 // the nine single-qubit rotations and ZZ, which together generate the full
 // Clifford group — applied singly or as short composites.
 func drive(opRng *rand.Rand, rm *T, sl *Sliced, n int, nextRec *int32) string {
-	q := opRng.Intn(n)
-	q2 := opRng.Intn(n)
+	return driveOn(opRng, rm, sl, n, nil, nextRec)
+}
+
+// driveOn is drive restricted to the qubits in active (every qubit when
+// active is nil; otherwise it lists at least two).
+func driveOn(opRng *rand.Rand, rm *T, sl *Sliced, n int, active []int, nextRec *int32) string {
+	q := pickQubit(opRng, n, active)
+	q2 := pickQubit(opRng, n, active)
 	for n > 1 && q2 == q {
-		q2 = opRng.Intn(n)
+		q2 = pickQubit(opRng, n, active)
 	}
 	switch op := opRng.Intn(18); op {
 	case 0: // Hadamard up to global phase: X·SqrtY
@@ -250,7 +256,7 @@ func drive(opRng *rand.Rand, rm *T, sl *Sliced, n int, nextRec *int32) string {
 	default: // multi-qubit Pauli measurement
 		rec := *nextRec
 		*nextRec++
-		p := randomHermitian(opRng, n)
+		p := randomHermitianOn(opRng, n, active)
 		a := rm.MeasurePauli(p, rec)
 		b := sl.MeasurePauli(p, rec)
 		if a.Deterministic != b.Deterministic {
@@ -260,13 +266,27 @@ func drive(opRng *rand.Rand, rm *T, sl *Sliced, n int, nextRec *int32) string {
 	}
 }
 
+// pickQubit draws a qubit: any of n when active is nil, else one of active.
+func pickQubit(rng *rand.Rand, n int, active []int) int {
+	if active == nil {
+		return rng.Intn(n)
+	}
+	return active[rng.Intn(len(active))]
+}
+
 // randomHermitian returns a random non-identity Hermitian Pauli string.
 func randomHermitian(rng *rand.Rand, n int) *pauli.String {
+	return randomHermitianOn(rng, n, nil)
+}
+
+// randomHermitianOn is randomHermitian supported on the qubits in active
+// (every qubit when active is nil).
+func randomHermitianOn(rng *rand.Rand, n int, active []int) *pauli.String {
 	for {
 		p := pauli.NewString(n)
 		w := 1 + rng.Intn(3)
 		for k := 0; k < w; k++ {
-			p.SetKind(rng.Intn(n), pauli.Kind(1+rng.Intn(3)))
+			p.SetKind(pickQubit(rng, n, active), pauli.Kind(1+rng.Intn(3)))
 		}
 		if !p.IsIdentity() {
 			if rng.Intn(2) == 1 {
@@ -313,6 +333,89 @@ func TestSlicedMatchesRowMajorDifferential(t *testing.T) {
 			}
 		})
 	}
+	t.Run("n=321-words-0-2-4", testSlicedWordGaps)
+}
+
+// testSlicedWordGaps runs the differential drive on n=321 (six 64-bit
+// words) with only qubits of words 0, 2 and 4 active, then measures
+// products of random subsets of the active stabilizer rows, some negated.
+// Such a product is deterministic and its destabilizer mask selects exactly
+// the chosen rows, so most masks have zero words between nonzero ones:
+// detValue walks only the nonzero words, and both engines must read the
+// product's known sign. Most products must see a gapped mask.
+func testSlicedWordGaps(t *testing.T) {
+	const n = 321
+	active := []int{1, 40, 63, 130, 150, 191, 257, 300}
+	gapped, probes := 0, 0
+	for trial := 0; trial < 4; trial++ {
+		seed := int64(7000 + trial)
+		rm := New(n, rand.New(rand.NewSource(seed)))
+		sl := NewSliced(n, rand.New(rand.NewSource(seed)))
+		opRng := rand.New(rand.NewSource(seed * 7919))
+		nextRec := int32(0)
+		for s := 0; s < 400; s++ {
+			step := driveOn(opRng, rm, sl, n, active, &nextRec)
+			if s%50 == 0 {
+				compareStates(t, fmt.Sprintf("trial %d step %d (%s)", trial, s, step), rm, sl)
+			}
+		}
+		for k := 0; k < 40; k++ {
+			_, stab := rowsOf(t, sl)
+			p := pauli.NewString(n)
+			for _, q := range active {
+				if opRng.Intn(2) == 1 {
+					p.Mul(stab[q])
+				}
+			}
+			if p.IsIdentity() {
+				continue
+			}
+			want := opRng.Intn(2) == 1
+			if want {
+				p.Negate()
+			}
+			probes++
+			if gappedDetMask(sl, p) {
+				gapped++
+			}
+			rec := nextRec
+			nextRec++
+			a, b := rm.MeasurePauli(p, rec), sl.MeasurePauli(p, rec)
+			if !a.Deterministic || !b.Deterministic {
+				t.Fatalf("trial %d: stabilizer product %s not deterministic (%v, %v)", trial, p, a.Deterministic, b.Deterministic)
+			}
+			if rm.Records()[rec] != want || sl.Records()[rec] != want {
+				t.Fatalf("trial %d: stabilizer product %s reads %v (row-major) and %v (sliced), want %v",
+					trial, p, rm.Records()[rec], sl.Records()[rec], want)
+			}
+		}
+		compareStates(t, fmt.Sprintf("trial %d", trial), rm, sl)
+	}
+	if gapped < probes/2 {
+		t.Fatalf("%d of %d stabilizer products had a mask with a zero word between nonzero ones, want at least half", gapped, probes)
+	}
+}
+
+// gappedDetMask reports whether measuring p on sl is deterministic with a
+// destabilizer mask whose nonzero words are not contiguous.
+func gappedDetMask(sl *Sliced, p *pauli.String) bool {
+	sq, sk, single := p.SingleQubit()
+	m := make([]uint64, sl.wd)
+	sl.antiMaskDS(m, true, p, sq, sk, single)
+	if anyBit(m) {
+		return false
+	}
+	sl.antiMaskDS(m, false, p, sq, sk, single)
+	first, last, nonzero := -1, -1, 0
+	for w, u := range m {
+		if u != 0 {
+			if first < 0 {
+				first = w
+			}
+			last, nonzero = w, nonzero+1
+		}
+	}
+	return nonzero > 0 && last-first+1 > nonzero
 }
 
 // TestSlicedResetAllReuse checks that ResetAll restores the exact initial

@@ -20,6 +20,7 @@ package tableau
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"tiscc/internal/expr"
@@ -50,6 +51,7 @@ type T struct {
 	rng         *rand.Rand // nil → symbolic mode
 	records     map[int32]bool
 	scratch     Row
+	supp        []int         // support words of the current operand (see operand)
 	single      *pauli.String // reusable weight-≤1 scratch operator
 	singleQ     int           // qubit the scratch operator currently acts on
 	nextVirtual int32
@@ -79,6 +81,7 @@ func New(n int, rng *rand.Rand) *T {
 		t.stab[i].Z.Set(i, true)
 	}
 	t.scratch = Row{X: pauli.NewBits(n), Z: pauli.NewBits(n)}
+	t.supp = make([]int, 0, len(t.scratch.X))
 	return t
 }
 
@@ -110,6 +113,7 @@ func (t *T) Clone(rng *rand.Rand) *T {
 		c.records[k] = v
 	}
 	c.scratch = Row{X: pauli.NewBits(t.n), Z: pauli.NewBits(t.n)}
+	c.supp = make([]int, 0, len(c.scratch.X))
 	return c
 }
 
@@ -336,28 +340,54 @@ func mulInto(dst, src *Row) {
 	dst.Sym = dst.Sym.Xor(src.Sym)
 }
 
-// anticommutes reports whether row r anticommutes with the Pauli p.
-func anticommutes(r *Row, p *pauli.String) bool {
-	return (r.X.AndCount(p.ZBits)+r.Z.AndCount(p.XBits))%2 == 1
+// operand is a Pauli prepared for anticommutation tests against rows. A
+// weight-one operand collapses the symplectic product to one or two bit
+// tests: measurement and reset are dominated by these tests, and in
+// compiled circuits nearly every measured operator is a single-site Z. Any
+// other operand lists the words where it has support, the only words on
+// which a row can anticommute with it.
+type operand struct {
+	p      *pauli.String
+	sq     int
+	sk     pauli.Kind
+	single bool
+	supp   []int // support words (aliases T's scratch; not for single)
 }
 
-// antiP is anticommutes with a precomputed weight-one fast path: when p is
-// the single Pauli sk on qubit sq (single == true), the symplectic product
-// collapses to one or two bit tests. Measurement and reset are dominated by
-// these tests, and in compiled circuits nearly every measured operator is a
-// single-site Z.
-func antiP(r *Row, p *pauli.String, sq int, sk pauli.Kind, single bool) bool {
-	if single {
-		switch sk {
+// operand prepares p for row tests. Its support-word list lives in T's
+// scratch, valid until the next operand call.
+func (t *T) operand(p *pauli.String) operand {
+	o := operand{p: p}
+	o.sq, o.sk, o.single = p.SingleQubit()
+	if !o.single {
+		s := t.supp[:0]
+		for w, x := range p.XBits {
+			if x|p.ZBits[w] != 0 {
+				s = append(s, w)
+			}
+		}
+		t.supp, o.supp = s, s
+	}
+	return o
+}
+
+// anti reports whether row r anticommutes with the operand.
+func (o *operand) anti(r *Row) bool {
+	if o.single {
+		switch o.sk {
 		case pauli.Z:
-			return r.X.Get(sq)
+			return r.X.Get(o.sq)
 		case pauli.X:
-			return r.Z.Get(sq)
+			return r.Z.Get(o.sq)
 		default:
-			return r.X.Get(sq) != r.Z.Get(sq)
+			return r.X.Get(o.sq) != r.Z.Get(o.sq)
 		}
 	}
-	return anticommutes(r, p)
+	odd := 0
+	for _, w := range o.supp {
+		odd ^= bits.OnesCount64(r.X[w]&o.p.ZBits[w] ^ r.Z[w]&o.p.XBits[w])
+	}
+	return odd&1 == 1
 }
 
 // --- Measurement ------------------------------------------------------------
@@ -384,18 +414,18 @@ func (t *T) MeasurePauli(p *pauli.String, rec int32) Outcome {
 	if !p.Hermitian() {
 		panic("tableau: measuring non-Hermitian Pauli " + p.String())
 	}
-	sq, sk, single := p.SingleQubit()
+	o := t.operand(p)
 	// Find an anticommuting stabilizer.
 	ip := -1
 	for i := 0; i < t.n; i++ {
-		if antiP(&t.stab[i], p, sq, sk, single) {
+		if o.anti(&t.stab[i]) {
 			ip = i
 			break
 		}
 	}
 	if ip < 0 {
 		// Deterministic outcome.
-		derived := t.deterministicValue(p)
+		derived := t.deterministicValue(&o)
 		out := Outcome{Record: rec, Deterministic: true, Derived: derived}
 		if t.rng != nil {
 			t.records[rec] = derived.Eval(t.records)
@@ -416,17 +446,17 @@ func (t *T) MeasurePauli(p *pauli.String, rec int32) Outcome {
 	// its storage is recycled below, so no row is cloned.
 	old := &t.stab[ip]
 	for i := range t.destab {
-		if i != ip && antiP(&t.destab[i], p, sq, sk, single) {
+		if i != ip && o.anti(&t.destab[i]) {
 			mulInto(&t.destab[i], old)
 		}
 	}
 	for i := range t.stab {
-		if i != ip && antiP(&t.stab[i], p, sq, sk, single) {
+		if i != ip && o.anti(&t.stab[i]) {
 			mulInto(&t.stab[i], old)
 		}
 	}
 	for i := range t.obs {
-		if antiP(&t.obs[i], p, sq, sk, single) {
+		if o.anti(&t.obs[i]) {
 			mulInto(&t.obs[i], old)
 		}
 	}
@@ -443,17 +473,17 @@ func (t *T) MeasurePauli(p *pauli.String, rec int32) Outcome {
 	return Outcome{Record: rec, Deterministic: false}
 }
 
-// deterministicValue computes the value expression of a Pauli p that
-// commutes with every stabilizer: the bit b with p|ψ⟩ = (−1)^b|ψ⟩.
-func (t *T) deterministicValue(p *pauli.String) expr.Expr {
+// deterministicValue computes the value expression of a Pauli operand p
+// that commutes with every stabilizer: the bit b with p|ψ⟩ = (−1)^b|ψ⟩.
+func (t *T) deterministicValue(o *operand) expr.Expr {
+	p := o.p
 	sc := &t.scratch
 	for i := range sc.X {
 		sc.X[i], sc.Z[i] = 0, 0
 	}
 	sc.K, sc.Sym = 0, expr.Zero()
-	sq, sk, single := p.SingleQubit()
 	for i := 0; i < t.n; i++ {
-		if antiP(&t.destab[i], p, sq, sk, single) {
+		if o.anti(&t.destab[i]) {
 			mulInto(sc, &t.stab[i])
 		}
 	}
@@ -476,12 +506,13 @@ func (t *T) deterministicValue(p *pauli.String) expr.Expr {
 // false when p anticommutes with some stabilizer (⟨p⟩ = 0); otherwise value
 // is the ±1 sign as a bit expression (true = −1).
 func (t *T) Expectation(p *pauli.String) (bool, expr.Expr) {
+	o := t.operand(p)
 	for i := 0; i < t.n; i++ {
-		if anticommutes(&t.stab[i], p) {
+		if o.anti(&t.stab[i]) {
 			return false, expr.Zero()
 		}
 	}
-	return true, t.deterministicValue(p)
+	return true, t.deterministicValue(&o)
 }
 
 // ExpectationValue returns the expectation of p in concrete mode as a float:
@@ -544,11 +575,11 @@ func (t *T) ConditionalPauli(p *pauli.String, e expr.Expr) {
 	if len(e.IDs) == 0 && !e.Const {
 		return
 	}
-	sq, sk, single := p.SingleQubit()
+	o := t.operand(p)
 	for _, rows := range t.groups() {
 		for i := range rows {
 			r := &rows[i]
-			if antiP(r, p, sq, sk, single) {
+			if o.anti(r) {
 				r.Sym = r.Sym.Xor(e)
 			}
 		}

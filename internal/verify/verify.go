@@ -9,6 +9,7 @@ package verify
 import (
 	"fmt"
 
+	"tiscc/internal/circuit"
 	"tiscc/internal/core"
 	"tiscc/internal/expr"
 	"tiscc/internal/frame"
@@ -326,6 +327,12 @@ type Memory struct {
 // evaluating it against any (noisy or noiseless) shot's record table yields
 // that shot's decoded logical outcome.
 func MemoryExperiment(d, rounds int, basis pauli.Kind) (*Memory, error) {
+	return memoryExperiment(d, rounds, basis, nil)
+}
+
+// memoryExperiment is MemoryExperiment; built, when non-nil, receives the
+// hardware circuit before it is lowered.
+func memoryExperiment(d, rounds int, basis pauli.Kind, built func(*circuit.Circuit)) (*Memory, error) {
 	if basis != pauli.Z && basis != pauli.X {
 		return nil, fmt.Errorf("verify: memory basis must be X or Z")
 	}
@@ -384,7 +391,11 @@ func MemoryExperiment(d, rounds int, basis pauli.Kind) (*Memory, error) {
 	if outcome.HasVirtual() {
 		return nil, fmt.Errorf("verify: outcome formula references virtual records: %v", outcome)
 	}
-	prog, err := orqcs.Compile(c.Build())
+	circ := c.Build()
+	if built != nil {
+		built(circ)
+	}
+	prog, err := orqcs.Compile(circ)
 	if err != nil {
 		return nil, err
 	}
@@ -457,6 +468,12 @@ type Surgery struct {
 // the joint-parity outcome — final joint readout XOR merge outcome — is
 // deterministic and the experiment is a decodable logical-error workload.
 func SurgeryExperiment(d, pre, merge, post int, basis pauli.Kind) (*Surgery, error) {
+	return surgeryExperiment(d, pre, merge, post, basis, nil)
+}
+
+// surgeryExperiment is SurgeryExperiment; built, when non-nil, receives the
+// hardware circuit before it is lowered.
+func surgeryExperiment(d, pre, merge, post int, basis pauli.Kind, built func(*circuit.Circuit)) (*Surgery, error) {
 	if basis != pauli.Z && basis != pauli.X {
 		return nil, fmt.Errorf("verify: surgery basis must be X or Z")
 	}
@@ -590,7 +607,11 @@ func SurgeryExperiment(d, pre, merge, post int, basis pauli.Kind) (*Surgery, err
 		return nil, fmt.Errorf("verify: outcome formula references virtual records: %v", outcome)
 	}
 	s.Outcome = outcome
-	prog, err := orqcs.Compile(c.Build())
+	circ := c.Build()
+	if built != nil {
+		built(circ)
+	}
+	prog, err := orqcs.Compile(circ)
 	if err != nil {
 		return nil, err
 	}
