@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"tiscc/internal/cpuid"
 	"tiscc/internal/telemetry"
 )
 
@@ -155,6 +156,9 @@ func TestMemoryMetricsManifest(t *testing.T) {
 	}
 	if man.Tool != "orqcs" || len(man.Points) != 1 {
 		t.Fatalf("manifest tool=%q points=%d", man.Tool, len(man.Points))
+	}
+	if got, want := man.Provenance.DrawKernel, cpuid.DrawKernel(); got != want {
+		t.Fatalf("manifest draw_kernel %q, want the host's %q", got, want)
 	}
 	pt := man.Points[0]
 	if pt.Result["shots"] != float64(256) {

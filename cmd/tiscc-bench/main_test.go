@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"tiscc/internal/cpuid"
 	"tiscc/internal/telemetry"
 )
 
@@ -160,6 +161,9 @@ func TestMetricsManifest(t *testing.T) {
 	}
 	if man.Tool != "tiscc-bench" {
 		t.Fatalf("manifest tool %q", man.Tool)
+	}
+	if got, want := man.Provenance.DrawKernel, cpuid.DrawKernel(); got != want {
+		t.Fatalf("manifest draw_kernel %q, want the host's %q", got, want)
 	}
 	if cover := man.SpanSecondsTotal() / man.WallSeconds; cover < 0.9 {
 		t.Fatalf("stage spans cover %.0f%% of wall time, want ≥ 90%%\nspans: %+v", cover*100, man.Spans)

@@ -7,7 +7,8 @@
 //
 // Identical requests produce byte-identical response bodies whether they
 // compile or hit the cache; the disposition is reported in the
-// X-Tiscc-Cache header and the server log only.
+// X-Tiscc-Cache header and the server log only, and the host's fault-draw
+// kernel ("avx512" or "portable") in the X-Tiscc-Draw-Kernel header.
 package main
 
 import (

@@ -141,8 +141,8 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors) *Collector {
 func (c *Collector) ObserveBatch(p *noise.Planes, bad uint64) {
 	sc := c.pool.Get().(*scratch)
 	nc := len(c.chans)
-	for _, w := range p.Fired { // site<<32 | branch<<6 | lane
-		sc.perShot[int(w&63)*nc+int(c.siteChan[w>>32])]++
+	for _, w := range p.Fired {
+		sc.perShot[int(noise.FiredLane(w))*nc+int(c.siteChan[noise.FiredSite(w)])]++
 	}
 	for lane := 0; lane < p.N; lane++ {
 		c.observeShot(sc, sc.perShot[lane*nc:(lane+1)*nc], bad>>uint(lane)&1 == 1)

@@ -31,18 +31,16 @@
 //     operator) is multiplied into the lane's frame: Π_c F = F Π_{c⊕f} and
 //     Π_{1−r}|ψ⟩ ∝ D Π_r|ψ⟩ convert between the two collapse branches.
 //   - Fault firings. The batch hands its lanes' shot seeds to
-//     noise.Schedule.FiredBatch in one call. Its draw kernel, the one code
-//     that draws fault variates, runs four lanes per pass over the fault
-//     table and lists, per lane, the very firings noise.Schedule.RunShot
-//     applies, packed as site<<32 | branch<<6 | lane. The batch sorts the
-//     words by site and XORs each firing into its lane's frame as the
-//     instruction walk reaches the site's slot.
+//     noise.Schedule.FiredBatch in one call. It lists, per lane, the very
+//     firings noise.Schedule.RunShot applies, packed as
+//     site<<32 | lane<<4 | branch and ascending by site, and the batch XORs
+//     each firing into its lane's frame as the instruction walk reaches the
+//     site's slot.
 package frame
 
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
@@ -178,7 +176,7 @@ type Batch struct {
 	fx, fz []uint64 // frame bit-planes, one word (64 lanes) per qubit
 	out    []uint64 // per-slot actual-outcome words: records, then resets
 	coins  []uint64 // per-lane measurement-coin stream states
-	fired  []uint64 // the batch's packed fault firings, sorted (see noise.Schedule.FiredBatch)
+	fired  []uint64 // the batch's packed fault firings, ascending (see noise.Schedule.FiredBatch)
 	p      noise.Planes
 	recs   map[int32]bool   // Records' table, allocated on first use
 	tel    *telemetry.Shard // single-owner sampler metrics (never nil)
@@ -221,11 +219,8 @@ func (b *Batch) Run(first, count int, seed int64) {
 	}
 	b.fired = b.fired[:0]
 	if s.sched != nil {
-		// Each coin stream starts at its lane's shot seed. Firings at one site
-		// on different lanes commute, so sorting the packed words by value
-		// (by site) is all the order the slot walk needs.
+		// Each coin stream starts at its lane's shot seed.
 		b.fired = s.sched.FiredBatch(b.coins[:count], b.fired)
-		slices.Sort(b.fired)
 	}
 	b.p.Fired = b.fired
 	b.tel.Add(orqcs.CtrShots, uint64(count))
@@ -257,12 +252,13 @@ func (b *Batch) Run(first, count int, seed int64) {
 func (b *Batch) applyFired(fi int, end int32) int {
 	for ; fi < len(b.fired); fi++ {
 		w := b.fired[fi]
-		if int32(w>>32) >= end {
+		site := noise.FiredSite(w)
+		if site >= int(end) {
 			break
 		}
-		f := b.sim.sched.SiteFault(int(w >> 32))
-		_, x1, z1, x2, z2 := f.Branch(int(w >> 6 & 0xF))
-		m := uint64(1) << (w & 63)
+		f := b.sim.sched.SiteFault(site)
+		_, x1, z1, x2, z2 := f.Branch(noise.FiredBranch(w))
+		m := uint64(1) << noise.FiredLane(w)
 		if x1 {
 			b.fx[f.Q1] ^= m
 		}

@@ -79,9 +79,10 @@ type Planes struct {
 	Lanes uint64   // mask of the sampled lanes, the low N bits
 	Words []uint64 // record words, indexed by record id
 	// Fired lists the batch's fault firings, packed
-	// site<<32 | branch<<6 | lane and ascending by site, exactly as
-	// Schedule.FiredBatch draws them from the lanes' shot seeds: the faults
-	// the sampler applied. Empty for a noiseless batch.
+	// site<<32 | lane<<4 | branch (FiredSite, FiredLane, FiredBranch) and
+	// ascending, exactly as Schedule.FiredBatch draws them from the lanes'
+	// shot seeds: the faults the sampler applied. Empty for a noiseless
+	// batch.
 	Fired []uint64
 }
 

@@ -3,9 +3,11 @@ package noise
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
+	"tiscc/internal/cpuid"
 	"tiscc/internal/hardware"
 	"tiscc/internal/orqcs"
 )
@@ -28,50 +30,91 @@ func referenceFired(s *Schedule, seed int64) []FiredFault {
 	return out
 }
 
-// laneLists splits FiredBatch's packed words into per-lane FiredFaults
-// lists, keeping their order, and checks the order contract on the way:
-// within each group of four lanes, sites ascend and lanes ascend within a
-// site.
+// drawKernel is one FiredBatch implementation under test.
+type drawKernel struct {
+	name string
+	run  func(s *Schedule, seeds, buf []uint64) []uint64
+	skip string // why this host cannot run it; empty when it can
+}
+
+// drawKernels lists both FiredBatch paths. The AVX-512 one carries a skip
+// reason on hosts the init-time CPU probe turned it off for.
+func drawKernels() []drawKernel {
+	asm := drawKernel{name: "avx512", run: (*Schedule).firedAVX512}
+	if !cpuid.AVX512 {
+		asm.skip = fmt.Sprintf("the %s host lacks AVX-512F+DQ with OS-saved ZMM state: asm path not exercised", runtime.GOARCH)
+	}
+	return []drawKernel{asm, {name: "portable", run: (*Schedule).firedPortable}}
+}
+
+// eachKernel runs f as one subtest per draw kernel, skipping (and logging
+// why) the kernels this host cannot run.
+func eachKernel(t *testing.T, f func(t *testing.T, k drawKernel)) {
+	for _, k := range drawKernels() {
+		t.Run(k.name, func(t *testing.T) {
+			if k.skip != "" {
+				t.Skip(k.skip)
+			}
+			f(t, k)
+		})
+	}
+}
+
+// laneLists splits a batch's packed words into per-lane FiredFaults lists,
+// keeping their order, and checks FiredBatch's order contract on the way:
+// the words ascend strictly, by site and by lane within a site.
 func laneLists(t *testing.T, words []uint64, lanes int) [][]FiredFault {
 	t.Helper()
 	out := make([][]FiredFault, lanes)
 	for i, w := range words {
-		lane := int(w & 63)
+		lane := int(FiredLane(w))
 		if lane >= lanes {
 			t.Fatalf("word %#x names lane %d of a %d-lane batch", w, lane, lanes)
 		}
-		if i > 0 && int(words[i-1]&63)/4 == lane/4 {
-			if prev := words[i-1]; prev>>32 > w>>32 || prev>>32 == w>>32 && prev&63 >= w&63 {
-				t.Fatalf("group %d words out of order: %#x then %#x", lane/4, prev, w)
-			}
+		if i > 0 && words[i-1] >= w {
+			t.Fatalf("words out of order: %#x then %#x", words[i-1], w)
 		}
-		out[lane] = append(out[lane], FiredFault{Site: int32(w >> 32), Branch: int32(w >> 6 & 0xF)})
+		out[lane] = append(out[lane], FiredFault{Site: int32(FiredSite(w)), Branch: int32(FiredBranch(w))})
 	}
 	return out
 }
 
-// checkAgainstReference runs seeds through FiredBatch and FiredFaults and
-// requires every lane's list to equal referenceFired's.
-func checkAgainstReference(t *testing.T, s *Schedule, seeds []int64, ref [][]FiredFault) {
+// checkAgainstReference runs seeds through one draw kernel and requires
+// every lane's list to equal referenceFired's. The buffer it appends to
+// starts with a word above any firing, which must stay where it is.
+func checkAgainstReference(t *testing.T, k drawKernel, s *Schedule, seeds []int64, ref [][]FiredFault) {
 	t.Helper()
 	us := make([]uint64, len(seeds))
 	for i, sd := range seeds {
 		us[i] = uint64(sd)
 	}
-	got := laneLists(t, s.FiredBatch(us, nil), len(seeds))
+	words := k.run(s, us, []uint64{math.MaxUint64})
+	if words[0] != math.MaxUint64 {
+		t.Fatalf("%d lanes: the kernel moved the word already in buf", len(seeds))
+	}
+	got := laneLists(t, words[1:], len(seeds))
 	for i, sd := range seeds {
 		if !slices.Equal(got[i], ref[i]) {
 			t.Fatalf("%d lanes, lane %d (seed %#x): kernel fired %v, reference %v", len(seeds), i, uint64(sd), got[i], ref[i])
 		}
+	}
+}
+
+// checkOneLane requires FiredFaults, the one-lane loop, to fire exactly
+// the reference list of every seed.
+func checkOneLane(t *testing.T, s *Schedule, seeds []int64, ref [][]FiredFault) {
+	t.Helper()
+	for i, sd := range seeds {
 		if one := s.FiredFaults(sd, nil); !slices.Equal(one, ref[i]) {
 			t.Fatalf("seed %#x: FiredFaults %v, reference %v", uint64(sd), one, ref[i])
 		}
 	}
 }
 
-// TestKernelMatchesReference is the draw kernel's exactness oracle on
-// compiled schedules: every lane count 1..64 (padded groups included) and
-// every model, PaperTable5's spread of idle probabilities among them.
+// TestKernelMatchesReference is the draw kernels' exactness oracle on
+// compiled schedules: the one-lane loop, and both FiredBatch paths at every
+// lane count 1..64 (partial vectors and padded groups included), for every
+// model, PaperTable5's spread of idle probabilities among them.
 func TestKernelMatchesReference(t *testing.T) {
 	prog := memoryProgram(t, 3, 3)
 	models := []Model{
@@ -94,9 +137,12 @@ func TestKernelMatchesReference(t *testing.T) {
 			if m.P2 >= 0.3 && fired == 0 {
 				t.Fatal("reference fired nothing at p ≥ 0.3")
 			}
-			for n := 1; n <= len(seeds); n++ {
-				checkAgainstReference(t, s, seeds[:n], ref[:n])
-			}
+			checkOneLane(t, s, seeds, ref)
+			eachKernel(t, func(t *testing.T, k drawKernel) {
+				for n := 1; n <= len(seeds); n++ {
+					checkAgainstReference(t, k, s, seeds[:n], ref[:n])
+				}
+			})
 		})
 	}
 }
@@ -159,8 +205,8 @@ func boundaryDraws(p float64) []uint64 {
 // TestKernelBoundaryProbabilities drives hand-built sites with extreme and
 // boundary probabilities (P = 0, P = 1, P·2⁵³ integral, P = 1e-300 and
 // their float neighbours) with seeds crafted to land draws on their firing
-// and reject boundaries, and requires the kernel to match the reference
-// lane for lane.
+// and reject boundaries, and requires the one-lane loop and both FiredBatch
+// paths, at every lane count 1..64, to match the reference lane for lane.
 func TestKernelBoundaryProbabilities(t *testing.T) {
 	var ps []float64
 	for _, p := range []float64{0, 1, 0.5, 1.0 / 1024, 1e-300, 1e-3} {
@@ -191,15 +237,17 @@ func TestKernelBoundaryProbabilities(t *testing.T) {
 	for i, sd := range seeds {
 		ref[i] = referenceFired(s, sd)
 	}
-	for i := 0; i < len(seeds); i += 64 {
-		j := min(i+64, len(seeds))
-		checkAgainstReference(t, s, seeds[i:j], ref[i:j])
-	}
-	// Odd lane counts pad differently: shift the grouping by one lane.
-	for i := 1; i < len(seeds); i += 7 {
-		j := min(i+7, len(seeds))
-		checkAgainstReference(t, s, seeds[i:j], ref[i:j])
-	}
+	checkOneLane(t, s, seeds, ref)
+	// Every lane count tiles the crafted seeds differently, so each boundary
+	// draw lands in many lanes of both full and partial vectors.
+	eachKernel(t, func(t *testing.T, k drawKernel) {
+		for n := 1; n <= 64; n++ {
+			for i := 0; i < len(seeds); i += n {
+				j := min(i+n, len(seeds))
+				checkAgainstReference(t, k, s, seeds[i:j], ref[i:j])
+			}
+		}
+	})
 }
 
 // TestRejectLemma checks the reject bound's premise on random and
@@ -282,23 +330,45 @@ func TestDecodedScheduleFires(t *testing.T) {
 	}
 }
 
-// BenchmarkFiredBatch times the draw kernel on a 64-lane batch of d=13
-// memory shots, the frame sampler's per-batch call, at a dense and a sparse
-// depolarizing rate; ns/draw is per fault site per lane.
+// BenchmarkFiredBatch times each draw kernel this host runs on a 64-lane
+// batch of d=13 memory shots, the frame sampler's per-batch call, at a
+// dense and a sparse depolarizing rate; ns/draw is per fault site per lane.
+// The portable path is timed on every host.
 func BenchmarkFiredBatch(b *testing.B) {
 	prog := memoryProgram(b, 13, 13)
 	for _, p := range []float64{1e-3, 5e-5} {
 		s := Compile(Depolarizing(p), prog)
-		b.Run(fmt.Sprintf("d=13/p=%g", p), func(b *testing.B) {
-			seeds := make([]uint64, 64)
-			var buf []uint64
-			for i := 0; i < b.N; i++ {
-				for l := range seeds {
-					seeds[l] = uint64(orqcs.ShotSeed(int64(i), l))
+		for _, k := range drawKernels() {
+			b.Run(fmt.Sprintf("%s/d=13/p=%g", k.name, p), func(b *testing.B) {
+				if k.skip != "" {
+					b.Skip(k.skip)
 				}
-				buf = s.FiredBatch(seeds, buf[:0])
+				seeds := make([]uint64, 64)
+				var buf []uint64
+				for i := 0; i < b.N; i++ {
+					for l := range seeds {
+						seeds[l] = uint64(orqcs.ShotSeed(int64(i), l))
+					}
+					buf = k.run(s, seeds, buf[:0])
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*64*float64(s.NumFaultSites())), "ns/draw")
+			})
+		}
+	}
+}
+
+// BenchmarkFiredFaults times the one-lane loop behind FiredFaults and the
+// tableau RunShot on d=13 memory shots; ns/draw is per fault site.
+func BenchmarkFiredFaults(b *testing.B) {
+	prog := memoryProgram(b, 13, 13)
+	for _, p := range []float64{1e-3, 5e-5} {
+		s := Compile(Depolarizing(p), prog)
+		b.Run(fmt.Sprintf("d=13/p=%g", p), func(b *testing.B) {
+			var buf []FiredFault
+			for i := 0; i < b.N; i++ {
+				buf = s.FiredFaults(orqcs.ShotSeed(int64(i), 0), buf[:0])
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*64*float64(s.NumFaultSites())), "ns/draw")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(s.NumFaultSites())), "ns/draw")
 		})
 	}
 }

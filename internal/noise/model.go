@@ -12,7 +12,7 @@
 // events. Compile flattens a Model against a lowered orqcs.Program into a
 // fault Schedule — a per-instruction list of potential error locations with
 // precomputed probabilities — so that the per-shot loop only reads one
-// uniform variate per location (the draw kernel, Schedule.eachFired) and
+// uniform variate per location (the draw kernels, see Schedule.FiredBatch) and
 // applies fired faults as Pauli frame updates, with zero allocations per
 // shot.
 package noise

@@ -2,7 +2,10 @@ package noise
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
+	"tiscc/internal/cpuid"
 	"tiscc/internal/orqcs"
 )
 
@@ -305,6 +308,18 @@ func branch(u, p float64, n int) int {
 	return b
 }
 
+// fire is the exact firing test every draw loop applies to a candidate:
+// draw o fires site k when its top 53 bits v satisfy v < P·2⁵³, and v/2⁵³
+// (uniform in [0, P) given the fire) picks the branch.
+func (s *Schedule) fire(k int, o uint64) (b int, ok bool) {
+	f := &s.faults[k]
+	v := float64(o >> 11)
+	if !(v < f.P*(1<<53)) {
+		return 0, false
+	}
+	return branch(v/(1<<53), f.P, f.NumBranches()), true
+}
+
 // FiredFault is one fault firing of a shot: the site's index into the
 // schedule's fault table and the branch it fired into, in Fault.Branch
 // order.
@@ -314,81 +329,137 @@ type FiredFault struct {
 
 // FiredFaults samples the fault stream of the shot with the given seed,
 // appending the sites that fire, in ascending site order and each with the
-// branch it fires into, to buf. It runs the draw kernel (eachFired) on one
-// lane. The tableau RunShot and the frame sampler's batches apply exactly
-// this list, and the determinism tests and the detector-error-model check
-// read it without simulating.
+// branch it fires into, to buf. The tableau RunShot and the frame sampler's
+// batches apply exactly this list, and the determinism tests and the
+// detector-error-model check read it without simulating.
 func (s *Schedule) FiredFaults(seed int64, buf []FiredFault) []FiredFault {
-	seeds := [1]uint64{uint64(seed)}
-	s.eachFired(seeds[:], 0, func(w uint64) {
-		buf = append(buf, FiredFault{Site: int32(w >> 32), Branch: int32(w >> 6 & 0xF)})
+	s.eachFired(seed, func(k, b int) {
+		buf = append(buf, FiredFault{Site: int32(k), Branch: int32(b)})
 	})
 	return buf
 }
 
+// The fault stream. Shot seed x's fault stream is the SplitMix64 stream in
+// state x ^ noiseSalt, with exactly one draw per fault site, fired or not:
+// draw k is that stream's output k, and fire decides it. Three loops draw
+// it — one lane (eachFired), four lanes (firedPortable) and 64 lanes
+// (firedAVX512) — and every one rejects most draws on their pre-finalizer
+// mix against the site's reject bound (see rejectBounds), finishing the
+// output only for the candidates.
+
+// eachFired draws the fault stream of one shot and hands each firing to
+// visit, in ascending site order: one mix per draw.
+//
+//tiscc:hotpath
+func (s *Schedule) eachFired(seed int64, visit func(site, branch int)) {
+	x := uint64(seed) ^ noiseSalt
+	for k, r := range s.reject {
+		if m := orqcs.SplitMix64Mix(x); m <= r {
+			if b, ok := s.fire(k, m^m>>31); ok {
+				visit(k, b)
+			}
+		}
+		x += orqcs.SplitMix64Gamma
+	}
+}
+
+// firing packs one firing of a batch as site<<32 | lane<<4 | branch, so
+// that the words of a batch ascend as their (site, lane) pairs do.
+// FiredSite, FiredLane and FiredBranch unpack it.
+func firing(site, lane, branch int) uint64 {
+	return uint64(site)<<32 | uint64(lane)<<4 | uint64(branch)
+}
+
+// FiredSite returns the fault site of a FiredBatch word.
+func FiredSite(w uint64) int { return int(w >> 32) }
+
+// FiredLane returns the lane of a FiredBatch word.
+func FiredLane(w uint64) uint { return uint(w >> 4 & 63) }
+
+// FiredBranch returns the branch of a FiredBatch word, in Fault.Branch
+// order.
+func FiredBranch(w uint64) int { return int(w & 0xF) }
+
 // FiredBatch appends the firings of up to 64 shots to buf, lane i being the
 // shot with seed int64(seeds[i]) (orqcs.ShotSeed's value), and returns the
 // extended buffer. Each firing is packed into one word,
-// site<<32 | branch<<6 | lane, with lane i's firings exactly
-// FiredFaults(int64(seeds[i])). Lanes run through the draw kernel four at a
-// time; each group of four lists its firings in ascending site order, lanes
-// ascending within a site, so sorting the words orders the whole batch by
-// site.
+// site<<32 | lane<<4 | branch, with lane i's firings exactly
+// FiredFaults(int64(seeds[i])). The appended words ascend strictly, that
+// is by site and by lane within a site, on every host. Where cpuid.AVX512
+// holds it runs the 64-lane AVX-512 kernel, elsewhere the portable one.
 func (s *Schedule) FiredBatch(seeds []uint64, buf []uint64) []uint64 {
-	if len(seeds) > 64 {
+	switch {
+	case len(seeds) > 64:
 		panic("noise: FiredBatch takes at most 64 lanes")
+	case len(seeds) == 0:
+		return buf
+	case cpuid.AVX512:
+		return s.firedAVX512(seeds, buf)
 	}
-	add := func(w uint64) { buf = append(buf, w) }
-	for g := 0; g < len(seeds); g += 4 {
-		s.eachFired(seeds[g:min(g+4, len(seeds))], g, add)
+	return s.firedPortable(seeds, buf)
+}
+
+// firedAVX512 is FiredBatch on one pass over the fault table for all lanes:
+// scanAVX512 finds the sites where some lane is a candidate, and only those
+// lanes finish their draws here. Lanes past len(seeds) copy the last seed,
+// so they stop nowhere the last lane does not, and are masked off.
+func (s *Schedule) firedAVX512(seeds []uint64, buf []uint64) []uint64 {
+	n := len(seeds)
+	var x [64]uint64
+	for i := range x {
+		x[i] = seeds[min(i, n-1)] ^ noiseSalt
+	}
+	lanes := ^uint64(0) >> (64 - n)
+	for k := 0; ; k++ {
+		var cand uint64
+		k, cand = scanAVX512(s.reject, k, &x)
+		if k == len(s.reject) {
+			return buf
+		}
+		for cand &= lanes; cand != 0; cand &= cand - 1 {
+			i := bits.TrailingZeros64(cand)
+			if b, ok := s.fire(k, orqcs.SplitMix64(x[i]-orqcs.SplitMix64Gamma)); ok {
+				buf = append(buf, firing(k, i, b))
+			}
+		}
+	}
+}
+
+// firedPortable is FiredBatch on hosts without AVX-512: the lanes go
+// through scan four at a time, each group's firings ascending, and one sort
+// orders the batch.
+func (s *Schedule) firedPortable(seeds []uint64, buf []uint64) []uint64 {
+	n, first := len(seeds), len(buf)
+	for g := 0; g < n; g += 4 {
+		// Lanes past n are padding copies of the last seed, so they add no
+		// candidates of their own.
+		pad := func(i int) uint64 { return seeds[min(g+i, n-1)] ^ noiseSalt }
+		x0, x1, x2, x3 := pad(0), pad(1), pad(2), pad(3)
+		for k := 0; ; k++ {
+			k, x0, x1, x2, x3 = scan(s.reject, k, x0, x1, x2, x3)
+			if k == len(s.reject) {
+				break
+			}
+			xs := [4]uint64{x0, x1, x2, x3}
+			for i, x := range xs[:min(4, n-g)] {
+				if b, ok := s.fire(k, orqcs.SplitMix64(x)); ok {
+					buf = append(buf, firing(k, g+i, b))
+				}
+			}
+			x0 += orqcs.SplitMix64Gamma
+			x1 += orqcs.SplitMix64Gamma
+			x2 += orqcs.SplitMix64Gamma
+			x3 += orqcs.SplitMix64Gamma
+		}
+	}
+	if n > 4 {
+		slices.Sort(buf[first:])
 	}
 	return buf
 }
 
-// eachFired is the draw kernel, the one code that draws fault variates: it
-// walks the fault table once for the fault streams of one to four shots
-// (seeds, lanes lane0 onwards) and hands each firing to visit packed as
-// site<<32 | branch<<6 | lane, in ascending site order, lanes ascending
-// within a site. Lanes past len(seeds) are padding copies of the last seed,
-// so they add no candidates of their own.
-//
-// Shot seed x's fault stream is the SplitMix64 stream in state
-// x ^ noiseSalt, with exactly one draw per fault site, fired or not: draw k
-// is that stream's output k. Its top 53 bits v fire site k when
-// v < P·2⁵³, and v/2⁵³ (uniform in [0, P) given the fire) picks the
-// branch. scan rejects most draws on their pre-finalizer mix against the
-// site's reject bound (see rejectBounds); only the candidates it stops at
-// finish the output and take the exact test.
-//
-//tiscc:hotpath
-func (s *Schedule) eachFired(seeds []uint64, lane0 int, visit func(w uint64)) {
-	n := len(seeds)
-	pad := func(i int) uint64 { return seeds[min(i, n-1)] ^ noiseSalt }
-	x0, x1, x2, x3 := pad(0), pad(1), pad(2), pad(3)
-	for k := 0; ; k++ {
-		k, x0, x1, x2, x3 = scan(s.reject, k, x0, x1, x2, x3)
-		if k == len(s.reject) {
-			return
-		}
-		f := &s.faults[k]
-		th := f.P * (1 << 53)
-		xs := [4]uint64{x0, x1, x2, x3}
-		for i, x := range xs[:n] {
-			v := float64(orqcs.SplitMix64(x) >> 11)
-			if v < th {
-				b := branch(v/(1<<53), f.P, f.NumBranches())
-				visit(uint64(k)<<32 | uint64(b)<<6 | uint64(lane0+i))
-			}
-		}
-		x0 += orqcs.SplitMix64Gamma
-		x1 += orqcs.SplitMix64Gamma
-		x2 += orqcs.SplitMix64Gamma
-		x3 += orqcs.SplitMix64Gamma
-	}
-}
-
-// scan is the draw kernel's hot loop. From site k on, with the four fault
-// streams in states x0..x3, it returns the first site at which any
+// scan is the portable kernel's hot loop. From site k on, with the four
+// fault streams in states x0..x3, it returns the first site at which any
 // stream's pre-finalizer mix is within the site's reject bound (a
 // candidate; len(reject) when no site is one) and the four states at that
 // site. The loop makes no calls: orqcs.SplitMix64Mix inlines.
@@ -422,23 +493,21 @@ func (s *Schedule) RunShot(e *orqcs.Engine, seed int64) {
 	tb := e.Tableau()
 	instrs := s.prog.Instructions()
 	next, fired := 0, 0 // instructions executed, faults applied
-	apply := func(w uint64) {
+	apply := func(site, b int) {
 		// Slot i's faults precede instruction i: catch up to the site's slot.
-		site := int32(w >> 32)
-		for s.start[next+1] <= site {
+		for int(s.start[next+1]) <= site {
 			e.Exec(&instrs[next])
 			next++
 		}
 		fired++
 		f := &s.faults[site]
-		_, x1, z1, x2, z2 := f.Branch(int(w >> 6 & 0xF))
+		_, x1, z1, x2, z2 := f.Branch(b)
 		tb.ApplyPauliError(int(f.Q1), x1, z1)
 		if f.Kind == FaultDepol2 {
 			tb.ApplyPauliError(int(f.Q2), x2, z2)
 		}
 	}
-	seeds := [1]uint64{uint64(seed)}
-	s.eachFired(seeds[:], 0, apply)
+	s.eachFired(seed, apply)
 	for ; next < len(instrs); next++ {
 		e.Exec(&instrs[next])
 	}

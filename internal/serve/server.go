@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"time"
 
+	"tiscc/internal/cpuid"
 	"tiscc/internal/diag"
 	"tiscc/internal/experiment"
 	"tiscc/internal/noise"
@@ -315,6 +316,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.logf("cache hit %v", key)
 	}
 	w.Header().Set("X-Tiscc-Cache", disposition)
+	// The body is the same on every host; which kernel drew its faults is
+	// provenance, so it travels beside the disposition.
+	w.Header().Set("X-Tiscc-Draw-Kernel", cpuid.DrawKernel())
 
 	opt := noise.Options{
 		Shots:   req.Shots,

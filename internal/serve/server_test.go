@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"tiscc/internal/cpuid"
 	"tiscc/internal/diag"
 	"tiscc/internal/frame"
 	"tiscc/internal/noise"
@@ -207,6 +208,11 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 	if got := resp2.Header.Get("X-Tiscc-Cache"); got != "hit" {
 		t.Errorf("second request X-Tiscc-Cache = %q, want hit", got)
+	}
+	for _, r := range []*http.Response{resp1, resp2} {
+		if got, want := r.Header.Get("X-Tiscc-Draw-Kernel"), cpuid.DrawKernel(); got != want {
+			t.Errorf("X-Tiscc-Draw-Kernel = %q, want the host's %q", got, want)
+		}
 	}
 	if !bytes.Equal(body1, body2) {
 		t.Fatalf("cached response differs byte-for-byte:\nfirst:  %s\nsecond: %s", body1, body2)

@@ -10,6 +10,8 @@ import (
 	"runtime/debug"
 	"sort"
 	"time"
+
+	"tiscc/internal/cpuid"
 )
 
 // ManifestSchemaVersion is bumped whenever the manifest shape changes
@@ -27,6 +29,10 @@ type Provenance struct {
 	Module      string `json:"module,omitempty"`
 	GitRevision string `json:"git_revision,omitempty"`
 	GitModified bool   `json:"git_modified,omitempty"`
+	// DrawKernel names the fault-draw kernel the host runs,
+	// cpuid.DrawKernel(): "avx512" or "portable". Both draw the same fault
+	// stream, so it explains throughput, never a result.
+	DrawKernel string `json:"draw_kernel"`
 }
 
 // NewProvenance captures the current process's provenance. Git revision and
@@ -40,6 +46,7 @@ func NewProvenance() Provenance {
 		GOARCH:     runtime.GOARCH,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
+		DrawKernel: cpuid.DrawKernel(),
 	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		p.Module = bi.Main.Path
@@ -165,6 +172,10 @@ func (m *Manifest) Validate() error {
 	}
 	if p.GOMAXPROCS < 1 || p.NumCPU < 1 {
 		return fmt.Errorf("telemetry: manifest provenance has impossible CPU counts: %+v", p)
+	}
+	// Manifests written before the field existed leave it empty.
+	if k := p.DrawKernel; k != "" && k != "avx512" && k != "portable" {
+		return fmt.Errorf("telemetry: manifest provenance names unknown draw kernel %q", k)
 	}
 	wallMS := m.WallSeconds * 1e3
 	for _, s := range m.Spans {

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"tiscc/internal/cpuid"
 )
 
 var testSchema = &Schema{
@@ -174,6 +176,7 @@ func TestManifestValidate(t *testing.T) {
 		{"unlabeled point", func(m *Manifest) { m.Points[0].Labels = nil }},
 		{"null snapshot", func(m *Manifest) { m.Points[0].Metrics["test"] = nil }},
 		{"impossible cpus", func(m *Manifest) { m.Provenance.GOMAXPROCS = 0 }},
+		{"unknown draw kernel", func(m *Manifest) { m.Provenance.DrawKernel = "sse9" }},
 	}
 	for _, tc := range corrupt {
 		data, err := json.Marshal(man)
@@ -187,6 +190,37 @@ func TestManifestValidate(t *testing.T) {
 		tc.mutate(&cp)
 		if err := cp.Validate(); err == nil {
 			t.Fatalf("%s: Validate accepted a corrupted manifest", tc.name)
+		}
+	}
+}
+
+// TestProvenanceKeys pins the provenance object's JSON keys: the ones every
+// run writes, plus the build-stamp keys present only in VCS-stamped
+// binaries. draw_kernel says which fault-draw kernel produced the run.
+func TestProvenanceKeys(t *testing.T) {
+	p := NewProvenance()
+	if p.DrawKernel != cpuid.DrawKernel() {
+		t.Fatalf("draw_kernel %q, want the host's %q", p.DrawKernel, cpuid.DrawKernel())
+	}
+	data, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]any
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"go_version", "goos", "goarch", "gomaxprocs", "num_cpu", "draw_kernel"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("provenance lacks %q: %s", k, data)
+		}
+		delete(keys, k)
+	}
+	for k := range keys {
+		switch k {
+		case "module", "git_revision", "git_modified":
+		default:
+			t.Errorf("provenance has unlisted key %q: %s", k, data)
 		}
 	}
 }
