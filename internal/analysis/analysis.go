@@ -67,9 +67,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
-// Position resolves a token.Pos for error messages.
-func (p *Pass) Position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
-
 // --- Suppression markers -----------------------------------------------------
 
 // marker is one parsed //tiscc:allow(...) or //tiscc:nondeterministic comment.

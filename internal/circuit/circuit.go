@@ -55,11 +55,6 @@ func (g Gate) TwoQubit() bool {
 	return g == ZZ || g == Move || g == MergeWells || g == SplitWells || g == Cool
 }
 
-// Clifford reports whether the gate is a Clifford operation (everything in
-// the set except the ±π/8 rotations, which require quasi-probability
-// sampling in the simulator).
-func (g Gate) Clifford() bool { return g != ZPi8 && g != ZmPi8 }
-
 // Event is a single scheduled hardware operation.
 type Event struct {
 	Gate  Gate
@@ -132,12 +127,9 @@ func (c *Circuit) Sites() []grid.Site {
 	return out
 }
 
-// SortByTime orders events by start time, breaking ties by emission order
-// (the order of a stable sort).
-func (c *Circuit) SortByTime() { c.Events = c.TimeOrdered() }
-
-// TimeOrdered returns the events in the order SortByTime gives them:
-// c.Events itself when it is already in that order, else a sorted copy.
+// TimeOrdered returns the events ordered by start time, ties broken by
+// emission order (the order of a stable sort): c.Events itself when it is
+// already in that order, else a sorted copy.
 func (c *Circuit) TimeOrdered() []Event {
 	if inTimeOrder(c.Events) {
 		return c.Events
@@ -215,11 +207,6 @@ func timeOrder(blocks ...[]Event) []timeKey {
 		a, tmp = tmp, a
 	}
 	return a
-}
-
-// Append concatenates another circuit's events (times are preserved).
-func (c *Circuit) Append(other *Circuit) {
-	c.Events = append(c.Events, other.Events...)
 }
 
 // ActiveSiteTime sums duration × sites-involved over all events (the

@@ -85,9 +85,10 @@ func startsToBytes(starts []int64) []byte {
 	return out
 }
 
-// checkSortByTime compares SortByTime, TimeOrdered and SortedByTime (on one
-// slice and on blocks) with the stable-sort oracle element for element. Each event's Record is its input position, so
-// equal events are told apart and any tie reordering shows.
+// checkSortByTime compares TimeOrdered and SortedByTime (on one slice and
+// on blocks) with the stable-sort oracle element for element. Each event's
+// Record is its input position, so equal events are told apart and any tie
+// reordering shows.
 func checkSortByTime(t *testing.T, starts []int64) {
 	t.Helper()
 	in := make([]circuit.Event, len(starts))
@@ -119,10 +120,6 @@ func checkSortByTime(t *testing.T, starts []int64) {
 	}
 	if !slices.Equal(in, orig) {
 		t.Fatalf("TimeOrdered modified the circuit")
-	}
-	c.SortByTime()
-	if !slices.Equal(c.Events, want) {
-		t.Fatalf("SortByTime(%v) differs from the stable sort", starts)
 	}
 }
 

@@ -101,17 +101,6 @@ func (lq *LogicalQubit) buildPlaquetteRoles(f Face, t pauli.Kind, roles []Role) 
 	return p
 }
 
-// coveredCells returns the set of data cells supported by a plaquette set.
-func coveredCells(plaqs []*Plaquette) map[Cell]bool {
-	m := map[Cell]bool{}
-	for _, p := range plaqs {
-		for _, v := range p.Visits {
-			m[v.Data] = true
-		}
-	}
-	return m
-}
-
 // commConstraint asks for a representative that commutes (Anti=false) or
 // anticommutes (Anti=true) with Op.
 type commConstraint struct {

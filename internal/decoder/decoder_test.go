@@ -3,7 +3,6 @@ package decoder
 import (
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -438,7 +437,7 @@ func TestGraphEdgeSanity(t *testing.T) {
 	g := mustGraph(t, det, noise.Compile(noise.PaperTable5(hardware.Default()), mem.Prog))
 	seen := make([]bool, len(det.Dets))
 	for _, e := range g.Edges() {
-		if e.U < 0 || e.U >= g.Boundary() || e.V < e.U || e.V > g.Boundary() {
+		if e.U < 0 || e.U >= g.boundary || e.V < e.U || e.V > g.boundary {
 			t.Fatalf("edge %+v outside node range", e)
 		}
 		if e.P <= 0 || e.P >= 1 {
@@ -448,7 +447,7 @@ func TestGraphEdgeSanity(t *testing.T) {
 			t.Fatalf("edge %+v has invalid length", e)
 		}
 		seen[e.U] = true
-		if e.V < g.Boundary() {
+		if e.V < g.boundary {
 			seen[e.V] = true
 		}
 	}
@@ -457,15 +456,6 @@ func TestGraphEdgeSanity(t *testing.T) {
 			t.Fatalf("detector %d (%v round %d) has no incident edge",
 				i, det.Dets[i].Face, det.Dets[i].Round)
 		}
-	}
-}
-
-// TestSortedDetIDs covers the canonical-ordering helper.
-func TestSortedDetIDs(t *testing.T) {
-	ids := []int32{5, 1, 3}
-	got := sortedDetIDs(ids)
-	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
-		t.Fatalf("not sorted: %v", got)
 	}
 }
 

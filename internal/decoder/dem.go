@@ -4,9 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
-	"strconv"
-	"strings"
 
 	"tiscc/internal/noise"
 )
@@ -93,155 +90,4 @@ func WriteDEM(w io.Writer, d *Detectors, s *noise.Schedule) error {
 	}
 	fmt.Fprintln(bw, "logical_observable L0")
 	return bw.Flush()
-}
-
-// DEMMechanism is one parsed error line: a firing probability, the sorted
-// detector ids it flips, and whether it flips the logical observable.
-type DEMMechanism struct {
-	P    float64
-	Dets []int32
-	Obs  bool
-}
-
-// DEM is a parsed detector error model: the mechanism list in file order,
-// the per-detector coordinate declarations, and the declared observable
-// ids. Observables counts the distinct logical_observable declarations
-// (len(ObservableIDs)); consumers sizing an id-indexed observable frame
-// should use the ids themselves, which need not be dense. It is the read
-// side of WriteDEM, so exported models can be round-trip checked without
-// Stim. Note the declaration contract is stricter than Stim's (where
-// detector coordinates are optional annotations): every D<i>/L0 a
-// mechanism references must be declared, as WriteDEM always does —
-// annotation-free external models are rejected rather than guessed at.
-type DEM struct {
-	Mechanisms    []DEMMechanism
-	Coords        map[int32][4]int // detector id → (face row, face col, round, type)
-	ObservableIDs []int32          // declared logical_observable ids, sorted ascending
-	Observables   int              // == len(ObservableIDs)
-}
-
-// NumDetectors returns the number of declared detectors.
-func (m *DEM) NumDetectors() int { return len(m.Coords) }
-
-// ParseDEM reads the Stim-compatible detector error model text form emitted
-// by WriteDEM: error(p) lines with D<i> targets and an optional trailing
-// L0, detector(...) coordinate declarations, and logical_observable
-// declarations. Comment lines (#) and blank lines are skipped; malformed
-// lines are reported with their content.
-func ParseDEM(r io.Reader) (*DEM, error) {
-	out := &DEM{Coords: map[int32][4]int{}}
-	obsSeen := map[int32]bool{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		switch {
-		case line == "" || strings.HasPrefix(line, "#"):
-		case strings.HasPrefix(line, "error("):
-			close := strings.IndexByte(line, ')')
-			if close < 0 {
-				return nil, fmt.Errorf("decoder: malformed error line %q", line)
-			}
-			p, err := strconv.ParseFloat(line[len("error("):close], 64)
-			if err != nil {
-				return nil, fmt.Errorf("decoder: bad probability in %q: %v", line, err)
-			}
-			if math.IsNaN(p) || p < 0 || p > 1 {
-				return nil, fmt.Errorf("decoder: probability outside [0, 1] in %q", line)
-			}
-			m := DEMMechanism{P: p}
-			for _, tok := range strings.Fields(line[close+1:]) {
-				switch {
-				case strings.HasPrefix(tok, "D"):
-					id, err := strconv.ParseInt(tok[1:], 10, 32)
-					if err != nil || id < 0 {
-						return nil, fmt.Errorf("decoder: bad detector target %q in %q", tok, line)
-					}
-					m.Dets = append(m.Dets, int32(id))
-				case tok == "L0":
-					m.Obs = true
-				default:
-					return nil, fmt.Errorf("decoder: unknown target %q in %q", tok, line)
-				}
-			}
-			// Normalize to the sorted form WriteDEM emits; duplicate targets
-			// have no meaningful parity semantics and are rejected.
-			sortedDetIDs(m.Dets)
-			for i := 1; i < len(m.Dets); i++ {
-				if m.Dets[i] == m.Dets[i-1] {
-					return nil, fmt.Errorf("decoder: duplicate detector target D%d in %q", m.Dets[i], line)
-				}
-			}
-			out.Mechanisms = append(out.Mechanisms, m)
-		case strings.HasPrefix(line, "detector("):
-			close := strings.IndexByte(line, ')')
-			if close < 0 {
-				return nil, fmt.Errorf("decoder: malformed detector line %q", line)
-			}
-			parts := strings.Split(line[len("detector("):close], ",")
-			if len(parts) != 4 {
-				return nil, fmt.Errorf("decoder: want 4 detector coordinates in %q", line)
-			}
-			var coords [4]int
-			for i, p := range parts {
-				v, err := strconv.Atoi(strings.TrimSpace(p))
-				if err != nil {
-					return nil, fmt.Errorf("decoder: bad coordinate in %q: %v", line, err)
-				}
-				coords[i] = v
-			}
-			rest := strings.TrimSpace(line[close+1:])
-			if !strings.HasPrefix(rest, "D") {
-				return nil, fmt.Errorf("decoder: detector declaration without target: %q", line)
-			}
-			id, err := strconv.ParseInt(rest[1:], 10, 32)
-			if err != nil || id < 0 {
-				return nil, fmt.Errorf("decoder: bad detector id in %q", line)
-			}
-			if _, dup := out.Coords[int32(id)]; dup {
-				return nil, fmt.Errorf("decoder: duplicate declaration of D%d", id)
-			}
-			out.Coords[int32(id)] = coords
-		case strings.HasPrefix(line, "logical_observable"):
-			fields := strings.Fields(line)
-			if len(fields) != 2 || len(fields[1]) < 2 || fields[1][0] != 'L' {
-				return nil, fmt.Errorf("decoder: malformed observable declaration %q", line)
-			}
-			id, err := strconv.ParseInt(fields[1][1:], 10, 32)
-			if err != nil || id < 0 {
-				return nil, fmt.Errorf("decoder: bad observable id in %q", line)
-			}
-			// Observables are counted by declared id: a re-declaration would
-			// silently inflate the count (and with it every consumer's
-			// observable-frame width), so it is rejected outright.
-			if obsSeen[int32(id)] {
-				return nil, fmt.Errorf("decoder: duplicate declaration of L%d", id)
-			}
-			obsSeen[int32(id)] = true
-			out.ObservableIDs = append(out.ObservableIDs, int32(id))
-			out.Observables++
-		default:
-			return nil, fmt.Errorf("decoder: unknown DEM line %q", line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	// Every mechanism target must reference a declared detector (an error
-	// line naming an undeclared D<i> would otherwise flow into decoder
-	// graphs as a phantom node with no coordinates) and a declared
-	// observable (a mechanism flipping L0 in a model that never declares it
-	// would escape any consumer sizing its frame from the declarations).
-	for _, m := range out.Mechanisms {
-		for _, di := range m.Dets {
-			if _, ok := out.Coords[di]; !ok {
-				return nil, fmt.Errorf("decoder: mechanism targets undeclared detector D%d", di)
-			}
-		}
-		if m.Obs && !obsSeen[0] {
-			return nil, fmt.Errorf("decoder: mechanism targets undeclared observable L0")
-		}
-	}
-	sortedDetIDs(out.ObservableIDs)
-	return out, nil
 }

@@ -87,9 +87,6 @@ func (d *Detectors) NumDetectors() int { return len(d.Dets) }
 // Rounds returns the syndrome-round count of the underlying experiment.
 func (d *Detectors) Rounds() int { return d.rounds }
 
-// Basis returns the memory basis of the underlying experiment.
-func (d *Detectors) Basis() pauli.Kind { return d.basis }
-
 // observable returns the logical observable's readout formula.
 func (d *Detectors) observable() expr.Expr {
 	return expr.Expr{IDs: d.Obs, Const: d.ObsConst}
@@ -270,11 +267,4 @@ func (d *Detectors) referenceValues(prog *orqcs.Program, wantObs bool) error {
 		return fmt.Errorf("decoder: noiseless observable lanes %#x, reference says %v", got, wantObs)
 	}
 	return nil
-}
-
-// sortedDetIDs returns det ids sorted ascending (symptoms are kept in a
-// canonical order so edge keys and DEM output are deterministic).
-func sortedDetIDs(ids []int32) []int32 {
-	slices.Sort(ids)
-	return ids
 }

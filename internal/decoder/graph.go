@@ -2,7 +2,6 @@ package decoder
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -16,7 +15,7 @@ import (
 // merged firing probability of every fault branch with that symptom and
 // whether the mechanism flips the logical observable.
 type Edge struct {
-	U, V int32 // node ids; V == Graph.Boundary() for boundary edges
+	U, V int32 // node ids; V is the boundary node, numbered len(Detectors.Dets), for boundary edges
 	// Len is the edge's growth length in half-edge units (even, in
 	// [2, 256]): proportional to the log-likelihood weight ln((1−p)/p),
 	// quantized so that union-find cluster growth can step it in integers.
@@ -75,9 +74,6 @@ func (g *Graph) Detectors() *Detectors { return g.det }
 
 // Edges returns the compiled edge list (read-only).
 func (g *Graph) Edges() []Edge { return g.edges }
-
-// Boundary returns the virtual boundary node id.
-func (g *Graph) Boundary() int32 { return g.boundary }
 
 // UndetectableMechanisms reports how many error mechanisms flip the logical
 // observable while firing no detector: such mechanisms are invisible to any
@@ -315,18 +311,6 @@ func (g *Graph) finish(edges []Edge) {
 		}
 	}
 	g.met = telemetry.NewSet(DecoderSchema)
-}
-
-// Stats summarizes the compiled graph for reports.
-func (g *Graph) Stats() string {
-	bnd := 0
-	for _, e := range g.edges {
-		if e.V == g.boundary {
-			bnd++
-		}
-	}
-	return fmt.Sprintf("%d detectors, %d edges (%d boundary), %d undetectable, %d undecomposed",
-		len(g.det.Dets), len(g.edges), bnd, g.undetectable, g.undecomposed)
 }
 
 // Distance returns the graphlike circuit distance of the decoding graph:

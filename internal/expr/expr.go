@@ -8,7 +8,6 @@ package expr
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 )
 
@@ -31,17 +30,6 @@ func FromConst(b bool) Expr { return Expr{Const: b} }
 
 // FromID returns the expression consisting of a single record reference.
 func FromID(id int32) Expr { return Expr{IDs: []int32{id}} }
-
-// IsConst reports whether e references no records.
-func (e Expr) IsConst() bool { return len(e.IDs) == 0 }
-
-// ConstValue returns the value of a constant expression and panics otherwise.
-func (e Expr) ConstValue() bool {
-	if !e.IsConst() {
-		panic("expr: ConstValue of non-constant expression")
-	}
-	return e.Const
-}
 
 // Xor returns e ⊕ o.
 func (e Expr) Xor(o Expr) Expr {
@@ -147,24 +135,6 @@ func (e Expr) Equal(o Expr) bool {
 		}
 	}
 	return true
-}
-
-// Normalize sorts and deduplicates ids in place (mod-2 cancellation).
-// Exprs built via Xor are always normalized; this is for hand-built values.
-func (e *Expr) Normalize() {
-	slices.Sort(e.IDs)
-	out := e.IDs[:0]
-	for i := 0; i < len(e.IDs); {
-		j := i
-		for j < len(e.IDs) && e.IDs[j] == e.IDs[i] {
-			j++
-		}
-		if (j-i)%2 == 1 {
-			out = append(out, e.IDs[i])
-		}
-		i = j
-	}
-	e.IDs = out
 }
 
 // String renders the expression, e.g. "m3⊕m17⊕1".

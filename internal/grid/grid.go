@@ -113,20 +113,6 @@ func (g *Grid) InBounds(s Site) bool {
 // Valid reports whether s is an existing trap site of the grid.
 func (g *Grid) Valid(s Site) bool { return g.InBounds(s) && TypeOf(s) != None }
 
-// NumSites counts the trap sites of the grid (M + O + J).
-func (g *Grid) NumSites() int {
-	// Per full row of cells: junction row has 1 + 3·CellCols + ... count directly.
-	n := 0
-	for r := 0; r <= g.MaxR(); r++ {
-		for c := 0; c <= g.MaxC(); c++ {
-			if TypeOf(Site{r, c}) != None {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Neighbors returns the rail-adjacent valid sites of s.
 func (g *Grid) Neighbors(s Site) []Site {
 	cand := []Site{{s.R - 1, s.C}, {s.R + 1, s.C}, {s.R, s.C - 1}, {s.R, s.C + 1}}
@@ -139,24 +125,9 @@ func (g *Grid) Neighbors(s Site) []Site {
 	return out
 }
 
-// JunctionAt returns the junction site of cell (a, b).
-func JunctionAt(a, b int) Site { return Site{4 * a, 4 * b} }
-
 // DataSite returns the canonical data-qubit rest site of cell (a, b): the
 // O position at the middle of the cell's horizontal arm.
 func DataSite(a, b int) Site { return Site{4 * a, 4*b + 2} }
-
-// HorizontalArm returns the three sites (M, O, M) of cell (a, b)'s
-// rightward arm.
-func HorizontalArm(a, b int) [3]Site {
-	return [3]Site{{4 * a, 4*b + 1}, {4 * a, 4*b + 2}, {4 * a, 4*b + 3}}
-}
-
-// VerticalArm returns the three sites (M, O, M) of cell (a, b)'s downward
-// arm.
-func VerticalArm(a, b int) [3]Site {
-	return [3]Site{{4*a + 1, 4 * b}, {4*a + 2, 4 * b}, {4*a + 3, 4 * b}}
-}
 
 // Adjacent reports whether a and b are rail neighbors.
 func Adjacent(a, b Site) bool {
@@ -228,36 +199,4 @@ func (g *Grid) Path(a, b Site, blocked func(Site) bool) ([]Site, error) {
 		}
 	}
 	return nil, fmt.Errorf("grid: no path from %v to %v", a, b)
-}
-
-// Render draws the grid as ASCII, one character per fine position. The
-// optional overlay returns a rune to draw at a site (0 keeps the default
-// M/O/J glyph). Used to regenerate the paper's Figs 1 and 2.
-func (g *Grid) Render(overlay func(Site) rune) string {
-	var sb strings.Builder
-	for r := 0; r <= g.MaxR(); r++ {
-		for c := 0; c <= g.MaxC(); c++ {
-			s := Site{r, c}
-			t := TypeOf(s)
-			ch := '.'
-			switch t {
-			case Memory:
-				ch = 'M'
-			case Operation:
-				ch = 'O'
-			case Junction:
-				ch = 'J'
-			case None:
-				ch = ' '
-			}
-			if overlay != nil && t != None {
-				if o := overlay(s); o != 0 {
-					ch = o
-				}
-			}
-			sb.WriteRune(ch)
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
 }

@@ -1,9 +1,6 @@
 package grid
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestTypeOf(t *testing.T) {
 	cases := []struct {
@@ -34,23 +31,36 @@ func TestTypeOf(t *testing.T) {
 func TestRepeatingUnitCount(t *testing.T) {
 	// A 1x1 grid has the closing rails: sites = 4 junctions + 4 arms × 3.
 	g := New(1, 1)
-	if n := g.NumSites(); n != 16 {
+	if n := numSites(g); n != 16 {
 		t.Fatalf("1x1 grid sites = %d, want 16", n)
 	}
 	// Adding a cell row adds one junction row (5 sites for 1 cell col) plus
 	// two vertical arms (6 sites): the interior repeating unit is the
 	// paper's 7-site {M,O,M,J,M,O,M}.
 	g2 := New(2, 1)
-	if n := g2.NumSites(); n != 27 {
+	if n := numSites(g2); n != 27 {
 		t.Fatalf("2x1 grid sites = %d, want 27", n)
 	}
 	// Closed form: (R+1)(C+1) junctions + arms: R·C interior cells own one
 	// horizontal and one vertical arm, plus closing arms on the last row/col.
 	big := New(10, 10)
 	want := 11*11 + 3*(10*11) + 3*(11*10)
-	if n := big.NumSites(); n != want {
+	if n := numSites(big); n != want {
 		t.Fatalf("10x10 grid sites = %d, want %d", n, want)
 	}
+}
+
+// numSites counts the trap sites (M + O + J) of g.
+func numSites(g *Grid) int {
+	n := 0
+	for r := 0; r <= g.MaxR(); r++ {
+		for c := 0; c <= g.MaxC(); c++ {
+			if TypeOf(Site{r, c}) != None {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 func TestNeighbors(t *testing.T) {
@@ -144,10 +154,19 @@ func TestParseSiteRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRender checks the site-type glyphs of one cell, the layout of the
+// paper's Fig 1.
 func TestRender(t *testing.T) {
 	g := New(1, 1)
-	out := g.Render(nil)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	glyph := map[SiteType]byte{Memory: 'M', Operation: 'O', Junction: 'J', None: ' '}
+	var lines []string
+	for r := 0; r <= g.MaxR(); r++ {
+		var row []byte
+		for c := 0; c <= g.MaxC(); c++ {
+			row = append(row, glyph[TypeOf(Site{r, c})])
+		}
+		lines = append(lines, string(row))
+	}
 	if len(lines) != 5 {
 		t.Fatalf("render rows = %d", len(lines))
 	}
@@ -168,16 +187,13 @@ func TestDataSiteIsOperation(t *testing.T) {
 			if TypeOf(DataSite(a, b)) != Operation {
 				t.Fatalf("DataSite(%d,%d) not an O site", a, b)
 			}
-			if TypeOf(JunctionAt(a, b)) != Junction {
-				t.Fatalf("JunctionAt(%d,%d) not a junction", a, b)
+			if TypeOf(Site{4 * a, 4 * b}) != Junction {
+				t.Fatalf("cell (%d,%d) corner not a junction", a, b)
 			}
-			arm := VerticalArm(a, b)
-			if TypeOf(arm[0]) != Memory || TypeOf(arm[1]) != Operation || TypeOf(arm[2]) != Memory {
-				t.Fatalf("VerticalArm(%d,%d) wrong types", a, b)
-			}
-			h := HorizontalArm(a, b)
-			if TypeOf(h[0]) != Memory || TypeOf(h[1]) != Operation || TypeOf(h[2]) != Memory {
-				t.Fatalf("HorizontalArm(%d,%d) wrong types", a, b)
+			for i, want := range []SiteType{Memory, Operation, Memory} {
+				if TypeOf(Site{4*a + 1 + i, 4 * b}) != want || TypeOf(Site{4 * a, 4*b + 1 + i}) != want {
+					t.Fatalf("cell (%d,%d) arm site %d not %v", a, b, i, want)
+				}
 			}
 		}
 	}

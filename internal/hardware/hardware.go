@@ -204,9 +204,6 @@ func (b *Builder) IonAt(s grid.Site) (Ion, bool) {
 // Avail returns the time at which the ion becomes free.
 func (b *Builder) Avail(i Ion) int64 { return b.avail[i] }
 
-// NumRecords returns the number of measurement records emitted so far.
-func (b *Builder) NumRecords() int32 { return b.nextRecord }
-
 // Now returns the completion time of everything emitted so far.
 func (b *Builder) Now() int64 {
 	var t int64
@@ -410,16 +407,6 @@ func (b *Builder) WaitUntil(i Ion, t int64) {
 	if t > b.avail[i] {
 		b.avail[i] = t
 	}
-}
-
-// BarrierAll aligns every ion to the current makespan. Logical operations
-// are compiled back-to-back; the barrier marks logical time-step boundaries.
-func (b *Builder) BarrierAll() int64 {
-	t := b.Now()
-	for i := range b.avail {
-		b.avail[i] = t
-	}
-	return t
 }
 
 // maxEventBlock caps the capacity of a Builder's event blocks.

@@ -194,24 +194,6 @@ func TestCNOTDecomposition(t *testing.T) {
 	}
 }
 
-func TestBarrierAll(t *testing.T) {
-	g := grid.New(2, 2)
-	b := NewBuilder(g, Default())
-	a := b.MustAddIon(grid.Site{R: 0, C: 2})
-	c := b.MustAddIon(grid.Site{R: 4, C: 2})
-	b.Prepare(a) // a busy until 10_000
-	tBar := b.BarrierAll()
-	if tBar != 10_000 {
-		t.Fatalf("barrier at %d", tBar)
-	}
-	b.Gate1(circuit.XPi2, c)
-	cc := b.Build()
-	last := cc.Events[len(cc.Events)-1]
-	if last.Start != 10_000 {
-		t.Fatalf("event after barrier starts at %d", last.Start)
-	}
-}
-
 func TestCircuitSerializationRoundTrip(t *testing.T) {
 	g := grid.New(2, 2)
 	b := NewBuilder(g, Default())

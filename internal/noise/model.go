@@ -89,12 +89,6 @@ func PaperTable5(hp hardware.Params) Model {
 	}
 }
 
-// IsIdeal reports whether every channel of the model is disabled.
-func (m Model) IsIdeal() bool {
-	return m.P1 == 0 && m.P1Z == 0 && m.P2 == 0 &&
-		m.PPrep == 0 && m.PMeas == 0 && m.PMove == 0 && m.T2 == 0
-}
-
 // Validate checks that every probability lies in [0, 1] and T2 is
 // non-negative. NaN fails both: Compile would silently drop every fault of
 // a NaN channel.

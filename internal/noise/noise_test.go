@@ -327,10 +327,11 @@ func TestWilsonInterval(t *testing.T) {
 }
 
 func TestModelValidateAndPresets(t *testing.T) {
-	if !noise.Ideal().IsIdeal() {
+	ideal := func(m noise.Model) bool { m.Name = ""; return m == noise.Model{} }
+	if !ideal(noise.Ideal()) {
 		t.Fatal("Ideal() not ideal")
 	}
-	if noise.Depolarizing(1e-3).IsIdeal() {
+	if ideal(noise.Depolarizing(1e-3)) {
 		t.Fatal("Depolarizing(1e-3) claims ideal")
 	}
 	if err := noise.Depolarizing(1e-3).Validate(); err != nil {

@@ -18,7 +18,6 @@
 package orqcs
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -43,81 +42,6 @@ type Engine struct {
 	ran    bool
 	vals   []float64        // reusable multi-operator evaluation buffer
 	tel    *telemetry.Shard // single-owner sampler metrics (never nil)
-}
-
-// walkPositions drives the movement semantics shared by the counting pass
-// and the execution pass. birth is called when a site hosts an ion for the
-// first time; exec (optional) is called for every event with the resolved
-// qubit indices (q2 = -1 for one-site gates). Events are walked in time
-// order; only a circuit that is out of order is copied and sorted.
-func walkPositions(c *circuit.Circuit, birth func(grid.Site) int, exec func(e circuit.Event, q1, q2 int) error) error {
-	events := c.TimeOrdered()
-	at := map[grid.Site]int{}
-	touched := map[grid.Site]bool{}
-	get := func(s grid.Site, allowReload bool) (int, error) {
-		if q, ok := at[s]; ok {
-			return q, nil
-		}
-		if touched[s] && !allowReload {
-			return -1, fmt.Errorf("orqcs: event on vacated site %v", s)
-		}
-		// Prepare_Z may (re)load an ion at a currently empty site (seam
-		// qubits and relocated measure qubits are loaded mid-circuit).
-		q := birth(s)
-		at[s], touched[s] = q, true
-		return q, nil
-	}
-	for _, e := range events {
-		switch e.Gate {
-		case circuit.Move:
-			q, err := get(e.S1, false)
-			if err != nil {
-				return err
-			}
-			if _, occ := at[e.S2]; occ {
-				return fmt.Errorf("orqcs: move into occupied site %v", e.S2)
-			}
-			delete(at, e.S1)
-			at[e.S2], touched[e.S2] = q, true
-			if exec != nil {
-				if err := exec(e, q, -1); err != nil {
-					return err
-				}
-			}
-		case circuit.ZZ, circuit.MergeWells, circuit.SplitWells, circuit.Cool:
-			q1, err := get(e.S1, false)
-			if err != nil {
-				return err
-			}
-			q2, err := get(e.S2, false)
-			if err != nil {
-				return err
-			}
-			if exec != nil {
-				if err := exec(e, q1, q2); err != nil {
-					return err
-				}
-			}
-		default:
-			q, err := get(e.S1, e.Gate == circuit.PrepareZ)
-			if err != nil {
-				return err
-			}
-			if exec != nil {
-				if err := exec(e, q, -1); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// CountIons returns the number of distinct ions a circuit references.
-func CountIons(c *circuit.Circuit) (int, error) {
-	n := 0
-	err := walkPositions(c, func(grid.Site) int { n++; return n - 1 }, nil)
-	return n, err
 }
 
 // shotSource is a SplitMix64-backed rand.Source64. Reseeding is O(1): the
@@ -158,9 +82,6 @@ func newEngine(p *Program, state func(n int, rng *rand.Rand) tableau.State) *Eng
 	return &Engine{prog: p, tb: state(p.n, rng), src: src, rng: rng, weight: 1,
 		tel: telemetry.NewShard(SamplerSchema)}
 }
-
-// Program returns the compiled program this engine executes.
-func (e *Engine) Program() *Program { return e.prog }
 
 // RunShot executes one simulation shot with the given RNG seed, resetting
 // all reused state first. For a fixed program, the shot outcome depends only
@@ -258,18 +179,10 @@ func (e *Engine) sampleT(q int, positive bool) {
 	}
 }
 
-// Weight returns the accumulated quasi-probability weight of this shot
-// (1 for Clifford-only circuits).
-func (e *Engine) Weight() float64 { return e.weight }
-
 // Records returns the measurement-record table of the most recent shot. The
 // map is reused across shots: it is valid until the next RunShot on this
 // engine, so copy it if it must outlive the shot.
 func (e *Engine) Records() map[int32]bool { return e.tb.Records() }
-
-// QubitAt resolves the tableau qubit of the ion resting at s at the end of
-// the program.
-func (e *Engine) QubitAt(s grid.Site) (int, bool) { return e.prog.QubitAt(s) }
 
 // SitePauli describes a Pauli operator keyed by trapping-zone site.
 type SitePauli map[grid.Site]pauli.Kind
@@ -300,19 +213,6 @@ func (e *Engine) Expectation(op SitePauli) (float64, error) {
 		return 0, err
 	}
 	return e.tb.ExpectationValue(p), nil
-}
-
-// SignedExpectation is Expectation with an extra (−1)^neg flip, convenient
-// for operators carrying a tracked sign.
-func (e *Engine) SignedExpectation(op SitePauli, neg bool) (float64, error) {
-	v, err := e.Expectation(op)
-	if err != nil {
-		return 0, err
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
 }
 
 // Tableau exposes the underlying stabilizer state (for layer-by-layer

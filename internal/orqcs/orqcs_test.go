@@ -98,7 +98,7 @@ func TestMoveTracksIon(t *testing.T) {
 	if v != -1 {
 		t.Fatalf("moved ion should be |1⟩ at %v: ⟨Z⟩=%v", end, v)
 	}
-	if _, ok := e.QubitAt(start); ok {
+	if _, ok := e.prog.finalAt[start]; ok {
 		t.Fatal("origin site still maps to a qubit")
 	}
 }
@@ -193,18 +193,19 @@ func TestCliffordWeightIsUnity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Weight() != 1 {
-		t.Fatalf("weight = %v", e.Weight())
+	if e.weight != 1 {
+		t.Fatalf("weight = %v", e.weight)
 	}
 }
 
+// TestCountIons checks that Compile allocates one tableau qubit per ion.
 func TestCountIons(t *testing.T) {
 	c, _, _ := buildBell(t)
-	n, err := CountIons(c)
+	p, err := Compile(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 2 {
+	if n := p.NumQubits(); n != 2 {
 		t.Fatalf("ions = %d", n)
 	}
 }

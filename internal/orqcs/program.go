@@ -93,11 +93,10 @@ type Program struct {
 	refErr  error
 }
 
-// Compile lowers a circuit into a Program. It runs the movement semantics
-// (the walkPositions pass) exactly once: every event is resolved to the
-// tableau qubit index of the ion resting at its site at that point in time,
-// and the final site-occupancy map is captured for end-of-circuit
-// expectation queries.
+// Compile lowers a circuit into a Program. It walks the events once in time
+// order, tracking ion movement: every event is resolved to the tableau qubit
+// index of the ion resting at its site at that point in time, and the final
+// site-occupancy map is kept for end-of-circuit expectation queries.
 func Compile(c *circuit.Circuit) (*Program, error) {
 	p := &Program{finalAt: map[grid.Site]int{}, srcEvents: len(c.Events)}
 	// touched[q] reports whether any state-changing instruction has been
@@ -145,91 +144,121 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 	}
 	p.instrs = make([]Instr, 0, nOps)
 	p.gaps = make([]Gap, 0, nOps)
-	err := walkPositions(c,
-		func(s grid.Site) int {
-			q := p.n
-			p.n++
-			p.finalAt[s] = q
-			touched = append(touched, false)
-			freeAt = append(freeAt, -1)
-			restNs = append(restNs, 0)
-			moveCt = append(moveCt, 0)
-			return q
-		},
-		func(e circuit.Event, q1, q2 int) error {
-			in := Instr{Q1: int32(q1), Q2: -1, Rec: -1}
-			var g Gap
+	// p.finalAt holds the qubit of the ion resting at each occupied site as
+	// the events are walked in time order, so after the walk it is the final
+	// occupancy. visited marks every site that has hosted an ion.
+	visited := map[grid.Site]bool{}
+	at := func(s grid.Site, allowReload bool) (int, error) {
+		if q, ok := p.finalAt[s]; ok {
+			return q, nil
+		}
+		if visited[s] && !allowReload {
+			return -1, fmt.Errorf("orqcs: event on vacated site %v", s)
+		}
+		// A new ion is a fresh tableau qubit. Prepare_Z may also (re)load
+		// one at a vacated site (seam qubits and relocated measure qubits
+		// are loaded mid-circuit).
+		q := p.n
+		p.n++
+		p.finalAt[s], visited[s] = q, true
+		touched = append(touched, false)
+		freeAt = append(freeAt, -1)
+		restNs = append(restNs, 0)
+		moveCt = append(moveCt, 0)
+		return q, nil
+	}
+	for _, e := range c.TimeOrdered() {
+		q1, q2 := -1, -1
+		var err error
+		switch e.Gate {
+		case circuit.Move:
+			if q1, err = at(e.S1, false); err != nil {
+				return nil, err
+			}
+			if _, occ := p.finalAt[e.S2]; occ {
+				return nil, fmt.Errorf("orqcs: move into occupied site %v", e.S2)
+			}
+			delete(p.finalAt, e.S1)
+			p.finalAt[e.S2], visited[e.S2] = q1, true
 			accrue(q1, e)
-			if q2 >= 0 {
-				accrue(q2, e)
+			moveCt[q1]++
+			continue
+		case circuit.ZZ, circuit.MergeWells, circuit.SplitWells, circuit.Cool:
+			if q1, err = at(e.S1, false); err != nil {
+				return nil, err
 			}
-			switch e.Gate {
-			case circuit.Move:
-				moveCt[q1]++
-				delete(p.finalAt, e.S1)
-				p.finalAt[e.S2] = q1
-				return nil
-			case circuit.MergeWells, circuit.SplitWells, circuit.Cool:
-				// Trivial on the computational state.
-				return nil
-			case circuit.PrepareZ:
-				if !touched[q1] {
-					touched[q1] = true
-					// Discard idle/transport accumulated before the folded
-					// prep: preparation erases the state it would have
-					// dephased, exactly as faults preceding a non-folded
-					// OpPrepareZ are wiped by its Reset.
-					take(q1)
-					p.folded = append(p.folded, FoldedPrep{Slot: int32(len(p.instrs)), Q: int32(q1)})
-					return nil // fresh qubit is already |0⟩
-				}
-				in.Op = OpPrepareZ
-			case circuit.MeasureZ:
-				if e.Record < 0 || int(e.Record) >= nMeas {
-					return fmt.Errorf("orqcs: measurement record id %d outside [0, %d): record ids must be dense", e.Record, nMeas)
-				}
-				in.Op, in.Rec = OpMeasureZ, e.Record
-			case circuit.XPi2:
-				in.Op = OpX
-			case circuit.XPi4:
-				in.Op = OpSqrtX
-			case circuit.XmPi4:
-				in.Op = OpSqrtXDg
-			case circuit.YPi2:
-				in.Op = OpY
-			case circuit.YPi4:
-				in.Op = OpSqrtY
-			case circuit.YmPi4:
-				in.Op = OpSqrtYDg
-			case circuit.ZPi2:
-				in.Op = OpZ
-			case circuit.ZPi4:
-				in.Op = OpS
-			case circuit.ZmPi4:
-				in.Op = OpSdg
-			case circuit.ZPi8:
-				in.Op = OpT
-				p.numT++
-			case circuit.ZmPi8:
-				in.Op = OpTdg
-				p.numT++
-			case circuit.ZZ:
-				in.Op, in.Q2 = OpZZ, int32(q2)
-			default:
-				return fmt.Errorf("orqcs: unknown gate %q", e.Gate)
+			if q2, err = at(e.S2, false); err != nil {
+				return nil, err
 			}
-			touched[q1] = true
-			g.Idle1, g.Moves1 = take(q1)
-			if q2 >= 0 {
-				touched[q2] = true
-				g.Idle2, g.Moves2 = take(q2)
+		default:
+			if q1, err = at(e.S1, e.Gate == circuit.PrepareZ); err != nil {
+				return nil, err
 			}
-			p.instrs = append(p.instrs, in)
-			p.gaps = append(p.gaps, g)
-			return nil
-		})
-	if err != nil {
-		return nil, err
+		}
+		in := Instr{Q1: int32(q1), Q2: -1, Rec: -1}
+		var g Gap
+		accrue(q1, e)
+		if q2 >= 0 {
+			accrue(q2, e)
+		}
+		switch e.Gate {
+		case circuit.MergeWells, circuit.SplitWells, circuit.Cool:
+			// Trivial on the computational state.
+			continue
+		case circuit.PrepareZ:
+			if !touched[q1] {
+				touched[q1] = true
+				// Discard idle/transport accumulated before the folded
+				// prep: preparation erases the state it would have
+				// dephased, exactly as faults preceding a non-folded
+				// OpPrepareZ are wiped by its Reset.
+				take(q1)
+				p.folded = append(p.folded, FoldedPrep{Slot: int32(len(p.instrs)), Q: int32(q1)})
+				continue // fresh qubit is already |0⟩
+			}
+			in.Op = OpPrepareZ
+		case circuit.MeasureZ:
+			if e.Record < 0 || int(e.Record) >= nMeas {
+				return nil, fmt.Errorf("orqcs: measurement record id %d outside [0, %d): record ids must be dense", e.Record, nMeas)
+			}
+			in.Op, in.Rec = OpMeasureZ, e.Record
+		case circuit.XPi2:
+			in.Op = OpX
+		case circuit.XPi4:
+			in.Op = OpSqrtX
+		case circuit.XmPi4:
+			in.Op = OpSqrtXDg
+		case circuit.YPi2:
+			in.Op = OpY
+		case circuit.YPi4:
+			in.Op = OpSqrtY
+		case circuit.YmPi4:
+			in.Op = OpSqrtYDg
+		case circuit.ZPi2:
+			in.Op = OpZ
+		case circuit.ZPi4:
+			in.Op = OpS
+		case circuit.ZmPi4:
+			in.Op = OpSdg
+		case circuit.ZPi8:
+			in.Op = OpT
+			p.numT++
+		case circuit.ZmPi8:
+			in.Op = OpTdg
+			p.numT++
+		case circuit.ZZ:
+			in.Op, in.Q2 = OpZZ, int32(q2)
+		default:
+			return nil, fmt.Errorf("orqcs: unknown gate %q", e.Gate)
+		}
+		touched[q1] = true
+		g.Idle1, g.Moves1 = take(q1)
+		if q2 >= 0 {
+			touched[q2] = true
+			g.Idle2, g.Moves2 = take(q2)
+		}
+		p.instrs = append(p.instrs, in)
+		p.gaps = append(p.gaps, g)
 	}
 	return p, nil
 }
@@ -360,13 +389,6 @@ func (p *Program) NumTGates() int { return p.numT }
 // Clifford reports whether the program is free of non-Clifford gates (one
 // shot then yields exact expectations).
 func (p *Program) Clifford() bool { return p.numT == 0 }
-
-// QubitAt resolves the tableau qubit of the ion resting at s after the
-// program has run.
-func (p *Program) QubitAt(s grid.Site) (int, bool) {
-	q, ok := p.finalAt[s]
-	return q, ok
-}
 
 // PauliFor builds the tableau-indexed Pauli string for a site-keyed
 // operator, resolved against the program's final ion positions. The result

@@ -46,10 +46,10 @@ func TestCompileLowersMovementAway(t *testing.T) {
 			t.Fatal("measure instruction lost its record index")
 		}
 	}
-	if _, ok := p.QubitAt(s1); !ok {
+	if _, ok := p.finalAt[s1]; !ok {
 		t.Fatalf("no qubit at %v", s1)
 	}
-	if _, ok := p.QubitAt(s2); !ok {
+	if _, ok := p.finalAt[s2]; !ok {
 		t.Fatalf("no qubit at %v", s2)
 	}
 }
@@ -101,8 +101,8 @@ func TestEngineReuseMatchesFreshEngine(t *testing.T) {
 		reused.RunShot(seed)
 		fresh := NewFromProgram(p)
 		fresh.RunShot(seed)
-		if reused.Weight() != fresh.Weight() {
-			t.Fatalf("seed %d: weight %v vs %v", seed, reused.Weight(), fresh.Weight())
+		if reused.weight != fresh.weight {
+			t.Fatalf("seed %d: weight %v vs %v", seed, reused.weight, fresh.weight)
 		}
 		vr, _ := reused.Expectation(op)
 		vf, _ := fresh.Expectation(op)
@@ -127,7 +127,7 @@ type shotTrace struct {
 }
 
 func traceOf(e *Engine) shotTrace {
-	tr := shotTrace{weight: e.Weight()}
+	tr := shotTrace{weight: e.weight}
 	for id, v := range e.Records() {
 		if v {
 			tr.recs = append(tr.recs, id)
@@ -410,7 +410,7 @@ func TestEliminateDropsDeadGates(t *testing.T) {
 		t.Fatalf("eliminated program ⟨X⟩ = %v ± %v, want exactly 1 ± 0", m, se)
 	}
 	// The dead qubit's site is still addressable (qubit map shared).
-	if _, ok := slim.QubitAt(grid.Site{R: 0, C: 6}); !ok {
+	if _, ok := slim.finalAt[grid.Site{R: 0, C: 6}]; !ok {
 		t.Fatal("final site map lost by elimination")
 	}
 	if _, err := p.Eliminate(SitePauli{{R: 9, C: 9}: pauli.X}); err == nil {

@@ -51,15 +51,6 @@ func (b Bits) AndCount(other Bits) int {
 	return n
 }
 
-// OnesCount returns the number of set bits.
-func (b Bits) OnesCount() int {
-	n := 0
-	for i := range b {
-		n += bits.OnesCount64(b[i])
-	}
-	return n
-}
-
 // IsZero reports whether every bit is clear.
 func (b Bits) IsZero() bool {
 	for _, w := range b {
@@ -127,17 +118,6 @@ type String struct {
 // NewString returns the identity Pauli string over n qubits.
 func NewString(n int) *String {
 	return &String{N: n, XBits: NewBits(n), ZBits: NewBits(n)}
-}
-
-// FromKinds builds a Pauli string from per-qubit kinds. Y contributes the
-// conventional factor so that the resulting operator is exactly the tensor
-// product of the named Paulis (Y = i·X·Z).
-func FromKinds(kinds []Kind) *String {
-	p := NewString(len(kinds))
-	for i, k := range kinds {
-		p.SetKind(i, k)
-	}
-	return p
 }
 
 // Parse builds a Pauli string from a text form like "XIZY" or "+XIZY",
@@ -216,17 +196,6 @@ func (p *String) Weight() int {
 		w += bits.OnesCount64(p.XBits[i] | p.ZBits[i])
 	}
 	return w
-}
-
-// Support returns the sorted list of qubits on which p acts non-trivially.
-func (p *String) Support() []int {
-	var s []int
-	for q := 0; q < p.N; q++ {
-		if p.XBits.Get(q) || p.ZBits.Get(q) {
-			s = append(s, q)
-		}
-	}
-	return s
 }
 
 // SingleQubit reports whether p acts non-trivially on exactly one qubit,
@@ -340,28 +309,4 @@ func Single(n, q int, k Kind) *String {
 	p := NewString(n)
 	p.SetKind(q, k)
 	return p
-}
-
-// Embed maps p (over len(mapping) qubits) into an n-qubit string, sending
-// local qubit i to global qubit mapping[i].
-func Embed(p *String, n int, mapping []int) *String {
-	out := NewString(n)
-	for i := 0; i < p.N; i++ {
-		out.SetKind(mapping[i], p.Kind(i))
-	}
-	// SetKind already contributed the Y-content phase; add whatever extra
-	// phase p carried beyond its Y content (uint8 wraparound preserves mod 4).
-	out.Phase = (out.Phase + p.Phase - phaseOfKinds(p)) % 4
-	return out
-}
-
-// phaseOfKinds returns the phase contributed purely by the Y content of p.
-func phaseOfKinds(p *String) uint8 {
-	var ph uint8
-	for q := 0; q < p.N; q++ {
-		if p.Kind(q) == Y {
-			ph = (ph + 1) % 4
-		}
-	}
-	return ph
 }

@@ -8,7 +8,10 @@ import (
 
 func TestKindsRoundTrip(t *testing.T) {
 	kinds := []Kind{I, X, Y, Z, Y, X}
-	p := FromKinds(kinds)
+	p := NewString(len(kinds))
+	for i, k := range kinds {
+		p.SetKind(i, k)
+	}
 	for i, k := range kinds {
 		if p.Kind(i) != k {
 			t.Fatalf("qubit %d: got %v want %v", i, p.Kind(i), k)
@@ -104,15 +107,6 @@ func TestSign(t *testing.T) {
 	}
 }
 
-func TestEmbed(t *testing.T) {
-	p, _ := Parse("-XY")
-	e := Embed(p, 5, []int{3, 1})
-	want, _ := Parse("-IYIXI")
-	if !e.Equal(want) {
-		t.Fatalf("Embed = %s, want %s", e, want)
-	}
-}
-
 func randomString(r *rand.Rand, n int) *String {
 	p := NewString(n)
 	for q := 0; q < n; q++ {
@@ -183,11 +177,11 @@ func TestBitsBasics(t *testing.T) {
 	if !b.Get(0) || !b.Get(64) || !b.Get(129) || b.Get(1) {
 		t.Fatal("bit get/set broken")
 	}
-	if b.OnesCount() != 3 {
-		t.Fatalf("OnesCount = %d", b.OnesCount())
+	if b.AndCount(b) != 3 {
+		t.Fatalf("AndCount(self) = %d", b.AndCount(b))
 	}
 	b.Flip(129)
-	if b.Get(129) || b.OnesCount() != 2 {
+	if b.Get(129) || b.AndCount(b) != 2 {
 		t.Fatal("Flip broken")
 	}
 	c := b.Clone()

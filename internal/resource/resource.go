@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"tiscc/internal/circuit"
-	"tiscc/internal/grid"
 	"tiscc/internal/hardware"
 )
 
@@ -71,14 +70,6 @@ func FromCircuit(c *circuit.Circuit, p hardware.Params) Estimate {
 	est.ZoneSeconds = float64(est.Zones) * est.Time
 	est.ActiveZoneSeconds = float64(c.ActiveSiteTime()) / 1e9
 	return est
-}
-
-// GridArea returns the full grid's physical area in m² (for whole-device
-// accounting as opposed to the bounding box of used sites).
-func GridArea(g *grid.Grid, p hardware.Params) float64 {
-	h := float64(g.MaxR()+1) * p.ZoneWidthM
-	w := float64(g.MaxC()+1) * p.ZoneWidthM
-	return h * w
 }
 
 // String renders the estimate as the paper-style resource row.

@@ -96,15 +96,6 @@ func TestZZDominance(t *testing.T) {
 	}
 }
 
-func TestGridArea(t *testing.T) {
-	g := grid.New(2, 3)
-	p := hardware.Default()
-	want := float64(9) * p.ZoneWidthM * float64(13) * p.ZoneWidthM
-	if got := GridArea(g, p); math.Abs(got-want) > 1e-15 {
-		t.Fatalf("grid area = %v, want %v", got, want)
-	}
-}
-
 func TestEmptyCircuit(t *testing.T) {
 	est := FromCircuit(&circuit.Circuit{}, hardware.Default())
 	if est.Time != 0 || est.Zones != 0 || est.AreaM2 != 0 {

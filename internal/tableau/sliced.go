@@ -27,7 +27,6 @@
 package tableau
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 
@@ -659,73 +658,4 @@ func (t *Sliced) ExpectationValue(p *pauli.String) float64 {
 		return -1
 	}
 	return 1
-}
-
-// --- Inspection -------------------------------------------------------------
-
-// rowString extracts row r of the planes at offsets xo/zo, with sign plane
-// sg, as a pauli.String: content plus the exact i-exponent (Y count plus
-// twice the sign bit), matching what a row-major T would report for the
-// same operator.
-func (t *Sliced) rowString(xo, zo int, sg []uint64, r int) *pauli.String {
-	p := pauli.NewString(t.n)
-	w, b := r>>6, uint(r)&63
-	y := 0
-	for j := 0; j < t.n; j++ {
-		pl := t.planes(j)
-		xb := pl[xo+w]>>b&1 == 1
-		zb := pl[zo+w]>>b&1 == 1
-		p.XBits.Set(j, xb)
-		p.ZBits.Set(j, zb)
-		if xb && zb {
-			y++
-		}
-	}
-	ph := y % 4
-	if sg[w]>>b&1 == 1 {
-		ph = (ph + 2) % 4
-	}
-	p.Phase = uint8(ph)
-	return p
-}
-
-// StabilizerStrings returns the current stabilizer generators.
-func (t *Sliced) StabilizerStrings() []*pauli.String {
-	out := make([]*pauli.String, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.rowString(2*t.wd, 3*t.wd, t.ss, i)
-	}
-	return out
-}
-
-// DestabilizerStrings returns the current destabilizer rows.
-func (t *Sliced) DestabilizerStrings() []*pauli.String {
-	out := make([]*pauli.String, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.rowString(0, t.wd, t.ds, i)
-	}
-	return out
-}
-
-// CheckInvariants returns an error if the tableau violates its structural
-// invariants (destabilizer/stabilizer pairing and mutual commutation).
-// Used in tests.
-func (t *Sliced) CheckInvariants() error {
-	stabs := t.StabilizerStrings()
-	destabs := t.DestabilizerStrings()
-	for i := 0; i < t.n; i++ {
-		if !stabs[i].Hermitian() {
-			return fmt.Errorf("stabilizer %d has non-Hermitian phase: %s", i, stabs[i])
-		}
-		for j := 0; j < t.n; j++ {
-			if !stabs[i].Commutes(stabs[j]) {
-				return fmt.Errorf("stabilizers %d and %d anticommute", i, j)
-			}
-			com := stabs[i].Commutes(destabs[j])
-			if (i == j) == com {
-				return fmt.Errorf("destabilizer pairing violated at (%d,%d)", i, j)
-			}
-		}
-	}
-	return nil
 }

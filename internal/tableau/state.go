@@ -37,13 +37,3 @@ var (
 	_ State = (*T)(nil)
 	_ State = (*Sliced)(nil)
 )
-
-// DestabilizerStrings returns the current destabilizer rows (concrete part
-// only), the counterpart of StabilizerStrings for differential tests.
-func (t *T) DestabilizerStrings() []*pauli.String {
-	out := make([]*pauli.String, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.destab[i].Pauli(t.n)
-	}
-	return out
-}

@@ -19,7 +19,6 @@
 package tableau
 
 import (
-	"fmt"
 	"math/bits"
 	"math/rand"
 
@@ -88,34 +87,9 @@ func New(n int, rng *rand.Rand) *T {
 // N returns the number of qubits.
 func (t *T) N() int { return t.n }
 
-// Symbolic reports whether the tableau runs in symbolic mode.
-func (t *T) Symbolic() bool { return t.rng == nil }
-
 // Records exposes the record table (concrete mode fills it with sampled and
 // derived bits; symbolic mode leaves it empty).
 func (t *T) Records() map[int32]bool { return t.records }
-
-// Clone returns a deep copy sharing no state. The RNG is not cloned; pass
-// the RNG to use in the copy (may be nil for symbolic).
-func (t *T) Clone(rng *rand.Rand) *T {
-	c := &T{n: t.n, rng: rng, records: make(map[int32]bool, len(t.records)), nextVirtual: t.nextVirtual}
-	cloneRows := func(rs []Row) []Row {
-		out := make([]Row, len(rs))
-		for i, r := range rs {
-			out[i] = Row{X: r.X.Clone(), Z: r.Z.Clone(), K: r.K, Sym: r.Sym.Xor(expr.Zero())}
-		}
-		return out
-	}
-	c.destab = cloneRows(t.destab)
-	c.stab = cloneRows(t.stab)
-	c.obs = cloneRows(t.obs)
-	for k, v := range t.records {
-		c.records[k] = v
-	}
-	c.scratch = Row{X: pauli.NewBits(t.n), Z: pauli.NewBits(t.n)}
-	c.supp = make([]int, 0, len(c.scratch.X))
-	return c
-}
 
 // ResetAll reinitializes the tableau to the all-|0⟩ state in place, reusing
 // every allocation (rows, scratch, record table). It is the state-reuse hook
@@ -252,9 +226,6 @@ func (t *T) CX(c, d int) {
 		}
 	}
 }
-
-// CZ applies a controlled-Z between a and b.
-func (t *T) CZ(a, b int) { t.H(b); t.CX(a, b); t.H(b) }
 
 // SqrtX applies X_{π/4} = e^{-iπX/4} (conjugation: Z→Y, Y→−Z).
 func (t *T) SqrtX(q int) {
@@ -399,17 +370,12 @@ type Outcome struct {
 	Derived       expr.Expr // for deterministic outcomes: value in terms of earlier records
 }
 
-// Expr returns the outcome's value as a formula (always the single record
-// reference). It is computed on demand so that the measurement hot path
-// allocates nothing.
-func (o Outcome) Expr() expr.Expr { return expr.FromID(o.Record) }
-
 // Value returns the concrete bit of the outcome in concrete mode.
 func (t *T) Value(o Outcome) bool { return t.records[o.Record] }
 
 // MeasurePauli measures the Hermitian Pauli p, assigning record index rec.
 // In concrete mode the sampled/derived bit is stored in the record table.
-// The outcome's value formula is always Outcome.Expr() == {rec}.
+// The outcome's value formula is always the single record reference {rec}.
 func (t *T) MeasurePauli(p *pauli.String, rec int32) Outcome {
 	if !p.Hermitian() {
 		panic("tableau: measuring non-Hermitian Pauli " + p.String())
@@ -631,41 +597,4 @@ func (t *T) Observable(h int) (*pauli.String, expr.Expr) {
 // carrying only measurement-induced terms.
 func (t *T) ObservableXorSign(h int, e expr.Expr) {
 	t.obs[h].Sym = t.obs[h].Sym.Xor(e)
-}
-
-// StabilizerStrings returns the current stabilizer generators (concrete part
-// only) for inspection; used by layer-by-layer verification tests.
-func (t *T) StabilizerStrings() []*pauli.String {
-	out := make([]*pauli.String, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.stab[i].Pauli(t.n)
-	}
-	return out
-}
-
-// StabilizerSym returns the symbolic sign expression of stabilizer row i.
-func (t *T) StabilizerSym(i int) expr.Expr { return t.stab[i].Sym }
-
-// CheckInvariants returns an error if the tableau violates its structural
-// invariants (destabilizer/stabilizer pairing and mutual commutation).
-// Used in tests.
-func (t *T) CheckInvariants() error {
-	for i := 0; i < t.n; i++ {
-		pi := t.stab[i].Pauli(t.n)
-		if !pi.Hermitian() {
-			return fmt.Errorf("stabilizer %d has non-Hermitian phase: %s", i, pi)
-		}
-		for j := 0; j < t.n; j++ {
-			pj := t.stab[j].Pauli(t.n)
-			if !pi.Commutes(pj) {
-				return fmt.Errorf("stabilizers %d and %d anticommute", i, j)
-			}
-			dj := t.destab[j].Pauli(t.n)
-			com := pi.Commutes(dj)
-			if (i == j) == com {
-				return fmt.Errorf("destabilizer pairing violated at (%d,%d)", i, j)
-			}
-		}
-	}
-	return nil
 }

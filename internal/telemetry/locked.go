@@ -19,9 +19,6 @@ func NewLocked(schema *Schema) *Locked {
 	return &Locked{sh: newShard(schema), sc: schema}
 }
 
-// Schema returns the instrument declarations.
-func (l *Locked) Schema() *Schema { return l.sc }
-
 // Inc adds 1 to counter c.
 func (l *Locked) Inc(c Counter) {
 	l.mu.Lock()

@@ -178,9 +178,6 @@ type Set struct {
 // NewSet creates an empty Set for schema.
 func NewSet(schema *Schema) *Set { return &Set{schema: schema} }
 
-// Schema returns the instrument declarations of this Set.
-func (s *Set) Schema() *Schema { return s.schema }
-
 // NewShard allocates and registers a new shard. Call once per worker at
 // startup, never on the per-shot path.
 func (s *Set) NewShard() *Shard {
@@ -227,9 +224,6 @@ func NewSnapshot(schema *Schema) *Snapshot {
 		Hists:    make([]Hist, len(schema.Hists)),
 	}
 }
-
-// Schema returns the snapshot's instrument declarations.
-func (s *Snapshot) Schema() *Schema { return s.schema }
 
 // Counter returns the value of the named counter, or 0 if unknown.
 func (s *Snapshot) Counter(name string) uint64 {

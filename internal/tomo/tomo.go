@@ -24,32 +24,6 @@ var (
 	StateT    = Bloch{1 / math.Sqrt2, 1 / math.Sqrt2, 0}
 )
 
-// Density returns the 2×2 density matrix ρ = ½(I + xX + yY + zZ).
-func (b Bloch) Density() [2][2]complex128 {
-	x, y, z := complex(b[0], 0), complex(b[1], 0), complex(b[2], 0)
-	return [2][2]complex128{
-		{(1 + z) / 2, (x - 1i*y) / 2},
-		{(x + 1i*y) / 2, (1 - z) / 2},
-	}
-}
-
-// Fidelity returns the Uhlmann fidelity between the state and a pure target
-// Bloch vector: F = ⟨ψ|ρ|ψ⟩ = ½(1 + b·t) for pure t.
-func (b Bloch) Fidelity(target Bloch) float64 {
-	dot := b[0]*target[0] + b[1]*target[1] + b[2]*target[2]
-	return (1 + dot) / 2
-}
-
-// Norm returns |b|.
-func (b Bloch) Norm() float64 {
-	return math.Sqrt(b[0]*b[0] + b[1]*b[1] + b[2]*b[2])
-}
-
-// Sub returns b − o.
-func (b Bloch) Sub(o Bloch) Bloch {
-	return Bloch{b[0] - o[0], b[1] - o[1], b[2] - o[2]}
-}
-
 // MaxAbsDiff returns the ∞-norm distance between two Bloch vectors.
 func (b Bloch) MaxAbsDiff(o Bloch) float64 {
 	m := 0.0
@@ -81,18 +55,6 @@ func FromInputs(out0, out1, outPlus, outYPos Bloch) Channel {
 		ch.M[i][1] = outYPos[i] - ch.T[i]
 	}
 	return ch
-}
-
-// Apply maps an input Bloch vector through the channel.
-func (c Channel) Apply(r Bloch) Bloch {
-	var out Bloch
-	for i := 0; i < 3; i++ {
-		out[i] = c.T[i]
-		for j := 0; j < 3; j++ {
-			out[i] += c.M[i][j] * r[j]
-		}
-	}
-	return out
 }
 
 // MaxAbsDiff returns the ∞-norm distance between two channels' parameters.

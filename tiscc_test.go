@@ -161,7 +161,7 @@ func TestFacadeVerify(t *testing.T) {
 // model presets, fault-schedule compilation, single noisy shots, and the
 // end-to-end logical-error-rate estimator with its determinism guarantee.
 func TestFacadeNoise(t *testing.T) {
-	if !tiscc.IdealNoise().IsIdeal() {
+	if m := tiscc.IdealNoise(); m != (tiscc.NoiseModel{Name: m.Name}) {
 		t.Fatal("IdealNoise not ideal")
 	}
 	if err := tiscc.PaperNoise().Validate(); err != nil {
