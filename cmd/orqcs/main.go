@@ -315,7 +315,7 @@ func runExperiment(workload, dspec string, noiseP float64, decode bool, demFile,
 		man := telemetry.NewManifest("orqcs")
 		man.Config = map[string]any{
 			"noise": noiseP, "shots": ro.Shots, "seed": ro.Seed,
-			"workers": ro.Workers, "engine": "frame", "decode": decode,
+			"workers": ro.Workers, "engine": experiment.Engine(decode), "decode": decode,
 		}
 		man.AddPoint(pt)
 		man.Finish(sp)

@@ -269,7 +269,7 @@ func runNoiseSweep(cfg sweepConfig) {
 	}
 	man.Config = map[string]any{
 		"workload": workload, "model": cfg.model, "shots": cfg.run.Shots,
-		"seed": cfg.run.Seed, "workers": cfg.run.Workers, "engine": "frame",
+		"seed": cfg.run.Seed, "workers": cfg.run.Workers, "engine": experiment.Engine(cfg.decode),
 		"decode": cfg.decode, "rounds": cfg.rounds,
 	}
 	// The progress stream is shared by every point of the sweep; point labels

@@ -46,22 +46,26 @@ func TestDecodeZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("noisy decode loop allocates %.1f objects/shot, want 0", allocs)
 	}
-	// The plane path: a frame batch sampled and decoded 64 shots at a time.
+	// The production path: a fire-only frame batch drawn and decoded 64
+	// shots at a time in detector space, and the same decode of a batch
+	// that also walked the program.
 	sim, err := frame.New(mem.Prog, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
 	batch := sim.NewBatch()
-	batch.Run(0, 64, 1)
-	g.DecodePlanes(batch.Planes())
-	first := 64
-	allocs = testing.AllocsPerRun(50, func() {
-		batch.Run(first, 64, 1)
+	for name, fill := range map[string]func(first, count int, seed int64){"fire-only": batch.Draw, "record": batch.Run} {
+		fill(0, 64, 1)
 		g.DecodePlanes(batch.Planes())
-		first += 64
-	})
-	if allocs != 0 {
-		t.Fatalf("plane decode loop allocates %.1f objects/batch, want 0", allocs)
+		first := 64
+		allocs = testing.AllocsPerRun(50, func() {
+			fill(first, 64, 1)
+			g.DecodePlanes(batch.Planes())
+			first += 64
+		})
+		if allocs != 0 {
+			t.Fatalf("%s batch decode loop allocates %.1f objects/batch, want 0", name, allocs)
+		}
 	}
 	snap := g.Metrics()
 	if snap.Counter("shots") == 0 {

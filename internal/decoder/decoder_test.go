@@ -215,7 +215,7 @@ func TestFrameMatchesTableauDiff(t *testing.T) {
 func checkFrameMatchesTableau(t *testing.T, prog *orqcs.Program, det *Detectors, sched *noise.Schedule, minChecked int) {
 	t.Helper()
 	var frameSyms []mechanism
-	err := forEachMechanism(det, sched, func(m mechanism) error {
+	err := forEachMechanism(det, sched, nil, func(m mechanism) error {
 		frameSyms = append(frameSyms, mechanism{
 			p:    m.p,
 			dets: append([]int32(nil), m.dets...),

@@ -31,7 +31,7 @@ func WriteDEM(w io.Writer, d *Detectors, s *noise.Schedule) error {
 	var ordered []sym
 	index := map[string]int{}
 	keyBuf := make([]byte, 0, 64)
-	err := forEachMechanism(d, s, func(m mechanism) error {
+	err := forEachMechanism(d, s, nil, func(m mechanism) error {
 		keyBuf = keyBuf[:0]
 		for _, di := range m.dets {
 			keyBuf = append(keyBuf,

@@ -81,7 +81,7 @@ func TestDEMRoundTrip(t *testing.T) {
 			}
 			// Independent aggregation with the exact merge rule of WriteDEM.
 			wantP := map[string]float64{}
-			err = forEachMechanism(det, sched, func(m mechanism) error {
+			err = forEachMechanism(det, sched, nil, func(m mechanism) error {
 				k := demKey(m.dets, m.obs)
 				if p, ok := wantP[k]; ok {
 					wantP[k] = mergeP(p, m.p)
@@ -139,7 +139,7 @@ func TestWriteDEMSkipsZeroProbability(t *testing.T) {
 
 	// Independent aggregation with WriteDEM's merge rule, split by zero/nonzero.
 	wantP := map[string]float64{}
-	if err := forEachMechanism(det, sched, func(m mechanism) error {
+	if err := forEachMechanism(det, sched, nil, func(m mechanism) error {
 		k := demKey(m.dets, m.obs)
 		if p, ok := wantP[k]; ok {
 			wantP[k] = mergeP(p, m.p)

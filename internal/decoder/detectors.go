@@ -18,12 +18,14 @@
 //     observable; those compile into a weighted matching graph, cached
 //     once per (program, model) exactly like the fault schedule itself,
 //     whose graphlike circuit distance Graph.Distance certifies;
-//   - union-find decoding (Graph.DecodePlanes): per 64-shot batch of record
-//     planes, each detector's word is an XOR of record words; lanes with an
-//     empty syndrome skip decoding, and each other lane's fired detectors
-//     are clustered by Delfosse–Nickerson-style growth with boundary
-//     absorption and peeled for the correction's observable parity, with
-//     zero allocations in the hot loop via pooled per-worker scratch state.
+//   - union-find decoding (Graph.DecodePlanes): per 64-shot batch of fault
+//     firings, each detector's word is the XOR of the symptoms the graph
+//     retained for the fired branches — no record is read and no
+//     instruction walked; lanes with an empty syndrome skip decoding, and
+//     each other lane's fired detectors are clustered by
+//     Delfosse–Nickerson-style growth with boundary absorption and peeled
+//     for the correction's observable parity, with zero allocations in the
+//     hot loop via pooled per-worker scratch state.
 package decoder
 
 import (
@@ -108,11 +110,13 @@ func (d *Detectors) CheckRecords(n int) error {
 	return nil
 }
 
-// Fire is the detector word kernel: it sets fired[i] (len(fired) ≥
-// NumDetectors) to the lanes of p on which detector i fires — Ref XORed
-// with the words of its records, masked to p.Lanes — and returns the lanes
-// whose syndrome is non-empty. One XOR covers a whole 64-shot batch. The
-// decoder and the diagnostics layer both read syndromes through it.
+// Fire is the record-plane detector word kernel: it sets fired[i]
+// (len(fired) ≥ NumDetectors) to the lanes of p on which detector i fires
+// — Ref XORed with the words of its records, masked to p.Lanes — and
+// returns the lanes whose syndrome is non-empty. One XOR covers a whole
+// 64-shot batch. Detector extraction checks its reference values through
+// it, and the tests hold decoded batches' detector words (Planes.Dets)
+// against it; decoded estimates never read records.
 func (d *Detectors) Fire(p *noise.Planes, fired []uint64) (live uint64) {
 	for i := range d.Dets {
 		det := &d.Dets[i]

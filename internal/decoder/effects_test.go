@@ -2,9 +2,11 @@ package decoder
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"testing"
 
+	"tiscc/internal/expr"
 	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/noise"
@@ -12,92 +14,77 @@ import (
 	"tiscc/internal/pauli"
 )
 
-// TestDEMMatchesSampler checks the effect table against the sampler
-// exactly: for every shot, XORing the effect-table entries of the branches
-// its fault replay fires must reproduce, bit for bit, the detectors the
-// frame sampler's record plane fires on that lane and whether the
-// observable differs from its noiseless reference. It covers memory and
-// surgery experiments under a dense uniform model and the paper's Table 5
-// model, sampled at one and two workers.
+// demCase is one experiment of the detector-space differential matrix.
+type demCase struct {
+	name      string
+	prog      *orqcs.Program
+	det       *Detectors
+	outcome   expr.Expr
+	reference bool
+}
+
+// demCases are memory d=3,5,7,9 and surgery d=3,5 (rounds = d); -short
+// keeps d ≤ 5.
+func demCases(t *testing.T) []demCase {
+	t.Helper()
+	var cases []demCase
+	mems := []int{3, 5, 7, 9}
+	if testing.Short() {
+		mems = []int{3, 5}
+	}
+	for _, d := range mems {
+		mem := mustMemory(t, d, d, pauli.Z)
+		cases = append(cases, demCase{fmt.Sprintf("memory-d%d", d), mem.Prog, mustDetectors(t, mem), mem.Outcome, mem.Reference})
+	}
+	for _, d := range []int{3, 5} {
+		s := mustSurgery(t, d, 1, d, 1, pauli.Z)
+		cases = append(cases, demCase{fmt.Sprintf("surgery-d%d", d), s.Prog, mustSurgeryDetectors(t, s), s.Outcome, s.Reference})
+	}
+	return cases
+}
+
+// demModels are a dense uniform model and the paper's Table 5 model.
+var demModels = []noise.Model{noise.Depolarizing(1e-2), noise.PaperTable5(hardware.Default())}
+
+// TestDEMMatchesSampler checks the graph's retained symptom table against
+// the sampler exactly: on every batch of record planes, XORing the
+// symptoms of the batch's firings (the decoded estimate's detector words,
+// Graph.fire) must reproduce, bit for bit, the detector words Detectors.Fire
+// reads off the records and the lanes on which the observable differs from
+// its noiseless reference. It covers memory d=3..9 and surgery d=3,5 under
+// a dense uniform model and the paper's Table 5 model, sampled at one, two
+// and four workers.
 func TestDEMMatchesSampler(t *testing.T) {
 	const shots, seed = 512, 11
-	type tcase struct {
-		name string
-		prog *orqcs.Program
-		det  *Detectors
-	}
-	var cases []tcase
-	for _, d := range []int{3, 5} {
-		mem := mustMemory(t, d, d, pauli.Z)
-		cases = append(cases, tcase{fmt.Sprintf("memory-d%d", d), mem.Prog, mustDetectors(t, mem)})
-	}
-	s := mustSurgery(t, 3, 1, 3, 1, pauli.Z)
-	cases = append(cases, tcase{"surgery-d3", s.Prog, mustSurgeryDetectors(t, s)})
-	models := []noise.Model{noise.Depolarizing(1e-2), noise.PaperTable5(hardware.Default())}
-	for _, c := range cases {
-		for _, m := range models {
+	for _, c := range demCases(t) {
+		for _, m := range demModels {
 			sched := noise.Compile(m, c.prog)
-			tab, err := compileEffects(c.det, sched)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// siteBase[k] is the branch id of site k's branch 0: sites are
-			// numbered in slot order, as branch ids are.
-			siteBase := make([]int32, sched.NumFaultSites()+1)
-			for k := range sched.NumFaultSites() {
-				f := sched.SiteFault(k)
-				siteBase[k+1] = siteBase[k] + int32(f.NumBranches())
-			}
-			if n := tab.base[len(tab.base)-1]; n != siteBase[len(siteBase)-1] {
-				t.Fatalf("%s/%s: effect table numbers %d branches, the fault table %d", c.name, m.Name, n, siteBase[len(siteBase)-1])
-			}
+			g := mustGraph(t, c.det, sched)
 			sim, err := frame.New(c.prog, sched)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{1, 2} {
+			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", c.name, m.Name, workers), func(t *testing.T) {
 					var fires, obsFlips atomic.Int64
 					err := sim.SamplePlanes(shots, seed, workers, func(p *noise.Planes) error {
-						fired := make([]uint64, c.det.NumDetectors())
-						c.det.Fire(p, fired)
-						obsW := c.det.observable().EvalWords(p.Words)
+						want := make([]uint64, c.det.NumDetectors())
+						c.det.Fire(p, want)
+						wantObs := c.det.observable().EvalWords(p.Words)
 						if c.det.ObsRef {
-							obsW = ^obsW
+							wantObs = ^wantObs
 						}
-						want := make([]bool, c.det.NumDetectors())
-						var faults []noise.FiredFault
-						var dets []int32
-						nf, no := 0, 0
-						for lane := range p.N {
-							clear(want)
-							wantObs := false
-							faults = sched.FiredFaults(orqcs.ShotSeed(seed, p.First+lane), faults[:0])
-							for _, f := range faults {
-								var obs bool
-								dets, obs = tab.effect(siteBase[f.Site]+f.Branch, dets[:0])
-								for _, di := range dets {
-									want[di] = !want[di]
-								}
-								wantObs = wantObs != obs
+						got, obs := g.fire(p)
+						for di := range want {
+							if got[di]&p.Lanes != want[di] {
+								return fmt.Errorf("batch at %d detector %d: records fire lanes %#x, symptoms %#x", p.First, di, want[di], got[di]&p.Lanes)
 							}
-							for di, w := range fired {
-								if got := w>>uint(lane)&1 == 1; got != want[di] {
-									return fmt.Errorf("shot %d detector %d: sampler fires %v, effect table %v", p.First+lane, di, got, want[di])
-								}
-								if want[di] {
-									nf++
-								}
-							}
-							if got := obsW>>uint(lane)&1 == 1; got != wantObs {
-								return fmt.Errorf("shot %d: sampler observable flip %v, effect table %v", p.First+lane, got, wantObs)
-							}
-							if wantObs {
-								no++
-							}
+							fires.Add(int64(bits.OnesCount64(want[di])))
 						}
-						fires.Add(int64(nf))
-						obsFlips.Add(int64(no))
+						if obs&p.Lanes != wantObs&p.Lanes {
+							return fmt.Errorf("batch at %d: records flip the observable on lanes %#x, symptoms %#x", p.First, wantObs&p.Lanes, obs&p.Lanes)
+						}
+						obsFlips.Add(int64(bits.OnesCount64(obs & p.Lanes)))
 						return nil
 					})
 					if err != nil {
@@ -111,3 +98,89 @@ func TestDEMMatchesSampler(t *testing.T) {
 		}
 	}
 }
+
+// TestDecodedEstimateMatchesRecordOracle is the estimate-level oracle for
+// detector-space decoding: the production decoded estimate (fire-only
+// batches, symptoms, union-find) must count exactly the errors of the
+// record oracle — the same shots' frame records, each decoded by
+// DecodeOutcome — with no raw fallback, at one and four workers. Its
+// observer proves that no decoded batch walked the program: every batch
+// arrives without record words and with the decoder's detector words, and
+// the sampler counts no collapse multiplication (the walk's own counter)
+// while a record run of the same shots does.
+func TestDecodedEstimateMatchesRecordOracle(t *testing.T) {
+	shots, seed := 1000, int64(5)
+	if raceEnabled {
+		shots = 200
+	}
+	models := []noise.Model{noise.Depolarizing(3e-3), noise.PaperTable5(hardware.Default())}
+	for _, c := range demCases(t) {
+		for _, m := range models {
+			t.Run(c.name+"/"+m.Name, func(t *testing.T) {
+				sched := noise.Compile(m, c.prog)
+				g := mustGraph(t, c.det, sched)
+				want := recordOracleErrors(t, c.prog, sched, g, c.reference, shots, seed)
+				for _, workers := range []int{1, 4} {
+					sim, err := frame.New(c.prog, sched)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var walked atomic.Int64
+					obs := observerFunc(func(p *noise.Planes, bad uint64) {
+						if len(p.Words) != 0 || len(p.Dets) != c.det.NumDetectors() {
+							walked.Add(1)
+						}
+					})
+					res, err := noise.EstimateLogicalError(sched, c.outcome, c.reference,
+						noise.Options{Shots: shots, Seed: seed, Workers: workers, Decoder: g, Sampler: sim, Observer: obs})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Shots != shots || res.Errors != want || res.RawFallbacks != 0 {
+						t.Fatalf("workers=%d: decoded estimate %d/%d errors (%d fallbacks), record oracle %d/%d",
+							workers, res.Errors, res.Shots, res.RawFallbacks, want, shots)
+					}
+					if n := walked.Load(); n != 0 {
+						t.Fatalf("workers=%d: %d decoded batches carried records or lacked detector words", workers, n)
+					}
+					met := sim.Metrics()
+					if met.Counter("shots") != uint64(shots) || met.Counter("collapse_mults") != 0 {
+						t.Fatalf("workers=%d: sampler counted %d shots and %d collapse multiplications, want %d and 0",
+							workers, met.Counter("shots"), met.Counter("collapse_mults"), shots)
+					}
+				}
+			})
+		}
+	}
+}
+
+// recordOracleErrors counts the shots of [0, shots) whose frame records,
+// decoded one by one through DecodeOutcome, disagree with the reference
+// outcome. The record run must multiply collapse rows somewhere, or the
+// fire-only run's zero would prove nothing.
+func recordOracleErrors(t *testing.T, prog *orqcs.Program, sched *noise.Schedule, g *Graph, reference bool, shots int, seed int64) int {
+	t.Helper()
+	sim, err := frame.New(prog, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sim.NewBatch()
+	errs := 0
+	for first := 0; first < shots; first += 64 {
+		b.Run(first, min(64, shots-first), seed)
+		for lane := range b.Planes().N {
+			if g.DecodeOutcome(b.Records(lane)) != reference {
+				errs++
+			}
+		}
+	}
+	if sim.Metrics().Counter("collapse_mults") == 0 {
+		t.Fatal("the record run multiplied no collapse row")
+	}
+	return errs
+}
+
+// observerFunc adapts a function to noise.ShotObserver.
+type observerFunc func(p *noise.Planes, bad uint64)
+
+func (f observerFunc) ObserveBatch(p *noise.Planes, bad uint64) { f(p, bad) }

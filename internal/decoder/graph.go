@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tiscc/internal/noise"
 	"tiscc/internal/telemetry"
@@ -44,6 +45,12 @@ type Graph struct {
 
 	boundary int32 // node id of the virtual boundary (== NumDetectors())
 
+	// sym is the retained effect table decoded batches read their detector
+	// words from; it binds the graph to its schedule (CheckSchedule), and
+	// bound is the last schedule that passed that check.
+	sym   symptoms
+	bound atomic.Pointer[noise.Schedule]
+
 	// Diagnostics of detector-error-model compilation.
 	undetectable int // mechanisms flipping the observable with empty symptom
 	undecomposed int // hyper mechanisms dropped by graphlike decomposition
@@ -63,11 +70,6 @@ type Graph struct {
 	mu   sync.Mutex // guards all
 	all  []*scratch
 }
-
-// CheckRecords reports an error unless every record id the graph's
-// detectors and observable read lies in [0, n): noise.Decoder's binding
-// check, run before the graph decodes n-record planes.
-func (g *Graph) CheckRecords(n int) error { return g.det.CheckRecords(n) }
 
 // Detectors returns the detector structure the graph decodes.
 func (g *Graph) Detectors() *Detectors { return g.det }
@@ -97,7 +99,8 @@ func mergeP(a, b float64) float64 { return a + b - 2*a*b }
 
 // CompileGraph compiles a noise schedule against a detector structure into a
 // union-find decoding graph. One backward pass over the lowered instruction
-// stream finds the symptom of every fault branch (forEachMechanism).
+// stream finds the symptom of every fault branch (forEachMechanism), and
+// the graph keeps those symptoms as the effect table decoded batches read.
 // Branches flipping ≤ 2 detectors become edges directly, and rarer hyper
 // mechanisms (e.g. Y-type or correlated two-qubit branches touching both
 // stabilizer types) are decomposed per stabilizer type into the graphlike
@@ -143,7 +146,7 @@ func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
 
 	// Pass 1: graphlike mechanisms define the edge set.
 	var hyper []mechanism
-	err := forEachMechanism(d, s, func(m mechanism) error {
+	err := forEachMechanism(d, s, &g.sym, func(m mechanism) error {
 		switch len(m.dets) {
 		case 0:
 			g.undetectable++

@@ -1,9 +1,9 @@
 // Binary serialization of compiled decoding graphs: the export/import hook
 // behind the compiled-artifact cache and wire format (internal/serve). The
-// payload holds the detector structure and the edge list; adjacency CSR,
-// scratch prototypes and the telemetry set are derived state rebuilt by
-// finish on decode, so a decoded graph decodes shots bit-identically to a
-// freshly compiled one.
+// payload holds the detector structure, the edge list and the symptom
+// table; adjacency CSR, scratch prototypes and the telemetry set are
+// derived state rebuilt by finish on decode, so a decoded graph decodes
+// shots bit-identically to a freshly compiled one.
 package decoder
 
 import (
@@ -50,13 +50,15 @@ func AppendGraph(buf []byte, g *Graph) []byte {
 		buf = wire.AppendBool(buf, e.Obs)
 		buf = wire.AppendF64(buf, e.P)
 	}
-	return buf
+	return appendSymptoms(buf, &g.sym, len(d.Dets))
 }
 
 // DecodeGraph deserializes a graph encoded by AppendGraph, validates its
 // structural invariants (node ids within [0, boundary], positive growth
-// lengths, well-formed detector records) and rebuilds the derived decoding
-// state via finish. Hostile bytes produce an error, never a panic.
+// lengths, well-formed detector records, a symptom table within the
+// detectors) and rebuilds the derived decoding state via finish. Hostile
+// bytes produce an error, never a panic; CheckSchedule binds the decoded
+// graph to a schedule before it decodes.
 func DecodeGraph(data []byte) (*Graph, error) {
 	r := wire.NewReader(data)
 	d := &Detectors{}
@@ -100,6 +102,11 @@ func DecodeGraph(data []byte) (*Graph, error) {
 		e.Obs = r.Bool()
 		e.P = r.F64()
 	}
+	sym, err := readSymptoms(r, nDets)
+	if err != nil {
+		return nil, fmt.Errorf("decoder: decode graph: %w", err)
+	}
+	g.sym = *sym
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("decoder: decode graph: %w", err)
 	}

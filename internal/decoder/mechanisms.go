@@ -283,11 +283,21 @@ func (t *effectTable) effect(id int32, buf []int32) ([]int32, bool) {
 // branch's symptom in the effect table of one backward pass
 // (compileEffects) and hands the resulting mechanism to visit. Branches
 // with empty symptom and no observable effect are skipped. The dets slice
-// passed to visit is only valid during the call.
-func forEachMechanism(d *Detectors, s *noise.Schedule, visit func(m mechanism) error) error {
+// passed to visit is only valid during the call. When sym is non-nil the
+// same loop fills it with every fault site's component symptoms, the
+// symptoms of its single-component branches, so a graph keeps its effect
+// table with no second pass.
+func forEachMechanism(d *Detectors, s *noise.Schedule, sym *symptoms, visit func(m mechanism) error) error {
 	t, err := compileEffects(d, s)
 	if err != nil {
 		return err
+	}
+	if sym != nil {
+		comps := 0
+		for k := range s.NumFaultSites() {
+			comps += int(kindComps[s.SiteFault(k).Kind])
+		}
+		sym.init(s.NumFaultSites(), comps)
 	}
 	var dets []int32
 	for slot := 0; slot < s.NumSlots(); slot++ {
@@ -295,16 +305,29 @@ func forEachMechanism(d *Detectors, s *noise.Schedule, visit func(m mechanism) e
 		for _, f := range s.SlotFaults(slot) {
 			for b := 0; b < f.NumBranches(); b, id = b+1, id+1 {
 				p, _, _, _, _ := f.Branch(b)
+				component := sym != nil && bits.OnesCount8(branchPaulis[f.Kind][b]) == 1
 				if p <= 0 || t.start[id] == t.start[id+1] {
+					if component {
+						sym.add(nil, false) // empty, or a p ≤ 0 branch that never fires
+					}
 					continue
 				}
 				var obs bool
 				dets, obs = t.effect(id, dets[:0])
+				if component {
+					sym.add(dets, obs)
+				}
 				if err := visit(mechanism{p: p, dets: dets, obs: obs}); err != nil {
 					return err
 				}
 			}
+			if sym != nil {
+				sym.addSite(f.Kind)
+			}
 		}
+	}
+	if sym != nil {
+		sym.dets = slices.Clone(sym.dets) // trimmed: the table lives as long as the graph
 	}
 	return nil
 }
@@ -317,7 +340,7 @@ func forEachMechanism(d *Detectors, s *noise.Schedule, visit func(m mechanism) e
 // observed per-shot fire rates.
 func PredictedDetectorRates(d *Detectors, s *noise.Schedule) ([]float64, error) {
 	rates := make([]float64, len(d.Dets))
-	err := forEachMechanism(d, s, func(m mechanism) error {
+	err := forEachMechanism(d, s, nil, func(m mechanism) error {
 		for _, di := range m.dets {
 			rates[di] = mergeP(rates[di], m.p)
 		}

@@ -1,8 +1,10 @@
 package decoder
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tiscc/internal/expr"
@@ -39,13 +41,16 @@ func planesCases(t *testing.T) []planesCase {
 	return out
 }
 
-// TestPlanesMatchRecords is the plane-vs-map differential test: on frame
-// batches of memory and surgery experiments under two noise models, with a
-// partial last batch, every lane of the record plane agrees with the
-// per-lane record table — each record bit, the raw outcome word against
-// Expr.Eval, the detector words against Detectors.Syndrome, and the
-// DecodePlanes bit against DecodeOutcome — and the two decode paths leave
-// identical decoder counters and histograms.
+// TestPlanesMatchRecords compares the firing path against the record path:
+// on frame batches of memory and surgery experiments under two noise
+// models, with a partial last batch, every lane of the record plane agrees
+// with the per-lane record table — each record bit, the raw outcome word
+// against Expr.Eval, the record detector words against
+// Detectors.Syndrome — and the detector-space decode of the same batch's
+// firings agrees with both: its detector words (Planes.Dets) with the
+// record words, its DecodePlanes bit with DecodeOutcome on the record
+// table. The two decode paths leave identical decoder counters and
+// histograms.
 func TestPlanesMatchRecords(t *testing.T) {
 	const shots, seed = 64*2 + 29, 3
 	models := []noise.Model{noise.Depolarizing(1e-3), noise.PaperTable5(hardware.Default())}
@@ -77,6 +82,11 @@ func TestPlanesMatchRecords(t *testing.T) {
 					out, fallback := gPlanes.DecodePlanes(p)
 					if fallback != 0 {
 						t.Fatalf("batch %d: fallback lanes %x", first/64, fallback)
+					}
+					for i, w := range fired {
+						if p.Dets[i] != w {
+							t.Fatalf("batch %d detector %d: firings fire lanes %#x, records %#x", first/64, i, p.Dets[i], w)
+						}
 					}
 					for lane := 0; lane < p.N; lane++ {
 						shot, bit := first+lane, uint(lane)
@@ -128,8 +138,9 @@ func TestPlanesMatchRecords(t *testing.T) {
 	}
 }
 
-// TestCheckRecords pins the binding check: a detector or observable record
-// outside the plane is an error, before any decode reads it.
+// TestCheckRecords pins the record half of the binding check: a detector
+// or observable record outside the program is an error, before any decode
+// reads it.
 func TestCheckRecords(t *testing.T) {
 	mem := mustMemory(t, 3, 3, pauli.Z)
 	det := mustDetectors(t, mem)
@@ -142,15 +153,97 @@ func TestCheckRecords(t *testing.T) {
 	badDet.Dets[0].Recs = []int32{int32(n)}
 	badObs := *det
 	badObs.Obs = []int32{-1}
+	sched := noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
+	good := mustGraph(t, det, sched)
 	for name, d := range map[string]*Detectors{"detector": &badDet, "observable": &badObs} {
 		if err := d.CheckRecords(n); err == nil {
 			t.Errorf("%s record outside [0, %d) passed the check", name, n)
 		}
-		g := &Graph{det: d}
-		sched := noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
+		g := &Graph{det: d, sym: good.sym}
 		if _, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference,
 			withFrame(t, sched, noise.Options{Shots: 10, Decoder: g})); err == nil {
-			t.Errorf("%s: the estimator bound a decoder reading outside the plane", name)
+			t.Errorf("%s: the estimator bound a decoder reading outside the program", name)
+		}
+	}
+}
+
+// TestCheckScheduleBindsDecoder pins the symptom half of the binding check:
+// symptoms are indexed by the schedule's fault sites and their kinds, so a
+// graph compiled against the Depolarizing schedule of a program must be
+// refused, with an OptionError on Decoder, when the estimate samples the
+// Table 5 schedule of the same program — and decoding the graph from the
+// wire keeps the binding.
+func TestCheckScheduleBindsDecoder(t *testing.T) {
+	mem := mustMemory(t, 3, 3, pauli.Z)
+	det := mustDetectors(t, mem)
+	depol := noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
+	table5 := noise.Compile(noise.PaperTable5(hardware.Default()), mem.Prog)
+	g := mustGraph(t, det, depol)
+	wired, err := DecodeGraph(AppendGraph(nil, g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*Graph{"compiled": g, "decoded": wired} {
+		if err := g.CheckSchedule(depol); err != nil {
+			t.Fatalf("%s: the graph's own schedule was refused: %v", name, err)
+		}
+		if err := g.CheckSchedule(table5); err == nil {
+			t.Fatalf("%s: a Depolarizing graph bound the Table 5 schedule", name)
+		}
+		res, err := noise.EstimateLogicalError(table5, mem.Outcome, mem.Reference,
+			withFrame(t, table5, noise.Options{Shots: 64, Decoder: g}))
+		var oe *noise.OptionError
+		if !errors.As(err, &oe) || oe.Field != "Decoder" {
+			t.Fatalf("%s: got %+v, %v; want an OptionError on Decoder", name, res, err)
+		}
+	}
+}
+
+// TestDecodeGraphRejectsBadSymptoms pins the wire validation of the
+// symptom table: a graph whose table names an unknown fault kind, a
+// detector outside the graph, detectors out of order within a component,
+// or an id count that disagrees with the component lengths fails to decode
+// with an error, and the table of a valid graph survives the trip exactly.
+func TestDecodeGraphRejectsBadSymptoms(t *testing.T) {
+	mem := mustMemory(t, 3, 3, pauli.Z)
+	g := mustGraph(t, mustDetectors(t, mem), noise.Compile(noise.Depolarizing(1e-3), mem.Prog))
+	nDets := len(g.det.Dets)
+	all := AppendGraph(nil, g)
+	prefix := all[:len(all)-len(appendSymptoms(nil, &g.sym, nDets))]
+	wired, err := DecodeGraph(all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(wired.sym, g.sym) {
+		t.Fatal("the symptom table changed on the wire")
+	}
+	multi := -1 // a component with two or more detectors
+	for c := range len(g.sym.start) - 1 {
+		if g.sym.start[c+1]-g.sym.start[c] >= 2 {
+			multi = c
+			break
+		}
+	}
+	if multi < 0 {
+		t.Fatal("no component flips two detectors")
+	}
+	for name, mutate := range map[string]func(t *symptoms){
+		"fault kind": func(t *symptoms) { t.kind[0] = noise.NumFaultKinds },
+		"detector out of range": func(t *symptoms) {
+			t.dets[len(t.dets)-1] = int32(nDets)
+		},
+		"negative detector": func(t *symptoms) { t.dets[0] = -1 },
+		"detectors out of order": func(t *symptoms) {
+			a := t.start[multi]
+			t.dets[a], t.dets[a+1] = t.dets[a+1], t.dets[a]
+		},
+		"id count": func(t *symptoms) { t.dets = append(t.dets, 0) },
+	} {
+		bad := symptoms{kind: slices.Clone(g.sym.kind), comp: slices.Clone(g.sym.comp), start: slices.Clone(g.sym.start),
+			dets: slices.Clone(g.sym.dets), obs: slices.Clone(g.sym.obs)}
+		mutate(&bad)
+		if _, err := DecodeGraph(appendSymptoms(slices.Clone(prefix), &bad, nDets)); err == nil {
+			t.Errorf("%s: a damaged symptom table decoded", name)
 		}
 	}
 }

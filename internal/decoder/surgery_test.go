@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"tiscc/internal/core"
@@ -17,16 +18,15 @@ import (
 	"tiscc/internal/verify"
 )
 
-// rowMajorSampler is the row-major reference tableau as a
-// noise.RecordSampler: one directly constructed engine per pool worker, each
-// registering a telemetry shard in met, handing each shot on as a one-lane
-// plane.
+// rowMajorSampler is the row-major reference tableau as a record source:
+// one directly constructed engine per pool worker, each registering a
+// telemetry shard in met, handing each shot on as a one-lane record plane.
+// It hands over records, not firings, so decoded estimates judge it
+// through the record oracle (rowMajorErrors).
 type rowMajorSampler struct {
 	sched *noise.Schedule
 	met   *telemetry.Set
 }
-
-func (r *rowMajorSampler) Schedule() *noise.Schedule { return r.sched }
 
 func (r *rowMajorSampler) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
 	prog := r.sched.Program()
@@ -50,6 +50,27 @@ func (r *rowMajorSampler) SamplePlanes(shots int, seed int64, workers int, visit
 		w.p.First = i
 		return visit(&w.p)
 	})
+}
+
+// rowMajorErrors counts the shots of the row-major sampler whose records,
+// decoded through DecodeOutcome, disagree with the reference outcome.
+func rowMajorErrors(t *testing.T, r *rowMajorSampler, g *Graph, reference bool, shots int, seed int64, workers int) int {
+	t.Helper()
+	var errs atomic.Int64
+	err := r.SamplePlanes(shots, seed, workers, func(p *noise.Planes) error {
+		recs := make(map[int32]bool, len(p.Words))
+		for id, w := range p.Words {
+			recs[int32(id)] = w&1 == 1
+		}
+		if g.DecodeOutcome(recs) != reference {
+			errs.Add(1)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(errs.Load())
 }
 
 func mustSurgery(t testing.TB, d, pre, merge, post int, basis pauli.Kind) *verify.Surgery {
@@ -257,15 +278,13 @@ func TestSurgeryDeterminismMatrix(t *testing.T) {
 		// The telemetry-instrumented row-major tableau (Set-registered shards
 		// merged across workers) must also land on the pinned expectations:
 		// metrics collection touches no RNG, so it cannot perturb records.
+		// Its records, decoded shot by shot through the record oracle, must
+		// count exactly the detector-space estimate's errors.
 		es := &rowMajorSampler{sched: sched, met: telemetry.NewSet(orqcs.SamplerSchema)}
 		for _, workers := range []int{1, 4} {
-			res, err := noise.EstimateLogicalError(sched, s.Outcome, s.Reference,
-				noise.Options{Shots: 1500, Seed: seed, Workers: workers, Decoder: g, Sampler: es})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res != ref {
-				t.Fatalf("seed %d workers=%d: instrumented sampler %+v differs from %+v", seed, workers, res, ref)
+			if n := rowMajorErrors(t, es, g, s.Reference, 1500, seed, workers); n != ref.Errors || ref.Shots != 1500 {
+				t.Fatalf("seed %d workers=%d: instrumented sampler's record oracle counts %d/1500 errors, the estimate %d/%d",
+					seed, workers, n, ref.Errors, ref.Shots)
 			}
 		}
 		if snap := es.met.Snapshot(); snap.Counter("shots") != 2*1500 {

@@ -201,7 +201,9 @@ func TestBackwardMatchesForwardSweep(t *testing.T) {
 			t.Run(c.name+"/"+m.Name, func(t *testing.T) {
 				sched := noise.Compile(m, c.prog)
 				fwd := collectMechanisms(t, forEachMechanismForward, c.det, sched)
-				bwd := collectMechanisms(t, forEachMechanism, c.det, sched)
+				bwd := collectMechanisms(t, func(d *Detectors, s *noise.Schedule, visit func(mechanism) error) error {
+					return forEachMechanism(d, s, &symptoms{}, visit)
+				}, c.det, sched)
 				if len(fwd) == 0 {
 					t.Fatal("forward sweep produced no mechanisms")
 				}

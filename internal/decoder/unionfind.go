@@ -73,8 +73,7 @@ type scratch struct {
 	fellBack  bool    // the decode fell back to the raw readout
 
 	// Batch syndrome (DecodePlanes).
-	fired  []uint64 // detector-indexed: lanes on which the detector fires
-	firing []int32  // detectors firing on at least one lane
+	firing []int32 // detectors firing on at least one lane
 
 	// Peeling forest.
 	visited  []bool
@@ -111,7 +110,6 @@ func (g *Graph) newScratch() *scratch {
 		seeded:    make([]int32, 0, n),
 		grownList: make([]int32, 0, e),
 		defects:   make([]int32, 0, n),
-		fired:     make([]uint64, n-1),
 		firing:    make([]int32, 0, n-1),
 		visited:   make([]bool, n),
 		fparent:   make([]int32, n),
@@ -208,50 +206,54 @@ func (sc *scratch) find(x int32) int32 {
 	return x
 }
 
-// DecodePlanes decodes a batch of up to 64 shots from their record planes
+// DecodePlanes decodes a batch of up to 64 shots from their fault firings
 // and returns the corrected outcome word (bit i is lane i's logical
 // outcome) and the lanes on which the decoder fell back to the raw readout.
 // It implements noise.Decoder and is safe for concurrent use (each call
 // claims its own scratch; see getScratch).
 //
-// Detector words come from the word kernel (Detectors.Fire), one XOR per
-// record per batch. Lanes with an empty syndrome keep the raw readout and
-// never touch growth; each other lane's fired detectors are listed in
-// ascending id order and union-find decoded exactly as DecodeOutcome
-// decodes one shot, with identical counters. A lane whose decode cannot
-// neutralize every cluster (a structurally disconnected graph, which
-// compiled experiments never produce) keeps the raw readout and sets its
-// fallback bit.
+// It reads no records: each firing of p.Fired XORs its branch's symptom
+// (its Pauli components' symptoms, from the graph's retained effect table)
+// into its lane of the batch's detector words (p.Dets, left filled for the
+// observer) and, when the branch flips the observable, into the raw
+// readout word, which starts at the observable's noiseless value. Lanes
+// with an empty syndrome keep the raw readout and never touch growth; each
+// other lane's fired detectors are listed in ascending id order and
+// union-find decoded exactly as DecodeOutcome decodes one shot's records,
+// with identical counters. A lane whose decode cannot neutralize every
+// cluster (a structurally disconnected graph, which compiled experiments
+// never produce) keeps the raw readout and sets its fallback bit.
 //
 //tiscc:hotpath
 func (g *Graph) DecodePlanes(p *noise.Planes) (outcome, fallback uint64) {
-	outcome = g.det.observable().EvalWords(p.Words)
+	dets, outcome := g.fire(p)
+	if g.det.ObsRef {
+		outcome = ^outcome
+	}
 	if len(g.edges) == 0 {
 		return outcome, 0
 	}
 	sc := g.getScratch()
 	defer g.putScratch(sc)
-	live := g.det.Fire(p, sc.fired)
+	var live uint64
+	sc.firing = sc.firing[:0]
+	for i, w := range dets {
+		if w != 0 {
+			sc.firing = append(sc.firing, int32(i))
+			live |= w
+		}
+	}
 	empty := uint64(bits.OnesCount64(p.Lanes &^ live))
 	sc.tel.Add(ctrShots, empty)
 	sc.tel.Add(ctrEmptySyndromes, empty)
 	for range empty {
 		sc.tel.Observe(histDefectsPerShot, 0)
 	}
-	if live == 0 {
-		return outcome, 0
-	}
-	sc.firing = sc.firing[:0]
-	for i, w := range sc.fired[:len(g.det.Dets)] {
-		if w != 0 {
-			sc.firing = append(sc.firing, int32(i))
-		}
-	}
 	for w := live; w != 0; w &= w - 1 {
 		lane := uint(bits.TrailingZeros64(w))
 		sc.defects = sc.defects[:0]
 		for _, i := range sc.firing {
-			if sc.fired[i]>>lane&1 == 1 {
+			if dets[i]>>lane&1 == 1 {
 				sc.defects = append(sc.defects, i)
 			}
 		}

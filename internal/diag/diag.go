@@ -19,13 +19,13 @@
 //   - streaming sweep progress (ProgressWriter): schema-versioned NDJSON
 //     batch heartbeats from the estimator's in-order fold.
 //
-// The Collector implements noise.ShotObserver, one call per sampled batch of
-// record planes; calls may be concurrent, so accumulation goes through
-// pooled per-worker scratches (bounded, allocated once per worker) merged
-// only at report time — the same single-owner shard discipline as
-// internal/telemetry. Per-detector counts are popcounts of the detector
-// words; only the per-lane channel fold and the failure samples work lane by
-// lane.
+// The Collector implements noise.ShotObserver, one call per judged batch;
+// calls may be concurrent, so accumulation goes through pooled per-worker
+// scratches (bounded, allocated once per worker) merged only at report
+// time — the same single-owner shard discipline as internal/telemetry.
+// Per-detector counts are popcounts of the detector words the decoder left
+// in the batch's planes (noise.Planes.Dets); only the per-lane channel fold
+// and the failure samples work lane by lane.
 // Observation is read-only with respect to the run: records stay
 // bit-identical with and without it.
 package diag
@@ -70,7 +70,6 @@ type Collector struct {
 // performs no heap allocation beyond the bounded failure samples.
 type scratch struct {
 	perShot []uint32 // per-lane, per-channel fires of the current batch, lane-major
-	fired   []uint64 // detector words of the current batch
 
 	shotsOK, shotsFail uint64
 	chanOK, chanFail   []uint64  // per-channel fire counts by outcome
@@ -89,8 +88,9 @@ type FailureSample struct {
 // NewCollector builds a collector for one estimation run: sched must be the
 // run's schedule (its fault sites key the channels of Planes.Fired). dets,
 // when non-nil, additionally enables per-detector observed-rate
-// accumulation and failure localization; it must be the detector structure
-// of the decoded experiment.
+// accumulation and failure localization from the decoded batches'
+// detector words; it must be the detector structure of the decoded
+// experiment.
 func NewCollector(sched *noise.Schedule, dets *decoder.Detectors) *Collector {
 	c := &Collector{sched: sched, dets: dets}
 	n := sched.NumFaultSites()
@@ -120,7 +120,6 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors) *Collector {
 		}
 		if c.dets != nil {
 			nd := c.dets.NumDetectors()
-			sc.fired = make([]uint64, nd)
 			sc.detFired = make([]uint64, nd)
 			sc.detFail = make([]uint64, nd)
 		}
@@ -135,9 +134,10 @@ func NewCollector(sched *noise.Schedule, dets *decoder.Detectors) *Collector {
 // ObserveBatch implements noise.ShotObserver: it counts the batch's fired
 // faults (p.Fired) per lane and error-budget channel and, lane by lane,
 // buckets them by outcome; when a detector structure is attached, it adds
-// the batch's detector words to the per-detector observed-rate counters
-// (popcounts) and localizes the first failing shots. Safe for concurrent
-// use (pooled per-worker scratch).
+// the batch's detector words (p.Dets, which the decoder filled) to the
+// per-detector observed-rate counters (popcounts) and localizes the first
+// failing shots. A batch without detector words (raw readout) adds nothing
+// to those. Safe for concurrent use (pooled per-worker scratch).
 func (c *Collector) ObserveBatch(p *noise.Planes, bad uint64) {
 	sc := c.pool.Get().(*scratch)
 	nc := len(c.chans)
@@ -147,16 +147,16 @@ func (c *Collector) ObserveBatch(p *noise.Planes, bad uint64) {
 	for lane := 0; lane < p.N; lane++ {
 		c.observeShot(sc, sc.perShot[lane*nc:(lane+1)*nc], bad>>uint(lane)&1 == 1)
 	}
-	if c.dets != nil {
-		c.dets.Fire(p, sc.fired)
-		for i, w := range sc.fired {
+	if fired := p.Dets; c.dets != nil && len(fired) == len(sc.detFired) {
+		for i, w := range fired {
+			w &= p.Lanes
 			sc.detFired[i] += uint64(bits.OnesCount64(w))
 			sc.detFail[i] += uint64(bits.OnesCount64(w & bad))
 		}
 		for w := bad & p.Lanes; w != 0 && len(sc.failures) < maxFailureSamples; w &= w - 1 {
 			lane := uint(bits.TrailingZeros64(w))
 			f := FailureSample{Shot: p.First + int(lane)}
-			for i, fw := range sc.fired {
+			for i, fw := range fired {
 				if fw>>lane&1 == 1 {
 					f.Defects = append(f.Defects, int32(i))
 				}

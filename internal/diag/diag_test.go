@@ -147,9 +147,9 @@ func TestCalibration(t *testing.T) {
 			t.Fatal(err)
 		}
 		coll := NewCollector(sched, dets)
-		// Calibration needs syndromes, not corrections: raw readout keeps
-		// d=5 cheap while exercising the same record tables.
-		res, _, _ := estimate(t, tc.d, model, tc.shots, 4, 11, false, coll, nil)
+		// The collector reads the detector words the decoder builds from
+		// each batch's fault firings.
+		res, _, _ := estimate(t, tc.d, model, tc.shots, 4, 11, true, coll, nil)
 		rep, err := coll.DetectorReport()
 		if err != nil {
 			t.Fatal(err)
@@ -170,8 +170,8 @@ func TestCalibration(t *testing.T) {
 		if rep.MaxAbsZ > 5 {
 			t.Fatalf("d=%d: max |z| = %.2f beyond the 5σ calibration tolerance", tc.d, rep.MaxAbsZ)
 		}
-		// Failure localization: raw readout at table5 rates fails often
-		// enough that samples must exist, in shot order, with defects.
+		// Failure localization: failing shots must leave samples, in shot
+		// order, with defects.
 		if res.Errors > 0 && len(rep.Failures) == 0 {
 			t.Fatalf("d=%d: %d failures but no localization samples", tc.d, res.Errors)
 		}

@@ -4,9 +4,12 @@
 // distance, the round count and the noise model; Compile lowers it in the
 // paper's order — experiment circuit, detector extraction, fault schedule
 // and, for decoded runs, the union-find decoding graph (the DEM) — and
-// Estimate samples it on the Pauli-frame sampler. The tiscc facade, the
-// estimation service and both CLIs go through this package, so every entry
-// point compiles and samples the same way and reports the same p_L.
+// Estimate samples it on the Pauli-frame sampler. A raw-readout estimate
+// walks the program for records; a decoded estimate only draws each
+// batch's fault firings and decodes in detector space, from the symptoms
+// the graph retained. The tiscc facade, the estimation service and both
+// CLIs go through this package, so every entry point compiles and samples
+// the same way and reports the same p_L.
 package experiment
 
 import (

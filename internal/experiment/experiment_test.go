@@ -179,7 +179,7 @@ func TestRunMatchesEstimate(t *testing.T) {
 			t.Fatalf("point lacks %q metrics", comp)
 		}
 	}
-	if pt.Telemetry.Labels["engine"] != "frame" || pt.Telemetry.Labels["p"] != 3e-3 || pt.Telemetry.Labels["rounds"] != 3 {
+	if pt.Telemetry.Labels["engine"] != "dem" || pt.Telemetry.Labels["p"] != 3e-3 || pt.Telemetry.Labels["rounds"] != 3 {
 		t.Fatalf("labels %v", pt.Telemetry.Labels)
 	}
 	if pt.Telemetry.Attribution == nil || pt.Telemetry.Detectors == nil {
@@ -193,6 +193,29 @@ func TestRunMatchesEstimate(t *testing.T) {
 	}
 	if len(sp.Spans()) != 1 || sp.Spans()[0].Name != "estimate" {
 		t.Fatalf("run spans %+v", sp.Spans())
+	}
+}
+
+// TestRawRunRefusesCalibration pins that detector calibration needs a
+// decoded run: detector statistics come from the detector words a decoder
+// builds, so a raw-readout run of a circuit built with detectors must
+// report an error for DemCalib rather than a table of silent detectors,
+// while its error-budget attribution still works.
+func TestRawRunRefusesCalibration(t *testing.T) {
+	circ, err := Build(Spec{Workload: Memory, Distance: 3}, true, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := circ.Compile(noise.Depolarizing(3e-3), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(RunOptions{Shots: 128, Seed: 1, DemCalib: true}); err == nil {
+		t.Fatal("a raw-readout run reported detector calibration")
+	}
+	pt, err := c.Run(RunOptions{Shots: 128, Seed: 1, Diag: true})
+	if err != nil || pt.Telemetry.Attribution == nil {
+		t.Fatalf("raw-readout attribution: %v, %v", pt, err)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"tiscc/internal/decoder"
 	"tiscc/internal/diag"
 	"tiscc/internal/frame"
 	"tiscc/internal/noise"
@@ -36,11 +37,12 @@ type Point struct {
 
 // Labels returns the manifest coordinates of the compiled experiment:
 // workload, distance, rounds, model (plus p for the depolarizing preset),
-// sampling engine and whether shots are decoded.
+// sampling engine and whether shots are decoded. The engine names the path
+// that produced the estimate: Engine(decoded).
 func (c *Compiled) Labels() map[string]any {
 	labels := map[string]any{
 		"workload": c.Spec.Workload, "d": c.Spec.Distance, "rounds": c.Spec.NumRounds(),
-		"model": c.Spec.Model.Name, "engine": "frame", "decoded": c.Graph != nil,
+		"model": c.Spec.Model.Name, "engine": Engine(c.Graph != nil), "decoded": c.Graph != nil,
 	}
 	if p, ok := c.Spec.depolarizingP(); ok {
 		labels["p"] = p
@@ -48,13 +50,25 @@ func (c *Compiled) Labels() map[string]any {
 	return labels
 }
 
+// Engine is the manifest's engine label for an estimate: "frame" when the
+// Pauli-frame sampler walks the program for records (raw readout), "dem"
+// when a decoded estimate draws fault firings only and XORs their symptoms
+// from the decoding graph's detector error model.
+func Engine(decoded bool) string {
+	if decoded {
+		return "dem"
+	}
+	return "frame"
+}
+
 // Run is the shared point runner behind tiscc-bench's noise sweeps and
 // orqcs -memory/-surgery: it estimates the compiled experiment's logical
 // error rate on the Pauli-frame sampler, wiring in the diagnostics
 // collector and progress stream the options ask for, and assembles the
 // point's manifest entry. Diagnostics read the firings each sampled batch
-// already carries and touch no RNG, so the result is bit-identical with and
-// without them.
+// already carries (and, decoded, the detector words the decoder built from
+// them) and touch no RNG, so the result is bit-identical with and without
+// them.
 func (c *Compiled) Run(o RunOptions) (*Point, error) {
 	sim, err := frame.New(c.Prog, c.Sched)
 	if err != nil {
@@ -63,7 +77,14 @@ func (c *Compiled) Run(o RunOptions) (*Point, error) {
 	opt := noise.Options{Shots: o.Shots, Seed: o.Seed, Workers: o.Workers, Sampler: sim}
 	var coll *diag.Collector
 	if o.Diag || o.DemCalib {
-		coll = diag.NewCollector(c.Sched, c.Detectors)
+		// Detector statistics come from the detector words a decoder
+		// builds, so only a decoded run gets them; DemCalib on a raw run
+		// is then an error instead of a report of silent detectors.
+		var dets *decoder.Detectors
+		if c.Graph != nil {
+			dets = c.Detectors
+		}
+		coll = diag.NewCollector(c.Sched, dets)
 		opt.Observer = coll
 	}
 	var pw *diag.ProgressWriter

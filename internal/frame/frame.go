@@ -36,6 +36,13 @@
 //     site<<32 | lane<<4 | branch and ascending by site, and the batch XORs
 //     each firing into its lane's frame as the instruction walk reaches the
 //     site's slot.
+//
+// The instruction walk (Batch.Run) produces records, and records are the
+// product only of raw readout, EstimateMany and the record-level test
+// oracles. A decoded estimate needs no records: its detector words are the
+// XOR of the fired faults' symptoms (internal/decoder). Its batches come
+// from Batch.Draw — lane seeds, then FiredBatch — and never walk the
+// program (SampleFired).
 package frame
 
 import (
@@ -56,6 +63,11 @@ type Sim struct {
 	sched *noise.Schedule // nil ⇒ noiseless sampling
 	ref   *orqcs.Reference
 	met   *telemetry.Set // per-batch sampler shards (orqcs.SamplerSchema)
+
+	// Per-shot measurement event counts of the program: deterministic and
+	// random measurements (resets excluded) and resets. A batch counts
+	// them × lanes, whether or not it walks the program.
+	measDet, measRandom, resets uint64
 }
 
 // New compiles a frame sampler for prog, sampling faults from sched (nil for
@@ -78,7 +90,18 @@ func newSim(prog *orqcs.Program, sched *noise.Schedule, ref *orqcs.Reference) (*
 	if sched != nil && sched.Program() != prog {
 		return nil, fmt.Errorf("frame: schedule compiled against a different program")
 	}
-	return &Sim{prog: prog, sched: sched, ref: ref, met: telemetry.NewSet(orqcs.SamplerSchema)}, nil
+	s := &Sim{prog: prog, sched: sched, ref: ref, met: telemetry.NewSet(orqcs.SamplerSchema)}
+	for i := range ref.Events {
+		switch ev := &ref.Events[i]; {
+		case ev.Reset:
+			s.resets++
+		case ev.Det:
+			s.measDet++
+		default:
+			s.measRandom++
+		}
+	}
+	return s, nil
 }
 
 // Schedule returns the fault schedule (nil for noiseless sampling).
@@ -87,8 +110,11 @@ func (s *Sim) Schedule() *noise.Schedule { return s.sched }
 // Metrics merges the sampler counters of every batch created from this Sim
 // (shots, batches, faults fired, measurement character, collapse
 // multiplications — the same schema the tableau engines report, so counters
-// are comparable across engines). Only call at quiescence: after the runs
-// using this Sim's batches have returned.
+// are comparable across engines). Every batch counts shots, batches, faults
+// fired and the measurement and reset events; collapse multiplications
+// happen only in the instruction walk (Run), so fire-only batches (Draw)
+// add none. Only call at quiescence: after the runs using this Sim's
+// batches have returned.
 func (s *Sim) Metrics() *telemetry.Snapshot { return s.met.Snapshot() }
 
 // Op is one Pauli operator resolved against the sampler's reference shot,
@@ -189,28 +215,25 @@ func (s *Sim) NewBatch() *Batch {
 		coins: make([]uint64, 64),
 		tel:   s.met.NewShard(),
 	}
-	// The record plane is the record prefix of the outcome words: the
-	// sampler writes it in place and hands it on without copying.
-	b.p.Words = b.out[:len(s.ref.Words)]
 	return b
 }
 
-// Run samples shot lanes for the global shot indices [first, first+count),
-// count ≤ 64, each lane seeded with orqcs.ShotSeed(seed, index) — the same
-// per-shot derivation every tableau multi-shot runner uses, so batch
-// boundaries and worker counts can never shift a shot's outcome. After Run,
-// outcome and frame words are valid until the next Run. Zero allocations.
+// Draw draws the fault firings of shot lanes for the global shot indices
+// [first, first+count), count ≤ 64, each lane seeded with
+// orqcs.ShotSeed(seed, index) — the same per-shot derivation every tableau
+// multi-shot runner uses, so batch boundaries and worker counts can never
+// shift a shot's outcome. It walks no instruction: the planes carry the
+// lanes and Fired, and no record words. Zero allocations.
 //
 //tiscc:hotpath
-func (b *Batch) Run(first, count int, seed int64) {
+func (b *Batch) Draw(first, count int, seed int64) {
 	if count < 1 || count > 64 {
 		panic("frame: batch size must be 1..64")
 	}
 	s := b.sim
 	b.p.First, b.p.N = first, count
 	b.p.Lanes = ^uint64(0) >> uint(64-count)
-	clear(b.fx)
-	clear(b.fz)
+	b.p.Words = nil
 	for i := 0; i < count; i++ {
 		b.coins[i] = uint64(orqcs.ShotSeed(seed, first+i))
 	}
@@ -220,8 +243,28 @@ func (b *Batch) Run(first, count int, seed int64) {
 		b.fired = s.sched.FiredBatch(b.coins[:count], b.fired)
 	}
 	b.p.Fired = b.fired
-	b.tel.Add(orqcs.CtrShots, uint64(count))
+	n := uint64(count)
+	b.tel.Add(orqcs.CtrShots, n)
 	b.tel.Inc(orqcs.CtrBatches)
+	b.tel.Add(orqcs.CtrFaultsFired, uint64(len(b.fired)))
+	b.tel.Observe(orqcs.HistFaultsPerBatch, uint64(len(b.fired)))
+	b.tel.Add(orqcs.CtrMeasDet, s.measDet*n)
+	b.tel.Add(orqcs.CtrMeasRandom, s.measRandom*n)
+	b.tel.Add(orqcs.CtrResets, s.resets*n)
+}
+
+// Run samples shot lanes as Draw does and walks the program: the frames
+// take each firing at its slot and every measurement writes its outcome
+// word. After Run, outcome and frame words are valid until the next Run or
+// Draw. Zero allocations.
+//
+//tiscc:hotpath
+func (b *Batch) Run(first, count int, seed int64) {
+	b.Draw(first, count, seed)
+	s := b.sim
+	b.p.Words = b.out[:len(s.ref.Words)]
+	clear(b.fx)
+	clear(b.fz)
 	instrs := s.prog.Instructions()
 	evi, fi := 0, 0 // next measurement event, next firing
 	for i := range instrs {
@@ -240,8 +283,6 @@ func (b *Batch) Run(first, count int, seed int64) {
 	if fi < len(b.fired) {
 		b.applyFired(fi, s.sched.SlotEnd(len(instrs)))
 	}
-	b.tel.Add(orqcs.CtrFaultsFired, uint64(len(b.fired)))
-	b.tel.Observe(orqcs.HistFaultsPerBatch, uint64(len(b.fired)))
 }
 
 // applyFired XORs the batch's firings from index fi up to the first at a
@@ -278,9 +319,6 @@ func (b *Batch) measure(evi int) {
 	ev := &s.ref.Events[evi]
 	q := ev.Q
 	if ev.Det {
-		if !ev.Reset {
-			b.tel.Add(orqcs.CtrMeasDet, uint64(b.p.N))
-		}
 		// A frame X on q flips the forced outcome; nothing else can.
 		w := b.fx[q]
 		if ev.Ref {
@@ -288,9 +326,6 @@ func (b *Batch) measure(evi int) {
 		}
 		b.out[ev.Slot] = w
 	} else {
-		if !ev.Reset {
-			b.tel.Add(orqcs.CtrMeasRandom, uint64(b.p.N))
-		}
 		// Fresh per-lane coins: bit 33 of the SplitMix64 output is exactly
 		// the engine rand source's Intn(2) draw.
 		var c uint64
@@ -320,7 +355,6 @@ func (b *Batch) measure(evi int) {
 		}
 	}
 	if ev.Reset {
-		b.tel.Add(orqcs.CtrResets, uint64(b.p.N))
 		// The conditional X cancels the frame's X component exactly (both
 		// the lane and the reference end in |0⟩); the Z component is a
 		// global phase on a Z eigenstate. Frames are canonical: cleared.
@@ -329,8 +363,10 @@ func (b *Batch) measure(evi int) {
 	}
 }
 
-// Planes returns the batch's record plane: valid after Run, until the next
-// Run. Its words are the batch's own outcome words, not a copy.
+// Planes returns the batch's planes: valid after Run or Draw, until the
+// next one. After Run its record words are the record prefix of the
+// batch's own outcome words, written in place, not a copy; after Draw it
+// carries no record words.
 func (b *Batch) Planes() *noise.Planes { return &b.p }
 
 // Records fills and returns the batch's reusable record table with lane

@@ -1,9 +1,11 @@
 package frame_test
 
 import (
+	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -309,12 +311,17 @@ func TestFrameEstimateManyMatchesTableau(t *testing.T) {
 	}
 }
 
-// tableauSampler is the bit-sliced tableau as a noise.RecordSampler, the
-// estimator-level oracle for the frame sampler: shot i runs under
-// ShotSeed(seed, i) and is handed on as a one-lane plane.
+// tableauSampler is the bit-sliced tableau as a noise.Sampler, the
+// estimator-level oracle for the frame sampler's raw readout: shot i runs
+// under ShotSeed(seed, i) and is handed on as a one-lane record plane. It
+// hands over records, not firings.
 type tableauSampler struct{ sched *noise.Schedule }
 
 func (ts tableauSampler) Schedule() *noise.Schedule { return ts.sched }
+
+func (ts tableauSampler) SampleFired(int, int64, int, func(*noise.Planes) error) error {
+	return errors.New("tableau sampler: hands over records, not firings")
+}
 
 func (ts tableauSampler) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
 	nrec := ts.sched.Program().NumRecords()
@@ -418,6 +425,18 @@ func TestFrameBatchAllocs(t *testing.T) {
 		}
 		_ = sink
 	})
+	t.Run("fire-only", func(t *testing.T) {
+		bi := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			if err := b.SampleFiredBatch(bi, 64*20+37, 1, func(*noise.Planes) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+			bi++
+		})
+		if allocs != 0 {
+			t.Fatalf("fire-only batch loop allocates %v per batch, want 0", allocs)
+		}
+	})
 	t.Run("records", func(t *testing.T) {
 		b.Run(0, 64, 1) // warm the record map
 		b.Records(0)
@@ -481,6 +500,71 @@ func TestSamplePlanesMatchesRecords(t *testing.T) {
 					if !ok {
 						t.Fatalf("workers=%d: shot %d never sampled", workers, shot)
 					}
+				}
+			}
+		})
+	}
+}
+
+// TestSampleFiredMatchesPlanes pins the fire-only planes against the record
+// planes of the same shots: each batch has the same lanes and the same
+// Fired list and carries no record words, at every worker count. The
+// sampler's counters stay honest without the walk: shots, batches, faults
+// fired, the faults-per-batch histogram and the measurement and reset
+// counts equal the record run's, and only the walk's collapse
+// multiplications stay at zero.
+func TestSampleFiredMatchesPlanes(t *testing.T) {
+	const shots, seed = 64*3 + 21, 5
+	for _, w := range testWorkloads(t) {
+		t.Run(w.name, func(t *testing.T) {
+			rec, err := frame.New(w.prog, w.sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([][]uint64, frame.Batches(shots))
+			if err := rec.SamplePlanes(shots, seed, 1, func(p *noise.Planes) error {
+				want[p.First/64] = slices.Clone(p.Fired)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 3} {
+				fired, err := frame.New(w.prog, w.sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				seen := make([]bool, len(want))
+				err = fired.SampleFired(shots, seed, workers, func(p *noise.Planes) error {
+					mu.Lock()
+					defer mu.Unlock()
+					bi := p.First / 64
+					if len(p.Words) != 0 || p.N != min(64, shots-p.First) || p.Lanes != ^uint64(0)>>uint(64-p.N) || seen[bi] {
+						return fmt.Errorf("batch at %d: %d words, %d lanes, mask %x, seen %v", p.First, len(p.Words), p.N, p.Lanes, seen[bi])
+					}
+					seen[bi] = true
+					if !slices.Equal(p.Fired, want[bi]) {
+						return fmt.Errorf("batch at %d: fire-only firings differ from the record batch's", p.First)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if slices.Contains(seen, false) {
+					t.Fatalf("workers=%d: a batch was never sampled", workers)
+				}
+				got, ref := fired.Metrics(), rec.Metrics()
+				for _, c := range []string{"shots", "batches", "faults_fired", "meas_det", "meas_random", "resets"} {
+					if got.Counter(c) != ref.Counter(c) {
+						t.Fatalf("workers=%d: fire-only run counts %s = %d, the record run %d", workers, c, got.Counter(c), ref.Counter(c))
+					}
+				}
+				if !reflect.DeepEqual(got.Hist("faults_per_batch"), ref.Hist("faults_per_batch")) {
+					t.Fatalf("workers=%d: faults-per-batch histograms differ", workers)
+				}
+				if n := got.Counter("collapse_mults"); n != 0 {
+					t.Fatalf("workers=%d: fire-only run counted %d collapse multiplications", workers, n)
 				}
 			}
 		})

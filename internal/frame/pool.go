@@ -7,31 +7,46 @@ import (
 
 // SamplePlanes runs shots shot lanes through the frame sampler across a
 // deterministic worker pool, 64 per batch, and hands each batch's record
-// plane to visit: the noise.RecordSampler implementation that plugs the
-// engine into noise.EstimateLogicalError.
+// plane to visit: the record half of the noise.Sampler implementation that
+// plugs the engine into noise.EstimateLogicalError.
 //
 // Shot i's records derive from orqcs.ShotSeed(seed, i) regardless of worker
 // count or batch placement. visit may be called concurrently from different
 // workers (always for distinct batches); the planes are only valid for the
 // duration of the call. A non-nil error from visit stops the run.
 func (s *Sim) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
+	return s.sample("frame.SamplePlanes", shots, seed, workers, (*Batch).Run, visit)
+}
+
+// SampleFired is SamplePlanes without the instruction walk: each batch's
+// lanes draw their fault firings (Batch.Draw) and visit gets the fire-only
+// planes, the same shots' Fired lists and no record words. Decoded
+// estimates sample through it.
+func (s *Sim) SampleFired(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
+	return s.sample("frame.SampleFired", shots, seed, workers, (*Batch).Draw, visit)
+}
+
+// sample runs the batches of a shots-shot run through fill, Run or Draw,
+// across the worker pool and hands each batch's planes to visit.
+func (s *Sim) sample(op string, shots int, seed int64, workers int, fill func(b *Batch, first, count int, seed int64), visit func(p *noise.Planes) error) error {
 	if shots < 0 {
-		return &noise.OptionError{Op: "frame.SamplePlanes", Field: "Shots", Value: shots, Constraint: "must be ≥ 0"}
+		return &noise.OptionError{Op: op, Field: "Shots", Value: shots, Constraint: "must be ≥ 0"}
 	}
 	if workers < 0 {
-		return &noise.OptionError{Op: "frame.SamplePlanes", Field: "Workers", Value: workers, Constraint: "must be ≥ 0"}
+		return &noise.OptionError{Op: op, Field: "Workers", Value: workers, Constraint: "must be ≥ 0"}
 	}
 	return orqcs.RunPool(batches(shots), workers, s.NewBatch, func(b *Batch, bi int) error {
-		return b.sampleBatch(bi, shots, seed, visit)
+		return b.sampleBatch(fill, bi, shots, seed, visit)
 	})
 }
 
-// sampleBatch runs batch bi and hands its record plane to visit, with no
-// per-shot work in between.
+// sampleBatch fills batch bi of a shots-shot run — shots [64·bi, 64·bi+64),
+// every lane still seeded per shot — and hands its planes to visit, with
+// no per-shot work in between.
 //
 //tiscc:hotpath
-func (b *Batch) sampleBatch(bi, shots int, seed int64, visit func(p *noise.Planes) error) error {
-	b.runBatch(bi, shots, seed)
+func (b *Batch) sampleBatch(fill func(b *Batch, first, count int, seed int64), bi, shots int, seed int64, visit func(p *noise.Planes) error) error {
+	fill(b, bi*64, min(64, shots-bi*64), seed)
 	return visit(&b.p)
 }
 

@@ -40,16 +40,21 @@ type Options struct {
 	// Batch is the early-stopping check granularity in shots (default 256).
 	Batch int
 	// Decoder, when non-nil, replaces the raw outcome-formula readout: each
-	// shot's logical outcome is the decoder's corrected value instead of the
-	// bare XOR of the transversal records. This is how an error-correcting
+	// shot's logical outcome is the decoder's corrected value, computed in
+	// detector space from the batch's fault firings, instead of the bare
+	// XOR of the transversal records. This is how an error-correcting
 	// decoder (internal/decoder's union-find matching) plugs into the
-	// estimator without this package importing it.
+	// estimator without this package importing it. It must have been
+	// compiled against the estimated schedule (Decoder.CheckSchedule).
 	Decoder Decoder
-	// Sampler is the estimator's only record source and is required: the
+	// Sampler is the estimator's only shot source and is required: the
 	// Pauli-frame engine (internal/frame's Sim) plugs in here without this
 	// package importing it. It must have been compiled against the
-	// estimated schedule (Sampler.Schedule() == s).
-	Sampler RecordSampler
+	// estimated schedule (Sampler.Schedule() == s). A raw-readout estimate
+	// reads its record planes (SamplePlanes); a decoded estimate reads only
+	// its fire-only planes (SampleFired), so no decoded batch walks the
+	// program.
+	Sampler Sampler
 	// Observer, when non-nil, receives every sampled batch with its judged
 	// outcomes (the diagnostics layer's attribution/calibration hook).
 	// Calls may be concurrent for distinct batches and the planes are only
@@ -67,58 +72,75 @@ type Options struct {
 	Progress func(done, errors int, stopped bool)
 }
 
-// Planes is one batch of up to 64 shots in record-major form: Words[id]
-// holds measurement record id's outcome for every shot of the batch, bit i
-// for lane i, the shot with index First+i. Only the N lanes of the Lanes
-// mask are sampled; the bits of other lanes are unspecified, so every
-// consumer masks with Lanes. Words has one word per record id of the
-// program, len(Words) == Program.NumRecords().
+// Planes is one batch of up to 64 shots: lane i is the shot with index
+// First+i. Only the N lanes of the Lanes mask are sampled; the bits of
+// other lanes are unspecified, so every consumer masks with Lanes.
+//
+// A record plane (Sampler.SamplePlanes) carries the shots' measurement
+// records: Words[id] holds record id's outcome for every lane, bit i for
+// lane i, one word per record id of the program (len(Words) ==
+// Program.NumRecords()). A fire-only plane (Sampler.SampleFired) carries
+// only the fault firings and has no Words: the sampler drew the faults
+// and walked no instruction.
 type Planes struct {
 	First int      // shot index of lane 0
 	N     int      // sampled lanes: 1..64
 	Lanes uint64   // mask of the sampled lanes, the low N bits
-	Words []uint64 // record words, indexed by record id
+	Words []uint64 // record words, indexed by record id; empty on a fire-only plane
 	// Fired lists the batch's fault firings, packed
 	// site<<32 | lane<<4 | branch (FiredSite, FiredLane, FiredBranch) and
 	// ascending, exactly as Schedule.FiredBatch draws them from the lanes'
 	// shot seeds: the faults the sampler applied. Empty for a noiseless
 	// batch.
 	Fired []uint64
+	// Dets holds the batch's detector words once a Decoder has decoded
+	// it: bit i of Dets[j] is set when detector j fires on lane i. The
+	// decoder builds them from Fired and sizes the slice on first use;
+	// they stay valid until the planes are sampled again. Nil on batches
+	// no decoder has seen.
+	Dets []uint64
 }
 
 // ShotObserver receives the judged batches of an estimate: bit i of bad
 // reports whether lane i's logical outcome disagreed with the noiseless
-// reference (only the bits of p.Lanes are meaningful). Lane i's records
-// derive from orqcs.ShotSeed(Options.Seed, p.First+i). Implementations
-// must be safe for concurrent use.
+// reference (only the bits of p.Lanes are meaningful). Lane i derives from
+// orqcs.ShotSeed(Options.Seed, p.First+i). A raw-readout estimate hands
+// over record planes; a decoded one hands over fire-only planes whose
+// Dets the decoder has filled. Implementations must be safe for
+// concurrent use.
 type ShotObserver interface {
 	ObserveBatch(p *Planes, bad uint64)
 }
 
-// RecordSampler produces the record planes of noisy shots without exposing
-// an engine: shot i's records derive from orqcs.ShotSeed(seed, i) for any
-// worker count and batching; batches cover [0, shots) without overlap;
-// visit may be called concurrently for distinct batches; the planes are
-// only valid during the call; a non-nil visit error stops the run and is
-// returned. Schedule reports the fault schedule the sampler draws from.
-type RecordSampler interface {
+// Sampler produces the planes of noisy shots without exposing an engine:
+// shot i derives from orqcs.ShotSeed(seed, i) for any worker count and
+// batching; batches cover [0, shots) without overlap; visit may be called
+// concurrently for distinct batches; the planes are only valid during the
+// call; a non-nil visit error stops the run and is returned. SamplePlanes
+// hands over record planes, SampleFired fire-only planes of the same
+// shots (the same Fired lists). Schedule reports the fault schedule the
+// sampler draws from.
+type Sampler interface {
 	SamplePlanes(shots int, seed int64, workers int, visit func(p *Planes) error) error
+	SampleFired(shots int, seed int64, workers int, visit func(p *Planes) error) error
 	Schedule() *Schedule
 }
 
-// Decoder turns a batch of noisy shots' record planes into corrected
-// logical outcomes (syndrome decoding plus observable readout).
-// Implementations must be safe for concurrent use: EstimateLogicalError
-// calls DecodePlanes from every sampling worker, and the planes are only
-// valid for the duration of the call.
+// Decoder turns a batch of noisy shots' fault firings into corrected
+// logical outcomes (syndrome decoding plus observable readout) in detector
+// space: it reads p.Fired, never the record words. Implementations must be
+// safe for concurrent use: EstimateLogicalError calls DecodePlanes from
+// every sampling worker, and the planes are only valid for the duration
+// of the call.
 type Decoder interface {
-	// CheckRecords reports an error unless every record id the decoder
-	// reads lies in [0, n); the estimator calls it once before sampling
-	// n-record planes.
-	CheckRecords(n int) error
-	// DecodePlanes returns the batch's corrected outcome word (bit i is
-	// lane i's logical outcome) and the lanes on which the decoder fell
-	// back to the raw readout. Bits outside p.Lanes are unspecified.
+	// CheckSchedule reports an error unless the decoder was compiled
+	// against s: its symptoms are indexed by s's fault sites.
+	// The estimator calls it once before sampling.
+	CheckSchedule(s *Schedule) error
+	// DecodePlanes fills p.Dets from p.Fired and returns the batch's
+	// corrected outcome word (bit i is lane i's logical outcome) and the
+	// lanes on which the decoder fell back to the raw readout. Bits
+	// outside p.Lanes are unspecified.
 	DecodePlanes(p *Planes) (outcome, fallback uint64)
 }
 
@@ -194,20 +216,22 @@ func wilsonStdErr(errors, shots int) float64 {
 	return (hi - lo) / (2 * z95)
 }
 
-// EstimateLogicalError runs noisy shots of the schedule's program, decodes
-// each shot's logical outcome by evaluating the outcome formula against the
-// shot's measurement records (the paper's Sec 4.5 post-processing), and
-// reports the rate at which it disagrees with the noiseless reference,
-// with a 95% Wilson confidence interval.
+// EstimateLogicalError runs noisy shots of the schedule's program, reads
+// each shot's logical outcome — by evaluating the outcome formula against
+// the shot's measurement records (the paper's Sec 4.5 post-processing), or
+// by the decoder's correction — and reports the rate at which it disagrees
+// with the noiseless reference, with a 95% Wilson confidence interval.
 //
-// Options.Sampler is the only record source. Programs with T gates are
+// Options.Sampler is the only shot source. Programs with T gates are
 // rejected: their shots are quasi-probability branches that carry a ±√2
 // weight per T gate, so an unweighted count of their records is not a
 // physical error rate.
 //
-// Shots are sampled and judged a batch at a time on record planes (64
-// shots per frame batch): the raw readout is one word XOR per record of the
-// formula, and a decoder sees the whole batch. The run is deterministic in
+// Shots are sampled and judged a batch at a time (64 shots per frame
+// batch). The raw readout reads record planes: one word XOR per record of
+// the formula. A decoder reads fire-only planes: the sampler draws the
+// batch's faults and walks no instruction, and the decoder XORs each
+// firing's symptom into the batch's detector words. The run is deterministic in
 // (schedule, outcome, Options): error bits are folded in strict shot order
 // and early stopping truncates the fixed shot sequence only at
 // Options.Batch boundaries, so neither the worker count nor scheduling can
@@ -239,10 +263,12 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 	if reference {
 		j.ref = ^uint64(0)
 	}
+	sample := opt.Sampler.SamplePlanes
 	if opt.Decoder != nil {
-		if err := opt.Decoder.CheckRecords(nrec); err != nil {
-			return Result{}, fmt.Errorf("noise: decoder: %w", err)
+		if err := opt.Decoder.CheckSchedule(s); err != nil {
+			return Result{}, &OptionError{Op: op, Field: "Decoder", Value: err, Constraint: "must be compiled against the estimated schedule"}
 		}
+		sample = opt.Sampler.SampleFired
 	} else if outcome.HasVirtual() {
 		return Result{}, fmt.Errorf("noise: outcome formula references virtual records: %v", outcome)
 	} else if err := outcome.CheckRecords(nrec); err != nil {
@@ -284,7 +310,7 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 		}
 		return false
 	})
-	err := opt.Sampler.SamplePlanes(shots, opt.Seed, opt.Workers, func(p *Planes) error {
+	err := sample(shots, opt.Seed, opt.Workers, func(p *Planes) error {
 		bad, fb, err := j.batch(p)
 		if err != nil {
 			return err
@@ -306,11 +332,12 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 type verdict struct{ bad, fallback uint64 }
 
 // judge turns a sampled batch into its error and fallback words: via the
-// decoder when one is configured, via the raw readout formula otherwise.
+// decoder on a fire-only plane when one is configured, via the raw readout
+// formula on a record plane otherwise.
 type judge struct {
 	outcome expr.Expr
 	ref     uint64 // the reference outcome on every lane
-	nrec    int    // record words a batch must carry
+	nrec    int    // record words a record plane must carry
 	dec     Decoder
 	obs     ShotObserver
 }
@@ -321,12 +348,11 @@ type judge struct {
 //
 //tiscc:hotpath
 func (j *judge) batch(p *Planes) (bad, fallback uint64, err error) {
-	if len(p.Words) < j.nrec {
-		return 0, 0, errShortPlanes
-	}
 	var out uint64
 	if j.dec != nil {
 		out, fallback = j.dec.DecodePlanes(p)
+	} else if len(p.Words) < j.nrec {
+		return 0, 0, errShortPlanes
 	} else {
 		out = j.outcome.EvalWords(p.Words)
 	}

@@ -417,6 +417,11 @@ func (r refusedSampler) SamplePlanes(int, int64, int, func(*noise.Planes) error)
 	return nil
 }
 
+func (r refusedSampler) SampleFired(int, int64, int, func(*noise.Planes) error) error {
+	r.t.Error("the estimator sampled a T-gate program")
+	return nil
+}
+
 func (r refusedSampler) Schedule() *noise.Schedule { return r.s }
 
 // TestEstimateRejectsTGates pins that the estimator refuses programs with T
@@ -438,7 +443,7 @@ func TestEstimateRejectsTGates(t *testing.T) {
 			}
 			for _, m := range []noise.Model{noise.Ideal(), noise.Depolarizing(1e-2)} {
 				s := noise.Compile(m, prog)
-				for _, sampler := range []noise.RecordSampler{nil, refusedSampler{t, s}} {
+				for _, sampler := range []noise.Sampler{nil, refusedSampler{t, s}} {
 					res, err := noise.EstimateLogicalError(s, tc.outcome, false, noise.Options{Shots: 20000, Seed: 1, Sampler: sampler})
 					if err == nil || !strings.Contains(err.Error(), "T gates") {
 						t.Fatalf("model %+v, sampler %T: got %v, %v; want a T-gate error", m, sampler, res, err)
@@ -464,7 +469,7 @@ func TestEstimateSamplerOptionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := noise.Compile(noise.Depolarizing(1e-3), mem3.Prog)
-	sim := func(prog *orqcs.Program, s *noise.Schedule) noise.RecordSampler {
+	sim := func(prog *orqcs.Program, s *noise.Schedule) noise.Sampler {
 		f, err := frame.New(prog, s)
 		if err != nil {
 			t.Fatal(err)
@@ -473,7 +478,7 @@ func TestEstimateSamplerOptionErrors(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name    string
-		sampler noise.RecordSampler
+		sampler noise.Sampler
 	}{
 		{"nil", nil},
 		{"noiseless", sim(mem3.Prog, nil)},

@@ -26,7 +26,8 @@ import (
 
 // FormatVersion is the artifact wire-format version. Decoders reject any
 // other version: artifacts never migrate silently across format changes.
-const FormatVersion uint16 = 1
+// Version 2 added the decoding graph's symptom table.
+const FormatVersion uint16 = 2
 
 // artifactMagic leads every container, so a foreign file fails fast.
 const artifactMagic = "TSCA"
@@ -230,13 +231,14 @@ func DecodeBundle(data []byte) (*Artifact, error) {
 	if a.Graph, err = DecodeGraph(subs[2]); err != nil {
 		return nil, fmt.Errorf("serve: bundle graph: %w", err)
 	}
-	// Estimates read the outcome, observable and detector records straight
-	// out of the program's record planes: every id must index one.
-	n := a.Prog.NumRecords()
-	if err := a.Outcome.CheckRecords(n); err != nil {
+	// Raw estimates read the outcome's records straight out of the
+	// program's record planes, so every id must index one; decoded
+	// estimates index the graph's symptom table by the schedule's fault
+	// sites, so the graph must have been compiled against it.
+	if err := a.Outcome.CheckRecords(a.Prog.NumRecords()); err != nil {
 		return nil, fmt.Errorf("serve: bundle outcome: %w", err)
 	}
-	if err := a.Graph.CheckRecords(n); err != nil {
+	if err := a.Graph.CheckSchedule(a.Sched); err != nil {
 		return nil, fmt.Errorf("serve: bundle graph: %w", err)
 	}
 	a.ProgBytes, a.SchedBytes, a.GraphBytes = len(subs[0]), len(subs[1]), len(subs[2])

@@ -2,9 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tiscc/internal/decoder"
@@ -314,12 +317,48 @@ func FuzzDecodeSchedule(f *testing.F) {
 	})
 }
 
+// foreignGraphBundle is a CRC-valid bundle whose graph was compiled
+// against the Table 5 schedule of the program its Depolarizing schedule
+// belongs to: its symptom table numbers other fault sites.
+func foreignGraphBundle(t testing.TB) []byte {
+	art, err := CompileArtifact(Key{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: 1e-3})
+	if err != nil {
+		t.Fatalf("CompileArtifact: %v", err)
+	}
+	other, err := CompileArtifact(Key{Workload: WorkloadMemory, Distance: 3, Model: ModelTable5})
+	if err != nil {
+		t.Fatalf("CompileArtifact: %v", err)
+	}
+	bad := *art
+	bad.Graph = other.Graph
+	return EncodeBundle(&bad)
+}
+
+// TestDecodeBundleRejectsForeignGraph pins the bundle's schedule binding:
+// decoded estimates index the graph's symptom table by the schedule's
+// fault sites and their kinds, so a graph compiled against another schedule
+// must fail to decode instead of decoding the wrong faults.
+func TestDecodeBundleRejectsForeignGraph(t *testing.T) {
+	if _, err := DecodeBundle(foreignGraphBundle(t)); err == nil {
+		t.Fatal("a bundle whose graph belongs to another schedule decoded")
+	}
+}
+
 func FuzzDecodeGraph(f *testing.F) {
 	art, err := CompileArtifact(Key{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: 1e-3})
 	if err != nil {
 		f.Fatalf("CompileArtifact: %v", err)
 	}
 	fuzzCorpus(f, EncodeGraph(art.Graph))
+	// CRC-valid damage to the symptom table at the payload's tail: the
+	// last detector ids out of range, and missing ids.
+	payload := decoder.AppendGraph(nil, art.Graph)
+	for _, last := range []uint32{math.MaxInt32, math.MaxUint32} {
+		bad := slices.Clone(payload)
+		binary.LittleEndian.PutUint32(bad[len(bad)-4:], last)
+		f.Add(encodeContainer(kindGraph, bad))
+	}
+	f.Add(encodeContainer(kindGraph, payload[:len(payload)-4]))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _ = DecodeGraph(data) // must not panic
 	})
@@ -331,13 +370,15 @@ func FuzzDecodeBundle(f *testing.F) {
 		f.Fatalf("CompileArtifact: %v", err)
 	}
 	fuzzCorpus(f, EncodeBundle(art))
+	f.Add(foreignGraphBundle(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeBundle(data) // must not panic
 		if err != nil {
 			return
 		}
 		// A bundle that decodes must also estimate without panicking: its
-		// record ids all index the program's record planes.
+		// record ids all index the program's record planes, and its
+		// symptom table covers the schedule's fault sites and kinds.
 		_, _ = experiment.Estimate(a.Sched, a.Outcome, a.Reference,
 			noise.Options{Shots: 64, Seed: 1, Workers: 1, Decoder: a.Graph})
 	})

@@ -2,6 +2,7 @@ package tiscc_test
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tiscc"
@@ -74,11 +76,35 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
-// tableauSampler is the bit-sliced tableau as a noise.RecordSampler: shot i
-// runs under ShotSeed(seed, i) and is handed on as a one-lane plane.
+// tableauSampler is the bit-sliced tableau as a noise.Sampler: shot i runs
+// under ShotSeed(seed, i) and is handed on as a one-lane record plane. It
+// hands over records, not firings, so it serves raw estimates only;
+// decoded cases are judged through the record oracle (tableauDecodedErrors).
 type tableauSampler struct{ sched *noise.Schedule }
 
 func (ts tableauSampler) Schedule() *noise.Schedule { return ts.sched }
+
+func (ts tableauSampler) SampleFired(int, int64, int, func(*noise.Planes) error) error {
+	return errors.New("tableau sampler: hands over records, not firings")
+}
+
+// tableauDecodedErrors counts the tableau shots of [0, shots) whose record
+// tables, decoded through the record oracle (DecodeOutcome), disagree with
+// the reference outcome.
+func tableauDecodedErrors(t *testing.T, sched *noise.Schedule, g *tiscc.DecoderGraph, reference bool, shots int, seed int64, workers int) int {
+	t.Helper()
+	var errs atomic.Int64
+	err := sched.RunShots(shots, seed, workers, func(_ int, e *orqcs.Engine) error {
+		if g.DecodeOutcome(e.Records()) != reference {
+			errs.Add(1)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int(errs.Load())
+}
 
 func (ts tableauSampler) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
 	nrec := ts.sched.Program().NumRecords()
@@ -95,8 +121,10 @@ func (ts tableauSampler) SamplePlanes(shots int, seed int64, workers int, visit 
 
 // TestEstimateLogicalErrorMatchesTableau checks that the facade's
 // lower-level EstimateLogicalError, which samples on the Pauli-frame engine
-// by default, returns exactly the result of the estimator sampling on the
-// bit-sliced tableau, raw and decoded, for memory and surgery.
+// by default, agrees exactly with the bit-sliced tableau for memory and
+// surgery: raw, it returns the result of the estimator sampling on the
+// tableau; decoded (in detector space, from fault firings), it counts the
+// errors of the tableau's records decoded shot by shot.
 func TestEstimateLogicalErrorMatchesTableau(t *testing.T) {
 	m := tiscc.DepolarizingNoise(agreementP)
 	mem, err := tiscc.CompileMemoryExperiment(3, 3)
@@ -122,7 +150,7 @@ func TestEstimateLogicalErrorMatchesTableau(t *testing.T) {
 		sched     *tiscc.FaultSchedule
 		outcome   tiscc.Expr
 		reference bool
-		decoder   noise.Decoder
+		decoder   *tiscc.DecoderGraph
 	}{
 		{"memory-raw", memSched, mem.Outcome, mem.Reference, nil},
 		{"memory-decoded", memSched, mem.Outcome, mem.Reference, memGraph},
@@ -130,10 +158,21 @@ func TestEstimateLogicalErrorMatchesTableau(t *testing.T) {
 		{"surgery-decoded", surSched, sur.Outcome, sur.Reference, surGraph},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := tiscc.LogicalErrorOptions{Shots: 300, Seed: 4, Workers: 2, Decoder: tc.decoder}
+			opt := tiscc.LogicalErrorOptions{Shots: 300, Seed: 4, Workers: 2}
+			if tc.decoder != nil {
+				opt.Decoder = tc.decoder
+			}
 			got, err := tiscc.EstimateLogicalError(tc.sched, tc.outcome, tc.reference, opt)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.decoder != nil {
+				want := tableauDecodedErrors(t, tc.sched, tc.decoder, tc.reference, opt.Shots, opt.Seed, opt.Workers)
+				if got.Shots != opt.Shots || got.Errors != want || got.RawFallbacks != 0 {
+					t.Fatalf("decoded estimate %d/%d errors (%d fallbacks), tableau record oracle %d/%d",
+						got.Errors, got.Shots, got.RawFallbacks, want, opt.Shots)
+				}
+				return
 			}
 			opt.Sampler = tableauSampler{tc.sched}
 			want, err := noise.EstimateLogicalError(tc.sched, tc.outcome, tc.reference, opt)
