@@ -757,7 +757,7 @@ func BenchmarkEstimateManyVsThreePasses(b *testing.B) {
 	b.Run("three-estimatebatch-passes", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for j, op := range ops {
-				if _, _, err := orqcs.EstimateBatch(prog, op, shots, int64(j)*131+1, 1); err != nil {
+				if _, _, err := orqcs.EstimateMany(prog, nil, []orqcs.SitePauli{op}, shots, int64(j)*131+1, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -765,7 +765,7 @@ func BenchmarkEstimateManyVsThreePasses(b *testing.B) {
 	})
 	b.Run("one-estimatemany-pass", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := orqcs.EstimateMany(prog, ops, shots, 1, 1); err != nil {
+			if _, _, err := orqcs.EstimateMany(prog, nil, ops, shots, 1, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

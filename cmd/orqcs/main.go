@@ -24,7 +24,8 @@
 // circuits (bit-identical records, O(faults) per shot) and on the
 // bit-sliced tableau, whose weighted quasi-probability branches handle T
 // gates, otherwise. Logical error rates (-memory, -surgery) always sample
-// on the frame engine.
+// fault firings on the frame engine and read them through a fault-effect
+// table, raw or decoded.
 //
 // -memory runs a compiled distance-d logical memory experiment instead of a
 // circuit file: with -noise p it estimates the logical error rate, with
@@ -315,7 +316,7 @@ func runExperiment(workload, dspec string, noiseP float64, decode bool, demFile,
 		man := telemetry.NewManifest("orqcs")
 		man.Config = map[string]any{
 			"noise": noiseP, "shots": ro.Shots, "seed": ro.Seed,
-			"workers": ro.Workers, "engine": experiment.Engine(decode), "decode": decode,
+			"workers": ro.Workers, "decode": decode,
 		}
 		man.AddPoint(pt)
 		man.Finish(sp)
@@ -343,7 +344,7 @@ func runExperiment(workload, dspec string, noiseP float64, decode bool, demFile,
 	}
 	defer closeProg()
 	ro.Progress, ro.Spans = progW, sp
-	ro.Label = fmt.Sprintf("%s p=%g engine=frame", workload, noiseP)
+	ro.Label = fmt.Sprintf("%s p=%g", workload, noiseP)
 	pt, err := c.Run(ro)
 	if err != nil {
 		fatal(err)

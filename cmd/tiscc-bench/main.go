@@ -269,7 +269,7 @@ func runNoiseSweep(cfg sweepConfig) {
 	}
 	man.Config = map[string]any{
 		"workload": workload, "model": cfg.model, "shots": cfg.run.Shots,
-		"seed": cfg.run.Seed, "workers": cfg.run.Workers, "engine": experiment.Engine(cfg.decode),
+		"seed": cfg.run.Seed, "workers": cfg.run.Workers,
 		"decode": cfg.decode, "rounds": cfg.rounds,
 	}
 	// The progress stream is shared by every point of the sweep; point labels
@@ -292,7 +292,7 @@ func runNoiseSweep(cfg sweepConfig) {
 		if cfg.decode {
 			mode = "union-find decoded syndrome history"
 		}
-		fmt.Printf("model=%s, shots=%d/point, seed=%d, engine=frame (%s)\n",
+		fmt.Printf("model=%s, shots=%d/point, seed=%d (%s)\n",
 			cfg.model, cfg.run.Shots, cfg.run.Seed, mode)
 	}
 	for _, d := range cfg.ds {
@@ -322,7 +322,7 @@ func runNoiseSweep(cfg sweepConfig) {
 				label = fmt.Sprintf("%.1e", m.P1)
 				point = "p=" + label
 			}
-			cfg.run.Label = fmt.Sprintf("%s d=%d %s engine=frame", workload, d, point)
+			cfg.run.Label = fmt.Sprintf("%s d=%d %s", workload, d, point)
 			pt, err := c.Run(cfg.run)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "noise sweep:", err)

@@ -35,7 +35,7 @@ func BenchmarkDecode(b *testing.B) {
 		for first := 0; first < 256; first += 64 {
 			batch.Run(first, 64, 1)
 			p := *batch.Planes()
-			p.Words, p.Fired = nil, slices.Clone(p.Fired)
+			p.Fired = slices.Clone(p.Fired)
 			planes = append(planes, p)
 			for lane := range 64 {
 				shots = append(shots, maps.Clone(batch.Records(lane)))

@@ -214,12 +214,12 @@ func TestFrameMatchesTableauDiff(t *testing.T) {
 // requires at least minChecked non-trivial branches.
 func checkFrameMatchesTableau(t *testing.T, prog *orqcs.Program, det *Detectors, sched *noise.Schedule, minChecked int) {
 	t.Helper()
-	var frameSyms []mechanism
-	err := forEachMechanism(det, sched, nil, func(m mechanism) error {
-		frameSyms = append(frameSyms, mechanism{
-			p:    m.p,
-			dets: append([]int32(nil), m.dets...),
-			obs:  m.obs,
+	var frameSyms []noise.Mechanism
+	err := forEachMechanism(det, sched, func(m noise.Mechanism) error {
+		frameSyms = append(frameSyms, noise.Mechanism{
+			P:    m.P,
+			Dets: append([]int32(nil), m.Dets...),
+			Obs:  m.Obs,
 		})
 		return nil
 	})
@@ -254,9 +254,9 @@ func checkFrameMatchesTableau(t *testing.T, prog *orqcs.Program, det *Detectors,
 				}
 				m := frameSyms[k]
 				k++
-				if !equalIDs(fired, m.dets) || obsFlip != m.obs || p != m.p {
+				if !equalIDs(fired, m.Dets) || obsFlip != m.Obs || p != m.P {
 					t.Fatalf("slot %d fault %+v branch %d: tableau (%v, obs %v, p %g) vs frame (%v, obs %v, p %g)",
-						slot, f, b, fired, obsFlip, p, m.dets, m.obs, m.p)
+						slot, f, b, fired, obsFlip, p, m.Dets, m.Obs, m.P)
 				}
 			}
 		}

@@ -31,25 +31,29 @@ func WriteDEM(w io.Writer, d *Detectors, s *noise.Schedule) error {
 	var ordered []sym
 	index := map[string]int{}
 	keyBuf := make([]byte, 0, 64)
-	err := forEachMechanism(d, s, nil, func(m mechanism) error {
+	eff, err := compileEffects(d, s)
+	if err != nil {
+		return err
+	}
+	err = eff.EachMechanism(s, func(m noise.Mechanism) error {
 		keyBuf = keyBuf[:0]
-		for _, di := range m.dets {
+		for _, di := range m.Dets {
 			keyBuf = append(keyBuf,
 				byte(di), byte(di>>8), byte(di>>16), byte(di>>24))
 		}
-		if m.obs {
+		if m.Obs {
 			keyBuf = append(keyBuf, 1)
 		}
 		k := string(keyBuf)
 		if i, ok := index[k]; ok {
-			ordered[i].p = mergeP(ordered[i].p, m.p)
+			ordered[i].p = mergeP(ordered[i].p, m.P)
 			return nil
 		}
 		index[k] = len(ordered)
 		ordered = append(ordered, sym{
-			dets: append([]int32(nil), m.dets...),
-			obs:  m.obs,
-			p:    m.p,
+			dets: append([]int32(nil), m.Dets...),
+			obs:  m.Obs,
+			p:    m.P,
 		})
 		return nil
 	})

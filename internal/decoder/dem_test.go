@@ -81,12 +81,12 @@ func TestDEMRoundTrip(t *testing.T) {
 			}
 			// Independent aggregation with the exact merge rule of WriteDEM.
 			wantP := map[string]float64{}
-			err = forEachMechanism(det, sched, nil, func(m mechanism) error {
-				k := demKey(m.dets, m.obs)
+			err = forEachMechanism(det, sched, func(m noise.Mechanism) error {
+				k := demKey(m.Dets, m.Obs)
 				if p, ok := wantP[k]; ok {
-					wantP[k] = mergeP(p, m.p)
+					wantP[k] = mergeP(p, m.P)
 				} else {
-					wantP[k] = m.p
+					wantP[k] = m.P
 				}
 				return nil
 			})
@@ -139,12 +139,12 @@ func TestWriteDEMSkipsZeroProbability(t *testing.T) {
 
 	// Independent aggregation with WriteDEM's merge rule, split by zero/nonzero.
 	wantP := map[string]float64{}
-	if err := forEachMechanism(det, sched, nil, func(m mechanism) error {
-		k := demKey(m.dets, m.obs)
+	if err := forEachMechanism(det, sched, func(m noise.Mechanism) error {
+		k := demKey(m.Dets, m.Obs)
 		if p, ok := wantP[k]; ok {
-			wantP[k] = mergeP(p, m.p)
+			wantP[k] = mergeP(p, m.P)
 		} else {
-			wantP[k] = m.p
+			wantP[k] = m.P
 		}
 		return nil
 	}); err != nil {

@@ -13,14 +13,16 @@
 //     deterministic, plus the logical observable's record set;
 //   - decoding-graph construction (CompileGraph): one backward pass over
 //     the lowered instruction stream, 64 detectors per lane group (Stim's
-//     backward sensitivity propagation), yields the detectors each fault
-//     branch of a compiled noise Schedule flips and whether it flips the
-//     observable; those compile into a weighted matching graph, cached
-//     once per (program, model) exactly like the fault schedule itself,
-//     whose graphlike circuit distance Graph.Distance certifies;
+//     backward sensitivity propagation, noise.CompileEffects), yields the
+//     effect table of a compiled noise Schedule — the detectors each fault
+//     component flips and whether it flips the observable — and proves
+//     every detector deterministic; each branch's mechanism, the XOR of its
+//     components', compiles into a weighted matching graph, cached once per
+//     (program, model) exactly like the fault schedule itself, whose
+//     graphlike circuit distance Graph.Distance certifies;
 //   - union-find decoding (Graph.DecodePlanes): per 64-shot batch of fault
-//     firings, each detector's word is the XOR of the symptoms the graph
-//     retained for the fired branches — no record is read and no
+//     firings, each detector's word is the XOR of the symptoms the graph's
+//     retained effect table gives the fired branches — no record is read and no
 //     instruction walked; lanes with an empty syndrome skip decoding, and
 //     each other lane's fired detectors are clustered by
 //     Delfosse–Nickerson-style growth with boundary absorption and peeled
@@ -36,7 +38,6 @@ import (
 	"tiscc/internal/core"
 	"tiscc/internal/expr"
 	"tiscc/internal/frame"
-	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
 	"tiscc/internal/verify"
@@ -96,8 +97,8 @@ func (d *Detectors) observable() expr.Expr {
 
 // CheckRecords reports an error unless every record id the detectors and
 // the observable read lies in [0, n): the structure must pass it before it
-// reads n-record planes (detectors decoded from the wire name arbitrary
-// ids).
+// reads a batch of n record words (detectors decoded from the wire name
+// arbitrary ids).
 func (d *Detectors) CheckRecords(n int) error {
 	if err := d.observable().CheckRecords(n); err != nil {
 		return fmt.Errorf("decoder: observable: %w", err)
@@ -110,14 +111,15 @@ func (d *Detectors) CheckRecords(n int) error {
 	return nil
 }
 
-// Fire is the record-plane detector word kernel: it sets fired[i]
-// (len(fired) ≥ NumDetectors) to the lanes of p on which detector i fires
-// — Ref XORed with the words of its records, masked to p.Lanes — and
+// Fire is the record-word detector kernel: given a batch's record words
+// (frame.Batch.RecordWords, one per record id, bit i for lane i), it sets
+// fired[i] (len(fired) ≥ NumDetectors) to the lanes on which detector i
+// fires — Ref XORed with the words of its records, masked to lanes — and
 // returns the lanes whose syndrome is non-empty. One XOR covers a whole
 // 64-shot batch. Detector extraction checks its reference values through
 // it, and the tests hold decoded batches' detector words (Planes.Dets)
 // against it; decoded estimates never read records.
-func (d *Detectors) Fire(p *noise.Planes, fired []uint64) (live uint64) {
+func (d *Detectors) Fire(words []uint64, lanes uint64, fired []uint64) (live uint64) {
 	for i := range d.Dets {
 		det := &d.Dets[i]
 		var w uint64
@@ -125,9 +127,9 @@ func (d *Detectors) Fire(p *noise.Planes, fired []uint64) (live uint64) {
 			w = ^w
 		}
 		for _, id := range det.Recs {
-			w ^= p.Words[id]
+			w ^= words[id]
 		}
-		w &= p.Lanes
+		w &= lanes
 		fired[i] = w
 		live |= w
 	}
@@ -254,20 +256,20 @@ func (d *Detectors) referenceValues(prog *orqcs.Program, wantObs bool) error {
 	}
 	b := sim.NewBatch()
 	b.Run(0, 64, 2)
-	p := b.Planes()
+	words, lanes := b.RecordWords(), b.Planes().Lanes
 	for i := range d.Dets {
-		d.Dets[i].Ref = expr.Expr{IDs: d.Dets[i].Recs}.EvalWords(p.Words)&1 == 1
+		d.Dets[i].Ref = expr.Expr{IDs: d.Dets[i].Recs}.EvalWords(words)&1 == 1
 	}
 	fired := make([]uint64, len(d.Dets))
-	if d.Fire(p, fired) != 0 {
+	if d.Fire(words, lanes, fired) != 0 {
 		i := slices.IndexFunc(fired, func(w uint64) bool { return w != 0 })
 		return fmt.Errorf("decoder: detector %d (%v round %d) is not deterministic", i, d.Dets[i].Face, d.Dets[i].Round)
 	}
 	want := uint64(0)
 	if wantObs {
-		want = p.Lanes
+		want = lanes
 	}
-	if got := d.observable().EvalWords(p.Words) & p.Lanes; got != want {
+	if got := d.observable().EvalWords(words) & lanes; got != want {
 		return fmt.Errorf("decoder: noiseless observable lanes %#x, reference says %v", got, wantObs)
 	}
 	return nil

@@ -46,14 +46,14 @@ func demCases(t *testing.T) []demCase {
 // demModels are a dense uniform model and the paper's Table 5 model.
 var demModels = []noise.Model{noise.Depolarizing(1e-2), noise.PaperTable5(hardware.Default())}
 
-// TestDEMMatchesSampler checks the graph's retained symptom table against
-// the sampler exactly: on every batch of record planes, XORing the
+// TestDEMMatchesSampler checks the graph's retained effect table against
+// the sampler exactly: on every batch the frame sampler runs, XORing the
 // symptoms of the batch's firings (the decoded estimate's detector words,
-// Graph.fire) must reproduce, bit for bit, the detector words Detectors.Fire
-// reads off the records and the lanes on which the observable differs from
-// its noiseless reference. It covers memory d=3..9 and surgery d=3,5 under
-// a dense uniform model and the paper's Table 5 model, sampled at one, two
-// and four workers.
+// noise.Effects.Fire) must reproduce, bit for bit, the detector words
+// Detectors.Fire reads off the batch's record words and the lanes on which
+// the observable differs from its noiseless reference. It covers memory
+// d=3..9 and surgery d=3,5 under a dense uniform model and the paper's
+// Table 5 model, batches spread over one, two and four workers.
 func TestDEMMatchesSampler(t *testing.T) {
 	const shots, seed = 512, 11
 	for _, c := range demCases(t) {
@@ -67,14 +67,16 @@ func TestDEMMatchesSampler(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("%s/%s/workers=%d", c.name, m.Name, workers), func(t *testing.T) {
 					var fires, obsFlips atomic.Int64
-					err := sim.SamplePlanes(shots, seed, workers, func(p *noise.Planes) error {
+					err := orqcs.RunPool((shots+63)/64, workers, sim.NewBatch, func(b *frame.Batch, bi int) error {
+						b.Run(64*bi, min(64, shots-64*bi), seed)
+						p, words := b.Planes(), b.RecordWords()
 						want := make([]uint64, c.det.NumDetectors())
-						c.det.Fire(p, want)
-						wantObs := c.det.observable().EvalWords(p.Words)
+						c.det.Fire(words, p.Lanes, want)
+						wantObs := c.det.observable().EvalWords(words)
 						if c.det.ObsRef {
 							wantObs = ^wantObs
 						}
-						got, obs := g.fire(p)
+						got, obs := g.eff.Fire(p)
 						for di := range want {
 							if got[di]&p.Lanes != want[di] {
 								return fmt.Errorf("batch at %d detector %d: records fire lanes %#x, symptoms %#x", p.First, di, want[di], got[di]&p.Lanes)
@@ -105,9 +107,9 @@ func TestDEMMatchesSampler(t *testing.T) {
 // record oracle — the same shots' frame records, each decoded by
 // DecodeOutcome — with no raw fallback, at one and four workers. Its
 // observer proves that no decoded batch walked the program: every batch
-// arrives without record words and with the decoder's detector words, and
-// the sampler counts no collapse multiplication (the walk's own counter)
-// while a record run of the same shots does.
+// arrives with the decoder's detector words, and the sampler counts no
+// collapse multiplication (the walk's own counter) while a record run of
+// the same shots does.
 func TestDecodedEstimateMatchesRecordOracle(t *testing.T) {
 	shots, seed := 1000, int64(5)
 	if raceEnabled {
@@ -127,7 +129,7 @@ func TestDecodedEstimateMatchesRecordOracle(t *testing.T) {
 					}
 					var walked atomic.Int64
 					obs := observerFunc(func(p *noise.Planes, bad uint64) {
-						if len(p.Words) != 0 || len(p.Dets) != c.det.NumDetectors() {
+						if len(p.Dets) != c.det.NumDetectors() {
 							walked.Add(1)
 						}
 					})
@@ -141,7 +143,7 @@ func TestDecodedEstimateMatchesRecordOracle(t *testing.T) {
 							workers, res.Errors, res.Shots, res.RawFallbacks, want, shots)
 					}
 					if n := walked.Load(); n != 0 {
-						t.Fatalf("workers=%d: %d decoded batches carried records or lacked detector words", workers, n)
+						t.Fatalf("workers=%d: %d decoded batches lacked detector words", workers, n)
 					}
 					met := sim.Metrics()
 					if met.Counter("shots") != uint64(shots) || met.Counter("collapse_mults") != 0 {

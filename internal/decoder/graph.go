@@ -45,10 +45,10 @@ type Graph struct {
 
 	boundary int32 // node id of the virtual boundary (== NumDetectors())
 
-	// sym is the retained effect table decoded batches read their detector
+	// eff is the retained effect table decoded batches read their detector
 	// words from; it binds the graph to its schedule (CheckSchedule), and
 	// bound is the last schedule that passed that check.
-	sym   symptoms
+	eff   noise.Effects
 	bound atomic.Pointer[noise.Schedule]
 
 	// Diagnostics of detector-error-model compilation.
@@ -93,17 +93,40 @@ type edgeKey struct {
 	obs  bool
 }
 
+// CheckSchedule reports an error unless the graph was compiled against s:
+// its effect table must cover s's fault sites with their kinds, and every
+// record id its detectors and observable read must lie in s's program
+// (the record-level oracles read them). It is noise.Decoder's binding
+// check, which the estimator runs before sampling. Schedules are
+// immutable, so the graph remembers the last one that passed and a cached
+// graph checks each later request against it in O(1).
+func (g *Graph) CheckSchedule(s *noise.Schedule) error {
+	if g.bound.Load() == s {
+		return nil
+	}
+	if err := g.det.CheckRecords(s.Program().NumRecords()); err != nil {
+		return err
+	}
+	if err := g.eff.CheckSchedule(s); err != nil {
+		return err
+	}
+	g.bound.Store(s)
+	return nil
+}
+
 // mergeP combines independent firing probabilities: the edge fires when an
 // odd number of its mechanisms fire.
 func mergeP(a, b float64) float64 { return a + b - 2*a*b }
 
 // CompileGraph compiles a noise schedule against a detector structure into a
 // union-find decoding graph. One backward pass over the lowered instruction
-// stream finds the symptom of every fault branch (forEachMechanism), and
-// the graph keeps those symptoms as the effect table decoded batches read.
-// Branches flipping ≤ 2 detectors become edges directly, and rarer hyper
-// mechanisms (e.g. Y-type or correlated two-qubit branches touching both
-// stabilizer types) are decomposed per stabilizer type into the graphlike
+// stream compiles the effect table of the detectors and the observable
+// (noise.CompileEffects), the graph keeps it for decoded batches to read,
+// and each fault branch's mechanism is the XOR of its components' symptoms
+// in it (noise.Effects.EachMechanism). Branches flipping ≤ 2 detectors
+// become edges directly, and rarer hyper mechanisms (e.g. Y-type or
+// correlated two-qubit branches touching both stabilizer types) are
+// decomposed per stabilizer type into the graphlike
 // edges already defined by simpler branches, which keeps every component's
 // observable effect exact. Edges are ordered by (u, v, obs) with a stable
 // sort.
@@ -145,19 +168,25 @@ func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
 	}
 
 	// Pass 1: graphlike mechanisms define the edge set.
-	var hyper []mechanism
-	err := forEachMechanism(d, s, &g.sym, func(m mechanism) error {
-		switch len(m.dets) {
+	var hyper []noise.Mechanism
+	eff, err := compileEffects(d, s)
+	if err != nil {
+		return nil, err
+	}
+	g.eff = *eff
+	err = g.eff.EachMechanism(s, func(m noise.Mechanism) error {
+		switch len(m.Dets) {
 		case 0:
 			g.undetectable++
 		case 1:
-			add(m.dets[0], g.boundary, m.obs, m.p)
-			note(m.dets[0], g.boundary, m.obs, m.p)
+			add(m.Dets[0], g.boundary, m.Obs, m.P)
+			note(m.Dets[0], g.boundary, m.Obs, m.P)
 		case 2:
-			add(m.dets[0], m.dets[1], m.obs, m.p)
-			note(m.dets[0], m.dets[1], m.obs, m.p)
+			add(m.Dets[0], m.Dets[1], m.Obs, m.P)
+			note(m.Dets[0], m.Dets[1], m.Obs, m.P)
 		default:
-			hyper = append(hyper, mechanism{p: m.p, dets: append([]int32(nil), m.dets...), obs: m.obs})
+			m.Dets = slices.Clone(m.Dets)
+			hyper = append(hyper, m)
 		}
 		return nil
 	})
@@ -174,7 +203,7 @@ func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
 		// Group by stabilizer type, preserving sorted order within groups.
 		for _, wantX := range []bool{false, true} {
 			var grp []int32
-			for _, di := range m.dets {
+			for _, di := range m.Dets {
 				if (d.Dets[di].Type == d.basis) != wantX {
 					grp = append(grp, di)
 				}
@@ -217,13 +246,13 @@ func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
 		// known edge and the components reproduce the mechanism's observable
 		// effect exactly; otherwise dropping the (rare, P/15-scale) branch is
 		// safer than poisoning an edge's correction parity.
-		if !ok || obsSum != m.obs {
+		if !ok || obsSum != m.Obs {
 			g.undecomposed++
 			continue
 		}
 		for _, c := range comps {
 			info := known[[2]int32{c[0], c[1]}]
-			add(c[0], c[1], info.obs, m.p)
+			add(c[0], c[1], info.obs, m.P)
 		}
 	}
 

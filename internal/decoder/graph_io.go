@@ -1,7 +1,7 @@
 // Binary serialization of compiled decoding graphs: the export/import hook
 // behind the compiled-artifact cache and wire format (internal/serve). The
-// payload holds the detector structure, the edge list and the symptom
-// table; adjacency CSR, scratch prototypes and the telemetry set are
+// payload holds the detector structure, the edge list and the effect
+// table (noise.AppendEffects); adjacency CSR, scratch prototypes and the telemetry set are
 // derived state rebuilt by finish on decode, so a decoded graph decodes
 // shots bit-identically to a freshly compiled one.
 package decoder
@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 
+	"tiscc/internal/noise"
 	"tiscc/internal/pauli"
 	"tiscc/internal/wire"
 )
@@ -50,12 +51,12 @@ func AppendGraph(buf []byte, g *Graph) []byte {
 		buf = wire.AppendBool(buf, e.Obs)
 		buf = wire.AppendF64(buf, e.P)
 	}
-	return appendSymptoms(buf, &g.sym, len(d.Dets))
+	return noise.AppendEffects(buf, &g.eff)
 }
 
 // DecodeGraph deserializes a graph encoded by AppendGraph, validates its
 // structural invariants (node ids within [0, boundary], positive growth
-// lengths, well-formed detector records, a symptom table within the
+// lengths, well-formed detector records, an effect table within the
 // detectors) and rebuilds the derived decoding state via finish. Hostile
 // bytes produce an error, never a panic; CheckSchedule binds the decoded
 // graph to a schedule before it decodes.
@@ -102,11 +103,11 @@ func DecodeGraph(data []byte) (*Graph, error) {
 		e.Obs = r.Bool()
 		e.P = r.F64()
 	}
-	sym, err := readSymptoms(r, nDets)
+	eff, err := noise.DecodeEffects(r, nDets)
 	if err != nil {
 		return nil, fmt.Errorf("decoder: decode graph: %w", err)
 	}
-	g.sym = *sym
+	g.eff = *eff
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("decoder: decode graph: %w", err)
 	}

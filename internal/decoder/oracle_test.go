@@ -548,7 +548,7 @@ func sampledSyndromes(t *testing.T, g *Graph, sched *noise.Schedule, batches int
 	var out [][]int32
 	for b := range batches {
 		batch.Run(64*b, 64, 1)
-		g.det.Fire(batch.Planes(), fired)
+		g.det.Fire(batch.RecordWords(), batch.Planes().Lanes, fired)
 		for lane := range 64 {
 			var defects []int32
 			for d, w := range fired {

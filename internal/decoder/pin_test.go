@@ -13,7 +13,7 @@ import (
 
 // TestDEMBytesPinned pins the exact bytes of the detector error model and of
 // the serialized decoding graph for four compiled experiments: the graph's
-// detectors and edges, and the symptom table AppendGraph appends after
+// detectors and edges, and the effect table AppendGraph appends after
 // them. Any change to mechanism enumeration order, branch probabilities,
 // edge merging, weight quantization or branch symptoms shows up here as a
 // hash mismatch, so refactors of the DEM compiler must reproduce the
@@ -23,7 +23,7 @@ func TestDEMBytesPinned(t *testing.T) {
 		name string
 		det  func(t *testing.T) (*Detectors, *noise.Schedule)
 		// SHA-256 of WriteDEM text, of the AppendGraph bytes before the
-		// symptom table, and of the symptom table's bytes.
+		// effect table, and of the effect table's bytes.
 		dem, grph, sym string
 	}{
 		{"memory-d5-Z-depol", func(t *testing.T) (*Detectors, *noise.Schedule) {
@@ -70,12 +70,12 @@ func TestDEMBytesPinned(t *testing.T) {
 			if got := sum([]byte(text.String())); got != tc.dem {
 				t.Errorf("WriteDEM sha256 %s, pinned %s", got, tc.dem)
 			}
-			all, table := AppendGraph(nil, g), appendSymptoms(nil, &g.sym, len(g.det.Dets))
+			all, table := AppendGraph(nil, g), noise.AppendEffects(nil, &g.eff)
 			if got := sum(all[:len(all)-len(table)]); got != tc.grph {
 				t.Errorf("AppendGraph sha256 (detectors and edges) %s, pinned %s", got, tc.grph)
 			}
 			if got := sum(table); got != tc.sym {
-				t.Errorf("symptom table sha256 %s, pinned %s", got, tc.sym)
+				t.Errorf("effect table sha256 %s, pinned %s", got, tc.sym)
 			}
 		})
 	}

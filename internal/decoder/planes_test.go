@@ -1,6 +1,7 @@
 package decoder
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"reflect"
@@ -43,7 +44,7 @@ func planesCases(t *testing.T) []planesCase {
 
 // TestPlanesMatchRecords compares the firing path against the record path:
 // on frame batches of memory and surgery experiments under two noise
-// models, with a partial last batch, every lane of the record plane agrees
+// models, with a partial last batch, every lane of the record words agrees
 // with the per-lane record table — each record bit, the raw outcome word
 // against Expr.Eval, the record detector words against
 // Detectors.Syndrome — and the detector-space decode of the same batch's
@@ -73,12 +74,12 @@ func TestPlanesMatchRecords(t *testing.T) {
 				nonEmpty := 0
 				for first := 0; first < shots; first += 64 {
 					b.Run(first, min(64, shots-first), seed)
-					p := b.Planes()
-					if len(p.Words) != c.prog.NumRecords() {
-						t.Fatalf("plane carries %d words, program %d records", len(p.Words), c.prog.NumRecords())
+					p, words := b.Planes(), b.RecordWords()
+					if len(words) != c.prog.NumRecords() {
+						t.Fatalf("batch carries %d record words, program %d records", len(words), c.prog.NumRecords())
 					}
-					raw := c.outcome.EvalWords(p.Words)
-					live := c.det.Fire(p, fired)
+					raw := c.outcome.EvalWords(words)
+					live := c.det.Fire(words, p.Lanes, fired)
 					out, fallback := gPlanes.DecodePlanes(p)
 					if fallback != 0 {
 						t.Fatalf("batch %d: fallback lanes %x", first/64, fallback)
@@ -91,7 +92,7 @@ func TestPlanesMatchRecords(t *testing.T) {
 					for lane := 0; lane < p.N; lane++ {
 						shot, bit := first+lane, uint(lane)
 						recs := b.Records(lane)
-						for id, w := range p.Words {
+						for id, w := range words {
 							if got := w>>bit&1 == 1; got != recs[int32(id)] {
 								t.Fatalf("shot %d record %d: plane %v, records %v", shot, id, got, recs[int32(id)])
 							}
@@ -159,7 +160,7 @@ func TestCheckRecords(t *testing.T) {
 		if err := d.CheckRecords(n); err == nil {
 			t.Errorf("%s record outside [0, %d) passed the check", name, n)
 		}
-		g := &Graph{det: d, sym: good.sym}
+		g := &Graph{det: d, eff: good.eff}
 		if _, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference,
 			withFrame(t, sched, noise.Options{Shots: 10, Decoder: g})); err == nil {
 			t.Errorf("%s: the estimator bound a decoder reading outside the program", name)
@@ -200,50 +201,41 @@ func TestCheckScheduleBindsDecoder(t *testing.T) {
 }
 
 // TestDecodeGraphRejectsBadSymptoms pins the wire validation of the
-// symptom table: a graph whose table names an unknown fault kind, a
-// detector outside the graph, detectors out of order within a component,
-// or an id count that disagrees with the component lengths fails to decode
-// with an error, and the table of a valid graph survives the trip exactly.
+// effect table a graph carries: the table of a valid graph survives the
+// trip exactly, and a graph whose table names an unknown fault kind, a
+// detector outside the graph or a truncated id list fails to decode with
+// an error. (noise's TestDecodeEffectsRejectsDamage covers the table's
+// validation case by case.)
 func TestDecodeGraphRejectsBadSymptoms(t *testing.T) {
 	mem := mustMemory(t, 3, 3, pauli.Z)
 	g := mustGraph(t, mustDetectors(t, mem), noise.Compile(noise.Depolarizing(1e-3), mem.Prog))
 	nDets := len(g.det.Dets)
 	all := AppendGraph(nil, g)
-	prefix := all[:len(all)-len(appendSymptoms(nil, &g.sym, nDets))]
+	table := noise.AppendEffects(nil, &g.eff)
+	prefix := all[:len(all)-len(table)]
 	wired, err := DecodeGraph(all)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(wired.sym, g.sym) {
-		t.Fatal("the symptom table changed on the wire")
+	if !reflect.DeepEqual(wired.eff, g.eff) {
+		t.Fatal("the effect table changed on the wire")
 	}
-	multi := -1 // a component with two or more detectors
-	for c := range len(g.sym.start) - 1 {
-		if g.sym.start[c+1]-g.sym.start[c] >= 2 {
-			multi = c
-			break
-		}
+	if nDets > 1<<16 {
+		t.Fatalf("%d detectors: the table's ids are not u16", nDets)
 	}
-	if multi < 0 {
-		t.Fatal("no component flips two detectors")
-	}
-	for name, mutate := range map[string]func(t *symptoms){
-		"fault kind": func(t *symptoms) { t.kind[0] = noise.NumFaultKinds },
-		"detector out of range": func(t *symptoms) {
-			t.dets[len(t.dets)-1] = int32(nDets)
+	// The table opens with its kinds blob (u32 length, then one byte per
+	// site) and ends with its ids blob (u16 per id).
+	for name, mutate := range map[string]func(b []byte) []byte{
+		"fault kind": func(b []byte) []byte { b[4] = noise.NumFaultKinds; return b },
+		"detector out of range": func(b []byte) []byte {
+			binary.LittleEndian.PutUint16(b[len(b)-2:], uint16(nDets))
+			return b
 		},
-		"negative detector": func(t *symptoms) { t.dets[0] = -1 },
-		"detectors out of order": func(t *symptoms) {
-			a := t.start[multi]
-			t.dets[a], t.dets[a+1] = t.dets[a+1], t.dets[a]
-		},
-		"id count": func(t *symptoms) { t.dets = append(t.dets, 0) },
+		"truncated ids": func(b []byte) []byte { return b[:len(b)-2] },
 	} {
-		bad := symptoms{kind: slices.Clone(g.sym.kind), comp: slices.Clone(g.sym.comp), start: slices.Clone(g.sym.start),
-			dets: slices.Clone(g.sym.dets), obs: slices.Clone(g.sym.obs)}
-		mutate(&bad)
-		if _, err := DecodeGraph(appendSymptoms(slices.Clone(prefix), &bad, nDets)); err == nil {
-			t.Errorf("%s: a damaged symptom table decoded", name)
+		bad := append(slices.Clone(prefix), mutate(slices.Clone(table))...)
+		if _, err := DecodeGraph(bad); err == nil {
+			t.Errorf("%s: a damaged effect table decoded", name)
 		}
 	}
 }

@@ -20,49 +20,27 @@ import (
 
 // rowMajorSampler is the row-major reference tableau as a record source:
 // one directly constructed engine per pool worker, each registering a
-// telemetry shard in met, handing each shot on as a one-lane record plane.
-// It hands over records, not firings, so decoded estimates judge it
-// through the record oracle (rowMajorErrors).
+// telemetry shard in met. It hands over records, not firings, so decoded
+// estimates judge it through the record oracle (rowMajorErrors).
 type rowMajorSampler struct {
 	sched *noise.Schedule
 	met   *telemetry.Set
-}
-
-func (r *rowMajorSampler) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
-	prog := r.sched.Program()
-	type worker struct {
-		e *orqcs.Engine
-		p noise.Planes
-	}
-	newWorker := func() *worker {
-		e := orqcs.NewFromProgramRowMajor(prog)
-		e.SetTelemetry(r.met.NewShard())
-		return &worker{e: e, p: noise.Planes{N: 1, Lanes: 1, Words: make([]uint64, prog.NumRecords())}}
-	}
-	return orqcs.RunPool(shots, workers, newWorker, func(w *worker, i int) error {
-		r.sched.RunShot(w.e, orqcs.ShotSeed(seed, i))
-		for id := range w.p.Words {
-			w.p.Words[id] = 0
-			if w.e.Records()[int32(id)] {
-				w.p.Words[id] = 1
-			}
-		}
-		w.p.First = i
-		return visit(&w.p)
-	})
 }
 
 // rowMajorErrors counts the shots of the row-major sampler whose records,
 // decoded through DecodeOutcome, disagree with the reference outcome.
 func rowMajorErrors(t *testing.T, r *rowMajorSampler, g *Graph, reference bool, shots int, seed int64, workers int) int {
 	t.Helper()
+	prog := r.sched.Program()
+	newEngine := func() *orqcs.Engine {
+		e := orqcs.NewFromProgramRowMajor(prog)
+		e.SetTelemetry(r.met.NewShard())
+		return e
+	}
 	var errs atomic.Int64
-	err := r.SamplePlanes(shots, seed, workers, func(p *noise.Planes) error {
-		recs := make(map[int32]bool, len(p.Words))
-		for id, w := range p.Words {
-			recs[int32(id)] = w&1 == 1
-		}
-		if g.DecodeOutcome(recs) != reference {
+	err := orqcs.RunPool(shots, workers, newEngine, func(e *orqcs.Engine, i int) error {
+		r.sched.RunShot(e, orqcs.ShotSeed(seed, i))
+		if g.DecodeOutcome(e.Records()) != reference {
 			errs.Add(1)
 		}
 		return nil

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"tiscc/internal/frame"
 	"tiscc/internal/hardware"
 	"tiscc/internal/noise"
 	"tiscc/internal/orqcs"
@@ -30,17 +29,17 @@ type branch struct {
 // O(branches/64 × instructions) word operations.
 type sweep struct {
 	instrs  []orqcs.Instr
-	ix      *symptomIndex
-	fx, fz  []uint64 // frame planes, bit i = lane i's X / Z on a qubit
-	detW    []uint64 // bit i = lane i flips the detector
-	hit     []bool   // detector is in touched
-	touched []int32  // detectors with a word written this group
-	dets    []int32  // per-lane symptom scratch handed to visit
+	ix      map[int32][]int32 // record → the detectors (len(detW): the observable) reading it
+	fx, fz  []uint64          // frame planes, bit i = lane i's X / Z on a qubit
+	detW    []uint64          // bit i = lane i flips the detector
+	hit     []bool            // detector is in touched
+	touched []int32           // detectors with a word written this group
+	dets    []int32           // per-lane symptom scratch handed to visit
 }
 
 // run sweeps one group of branches (sorted by slot, len ≤ 64) and visits
 // the non-trivial ones in group order.
-func (sw *sweep) run(group []branch, visit func(m mechanism) error) error {
+func (sw *sweep) run(group []branch, visit func(m noise.Mechanism) error) error {
 	clear(sw.fx)
 	clear(sw.fz)
 	var obsW uint64
@@ -72,7 +71,7 @@ func (sw *sweep) run(group []branch, visit func(m mechanism) error) error {
 			if w == 0 {
 				continue
 			}
-			for _, di := range sw.ix.of(i) {
+			for _, di := range sw.ix[in.Rec] {
 				if int(di) == len(sw.detW) {
 					obsW ^= w
 					continue
@@ -83,7 +82,7 @@ func (sw *sweep) run(group []branch, visit func(m mechanism) error) error {
 				}
 				sw.detW[di] ^= w
 			}
-		case !frame.Conjugate(in, sw.fx, sw.fz):
+		case !orqcs.Conjugate(in, sw.fx, sw.fz):
 			panic(fmt.Sprintf("decoder: non-Clifford opcode %d in frame propagation", in.Op))
 		}
 	}
@@ -103,7 +102,7 @@ func (sw *sweep) run(group []branch, visit func(m mechanism) error) error {
 		if len(sw.dets) == 0 && !obs {
 			continue
 		}
-		if err = visit(mechanism{p: group[l].p, dets: sw.dets, obs: obs}); err != nil {
+		if err = visit(noise.Mechanism{P: group[l].p, Dets: sw.dets, Obs: obs}); err != nil {
 			break
 		}
 	}
@@ -116,12 +115,20 @@ func (sw *sweep) run(group []branch, visit func(m mechanism) error) error {
 
 // forEachMechanismForward is forEachMechanism on the forward sweep: every
 // (fault, branch) in (slot, fault, branch) order, 64 branches per sweep.
-func forEachMechanismForward(d *Detectors, s *noise.Schedule, visit func(m mechanism) error) error {
+func forEachMechanismForward(d *Detectors, s *noise.Schedule, visit func(m noise.Mechanism) error) error {
 	prog := s.Program()
-	instrs := prog.Instructions()
+	ix := map[int32][]int32{}
+	for i := range d.Dets {
+		for _, rec := range d.Dets[i].Recs {
+			ix[rec] = append(ix[rec], int32(i))
+		}
+	}
+	for _, rec := range d.Obs {
+		ix[rec] = append(ix[rec], int32(len(d.Dets)))
+	}
 	sw := &sweep{
-		instrs: instrs,
-		ix:     newSymptomIndex(d, instrs),
+		instrs: prog.Instructions(),
+		ix:     ix,
 		fx:     make([]uint64, prog.NumQubits()),
 		fz:     make([]uint64, prog.NumQubits()),
 		detW:   make([]uint64, len(d.Dets)),
@@ -151,13 +158,24 @@ func forEachMechanismForward(d *Detectors, s *noise.Schedule, visit func(m mecha
 	return sw.run(group, visit)
 }
 
+// forEachMechanism is the production mechanism stream: the effect table of
+// d over s (compileEffects), each branch's mechanism read off it in (slot,
+// fault, branch) order.
+func forEachMechanism(d *Detectors, s *noise.Schedule, visit func(m noise.Mechanism) error) error {
+	eff, err := compileEffects(d, s)
+	if err != nil {
+		return err
+	}
+	return eff.EachMechanism(s, visit)
+}
+
 // collectMechanisms returns the mechanism stream of one enumerator, with
 // each symptom copied out of the enumerator's scratch.
-func collectMechanisms(t *testing.T, each func(*Detectors, *noise.Schedule, func(mechanism) error) error, d *Detectors, s *noise.Schedule) []mechanism {
+func collectMechanisms(t *testing.T, each func(*Detectors, *noise.Schedule, func(noise.Mechanism) error) error, d *Detectors, s *noise.Schedule) []noise.Mechanism {
 	t.Helper()
-	var out []mechanism
-	if err := each(d, s, func(m mechanism) error {
-		out = append(out, mechanism{p: m.p, dets: slices.Clone(m.dets), obs: m.obs})
+	var out []noise.Mechanism
+	if err := each(d, s, func(m noise.Mechanism) error {
+		out = append(out, noise.Mechanism{P: m.P, Dets: slices.Clone(m.Dets), Obs: m.Obs})
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -201,17 +219,15 @@ func TestBackwardMatchesForwardSweep(t *testing.T) {
 			t.Run(c.name+"/"+m.Name, func(t *testing.T) {
 				sched := noise.Compile(m, c.prog)
 				fwd := collectMechanisms(t, forEachMechanismForward, c.det, sched)
-				bwd := collectMechanisms(t, func(d *Detectors, s *noise.Schedule, visit func(mechanism) error) error {
-					return forEachMechanism(d, s, &symptoms{}, visit)
-				}, c.det, sched)
+				bwd := collectMechanisms(t, forEachMechanism, c.det, sched)
 				if len(fwd) == 0 {
 					t.Fatal("forward sweep produced no mechanisms")
 				}
 				for i := range min(len(fwd), len(bwd)) {
 					f, b := fwd[i], bwd[i]
-					if f.p != b.p || f.obs != b.obs || !equalIDs(f.dets, b.dets) {
+					if f.P != b.P || f.Obs != b.Obs || !equalIDs(f.Dets, b.Dets) {
 						t.Fatalf("mechanism %d: forward (p %g, %v, obs %v), backward (p %g, %v, obs %v)",
-							i, f.p, f.dets, f.obs, b.p, b.dets, b.obs)
+							i, f.P, f.Dets, f.Obs, b.P, b.Dets, b.Obs)
 					}
 				}
 				if len(fwd) != len(bwd) {

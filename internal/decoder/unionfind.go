@@ -226,7 +226,7 @@ func (sc *scratch) find(x int32) int32 {
 //
 //tiscc:hotpath
 func (g *Graph) DecodePlanes(p *noise.Planes) (outcome, fallback uint64) {
-	dets, outcome := g.fire(p)
+	dets, outcome := g.eff.Fire(p)
 	if g.det.ObsRef {
 		outcome = ^outcome
 	}

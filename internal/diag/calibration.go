@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-
-	"tiscc/internal/decoder"
 )
 
 // DetectorStat is one row of the decoder calibration report: a detector's
@@ -44,13 +42,12 @@ type DetectorReport struct {
 // DetectorReport builds the calibration report: observed per-detector fire
 // rates from the run against the DEM-predicted marginals, with binomial
 // z-scores, plus the sampled failing-shot defect sets. Only call at
-// quiescence. Errors if the collector was built without a detector
-// structure.
+// quiescence. Errors if the collector was built without a decoding graph.
 func (c *Collector) DetectorReport() (*DetectorReport, error) {
-	if c.dets == nil {
-		return nil, errors.New("diag: collector has no detector structure attached")
+	if c.graph == nil {
+		return nil, errors.New("diag: collector has no decoding graph attached")
 	}
-	pred, err := decoder.PredictedDetectorRates(c.dets, c.sched)
+	pred, err := c.graph.PredictedDetectorRates(c.sched)
 	if err != nil {
 		return nil, err
 	}

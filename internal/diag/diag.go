@@ -12,7 +12,8 @@
 //     decomposition of the logical error rate that sums to p_L exactly;
 //   - decoder calibration introspection (DetectorReport): per-detector
 //     observed fire rates against the DEM-predicted marginals
-//     (decoder.PredictedDetectorRates) with binomial z-scores — the
+//     (Graph.PredictedDetectorRates, read off the decoding graph's retained
+//     effect table) with binomial z-scores — the
 //     Stim-style calibration residual check — plus failure localization
 //     (which detectors fired on the shots the decoder got wrong, and sampled
 //     defect sets of the first failures);
@@ -55,7 +56,8 @@ type channel struct {
 // the reports at quiescence (after EstimateLogicalError returns).
 type Collector struct {
 	sched *noise.Schedule
-	dets  *decoder.Detectors // nil: attribution only, no detector stats
+	graph *decoder.Graph     // nil: attribution only, no detector stats
+	dets  *decoder.Detectors // the graph's detectors (nil with it)
 
 	chans    []channel
 	siteChan []uint16 // fault site → dense channel index
@@ -86,13 +88,16 @@ type FailureSample struct {
 }
 
 // NewCollector builds a collector for one estimation run: sched must be the
-// run's schedule (its fault sites key the channels of Planes.Fired). dets,
-// when non-nil, additionally enables per-detector observed-rate
-// accumulation and failure localization from the decoded batches'
-// detector words; it must be the detector structure of the decoded
-// experiment.
-func NewCollector(sched *noise.Schedule, dets *decoder.Detectors) *Collector {
-	c := &Collector{sched: sched, dets: dets}
+// run's schedule (its fault sites key the channels of Planes.Fired). g,
+// the run's decoding graph (nil on raw-readout runs), additionally enables
+// per-detector observed-rate accumulation and failure localization from
+// the decoded batches' detector words, and the calibration report's
+// predicted rates.
+func NewCollector(sched *noise.Schedule, g *decoder.Graph) *Collector {
+	c := &Collector{sched: sched, graph: g}
+	if g != nil {
+		c.dets = g.Detectors()
+	}
 	n := sched.NumFaultSites()
 	dense := make([]int16, int(noise.NumFaultKinds)*int(noise.NumGateClasses))
 	for i := range dense {

@@ -47,6 +47,21 @@ func estimate(t *testing.T, d int, m noise.Model, shots, workers int, seed int64
 	return res, sched, dets
 }
 
+// mustGraph extracts the memory experiment's detectors and compiles its
+// decoding graph under sched.
+func mustGraph(t *testing.T, mem *verify.Memory, sched *noise.Schedule) *decoder.Graph {
+	t.Helper()
+	dets, err := decoder.Extract(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := decoder.CompileGraph(dets, sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestDiagDeterminism is the bit-identity guard: attaching the collector (and
 // the progress fold) must not change the estimate, across worker counts. The
 // error count is additionally pinned as a golden so any future change that
@@ -66,11 +81,7 @@ func TestDiagDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		sched := noise.Compile(model, mem.Prog)
-		dets, err := decoder.Extract(mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coll := NewCollector(sched, dets)
+		coll := NewCollector(sched, mustGraph(t, mem, sched))
 		got, _, _ := estimate(t, 3, model, shots, workers, seed, true, coll, func(int, int, bool) {})
 		if got != base {
 			t.Fatalf("workers=%d with diag: result %+v != baseline %+v", workers, got, base)
@@ -93,11 +104,7 @@ func TestAttributionSumsToPL(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := noise.Compile(noise.Depolarizing(3e-3), mem.Prog)
-	dets, err := decoder.Extract(mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coll := NewCollector(sched, dets)
+	coll := NewCollector(sched, mustGraph(t, mem, sched))
 	res, _, _ := estimate(t, 3, noise.Depolarizing(3e-3), shots, 4, seed, true, coll, nil)
 	att := coll.Attribution()
 	if att.PL != res.Rate {
@@ -142,11 +149,9 @@ func TestCalibration(t *testing.T) {
 			t.Fatal(err)
 		}
 		sched := noise.Compile(model, mem.Prog)
-		dets, err := decoder.Extract(mem)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coll := NewCollector(sched, dets)
+		g := mustGraph(t, mem, sched)
+		dets := g.Detectors()
+		coll := NewCollector(sched, g)
 		// The collector reads the detector words the decoder builds from
 		// each batch's fault firings.
 		res, _, _ := estimate(t, tc.d, model, tc.shots, 4, 11, true, coll, nil)

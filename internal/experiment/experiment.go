@@ -4,10 +4,12 @@
 // distance, the round count and the noise model; Compile lowers it in the
 // paper's order — experiment circuit, detector extraction, fault schedule
 // and, for decoded runs, the union-find decoding graph (the DEM) — and
-// Estimate samples it on the Pauli-frame sampler. A raw-readout estimate
-// walks the program for records; a decoded estimate only draws each
-// batch's fault firings and decodes in detector space, from the symptoms
-// the graph retained. The tiscc facade, the estimation service and both
+// Estimate samples it on the Pauli-frame sampler. Every estimate only
+// draws each batch's fault firings and judges them in detector space: a
+// decoded one decodes the detector words the graph's retained effect table
+// gives, a raw-readout one flips the outcome's noiseless value by the
+// outcome's own effect table. No estimate walks the program. The tiscc
+// facade, the estimation service and both
 // CLIs go through this package, so every entry point compiles and samples
 // the same way and reports the same p_L.
 package experiment
@@ -234,7 +236,7 @@ func EstimateOp(prog *orqcs.Program, sched *noise.Schedule, op orqcs.SitePauli, 
 		if sched != nil {
 			run = sched.RunShot
 		}
-		means, stderrs, err = orqcs.EstimateManyFunc(prog, run, ops, shots, seed, workers)
+		means, stderrs, err = orqcs.EstimateMany(prog, run, ops, shots, seed, workers)
 	}
 	if err != nil {
 		return 0, 0, err

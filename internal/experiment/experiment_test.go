@@ -167,7 +167,7 @@ func TestRunMatchesEstimate(t *testing.T) {
 	var progress bytes.Buffer
 	sp := telemetry.NewSpans()
 	pt, err := c.Run(RunOptions{Shots: 512, Seed: 3, Workers: 3, Diag: true, DemCalib: true,
-		Progress: &progress, Label: "memory d=3 p=0.003 engine=frame", Spans: sp})
+		Progress: &progress, Label: "memory d=3 p=0.003", Spans: sp})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestRunMatchesEstimate(t *testing.T) {
 			t.Fatalf("point lacks %q metrics", comp)
 		}
 	}
-	if pt.Telemetry.Labels["engine"] != "dem" || pt.Telemetry.Labels["p"] != 3e-3 || pt.Telemetry.Labels["rounds"] != 3 {
+	if _, ok := pt.Telemetry.Labels["engine"]; ok || pt.Telemetry.Labels["p"] != 3e-3 || pt.Telemetry.Labels["rounds"] != 3 {
 		t.Fatalf("labels %v", pt.Telemetry.Labels)
 	}
 	if pt.Telemetry.Attribution == nil || pt.Telemetry.Detectors == nil {
@@ -188,7 +188,7 @@ func TestRunMatchesEstimate(t *testing.T) {
 	if !strings.Contains(pt.Tables, "error budget:") || !strings.Contains(pt.Tables, "detector calibration:") {
 		t.Fatalf("tables missing:\n%s", pt.Tables)
 	}
-	if !strings.Contains(progress.String(), `"label":"memory d=3 p=0.003 engine=frame"`) {
+	if !strings.Contains(progress.String(), `"label":"memory d=3 p=0.003"`) {
 		t.Fatalf("progress stream lacks the point label:\n%s", progress.String())
 	}
 	if len(sp.Spans()) != 1 || sp.Spans()[0].Name != "estimate" {
@@ -240,7 +240,7 @@ func TestEstimateOpSamplerChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wm, ws, err := sched.EstimateMany([]orqcs.SitePauli{op}, 400, 5, 1)
+	wm, ws, err := orqcs.EstimateMany(sched.Program(), sched.RunShot, []orqcs.SitePauli{op}, 400, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"tiscc/internal/decoder"
 	"tiscc/internal/diag"
 	"tiscc/internal/frame"
 	"tiscc/internal/noise"
@@ -36,29 +35,17 @@ type Point struct {
 }
 
 // Labels returns the manifest coordinates of the compiled experiment:
-// workload, distance, rounds, model (plus p for the depolarizing preset),
-// sampling engine and whether shots are decoded. The engine names the path
-// that produced the estimate: Engine(decoded).
+// workload, distance, rounds, model (plus p for the depolarizing preset)
+// and whether shots are decoded.
 func (c *Compiled) Labels() map[string]any {
 	labels := map[string]any{
 		"workload": c.Spec.Workload, "d": c.Spec.Distance, "rounds": c.Spec.NumRounds(),
-		"model": c.Spec.Model.Name, "engine": Engine(c.Graph != nil), "decoded": c.Graph != nil,
+		"model": c.Spec.Model.Name, "decoded": c.Graph != nil,
 	}
 	if p, ok := c.Spec.depolarizingP(); ok {
 		labels["p"] = p
 	}
 	return labels
-}
-
-// Engine is the manifest's engine label for an estimate: "frame" when the
-// Pauli-frame sampler walks the program for records (raw readout), "dem"
-// when a decoded estimate draws fault firings only and XORs their symptoms
-// from the decoding graph's detector error model.
-func Engine(decoded bool) string {
-	if decoded {
-		return "dem"
-	}
-	return "frame"
 }
 
 // Run is the shared point runner behind tiscc-bench's noise sweeps and
@@ -78,13 +65,10 @@ func (c *Compiled) Run(o RunOptions) (*Point, error) {
 	var coll *diag.Collector
 	if o.Diag || o.DemCalib {
 		// Detector statistics come from the detector words a decoder
-		// builds, so only a decoded run gets them; DemCalib on a raw run
-		// is then an error instead of a report of silent detectors.
-		var dets *decoder.Detectors
-		if c.Graph != nil {
-			dets = c.Detectors
-		}
-		coll = diag.NewCollector(c.Sched, dets)
+		// builds and the graph's effect table, so only a decoded run gets
+		// them; DemCalib on a raw run is then an error instead of a report
+		// of silent detectors.
+		coll = diag.NewCollector(c.Sched, c.Graph)
 		opt.Observer = coll
 	}
 	var pw *diag.ProgressWriter

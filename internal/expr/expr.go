@@ -100,7 +100,7 @@ func (e Expr) Eval(records map[int32]bool) bool {
 // EvalWords evaluates e on up to 64 shots at once against record-major
 // words: words[id] holds record id's outcome with bit i for shot lane i,
 // and bit i of the result is e's value on lane i. Every id must index
-// words (ids are dense and non-negative in a record plane).
+// words (ids are dense and non-negative in a program's record words).
 func (e Expr) EvalWords(words []uint64) uint64 {
 	var v uint64
 	if e.Const {

@@ -17,12 +17,7 @@ var Batches = batches
 // RunBatch exposes runBatch: batch bi of a shots-shot run.
 func (b *Batch) RunBatch(bi, shots int, seed int64) { b.runBatch(bi, shots, seed) }
 
-// SampleBatch exposes sampleBatch: RunBatch, then visit the record plane.
-func (b *Batch) SampleBatch(bi, shots int, seed int64, visit func(p *noise.Planes) error) error {
-	return b.sampleBatch((*Batch).Run, bi, shots, seed, visit)
-}
-
-// SampleFiredBatch exposes sampleBatch on Draw: batch bi's fire-only plane.
+// SampleFiredBatch exposes sampleBatch: batch bi's fire-only plane.
 func (b *Batch) SampleFiredBatch(bi, shots int, seed int64, visit func(p *noise.Planes) error) error {
-	return b.sampleBatch((*Batch).Draw, bi, shots, seed, visit)
+	return b.sampleBatch(bi, shots, seed, visit)
 }

@@ -37,12 +37,13 @@
 //     each firing into its lane's frame as the instruction walk reaches the
 //     site's slot.
 //
-// The instruction walk (Batch.Run) produces records, and records are the
-// product only of raw readout, EstimateMany and the record-level test
-// oracles. A decoded estimate needs no records: its detector words are the
-// XOR of the fired faults' symptoms (internal/decoder). Its batches come
-// from Batch.Draw — lane seeds, then FiredBatch — and never walk the
-// program (SampleFired).
+// The instruction walk (Batch.Run) produces records and operator values,
+// and they serve only EstimateMany, experiment set-up (detector and
+// outcome reference checks) and the record-level oracles. No logical-error
+// estimate reads records: its batches come from Batch.Draw — lane seeds,
+// then FiredBatch — and never walk the program (SampleFired), and the
+// estimator turns their firings into outcome and detector flips through a
+// fault-effect table (noise.Effects).
 package frame
 
 import (
@@ -150,48 +151,6 @@ func (s *Sim) compilePauli(ps *pauli.String) *Op {
 	return o
 }
 
-// Conjugate applies unitary Clifford instruction in to the frame bit-planes
-// fx, fz (bit i of fx[q] / fz[q] is lane i's X / Z component on qubit q),
-// tracking each lane's Pauli modulo phase. It reports false for
-// instructions that are not unitary Cliffords — measurements, preparations
-// and non-Clifford gates — leaving the planes untouched.
-//
-// It is the one Pauli-propagation kernel. The batch sampler advances its
-// frames forward through it. The decoder's backward detector-error-model
-// pass calls it with the planes swapped, Conjugate(in, sz, sx), on
-// sensitivity planes: sx[q] / sz[q] hold the lanes an X / Z error on q
-// flips. Moving those planes back across a gate takes the transpose of the
-// gate's forward map on (x, z) bits; the swapped call applies the inverse
-// transpose, and the two agree because every gate here acts on Paulis,
-// modulo phase, as an involution. A gate added to this switch must keep
-// that property, or the decoder needs its own backward rule. Small enough
-// to inline into both loops.
-func Conjugate(in *orqcs.Instr, fx, fz []uint64) bool {
-	q := in.Q1
-	switch in.Op {
-	case orqcs.OpX, orqcs.OpY, orqcs.OpZ:
-		// Paulis commute with the frame up to phase: no-op.
-	case orqcs.OpSqrtX, orqcs.OpSqrtXDg:
-		// Z → ±Y: the Z bit induces an X bit.
-		fx[q] ^= fz[q]
-	case orqcs.OpSqrtY, orqcs.OpSqrtYDg:
-		// X ↔ ±Z: swap the bits.
-		fx[q], fz[q] = fz[q], fx[q]
-	case orqcs.OpS, orqcs.OpSdg:
-		// X → ±Y: the X bit induces a Z bit.
-		fz[q] ^= fx[q]
-	case orqcs.OpZZ:
-		// X content on exactly one operand flips both Z bits (the fused-row
-		// update of tableau.ZZ).
-		one := fx[q] ^ fx[in.Q2]
-		fz[q] ^= one
-		fz[in.Q2] ^= one
-	default:
-		return false
-	}
-	return true
-}
-
 // Batch holds the mutable per-worker state of up to 64 concurrent shot
 // lanes. Batches are not safe for concurrent use; create one per worker.
 type Batch struct {
@@ -233,7 +192,6 @@ func (b *Batch) Draw(first, count int, seed int64) {
 	s := b.sim
 	b.p.First, b.p.N = first, count
 	b.p.Lanes = ^uint64(0) >> uint(64-count)
-	b.p.Words = nil
 	for i := 0; i < count; i++ {
 		b.coins[i] = uint64(orqcs.ShotSeed(seed, first+i))
 	}
@@ -255,14 +213,13 @@ func (b *Batch) Draw(first, count int, seed int64) {
 
 // Run samples shot lanes as Draw does and walks the program: the frames
 // take each firing at its slot and every measurement writes its outcome
-// word. After Run, outcome and frame words are valid until the next Run or
-// Draw. Zero allocations.
+// word. After Run, outcome words (RecordWords, Records) and frame words are
+// valid until the next Run or Draw. Zero allocations.
 //
 //tiscc:hotpath
 func (b *Batch) Run(first, count int, seed int64) {
 	b.Draw(first, count, seed)
 	s := b.sim
-	b.p.Words = b.out[:len(s.ref.Words)]
 	clear(b.fx)
 	clear(b.fz)
 	instrs := s.prog.Instructions()
@@ -276,7 +233,7 @@ func (b *Batch) Run(first, count int, seed int64) {
 		case in.Op == orqcs.OpMeasureZ || in.Op == orqcs.OpPrepareZ:
 			b.measure(evi)
 			evi++
-		case !Conjugate(in, b.fx, b.fz):
+		case !orqcs.Conjugate(in, b.fx, b.fz):
 			panic("frame: non-Clifford opcode survived New")
 		}
 	}
@@ -363,16 +320,21 @@ func (b *Batch) measure(evi int) {
 	}
 }
 
-// Planes returns the batch's planes: valid after Run or Draw, until the
-// next one. After Run its record words are the record prefix of the
-// batch's own outcome words, written in place, not a copy; after Draw it
-// carries no record words.
+// Planes returns the batch's planes — its lanes and fault firings — valid
+// after Run or Draw, until the next one.
 func (b *Batch) Planes() *noise.Planes { return &b.p }
+
+// RecordWords returns the record words of the last Run: word id holds
+// record id's outcome for every lane, bit i for lane i, one word per
+// record id of the program (Program.NumRecords). They are the record
+// prefix of the batch's own outcome words, not a copy, valid until the
+// next Run or Draw; bits outside the planes' Lanes are unspecified.
+func (b *Batch) RecordWords() []uint64 { return b.out[:len(b.sim.ref.Words)] }
 
 // Records fills and returns the batch's reusable record table with lane
 // i's shot: bit-identical to tableau Engine.Records() for the same shot
 // seed, virtual reset records included. It is a per-lane helper for
-// comparisons against the tableau engines; the estimator reads Planes. The
+// comparisons against the tableau engines; no estimate reads records. The
 // map is valid until the next Records or Run call.
 func (b *Batch) Records(lane int) map[int32]bool {
 	if b.recs == nil {

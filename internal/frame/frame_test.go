@@ -1,7 +1,6 @@
 package frame_test
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -44,7 +43,7 @@ func tableauRecords(t testing.TB, prog *orqcs.Program, sched *noise.Schedule, ro
 }
 
 // frameRecords collects per-shot record tables from the frame sampler,
-// batches spread over a worker pool as SamplePlanes spreads them.
+// batches spread over a worker pool as SampleFired spreads them.
 func frameRecords(t testing.TB, sim *frame.Sim, shots int, seed int64, workers int) []map[int32]bool {
 	t.Helper()
 	out := make([]map[int32]bool, shots)
@@ -287,7 +286,7 @@ func TestFrameEstimateManyMatchesTableau(t *testing.T) {
 			if pc.name == "gate-tail" && len(sched.SlotFaults(pc.prog.NumInstrs())) == 0 {
 				t.Fatal("gate tail left the trailing fault slot empty")
 			}
-			wantM, wantS, err := sched.EstimateMany(ops, 300, 9, 1)
+			wantM, wantS, err := orqcs.EstimateMany(pc.prog, sched.RunShot, ops, 300, 9, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -311,33 +310,16 @@ func TestFrameEstimateManyMatchesTableau(t *testing.T) {
 	}
 }
 
-// tableauSampler is the bit-sliced tableau as a noise.Sampler, the
-// estimator-level oracle for the frame sampler's raw readout: shot i runs
-// under ShotSeed(seed, i) and is handed on as a one-lane record plane. It
-// hands over records, not firings.
-type tableauSampler struct{ sched *noise.Schedule }
+// z95 is the two-sided 95% standard-normal quantile behind the estimator's
+// Wilson early-stopping criterion.
+const z95 = 1.959963984540054
 
-func (ts tableauSampler) Schedule() *noise.Schedule { return ts.sched }
-
-func (ts tableauSampler) SampleFired(int, int64, int, func(*noise.Planes) error) error {
-	return errors.New("tableau sampler: hands over records, not firings")
-}
-
-func (ts tableauSampler) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
-	nrec := ts.sched.Program().NumRecords()
-	return ts.sched.RunShots(shots, seed, workers, func(i int, e *orqcs.Engine) error {
-		p := noise.Planes{First: i, N: 1, Lanes: 1, Words: make([]uint64, nrec)}
-		for id := range p.Words {
-			if e.Records()[int32(id)] {
-				p.Words[id] = 1
-			}
-		}
-		return visit(&p)
-	})
-}
-
-// TestFrameEstimateLogicalError pins Options.Sampler: same Result — early
-// stopping included — as the tableau shot loop.
+// TestFrameEstimateLogicalError pins the estimator's raw readout on the
+// frame sampler against the tableau shot loop: the frame-sampled estimate,
+// which reads each batch's firings through the outcome formula's effect
+// table, counts exactly the shots whose tableau records, read through the
+// outcome formula, disagree with the reference — over the same shots and,
+// with early stopping, the same counted prefix, at one and four workers.
 func TestFrameEstimateLogicalError(t *testing.T) {
 	mem, err := verify.MemoryExperiment(3, 3, pauli.Z)
 	if err != nil {
@@ -348,26 +330,42 @@ func TestFrameEstimateLogicalError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bad := make([]bool, 4000)
+	if err := orqcs.RunShots(mem.Prog, sched.RunShot, len(bad), 3, 0, func(i int, e *orqcs.Engine) error {
+		bad[i] = mem.Outcome.Eval(e.Records()) != mem.Reference
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	for _, opt := range []noise.Options{
 		{Shots: 500, Seed: 3},
 		{Shots: 4000, Seed: 3, TargetStdErr: 0.01, Batch: 128},
 	} {
+		// The tableau's counted prefix: every shot, or the first Batch
+		// boundary at which the Wilson criterion meets the target.
+		want, n := 0, opt.Shots
+		for i := range opt.Shots {
+			if bad[i] {
+				want++
+			}
+			if lo, hi := noise.Wilson(want, i+1); opt.TargetStdErr > 0 && (i+1)%opt.Batch == 0 && (hi-lo)/(2*z95) <= opt.TargetStdErr {
+				n = i + 1
+				break
+			}
+		}
 		for _, workers := range []int{1, 4} {
 			o := opt
-			o.Workers = workers
-			o.Sampler = tableauSampler{sched}
-			want, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference, o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			o.Sampler = sim
+			o.Workers, o.Sampler = workers, sim
 			got, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
-				t.Fatalf("workers=%d opt=%+v: frame %+v != tableau %+v", workers, opt, got, want)
+			if got.Shots != n || got.Errors != want {
+				t.Fatalf("workers=%d opt=%+v: frame %d/%d errors, tableau %d/%d", workers, opt, got.Errors, got.Shots, want, n)
 			}
+		}
+		if n == opt.Shots && opt.TargetStdErr > 0 {
+			t.Fatalf("opt=%+v: the target was never met, so early stopping went untested", opt)
 		}
 	}
 }
@@ -391,9 +389,9 @@ func TestFrameRejectsNonClifford(t *testing.T) {
 }
 
 // TestFrameBatchAllocs guards the zero-allocation contract of the hot loop:
-// sampling batches through SamplePlanes and reading their record planes
-// must not allocate, and neither may running a warmed batch and reading
-// its per-lane record tables.
+// running a warmed batch and reading its record words must not allocate,
+// nor may sampling fire-only batches, nor reading a warmed batch's
+// per-lane record tables.
 func TestFrameBatchAllocs(t *testing.T) {
 	mem, err := verify.MemoryExperiment(3, 3, pauli.Z)
 	if err != nil {
@@ -407,21 +405,16 @@ func TestFrameBatchAllocs(t *testing.T) {
 	b := sim.NewBatch()
 	t.Run("planes", func(t *testing.T) {
 		var sink uint64
-		visit := func(p *noise.Planes) error {
-			for _, w := range p.Words {
-				sink ^= w & p.Lanes
-			}
-			return nil
-		}
 		bi := 0
 		allocs := testing.AllocsPerRun(20, func() {
-			if err := b.SampleBatch(bi, 64*20+37, 1, visit); err != nil {
-				t.Fatal(err)
+			b.RunBatch(bi, 64*20+37, 1)
+			for _, w := range b.RecordWords() {
+				sink ^= w & b.Planes().Lanes
 			}
 			bi++
 		})
 		if allocs != 0 {
-			t.Fatalf("plane batch loop allocates %v per batch, want 0", allocs)
+			t.Fatalf("record-word batch loop allocates %v per batch, want 0", allocs)
 		}
 		_ = sink
 	})
@@ -452,11 +445,11 @@ func TestFrameBatchAllocs(t *testing.T) {
 	})
 }
 
-// TestSamplePlanesMatchesRecords pins the record plane against the per-lane
-// record tables: every explicit record word bit equals Records(lane), the
-// plane holds exactly Program.NumRecords words, batches tile the shots with
-// a partial last batch, and the planes are identical for every worker
-// count.
+// TestSamplePlanesMatchesRecords pins the record planes a run writes
+// (Batch.RecordWords) against the per-lane record tables: every explicit
+// record word bit equals Records(lane), a batch holds exactly
+// Program.NumRecords words, batches tile the shots with a partial last
+// batch, and the words are identical for every worker count.
 func TestSamplePlanesMatchesRecords(t *testing.T) {
 	const shots, seed = 64*3 + 21, 5
 	for _, w := range testWorkloads(t) {
@@ -470,13 +463,15 @@ func TestSamplePlanesMatchesRecords(t *testing.T) {
 			for _, workers := range []int{1, 3} {
 				var mu sync.Mutex
 				seen := make([]bool, shots)
-				err := sim.SamplePlanes(shots, seed, workers, func(p *noise.Planes) error {
+				err := orqcs.RunPool(frame.Batches(shots), workers, sim.NewBatch, func(b *frame.Batch, bi int) error {
+					b.RunBatch(bi, shots, seed)
 					mu.Lock()
 					defer mu.Unlock()
-					if len(p.Words) != nrec {
-						return fmt.Errorf("plane has %d words, program %d records", len(p.Words), nrec)
+					p, words := b.Planes(), b.RecordWords()
+					if len(words) != nrec {
+						return fmt.Errorf("batch has %d record words, program %d records", len(words), nrec)
 					}
-					if p.Lanes != ^uint64(0)>>uint(64-p.N) || p.First%64 != 0 {
+					if p.Lanes != ^uint64(0)>>uint(64-p.N) || p.First != 64*bi {
 						return fmt.Errorf("batch at %d: %d lanes, mask %x", p.First, p.N, p.Lanes)
 					}
 					for lane := 0; lane < p.N; lane++ {
@@ -485,9 +480,9 @@ func TestSamplePlanesMatchesRecords(t *testing.T) {
 							return fmt.Errorf("shot %d sampled twice", shot)
 						}
 						seen[shot] = true
-						for id := range p.Words {
-							if got := p.Words[id]>>uint(lane)&1 == 1; got != want[shot][int32(id)] {
-								return fmt.Errorf("shot %d record %d: plane %v, records %v", shot, id, got, want[shot][int32(id)])
+						for id := range words {
+							if got := words[id]>>uint(lane)&1 == 1; got != want[shot][int32(id)] {
+								return fmt.Errorf("shot %d record %d: word %v, records %v", shot, id, got, want[shot][int32(id)])
 							}
 						}
 					}
@@ -506,13 +501,12 @@ func TestSamplePlanesMatchesRecords(t *testing.T) {
 	}
 }
 
-// TestSampleFiredMatchesPlanes pins the fire-only planes against the record
-// planes of the same shots: each batch has the same lanes and the same
-// Fired list and carries no record words, at every worker count. The
-// sampler's counters stay honest without the walk: shots, batches, faults
-// fired, the faults-per-batch histogram and the measurement and reset
-// counts equal the record run's, and only the walk's collapse
-// multiplications stay at zero.
+// TestSampleFiredMatchesPlanes pins the fire-only planes against record
+// runs of the same shots: each batch has the same lanes and the same Fired
+// list, at every worker count. The sampler's counters stay honest without
+// the walk: shots, batches, faults fired, the faults-per-batch histogram
+// and the measurement and reset counts equal the record run's, and only
+// the walk's collapse multiplications stay at zero.
 func TestSampleFiredMatchesPlanes(t *testing.T) {
 	const shots, seed = 64*3 + 21, 5
 	for _, w := range testWorkloads(t) {
@@ -522,11 +516,10 @@ func TestSampleFiredMatchesPlanes(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := make([][]uint64, frame.Batches(shots))
-			if err := rec.SamplePlanes(shots, seed, 1, func(p *noise.Planes) error {
-				want[p.First/64] = slices.Clone(p.Fired)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+			b := rec.NewBatch()
+			for bi := range want {
+				b.RunBatch(bi, shots, seed)
+				want[bi] = slices.Clone(b.Planes().Fired)
 			}
 			for _, workers := range []int{1, 3} {
 				fired, err := frame.New(w.prog, w.sched)
@@ -539,8 +532,8 @@ func TestSampleFiredMatchesPlanes(t *testing.T) {
 					mu.Lock()
 					defer mu.Unlock()
 					bi := p.First / 64
-					if len(p.Words) != 0 || p.N != min(64, shots-p.First) || p.Lanes != ^uint64(0)>>uint(64-p.N) || seen[bi] {
-						return fmt.Errorf("batch at %d: %d words, %d lanes, mask %x, seen %v", p.First, len(p.Words), p.N, p.Lanes, seen[bi])
+					if p.N != min(64, shots-p.First) || p.Lanes != ^uint64(0)>>uint(64-p.N) || seen[bi] {
+						return fmt.Errorf("batch at %d: %d lanes, mask %x, seen %v", p.First, p.N, p.Lanes, seen[bi])
 					}
 					seen[bi] = true
 					if !slices.Equal(p.Fired, want[bi]) {
@@ -568,30 +561,6 @@ func TestSampleFiredMatchesPlanes(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestConjugateInvolution pins the property the decoder's backward pass
-// relies on: every instruction Conjugate accepts acts on the planes as an
-// involution, so the swapped-planes call is the transpose of the forward
-// map. Measurements, preparations and T gates are rejected untouched.
-func TestConjugateInvolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for op := orqcs.OpPrepareZ; op <= orqcs.OpZZ; op++ {
-		in := orqcs.Instr{Op: op, Q1: 0, Q2: 1, Rec: -1}
-		fx, fz := []uint64{rng.Uint64(), rng.Uint64()}, []uint64{rng.Uint64(), rng.Uint64()}
-		x0, z0 := append([]uint64(nil), fx...), append([]uint64(nil), fz...)
-		ok := frame.Conjugate(&in, fx, fz)
-		unitary := op != orqcs.OpPrepareZ && op != orqcs.OpMeasureZ && op != orqcs.OpT && op != orqcs.OpTdg
-		if ok != unitary {
-			t.Fatalf("opcode %d: Conjugate reports %v, want %v", op, ok, unitary)
-		}
-		if ok {
-			frame.Conjugate(&in, fx, fz)
-		}
-		if fx[0] != x0[0] || fx[1] != x0[1] || fz[0] != z0[0] || fz[1] != z0[1] {
-			t.Fatalf("opcode %d: applying Conjugate twice changed the planes", op)
-		}
 	}
 }
 

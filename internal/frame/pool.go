@@ -5,30 +5,19 @@ import (
 	"tiscc/internal/orqcs"
 )
 
-// SamplePlanes runs shots shot lanes through the frame sampler across a
-// deterministic worker pool, 64 per batch, and hands each batch's record
-// plane to visit: the record half of the noise.Sampler implementation that
-// plugs the engine into noise.EstimateLogicalError.
+// SampleFired runs shots shot lanes through the frame sampler across a
+// deterministic worker pool, 64 per batch, and hands each batch's planes
+// to visit: the noise.Sampler implementation that plugs the engine into
+// noise.EstimateLogicalError. Each batch's lanes draw their fault firings
+// (Batch.Draw) and walk no instruction, so the planes carry the firings
+// and no records.
 //
-// Shot i's records derive from orqcs.ShotSeed(seed, i) regardless of worker
+// Shot i's firings derive from orqcs.ShotSeed(seed, i) regardless of worker
 // count or batch placement. visit may be called concurrently from different
 // workers (always for distinct batches); the planes are only valid for the
 // duration of the call. A non-nil error from visit stops the run.
-func (s *Sim) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
-	return s.sample("frame.SamplePlanes", shots, seed, workers, (*Batch).Run, visit)
-}
-
-// SampleFired is SamplePlanes without the instruction walk: each batch's
-// lanes draw their fault firings (Batch.Draw) and visit gets the fire-only
-// planes, the same shots' Fired lists and no record words. Decoded
-// estimates sample through it.
 func (s *Sim) SampleFired(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
-	return s.sample("frame.SampleFired", shots, seed, workers, (*Batch).Draw, visit)
-}
-
-// sample runs the batches of a shots-shot run through fill, Run or Draw,
-// across the worker pool and hands each batch's planes to visit.
-func (s *Sim) sample(op string, shots int, seed int64, workers int, fill func(b *Batch, first, count int, seed int64), visit func(p *noise.Planes) error) error {
+	const op = "frame.SampleFired"
 	if shots < 0 {
 		return &noise.OptionError{Op: op, Field: "Shots", Value: shots, Constraint: "must be ≥ 0"}
 	}
@@ -36,17 +25,17 @@ func (s *Sim) sample(op string, shots int, seed int64, workers int, fill func(b 
 		return &noise.OptionError{Op: op, Field: "Workers", Value: workers, Constraint: "must be ≥ 0"}
 	}
 	return orqcs.RunPool(batches(shots), workers, s.NewBatch, func(b *Batch, bi int) error {
-		return b.sampleBatch(fill, bi, shots, seed, visit)
+		return b.sampleBatch(bi, shots, seed, visit)
 	})
 }
 
-// sampleBatch fills batch bi of a shots-shot run — shots [64·bi, 64·bi+64),
+// sampleBatch draws batch bi of a shots-shot run — shots [64·bi, 64·bi+64),
 // every lane still seeded per shot — and hands its planes to visit, with
 // no per-shot work in between.
 //
 //tiscc:hotpath
-func (b *Batch) sampleBatch(fill func(b *Batch, first, count int, seed int64), bi, shots int, seed int64, visit func(p *noise.Planes) error) error {
-	fill(b, bi*64, min(64, shots-bi*64), seed)
+func (b *Batch) sampleBatch(bi, shots int, seed int64, visit func(p *noise.Planes) error) error {
+	b.Draw(bi*64, min(64, shots-bi*64), seed)
 	return visit(&b.p)
 }
 
@@ -61,8 +50,8 @@ func (b *Batch) runBatch(bi, shots int, seed int64) {
 
 // EstimateMany Monte-Carlo-estimates several Pauli operators over the
 // sampler's program (under its fault schedule, when one was compiled): the
-// frame-engine counterpart of orqcs.EstimateMany / noise
-// Schedule.EstimateMany, with bit-identical per-shot values and the same
+// frame-engine counterpart of orqcs.EstimateMany (noiseless, or under
+// Schedule.RunShot), with bit-identical per-shot values and the same
 // strict-order streaming reduction, so means and standard errors match the
 // tableau engines float for float at every worker count.
 func (s *Sim) EstimateMany(ops []orqcs.SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {

@@ -11,7 +11,7 @@ import (
 // loop: after a warm-up shot has grown the engine's record table and scratch
 // buffers, repeated fault-injecting shots on the bit-sliced engine (and on
 // the row-major reference) must allocate nothing — the contract that keeps
-// EstimateBatch throughput flat across millions of shots. Telemetry is
+// expectation-estimate throughput flat across millions of shots. Telemetry is
 // enabled throughout (Set-registered shards on every engine), proving the
 // instrumentation itself is allocation-free on the hot path.
 func TestNoisyShotZeroAllocs(t *testing.T) {

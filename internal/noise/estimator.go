@@ -1,7 +1,6 @@
 package noise
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -42,18 +41,16 @@ type Options struct {
 	// Decoder, when non-nil, replaces the raw outcome-formula readout: each
 	// shot's logical outcome is the decoder's corrected value, computed in
 	// detector space from the batch's fault firings, instead of the bare
-	// XOR of the transversal records. This is how an error-correcting
-	// decoder (internal/decoder's union-find matching) plugs into the
-	// estimator without this package importing it. It must have been
-	// compiled against the estimated schedule (Decoder.CheckSchedule).
+	// outcome formula. This is how an error-correcting decoder
+	// (internal/decoder's union-find matching) plugs into the estimator
+	// without this package importing it. It must have been compiled
+	// against the estimated schedule (Decoder.CheckSchedule).
 	Decoder Decoder
 	// Sampler is the estimator's only shot source and is required: the
 	// Pauli-frame engine (internal/frame's Sim) plugs in here without this
 	// package importing it. It must have been compiled against the
-	// estimated schedule (Sampler.Schedule() == s). A raw-readout estimate
-	// reads its record planes (SamplePlanes); a decoded estimate reads only
-	// its fire-only planes (SampleFired), so no decoded batch walks the
-	// program.
+	// estimated schedule (Sampler.Schedule() == s). Every estimate reads
+	// its fire-only planes (SampleFired): no batch walks the program.
 	Sampler Sampler
 	// Observer, when non-nil, receives every sampled batch with its judged
 	// outcomes (the diagnostics layer's attribution/calibration hook).
@@ -74,40 +71,35 @@ type Options struct {
 
 // Planes is one batch of up to 64 shots: lane i is the shot with index
 // First+i. Only the N lanes of the Lanes mask are sampled; the bits of
-// other lanes are unspecified, so every consumer masks with Lanes.
-//
-// A record plane (Sampler.SamplePlanes) carries the shots' measurement
-// records: Words[id] holds record id's outcome for every lane, bit i for
-// lane i, one word per record id of the program (len(Words) ==
-// Program.NumRecords()). A fire-only plane (Sampler.SampleFired) carries
-// only the fault firings and has no Words: the sampler drew the faults
-// and walked no instruction.
+// other lanes are unspecified, so every consumer masks with Lanes. A
+// sampled batch carries its fault firings and no measurement records: the
+// sampler drew the faults and walked no instruction, and an effect table
+// (Effects.Fire) turns the firings into check and observable flips.
 type Planes struct {
-	First int      // shot index of lane 0
-	N     int      // sampled lanes: 1..64
-	Lanes uint64   // mask of the sampled lanes, the low N bits
-	Words []uint64 // record words, indexed by record id; empty on a fire-only plane
+	First int    // shot index of lane 0
+	N     int    // sampled lanes: 1..64
+	Lanes uint64 // mask of the sampled lanes, the low N bits
 	// Fired lists the batch's fault firings, packed
 	// site<<32 | lane<<4 | branch (FiredSite, FiredLane, FiredBranch) and
 	// ascending, exactly as Schedule.FiredBatch draws them from the lanes'
 	// shot seeds: the faults the sampler applied. Empty for a noiseless
 	// batch.
 	Fired []uint64
-	// Dets holds the batch's detector words once a Decoder has decoded
-	// it: bit i of Dets[j] is set when detector j fires on lane i. The
-	// decoder builds them from Fired and sizes the slice on first use;
-	// they stay valid until the planes are sampled again. Nil on batches
-	// no decoder has seen.
+	// Dets holds the batch's check words once an effect table has read
+	// it (Effects.Fire; a Decoder's detectors): bit i of Dets[j] is set
+	// when check j fires on lane i. The table builds them from Fired and
+	// sizes the slice on first use; they stay valid until the planes are
+	// sampled again. Empty on raw-readout batches, whose table has no
+	// checks.
 	Dets []uint64
 }
 
 // ShotObserver receives the judged batches of an estimate: bit i of bad
 // reports whether lane i's logical outcome disagreed with the noiseless
 // reference (only the bits of p.Lanes are meaningful). Lane i derives from
-// orqcs.ShotSeed(Options.Seed, p.First+i). A raw-readout estimate hands
-// over record planes; a decoded one hands over fire-only planes whose
-// Dets the decoder has filled. Implementations must be safe for
-// concurrent use.
+// orqcs.ShotSeed(Options.Seed, p.First+i). A decoded estimate's planes
+// carry the detector words (Dets) the decoder filled; a raw-readout
+// estimate's carry none. Implementations must be safe for concurrent use.
 type ShotObserver interface {
 	ObserveBatch(p *Planes, bad uint64)
 }
@@ -116,19 +108,17 @@ type ShotObserver interface {
 // shot i derives from orqcs.ShotSeed(seed, i) for any worker count and
 // batching; batches cover [0, shots) without overlap; visit may be called
 // concurrently for distinct batches; the planes are only valid during the
-// call; a non-nil visit error stops the run and is returned. SamplePlanes
-// hands over record planes, SampleFired fire-only planes of the same
-// shots (the same Fired lists). Schedule reports the fault schedule the
-// sampler draws from.
+// call; a non-nil visit error stops the run and is returned. SampleFired
+// hands over each batch's fault firings (Planes.Fired). Schedule reports
+// the fault schedule the sampler draws from.
 type Sampler interface {
-	SamplePlanes(shots int, seed int64, workers int, visit func(p *Planes) error) error
 	SampleFired(shots int, seed int64, workers int, visit func(p *Planes) error) error
 	Schedule() *Schedule
 }
 
 // Decoder turns a batch of noisy shots' fault firings into corrected
 // logical outcomes (syndrome decoding plus observable readout) in detector
-// space: it reads p.Fired, never the record words. Implementations must be
+// space: it reads p.Fired (a batch carries no records). Implementations must be
 // safe for concurrent use: EstimateLogicalError calls DecodePlanes from
 // every sampling worker, and the planes are only valid for the duration
 // of the call.
@@ -217,10 +207,10 @@ func wilsonStdErr(errors, shots int) float64 {
 }
 
 // EstimateLogicalError runs noisy shots of the schedule's program, reads
-// each shot's logical outcome — by evaluating the outcome formula against
-// the shot's measurement records (the paper's Sec 4.5 post-processing), or
-// by the decoder's correction — and reports the rate at which it disagrees
-// with the noiseless reference, with a 95% Wilson confidence interval.
+// each shot's logical outcome — the outcome formula over the shot's
+// measurement records (the paper's Sec 4.5 post-processing), or the
+// decoder's correction — and reports the rate at which it disagrees with
+// the noiseless reference, with a 95% Wilson confidence interval.
 //
 // Options.Sampler is the only shot source. Programs with T gates are
 // rejected: their shots are quasi-probability branches that carry a ±√2
@@ -228,10 +218,13 @@ func wilsonStdErr(errors, shots int) float64 {
 // physical error rate.
 //
 // Shots are sampled and judged a batch at a time (64 shots per frame
-// batch). The raw readout reads record planes: one word XOR per record of
-// the formula. A decoder reads fire-only planes: the sampler draws the
-// batch's faults and walks no instruction, and the decoder XORs each
-// firing's symptom into the batch's detector words. The run is deterministic in
+// batch), in detector space: the sampler draws each batch's faults and
+// walks no instruction. A decoder XORs each firing's symptom into the
+// batch's detector words and decodes them. The raw readout compiles, once
+// per call, the effect table of the outcome formula alone (CompileEffects,
+// which fails unless the formula is deterministic on a noiseless run):
+// each lane starts at the formula's value on the program's reference trace
+// and every firing that flips the formula flips it. The run is deterministic in
 // (schedule, outcome, Options): error bits are folded in strict shot order
 // and early stopping truncates the fixed shot sequence only at
 // Options.Batch boundaries, so neither the worker count nor scheduling can
@@ -258,21 +251,16 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 	if opt.Sampler.Schedule() != s {
 		return Result{}, &OptionError{Op: op, Field: "Sampler", Value: fmt.Sprintf("%T", opt.Sampler), Constraint: "must be compiled against the estimated schedule"}
 	}
-	nrec := s.prog.NumRecords()
-	j := &judge{outcome: outcome, dec: opt.Decoder, obs: opt.Observer, nrec: nrec}
+	j := &judge{dec: opt.Decoder, obs: opt.Observer}
 	if reference {
 		j.ref = ^uint64(0)
 	}
-	sample := opt.Sampler.SamplePlanes
 	if opt.Decoder != nil {
 		if err := opt.Decoder.CheckSchedule(s); err != nil {
 			return Result{}, &OptionError{Op: op, Field: "Decoder", Value: err, Constraint: "must be compiled against the estimated schedule"}
 		}
-		sample = opt.Sampler.SampleFired
-	} else if outcome.HasVirtual() {
-		return Result{}, fmt.Errorf("noise: outcome formula references virtual records: %v", outcome)
-	} else if err := outcome.CheckRecords(nrec); err != nil {
-		return Result{}, fmt.Errorf("noise: outcome formula: %w", err)
+	} else if err := j.compileRaw(s, outcome); err != nil {
+		return Result{}, err
 	}
 	shots := opt.Shots
 	if shots <= 0 {
@@ -310,11 +298,8 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 		}
 		return false
 	})
-	err := sample(shots, opt.Seed, opt.Workers, func(p *Planes) error {
-		bad, fb, err := j.batch(p)
-		if err != nil {
-			return err
-		}
+	err := opt.Sampler.SampleFired(shots, opt.Seed, opt.Workers, func(p *Planes) error {
+		bad, fb := j.batch(p)
 		if fold.Add(p.First, p.N, verdict{bad: bad, fallback: fb}) {
 			return errStop
 		}
@@ -332,14 +317,38 @@ func EstimateLogicalError(s *Schedule, outcome expr.Expr, reference bool, opt Op
 type verdict struct{ bad, fallback uint64 }
 
 // judge turns a sampled batch into its error and fallback words: via the
-// decoder on a fire-only plane when one is configured, via the raw readout
-// formula on a record plane otherwise.
+// decoder when one is configured, via the outcome formula's effect table
+// otherwise.
 type judge struct {
-	outcome expr.Expr
-	ref     uint64 // the reference outcome on every lane
-	nrec    int    // record words a record plane must carry
-	dec     Decoder
-	obs     ShotObserver
+	ref uint64 // the reference outcome on every lane
+	dec Decoder
+	obs ShotObserver
+	// The raw readout: the formula's effect table and its noiseless value
+	// on every lane.
+	raw       *Effects
+	noiseless uint64
+}
+
+// compileRaw prepares the raw readout of outcome over s: the formula's
+// effect table and its value on the program's reference trace.
+func (j *judge) compileRaw(s *Schedule, outcome expr.Expr) error {
+	if outcome.HasVirtual() {
+		return fmt.Errorf("noise: outcome formula references virtual records: %v", outcome)
+	}
+	if err := outcome.CheckRecords(s.prog.NumRecords()); err != nil {
+		return fmt.Errorf("noise: outcome formula: %w", err)
+	}
+	ref, err := s.prog.Reference()
+	if err != nil {
+		return err
+	}
+	// The formula is the table's observable: a formula that is not
+	// deterministic fails here, named as "the observable".
+	if j.raw, err = CompileEffects(s, nil, outcome.IDs); err != nil {
+		return err
+	}
+	j.noiseless = outcome.EvalWords(ref.Words)
+	return nil
 }
 
 // batch judges one batch and feeds the observer before the outcome enters
@@ -347,25 +356,20 @@ type judge struct {
 // bits of p.Lanes are set in bad and fallback.
 //
 //tiscc:hotpath
-func (j *judge) batch(p *Planes) (bad, fallback uint64, err error) {
+func (j *judge) batch(p *Planes) (bad, fallback uint64) {
 	var out uint64
 	if j.dec != nil {
 		out, fallback = j.dec.DecodePlanes(p)
-	} else if len(p.Words) < j.nrec {
-		return 0, 0, errShortPlanes
 	} else {
-		out = j.outcome.EvalWords(p.Words)
+		_, flip := j.raw.Fire(p)
+		out = j.noiseless ^ flip
 	}
 	bad = (out ^ j.ref) & p.Lanes
 	if j.obs != nil {
 		j.obs.ObserveBatch(p, bad)
 	}
-	return bad, fallback & p.Lanes, nil
+	return bad, fallback & p.Lanes
 }
 
 // errStop signals the worker pool that the target precision is reached.
 var errStop = fmt.Errorf("noise: target standard error reached")
-
-// errShortPlanes reports a sampler whose planes lack the program's records:
-// one compiled for a different program.
-var errShortPlanes = errors.New("noise: sampler planes carry fewer records than the program: sampler compiled for another program")

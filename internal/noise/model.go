@@ -15,6 +15,13 @@
 // uniform variate per location (the draw kernels, see Schedule.FiredBatch) and
 // applies fired faults as Pauli frame updates, with zero allocations per
 // shot.
+//
+// CompileEffects turns a Schedule and a list of record-parity checks into
+// the one fault-effect table (Effects): which checks, and whether the
+// observable, each fault component flips. EstimateLogicalError samples in
+// that detector space: each batch's fault firings, XORed through an effect
+// table — the decoder's, or the outcome formula's own for the raw readout —
+// give its outcomes without walking the program.
 package noise
 
 import (

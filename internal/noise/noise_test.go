@@ -252,7 +252,7 @@ func TestNoisyShotsDeterministicRecords(t *testing.T) {
 	const shots = 32
 	run := func(workers int) []map[int32]bool {
 		out := make([]map[int32]bool, shots)
-		if err := s.RunShots(shots, 77, workers, func(i int, e *orqcs.Engine) error {
+		if err := orqcs.RunShots(s.Program(), s.RunShot, shots, 77, workers, func(i int, e *orqcs.Engine) error {
 			cp := make(map[int32]bool, len(e.Records()))
 			for k, v := range e.Records() {
 				cp[k] = v
@@ -412,11 +412,6 @@ type refusedSampler struct {
 	s *noise.Schedule
 }
 
-func (r refusedSampler) SamplePlanes(int, int64, int, func(*noise.Planes) error) error {
-	r.t.Error("the estimator sampled a T-gate program")
-	return nil
-}
-
 func (r refusedSampler) SampleFired(int, int64, int, func(*noise.Planes) error) error {
 	r.t.Error("the estimator sampled a T-gate program")
 	return nil
@@ -457,8 +452,7 @@ func TestEstimateRejectsTGates(t *testing.T) {
 // TestEstimateSamplerOptionErrors pins the Sampler OptionErrors: a missing
 // sampler, and samplers compiled for another schedule — noiseless, another
 // schedule of the same program, or a d=5 memory sampler handed a d=3 memory
-// schedule (its planes carry more records than d=3 reads, so no plane-length
-// check can catch it).
+// schedule (its firings index another fault table).
 func TestEstimateSamplerOptionErrors(t *testing.T) {
 	mem3, err := verify.MemoryExperiment(3, 3, pauli.Z)
 	if err != nil {

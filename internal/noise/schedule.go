@@ -485,7 +485,7 @@ func scan(reject []uint64, k int, x0, x1, x2, x3 uint64) (int, uint64, uint64, u
 // their slots, and no allocation happens per shot. The engine must have
 // been built from the same program. For a fixed schedule the shot outcome
 // depends only on the seed. RunShot is an orqcs.ShotFunc, so it plugs
-// directly into RunShotsFunc and EstimateManyFunc.
+// directly into orqcs.RunShots and orqcs.EstimateMany.
 //
 //tiscc:hotpath
 func (s *Schedule) RunShot(e *orqcs.Engine, seed int64) {
@@ -516,19 +516,4 @@ func (s *Schedule) RunShot(e *orqcs.Engine, seed int64) {
 	tel.Inc(orqcs.CtrBatches)
 	tel.Add(orqcs.CtrFaultsFired, uint64(fired))
 	tel.Observe(orqcs.HistFaultsPerBatch, uint64(fired))
-}
-
-// RunShots executes noisy shots across the deterministic worker pool:
-// the noisy counterpart of orqcs.RunShots, with the same visit contract and
-// worker-count-independent per-shot seeding.
-func (s *Schedule) RunShots(shots int, seed int64, workers int, visit func(shot int, e *orqcs.Engine) error) error {
-	return orqcs.RunShotsFunc(s.prog, s.RunShot, shots, seed, workers, visit)
-}
-
-// EstimateMany Monte-Carlo-estimates several Pauli operators over the
-// schedule's program under its noise model, evaluating all operators against
-// each noisy shot in a single pass (see orqcs.EstimateMany for the
-// determinism and memory contract).
-func (s *Schedule) EstimateMany(ops []orqcs.SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
-	return orqcs.EstimateManyFunc(s.prog, s.RunShot, ops, shots, seed, workers)
 }

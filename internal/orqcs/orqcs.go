@@ -243,19 +243,3 @@ func RunText(text string, seed int64) (*Engine, error) {
 	}
 	return RunOnce(c, seed)
 }
-
-// Estimate computes a Monte-Carlo estimate of ⟨op⟩ after the circuit, using
-// the quasi-probability sampler for any non-Clifford gates. It returns the
-// mean and the standard error of the mean. For Clifford-only circuits with a
-// deterministic expectation, a single shot suffices and stderr is 0.
-//
-// Estimate compiles the circuit and delegates to EstimateBatch with an
-// automatic worker count; callers estimating several operators over the same
-// circuit should Compile once and call EstimateBatch per operator.
-func Estimate(c *circuit.Circuit, op SitePauli, shots int, seed int64) (mean, stderr float64, err error) {
-	p, err := Compile(c)
-	if err != nil {
-		return 0, 0, err
-	}
-	return EstimateBatch(p, op, shots, seed, 0)
-}

@@ -146,12 +146,15 @@ func TestQuasiCliffordTGate(t *testing.T) {
 	b.Prepare(ion)
 	b.Hadamard(ion)            // |+⟩
 	b.Gate1(circuit.ZPi8, ion) // T|+⟩
-	c := b.Build()
+	p, err := Compile(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	const shots = 40000
 	want := 1 / math.Sqrt2
 	for _, k := range []pauli.Kind{pauli.X, pauli.Y} {
-		mean, stderr, err := Estimate(c, SitePauli{s: k}, shots, 11)
+		mean, stderr, err := estimateOne(p, SitePauli{s: k}, shots, 11, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +162,7 @@ func TestQuasiCliffordTGate(t *testing.T) {
 			t.Errorf("⟨%v⟩ = %.4f ± %.4f, want %.4f", k, mean, stderr, want)
 		}
 	}
-	mean, stderr, err := Estimate(c, SitePauli{s: pauli.Z}, shots, 13)
+	mean, stderr, err := estimateOne(p, SitePauli{s: pauli.Z}, shots, 13, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +179,11 @@ func TestTDaggerGate(t *testing.T) {
 	b.Prepare(ion)
 	b.Hadamard(ion)
 	b.Gate1(circuit.ZmPi8, ion) // T†|+⟩: ⟨Y⟩ = −1/√2
-	c := b.Build()
-	mean, stderr, err := Estimate(c, SitePauli{s: pauli.Y}, 40000, 17)
+	p, err := Compile(b.Build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mean, stderr, err := estimateOne(p, SitePauli{s: pauli.Y}, 40000, 17, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -128,7 +128,7 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 		restNs[q], moveCt[q] = 0, 0
 		return idle, mv
 	}
-	// Record ids index the samplers' record planes directly, so they must
+	// Record ids index the samplers' record words directly, so they must
 	// be dense: every id in [0, number of measurements). Every event but a
 	// transport or well operation lowers to at most one instruction, which
 	// sizes the instruction and gap tables.
@@ -267,9 +267,9 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 func (p *Program) NumQubits() int { return p.n }
 
 // NumRecords returns one past the largest measurement record id: the
-// number of record words a record plane carries. Record ids are dense in
-// [0, NumRecords) (Compile and DecodeProgram reject any id at or beyond the
-// number of measurements), so an id indexes a plane directly.
+// number of record words a frame batch's run writes. Record ids are dense
+// in [0, NumRecords) (Compile and DecodeProgram reject any id at or beyond
+// the number of measurements), so an id indexes the words directly.
 func (p *Program) NumRecords() int {
 	n := 0
 	for i := range p.instrs {
@@ -502,24 +502,19 @@ func RunPool[S any](n, workers int, newState func() S, run func(s S, i int) erro
 // noiseless Engine.RunShot.
 type ShotFunc func(e *Engine, shotSeed int64)
 
-// RunShots executes shots runs of the program across a worker pool. Each
-// worker owns one reusable Engine (compiled state, preallocated tableau);
-// shot i always runs with ShotSeed(seed, i), so results are independent of
-// the worker count. workers ≤ 0 selects GOMAXPROCS.
+// RunShots executes shots runs of the program across a worker pool, each
+// through run — a noise schedule's fault-injecting shot loop, say — or,
+// when run is nil, the noiseless Engine.RunShot. Each worker owns one
+// reusable Engine (compiled state, preallocated tableau); shot i always
+// runs with ShotSeed(seed, i), so results are independent of the worker
+// count. workers ≤ 0 selects GOMAXPROCS.
 //
 // visit, if non-nil, is called after every completed shot with the engine
 // that ran it. Calls happen concurrently from different workers (always for
 // distinct shot indices), and the engine's state — records included — is
 // only valid until that worker starts its next shot: copy anything that
 // must outlive the call. A non-nil error from visit stops the run.
-func RunShots(p *Program, shots int, seed int64, workers int, visit func(shot int, e *Engine) error) error {
-	return RunShotsFunc(p, nil, shots, seed, workers, visit)
-}
-
-// RunShotsFunc is RunShots with a pluggable per-shot executor: a non-nil run
-// (e.g. a noise schedule's fault-injecting shot loop) replaces the noiseless
-// Engine.RunShot.
-func RunShotsFunc(p *Program, run ShotFunc, shots int, seed int64, workers int, visit func(shot int, e *Engine) error) error {
+func RunShots(p *Program, run ShotFunc, shots int, seed int64, workers int, visit func(shot int, e *Engine) error) error {
 	if run == nil {
 		run = (*Engine).RunShot
 	}
@@ -693,37 +688,20 @@ func (s *Stats) Results() (means, stderrs []float64) {
 	return means, stderrs
 }
 
-// --- Batch estimation --------------------------------------------------------
+// --- Expectation estimation -------------------------------------------------
 
-// EstimateBatch Monte-Carlo-estimates ⟨op⟩ over a compiled program: the
-// compile-once/run-many counterpart of Estimate. The operator is resolved to
-// qubit indices once, every worker reuses its engine state across shots, and
-// the streaming reduction folds values in shot order so that the returned
-// mean and standard error are bit-identical for every worker count.
-func EstimateBatch(p *Program, op SitePauli, shots int, seed int64, workers int) (mean, stderr float64, err error) {
-	means, stderrs, err := EstimateMany(p, []SitePauli{op}, shots, seed, workers)
-	if err != nil {
-		return 0, 0, err
-	}
-	return means[0], stderrs[0], nil
-}
-
-// EstimateMany estimates several Pauli operators over the same compiled
-// program in a single multi-shot pass: every shot is simulated once and all
-// operators are evaluated against its final state, so the per-shot
-// simulation cost is paid once instead of once per operator. Results are
-// deterministic in (shots, seed) for every worker count, and memory is
-// independent of the shot count (streaming Kahan reduction).
-func EstimateMany(p *Program, ops []SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
-	return EstimateManyFunc(p, nil, ops, shots, seed, workers)
-}
-
-// EstimateManyFunc is EstimateMany with a pluggable per-shot executor: a
-// non-nil run (e.g. a noise schedule's fault-injecting shot loop) replaces
-// the noiseless Engine.RunShot.
-func EstimateManyFunc(p *Program, run ShotFunc, ops []SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
+// EstimateMany Monte-Carlo-estimates several Pauli operators over a compiled
+// program in a single multi-shot pass, each shot run through run (nil: the
+// noiseless Engine.RunShot, as in RunShots): every shot is simulated once
+// and all operators are evaluated against its final state, so the per-shot
+// simulation cost is paid once instead of once per operator. Operators are
+// resolved to qubit indices once and every worker reuses its engine state
+// across shots. Results are deterministic in (shots, seed) for every worker
+// count — the streaming Kahan reduction folds values in shot order — and
+// memory is independent of the shot count.
+func EstimateMany(p *Program, run ShotFunc, ops []SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
 	if shots <= 0 {
-		return nil, nil, fmt.Errorf("orqcs: EstimateBatch needs shots ≥ 1, got %d", shots)
+		return nil, nil, fmt.Errorf("orqcs: EstimateMany needs shots ≥ 1, got %d", shots)
 	}
 	if len(ops) == 0 {
 		return nil, nil, fmt.Errorf("orqcs: no operators to estimate")
@@ -735,7 +713,7 @@ func EstimateManyFunc(p *Program, run ShotFunc, ops []SitePauli, shots int, seed
 		}
 	}
 	st := NewStats(len(ops))
-	if err := RunShotsFunc(p, run, shots, seed, workers, func(i int, e *Engine) error {
+	if err := RunShots(p, run, shots, seed, workers, func(i int, e *Engine) error {
 		vals := e.scratch(len(ops))
 		for j, ps := range pss {
 			vals[j] = e.weight * e.tb.ExpectationValue(ps)

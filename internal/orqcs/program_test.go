@@ -161,7 +161,7 @@ func TestRunShotsDeterministicAcrossWorkers(t *testing.T) {
 	const shots = 64
 	run := func(workers int) []shotTrace {
 		traces := make([]shotTrace, shots)
-		if err := RunShots(p, shots, 12345, workers, func(i int, e *Engine) error {
+		if err := RunShots(p, nil, shots, 12345, workers, func(i int, e *Engine) error {
 			traces[i] = traceOf(e) // copies the per-shot state it keeps
 			return nil
 		}); err != nil {
@@ -190,13 +190,13 @@ func TestEstimateBatchDeterministicAcrossWorkers(t *testing.T) {
 	}
 	op := SitePauli{s: pauli.X}
 	const shots, seed = 200, 7
-	refMean, refErr, err := EstimateBatch(p, op, shots, seed, 1)
+	refMean, refErr, err := estimateOne(p, op, shots, seed, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		for rerun := 0; rerun < 2; rerun++ {
-			m, se, err := EstimateBatch(p, op, shots, seed, workers)
+			m, se, err := estimateOne(p, op, shots, seed, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,7 +206,7 @@ func TestEstimateBatchDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	// A different seed must (overwhelmingly) give a different sample.
-	m2, _, err := EstimateBatch(p, op, shots, seed+1, 4)
+	m2, _, err := estimateOne(p, op, shots, seed+1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestEstimateBatchConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mean, stderr, err := EstimateBatch(p, SitePauli{s: pauli.X}, 40000, 11, 0)
+	mean, stderr, err := estimateOne(p, SitePauli{s: pauli.X}, 40000, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +240,10 @@ func TestEstimateBatchErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := EstimateBatch(p, SitePauli{{R: 9, C: 9}: pauli.X}, 10, 1, 1); err == nil {
+	if _, _, err := estimateOne(p, SitePauli{{R: 9, C: 9}: pauli.X}, 10, 1, 1); err == nil {
 		t.Fatal("expected error for operator on empty site")
 	}
-	if _, _, err := EstimateBatch(p, SitePauli{}, 0, 1, 1); err == nil {
+	if _, _, err := estimateOne(p, SitePauli{}, 0, 1, 1); err == nil {
 		t.Fatal("expected error for zero shots")
 	}
 }
@@ -263,8 +263,9 @@ func TestShotSeedStable(t *testing.T) {
 }
 
 // TestEstimateManyMatchesEstimateBatch pins the multi-operator pass to the
-// single-operator path: with one operator they must agree bit for bit (same
-// shot seeds, same fold order).
+// single-operator estimate (the facade's EstimateBatch): an operator's
+// mean and standard error do not depend on the other operators of the
+// pass (same shot seeds, same fold order).
 func TestEstimateManyMatchesEstimateBatch(t *testing.T) {
 	c, s := buildTPlus(t)
 	p, err := Compile(c)
@@ -273,17 +274,26 @@ func TestEstimateManyMatchesEstimateBatch(t *testing.T) {
 	}
 	op := SitePauli{s: pauli.X}
 	const shots, seed = 300, 19
-	m1, e1, err := EstimateBatch(p, op, shots, seed, 4)
+	m1, e1, err := estimateOne(p, op, shots, seed, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, es, err := EstimateMany(p, []SitePauli{op}, shots, seed, 4)
+	ms, es, err := EstimateMany(p, nil, []SitePauli{{s: pauli.Z}, op}, shots, seed, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ms[0] != m1 || es[0] != e1 {
-		t.Fatalf("EstimateMany %v±%v vs EstimateBatch %v±%v", ms[0], es[0], m1, e1)
+	if ms[1] != m1 || es[1] != e1 {
+		t.Fatalf("EstimateMany %v±%v vs the one-operator pass %v±%v", ms[1], es[1], m1, e1)
 	}
+}
+
+// estimateOne is EstimateMany on one operator: the facade's EstimateBatch.
+func estimateOne(p *Program, op SitePauli, shots int, seed int64, workers int) (mean, stderr float64, err error) {
+	means, stderrs, err := EstimateMany(p, nil, []SitePauli{op}, shots, seed, workers)
+	if err != nil {
+		return 0, 0, err
+	}
+	return means[0], stderrs[0], nil
 }
 
 // TestEstimateManyDeterministicAcrossWorkers checks the streaming reduction:
@@ -296,13 +306,13 @@ func TestEstimateManyDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := []SitePauli{{s: pauli.X}, {s: pauli.Y}, {s: pauli.Z}}
-	refM, refE, err := EstimateMany(p, ops, 250, 23, 1)
+	refM, refE, err := EstimateMany(p, nil, ops, 250, 23, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		for rerun := 0; rerun < 2; rerun++ {
-			ms, es, err := EstimateMany(p, ops, 250, 23, workers)
+			ms, es, err := EstimateMany(p, nil, ops, 250, 23, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +334,7 @@ func TestEstimateManyConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 	ops := []SitePauli{{s: pauli.X}, {s: pauli.Y}, {s: pauli.Z}}
-	ms, es, err := EstimateMany(p, ops, 40000, 29, 0)
+	ms, es, err := EstimateMany(p, nil, ops, 40000, 29, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,10 +351,10 @@ func TestEstimateManyErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := EstimateMany(p, nil, 10, 1, 1); err == nil {
+	if _, _, err := EstimateMany(p, nil, nil, 10, 1, 1); err == nil {
 		t.Fatal("expected error for empty operator list")
 	}
-	if _, _, err := EstimateMany(p, []SitePauli{{{R: 9, C: 9}: pauli.X}}, 10, 1, 1); err == nil {
+	if _, _, err := EstimateMany(p, nil, []SitePauli{{{R: 9, C: 9}: pauli.X}}, 10, 1, 1); err == nil {
 		t.Fatal("expected error for operator on empty site")
 	}
 }
@@ -395,14 +405,14 @@ func TestEliminateDropsDeadGates(t *testing.T) {
 	// ⟨X⟩ on H|0⟩ is 1. The full program still carries the dead T gate, so
 	// its estimate is statistical (per-shot weights ±γ); the eliminated
 	// program is Clifford and must be exact with zero variance.
-	m, se, err := EstimateBatch(p, op, 400, 31, 1)
+	m, se, err := estimateOne(p, op, 400, 31, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(m-1) > 5*se+0.01 {
 		t.Fatalf("full program ⟨X⟩ = %v ± %v, want ≈ 1", m, se)
 	}
-	m, se, err = EstimateBatch(slim, op, 50, 31, 1)
+	m, se, err = estimateOne(slim, op, 50, 31, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,11 +640,11 @@ func TestFuseRotationsPreservesEstimates(t *testing.T) {
 		t.Fatalf("fusion changed T count: %d → %d", p.NumTGates(), f.NumTGates())
 	}
 	op := SitePauli{s: pauli.X}
-	m1, _, err := EstimateBatch(p, op, 4000, 5, 1)
+	m1, _, err := estimateOne(p, op, 4000, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, _, err := EstimateBatch(f, op, 4000, 5, 1)
+	m2, _, err := estimateOne(f, op, 4000, 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

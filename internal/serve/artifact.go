@@ -26,7 +26,7 @@ import (
 
 // FormatVersion is the artifact wire-format version. Decoders reject any
 // other version: artifacts never migrate silently across format changes.
-// Version 2 added the decoding graph's symptom table.
+// Version 2 added the decoding graph's effect table.
 const FormatVersion uint16 = 2
 
 // artifactMagic leads every container, so a foreign file fails fast.
@@ -231,9 +231,9 @@ func DecodeBundle(data []byte) (*Artifact, error) {
 	if a.Graph, err = DecodeGraph(subs[2]); err != nil {
 		return nil, fmt.Errorf("serve: bundle graph: %w", err)
 	}
-	// Raw estimates read the outcome's records straight out of the
-	// program's record planes, so every id must index one; decoded
-	// estimates index the graph's symptom table by the schedule's fault
+	// Raw estimates compile the outcome's effect table from its record
+	// ids, so every id must name one of the program's records; decoded
+	// estimates index the graph's effect table by the schedule's fault
 	// sites, so the graph must have been compiled against it.
 	if err := a.Outcome.CheckRecords(a.Prog.NumRecords()); err != nil {
 		return nil, fmt.Errorf("serve: bundle outcome: %w", err)

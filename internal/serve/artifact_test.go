@@ -153,9 +153,9 @@ func TestBundleRoundTrip(t *testing.T) {
 }
 
 // TestDecodeBundleRejectsRecordRange pins the bundle's record-range check:
-// estimates read outcome ids straight out of the program's record planes,
-// so a CRC-valid bundle whose outcome names a record the program never
-// measures must fail to decode instead of indexing past a plane later.
+// raw estimates compile the outcome's effect table from its record ids, so
+// a CRC-valid bundle whose outcome names a record the program never
+// measures must fail to decode instead of reading a record that is not there.
 func TestDecodeBundleRejectsRecordRange(t *testing.T) {
 	art, err := CompileArtifact(Key{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: 1e-3})
 	if err != nil {
@@ -319,7 +319,7 @@ func FuzzDecodeSchedule(f *testing.F) {
 
 // foreignGraphBundle is a CRC-valid bundle whose graph was compiled
 // against the Table 5 schedule of the program its Depolarizing schedule
-// belongs to: its symptom table numbers other fault sites.
+// belongs to: its effect table numbers other fault sites.
 func foreignGraphBundle(t testing.TB) []byte {
 	art, err := CompileArtifact(Key{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: 1e-3})
 	if err != nil {
@@ -335,7 +335,7 @@ func foreignGraphBundle(t testing.TB) []byte {
 }
 
 // TestDecodeBundleRejectsForeignGraph pins the bundle's schedule binding:
-// decoded estimates index the graph's symptom table by the schedule's
+// decoded estimates index the graph's effect table by the schedule's
 // fault sites and their kinds, so a graph compiled against another schedule
 // must fail to decode instead of decoding the wrong faults.
 func TestDecodeBundleRejectsForeignGraph(t *testing.T) {
@@ -350,7 +350,7 @@ func FuzzDecodeGraph(f *testing.F) {
 		f.Fatalf("CompileArtifact: %v", err)
 	}
 	fuzzCorpus(f, EncodeGraph(art.Graph))
-	// CRC-valid damage to the symptom table at the payload's tail: the
+	// CRC-valid damage to the effect table at the payload's tail: the
 	// last detector ids out of range, and missing ids.
 	payload := decoder.AppendGraph(nil, art.Graph)
 	for _, last := range []uint32{math.MaxInt32, math.MaxUint32} {
@@ -377,8 +377,8 @@ func FuzzDecodeBundle(f *testing.F) {
 			return
 		}
 		// A bundle that decodes must also estimate without panicking: its
-		// record ids all index the program's record planes, and its
-		// symptom table covers the schedule's fault sites and kinds.
+		// record ids all name the program's records, and its effect
+		// table covers the schedule's fault sites and kinds.
 		_, _ = experiment.Estimate(a.Sched, a.Outcome, a.Reference,
 			noise.Options{Shots: 64, Seed: 1, Workers: 1, Decoder: a.Graph})
 	})

@@ -85,7 +85,7 @@ func TestBitSlicedEstimateBatchMatches(t *testing.T) {
 	// Bit-sliced path through the deterministic parallel worker pool.
 	for _, workers := range []int{1, 4} {
 		got := make([]bool, 40)
-		if err := orqcs.RunShots(mem.Prog, 40, 7, workers, func(shot int, e *orqcs.Engine) error {
+		if err := orqcs.RunShots(mem.Prog, nil, 40, 7, workers, func(shot int, e *orqcs.Engine) error {
 			got[shot] = mem.Outcome.Eval(e.Records())
 			return nil
 		}); err != nil {

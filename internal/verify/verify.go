@@ -280,7 +280,7 @@ func InjectTBloch(dx, dz int, shots int, seed int64) (mean, stderr tomo.Bloch, e
 	if prog, err = prog.Eliminate(ops...); err != nil {
 		return mean, stderr, err
 	}
-	means, stderrs, err := orqcs.EstimateMany(prog, ops, shots, seed, 0)
+	means, stderrs, err := orqcs.EstimateMany(prog, nil, ops, shots, seed, 0)
 	if err != nil {
 		return mean, stderr, err
 	}
@@ -635,7 +635,7 @@ func surgeryExperiment(d, pre, merge, post int, basis pauli.Kind, built func(*ci
 	if s.Reference {
 		want = ^want
 	}
-	if outcome.EvalWords(batch.Planes().Words) != want {
+	if outcome.EvalWords(batch.RecordWords()) != want {
 		return nil, fmt.Errorf("verify: surgery joint parity is not deterministic")
 	}
 	return s, nil

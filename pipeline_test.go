@@ -2,7 +2,6 @@ package tiscc_test
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -76,26 +75,19 @@ func TestEntryPointsAgree(t *testing.T) {
 	}
 }
 
-// tableauSampler is the bit-sliced tableau as a noise.Sampler: shot i runs
-// under ShotSeed(seed, i) and is handed on as a one-lane record plane. It
-// hands over records, not firings, so it serves raw estimates only;
-// decoded cases are judged through the record oracle (tableauDecodedErrors).
-type tableauSampler struct{ sched *noise.Schedule }
-
-func (ts tableauSampler) Schedule() *noise.Schedule { return ts.sched }
-
-func (ts tableauSampler) SampleFired(int, int64, int, func(*noise.Planes) error) error {
-	return errors.New("tableau sampler: hands over records, not firings")
-}
-
-// tableauDecodedErrors counts the tableau shots of [0, shots) whose record
-// tables, decoded through the record oracle (DecodeOutcome), disagree with
-// the reference outcome.
-func tableauDecodedErrors(t *testing.T, sched *noise.Schedule, g *tiscc.DecoderGraph, reference bool, shots int, seed int64, workers int) int {
+// tableauErrors counts the tableau shots of [0, shots) whose logical
+// outcome disagrees with the reference: the outcome formula over the
+// shot's records (raw readout) or, with a decoder, the records decoded
+// through the record oracle (DecodeOutcome).
+func tableauErrors(t *testing.T, sched *noise.Schedule, outcome tiscc.Expr, g *tiscc.DecoderGraph, reference bool, shots int, seed int64, workers int) int {
 	t.Helper()
 	var errs atomic.Int64
-	err := sched.RunShots(shots, seed, workers, func(_ int, e *orqcs.Engine) error {
-		if g.DecodeOutcome(e.Records()) != reference {
+	err := orqcs.RunShots(sched.Program(), sched.RunShot, shots, seed, workers, func(_ int, e *orqcs.Engine) error {
+		got := outcome.Eval(e.Records())
+		if g != nil {
+			got = g.DecodeOutcome(e.Records())
+		}
+		if got != reference {
 			errs.Add(1)
 		}
 		return nil
@@ -106,25 +98,11 @@ func tableauDecodedErrors(t *testing.T, sched *noise.Schedule, g *tiscc.DecoderG
 	return int(errs.Load())
 }
 
-func (ts tableauSampler) SamplePlanes(shots int, seed int64, workers int, visit func(p *noise.Planes) error) error {
-	nrec := ts.sched.Program().NumRecords()
-	return ts.sched.RunShots(shots, seed, workers, func(i int, e *orqcs.Engine) error {
-		p := noise.Planes{First: i, N: 1, Lanes: 1, Words: make([]uint64, nrec)}
-		for id := range p.Words {
-			if e.Records()[int32(id)] {
-				p.Words[id] = 1
-			}
-		}
-		return visit(&p)
-	})
-}
-
 // TestEstimateLogicalErrorMatchesTableau checks that the facade's
-// lower-level EstimateLogicalError, which samples on the Pauli-frame engine
-// by default, agrees exactly with the bit-sliced tableau for memory and
-// surgery: raw, it returns the result of the estimator sampling on the
-// tableau; decoded (in detector space, from fault firings), it counts the
-// errors of the tableau's records decoded shot by shot.
+// lower-level EstimateLogicalError, which samples fault firings on the
+// Pauli-frame engine and judges them in detector space, agrees exactly
+// with the bit-sliced tableau for memory and surgery: raw or decoded, it
+// counts the errors of the tableau's records judged shot by shot.
 func TestEstimateLogicalErrorMatchesTableau(t *testing.T) {
 	m := tiscc.DepolarizingNoise(agreementP)
 	mem, err := tiscc.CompileMemoryExperiment(3, 3)
@@ -166,21 +144,10 @@ func TestEstimateLogicalErrorMatchesTableau(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if tc.decoder != nil {
-				want := tableauDecodedErrors(t, tc.sched, tc.decoder, tc.reference, opt.Shots, opt.Seed, opt.Workers)
-				if got.Shots != opt.Shots || got.Errors != want || got.RawFallbacks != 0 {
-					t.Fatalf("decoded estimate %d/%d errors (%d fallbacks), tableau record oracle %d/%d",
-						got.Errors, got.Shots, got.RawFallbacks, want, opt.Shots)
-				}
-				return
-			}
-			opt.Sampler = tableauSampler{tc.sched}
-			want, err := noise.EstimateLogicalError(tc.sched, tc.outcome, tc.reference, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("frame-sampled facade result %+v differs from the tableau reference %+v", got, want)
+			want := tableauErrors(t, tc.sched, tc.outcome, tc.decoder, tc.reference, opt.Shots, opt.Seed, opt.Workers)
+			if got.Shots != opt.Shots || got.Errors != want || got.RawFallbacks != 0 {
+				t.Fatalf("estimate %d/%d errors (%d fallbacks), tableau record oracle %d/%d",
+					got.Errors, got.Shots, got.RawFallbacks, want, opt.Shots)
 			}
 		})
 	}

@@ -242,7 +242,11 @@ func RunProgram(p *Program, seed int64) *Engine {
 // base seed and shot index, so the returned mean and standard error are
 // identical for every worker count (workers ≤ 0 selects GOMAXPROCS).
 func EstimateBatch(p *Program, op SitePauli, shots int, seed int64, workers int) (mean, stderr float64, err error) {
-	return orqcs.EstimateBatch(p, op, shots, seed, workers)
+	means, stderrs, err := orqcs.EstimateMany(p, nil, []SitePauli{op}, shots, seed, workers)
+	if err != nil {
+		return 0, 0, err
+	}
+	return means[0], stderrs[0], nil
 }
 
 // EstimateMany estimates several Pauli operators over one compiled program
@@ -251,14 +255,14 @@ func EstimateBatch(p *Program, op SitePauli, shots int, seed int64, workers int)
 // (shots, seed) for every worker count; memory is independent of the shot
 // count (streaming Kahan reduction).
 func EstimateMany(p *Program, ops []SitePauli, shots int, seed int64, workers int) (means, stderrs []float64, err error) {
-	return orqcs.EstimateMany(p, ops, shots, seed, workers)
+	return orqcs.EstimateMany(p, nil, ops, shots, seed, workers)
 }
 
 // RunShots executes shots runs of a compiled program across a worker pool,
 // invoking visit after each completed shot; see orqcs.RunShots for the
 // engine-reuse contract.
 func RunShots(p *Program, shots int, seed int64, workers int, visit func(shot int, e *Engine) error) error {
-	return orqcs.RunShots(p, shots, seed, workers, visit)
+	return orqcs.RunShots(p, nil, shots, seed, workers, visit)
 }
 
 // --- Noise models and logical error rates ------------------------------------
@@ -459,7 +463,11 @@ func RunCircuitText(text string, seed int64) (*Engine, error) { return orqcs.Run
 // estimate several operators over one circuit via CompileProgram +
 // EstimateBatch to pay compilation only once.
 func EstimateExpectation(c *Circuit, op SitePauli, shots int, seed int64) (mean, stderr float64, err error) {
-	return orqcs.Estimate(c, op, shots, seed)
+	p, err := orqcs.Compile(c)
+	if err != nil {
+		return 0, 0, err
+	}
+	return EstimateBatch(p, op, shots, seed, 0)
 }
 
 // EstimateCircuit computes the hardware resource report of a circuit.
