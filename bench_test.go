@@ -648,11 +648,12 @@ func BenchmarkCompileDecoderGraph(b *testing.B) {
 // sampler — on the benchmark's workload shapes: memory d=9 decoded and d=13
 // raw at depolarizing(1e-3), and the decoded d=5 merge/split cycle at
 // depolarizing(5e-5). Every Compile builds a fresh program, so each
-// iteration pays for its one noiseless reference pass. Medians of six
-// alternating -cpu 1 runs on a shared 2-core Xeon: 57 ms and 19.0 MB per
-// op at d=9 decoded, 79 ms and 23.4 MB at d=13 raw, 26 ms and 9.2 MB for
-// surgery d=5. The noiseless reference's deterministic measurements
-// (tableau.Sliced.detValue) are ~20% of the d=13 profile.
+// iteration pays for its one noiseless reference pass. Medians of three
+// -cpu 1 runs of 20 iterations on a shared 2-core Xeon: 41 ms and 18.2 MB
+// per op at d=9 decoded, 47 ms and 23.6 MB at d=13 raw, 20 ms and 8.6 MB
+// for surgery d=5. The reference pass (BenchmarkReference) is ~10% of the
+// d=13 profile; the compiler's symbolic tracker (tableau.T.MeasurePauli)
+// and the event sort (circuit.SortedByTime) are the largest parts left.
 func BenchmarkSetup(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -674,6 +675,52 @@ func BenchmarkSetup(b *testing.B) {
 					b.Fatal(err)
 				}
 				if _, err := frame.New(cc.Prog, cc.Sched); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReference times the noiseless reference pass alone
+// (orqcs.NewReference: the forward tableau's gates and random measurements,
+// the inverse tableau's deterministic outcomes) on the programs of
+// BenchmarkSetup's workload shapes.
+func BenchmarkReference(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		prog func() (*orqcs.Program, error)
+	}{
+		{"memory/d=9", func() (*orqcs.Program, error) {
+			m, err := verify.MemoryExperiment(9, 9, pauli.Z)
+			if err != nil {
+				return nil, err
+			}
+			return m.Prog, nil
+		}},
+		{"memory/d=13", func() (*orqcs.Program, error) {
+			m, err := verify.MemoryExperiment(13, 13, pauli.Z)
+			if err != nil {
+				return nil, err
+			}
+			return m.Prog, nil
+		}},
+		{"surgery/d=5", func() (*orqcs.Program, error) {
+			s, err := verify.SurgeryExperiment(5, 1, 5, 1, pauli.Z)
+			if err != nil {
+				return nil, err
+			}
+			return s.Prog, nil
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := c.prog()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := orqcs.NewReference(p, 1); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -105,6 +105,14 @@ func New(cellRows, cellCols int) *Grid {
 func (g *Grid) MaxR() int { return 4 * g.CellRows }
 func (g *Grid) MaxC() int { return 4 * g.CellCols }
 
+// NumSites returns the number of fine-grid positions in the grid rectangle,
+// trap or not: the range of Index.
+func (g *Grid) NumSites() int { return (g.MaxR() + 1) * (g.MaxC() + 1) }
+
+// Index returns the dense row-major index of an in-bounds position, so
+// per-site state can live in a slice of NumSites entries.
+func (g *Grid) Index(s Site) int { return s.R*(g.MaxC()+1) + s.C }
+
 // InBounds reports whether s lies inside the grid rectangle.
 func (g *Grid) InBounds(s Site) bool {
 	return s.R >= 0 && s.R <= g.MaxR() && s.C >= 0 && s.C <= g.MaxC()

@@ -123,8 +123,10 @@ type Builder struct {
 
 	pos   []grid.Site // ion-indexed: current site
 	avail []int64     // ion-indexed: time the ion becomes free
-	sites map[grid.Site]*siteState
-	jwin  map[grid.Site][]window
+	// sites and jwin are indexed by G.Index: per-site occupancy and the
+	// reservation windows of each junction.
+	sites []siteState
+	jwin  [][]window
 	// events holds the emitted events in blocks (see emit), in emission
 	// order.
 	events [][]circuit.Event
@@ -134,22 +136,15 @@ type Builder struct {
 
 // NewBuilder returns an empty builder over the given grid and parameters.
 func NewBuilder(g *grid.Grid, p Params) *Builder {
-	return &Builder{
-		G:     g,
-		P:     p,
-		sites: map[grid.Site]*siteState{},
-		jwin:  map[grid.Site][]window{},
+	sites := make([]siteState, g.NumSites())
+	for i := range sites {
+		sites[i].occupant = -1
 	}
+	return &Builder{G: g, P: p, sites: sites, jwin: make([][]window, g.NumSites())}
 }
 
-func (b *Builder) site(s grid.Site) *siteState {
-	st, ok := b.sites[s]
-	if !ok {
-		st = &siteState{occupant: -1}
-		b.sites[s] = st
-	}
-	return st
-}
+// site returns the state of the in-bounds site s.
+func (b *Builder) site(s grid.Site) *siteState { return &b.sites[b.G.Index(s)] }
 
 // AddIon registers an ion resting at site s. Ions added before any event is
 // emitted rest there from time 0; ions added mid-compilation (merge seams,
@@ -188,17 +183,15 @@ func (b *Builder) Pos(i Ion) grid.Site { return b.pos[i] }
 
 // Occupied reports whether a site currently hosts a resting ion.
 func (b *Builder) Occupied(s grid.Site) bool {
-	st, ok := b.sites[s]
-	return ok && st.occupant != -1
+	return b.G.InBounds(s) && b.site(s).occupant != -1
 }
 
 // IonAt returns the ion currently resting at s, if any.
 func (b *Builder) IonAt(s grid.Site) (Ion, bool) {
-	st, ok := b.sites[s]
-	if !ok || st.occupant == -1 {
+	if !b.G.InBounds(s) || b.site(s).occupant == -1 {
 		return -1, false
 	}
-	return st.occupant, true
+	return b.site(s).occupant, true
 }
 
 // Avail returns the time at which the ion becomes free.
@@ -312,11 +305,17 @@ func (b *Builder) MoveAlong(i Ion, path []grid.Site) error {
 	for k < len(path) {
 		cur := b.pos[i]
 		next := path[k]
+		if !b.G.Valid(next) {
+			return fmt.Errorf("hardware: path leaves the grid at %v", next)
+		}
 		if grid.TypeOf(next) == grid.Junction {
 			if k+1 >= len(path) {
 				return fmt.Errorf("hardware: path ends at junction %v", next)
 			}
 			land := path[k+1]
+			if !b.G.Valid(land) {
+				return fmt.Errorf("hardware: path leaves the grid at %v", land)
+			}
 			if !grid.Adjacent(next, land) || !grid.Adjacent(cur, next) {
 				return fmt.Errorf("hardware: junction hop %v->%v->%v not adjacent", cur, next, land)
 			}
@@ -381,7 +380,7 @@ func (b *Builder) vacate(s grid.Site, t int64) {
 // reserveJunction finds the earliest start ≥ t such that [start, start+d)
 // does not overlap an existing reservation, inserts it, and returns it.
 func (b *Builder) reserveJunction(j grid.Site, t, d int64) int64 {
-	wins := b.jwin[j]
+	wins := b.jwin[b.G.Index(j)]
 	start := t
 	for {
 		conflict := false
@@ -398,7 +397,7 @@ func (b *Builder) reserveJunction(j grid.Site, t, d int64) int64 {
 		}
 	}
 	wins = append(wins, window{start, start + d})
-	b.jwin[j] = wins
+	b.jwin[b.G.Index(j)] = wins
 	return start
 }
 

@@ -3,6 +3,7 @@ package noise
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"tiscc/internal/expr"
 	"tiscc/internal/orqcs"
@@ -220,9 +221,10 @@ func wilsonStdErr(errors, shots int) float64 {
 // Shots are sampled and judged a batch at a time (64 shots per frame
 // batch), in detector space: the sampler draws each batch's faults and
 // walks no instruction. A decoder XORs each firing's symptom into the
-// batch's detector words and decodes them. The raw readout compiles, once
-// per call, the effect table of the outcome formula alone (CompileEffects,
-// which fails unless the formula is deterministic on a noiseless run):
+// batch's detector words and decodes them. The raw readout reads the effect
+// table of the outcome formula alone (CompileEffects, which fails unless the
+// formula is deterministic on a noiseless run; the schedule keeps the last
+// table compiled, so repeated estimates of one formula compile it once):
 // each lane starts at the formula's value on the program's reference trace
 // and every firing that flips the formula flips it. The run is deterministic in
 // (schedule, outcome, Options): error bits are folded in strict shot order
@@ -343,9 +345,15 @@ func (j *judge) compileRaw(s *Schedule, outcome expr.Expr) error {
 		return err
 	}
 	// The formula is the table's observable: a formula that is not
-	// deterministic fails here, named as "the observable".
-	if j.raw, err = CompileEffects(s, nil, outcome.IDs); err != nil {
-		return err
+	// deterministic fails here, named as "the observable". The schedule
+	// keeps the last table, so repeated estimates of one formula reuse it.
+	if t := s.raw.Load(); t != nil && slices.Equal(t.ids, outcome.IDs) {
+		j.raw = t.eff
+	} else {
+		if j.raw, err = CompileEffects(s, nil, outcome.IDs); err != nil {
+			return err
+		}
+		s.raw.Store(&rawTable{ids: slices.Clone(outcome.IDs), eff: j.raw})
 	}
 	j.noiseless = outcome.EvalWords(ref.Words)
 	return nil

@@ -3,6 +3,7 @@ package noise_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -201,6 +202,62 @@ func BenchmarkRawOutcomeEffects(b *testing.B) {
 	for b.Loop() {
 		if _, err := noise.CompileEffects(sched, nil, mem.Outcome.IDs); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestRawTableCompiledOnce runs two raw estimates on one schedule: the
+// first compiles the outcome formula's effect table and the schedule keeps
+// it, the second reuses that table (CompileEffects runs once), and both
+// return the same Result.
+func TestRawTableCompiledOnce(t *testing.T) {
+	mem, err := verify.MemoryExperiment(5, 5, pauli.Z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
+	if noise.RawTable(sched) != nil {
+		t.Fatal("a fresh schedule holds a raw table")
+	}
+	opt := withFrame(t, sched, noise.Options{Shots: 2000, Seed: 3, Workers: 2})
+	first, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := noise.RawTable(sched)
+	if table == nil {
+		t.Fatal("the raw estimate kept no table")
+	}
+	second, err := noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if noise.RawTable(sched) != table {
+		t.Fatal("the second raw estimate compiled the table again")
+	}
+	if first != second {
+		t.Fatalf("repeated raw estimates differ: %+v then %+v", first, second)
+	}
+	// Concurrent raw estimates on a fresh schedule race to fill its table;
+	// every one must still return the sequential Result.
+	sched = noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
+	var wg sync.WaitGroup
+	results := make([]noise.Result, 4)
+	for i := range results {
+		opt := withFrame(t, sched, noise.Options{Shots: 2000, Seed: 3, Workers: 2})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if results[i], err = noise.EstimateLogicalError(sched, mem.Outcome, mem.Reference, opt); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, r := range results {
+		if r != first {
+			t.Fatalf("concurrent estimate %d: %+v, sequential %+v", i, r, first)
 		}
 	}
 }

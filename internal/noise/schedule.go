@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"tiscc/internal/cpuid"
 	"tiscc/internal/orqcs"
@@ -85,6 +86,17 @@ type Schedule struct {
 	class  []GateClass // per-site gate class, parallel to faults
 	start  []int32     // CSR offsets: slot i is faults[start[i]:start[i+1]]
 	reject []uint64    // per-site draw-kernel reject bounds (see rejectBounds)
+
+	// raw is the last raw readout table compiled against the schedule
+	// (judge.compileRaw), keyed by its outcome formula's record ids, so
+	// repeated raw estimates of one formula compile it once.
+	raw atomic.Pointer[rawTable]
+}
+
+// rawTable is one outcome formula's effect table.
+type rawTable struct {
+	ids []int32
+	eff *Effects
 }
 
 // Program returns the program the schedule was compiled against.

@@ -121,28 +121,52 @@ func (e *Engine) Exec(in *Instr) {
 		} else {
 			e.tel.Inc(CtrMeasRandom)
 		}
-	case OpX:
-		e.tb.X(q)
-	case OpSqrtX:
-		e.tb.SqrtX(q)
-	case OpSqrtXDg:
-		e.tb.SqrtXDg(q)
-	case OpY:
-		e.tb.Y(q)
-	case OpSqrtY:
-		e.tb.SqrtY(q)
-	case OpSqrtYDg:
-		e.tb.SqrtYDg(q)
-	case OpZ:
-		e.tb.Z(q)
-	case OpS:
-		e.tb.S(q)
-	case OpSdg:
-		e.tb.Sdg(q)
 	case OpT, OpTdg:
 		e.sampleT(q, in.Op == OpT)
+	default:
+		applyGate(e.tb, in)
+	}
+}
+
+// gates is the native gate set of lowered programs: the stabilizer states
+// and the reference pass's inverse tableau all implement it.
+type gates interface {
+	X(q int)
+	Y(q int)
+	Z(q int)
+	S(q int)
+	Sdg(q int)
+	SqrtX(q int)
+	SqrtXDg(q int)
+	SqrtY(q int)
+	SqrtYDg(q int)
+	ZZ(a, b int)
+}
+
+// applyGate applies in's native gate to g; other operations do nothing.
+func applyGate[G gates](g G, in *Instr) {
+	q := int(in.Q1)
+	switch in.Op {
+	case OpX:
+		g.X(q)
+	case OpSqrtX:
+		g.SqrtX(q)
+	case OpSqrtXDg:
+		g.SqrtXDg(q)
+	case OpY:
+		g.Y(q)
+	case OpSqrtY:
+		g.SqrtY(q)
+	case OpSqrtYDg:
+		g.SqrtYDg(q)
+	case OpZ:
+		g.Z(q)
+	case OpS:
+		g.S(q)
+	case OpSdg:
+		g.Sdg(q)
 	case OpZZ:
-		e.tb.ZZ(q, int(in.Q2))
+		g.ZZ(q, int(in.Q2))
 	}
 }
 

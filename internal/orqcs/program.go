@@ -98,7 +98,7 @@ type Program struct {
 // index of the ion resting at its site at that point in time, and the final
 // site-occupancy map is kept for end-of-circuit expectation queries.
 func Compile(c *circuit.Circuit) (*Program, error) {
-	p := &Program{finalAt: map[grid.Site]int{}, srcEvents: len(c.Events)}
+	p := &Program{srcEvents: len(c.Events)}
 	// touched[q] reports whether any state-changing instruction has been
 	// emitted for qubit q. Every birth yields a fresh tableau qubit in |0⟩,
 	// so a first-touch Prepare_Z is constant-folded away at compile time —
@@ -131,12 +131,22 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 	// Record ids index the samplers' record words directly, so they must
 	// be dense: every id in [0, number of measurements). Every event but a
 	// transport or well operation lowers to at most one instruction, which
-	// sizes the instruction and gap tables.
+	// sizes the instruction and gap tables. The same pass numbers the
+	// distinct sites densely (ids[2i], ids[2i+1]: event i's S1 and S2, -1
+	// when it has no S2), so the walk keeps per-site state in slices.
+	events := c.TimeOrdered()
+	var sites siteNumbers
+	ids := make([]int32, 2*len(events))
 	nMeas, nOps := 0, 0
-	for i := range c.Events {
-		switch c.Events[i].Gate {
+	for i := range events {
+		e := &events[i]
+		ids[2*i], ids[2*i+1] = sites.id(e.S1), -1
+		switch e.Gate {
 		case circuit.Move, circuit.MergeWells, circuit.SplitWells, circuit.Cool:
+			ids[2*i+1] = sites.id(e.S2)
 			continue
+		case circuit.ZZ:
+			ids[2*i+1] = sites.id(e.S2)
 		case circuit.MeasureZ:
 			nMeas++
 		}
@@ -144,54 +154,60 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 	}
 	p.instrs = make([]Instr, 0, nOps)
 	p.gaps = make([]Gap, 0, nOps)
-	// p.finalAt holds the qubit of the ion resting at each occupied site as
-	// the events are walked in time order, so after the walk it is the final
-	// occupancy. visited marks every site that has hosted an ion.
-	visited := map[grid.Site]bool{}
-	at := func(s grid.Site, allowReload bool) (int, error) {
-		if q, ok := p.finalAt[s]; ok {
-			return q, nil
+	// ionAt holds, per site id, the qubit of the ion resting there (-1 when
+	// vacant) as the events are walked in time order, so after the walk it
+	// is the final occupancy. visited marks every site that has hosted an
+	// ion.
+	ionAt := make([]int32, len(sites.sites))
+	for i := range ionAt {
+		ionAt[i] = -1
+	}
+	visited := make([]bool, len(sites.sites))
+	at := func(id int32, allowReload bool) (int, error) {
+		if q := ionAt[id]; q >= 0 {
+			return int(q), nil
 		}
-		if visited[s] && !allowReload {
-			return -1, fmt.Errorf("orqcs: event on vacated site %v", s)
+		if visited[id] && !allowReload {
+			return -1, fmt.Errorf("orqcs: event on vacated site %v", sites.sites[id])
 		}
 		// A new ion is a fresh tableau qubit. Prepare_Z may also (re)load
 		// one at a vacated site (seam qubits and relocated measure qubits
 		// are loaded mid-circuit).
 		q := p.n
 		p.n++
-		p.finalAt[s], visited[s] = q, true
+		ionAt[id], visited[id] = int32(q), true
 		touched = append(touched, false)
 		freeAt = append(freeAt, -1)
 		restNs = append(restNs, 0)
 		moveCt = append(moveCt, 0)
 		return q, nil
 	}
-	for _, e := range c.TimeOrdered() {
+	for i, e := range events {
+		id1, id2 := ids[2*i], ids[2*i+1]
 		q1, q2 := -1, -1
 		var err error
 		switch e.Gate {
 		case circuit.Move:
-			if q1, err = at(e.S1, false); err != nil {
+			if q1, err = at(id1, false); err != nil {
 				return nil, err
 			}
-			if _, occ := p.finalAt[e.S2]; occ {
+			if ionAt[id2] >= 0 {
 				return nil, fmt.Errorf("orqcs: move into occupied site %v", e.S2)
 			}
-			delete(p.finalAt, e.S1)
-			p.finalAt[e.S2], visited[e.S2] = q1, true
+			ionAt[id1] = -1
+			ionAt[id2], visited[id2] = int32(q1), true
 			accrue(q1, e)
 			moveCt[q1]++
 			continue
 		case circuit.ZZ, circuit.MergeWells, circuit.SplitWells, circuit.Cool:
-			if q1, err = at(e.S1, false); err != nil {
+			if q1, err = at(id1, false); err != nil {
 				return nil, err
 			}
-			if q2, err = at(e.S2, false); err != nil {
+			if q2, err = at(id2, false); err != nil {
 				return nil, err
 			}
 		default:
-			if q1, err = at(e.S1, e.Gate == circuit.PrepareZ); err != nil {
+			if q1, err = at(id1, e.Gate == circuit.PrepareZ); err != nil {
 				return nil, err
 			}
 		}
@@ -260,7 +276,57 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 		p.instrs = append(p.instrs, in)
 		p.gaps = append(p.gaps, g)
 	}
+	p.finalAt = make(map[grid.Site]int, p.n)
+	for id, q := range ionAt {
+		if q >= 0 {
+			p.finalAt[sites.sites[id]] = int(q)
+		}
+	}
 	return p, nil
+}
+
+// siteNumbers numbers distinct sites densely in order of first sight: an
+// open-addressing table that doubles as it fills, so its size follows the
+// number of distinct sites, never their coordinate range.
+type siteNumbers struct {
+	slots []int32     // site id + 1 per slot, 0 when empty
+	sites []grid.Site // by id
+}
+
+// id returns s's number, assigning the next one on first sight.
+func (t *siteNumbers) id(s grid.Site) int32 {
+	if 2*len(t.sites) >= len(t.slots) {
+		t.grow()
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := siteHash(s) & mask; ; i = (i + 1) & mask {
+		v := t.slots[i]
+		if v == 0 {
+			t.sites = append(t.sites, s)
+			t.slots[i] = int32(len(t.sites))
+			return int32(len(t.sites)) - 1
+		}
+		if t.sites[v-1] == s {
+			return v - 1
+		}
+	}
+}
+
+// grow doubles the table (64 slots at first) and reinserts every site.
+func (t *siteNumbers) grow() {
+	t.slots = make([]int32, max(64, 2*len(t.slots)))
+	mask := uint64(len(t.slots) - 1)
+	for id, s := range t.sites {
+		i := siteHash(s) & mask
+		for t.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = int32(id + 1)
+	}
+}
+
+func siteHash(s grid.Site) uint64 {
+	return SplitMix64Mix(uint64(s.R)*SplitMix64Gamma ^ uint64(s.C))
 }
 
 // NumQubits returns the number of tableau qubits the program addresses.

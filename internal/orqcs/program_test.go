@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -820,5 +821,33 @@ func TestDecodeProgramRejectsUnorderedFoldedPreps(t *testing.T) {
 	f[i-1], f[i] = f[i], f[i-1]
 	if _, err := DecodeProgram(AppendProgram(nil, p)); err == nil {
 		t.Fatalf("folded slots %d, %d out of order: decode succeeded, want error", f[i-1].Slot, f[i].Slot)
+	}
+}
+
+// TestCompileSparseSitesAllocation compiles a circuit whose two sites lie
+// two billion rows and columns apart: per-site state is numbered by distinct
+// site, so compiling allocates in proportion to the circuit, never to its
+// coordinate range.
+func TestCompileSparseSitesAllocation(t *testing.T) {
+	c, err := circuit.Parse("Prepare_Z 0.0 t=0 d=10\nX_pi/4 2000000000.2000000000 t=0 d=10\n" +
+		"ZZ 0.0 2000000000.2000000000 t=10 d=10\nMeasure_Z 2000000000.2000000000 t=20 d=10 m=0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p, err := Compile(c)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("compiling a 4-event circuit allocated %d bytes", got)
+	}
+	if p.NumQubits() != 2 || p.NumRecords() != 1 {
+		t.Fatalf("%d qubits, %d records; want 2 and 1", p.NumQubits(), p.NumRecords())
+	}
+	if _, err := p.PauliFor(SitePauli{{R: 2000000000, C: 2000000000}: pauli.Z}); err != nil {
+		t.Fatal(err)
 	}
 }

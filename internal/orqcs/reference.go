@@ -2,6 +2,7 @@ package orqcs
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
 
 	"tiscc/internal/pauli"
@@ -34,7 +35,8 @@ type CollapseSite struct {
 }
 
 // Reference is the noiseless reference trace of a Clifford program: one
-// shot on the bit-sliced tableau recording everything shot-invariant — each
+// shot on the bit-sliced tableau, with an inverse tableau alongside for the
+// deterministic outcomes, recording everything shot-invariant — each
 // measurement's deterministic/random character, its reference outcome and
 // the stabilizer row a random measurement collapses — plus the final state.
 // The Pauli-frame sampler replays it per lane; experiment set-up reads the
@@ -67,32 +69,48 @@ func (p *Program) Reference() (*Reference, error) {
 // NewReference runs the reference shot of a Clifford program with the given
 // seed, unmemoized. Program.Reference is the shared trace; the seed only
 // picks the coins of random measurements, which the frame sampler absorbs.
+//
+// The forward tableau runs every gate and every random measurement, so the
+// coins, collapse rows and virtual ids are the engine's. A row-major inverse
+// tableau follows it gate by gate and answers which measurements are
+// deterministic, and their outcomes, without the forward tableau's
+// reconstruction; it collapses to the forward coin on every random one.
 func NewReference(p *Program, seed int64) (*Reference, error) {
 	if !p.Clifford() {
 		return nil, fmt.Errorf("orqcs: program has %d T gates; a noiseless reference trace needs a Clifford program", p.numT)
 	}
-	nrec := p.NumRecords()
-	r := &Reference{NumSlots: nrec, Words: make([]uint64, nrec)}
-	e := NewFromProgram(p)
-	e.BeginShot(seed)
-	tb := e.tb.(*tableau.Sliced)
+	nrec, nev := p.NumRecords(), 0
+	for i := range p.instrs {
+		if op := p.instrs[i].Op; op == OpMeasureZ || op == OpPrepareZ {
+			nev++
+		}
+	}
+	r := &Reference{Events: make([]RefEvent, 0, nev), NumSlots: nrec, Words: make([]uint64, nrec)}
+	// The engine's shot source, seeded as BeginShot seeds it, so the coins
+	// are the ones an Engine shot with this seed would draw.
+	src := &shotSource{}
+	src.Seed(seed)
+	tb := tableau.NewSliced(p.n, rand.New(src))
+	inv := tableau.NewInverse(p.n)
 	for i := range p.instrs {
 		in := &p.instrs[i]
+		q := int(in.Q1)
 		switch in.Op {
 		case OpMeasureZ:
 			if in.Rec < 0 || int(in.Rec) >= nrec {
 				return nil, fmt.Errorf("orqcs: record id %d outside [0, %d)", in.Rec, nrec)
 			}
-			if r.measure(tb, int(in.Q1), in.Rec, in.Rec, false) {
+			if r.measure(tb, inv, q, in.Rec, in.Rec, false) {
 				r.Words[in.Rec] = ^uint64(0)
 			}
 		case OpPrepareZ:
 			// Replicate tableau Reset step by step so the event is observable:
 			// virtual-id allocation, Z measurement, conditional X.
-			r.measure(tb, int(in.Q1), tb.VirtualID(), int32(r.NumSlots), true)
+			r.measure(tb, inv, q, tb.VirtualID(), int32(r.NumSlots), true)
 			r.NumSlots++
 		default:
-			e.Exec(in)
+			applyGate(tb, in)
+			applyGate(inv, in)
 		}
 	}
 	r.tb = tb
@@ -100,12 +118,18 @@ func NewReference(p *Program, seed int64) (*Reference, error) {
 }
 
 // measure performs one reference measurement, records its event and
-// returns its outcome.
-func (r *Reference) measure(tb *tableau.Sliced, q int, rec, slot int32, reset bool) bool {
-	o := tb.MeasureZ(q, rec)
-	bit := tb.Records()[rec]
-	ev := RefEvent{Rec: rec, Slot: slot, Q: int32(q), Det: o.Deterministic, Ref: bit, Reset: reset}
-	if !o.Deterministic {
+// returns its outcome. A deterministic outcome is read off the inverse and
+// leaves the forward state untouched; a random one is measured on the
+// forward tableau, whose coin the inverse then collapses to.
+func (r *Reference) measure(tb *tableau.Sliced, inv *tableau.Inverse, q int, rec, slot int32, reset bool) bool {
+	ev := RefEvent{Rec: rec, Slot: slot, Q: int32(q), Reset: reset}
+	ev.Det, ev.Ref = inv.DeterministicZ(q)
+	if !ev.Det {
+		if tb.MeasureZ(q, rec).Deterministic {
+			panic("orqcs: inverse and forward tableaus disagree on a measurement")
+		}
+		ev.Ref = tb.Records()[rec]
+		inv.CollapseZ(q, ev.Ref)
 		ev.D0 = int32(len(r.Collapse))
 		tb.LastCollapse(func(j int, x, z bool) {
 			r.Collapse = append(r.Collapse, CollapseSite{Q: int32(j), X: x, Z: z})
@@ -113,10 +137,11 @@ func (r *Reference) measure(tb *tableau.Sliced, q int, rec, slot int32, reset bo
 		ev.D1 = int32(len(r.Collapse))
 	}
 	r.Events = append(r.Events, ev)
-	if reset && bit {
+	if reset && ev.Ref {
 		tb.X(q)
+		inv.X(q)
 	}
-	return bit
+	return ev.Ref
 }
 
 // ExpectationValue returns the expectation of ps on the reference shot's
