@@ -683,9 +683,9 @@ func BenchmarkSetup(b *testing.B) {
 }
 
 // BenchmarkReference times the noiseless reference pass alone
-// (orqcs.NewReference: the forward tableau's gates and random measurements,
-// the inverse tableau's deterministic outcomes) on the programs of
-// BenchmarkSetup's workload shapes.
+// (orqcs.NewReference: one inverse-tableau shot that also reads each random
+// measurement's collapse row) on the programs of BenchmarkSetup's workload
+// shapes.
 func BenchmarkReference(b *testing.B) {
 	for _, c := range []struct {
 		name string
@@ -834,16 +834,16 @@ func BenchmarkHadamardRotate(b *testing.B) {
 	}
 }
 
-// BenchmarkShotEngines is the bit-sliced-transpose acceptance benchmark: a
-// distance-d memory experiment (d rounds of syndrome extraction) run as
-// noisy shots (depolarizing p=1e-3 fault schedule) on the row-major
-// reference engine and on the bit-sliced default. Both engines produce
-// bit-identical records per seed; the transpose turns every gate and fault
-// update into O(rows/64) word operations, so the ratio grows with distance
-// (the README's "Bit-sliced engine" table is this benchmark's output). The
-// acceptance target is ≥ 2× at d ≥ 11. A last frame case runs the sparse
-// workload, a d=5 lattice-surgery cycle at p=5e-5, where nearly every fault
-// draw misses and the draw kernel is almost all of the shot.
+// BenchmarkShotEngines times a distance-d memory experiment (d rounds of
+// syndrome extraction) run as noisy shots (depolarizing p=1e-3 fault
+// schedule) on the row-major reference engine and on the inverse-tableau
+// default. Both engines produce bit-identical records per seed; the inverse
+// touches only its operands' rows per gate and flips one sign per fault,
+// where the row-major tableau walks every row, so the ratio grows with
+// distance (the README's "Inverse-tableau engine" table is this benchmark's
+// output). A last frame case runs the sparse workload, a d=5
+// lattice-surgery cycle at p=5e-5, where nearly every fault draw misses and
+// the draw kernel is almost all of the shot.
 func BenchmarkShotEngines(b *testing.B) {
 	for _, d := range []int{5, 7, 9, 11, 13} {
 		mem, err := verify.MemoryExperiment(d, d, pauli.Z)
@@ -856,7 +856,7 @@ func BenchmarkShotEngines(b *testing.B) {
 			mk   func(*orqcs.Program) *orqcs.Engine
 		}{
 			{"rowmajor", orqcs.NewFromProgramRowMajor},
-			{"bitsliced", orqcs.NewFromProgram},
+			{"inverse", orqcs.NewFromProgram},
 		} {
 			b.Run(fmt.Sprintf("d=%d/%s", d, eng.name), func(b *testing.B) {
 				e := eng.mk(mem.Prog)

@@ -20,9 +20,11 @@
 // is noiseless-only, because fusion drops instructions and the schedule
 // charges gate faults per instruction, so a fused noisy run would estimate
 // a different circuit.
+// -shots above 1 with -circuit needs -expect: a circuit file runs one shot
+// and prints its records unless there are expectation values to estimate.
 // -expect estimates sample on the batch Pauli-frame engine for Clifford
 // circuits (bit-identical records, O(faults) per shot) and on the
-// bit-sliced tableau, whose weighted quasi-probability branches handle T
+// inverse tableau, whose weighted quasi-probability branches handle T
 // gates, otherwise. Logical error rates (-memory, -surgery) always sample
 // fault firings on the frame engine and read them through a fault-effect
 // table, raw or decoded.
@@ -107,6 +109,9 @@ func main() {
 	}
 	if *fuse && exp {
 		usageErr("-fuse applies to -circuit only")
+	}
+	if !exp && *shots > 1 && *expect == "" {
+		usageErr("-shots with -circuit requires -expect: a multi-shot circuit run only estimates expectation values")
 	}
 	if *fuse && *noiseP != 0 {
 		usageErr("-fuse cannot be combined with -noise: fusion drops instructions, and faults are charged per instruction")

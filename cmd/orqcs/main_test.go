@@ -89,6 +89,7 @@ func TestCLIErrorPaths(t *testing.T) {
 		{"noise-too-big", []string{"-memory", "3", "-noise", "1.5"}, "probability in [0, 1]"},
 		{"noise-negative", []string{"-memory", "3", "-noise", "-0.25"}, "probability in [0, 1]"},
 		{"zero-shots", []string{"-memory", "3", "-shots", "0"}, "-shots must be ≥ 1"},
+		{"shots-without-expect", []string{"-circuit", "x.tiscc", "-shots", "50"}, "-shots with -circuit requires -expect"},
 		{"negative-workers", []string{"-memory", "3", "-workers", "-2"}, "-workers must be ≥ 0"},
 		// -engine does not exist: the sampler follows from the program.
 		{"bad-engine", []string{"-memory", "3", "-engine", "stim"}, "flag provided but not defined: -engine"},

@@ -28,7 +28,9 @@ type Compiler struct {
 
 	cellRows, cellCols int
 
-	dataIons map[Cell]hardware.Ion
+	// dataIons[Qubit(cell)] is the ion resting at cell's data site, or
+	// noIon.
+	dataIons []hardware.Ion
 	measIons map[grid.Site]hardware.Ion
 
 	// knownOps logs every operator the compiler measured or prepared, in
@@ -47,8 +49,11 @@ func NewCompiler(cellRows, cellCols int, p hardware.Params) *Compiler {
 		B:        hardware.NewBuilder(g, p),
 		cellRows: cellRows,
 		cellCols: cellCols,
-		dataIons: map[Cell]hardware.Ion{},
 		measIons: map[grid.Site]hardware.Ion{},
+	}
+	c.dataIons = make([]hardware.Ion, c.NumQubits())
+	for i := range c.dataIons {
+		c.dataIons[i] = noIon
 	}
 	c.TR = tableau.New(c.NumQubits(), nil)
 	return c
@@ -79,15 +84,25 @@ func (c *Compiler) logKnown(p *pauli.String) { c.knownOps = append(c.knownOps, p
 // preparations (never through input-state knowledge).
 func (c *Compiler) MarkChannelStart() int { return len(c.knownOps) }
 
+// noIon marks a data cell with no ion in Compiler.dataIons.
+const noIon hardware.Ion = -1
+
 // dataIon returns (creating on demand) the ion resting at a cell's data
 // site.
 func (c *Compiler) dataIon(cell Cell) hardware.Ion {
-	if ion, ok := c.dataIons[cell]; ok {
+	q := c.Qubit(cell)
+	if ion := c.dataIons[q]; ion != noIon {
 		return ion
 	}
 	ion := c.B.MustAddIon(grid.DataSite(cell.R, cell.C))
-	c.dataIons[cell] = ion
+	c.dataIons[q] = ion
 	return ion
+}
+
+// moveDataIon records that the ion at cell from now rests at cell to.
+func (c *Compiler) moveDataIon(from, to Cell) {
+	c.dataIons[c.Qubit(to)] = c.dataIons[c.Qubit(from)]
+	c.dataIons[c.Qubit(from)] = noIon
 }
 
 // measIon returns (creating on demand) the measure ion homed at a site.

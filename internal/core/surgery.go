@@ -479,8 +479,8 @@ func (lq *LogicalQubit) SwapLeft() error {
 			if err := c.B.MoveAlong(ion, westStep(r, retireeCol)); err != nil {
 				return err
 			}
-			delete(c.dataIons, Cell{r, retireeCol})
-			c.dataIons[Cell{r, marginCol}] = ion
+			c.dataIons[c.Qubit(Cell{r, marginCol})] = ion
+			c.dataIons[c.Qubit(Cell{r, retireeCol})] = noIon
 			c.TR.Swap(c.Qubit(Cell{r, marginCol}), c.Qubit(Cell{r, retireeCol}))
 			retiree = int(ion)
 		}
@@ -492,19 +492,17 @@ func (lq *LogicalQubit) SwapLeft() error {
 			if err := c.B.MoveAlong(ion, westStep(r, cell.C)); err != nil {
 				return err
 			}
-			delete(c.dataIons, cell)
-			c.dataIons[dest] = ion
+			c.moveDataIon(cell, dest)
 			c.TR.Swap(c.Qubit(dest), c.Qubit(cell))
 		}
 		// Route the retiree around the patch to the new strip column.
 		if retiree >= 0 {
-			ion := c.dataIons[Cell{r, marginCol}]
+			ion := c.dataIons[c.Qubit(Cell{r, marginCol})]
 			target := grid.DataSite(r, stripCol)
 			if err := c.moveIonTo(ion, target); err != nil {
 				return fmt.Errorf("core: retiree relocation row %d: %w", r, err)
 			}
-			delete(c.dataIons, Cell{r, marginCol})
-			c.dataIons[Cell{r, stripCol}] = ion
+			c.moveDataIon(Cell{r, marginCol}, Cell{r, stripCol})
 			c.TR.Swap(c.Qubit(Cell{r, stripCol}), c.Qubit(Cell{r, marginCol}))
 		}
 	}

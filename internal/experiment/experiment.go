@@ -221,7 +221,7 @@ func Estimate(s *noise.Schedule, outcome expr.Expr, reference bool, opt noise.Op
 
 // EstimateOp Monte-Carlo-estimates ⟨op⟩ over a compiled program, under sched
 // when it is non-nil: on the Pauli-frame sampler for Clifford programs, on
-// the bit-sliced tableau's weighted quasi-probability T branches otherwise
+// the inverse tableau's weighted quasi-probability T branches otherwise
 // (an expectation carries the branch weights; an error count cannot).
 func EstimateOp(prog *orqcs.Program, sched *noise.Schedule, op orqcs.SitePauli, shots int, seed int64, workers int) (mean, stderr float64, err error) {
 	ops := []orqcs.SitePauli{op}

@@ -3,11 +3,11 @@
 // Clifford-frame) noise, a noisy shot differs from a fixed noiseless
 // reference shot only by a Pauli operator — the frame — that faults inject
 // and Clifford gates merely conjugate. The program's one noiseless
-// reference trace (orqcs.Program.Reference: a shot through the exact
-// tableau engine, run once per program and shared with experiment set-up)
-// records everything shot-invariant (each measurement's deterministic/random
-// character, its reference outcome, and the stabilizer row a random
-// measurement collapses); after that, shots cost O(fault sites +
+// reference trace (orqcs.Program.Reference: a shot on the engine's inverse
+// tableau, run once per program and shared with experiment set-up) records
+// everything shot-invariant (each measurement's deterministic/random
+// character, its reference outcome, and for a random measurement a
+// stabilizer that anticommutes with it, its collapse row); after that, shots cost O(fault sites +
 // measurements) instead of O(instructions × tableau words).
 //
 // Frames are stored as bit-planes over shots: fx[q] and fz[q] are 64-bit
@@ -21,7 +21,7 @@
 //
 //   - Measurement coins. In a tableau run, row content (and therefore which
 //     measurements are random) is a pure function of the instruction stream:
-//     Pauli faults and conditional Paulis touch only sign planes. The k-th
+//     Pauli faults and conditional Paulis flip only row signs. The k-th
 //     random measurement of any shot draws the k-th Intn(2) coin, which is
 //     bit 33 of the SplitMix64 output of the engine's shot-seeded source.
 //     Each lane keeps that source's state and draws the same coins.

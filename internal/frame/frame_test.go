@@ -118,10 +118,10 @@ func TestFrameMatchesTableaus(t *testing.T) {
 	const shots, seed = 40, 11
 	for _, w := range testWorkloads(t) {
 		t.Run(w.name, func(t *testing.T) {
-			sliced := tableauRecords(t, w.prog, w.sched, false, shots, seed)
+			inverse := tableauRecords(t, w.prog, w.sched, false, shots, seed)
 			rowMajor := tableauRecords(t, w.prog, w.sched, true, shots, seed)
-			for shot := range sliced {
-				diffRecords(t, "rowmajor vs sliced", shot, sliced[shot], rowMajor[shot])
+			for shot := range inverse {
+				diffRecords(t, "rowmajor vs inverse", shot, inverse[shot], rowMajor[shot])
 			}
 			sim, err := frame.New(w.prog, w.sched)
 			if err != nil {
@@ -129,8 +129,8 @@ func TestFrameMatchesTableaus(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4, 8} {
 				got := frameRecords(t, sim, shots, seed, workers)
-				for shot := range sliced {
-					diffRecords(t, fmt.Sprintf("frame(workers=%d) vs sliced", workers), shot, sliced[shot], got[shot])
+				for shot := range inverse {
+					diffRecords(t, fmt.Sprintf("frame(workers=%d) vs inverse", workers), shot, inverse[shot], got[shot])
 				}
 			}
 		})
@@ -213,17 +213,17 @@ func TestFrameRandomPrograms(t *testing.T) {
 			sched = noise.Compile(noise.Depolarizing(0.05), prog)
 		}
 		seed := rng.Int63()
-		sliced := tableauRecords(t, prog, sched, false, shots, seed)
+		inverse := tableauRecords(t, prog, sched, false, shots, seed)
 		rowMajor := tableauRecords(t, prog, sched, true, shots, seed)
 		sim, err := frame.New(prog, sched)
 		if err != nil {
 			t.Fatalf("trial %d: New: %v", trial, err)
 		}
 		got := frameRecords(t, sim, shots, seed, 1+trial%4)
-		for shot := range sliced {
-			label := fmt.Sprintf("trial %d (nq=%d) frame vs sliced", trial, nq)
-			diffRecords(t, label, shot, sliced[shot], got[shot])
-			diffRecords(t, "sliced vs rowmajor", shot, sliced[shot], rowMajor[shot])
+		for shot := range inverse {
+			label := fmt.Sprintf("trial %d (nq=%d) frame vs inverse", trial, nq)
+			diffRecords(t, label, shot, inverse[shot], got[shot])
+			diffRecords(t, "inverse vs rowmajor", shot, inverse[shot], rowMajor[shot])
 		}
 	}
 }

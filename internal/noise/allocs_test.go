@@ -9,11 +9,13 @@ import (
 
 // TestNoisyShotZeroAllocs is the allocs/shot regression guard for the noisy
 // loop: after a warm-up shot has grown the engine's record table and scratch
-// buffers, repeated fault-injecting shots on the bit-sliced engine (and on
-// the row-major reference) must allocate nothing — the contract that keeps
-// expectation-estimate throughput flat across millions of shots. Telemetry is
-// enabled throughout (Set-registered shards on every engine), proving the
-// instrumentation itself is allocation-free on the hot path.
+// buffers, repeated fault-injecting shots on the default inverse-tableau
+// engine (subtest "bitsliced", its id from before that engine replaced the
+// bit-sliced one) and on the row-major reference must allocate nothing —
+// the contract that keeps expectation-estimate throughput flat across
+// millions of shots. Telemetry is enabled throughout (Set-registered shards
+// on every engine), proving the instrumentation itself is allocation-free on
+// the hot path.
 func TestNoisyShotZeroAllocs(t *testing.T) {
 	prog := memoryProgram(t, 3, 3)
 	sched := Compile(Depolarizing(1e-3), prog)

@@ -62,16 +62,16 @@ func (s *shotSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 // NewFromProgram prepares a reusable engine for a compiled program (all ions
 // start in |0⟩). One engine runs any number of shots via RunShot; engines
 // are not safe for concurrent use, but any number of engines may share one
-// Program. The stabilizer state is the bit-sliced tableau.Sliced: shot
-// outcomes are bit-identical to the row-major engine's
+// Program. The stabilizer state is the inverse tableau tableau.Inverse:
+// shot outcomes are bit-identical to the row-major engine's
 // (NewFromProgramRowMajor) for every seed, just faster.
 func NewFromProgram(p *Program) *Engine {
-	return newEngine(p, func(n int, rng *rand.Rand) tableau.State { return tableau.NewSliced(n, rng) })
+	return newEngine(p, func(n int, rng *rand.Rand) tableau.State { return tableau.NewInverse(n, rng) })
 }
 
 // NewFromProgramRowMajor is NewFromProgram on the row-major tableau.T state:
 // the reference engine, kept as the test oracle for differential
-// cross-validation of the bit-sliced transpose and the Pauli-frame sampler.
+// cross-validation of the inverse tableau and the Pauli-frame sampler.
 func NewFromProgramRowMajor(p *Program) *Engine {
 	return newEngine(p, func(n int, rng *rand.Rand) tableau.State { return tableau.New(n, rng) })
 }
@@ -128,23 +128,8 @@ func (e *Engine) Exec(in *Instr) {
 	}
 }
 
-// gates is the native gate set of lowered programs: the stabilizer states
-// and the reference pass's inverse tableau all implement it.
-type gates interface {
-	X(q int)
-	Y(q int)
-	Z(q int)
-	S(q int)
-	Sdg(q int)
-	SqrtX(q int)
-	SqrtXDg(q int)
-	SqrtY(q int)
-	SqrtYDg(q int)
-	ZZ(a, b int)
-}
-
 // applyGate applies in's native gate to g; other operations do nothing.
-func applyGate[G gates](g G, in *Instr) {
+func applyGate(g tableau.State, in *Instr) {
 	q := int(in.Q1)
 	switch in.Op {
 	case OpX:

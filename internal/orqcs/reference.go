@@ -35,10 +35,10 @@ type CollapseSite struct {
 }
 
 // Reference is the noiseless reference trace of a Clifford program: one
-// shot on the bit-sliced tableau, with an inverse tableau alongside for the
-// deterministic outcomes, recording everything shot-invariant — each
+// shot on the inverse tableau, recording everything shot-invariant — each
 // measurement's deterministic/random character, its reference outcome and
-// the stabilizer row a random measurement collapses — plus the final state.
+// a stabilizer that anticommutes with a random measurement (its collapse
+// row) — plus the final state.
 // The Pauli-frame sampler replays it per lane; experiment set-up reads the
 // noiseless outcome and detector values from Words. A Reference is
 // immutable and safe for concurrent use.
@@ -54,8 +54,8 @@ type Reference struct {
 	// noiseless value on every lane.
 	Words []uint64
 
-	mu sync.Mutex      // guards tb: expectations write its scratch rows
-	tb *tableau.Sliced // the state after the last instruction
+	mu sync.Mutex       // guards tb: expectations write its scratch row
+	tb *tableau.Inverse // the state after the last instruction
 }
 
 // Reference returns the program's noiseless reference trace, computing it
@@ -70,11 +70,10 @@ func (p *Program) Reference() (*Reference, error) {
 // seed, unmemoized. Program.Reference is the shared trace; the seed only
 // picks the coins of random measurements, which the frame sampler absorbs.
 //
-// The forward tableau runs every gate and every random measurement, so the
-// coins, collapse rows and virtual ids are the engine's. A row-major inverse
-// tableau follows it gate by gate and answers which measurements are
-// deterministic, and their outcomes, without the forward tableau's
-// reconstruction; it collapses to the forward coin on every random one.
+// One inverse tableau runs the shot exactly as an Engine shot with this
+// seed would (same coins, same virtual ids). Before each random
+// measurement collapses, the trace reads its collapse row off the same
+// tableau (Inverse.CollapseRow).
 func NewReference(p *Program, seed int64) (*Reference, error) {
 	if !p.Clifford() {
 		return nil, fmt.Errorf("orqcs: program has %d T gates; a noiseless reference trace needs a Clifford program", p.numT)
@@ -90,8 +89,7 @@ func NewReference(p *Program, seed int64) (*Reference, error) {
 	// are the ones an Engine shot with this seed would draw.
 	src := &shotSource{}
 	src.Seed(seed)
-	tb := tableau.NewSliced(p.n, rand.New(src))
-	inv := tableau.NewInverse(p.n)
+	tb := tableau.NewInverse(p.n, rand.New(src))
 	for i := range p.instrs {
 		in := &p.instrs[i]
 		q := int(in.Q1)
@@ -100,17 +98,16 @@ func NewReference(p *Program, seed int64) (*Reference, error) {
 			if in.Rec < 0 || int(in.Rec) >= nrec {
 				return nil, fmt.Errorf("orqcs: record id %d outside [0, %d)", in.Rec, nrec)
 			}
-			if r.measure(tb, inv, q, in.Rec, in.Rec, false) {
+			if r.measure(tb, q, in.Rec, in.Rec, false) {
 				r.Words[in.Rec] = ^uint64(0)
 			}
 		case OpPrepareZ:
 			// Replicate tableau Reset step by step so the event is observable:
 			// virtual-id allocation, Z measurement, conditional X.
-			r.measure(tb, inv, q, tb.VirtualID(), int32(r.NumSlots), true)
+			r.measure(tb, q, tb.VirtualID(), int32(r.NumSlots), true)
 			r.NumSlots++
 		default:
 			applyGate(tb, in)
-			applyGate(inv, in)
 		}
 	}
 	r.tb = tb
@@ -118,28 +115,23 @@ func NewReference(p *Program, seed int64) (*Reference, error) {
 }
 
 // measure performs one reference measurement, records its event and
-// returns its outcome. A deterministic outcome is read off the inverse and
-// leaves the forward state untouched; a random one is measured on the
-// forward tableau, whose coin the inverse then collapses to.
-func (r *Reference) measure(tb *tableau.Sliced, inv *tableau.Inverse, q int, rec, slot int32, reset bool) bool {
+// returns its outcome. A random one also records its collapse row, read
+// before the measurement collapses the state.
+func (r *Reference) measure(tb *tableau.Inverse, q int, rec, slot int32, reset bool) bool {
 	ev := RefEvent{Rec: rec, Slot: slot, Q: int32(q), Reset: reset}
-	ev.Det, ev.Ref = inv.DeterministicZ(q)
+	ev.Det, ev.Ref = tb.DeterministicZ(q)
 	if !ev.Det {
-		if tb.MeasureZ(q, rec).Deterministic {
-			panic("orqcs: inverse and forward tableaus disagree on a measurement")
-		}
-		ev.Ref = tb.Records()[rec]
-		inv.CollapseZ(q, ev.Ref)
 		ev.D0 = int32(len(r.Collapse))
-		tb.LastCollapse(func(j int, x, z bool) {
+		tb.CollapseRow(q, func(j int, x, z bool) {
 			r.Collapse = append(r.Collapse, CollapseSite{Q: int32(j), X: x, Z: z})
 		})
 		ev.D1 = int32(len(r.Collapse))
+		tb.MeasureZ(q, rec)
+		ev.Ref = tb.Records()[rec]
 	}
 	r.Events = append(r.Events, ev)
 	if reset && ev.Ref {
 		tb.X(q)
-		inv.X(q)
 	}
 	return ev.Ref
 }

@@ -2,7 +2,6 @@ package orqcs_test
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"tiscc/internal/circuit"
@@ -13,75 +12,85 @@ import (
 	"tiscc/internal/verify"
 )
 
-// slicedReference is the reference pass on the forward tableau alone: every
-// measurement, deterministic or not, runs through Sliced.MeasureZ, whose
-// deterministic outcome is the full reconstruction. It is the oracle the
-// inverse-tableau pass of orqcs.NewReference must reproduce field for field.
-func slicedReference(p *orqcs.Program, seed int64) *orqcs.Reference {
-	nrec := p.NumRecords()
-	r := &orqcs.Reference{NumSlots: nrec, Words: make([]uint64, nrec)}
-	e := orqcs.NewFromProgram(p)
+// checkReference runs p's reference pass and, with the same seed, a shot of
+// the row-major T engine stepped instruction by instruction, its oracle. It
+// fails t unless every event matches the T shot's (record, slot, qubit,
+// determinism, outcome, reset), every collapse row is a stabilizer of the
+// T state just before its measurement (expectation ±1) that anticommutes
+// with the measured Z, and the slot count and record words agree. Collapse
+// rows are not compared to T's: any such stabilizer converts between the
+// two outcomes, and the two tableaus pick different ones.
+func checkReference(t *testing.T, p *orqcs.Program, seed int64) {
+	t.Helper()
+	ref, err := orqcs.NewReference(p, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := orqcs.NewFromProgramRowMajor(p)
 	e.BeginShot(seed)
-	tb := e.Tableau().(*tableau.Sliced)
-	measure := func(q int, rec, slot int32, reset bool) bool {
+	tb := e.Tableau().(*tableau.T)
+	n, nev := p.NumQubits(), 0
+	measure := func(q int, rec, slot int32, reset bool) {
+		if nev == len(ref.Events) {
+			t.Fatalf("reference has %d events, oracle more", nev)
+		}
+		got := ref.Events[nev]
+		if !got.Det {
+			d := pauli.NewString(n)
+			for _, c := range ref.Collapse[got.D0:got.D1] {
+				d.XBits.Set(int(c.Q), c.X)
+				d.ZBits.Set(int(c.Q), c.Z)
+				if c.X && c.Z {
+					d.Phase = (d.Phase + 1) % 4 // Y = i·X·Z
+				}
+			}
+			if !d.XBits.Get(q) {
+				t.Fatalf("event %d: collapse row %s commutes with Z%d", nev, d, q)
+			}
+			if tb.ExpectationValue(d) == 0 {
+				t.Fatalf("event %d: collapse row %s is not a stabilizer", nev, d)
+			}
+		}
 		o := tb.MeasureZ(q, rec)
 		bit := tb.Records()[rec]
-		ev := orqcs.RefEvent{Rec: rec, Slot: slot, Q: int32(q), Det: o.Deterministic, Ref: bit, Reset: reset}
-		if !o.Deterministic {
-			ev.D0 = int32(len(r.Collapse))
-			tb.LastCollapse(func(j int, x, z bool) {
-				r.Collapse = append(r.Collapse, orqcs.CollapseSite{Q: int32(j), X: x, Z: z})
-			})
-			ev.D1 = int32(len(r.Collapse))
+		want := orqcs.RefEvent{Rec: rec, Slot: slot, Q: int32(q), Det: o.Deterministic, Ref: bit, Reset: reset}
+		got.D0, got.D1 = 0, 0
+		if got != want {
+			t.Fatalf("event %d: %+v, oracle %+v", nev, got, want)
 		}
-		r.Events = append(r.Events, ev)
+		nev++
 		if reset && bit {
 			tb.X(q)
 		}
-		return bit
 	}
+	slot := int32(p.NumRecords())
 	for _, in := range p.Instructions() {
 		switch in.Op {
 		case orqcs.OpMeasureZ:
-			if measure(int(in.Q1), in.Rec, in.Rec, false) {
-				r.Words[in.Rec] = ^uint64(0)
-			}
+			measure(int(in.Q1), in.Rec, in.Rec, false)
 		case orqcs.OpPrepareZ:
-			measure(int(in.Q1), tb.VirtualID(), int32(r.NumSlots), true)
-			r.NumSlots++
+			measure(int(in.Q1), tb.VirtualID(), slot, true)
+			slot++
 		default:
 			e.Exec(&in)
 		}
 	}
-	return r
-}
-
-// sameReference fails t unless got and want agree on every event (Det,
-// Ref, collapse span and all), the collapse rows, the slot count and the
-// record words.
-func sameReference(t *testing.T, got, want *orqcs.Reference) {
-	t.Helper()
-	if len(got.Events) != len(want.Events) {
-		t.Fatalf("%d events, oracle %d", len(got.Events), len(want.Events))
+	if nev != len(ref.Events) {
+		t.Fatalf("%d events, oracle %d", len(ref.Events), nev)
 	}
-	for i := range got.Events {
-		if got.Events[i] != want.Events[i] {
-			t.Fatalf("event %d: %+v, oracle %+v", i, got.Events[i], want.Events[i])
+	if ref.NumSlots != int(slot) {
+		t.Fatalf("NumSlots %d, oracle %d", ref.NumSlots, slot)
+	}
+	for id, w := range ref.Words {
+		if (w != 0) != tb.Records()[int32(id)] {
+			t.Fatalf("record word %d = %#x, oracle reads %v", id, w, tb.Records()[int32(id)])
 		}
 	}
-	if !slices.Equal(got.Collapse, want.Collapse) {
-		t.Fatalf("collapse rows differ (%d sites, oracle %d)", len(got.Collapse), len(want.Collapse))
-	}
-	if got.NumSlots != want.NumSlots {
-		t.Fatalf("NumSlots %d, oracle %d", got.NumSlots, want.NumSlots)
-	}
-	if !slices.Equal(got.Words, want.Words) {
-		t.Fatal("record words differ")
-	}
 }
 
-// TestReferenceInverseMatchesSliced checks the inverse-tableau reference
-// pass against the forward-only oracle on the memory and surgery workloads.
+// TestReferenceInverseMatchesSliced checks the reference pass against the
+// row-major T oracle on the memory and surgery workloads. (The name is the
+// test's id from before the inverse tableau replaced the bit-sliced one.)
 func TestReferenceInverseMatchesSliced(t *testing.T) {
 	type build struct {
 		name string
@@ -115,11 +124,7 @@ func TestReferenceInverseMatchesSliced(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, seed := range []int64{1, 0x7153CC} {
-				got, err := orqcs.NewReference(p, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameReference(t, got, slicedReference(p, seed))
+				checkReference(t, p, seed)
 			}
 		})
 	}
@@ -134,7 +139,7 @@ var fuzzGates = []circuit.Gate{
 // FuzzReferenceInverse compiles a random native-gate circuit on up to 130
 // ions, so tableau rows span more than one word, with Measure_Z and
 // Prepare_Z interleaved among the gates, and checks the reference pass
-// against the forward-only oracle. The first byte picks the ion count and
+// against the row-major T oracle. The first byte picks the ion count and
 // every following pair of bytes is one event: an opcode and an operand.
 func FuzzReferenceInverse(f *testing.F) {
 	f.Add([]byte{3, 4, 0, 20, 1, 9, 0, 10, 1, 11, 0, 12, 2})
@@ -181,11 +186,7 @@ func FuzzReferenceInverse(f *testing.F) {
 			t.Fatal(err)
 		}
 		for _, seed := range []int64{1, 2} {
-			got, err := orqcs.NewReference(p, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameReference(t, got, slicedReference(p, seed))
+			checkReference(t, p, seed)
 		}
 	})
 }

@@ -2,13 +2,14 @@ package tableau
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"tiscc/internal/expr"
 	"tiscc/internal/pauli"
 )
 
-// Copying, row inspection and invariant checks of both tableaus, for the
+// Copying, row inspection and invariant checks of the tableaus, for the
 // differential tests.
 
 // Clone returns a deep copy sharing no state. The RNG is not cloned; pass
@@ -72,76 +73,27 @@ func (t *T) CheckInvariants() error {
 	return nil
 }
 
-// DestabilizerStrings returns the current destabilizer rows (concrete part
-// only), the counterpart of StabilizerStrings for differential tests.
-func (t *T) DestabilizerStrings() []*pauli.String {
-	out := make([]*pauli.String, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.destab[i].Pauli(t.n)
-	}
-	return out
-}
-
-// rowString extracts row r of the planes at offsets xo/zo, with sign plane
-// sg, as a pauli.String: content plus the exact i-exponent (Y count plus
-// twice the sign bit), matching what a row-major T would report for the
-// same operator.
-func (t *Sliced) rowString(xo, zo int, sg []uint64, r int) *pauli.String {
-	p := pauli.NewString(t.n)
-	w, b := r>>6, uint(r)&63
-	y := 0
-	for j := 0; j < t.n; j++ {
-		pl := t.planes(j)
-		xb := pl[xo+w]>>b&1 == 1
-		zb := pl[zo+w]>>b&1 == 1
-		p.XBits.Set(j, xb)
-		p.ZBits.Set(j, zb)
-		if xb && zb {
-			y++
+// CheckInvariants returns an error if the inverse rows are not the image
+// of a symplectic basis: the X rows pairwise commute, the Z rows pairwise
+// commute, and row C†X_iC anticommutes with row C†Z_jC exactly when i = j.
+func (v *Inverse) CheckInvariants() error {
+	anti := func(a, b int) bool {
+		ra, rb := v.row(a), v.row(b)
+		odd := 0
+		for w := 0; w < v.wd; w++ {
+			odd ^= bits.OnesCount64(ra[w]&rb[v.wd+w] ^ ra[v.wd+w]&rb[w])
 		}
+		return odd&1 == 1
 	}
-	ph := y % 4
-	if sg[w]>>b&1 == 1 {
-		ph = (ph + 2) % 4
-	}
-	p.Phase = uint8(ph)
-	return p
-}
-
-// StabilizerStrings returns the current stabilizer generators.
-func (t *Sliced) StabilizerStrings() []*pauli.String {
-	out := make([]*pauli.String, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.rowString(2*t.wd, 3*t.wd, t.ss, i)
-	}
-	return out
-}
-
-// DestabilizerStrings returns the current destabilizer rows.
-func (t *Sliced) DestabilizerStrings() []*pauli.String {
-	out := make([]*pauli.String, t.n)
-	for i := 0; i < t.n; i++ {
-		out[i] = t.rowString(0, t.wd, t.ds, i)
-	}
-	return out
-}
-
-// CheckInvariants returns an error if the tableau violates its structural
-// invariants (destabilizer/stabilizer pairing and mutual commutation).
-func (t *Sliced) CheckInvariants() error {
-	stabs := t.StabilizerStrings()
-	destabs := t.DestabilizerStrings()
-	for i := 0; i < t.n; i++ {
-		if !stabs[i].Hermitian() {
-			return fmt.Errorf("stabilizer %d has non-Hermitian phase: %s", i, stabs[i])
-		}
-		for j := 0; j < t.n; j++ {
-			if !stabs[i].Commutes(stabs[j]) {
-				return fmt.Errorf("stabilizers %d and %d anticommute", i, j)
-			}
-			com := stabs[i].Commutes(destabs[j])
-			if (i == j) == com {
-				return fmt.Errorf("destabilizer pairing violated at (%d,%d)", i, j)
+	for i := 0; i < v.n; i++ {
+		for j := 0; j < v.n; j++ {
+			switch {
+			case anti(i, j):
+				return fmt.Errorf("rows X%d and X%d anticommute", i, j)
+			case anti(v.n+i, v.n+j):
+				return fmt.Errorf("rows Z%d and Z%d anticommute", i, j)
+			case anti(i, v.n+j) != (i == j):
+				return fmt.Errorf("rows X%d and Z%d break the pairing", i, j)
 			}
 		}
 	}

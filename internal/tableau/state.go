@@ -7,10 +7,11 @@ import "tiscc/internal/pauli"
 // executor, the noise subsystem's fault-injecting shot loop and the
 // verification harnesses driving them. Lowered programs use the native gate
 // set only (ZZ and the nine single-qubit rotations), so no other gate is
-// part of it. Both the row-major T and the bit-sliced Sliced implement it
-// with bit-identical behaviour (records, outcomes, expectation values) for
-// identical seeds, which is what lets the engine swap representations
-// without perturbing any pinned golden expectation. T's symbolic-tracker
+// part of it. The inverse tableau Inverse (the engine's state) and the
+// row-major T (its test oracle) implement it with bit-identical behaviour
+// (records, outcomes, expectation values) for identical seeds, which is
+// what lets the engine swap representations without perturbing any pinned
+// golden expectation. T's symbolic-tracker
 // API (observable rows, conditional Paulis, H/CX/CZ/Swap) is not part of
 // the contract.
 type State interface {
@@ -35,5 +36,5 @@ type State interface {
 
 var (
 	_ State = (*T)(nil)
-	_ State = (*Sliced)(nil)
+	_ State = (*Inverse)(nil)
 )

@@ -1,16 +1,18 @@
-// Package tableau implements an Aaronson–Gottesman stabilizer tableau whose
-// phase bits are symbolic XOR expressions over measurement-record indices.
+// Package tableau implements the stabilizer tableaus: T, an
+// Aaronson–Gottesman tableau whose phase bits are symbolic XOR expressions
+// over measurement-record indices, and Inverse, the concrete inverse
+// tableau every simulation shot runs on (inverse.go).
 //
-// A single engine serves two roles in this repository, mirroring the paper's
-// TISCC/ORQCS pair:
+// T serves two roles in this repository:
 //
-//   - concrete mode (with an RNG): a quasi-Clifford simulator in the style of
-//     ORQCS; random measurement outcomes are sampled and recorded, and
-//     Pauli-string expectation values can be queried exactly;
 //   - symbolic mode (no RNG): the compiler-side tracker; measurement outcomes
 //     stay symbolic, so every stabilizer sign and logical-operator value is
 //     maintained as a formula over hardware measurement records. These
-//     formulas are the post-processing recipes of TISCC Sec 4.5.
+//     formulas are the post-processing recipes of TISCC Sec 4.5;
+//   - concrete mode (with an RNG): random measurement outcomes are sampled
+//     and recorded and Pauli-string expectation values queried exactly. It
+//     is the test oracle of the simulator's own state, the inverse tableau
+//     Inverse, which implements the same State contract.
 //
 // Rows store Paulis as i^K · X^x · Z^z with K an exponent of i modulo 4 kept
 // exactly, plus a symbolic (−1)^Sym factor. Keeping the full i-exponent (as

@@ -9,10 +9,12 @@ import (
 )
 
 // TestBitSlicedEngineMatchesRowMajor is the workload-level differential
-// cross-validation of the bit-sliced tableau transpose: compiled memory and
-// lattice-surgery experiments run shot-for-shot on the row-major and
-// bit-sliced engines, noiseless and under depolarizing fault injection, and
+// cross-validation of the default inverse-tableau engine: compiled memory
+// and lattice-surgery experiments run shot-for-shot on the row-major and
+// inverse engines, noiseless and under depolarizing fault injection, and
 // every measurement record (hardware and virtual) must match bit-for-bit.
+// (The name is the test's id from before the inverse tableau replaced the
+// bit-sliced one.)
 func TestBitSlicedEngineMatchesRowMajor(t *testing.T) {
 	type workload struct {
 		name string
@@ -40,24 +42,24 @@ func TestBitSlicedEngineMatchesRowMajor(t *testing.T) {
 		t.Run(w.name, func(t *testing.T) {
 			sched := noise.Compile(noise.Depolarizing(3e-3), w.prog)
 			rm := orqcs.NewFromProgramRowMajor(w.prog)
-			sl := orqcs.NewFromProgram(w.prog)
+			iv := orqcs.NewFromProgram(w.prog)
 			for _, noisy := range []bool{false, true} {
 				for shot := 0; shot < 25; shot++ {
 					seed := orqcs.ShotSeed(11, shot)
 					if noisy {
 						sched.RunShot(rm, seed)
-						sched.RunShot(sl, seed)
+						sched.RunShot(iv, seed)
 					} else {
 						rm.RunShot(seed)
-						sl.RunShot(seed)
+						iv.RunShot(seed)
 					}
-					ra, rb := rm.Records(), sl.Records()
+					ra, rb := rm.Records(), iv.Records()
 					if len(ra) != len(rb) {
 						t.Fatalf("noisy=%v shot %d: %d records vs %d", noisy, shot, len(ra), len(rb))
 					}
 					for k, v := range ra {
 						if bv, ok := rb[k]; !ok || bv != v {
-							t.Fatalf("noisy=%v shot %d: record %d = %v (row-major) vs %v present=%v (bit-sliced)",
+							t.Fatalf("noisy=%v shot %d: record %d = %v (row-major) vs %v present=%v (inverse)",
 								noisy, shot, k, v, bv, ok)
 						}
 					}
@@ -68,8 +70,9 @@ func TestBitSlicedEngineMatchesRowMajor(t *testing.T) {
 }
 
 // TestBitSlicedEstimateBatchMatches runs the batch estimator on both engine
-// constructors via the public multi-shot path and checks the bit-sliced
-// default reproduces the row-major expectation stream exactly.
+// constructors via the public multi-shot path and checks the default
+// inverse-tableau engine reproduces the row-major expectation stream
+// exactly.
 func TestBitSlicedEstimateBatchMatches(t *testing.T) {
 	mem, err := MemoryExperiment(3, 2, pauli.Z)
 	if err != nil {
@@ -82,7 +85,7 @@ func TestBitSlicedEstimateBatchMatches(t *testing.T) {
 		rm.RunShot(orqcs.ShotSeed(7, shot))
 		ref = append(ref, mem.Outcome.Eval(rm.Records()))
 	}
-	// Bit-sliced path through the deterministic parallel worker pool.
+	// Default engine through the deterministic parallel worker pool.
 	for _, workers := range []int{1, 4} {
 		got := make([]bool, 40)
 		if err := orqcs.RunShots(mem.Prog, nil, 40, 7, workers, func(shot int, e *orqcs.Engine) error {

@@ -20,7 +20,11 @@ import (
 // events and collapse rows, and the noise schedule's fault table (per-site
 // faults and classes plus the slot offsets). Faster event ordering, table
 // sizing and deterministic-measurement code must reproduce these exactly:
-// a hash change means an artifact changed, not that the pin is stale.
+// a hash change means an artifact changed, not that the pin is stale. The
+// collapse rows are the inverse tableau's choice among the stabilizers that
+// anticommute with the measured Z (Inverse.CollapseRow); any of them is a
+// valid row for the frame sampler, so only that choice moves the reference
+// pin, never a record.
 func TestSetupArtifactsPinned(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -40,7 +44,7 @@ func TestSetupArtifactsPinned(t *testing.T) {
 			},
 			"f827b6ab8259e14d5672008ffdc5816e36edbc796342373bcc4841e07879229f",
 			"d6a5e069179f8abcedc6f2cde45f795c803bac58ce72e469d8b57032ed1560e6",
-			"536a089437ed4c628d9522d1da3d4d13c6e942563d7bc34cef2f13d330582279",
+			"1230c46d08d8a6c94d5f1619a3c04fb79088d4eb01b47d774fc5fd26d21be0ae",
 			"0eb2a3e695380ad8afb652d411a94d4f54ae14dc80301396e11065d9c2ad48ba"},
 		{"memory-d9-X-table5", noise.PaperTable5(hardware.Default()),
 			func(built func(*circuit.Circuit)) (*orqcs.Program, error) {
@@ -52,7 +56,7 @@ func TestSetupArtifactsPinned(t *testing.T) {
 			},
 			"a203135942a6e2372ffcf524d4c5585bfebed5463e7c4f1405d3a04a040432d6",
 			"5b6081603130ec6c832c631188bd01fbfc4628bd56298064f290fbff065088ff",
-			"883c746dfc1480aaeea68fca44a4dd7a85ec66e7377415bbca6459cd6a16a923",
+			"ecdbb222fd6b5262a89f1607aaac57e7a4ee17a6e8f4e2cde594c47dc70d85d7",
 			"62f69915e8a6e316ec948ef9510e2aec70493d18921d799a3c808c4d915afae6"},
 		{"surgery-d5-Z-table5", noise.PaperTable5(hardware.Default()),
 			func(built func(*circuit.Circuit)) (*orqcs.Program, error) {
@@ -64,7 +68,7 @@ func TestSetupArtifactsPinned(t *testing.T) {
 			},
 			"067f0f7558f50147f694fa1e6424d46ab6abd6ff590bd3421385c8e5af6bee96",
 			"e5b938ad151753cc6ce8cc6a8172354f1cd79449be9c8830ead017b956c0678e",
-			"97e00cacfd3ae3d2c44c7025a621799b3044cd21c942e019e332fd0231af398f",
+			"edb2cc730d0b37073a4cd291632a53470b4cf7eb983bdf18236edb769dde4e28",
 			"93c16e8fb3c9acade165cf2dd1d30e37845fcf569f6f2df811073ec4c3d37ccb"},
 	}
 	for _, tc := range cases {

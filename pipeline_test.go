@@ -101,7 +101,7 @@ func tableauErrors(t *testing.T, sched *noise.Schedule, outcome tiscc.Expr, g *t
 // TestEstimateLogicalErrorMatchesTableau checks that the facade's
 // lower-level EstimateLogicalError, which samples fault firings on the
 // Pauli-frame engine and judges them in detector space, agrees exactly
-// with the bit-sliced tableau for memory and surgery: raw or decoded, it
+// with the inverse-tableau engine for memory and surgery: raw or decoded, it
 // counts the errors of the tableau's records judged shot by shot.
 func TestEstimateLogicalErrorMatchesTableau(t *testing.T) {
 	m := tiscc.DepolarizingNoise(agreementP)
