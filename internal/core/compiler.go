@@ -279,7 +279,7 @@ func (c *Compiler) SyndromeRound(plaqs []*Plaquette, stabOf func(*Plaquette) *pa
 		c.B.Hadamard(m)
 		rec := c.B.Measure(m)
 		res.Records[p.Face] = rec
-		c.TR.MeasurePauli(stabOf(p), rec)
+		c.TR.Measure(stabOf(p), rec)
 		c.logKnown(stabOf(p))
 	}
 	return res, nil
@@ -359,7 +359,7 @@ func (lq *LogicalQubit) TransversalMeasure(basis pauli.Kind) (map[Cell]int32, er
 		}
 		rec := c.B.Measure(ion)
 		recs[cell] = rec
-		c.TR.MeasurePauli(pauli.Single(c.NumQubits(), q, pauli.Z), rec)
+		c.TR.Measure(pauli.Single(c.NumQubits(), q, pauli.Z), rec)
 		c.logKnown(pauli.Single(c.NumQubits(), q, basis))
 	}
 	lq.Initialized = false

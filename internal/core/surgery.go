@@ -32,7 +32,7 @@ func (c *Compiler) measureOutCell(cell Cell, basis pauli.Kind) int32 {
 		c.TR.H(q)
 	}
 	rec := c.B.Measure(ion)
-	c.TR.MeasurePauli(pauli.Single(c.NumQubits(), q, pauli.Z), rec)
+	c.TR.Measure(pauli.Single(c.NumQubits(), q, pauli.Z), rec)
 	c.logKnown(pauli.Single(c.NumQubits(), q, basis))
 	return rec
 }

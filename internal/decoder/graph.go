@@ -1,9 +1,7 @@
 package decoder
 
 import (
-	"cmp"
 	"math"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -55,6 +53,8 @@ type Graph struct {
 	undetectable int // mechanisms flipping the observable with empty symptom
 	undecomposed int // hyper mechanisms dropped by graphlike decomposition
 
+	plan *Plan // the plan the graph was weighed from; nil for a decoded graph
+
 	protoParent []int32
 	maxGrow     int32
 	met         *telemetry.Set // per-scratch decode counters (DecoderSchema)
@@ -87,12 +87,6 @@ func (g *Graph) UndetectableMechanisms() int { return g.undetectable }
 // graphlike edges and were dropped from the edge weights.
 func (g *Graph) UndecomposedMechanisms() int { return g.undecomposed }
 
-// edgeKey identifies a node pair plus observable effect during accumulation.
-type edgeKey struct {
-	u, v int32
-	obs  bool
-}
-
 // CheckSchedule reports an error unless the graph was compiled against s:
 // its effect table must cover s's fault sites with their kinds, and every
 // record id its detectors and observable read must lie in s's program
@@ -119,196 +113,17 @@ func (g *Graph) CheckSchedule(s *noise.Schedule) error {
 func mergeP(a, b float64) float64 { return a + b - 2*a*b }
 
 // CompileGraph compiles a noise schedule against a detector structure into a
-// union-find decoding graph. One backward pass over the lowered instruction
-// stream compiles the effect table of the detectors and the observable
-// (noise.CompileEffects), the graph keeps it for decoded batches to read,
-// and each fault branch's mechanism is the XOR of its components' symptoms
-// in it (noise.Effects.EachMechanism). Branches flipping ≤ 2 detectors
-// become edges directly, and rarer hyper mechanisms (e.g. Y-type or
-// correlated two-qubit branches touching both stabilizer types) are
-// decomposed per stabilizer type into the graphlike
-// edges already defined by simpler branches, which keeps every component's
-// observable effect exact. Edges are ordered by (u, v, obs) with a stable
-// sort.
+// union-find decoding graph: it plans the graph (NewPlan) and weighs the
+// schedule's probabilities along the plan (Plan.Weigh). The graph keeps the
+// plan's effect table for decoded batches to read. Edges are ordered by
+// (u, v, obs).
 func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
-	g := &Graph{det: d, boundary: int32(len(d.Dets))}
-	type accum struct {
-		key edgeKey
-		p   float64
-	}
-	acc := map[edgeKey]int{} // key → index into ordered list
-	var ordered []accum
-	add := func(u, v int32, obs bool, p float64) {
-		if u > v {
-			u, v = v, u
-		}
-		k := edgeKey{u, v, obs}
-		if i, ok := acc[k]; ok {
-			ordered[i].p = mergeP(ordered[i].p, p)
-			return
-		}
-		acc[k] = len(ordered)
-		ordered = append(ordered, accum{key: k, p: p})
-	}
-	// knownObs records the observable effect of graphlike pairs for the
-	// decomposition pass: pair → obs of the most probable variant.
-	type pairInfo struct {
-		obs bool
-		p   float64
-	}
-	known := map[[2]int32]pairInfo{}
-	note := func(u, v int32, obs bool, p float64) {
-		if u > v {
-			u, v = v, u
-		}
-		k := [2]int32{u, v}
-		if prev, ok := known[k]; !ok || p > prev.p {
-			known[k] = pairInfo{obs: obs, p: p}
-		}
-	}
-
-	// Pass 1: graphlike mechanisms define the edge set.
-	var hyper []noise.Mechanism
-	eff, err := compileEffects(d, s)
+	pl, err := NewPlan(d, s)
 	if err != nil {
 		return nil, err
 	}
-	g.eff = *eff
-	err = g.eff.EachMechanism(s, func(m noise.Mechanism) error {
-		switch len(m.Dets) {
-		case 0:
-			g.undetectable++
-		case 1:
-			add(m.Dets[0], g.boundary, m.Obs, m.P)
-			note(m.Dets[0], g.boundary, m.Obs, m.P)
-		case 2:
-			add(m.Dets[0], m.Dets[1], m.Obs, m.P)
-			note(m.Dets[0], m.Dets[1], m.Obs, m.P)
-		default:
-			m.Dets = slices.Clone(m.Dets)
-			hyper = append(hyper, m)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Pass 2: decompose hyper mechanisms against the known edge set.
-	var comps [][2]int32
-	for _, m := range hyper {
-		comps = comps[:0]
-		obsSum := false
-		ok := true
-		// Group by stabilizer type, preserving sorted order within groups.
-		for _, wantX := range []bool{false, true} {
-			var grp []int32
-			for _, di := range m.Dets {
-				if (d.Dets[di].Type == d.basis) != wantX {
-					grp = append(grp, di)
-				}
-			}
-			used := make([]bool, len(grp))
-			for i := range grp {
-				if used[i] {
-					continue
-				}
-				used[i] = true
-				paired := false
-				for j := i + 1; j < len(grp); j++ {
-					if used[j] {
-						continue
-					}
-					if info, exists := known[[2]int32{grp[i], grp[j]}]; exists {
-						used[j] = true
-						comps = append(comps, [2]int32{grp[i], grp[j]})
-						if info.obs {
-							obsSum = !obsSum
-						}
-						paired = true
-						break
-					}
-				}
-				if paired {
-					continue
-				}
-				if info, exists := known[[2]int32{grp[i], g.boundary}]; exists {
-					comps = append(comps, [2]int32{grp[i], g.boundary})
-					if info.obs {
-						obsSum = !obsSum
-					}
-					continue
-				}
-				ok = false
-			}
-		}
-		// A decomposition is only trusted when every component matched a
-		// known edge and the components reproduce the mechanism's observable
-		// effect exactly; otherwise dropping the (rare, P/15-scale) branch is
-		// safer than poisoning an edge's correction parity.
-		if !ok || obsSum != m.Obs {
-			g.undecomposed++
-			continue
-		}
-		for _, c := range comps {
-			info := known[[2]int32{c[0], c[1]}]
-			add(c[0], c[1], info.obs, m.P)
-		}
-	}
-
-	if len(ordered) == 0 {
-		// An empty model (ideal noise): decoding degenerates to the raw
-		// readout. Keep a valid, edgeless graph.
-		g.finish(nil)
-		return g, nil
-	}
-
-	// Deterministic edge order (the keys are distinct, so it is total).
-	slices.SortFunc(ordered, func(x, y accum) int {
-		a, b := x.key, y.key
-		if a.u != b.u {
-			return cmp.Compare(a.u, b.u)
-		}
-		if a.v != b.v {
-			return cmp.Compare(a.v, b.v)
-		}
-		switch {
-		case !a.obs && b.obs:
-			return -1
-		case a.obs && !b.obs:
-			return 1
-		}
-		return 0
-	})
-	edges := make([]Edge, len(ordered))
-	minW := math.Inf(1)
-	ws := make([]float64, len(ordered))
-	for i, a := range ordered {
-		p := a.p
-		if p > 0.4999 {
-			p = 0.4999
-		}
-		ws[i] = math.Log((1 - p) / p)
-		if ws[i] < minW {
-			minW = ws[i]
-		}
-		edges[i] = Edge{U: a.key.u, V: a.key.v, Obs: a.key.obs, P: a.p}
-	}
-	for i := range edges {
-		// Quantize log-likelihood weights to integers (most-likely edge →
-		// 16) so growth rounds stay bounded. The resolution matters: a
-		// coarse grid collapses nearby weights into ties, and a tied
-		// cluster-growth race can pair defects through a homologically wrong
-		// (observable-flipping) edge. ×16 keeps the few-percent weight
-		// margins between competing pairings of real fault schedules.
-		w := int32(math.Round(16 * ws[i] / minW))
-		if w < 1 {
-			w = 1
-		}
-		edges[i].Len = 2 * min(w, maxEdgeLen/2)
-	}
-	g.finish(edges)
-	return g, nil
+	g, _, err := pl.Weigh(s)
+	return g, err
 }
 
 // finish builds the adjacency CSR and scratch prototypes.
@@ -357,8 +172,18 @@ func (g *Graph) finish(edges []Edge) {
 // its length, so each search stops once its depth reaches half the best
 // walk found. It returns -1 when no such walk exists (the edgeless graph of
 // an ideal model). Mechanisms that flip the observable with no symptom at
-// all are not edges; UndetectableMechanisms counts them.
+// all are not edges; UndetectableMechanisms counts them. Every graph
+// weighed from one plan has the same edge structure, so the plan runs the
+// search once for all of them.
 func (g *Graph) Distance() int {
+	if g.plan != nil {
+		return g.plan.distance(g)
+	}
+	return g.search()
+}
+
+// search runs Distance's breadth-first search.
+func (g *Graph) search() int {
 	n := int32(len(g.adjStart) - 1)
 	dist := make([]int32, 2*n) // state 2·node + parity → BFS depth, −1 unseen
 	for i := range dist {

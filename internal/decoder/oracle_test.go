@@ -21,7 +21,10 @@ import (
 // edgeState.base directly. It is the oracle for the event-driven growth in
 // decode, which must reproduce its parity, its grown-edge order and its
 // counters exactly. It clears the whole scratch first, so it never relies
-// on the decoder's O(touched) reset.
+// on the decoder's O(touched) reset. Rounds in which no edge completes
+// change nothing but the growth, so one scan before each round counts
+// them and skips them in one step, with the rounds, frontier and
+// maxRounds fallback they would have given.
 func (g *Graph) decodeFullScan(sc *scratch) bool {
 	copy(sc.parent, g.protoParent)
 	clear(sc.parity)
@@ -49,6 +52,18 @@ func (g *Graph) decodeFullScan(sc *scratch) bool {
 		}
 		return x
 	}
+	// rate is how many active clusters an ungrown edge grows from.
+	rate := func(e *Edge) int32 {
+		ru, rv := find(e.U), find(e.V)
+		inc := int32(0)
+		if sc.active(ru) {
+			inc++
+		}
+		if rv != ru && sc.active(rv) {
+			inc++
+		}
+		return inc
+	}
 	maxRounds := int(g.maxGrow) * (int(g.boundary) + 1)
 	rounds, peakFrontier := uint64(0), uint64(0)
 	for round := 0; odd > 0; round++ {
@@ -56,6 +71,27 @@ func (g *Graph) decodeFullScan(sc *scratch) bool {
 			sc.tel.Inc(ctrRawFallbacks)
 			sc.finishDecode(rounds, peakFrontier)
 			return false
+		}
+		// Skip the quiet rounds before the next completion, at most up to
+		// round maxRounds, which then runs as a full round.
+		quiet, growing := maxRounds-round, uint64(0)
+		for ei := range g.edges {
+			if e := &g.edges[ei]; !sc.es[ei].grown {
+				if inc := rate(e); inc > 0 {
+					growing++
+					quiet = min(quiet, int((e.Len-sc.es[ei].base+inc-1)/inc-1))
+				}
+			}
+		}
+		if growing > 0 && quiet > 0 {
+			for ei := range g.edges {
+				if !sc.es[ei].grown {
+					sc.es[ei].base += int32(quiet) * rate(&g.edges[ei])
+				}
+			}
+			round += quiet
+			rounds += uint64(quiet)
+			peakFrontier = max(peakFrontier, growing)
 		}
 		rounds++
 		frontier := uint64(0)
@@ -65,17 +101,11 @@ func (g *Graph) decodeFullScan(sc *scratch) bool {
 				continue
 			}
 			e := &g.edges[ei]
-			ru, rv := find(e.U), find(e.V)
-			inc := int32(0)
-			if sc.active(ru) {
-				inc++
-			}
-			if rv != ru && sc.active(rv) {
-				inc++
-			}
+			inc := rate(e)
 			if inc == 0 {
 				continue
 			}
+			ru, rv := find(e.U), find(e.V)
 			frontier++
 			progressed = true
 			sc.es[ei].base += inc

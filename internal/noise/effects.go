@@ -354,6 +354,11 @@ func (e *Effects) CheckSchedule(s *Schedule) error {
 	return nil
 }
 
+// Bytes returns the memory the table's arrays hold.
+func (e *Effects) Bytes() int {
+	return len(e.kind) + 4*(len(e.comp)+len(e.start)+len(e.dets)) + 8*len(e.obs)
+}
+
 // Fire XORs the symptom of every firing of p into p's check words and
 // returns them with the word of lanes whose observable flips: a firing
 // XORs in the symptom of each component of its branch. The words live in
@@ -390,12 +395,14 @@ func checkWords(p *Planes, n int) []uint64 {
 	return p.Dets
 }
 
-// Mechanism is the effect of one fault branch: its firing probability, the
-// checks it flips (ascending) and whether it flips the observable.
+// Mechanism is the effect of one fault branch: the fault site and branch
+// (Fault.Branch order) it is, its firing probability, the checks it flips
+// (ascending) and whether it flips the observable.
 type Mechanism struct {
-	P    float64
-	Dets []int32
-	Obs  bool
+	Site, Branch int
+	P            float64
+	Dets         []int32
+	Obs          bool
 }
 
 // EachMechanism hands visit the mechanism of every fault branch of s, the
@@ -426,7 +433,7 @@ func (e *Effects) EachMechanism(s *Schedule, visit func(m Mechanism) error) erro
 			if len(buf) == 0 && !obs {
 				continue
 			}
-			if err := visit(Mechanism{P: p, Dets: buf, Obs: obs}); err != nil {
+			if err := visit(Mechanism{Site: k, Branch: b, P: p, Dets: buf, Obs: obs}); err != nil {
 				return err
 			}
 		}

@@ -131,6 +131,26 @@ func (s *Schedule) SlotEnd(slot int) int32 { return s.start[slot+1] }
 // by FiredFaults output.
 func (s *Schedule) SiteFault(k int) Fault { return s.faults[k] }
 
+// SameSites reports whether o has s's fault sites: the same program and,
+// slot by slot, the same fault kinds on the same operands. Only the
+// probabilities may differ, so anything compiled from the sites alone —
+// an effect table, a decoding-graph plan — holds for both.
+func (s *Schedule) SameSites(o *Schedule) bool {
+	if s == o {
+		return true
+	}
+	if s.prog != o.prog || len(s.faults) != len(o.faults) || !slices.Equal(s.start, o.start) {
+		return false
+	}
+	for k := range s.faults {
+		a, b := &s.faults[k], &o.faults[k]
+		if a.Kind != b.Kind || a.Q1 != b.Q1 || a.Q2 != b.Q2 {
+			return false
+		}
+	}
+	return true
+}
+
 // SiteClass returns the gate class of fault site k: which model channel
 // charged the site at compile time. Together with SiteFault(k).Kind it names
 // the site's error-budget channel.

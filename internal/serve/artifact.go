@@ -54,10 +54,14 @@ func kindName(k uint8) string {
 	return fmt.Sprintf("kind-%d", k)
 }
 
+// containerHeader is the length of a container's header: magic, format
+// version, kind, payload length, checksum.
+const containerHeader = len(artifactMagic) + 2 + 1 + 8 + 4
+
 // encodeContainer wraps a payload in the self-describing artifact header:
 // magic, format version, kind, payload length, CRC-32 (IEEE) checksum.
 func encodeContainer(kind uint8, payload []byte) []byte {
-	buf := make([]byte, 0, len(artifactMagic)+2+1+8+4+len(payload))
+	buf := make([]byte, 0, containerHeader+len(payload))
 	buf = append(buf, artifactMagic...)
 	buf = wire.AppendU16(buf, FormatVersion)
 	buf = wire.AppendU8(buf, kind)
@@ -173,7 +177,13 @@ type Artifact struct {
 // reference bit, and the three nested sub-containers — into one bundle
 // container.
 func EncodeBundle(a *Artifact) []byte {
-	var buf []byte
+	return encodeContainer(kindBundle, bundlePayload(a, EncodeProgram(a.Prog), EncodeSchedule(a.Sched), EncodeGraph(a.Graph)))
+}
+
+// bundlePayload is the payload of a's bundle container, given its three
+// encoded sub-containers.
+func bundlePayload(a *Artifact, prog, sched, graph []byte) []byte {
+	buf := make([]byte, 0, 64+4*len(a.Outcome.IDs)+len(prog)+len(sched)+len(graph))
 	buf = wire.AppendString(buf, a.Key.Workload)
 	buf = wire.AppendU32(buf, uint32(a.Key.Distance))
 	buf = wire.AppendU32(buf, uint32(a.Key.Rounds))
@@ -185,10 +195,10 @@ func EncodeBundle(a *Artifact) []byte {
 	for _, id := range a.Outcome.IDs {
 		buf = wire.AppendI32(buf, id)
 	}
-	for _, sub := range [][]byte{EncodeProgram(a.Prog), EncodeSchedule(a.Sched), EncodeGraph(a.Graph)} {
+	for _, sub := range [][]byte{prog, sched, graph} {
 		buf = wire.AppendBytes(buf, sub)
 	}
-	return encodeContainer(kindBundle, buf)
+	return buf
 }
 
 // DecodeBundle decodes a bundle artifact, wiring the schedule to the
@@ -225,26 +235,37 @@ func DecodeBundle(data []byte) (*Artifact, error) {
 	if a.Prog, err = DecodeProgram(subs[0]); err != nil {
 		return nil, fmt.Errorf("serve: bundle program: %w", err)
 	}
-	if a.Sched, err = DecodeSchedule(subs[1], a.Prog); err != nil {
-		return nil, fmt.Errorf("serve: bundle schedule: %w", err)
+	if err := a.decodeParts(subs[0], subs[1], subs[2], payload); err != nil {
+		return nil, err
 	}
-	if a.Graph, err = DecodeGraph(subs[2]); err != nil {
-		return nil, fmt.Errorf("serve: bundle graph: %w", err)
+	return a, nil
+}
+
+// decodeParts decodes a bundle's schedule and graph sub-containers against
+// a.Prog, the program decoded from prog, checks that the parts fit
+// together and fills in the wire accounting of the bundle payload.
+func (a *Artifact) decodeParts(prog, sched, graph, payload []byte) error {
+	var err error
+	if a.Sched, err = DecodeSchedule(sched, a.Prog); err != nil {
+		return fmt.Errorf("serve: bundle schedule: %w", err)
+	}
+	if a.Graph, err = DecodeGraph(graph); err != nil {
+		return fmt.Errorf("serve: bundle graph: %w", err)
 	}
 	// Raw estimates compile the outcome's effect table from its record
 	// ids, so every id must name one of the program's records; decoded
 	// estimates index the graph's effect table by the schedule's fault
 	// sites, so the graph must have been compiled against it.
 	if err := a.Outcome.CheckRecords(a.Prog.NumRecords()); err != nil {
-		return nil, fmt.Errorf("serve: bundle outcome: %w", err)
+		return fmt.Errorf("serve: bundle outcome: %w", err)
 	}
 	if err := a.Graph.CheckSchedule(a.Sched); err != nil {
-		return nil, fmt.Errorf("serve: bundle graph: %w", err)
+		return fmt.Errorf("serve: bundle graph: %w", err)
 	}
-	a.ProgBytes, a.SchedBytes, a.GraphBytes = len(subs[0]), len(subs[1]), len(subs[2])
-	a.BundleBytes = len(data)
+	a.ProgBytes, a.SchedBytes, a.GraphBytes = len(prog), len(sched), len(graph)
+	a.BundleBytes = containerHeader + len(payload)
 	a.BundleCRC = crc32.ChecksumIEEE(payload)
-	return a, nil
+	return nil
 }
 
 // Workload and model names accepted by CompileArtifact and the HTTP API
@@ -263,21 +284,71 @@ const (
 // compiled to a union-find decoding graph — then round-trips the result
 // through the wire format, so every served artifact is a decoded one and
 // serialization is exercised on the production path, not only in tests.
+// It builds the key's shape afresh; the cache compiles on cached shapes.
 func CompileArtifact(k Key) (*Artifact, error) {
+	sh, err := newShape(k)
+	if err != nil {
+		return nil, err
+	}
+	return sh.compile(k)
+}
+
+// shape is the model-independent part of every artifact of one
+// (workload, distance, rounds): the circuit built for decoding, which
+// keeps its decoding-graph plans (experiment.Circuit), and its program's
+// encoded container. The circuit's program is the one decoded from that
+// container, so the shape holds one program, which every artifact compiled
+// on it shares. Compiling a key on a cached shape flattens the noise
+// model, re-weighs a plan and round-trips only the schedule and the graph;
+// the bytes are CompileArtifact's on a fresh shape.
+type shape struct {
+	circ *experiment.Circuit
+	prog []byte // EncodeProgram of the built circuit's program
+}
+
+// shapeKey names k's shape: k normalized, with its model and p cleared.
+func shapeKey(k Key) Key {
+	k = k.Normalize()
+	k.Model, k.P = "", 0
+	return k
+}
+
+// newShape builds k's shape.
+func newShape(k Key) (*shape, error) {
+	c, err := experiment.Build(experiment.Spec{Workload: k.Workload, Distance: k.Distance, Rounds: k.Rounds}, true, nil)
+	if err != nil {
+		return nil, err
+	}
+	sh := &shape{circ: c, prog: EncodeProgram(c.Prog)}
+	if c.Prog, err = DecodeProgram(sh.prog); err != nil {
+		return nil, fmt.Errorf("serve: artifact round-trip failed: %w", err)
+	}
+	return sh, nil
+}
+
+// compile compiles k's artifact on the shape: the circuit compiled against
+// k's model, its schedule and graph encoded beside the shape's program
+// container into the bundle payload and decoded back against the circuit's
+// (decoded) program. The graph distance is searched once per plan.
+func (sh *shape) compile(k Key) (*Artifact, error) {
 	spec, err := k.Spec()
 	if err != nil {
 		return nil, err
 	}
-	c, err := experiment.Compile(spec, true, nil)
+	c, err := sh.circ.Compile(spec.Model, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	a := &Artifact{Key: k, Prog: c.Prog, Sched: c.Sched, Graph: c.Graph,
-		Outcome: c.Outcome, Reference: c.Reference}
-	decoded, err := DecodeBundle(EncodeBundle(a))
-	if err != nil {
+	a := &Artifact{Key: k, Prog: c.Prog, Outcome: c.Outcome, Reference: c.Reference}
+	sched, graph := EncodeSchedule(c.Sched), EncodeGraph(c.Graph)
+	if err := a.decodeParts(sh.prog, sched, graph, bundlePayload(a, sh.prog, sched, graph)); err != nil {
 		return nil, fmt.Errorf("serve: artifact round-trip failed: %w", err)
 	}
-	decoded.Distance = decoded.Graph.Distance()
-	return decoded, nil
+	a.Distance = c.Graph.Distance()
+	return a, nil
 }
+
+// cost is the shape's charge against the cache's byte budget: its encoded
+// program twice (the container and the decoded program) plus the tables
+// of the plans its circuit keeps.
+func (sh *shape) cost() int { return 2*len(sh.prog) + sh.circ.PlanBytes() }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -216,6 +217,56 @@ func TestCacheConcurrentMixed(t *testing.T) {
 	if snap.Counter("cache_hits")+snap.Counter("cache_misses") != 16*50 {
 		t.Fatalf("hits+misses = %d, want %d",
 			snap.Counter("cache_hits")+snap.Counter("cache_misses"), 16*50)
+	}
+}
+
+// TestCacheConcurrentShape sends concurrent misses on keys of one shape:
+// the shape is built once and every other miss compiles on it, each
+// artifact equal to a fresh CompileArtifact's. Run under -race in CI.
+func TestCacheConcurrentShape(t *testing.T) {
+	met := telemetry.NewLocked(MetricsSchema)
+	c := NewCache(64<<20, nil, met)
+	ps := []float64{1e-3, 2e-3, 3e-3, 5e-3, 7e-3, 1e-2}
+	arts := make([]*Artifact, len(ps))
+	var wg sync.WaitGroup
+	for i, p := range ps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			art, _, err := c.Get(Key{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: p})
+			if err != nil {
+				t.Errorf("Get: %v", err)
+			}
+			arts[i] = art
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if got := met.Counter(CtrShapeCompiles); got != 1 {
+		t.Fatalf("shape_compiles = %d for %d concurrent misses on one shape, want 1", got, len(ps))
+	}
+	if got := met.Counter(CtrShapeHits); got != uint64(len(ps)-1) {
+		t.Fatalf("shape_hits = %d, want %d", got, len(ps)-1)
+	}
+	if got := met.Counter(CtrCompiles); got != uint64(len(ps)) {
+		t.Fatalf("compiles = %d, want %d", got, len(ps))
+	}
+	for i, art := range arts {
+		fresh, err := CompileArtifact(art.Key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodeBundle(art), EncodeBundle(fresh)) || art.BundleCRC != fresh.BundleCRC || art.Distance != fresh.Distance {
+			t.Fatalf("key %d: artifact differs from CompileArtifact's", i)
+		}
+		if art.Prog != arts[0].Prog {
+			t.Fatalf("key %d: artifacts of one shape should share its decoded program", i)
+		}
+	}
+	if n, bytes := c.Stats(); n != len(ps) || bytes <= 0 {
+		t.Fatalf("Stats = %d artifacts, %d bytes", n, bytes)
 	}
 }
 

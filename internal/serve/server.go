@@ -191,12 +191,10 @@ func NewServer(cfg Config) *Server {
 		logf = func(string, ...any) {}
 	}
 	met := telemetry.NewLocked(MetricsSchema)
-	compile := cfg.compile
-	if compile == nil {
-		compile = CompileArtifact
-	}
 	s := &Server{met: met, logf: logf}
-	s.cache = NewCache(cfg.CacheBytes, func(k Key) (*Artifact, error) {
+	s.cache = NewCache(cfg.CacheBytes, cfg.compile, met)
+	compile := s.cache.compile
+	s.cache.compile = func(k Key) (*Artifact, error) {
 		//tiscc:nondeterministic compile-latency logging: timing feeds the operator log only, never the compiled artifact bytes
 		t0 := time.Now()
 		a, err := compile(k)
@@ -207,7 +205,7 @@ func NewServer(cfg Config) *Server {
 		//tiscc:nondeterministic compile-latency logging: timing feeds the operator log only, never the compiled artifact bytes
 		s.logf("compile %v in %s (bundle %d bytes, crc32 %08x)", k, time.Since(t0).Round(time.Millisecond), a.BundleBytes, a.BundleCRC)
 		return a, nil
-	}, met)
+	}
 	return s
 }
 

@@ -328,3 +328,59 @@ func TestSurgeryAndTable5Served(t *testing.T) {
 			got.Artifact.Distance, got.Artifact.Undetectable)
 	}
 }
+
+// TestShapeHitByteIdentical proves the shape layer changes no byte: a
+// request compiled on a cached shape (another p, then another model on
+// the same workload, distance and rounds) answers exactly as a fresh
+// server's miss does, and a repeat of it is a plain hit with the same
+// body. Both fresh and cached artifacts equal CompileArtifact's bundle.
+func TestShapeHitByteIdentical(t *testing.T) {
+	srv, ts := newTestServer(t)
+	first := `{"workload": "surgery", "distance": 3, "p": 0.001, "shots": 200, "seed": 5}`
+	if resp, body := postEstimate(t, ts, first); resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	for i, req := range []string{
+		`{"workload": "surgery", "distance": 3, "p": 0.004, "shots": 200, "seed": 5}`,
+		`{"workload": "surgery", "distance": 3, "model": "table5", "shots": 200, "seed": 5}`,
+	} {
+		miss, missBody := postEstimate(t, ts, req)
+		hit, hitBody := postEstimate(t, ts, req)
+		_, fresh := newTestServer(t)
+		freshResp, freshBody := postEstimate(t, fresh, req)
+		for _, r := range []*http.Response{miss, hit, freshResp} {
+			if r.StatusCode != 200 {
+				t.Fatalf("request %d: status %d", i, r.StatusCode)
+			}
+		}
+		if got := miss.Header.Get("X-Tiscc-Cache") + "/" + hit.Header.Get("X-Tiscc-Cache"); got != "miss/hit" {
+			t.Fatalf("request %d: dispositions %s, want miss/hit", i, got)
+		}
+		if !bytes.Equal(missBody, freshBody) || !bytes.Equal(hitBody, freshBody) {
+			t.Fatalf("request %d: shape-hit bodies differ from a fresh miss:\nshape miss: %s\nhit:        %s\nfresh:      %s", i, missBody, hitBody, freshBody)
+		}
+		if got := srv.met.Counter(CtrShapeHits); got != uint64(i+1) {
+			t.Fatalf("after request %d: shape_hits = %d, want %d", i, got, i+1)
+		}
+	}
+	if got := srv.met.Counter(CtrShapeCompiles); got != 1 {
+		t.Fatalf("shape_compiles = %d, want 1", got)
+	}
+	for _, k := range []Key{
+		{Workload: WorkloadSurgery, Distance: 3, Model: ModelDepolarizing, P: 0.004},
+		{Workload: WorkloadSurgery, Distance: 3, Model: ModelTable5},
+	} {
+		cached, _, err := srv.cache.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := CompileArtifact(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(EncodeBundle(cached), EncodeBundle(fresh)) || cached.BundleCRC != fresh.BundleCRC ||
+			cached.BundleBytes != fresh.BundleBytes || cached.Distance != fresh.Distance {
+			t.Fatalf("%v: the artifact compiled on a cached shape differs from CompileArtifact's", k)
+		}
+	}
+}

@@ -15,11 +15,13 @@ var MetricsSchema = &telemetry.Schema{
 		"panics",           // handler panics recovered to HTTP 500
 		"cache_hits",       // estimate requests served from a cached artifact
 		"cache_misses",     // estimate requests that had to compile
-		"cache_evictions",  // artifacts evicted by the LRU byte budget
+		"cache_evictions",  // artifacts and shapes evicted by the LRU byte budget
 		"compiles",         // artifact compiles (== misses minus failures)
 		"shots_served",     // counted shots across all served estimates
 		"artifact_bytes",   // encoded bytes currently cached (set, not added)
 		"artifacts_cached", // artifacts currently cached (set, not added)
+		"shape_hits",       // artifact compiles on a cached or in-flight shape
+		"shape_compiles",   // shapes built: a circuit, its plans and its encoded program
 	},
 	Hists: []string{
 		"request_us", // /v1/estimate latency, microseconds
@@ -40,6 +42,8 @@ const (
 	CtrShotsServed
 	CtrArtifactBytes
 	CtrArtifactsCached
+	CtrShapeHits
+	CtrShapeCompiles
 )
 
 // HistRequestUS indexes the request-latency histogram.

@@ -378,7 +378,16 @@ func (t *T) Value(o Outcome) bool { return t.records[o.Record] }
 // MeasurePauli measures the Hermitian Pauli p, assigning record index rec.
 // In concrete mode the sampled/derived bit is stored in the record table.
 // The outcome's value formula is always the single record reference {rec}.
-func (t *T) MeasurePauli(p *pauli.String, rec int32) Outcome {
+func (t *T) MeasurePauli(p *pauli.String, rec int32) Outcome { return t.measure(p, rec, true) }
+
+// Measure measures the Hermitian Pauli p under record index rec, as
+// MeasurePauli does, for a caller that discards the outcome: a symbolic
+// tracker then never derives a deterministic outcome's value formula.
+func (t *T) Measure(p *pauli.String, rec int32) { t.measure(p, rec, t.rng != nil) }
+
+// measure is MeasurePauli; with derive unset, a deterministic outcome's
+// Derived formula is left empty.
+func (t *T) measure(p *pauli.String, rec int32, derive bool) Outcome {
 	if !p.Hermitian() {
 		panic("tableau: measuring non-Hermitian Pauli " + p.String())
 	}
@@ -393,6 +402,9 @@ func (t *T) MeasurePauli(p *pauli.String, rec int32) Outcome {
 	}
 	if ip < 0 {
 		// Deterministic outcome.
+		if !derive {
+			return Outcome{Record: rec, Deterministic: true}
+		}
 		derived := t.deterministicValue(&o)
 		out := Outcome{Record: rec, Deterministic: true, Derived: derived}
 		if t.rng != nil {

@@ -319,3 +319,50 @@ func TestGateInverses(t *testing.T) {
 		}
 	}
 }
+
+// Property: Measure, which discards the outcome, leaves a symbolic or a
+// concrete tableau exactly as MeasurePauli does: the same stabilizers with
+// the same sign formulas, and in concrete mode the same records.
+func TestMeasureMatchesMeasurePauli(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		for _, concrete := range []bool{false, true} {
+			r := rand.New(rand.NewSource(seed))
+			n := 2 + r.Intn(5)
+			var a, b *T
+			if concrete {
+				a, b = New(n, rand.New(rand.NewSource(seed))), New(n, rand.New(rand.NewSource(seed)))
+			} else {
+				a, b = New(n, nil), New(n, nil)
+			}
+			for rec := int32(0); rec < 40; rec++ {
+				q, q2 := r.Intn(n), r.Intn(n)
+				switch r.Intn(4) {
+				case 0:
+					a.H(q)
+					b.H(q)
+				case 1:
+					if q != q2 {
+						a.CX(q, q2)
+						b.CX(q, q2)
+					}
+				case 2:
+					a.S(q)
+					b.S(q)
+				}
+				p := pauli.Single(n, q, []pauli.Kind{pauli.X, pauli.Y, pauli.Z}[r.Intn(3)])
+				a.MeasurePauli(p, rec)
+				b.Measure(p, rec)
+				sa, sb := a.StabilizerStrings(), b.StabilizerStrings()
+				for i := range sa {
+					if sa[i].String() != sb[i].String() || !a.StabilizerSym(i).Equal(b.StabilizerSym(i)) {
+						t.Fatalf("seed %d concrete %v record %d: stabilizer %d %s %v, Measure gives %s %v",
+							seed, concrete, rec, i, sa[i], a.StabilizerSym(i), sb[i], b.StabilizerSym(i))
+					}
+				}
+				if concrete && a.Records()[rec] != b.Records()[rec] {
+					t.Fatalf("seed %d record %d: %v, Measure gives %v", seed, rec, a.Records()[rec], b.Records()[rec])
+				}
+			}
+		}
+	}
+}
