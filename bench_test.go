@@ -135,7 +135,7 @@ func BenchmarkTable5GateSet(b *testing.B) {
 			b.Fatal(err)
 		}
 		counts := c.Build().GateCounts()
-		b.ReportMetric(float64(counts["ZZ"]), "ZZ-gates")
+		b.ReportMetric(float64(counts[circuit.ZZ]), "ZZ-gates")
 	}
 }
 
@@ -648,12 +648,12 @@ func BenchmarkCompileDecoderGraph(b *testing.B) {
 // sampler — on the benchmark's workload shapes: memory d=9 decoded and d=13
 // raw at depolarizing(1e-3), and the decoded d=5 merge/split cycle at
 // depolarizing(5e-5). Every Compile builds a fresh program, so each
-// iteration pays for its one noiseless reference pass. Medians of three
-// -cpu 1 runs of 20 iterations on a shared 2-core Xeon: 41 ms and 18.2 MB
-// per op at d=9 decoded, 47 ms and 23.6 MB at d=13 raw, 20 ms and 8.6 MB
-// for surgery d=5. The reference pass (BenchmarkReference) is ~10% of the
-// d=13 profile; the compiler's symbolic tracker (tableau.T.MeasurePauli)
-// and the event sort (circuit.SortedByTime) are the largest parts left.
+// iteration pays for its one noiseless reference pass. Three alternating
+// -cpu 1 runs of 20 iterations on a shared 2-core Xeon: 20–29 ms and
+// 15.5 MB per op at d=9 decoded, 17–26 ms and 14.4 MB at d=13 raw, 10–16
+// ms and 7.0 MB for surgery d=5. In the d=13 profile, lowering
+// (orqcs.Lower, ~22%), the event keys' radix sort (~14%) and memory
+// clearing (~12%) are the largest parts left.
 func BenchmarkSetup(b *testing.B) {
 	for _, c := range []struct {
 		name     string

@@ -305,7 +305,14 @@ func runExperiment(workload, dspec string, noiseP float64, decode bool, demFile,
 		if err != nil {
 			fatal(err)
 		}
-		if err := decoder.WriteDEM(f, c.Detectors, c.Sched); err != nil {
+		// A decoded run has compiled the graph, and with it the effect
+		// table the DEM is written from.
+		if c.Graph != nil {
+			err = c.Graph.WriteDEM(f, c.Sched)
+		} else {
+			err = decoder.WriteDEM(f, c.Detectors, c.Sched)
+		}
+		if err != nil {
 			fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -35,7 +35,7 @@ func main() {
 		fmt.Printf("%-4d %dx%-7d %-12.2f %-12.3f %-9d %-12.4f %-12d\n",
 			d, tiscc.TileHeight(d), tiscc.TileWidth(d),
 			est.Time*1e3, est.AreaM2*1e6, est.Zones, est.ZoneSeconds,
-			est.Gates["ZZ"])
+			est.Gates[tiscc.GateZZ])
 	}
 
 	fmt.Println()
@@ -50,7 +50,7 @@ func main() {
 	}
 	est := tiscc.EstimateCircuit(layout.Circuit(), tiscc.DefaultParams())
 	p := tiscc.DefaultParams()
-	for _, g := range []tiscc.Gate{"ZZ", "Move", "Measure_Z", "Prepare_Z", "Y_pi/4", "Z_pi/2", "Z_-pi/4"} {
+	for _, g := range []tiscc.Gate{tiscc.GateZZ, tiscc.GateMove, tiscc.GateMeasureZ, tiscc.GatePrepareZ, tiscc.GateYPi4, tiscc.GateZPi2, tiscc.GateZmPi4} {
 		n := est.Gates[g]
 		fmt.Printf("  %-10s × %-5d = %8.3f ms\n", g, n, float64(n)*float64(p.Duration(g))/1e6)
 	}

@@ -9,7 +9,6 @@ package circuit
 import (
 	"bufio"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,47 +16,95 @@ import (
 	"tiscc/internal/grid"
 )
 
-// Gate names the members of the native trapped-ion gate set (paper Table 5).
-type Gate string
+// Gate is a member of the native trapped-ion gate set (paper Table 5): a
+// small integer, so an Event holds no pointer. Its text form comes from one
+// name table (gateNames) behind String, ParseGate and every error message.
+type Gate uint8
 
 // Native gate set. Angles follow the paper's P_θ = exp(−iPθ) convention with
 // θ ∈ {π/2, ±π/4, ±π/8}; ZZ is (ZZ)_{π/4}. Junction traversals are emitted
 // as Move between the two zones flanking the junction.
 const (
-	PrepareZ Gate = "Prepare_Z"
-	MeasureZ Gate = "Measure_Z"
-	XPi2     Gate = "X_pi/2"
-	XPi4     Gate = "X_pi/4"
-	XmPi4    Gate = "X_-pi/4"
-	YPi2     Gate = "Y_pi/2"
-	YPi4     Gate = "Y_pi/4"
-	YmPi4    Gate = "Y_-pi/4"
-	ZPi2     Gate = "Z_pi/2"
-	ZPi4     Gate = "Z_pi/4"
-	ZmPi4    Gate = "Z_-pi/4"
-	ZPi8     Gate = "Z_pi/8"
-	ZmPi8    Gate = "Z_-pi/8"
-	ZZ       Gate = "ZZ"
-	Move     Gate = "Move"
+	PrepareZ Gate = iota
+	MeasureZ
+	XPi2
+	XPi4
+	XmPi4
+	YPi2
+	YPi4
+	YmPi4
+	ZPi2
+	ZPi4
+	ZmPi4
+	ZPi8
+	ZmPi8
+	ZZ
+	Move
 
 	// Explicit well operations (paper future work (i)(a): "a more realistic
 	// trapped-ion instruction set (including explicit split, merge, swap,
 	// and cool operations)"). When the hardware model runs in explicit-well
 	// mode, each two-qubit interaction is emitted as MergeWells → ZZ (bare
 	// gate time) → SplitWells → Cool instead of a single 2 ms ZZ.
-	MergeWells Gate = "Merge_Wells"
-	SplitWells Gate = "Split_Wells"
-	Cool       Gate = "Cool"
+	MergeWells
+	SplitWells
+	Cool
+
+	// NumGates is the number of native gates: every Gate below it is one.
+	NumGates
 )
+
+// gateNames is the text form of every gate, as String prints it and
+// ParseGate reads it.
+var gateNames = [NumGates]string{
+	PrepareZ:   "Prepare_Z",
+	MeasureZ:   "Measure_Z",
+	XPi2:       "X_pi/2",
+	XPi4:       "X_pi/4",
+	XmPi4:      "X_-pi/4",
+	YPi2:       "Y_pi/2",
+	YPi4:       "Y_pi/4",
+	YmPi4:      "Y_-pi/4",
+	ZPi2:       "Z_pi/2",
+	ZPi4:       "Z_pi/4",
+	ZmPi4:      "Z_-pi/4",
+	ZPi8:       "Z_pi/8",
+	ZmPi8:      "Z_-pi/8",
+	ZZ:         "ZZ",
+	Move:       "Move",
+	MergeWells: "Merge_Wells",
+	SplitWells: "Split_Wells",
+	Cool:       "Cool",
+}
+
+// String returns the gate's name in the circuit text form; a value that is
+// no native gate prints as Gate(n).
+func (g Gate) String() string {
+	if g < NumGates {
+		return gateNames[g]
+	}
+	return "Gate(" + strconv.Itoa(int(g)) + ")"
+}
+
+// ParseGate returns the native gate with the given name.
+func ParseGate(name string) (Gate, bool) {
+	for g, n := range gateNames {
+		if n == name {
+			return Gate(g), true
+		}
+	}
+	return 0, false
+}
 
 // TwoQubit reports whether the gate addresses two sites.
 func (g Gate) TwoQubit() bool {
 	return g == ZZ || g == Move || g == MergeWells || g == SplitWells || g == Cool
 }
 
-// Event is a single scheduled hardware operation.
+// Event is a single scheduled hardware operation. Its fields are ordered so
+// that it packs into 56 bytes with no pointer: copying events costs no
+// write barrier, and the collector never scans an event block.
 type Event struct {
-	Gate  Gate
 	S1    grid.Site
 	S2    grid.Site // second site for ZZ and Move
 	Start int64     // nanoseconds
@@ -66,6 +113,7 @@ type Event struct {
 	// otherwise. Record indices are the variables of the outcome formulas
 	// attached to compiled operations.
 	Record int32
+	Gate   Gate
 	// ViaJunction marks Move events that traverse a junction (the two sites
 	// flank a common junction; time covers two Junction operations).
 	ViaJunction bool
@@ -127,27 +175,65 @@ func (c *Circuit) Sites() []grid.Site {
 	return out
 }
 
-// TimeOrdered returns the events ordered by start time, ties broken by
-// emission order (the order of a stable sort): c.Events itself when it is
-// already in that order, else a sorted copy.
-func (c *Circuit) TimeOrdered() []Event {
-	if inTimeOrder(c.Events) {
-		return c.Events
-	}
-	return SortedByTime(c.Events)
-}
+// TimeOrdered returns the circuit's events in time order: ordered by start
+// time, ties in emission order (the order of a stable sort). It copies no
+// event, and when the events are already in time order it sorts nothing.
+func (c *Circuit) TimeOrdered() View { return TimeOrder(c.Events) }
 
 // SortedByTime returns a new slice holding the events of blocks,
-// concatenated, ordered by start time with ties in concatenation order. It
-// sorts compact keys and then writes each event once.
+// concatenated, ordered by start time with ties in concatenation order: the
+// events of TimeOrder(blocks...), gathered.
 func SortedByTime(blocks ...[]Event) []Event {
-	order := timeOrder(blocks...)
-	out := make([]Event, len(order))
-	for i, k := range order {
-		out[i] = blocks[k.at>>32][k.at&math.MaxUint32]
+	v := TimeOrder(blocks...)
+	out := make([]Event, v.Len())
+	for k := range out {
+		e, _ := v.At(k)
+		out[k] = *e
 	}
 	return out
 }
+
+// View is a time-ordered view of events held in blocks: the events ordered
+// by start time, ties in emission order (block by block), read in place.
+// It shares the blocks, so they must not change while the view is in use.
+type View struct {
+	blocks [][]Event
+	// keys holds the events' positions in time order; nil when there is one
+	// block, already in time order.
+	keys []timeKey
+	// first[b] is the emission index of block b's first event.
+	first []int
+	n     int
+}
+
+// TimeOrder returns the time-ordered view of the blocks' events.
+func TimeOrder(blocks ...[]Event) View {
+	v := View{blocks: blocks, first: make([]int, len(blocks))}
+	for b, events := range blocks {
+		v.first[b] = v.n
+		v.n += len(events)
+	}
+	if len(blocks) > 1 || len(blocks) == 1 && !inTimeOrder(blocks[0]) {
+		v.keys = timeOrder(blocks...)
+	}
+	return v
+}
+
+// Len returns the number of events.
+func (v *View) Len() int { return v.n }
+
+// At returns the k-th event in time order and its emission index: its
+// position in the blocks' concatenation.
+func (v *View) At(k int) (*Event, int) {
+	if v.keys == nil {
+		return &v.blocks[0][k], k
+	}
+	key := v.keys[k]
+	return &v.blocks[key.block][key.index], v.first[key.block] + int(key.index)
+}
+
+// Blocks returns the events in emission order, block by block.
+func (v *View) Blocks() [][]Event { return v.blocks }
 
 // inTimeOrder reports whether events are ordered by start time.
 func inTimeOrder(events []Event) bool {
@@ -160,11 +246,11 @@ func inTimeOrder(events []Event) bool {
 }
 
 // timeKey is one event's sort key: its start time with the sign bit
-// flipped, so that unsigned order is signed order, and its position: block
-// index << 32 | index within the block.
+// flipped, so that unsigned order is signed order, and its position: the
+// block and the index within the block.
 type timeKey struct {
-	start uint64
-	at    int
+	start        uint64
+	block, index uint32
 }
 
 // timeOrder returns the positions of the blocks' events ordered by start
@@ -180,7 +266,7 @@ func timeOrder(blocks ...[]Event) []timeKey {
 	for bi, b := range blocks {
 		for i := range b {
 			k := uint64(b[i].Start) ^ 1<<63
-			a = append(a, timeKey{k, bi<<32 | i})
+			a = append(a, timeKey{k, uint32(bi), uint32(i)})
 			or |= k
 			and &= k
 		}
@@ -239,7 +325,7 @@ func (c *Circuit) GateCounts() map[Gate]int {
 func (c *Circuit) String() string {
 	var sb strings.Builder
 	for _, e := range c.Events {
-		sb.WriteString(string(e.Gate))
+		sb.WriteString(e.Gate.String())
 		fmt.Fprintf(&sb, " %s", e.S1)
 		if e.Gate.TwoQubit() {
 			fmt.Fprintf(&sb, " %s", e.S2)
@@ -268,7 +354,10 @@ func Parse(text string) (*Circuit, error) {
 		if len(fields) == 0 || strings.HasPrefix(fields[0], "#") {
 			continue
 		}
-		g := Gate(fields[0])
+		g, ok := ParseGate(fields[0])
+		if !ok {
+			return nil, fmt.Errorf("line %d: unknown gate %q", line, fields[0])
+		}
 		e := Event{Gate: g, Record: -1}
 		nsites := 1
 		if g.TwoQubit() {

@@ -1,8 +1,11 @@
 package circuit
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"tiscc/internal/grid"
 )
@@ -102,6 +105,10 @@ func TestParseErrors(t *testing.T) {
 		"Measure_Z 1.2 t=0 d=1 m=4q",
 		"Measure_Z 1.2.3 m=4q",
 		"ZZ 0.1 0.3x t=0 d=1",
+		// Unknown gate names.
+		"Bogus 0.2 t=0 d=1",
+		"prepare_z 0.2 t=0 d=1",
+		"Gate(3) 0.2 t=0 d=1",
 	} {
 		_, err := Parse("# header\n" + bad)
 		if err == nil {
@@ -118,9 +125,76 @@ func TestSortByTimeStable(t *testing.T) {
 		{Gate: ZPi2, S1: grid.Site{R: 0, C: 2}, Start: 5, Record: -1},
 		{Gate: XPi2, S1: grid.Site{R: 0, C: 2}, Start: 1, Record: -1},
 	}}
-	got := c.TimeOrdered()
-	if got[0].Gate != XPi2 || got[1].Gate != ZPi4 || got[2].Gate != ZPi2 {
+	v := c.TimeOrdered()
+	got := make([]Gate, v.Len())
+	for k := range got {
+		e, _ := v.At(k)
+		got[k] = e.Gate
+	}
+	if got[0] != XPi2 || got[1] != ZPi4 || got[2] != ZPi2 {
 		t.Fatalf("sort wrong: %v", got)
+	}
+}
+
+// TestGateNames checks that every native gate round-trips through its
+// name, that no two gates share one, and that a value outside the gate set
+// names itself by number rather than as a gate.
+func TestGateNames(t *testing.T) {
+	seen := map[string]Gate{}
+	for g := range NumGates {
+		name := g.String()
+		if name == "" || strings.HasPrefix(name, "Gate(") {
+			t.Fatalf("gate %d has no name", g)
+		}
+		if other, dup := seen[name]; dup {
+			t.Fatalf("gates %d and %d share the name %q", other, g, name)
+		}
+		seen[name] = g
+		if back, ok := ParseGate(name); !ok || back != g {
+			t.Fatalf("ParseGate(%q) = %d, %v; want %d", name, back, ok, g)
+		}
+	}
+	if s := NumGates.String(); s != fmt.Sprintf("Gate(%d)", NumGates) {
+		t.Fatalf("out-of-range gate prints as %q", s)
+	}
+	if _, ok := ParseGate("Gate(3)"); ok {
+		t.Fatal("ParseGate accepted a numbered non-gate")
+	}
+}
+
+// TestEventLayout pins the event's size: 56 bytes with no pointer, so event
+// blocks cost no write barriers and no collector scan.
+func TestEventLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Event{}); size != 56 {
+		t.Fatalf("Event is %d bytes, want 56", size)
+	}
+	var pointerFree func(reflect.Type) bool
+	pointerFree = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			return true
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				if !pointerFree(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	if !pointerFree(reflect.TypeOf(Event{})) {
+		t.Fatal("Event holds a pointer")
+	}
+}
+
+// TestParseUnknownGate checks that an unknown gate name is rejected at
+// parse time, naming its line and the name.
+func TestParseUnknownGate(t *testing.T) {
+	_, err := Parse("Prepare_Z 0.2 t=0 d=1\nRotate 0.2 t=1 d=1\n")
+	if err == nil || err.Error() != `line 2: unknown gate "Rotate"` {
+		t.Fatalf("error %v", err)
 	}
 }
 

@@ -34,17 +34,26 @@ func memoryText(f *testing.F) string {
 
 // FuzzParseCircuit feeds arbitrary text to circuit.Parse, which must return
 // an error rather than panic. Text it accepts must be a fixed point of the
-// String/Parse round trip after one normalization.
+// String/Parse round trip after one normalization, and holds only native
+// gates: each has a hardware duration, so lowering or timing parsed text
+// never meets an unknown gate.
 func FuzzParseCircuit(f *testing.F) {
 	f.Add(memoryText(f))
 	for _, s := range []string{"ZZ 0.1", "Move 0.1", "Prepare_Z", "Move 0.3 1.4 t=0 d=210000 J",
-		"Prepare_Z 0.2xyz t=5abc d=7zz", "Measure_Z 1.2.3 m=4q"} {
+		"Prepare_Z 0.2xyz t=5abc d=7zz", "Measure_Z 1.2.3 m=4q", "Rotate 0.2 t=0 d=1",
+		"Prepare_Z 0.2 t=0 d=1\nGate(2) 0.2 t=1 d=1"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
 		c, err := circuit.Parse(text)
 		if err != nil {
 			return
+		}
+		for _, e := range c.Events {
+			if e.Gate >= circuit.NumGates {
+				t.Fatalf("parsed a non-gate %v", e.Gate)
+			}
+			hardware.Default().Duration(e.Gate)
 		}
 		once := c.String()
 		c2, err := circuit.Parse(once)
@@ -85,10 +94,27 @@ func startsToBytes(starts []int64) []byte {
 	return out
 }
 
-// checkSortByTime compares TimeOrdered and SortedByTime (on one slice and
-// on blocks) with the stable-sort oracle element for element. Each event's
-// Record is its input position, so equal events are told apart and any tie
-// reordering shows.
+// gather reads a view's events in time order, checking each event's
+// emission index against its Record (the tests set Record to the input
+// position).
+func gather(t *testing.T, v circuit.View) []circuit.Event {
+	t.Helper()
+	out := make([]circuit.Event, v.Len())
+	for k := range out {
+		e, at := v.At(k)
+		if int(e.Record) != at {
+			t.Fatalf("view position %d: emission index %d, event %d", k, at, e.Record)
+		}
+		out[k] = *e
+	}
+	return out
+}
+
+// checkSortByTime compares TimeOrdered, TimeOrder and SortedByTime (on one
+// slice and on blocks) with the stable-sort oracle element for element.
+// Each event's Record is its input position, so equal events are told
+// apart, any tie reordering shows, and a view's emission indices are
+// checked too.
 func checkSortByTime(t *testing.T, starts []int64) {
 	t.Helper()
 	in := make([]circuit.Event, len(starts))
@@ -114,8 +140,19 @@ func checkSortByTime(t *testing.T, starts []int64) {
 	if got := circuit.SortedByTime(blocks...); !slices.Equal(got, want) {
 		t.Fatalf("SortedByTime over %d blocks (%v) differs from the stable sort", len(blocks), starts)
 	}
+	if got := gather(t, circuit.TimeOrder(blocks...)); !slices.Equal(got, want) {
+		t.Fatalf("TimeOrder over %d blocks (%v) differs from the stable sort", len(blocks), starts)
+	}
+	v := circuit.TimeOrder(blocks...)
+	var emitted []circuit.Event
+	for _, b := range v.Blocks() {
+		emitted = append(emitted, b...)
+	}
+	if !slices.Equal(emitted, in) {
+		t.Fatalf("TimeOrder(%v).Blocks is not the emission order", starts)
+	}
 	c := &circuit.Circuit{Events: in}
-	if got := c.TimeOrdered(); !slices.Equal(got, want) {
+	if got := gather(t, c.TimeOrdered()); !slices.Equal(got, want) {
 		t.Fatalf("TimeOrdered(%v) differs from the stable sort", starts)
 	}
 	if !slices.Equal(in, orig) {

@@ -38,6 +38,21 @@ type Compiler struct {
 	// input-independent knowledge generated by an operation itself, used by
 	// OutputImage to resolve Heisenberg images.
 	knownOps []*pauli.String
+
+	// proved[m] is the operator measure ion m's last syndrome measurement
+	// was proved deterministic for, and the tracker's change count then
+	// (see trackMeasure).
+	proved []proof
+	// path is the scratch route of the measure-ion path helpers; MoveAlong
+	// does not keep it.
+	path []grid.Site
+}
+
+// proof records an operator the tracker proved deterministic and the
+// tracker's change count (tableau.T.Changes) at the time.
+type proof struct {
+	at uint64
+	op *pauli.String
 }
 
 // NewCompiler creates a compiler over a grid of cellRows × cellCols
@@ -150,13 +165,14 @@ type RoundResult struct {
 }
 
 // stationPath returns the movement path from the measure ion's current
-// position to the given seat, staging through the plaquette's own arm.
-func stationPath(p *Plaquette, from grid.Site, seat grid.Site) []grid.Site {
+// position to the given seat, staging through the plaquette's own arm. It
+// writes the path into c.path.
+func (c *Compiler) stationPath(p *Plaquette, from grid.Site, seat grid.Site) []grid.Site {
 	armTop := p.Home                                  // (rowN+1, jc)
 	armMid := grid.Site{R: p.Home.R + 1, C: p.Home.C} // O site
 	armBot := grid.Site{R: p.Home.R + 2, C: p.Home.C} // M site
 	north := seat.R == p.JN.R
-	var path []grid.Site
+	path := append(c.path[:0], from)
 	cur := from
 	push := func(s grid.Site) {
 		if s != cur {
@@ -164,7 +180,6 @@ func stationPath(p *Plaquette, from grid.Site, seat grid.Site) []grid.Site {
 			cur = s
 		}
 	}
-	path = append(path, from)
 	if north {
 		// Stage at armTop, hop JN to seat.
 		switch from {
@@ -189,30 +204,54 @@ func stationPath(p *Plaquette, from grid.Site, seat grid.Site) []grid.Site {
 		push(p.JS)
 		push(seat)
 	}
+	c.path = path
 	return path
 }
 
 // returnPath brings the measure ion from a seat back to its staging arm
-// station (armTop for north seats, armBot for south seats).
-func returnPath(p *Plaquette, seat grid.Site) []grid.Site {
+// station (armTop for north seats, armBot for south seats). It writes the
+// path into c.path.
+func (c *Compiler) returnPath(p *Plaquette, seat grid.Site) []grid.Site {
 	if seat.R == p.JN.R {
-		return []grid.Site{seat, p.JN, p.Home}
+		c.path = append(c.path[:0], seat, p.JN, p.Home)
+	} else {
+		c.path = append(c.path[:0], seat, p.JS, grid.Site{R: p.Home.R + 2, C: p.Home.C})
 	}
-	armBot := grid.Site{R: p.Home.R + 2, C: p.Home.C}
-	return []grid.Site{seat, p.JS, armBot}
+	return c.path
 }
 
-// homePath returns the ion to its home station after the round.
-func homePath(p *Plaquette, from grid.Site) []grid.Site {
+// homePath returns the ion to its home station after the round. It writes
+// the path into c.path.
+func (c *Compiler) homePath(p *Plaquette, from grid.Site) []grid.Site {
 	armMid := grid.Site{R: p.Home.R + 1, C: p.Home.C}
 	armBot := grid.Site{R: p.Home.R + 2, C: p.Home.C}
 	switch from {
 	case p.Home:
-		return []grid.Site{from}
+		c.path = append(c.path[:0], from)
 	case armBot:
-		return []grid.Site{armBot, armMid, p.Home}
+		c.path = append(c.path[:0], armBot, armMid, p.Home)
+	default:
+		panic(fmt.Sprintf("core: ion at unexpected station %v", from))
 	}
-	panic(fmt.Sprintf("core: ion at unexpected station %v", from))
+	return c.path
+}
+
+// trackMeasure measures op, the plaquette operator of measure ion m, on the
+// symbolic tracker under record rec. A deterministic measurement changes
+// nothing in the tracker, so when the tracker has not changed since op was
+// last proved deterministic for m (an idle or merged round after the
+// first), the stabilizer scan is skipped.
+func (c *Compiler) trackMeasure(m hardware.Ion, op *pauli.String, rec int32) {
+	for int(m) >= len(c.proved) {
+		c.proved = append(c.proved, proof{})
+	}
+	pr := &c.proved[m]
+	if pr.op != nil && pr.at == c.TR.Changes() && pr.op.Equal(op) {
+		return
+	}
+	if c.TR.Measure(op, rec) {
+		*pr = proof{c.TR.Changes(), op}
+	}
 }
 
 // SyndromeRound compiles one round of syndrome extraction over the given
@@ -251,7 +290,7 @@ func (c *Compiler) SyndromeRound(plaqs []*Plaquette, stabOf func(*Plaquette) *pa
 				continue
 			}
 			m := ions[k].ion
-			if err := c.B.MoveAlong(m, stationPath(p, c.B.Pos(m), v.Seat)); err != nil {
+			if err := c.B.MoveAlong(m, c.stationPath(p, c.B.Pos(m), v.Seat)); err != nil {
 				return nil, fmt.Errorf("core: plaquette %v step %d: %w", p.Face, step, err)
 			}
 			d := c.dataIon(v.Data)
@@ -265,7 +304,7 @@ func (c *Compiler) SyndromeRound(plaqs []*Plaquette, stabOf func(*Plaquette) *pa
 					return nil, err
 				}
 			}
-			if err := c.B.MoveAlong(m, returnPath(p, v.Seat)); err != nil {
+			if err := c.B.MoveAlong(m, c.returnPath(p, v.Seat)); err != nil {
 				return nil, err
 			}
 		}
@@ -273,14 +312,15 @@ func (c *Compiler) SyndromeRound(plaqs []*Plaquette, stabOf func(*Plaquette) *pa
 	res := &RoundResult{Records: map[Face]int32{}, Plaqs: plaqs}
 	for k, p := range plaqs {
 		m := ions[k].ion
-		if err := c.B.MoveAlong(m, homePath(p, c.B.Pos(m))); err != nil {
+		if err := c.B.MoveAlong(m, c.homePath(p, c.B.Pos(m))); err != nil {
 			return nil, err
 		}
 		c.B.Hadamard(m)
 		rec := c.B.Measure(m)
 		res.Records[p.Face] = rec
-		c.TR.Measure(stabOf(p), rec)
-		c.logKnown(stabOf(p))
+		op := stabOf(p)
+		c.trackMeasure(m, op, rec)
+		c.logKnown(op)
 	}
 	return res, nil
 }

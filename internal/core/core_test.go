@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"tiscc/internal/circuit"
 	"tiscc/internal/hardware"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
@@ -400,7 +401,7 @@ func TestExplicitWellOpsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := circ.GateCounts()
-	if counts["Merge_Wells"] == 0 || counts["Cool"] == 0 || counts["Merge_Wells"] != counts["ZZ"] {
+	if counts[circuit.MergeWells] == 0 || counts[circuit.Cool] == 0 || counts[circuit.MergeWells] != counts[circuit.ZZ] {
 		t.Fatalf("well-operation counts wrong: %v", counts)
 	}
 	if v := logicalExp(t, c, lq, LogicalZ, 5); v != 1 {

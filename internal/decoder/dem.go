@@ -21,8 +21,31 @@ import (
 // branch, merged across branches with identical symptoms; detector
 // coordinates are (face row, face column, round, stabilizer type) with type
 // 0 for the basis-deterministic stabilizers and 1 for the opposite type.
-// Output is deterministic for a fixed (detectors, schedule) pair.
+// Output is deterministic for a fixed (detectors, schedule) pair. WriteDEM
+// compiles the effect table with one backward pass; Graph.WriteDEM writes
+// the same text from a compiled graph's table.
 func WriteDEM(w io.Writer, d *Detectors, s *noise.Schedule) error {
+	eff, err := compileEffects(d, s)
+	if err != nil {
+		return err
+	}
+	return writeDEM(w, d, s, eff)
+}
+
+// WriteDEM writes the detector error model of s, the schedule the graph was
+// compiled against, exactly as the package-level WriteDEM does, but reads
+// the graph's retained effect table instead of running the backward pass
+// again.
+func (g *Graph) WriteDEM(w io.Writer, s *noise.Schedule) error {
+	if err := g.CheckSchedule(s); err != nil {
+		return err
+	}
+	return writeDEM(w, g.det, s, &g.eff)
+}
+
+// writeDEM writes the detector error model of s over d from the effect
+// table eff (see WriteDEM).
+func writeDEM(w io.Writer, d *Detectors, s *noise.Schedule, eff *noise.Effects) error {
 	type sym struct {
 		dets []int32
 		obs  bool
@@ -31,11 +54,7 @@ func WriteDEM(w io.Writer, d *Detectors, s *noise.Schedule) error {
 	var ordered []sym
 	index := map[string]int{}
 	keyBuf := make([]byte, 0, 64)
-	eff, err := compileEffects(d, s)
-	if err != nil {
-		return err
-	}
-	err = eff.EachMechanism(s, func(m noise.Mechanism) error {
+	err := eff.EachMechanism(s, func(m noise.Mechanism) error {
 		keyBuf = keyBuf[:0]
 		for _, di := range m.Dets {
 			keyBuf = append(keyBuf,

@@ -80,3 +80,51 @@ func TestDEMBytesPinned(t *testing.T) {
 		})
 	}
 }
+
+// TestGraphDEMMatchesWriteDEM checks that the two DEM routes write the same
+// bytes: WriteDEM, which compiles the effect table, and Graph.WriteDEM,
+// which reads a compiled graph's table. It covers a freshly compiled graph
+// and one re-weighed from a plan made at another error rate, as a decoded
+// run's cached plans produce, on the shapes TestDEMBytesPinned pins.
+func TestGraphDEMMatchesWriteDEM(t *testing.T) {
+	mem := mustMemory(t, 5, 5, pauli.Z)
+	memDet := mustDetectors(t, mem)
+	surg := mustSurgery(t, 3, 1, 1, 1, pauli.Z)
+	surgDet := mustSurgeryDetectors(t, surg)
+	for _, tc := range []struct {
+		name    string
+		det     *Detectors
+		planned *noise.Schedule
+		s       *noise.Schedule
+	}{
+		{"memory-d5-depol", memDet, noise.Compile(noise.Depolarizing(1e-3), mem.Prog), noise.Compile(noise.Depolarizing(1e-3), mem.Prog)},
+		{"memory-d5-reweighed", memDet, noise.Compile(noise.Depolarizing(3e-3), mem.Prog), noise.Compile(noise.Depolarizing(1e-3), mem.Prog)},
+		{"surgery-d3-table5", surgDet, noise.Compile(noise.PaperTable5(hardware.Default()), surg.Prog), noise.Compile(noise.PaperTable5(hardware.Default()), surg.Prog)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl, err := NewPlan(tc.det, tc.planned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g, _, err := pl.Weigh(tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want, got strings.Builder
+			if err := WriteDEM(&want, tc.det, tc.s); err != nil {
+				t.Fatal(err)
+			}
+			if err := g.WriteDEM(&got, tc.s); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Fatalf("Graph.WriteDEM differs from WriteDEM (%d vs %d bytes)", got.Len(), want.Len())
+			}
+			// A schedule the graph was not compiled against is refused.
+			other := noise.Compile(noise.Depolarizing(1e-3), mustMemory(t, 3, 3, pauli.Z).Prog)
+			if err := g.WriteDEM(&got, other); err == nil {
+				t.Fatal("Graph.WriteDEM accepted a foreign schedule")
+			}
+		})
+	}
+}

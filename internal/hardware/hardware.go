@@ -101,7 +101,7 @@ func (p Params) Duration(g circuit.Gate) int64 {
 	case circuit.Cool:
 		return p.Cool
 	}
-	panic("hardware: unknown gate " + string(g))
+	panic("hardware: unknown gate " + g.String())
 }
 
 // Ion identifies a trapped ion managed by a Builder.
@@ -211,7 +211,7 @@ func (b *Builder) Now() int64 {
 // Gate1 emits a single-qubit gate on the ion at its current site.
 func (b *Builder) Gate1(g circuit.Gate, i Ion) {
 	if g.TwoQubit() || g == circuit.MeasureZ || g == circuit.PrepareZ {
-		panic("hardware: Gate1 with non-1q gate " + string(g))
+		panic("hardware: Gate1 with non-1q gate " + g.String())
 	}
 	d := b.P.Duration(g)
 	t := b.avail[i]
@@ -413,7 +413,8 @@ const maxEventBlock = 1 << 12
 
 // emit appends e to the event stream. Events are stored in blocks whose
 // capacity doubles from 64 up to maxEventBlock, so emission never copies the
-// events already written; Build gathers them into one time-ordered copy.
+// events already written; TimeOrdered reads them in time order in place,
+// and Build gathers them into one time-ordered copy.
 func (b *Builder) emit(e circuit.Event) {
 	n := len(b.events)
 	if n == 0 || len(b.events[n-1]) == cap(b.events[n-1]) {
@@ -432,29 +433,36 @@ func (b *Builder) Build() *circuit.Circuit {
 	return &circuit.Circuit{Events: circuit.SortedByTime(b.events...)}
 }
 
+// TimeOrdered returns the time-ordered view of the events emitted so far:
+// the order of Build's circuit, without its copy. The view reads the
+// builder's blocks, so it is valid until the next emission.
+func (b *Builder) TimeOrdered() circuit.View { return circuit.TimeOrder(b.events...) }
+
 // Validate re-checks a finished circuit against the hardware rules: gates
 // only on existing non-junction sites, moves between adjacent sites or
 // across a shared junction, ZZ on adjacent pairs, no two ions on one site,
 // and no overlapping traversals of one junction. It re-simulates ion
 // movement from the event stream in time order (the paper's "hardware
 // validity checker", Sec 3.3), so externally produced or hand-edited
-// circuits can be checked too.
+// circuits can be checked too. Per-site state is indexed by g.Index, read
+// only once a site is known to be valid.
 func Validate(g *grid.Grid, c *circuit.Circuit) error {
 	events := c.TimeOrdered()
 
-	occupied := map[grid.Site]bool{}
-	touched := map[grid.Site]bool{} // sites that ever hosted an ion
-	jwins := map[grid.Site][]window{}
+	occupied := make([]bool, g.NumSites())
+	touched := make([]bool, g.NumSites()) // sites that ever hosted an ion
+	jwins := make([][]window, g.NumSites())
 
 	ensureIon := func(s grid.Site) error {
-		if occupied[s] {
+		i := g.Index(s)
+		if occupied[i] {
 			return nil
 		}
-		if touched[s] {
+		if touched[i] {
 			// Site was vacated earlier; an ion cannot reappear without a Move.
 			return fmt.Errorf("hardware: gate on vacated site %v", s)
 		}
-		occupied[s], touched[s] = true, true
+		occupied[i], touched[i] = true, true
 		return nil
 	}
 	checkSite := func(s grid.Site) error {
@@ -467,7 +475,8 @@ func Validate(g *grid.Grid, c *circuit.Circuit) error {
 		return nil
 	}
 
-	for _, e := range events {
+	for k := range events.Len() {
+		e, _ := events.At(k)
 		if err := checkSite(e.S1); err != nil {
 			return err
 		}
@@ -481,26 +490,28 @@ func Validate(g *grid.Grid, c *circuit.Circuit) error {
 			if err := ensureIon(e.S1); err != nil {
 				return err
 			}
-			if occupied[e.S2] {
+			to := g.Index(e.S2)
+			if occupied[to] {
 				return fmt.Errorf("hardware: move into occupied site %v at t=%d", e.S2, e.Start)
 			}
 			if e.ViaJunction {
 				j, ok := grid.CommonJunction(e.S1, e.S2)
-				if !ok {
+				if !ok || !g.Valid(j) {
 					return fmt.Errorf("hardware: junction move %v->%v without common junction", e.S1, e.S2)
 				}
 				w := window{e.Start, e.End()}
-				for _, o := range jwins[j] {
+				ji := g.Index(j)
+				for _, o := range jwins[ji] {
 					if w.start < o.end && o.start < w.end {
 						return fmt.Errorf("hardware: junction %v conflict: [%d,%d) vs [%d,%d)", j, w.start, w.end, o.start, o.end)
 					}
 				}
-				jwins[j] = append(jwins[j], w)
+				jwins[ji] = append(jwins[ji], w)
 			} else if !grid.Adjacent(e.S1, e.S2) {
 				return fmt.Errorf("hardware: move %v->%v not adjacent", e.S1, e.S2)
 			}
-			occupied[e.S1] = false
-			occupied[e.S2], touched[e.S2] = true, true
+			occupied[g.Index(e.S1)] = false
+			occupied[to], touched[to] = true, true
 		case circuit.ZZ, circuit.MergeWells, circuit.SplitWells, circuit.Cool:
 			if !grid.Adjacent(e.S1, e.S2) {
 				return fmt.Errorf("hardware: %s %v-%v not adjacent", e.Gate, e.S1, e.S2)

@@ -36,6 +36,27 @@ func TestDefaultParamsMatchTable5(t *testing.T) {
 	}
 }
 
+// TestEveryGateHasDuration checks that Duration covers the whole native gate
+// set, with and without explicit well operations: its unknown-gate panic is
+// reachable only from a value outside the set, which Parse never returns.
+func TestEveryGateHasDuration(t *testing.T) {
+	for _, explicit := range []bool{false, true} {
+		p := Default()
+		p.ExplicitWellOps = explicit
+		for g := range circuit.NumGates {
+			if d := p.Duration(g); d <= 0 {
+				t.Errorf("%v (explicit wells %v): duration %d", g, explicit, d)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Duration of a non-gate did not panic")
+		}
+	}()
+	Default().Duration(circuit.NumGates)
+}
+
 func TestBuilderSequentialGates(t *testing.T) {
 	g := grid.New(2, 2)
 	b := NewBuilder(g, Default())

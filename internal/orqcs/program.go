@@ -93,12 +93,17 @@ type Program struct {
 	refErr  error
 }
 
-// Compile lowers a circuit into a Program. It walks the events once in time
-// order, tracking ion movement: every event is resolved to the tableau qubit
-// index of the ion resting at its site at that point in time, and the final
-// site-occupancy map is kept for end-of-circuit expectation queries.
-func Compile(c *circuit.Circuit) (*Program, error) {
-	p := &Program{srcEvents: len(c.Events)}
+// Compile lowers a circuit into a Program: Lower over the circuit's events
+// in time order.
+func Compile(c *circuit.Circuit) (*Program, error) { return Lower(c.TimeOrdered()) }
+
+// Lower lowers the events of a time-ordered view into a Program. It walks
+// the events once in time order, tracking ion movement: every event is
+// resolved to the tableau qubit index of the ion resting at its site at
+// that point in time, and the final site-occupancy map is kept for
+// end-of-circuit expectation queries.
+func Lower(events circuit.View) (*Program, error) {
+	p := &Program{srcEvents: events.Len()}
 	// touched[q] reports whether any state-changing instruction has been
 	// emitted for qubit q. Every birth yields a fresh tableau qubit in |0⟩,
 	// so a first-touch Prepare_Z is constant-folded away at compile time —
@@ -114,7 +119,7 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 	)
 	// accrue charges the rest interval [freeAt, e.Start) to the qubit and
 	// marks it busy through the event's end.
-	accrue := func(q int, e circuit.Event) {
+	accrue := func(q int, e *circuit.Event) {
 		if freeAt[q] >= 0 && e.Start > freeAt[q] {
 			restNs[q] += e.Start - freeAt[q]
 		}
@@ -132,25 +137,32 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 	// be dense: every id in [0, number of measurements). Every event but a
 	// transport or well operation lowers to at most one instruction, which
 	// sizes the instruction and gap tables. The same pass numbers the
-	// distinct sites densely (ids[2i], ids[2i+1]: event i's S1 and S2, -1
-	// when it has no S2), so the walk keeps per-site state in slices.
-	events := c.TimeOrdered()
+	// distinct sites densely (ids[2i], ids[2i+1]: the S1 and S2 of the
+	// event with emission index i, -1 when it has no S2), so the walk keeps
+	// per-site state in slices. Neither needs time order, so this pass reads
+	// the events in emission order.
 	var sites siteNumbers
-	ids := make([]int32, 2*len(events))
+	ids := make([]int32, 2*events.Len())
 	nMeas, nOps := 0, 0
-	for i := range events {
-		e := &events[i]
-		ids[2*i], ids[2*i+1] = sites.id(e.S1), -1
-		switch e.Gate {
-		case circuit.Move, circuit.MergeWells, circuit.SplitWells, circuit.Cool:
-			ids[2*i+1] = sites.id(e.S2)
-			continue
-		case circuit.ZZ:
-			ids[2*i+1] = sites.id(e.S2)
-		case circuit.MeasureZ:
-			nMeas++
+	i := 0 // emission index
+	for _, block := range events.Blocks() {
+		for j := range block {
+			e := &block[j]
+			ids[2*i], ids[2*i+1] = sites.id(e.S1), -1
+			switch e.Gate {
+			case circuit.Move, circuit.MergeWells, circuit.SplitWells, circuit.Cool:
+				ids[2*i+1] = sites.id(e.S2)
+			case circuit.ZZ:
+				ids[2*i+1] = sites.id(e.S2)
+				nOps++
+			case circuit.MeasureZ:
+				nMeas++
+				nOps++
+			default:
+				nOps++
+			}
+			i++
 		}
-		nOps++
 	}
 	p.instrs = make([]Instr, 0, nOps)
 	p.gaps = make([]Gap, 0, nOps)
@@ -182,7 +194,8 @@ func Compile(c *circuit.Circuit) (*Program, error) {
 		moveCt = append(moveCt, 0)
 		return q, nil
 	}
-	for i, e := range events {
+	for k := range events.Len() {
+		e, i := events.At(k)
 		id1, id2 := ids[2*i], ids[2*i+1]
 		q1, q2 := -1, -1
 		var err error

@@ -56,6 +56,9 @@ type T struct {
 	single      *pauli.String // reusable weight-≤1 scratch operator
 	singleQ     int           // qubit the scratch operator currently acts on
 	nextVirtual int32
+	// changes counts the operations that may have changed a row's X/Z
+	// bits (see Changes).
+	changes uint64
 }
 
 // initialVirtual returns the first virtual id of the tableau's mode range.
@@ -89,6 +92,16 @@ func New(n int, rng *rand.Rand) *T {
 // N returns the number of qubits.
 func (t *T) N() int { return t.n }
 
+// Changes returns the tableau's change counter. Every operation that may
+// change a row's X/Z bits advances it: the gates that move Pauli content
+// (H, S, Sdg, CX, the square roots, ZZ and Swap), the collapse after a
+// random measurement, and ResetAll. Sign-only updates (the Pauli gates,
+// ConditionalPauli, ApplyPauliError) and deterministic measurements leave
+// it alone. Whether a measurement is deterministic depends only on the
+// stabilizers' X/Z bits, so an operator proved deterministic stays so
+// while the counter holds still.
+func (t *T) Changes() uint64 { return t.changes }
+
 // Records exposes the record table (concrete mode fills it with sampled and
 // derived bits; symbolic mode leaves it empty).
 func (t *T) Records() map[int32]bool { return t.records }
@@ -98,6 +111,7 @@ func (t *T) Records() map[int32]bool { return t.records }
 // of the compile-once/run-many simulation path: a fresh shot costs zero
 // heap allocations.
 func (t *T) ResetAll() {
+	t.changes++
 	for i := 0; i < t.n; i++ {
 		d, s := &t.destab[i], &t.stab[i]
 		for w := range d.X {
@@ -138,6 +152,7 @@ func (t *T) groups() [3][]Row { return [3][]Row{t.destab, t.stab, t.obs} }
 
 // H applies a Hadamard on qubit q.
 func (t *T) H(q int) {
+	t.changes++
 	for _, rows := range t.groups() {
 		for i := range rows {
 			r := &rows[i]
@@ -153,6 +168,7 @@ func (t *T) H(q int) {
 
 // S applies the phase gate (≡ Z_{π/4} up to global phase) on qubit q.
 func (t *T) S(q int) {
+	t.changes++
 	for _, rows := range t.groups() {
 		for i := range rows {
 			r := &rows[i]
@@ -166,6 +182,7 @@ func (t *T) S(q int) {
 
 // Sdg applies the inverse phase gate on qubit q (fused S³: one row pass).
 func (t *T) Sdg(q int) {
+	t.changes++
 	for _, rows := range t.groups() {
 		for i := range rows {
 			r := &rows[i]
@@ -216,6 +233,7 @@ func (t *T) Y(q int) {
 // CX applies a CNOT with control c and target d. In the i^K representation
 // the update is phase-free: x_d ^= x_c, z_c ^= z_d.
 func (t *T) CX(c, d int) {
+	t.changes++
 	for _, rows := range t.groups() {
 		for i := range rows {
 			r := &rows[i]
@@ -231,6 +249,7 @@ func (t *T) CX(c, d int) {
 
 // SqrtX applies X_{π/4} = e^{-iπX/4} (conjugation: Z→Y, Y→−Z).
 func (t *T) SqrtX(q int) {
+	t.changes++
 	for _, rows := range t.groups() {
 		for i := range rows {
 			r := &rows[i]
@@ -244,6 +263,7 @@ func (t *T) SqrtX(q int) {
 
 // SqrtXDg applies X_{-π/4} (conjugation: Z→−Y, Y→Z).
 func (t *T) SqrtXDg(q int) {
+	t.changes++
 	for _, rows := range t.groups() {
 		for i := range rows {
 			r := &rows[i]
@@ -257,6 +277,7 @@ func (t *T) SqrtXDg(q int) {
 
 // SqrtY applies Y_{π/4} = e^{-iπY/4} (conjugation: X→−Z, Z→X).
 func (t *T) SqrtY(q int) {
+	t.changes++
 	for _, rows := range t.groups() {
 		for i := range rows {
 			r := &rows[i]
@@ -272,6 +293,7 @@ func (t *T) SqrtY(q int) {
 
 // SqrtYDg applies Y_{-π/4} (conjugation: X→Z, Z→−X).
 func (t *T) SqrtYDg(q int) {
+	t.changes++
 	for _, rows := range t.groups() {
 		for i := range rows {
 			r := &rows[i]
@@ -289,6 +311,7 @@ func (t *T) SqrtYDg(q int) {
 // is the fusion of CX(a,b)·S(b)·CX(a,b) into a single row pass: rows with
 // X content on exactly one of the two qubits pick up i and flip both Z bits.
 func (t *T) ZZ(a, b int) {
+	t.changes++
 	for _, rows := range t.groups() {
 		for i := range rows {
 			r := &rows[i]
@@ -381,9 +404,12 @@ func (t *T) Value(o Outcome) bool { return t.records[o.Record] }
 func (t *T) MeasurePauli(p *pauli.String, rec int32) Outcome { return t.measure(p, rec, true) }
 
 // Measure measures the Hermitian Pauli p under record index rec, as
-// MeasurePauli does, for a caller that discards the outcome: a symbolic
-// tracker then never derives a deterministic outcome's value formula.
-func (t *T) Measure(p *pauli.String, rec int32) { t.measure(p, rec, t.rng != nil) }
+// MeasurePauli does, for a caller that discards the outcome's value: a
+// symbolic tracker then never derives a deterministic outcome's value
+// formula. It reports whether the outcome was deterministic.
+func (t *T) Measure(p *pauli.String, rec int32) bool {
+	return t.measure(p, rec, t.rng != nil).Deterministic
+}
 
 // measure is MeasurePauli; with derive unset, a deterministic outcome's
 // Derived formula is left empty.
@@ -413,6 +439,7 @@ func (t *T) measure(p *pauli.String, rec int32, derive bool) Outcome {
 		return out
 	}
 	// Random outcome.
+	t.changes++
 	var sym expr.Expr
 	if t.rng != nil {
 		bit := t.rng.Intn(2) == 1

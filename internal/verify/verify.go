@@ -319,6 +319,16 @@ type Memory struct {
 	DataRecords map[core.Cell]int32
 }
 
+// lower lowers the compiler's circuit straight from its builder's blocks in
+// time order (orqcs.Lower), copying no event. Only when built is non-nil is
+// the hardware circuit gathered, and handed to it first.
+func lower(c *core.Compiler, built func(*circuit.Circuit)) (*orqcs.Program, error) {
+	if built != nil {
+		built(c.Build())
+	}
+	return orqcs.Lower(c.B.TimeOrdered())
+}
+
 // MemoryExperiment compiles a distance-d memory experiment: |0̄⟩ prepared
 // transversally (basis Z; basis X prepares |+̄⟩), rounds cycles of syndrome
 // extraction, then a transversal measurement of every data qubit in the
@@ -391,11 +401,7 @@ func memoryExperiment(d, rounds int, basis pauli.Kind, built func(*circuit.Circu
 	if outcome.HasVirtual() {
 		return nil, fmt.Errorf("verify: outcome formula references virtual records: %v", outcome)
 	}
-	circ := c.Build()
-	if built != nil {
-		built(circ)
-	}
-	prog, err := orqcs.Compile(circ)
+	prog, err := lower(c, built)
 	if err != nil {
 		return nil, err
 	}
@@ -607,11 +613,7 @@ func surgeryExperiment(d, pre, merge, post int, basis pauli.Kind, built func(*ci
 		return nil, fmt.Errorf("verify: outcome formula references virtual records: %v", outcome)
 	}
 	s.Outcome = outcome
-	circ := c.Build()
-	if built != nil {
-		built(circ)
-	}
-	prog, err := orqcs.Compile(circ)
+	prog, err := lower(c, built)
 	if err != nil {
 		return nil, err
 	}

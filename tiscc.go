@@ -104,7 +104,8 @@ type (
 	Circuit = circuit.Circuit
 	// Event is one scheduled hardware operation.
 	Event = circuit.Event
-	// Gate names a native trapped-ion gate.
+	// Gate is a native trapped-ion gate: a small integer enum whose String
+	// is the gate's name in the circuit text form.
 	Gate = circuit.Gate
 	// Site is a trapping-zone coordinate.
 	Site = grid.Site
@@ -186,6 +187,28 @@ const (
 	LogicalX = core.LogicalX
 	LogicalZ = core.LogicalZ
 	LogicalY = core.LogicalY
+)
+
+// Native trapped-ion gates (paper Table 5), the keys of Estimate.Gates.
+const (
+	GatePrepareZ   = circuit.PrepareZ
+	GateMeasureZ   = circuit.MeasureZ
+	GateXPi2       = circuit.XPi2
+	GateXPi4       = circuit.XPi4
+	GateXmPi4      = circuit.XmPi4
+	GateYPi2       = circuit.YPi2
+	GateYPi4       = circuit.YPi4
+	GateYmPi4      = circuit.YmPi4
+	GateZPi2       = circuit.ZPi2
+	GateZPi4       = circuit.ZPi4
+	GateZmPi4      = circuit.ZmPi4
+	GateZPi8       = circuit.ZPi8
+	GateZmPi8      = circuit.ZmPi8
+	GateZZ         = circuit.ZZ
+	GateMove       = circuit.Move
+	GateMergeWells = circuit.MergeWells
+	GateSplitWells = circuit.SplitWells
+	GateCool       = circuit.Cool
 )
 
 // Injection targets.
