@@ -1,6 +1,8 @@
 package decoder
 
 import (
+	"fmt"
+	"io"
 	"math"
 	"slices"
 	"strings"
@@ -139,10 +141,12 @@ func TestDetectorExtraction(t *testing.T) {
 	}
 }
 
-// TestExtractRejectsNondeterministicDetector pins the determinism check of
-// detector extraction: a detector on the random first-round record of a
-// plaquette the preparation does not fix (memory and surgery, d=3) reads
-// differently across the 64 noiseless lanes and must be rejected.
+// TestExtractRejectsNondeterministicDetector pins where a random parity is
+// caught: a detector on the random first-round record of a plaquette the
+// preparation does not fix (memory and surgery, d=3) passes extraction,
+// which only reads Refs off the reference trace, and the exact backward
+// pass then rejects it, naming its index, in NewPlan, CompileGraph and
+// WriteDEM, the paths by which detectors reach a decoder or a DEM.
 func TestExtractRejectsNondeterministicDetector(t *testing.T) {
 	mem := mustMemory(t, 3, 3, pauli.Z)
 	s := mustSurgery(t, 3, 1, 3, 1, pauli.Z)
@@ -152,18 +156,30 @@ func TestExtractRejectsNondeterministicDetector(t *testing.T) {
 		prog  *orqcs.Program
 		first *core.RoundResult
 		basis pauli.Kind
-		ref   bool
 	}{
-		{"memory", mustDetectors(t, mem), mem.Prog, mem.RoundRecords[0], mem.Basis, mem.Reference},
-		{"surgery", mustSurgeryDetectors(t, s), s.Prog, s.PreA[0], s.Basis, s.Reference},
+		{"memory", mustDetectors(t, mem), mem.Prog, mem.RoundRecords[0], mem.Basis},
+		{"surgery", mustSurgeryDetectors(t, s), s.Prog, s.PreA[0], s.Basis},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			i := slices.IndexFunc(c.first.Plaqs, func(p *core.Plaquette) bool { return p.Type != c.basis })
 			p := c.first.Plaqs[i]
+			n := len(c.det.Dets)
 			c.det.Dets = append(c.det.Dets, Detector{Recs: []int32{c.first.Records[p.Face]}, Face: p.Face, Type: p.Type})
-			err := c.det.referenceValues(c.prog, c.ref)
-			if err == nil || !strings.Contains(err.Error(), "not deterministic") {
-				t.Fatalf("random first-round record of %v accepted as a detector: %v", p.Face, err)
+			if err := c.det.referenceValues(c.prog); err != nil {
+				t.Fatalf("extraction rejected the random first-round record of %v: %v", p.Face, err)
+			}
+			sched := noise.Compile(noise.Depolarizing(1e-3), c.prog)
+			want := fmt.Sprintf("check %d is not deterministic", n)
+			_, errPlan := NewPlan(c.det, sched)
+			_, errGraph := CompileGraph(c.det, sched)
+			errDEM := WriteDEM(io.Discard, c.det, sched)
+			for _, e := range []struct {
+				site string
+				err  error
+			}{{"NewPlan", errPlan}, {"CompileGraph", errGraph}, {"WriteDEM", errDEM}} {
+				if e.err == nil || !strings.Contains(e.err.Error(), want) {
+					t.Errorf("%s accepted the random first-round record of %v as detector %d: %v", e.site, p.Face, n, e.err)
+				}
 			}
 		})
 	}

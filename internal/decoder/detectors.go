@@ -10,16 +10,20 @@
 //     plaquette records, the final transversal data readout, and for
 //     surgery the per-region histories plus seam records — are folded into
 //     detectors, parity checks over records whose noiseless value is
-//     deterministic, plus the logical observable's record set;
+//     deterministic, plus the logical observable's record set; each
+//     detector's reference value is read off the program's noiseless
+//     reference trace (orqcs.Program.Reference), and no frame is walked;
 //   - decoding-graph construction (CompileGraph): one backward pass over
 //     the lowered instruction stream, 64 detectors per lane group (Stim's
 //     backward sensitivity propagation, noise.CompileEffects), yields the
 //     effect table of a compiled noise Schedule — the detectors each fault
 //     component flips and whether it flips the observable — and proves
-//     every detector deterministic; each branch's mechanism, the XOR of its
-//     components', compiles into a weighted matching graph, cached once per
-//     (program, model) exactly like the fault schedule itself, whose
-//     graphlike circuit distance Graph.Distance certifies;
+//     every detector and the observable deterministic, the one
+//     determinism proof (WriteDEM runs the same pass); each branch's
+//     mechanism, the XOR of its components', compiles into a weighted
+//     matching graph, cached once per (program, model) exactly like the
+//     fault schedule itself, whose graphlike circuit distance
+//     Graph.Distance certifies;
 //   - union-find decoding (Graph.DecodePlanes): per 64-shot batch of fault
 //     firings, each detector's word is the XOR of the symptoms the graph's
 //     retained effect table gives the fired branches — no record is read and no
@@ -33,11 +37,9 @@ package decoder
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"tiscc/internal/core"
 	"tiscc/internal/expr"
-	"tiscc/internal/frame"
 	"tiscc/internal/orqcs"
 	"tiscc/internal/pauli"
 	"tiscc/internal/verify"
@@ -111,36 +113,10 @@ func (d *Detectors) CheckRecords(n int) error {
 	return nil
 }
 
-// Fire is the record-word detector kernel: given a batch's record words
-// (frame.Batch.RecordWords, one per record id, bit i for lane i), it sets
-// fired[i] (len(fired) ≥ NumDetectors) to the lanes on which detector i
-// fires — Ref XORed with the words of its records, masked to lanes — and
-// returns the lanes whose syndrome is non-empty. One XOR covers a whole
-// 64-shot batch. Detector extraction checks its reference values through
-// it, and the tests hold decoded batches' detector words (Planes.Dets)
-// against it; decoded estimates never read records.
-func (d *Detectors) Fire(words []uint64, lanes uint64, fired []uint64) (live uint64) {
-	for i := range d.Dets {
-		det := &d.Dets[i]
-		var w uint64
-		if det.Ref {
-			w = ^w
-		}
-		for _, id := range det.Recs {
-			w ^= words[id]
-		}
-		w &= lanes
-		fired[i] = w
-		live |= w
-	}
-	return live
-}
-
 // Syndrome appends the ids of the detectors one shot's record table fires
 // — those whose record XOR differs from the deterministic reference — to
-// buf in ascending order and returns it: the per-shot counterpart of Fire,
-// for callers that hold a record map. With a caller-reused buf it does not
-// allocate.
+// buf in ascending order and returns it, for callers that hold a record
+// map. With a caller-reused buf it does not allocate.
 func (d *Detectors) Syndrome(records map[int32]bool, buf []int32) []int32 {
 	for i := range d.Dets {
 		det := &d.Dets[i]
@@ -169,10 +145,11 @@ func (d *Detectors) Syndrome(records map[int32]bool, buf []int32) []int32 {
 //     not read out transversally), bulk detectors between consecutive rounds
 //     only.
 //
-// Every detector's reference value is read from 64 noiseless lanes of the
-// frame sampler on the program's shared reference trace, and must agree on
-// all of them, which catches any non-deterministic parity combination — a
-// compiler/decoder mismatch.
+// Every detector's reference value is read off the program's shared
+// noiseless reference trace. Extraction does not prove the values
+// deterministic: NewPlan and WriteDEM run the exact backward pass over the
+// detectors before any use, and it rejects any non-deterministic parity
+// combination — a compiler/decoder mismatch — by detector index.
 func Extract(mem *verify.Memory) (*Detectors, error) {
 	if mem.Prog == nil {
 		return nil, fmt.Errorf("decoder: memory experiment has no compiled program")
@@ -234,43 +211,27 @@ func Extract(mem *verify.Memory) (*Detectors, error) {
 			})
 		}
 	}
-	if err := d.referenceValues(mem.Prog, mem.Reference); err != nil {
+	if err := d.referenceValues(mem.Prog); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-// referenceValues fills in each detector's deterministic noiseless value
-// from 64 noiseless lanes of the frame sampler, each with its own
-// measurement coins: lane 0 sets every Ref, and every detector must then be
-// silent on all 64 lanes, which catches any non-deterministic parity
-// combination (a compiler/decoder mismatch), and the observable must read
-// wantObs on each.
-func (d *Detectors) referenceValues(prog *orqcs.Program, wantObs bool) error {
+// referenceValues checks the detectors' record ids against the program and
+// sets each detector's Ref to its parity on the program's noiseless
+// reference trace. It does not prove the parity deterministic: NewPlan and
+// WriteDEM, which every use of the detectors goes through, do that exactly
+// (noise.CompileEffects).
+func (d *Detectors) referenceValues(prog *orqcs.Program) error {
 	if err := d.CheckRecords(prog.NumRecords()); err != nil {
 		return err
 	}
-	sim, err := frame.New(prog, nil)
+	ref, err := prog.Reference()
 	if err != nil {
 		return err
 	}
-	b := sim.NewBatch()
-	b.Run(0, 64, 2)
-	words, lanes := b.RecordWords(), b.Planes().Lanes
 	for i := range d.Dets {
-		d.Dets[i].Ref = expr.Expr{IDs: d.Dets[i].Recs}.EvalWords(words)&1 == 1
-	}
-	fired := make([]uint64, len(d.Dets))
-	if d.Fire(words, lanes, fired) != 0 {
-		i := slices.IndexFunc(fired, func(w uint64) bool { return w != 0 })
-		return fmt.Errorf("decoder: detector %d (%v round %d) is not deterministic", i, d.Dets[i].Face, d.Dets[i].Round)
-	}
-	want := uint64(0)
-	if wantObs {
-		want = lanes
-	}
-	if got := d.observable().EvalWords(words) & lanes; got != want {
-		return fmt.Errorf("decoder: noiseless observable lanes %#x, reference says %v", got, wantObs)
+		d.Dets[i].Ref = expr.Expr{IDs: d.Dets[i].Recs}.EvalWords(ref.Words)&1 == 1
 	}
 	return nil
 }

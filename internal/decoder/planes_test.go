@@ -16,6 +16,30 @@ import (
 	"tiscc/internal/pauli"
 )
 
+// Fire is the record-word detector kernel: given a batch's record words
+// (frame.Batch.RecordWords, one per record id, bit i for lane i), it sets
+// fired[i] (len(fired) ≥ NumDetectors) to the lanes on which detector i
+// fires — Ref XORed with the words of its records, masked to lanes — and
+// returns the lanes whose syndrome is non-empty. One XOR covers a whole
+// 64-shot batch. The tests hold decoded batches' detector words
+// (Planes.Dets) against it; decoded estimates never read records.
+func (d *Detectors) Fire(words []uint64, lanes uint64, fired []uint64) (live uint64) {
+	for i := range d.Dets {
+		det := &d.Dets[i]
+		var w uint64
+		if det.Ref {
+			w = ^w
+		}
+		for _, id := range det.Recs {
+			w ^= words[id]
+		}
+		w &= lanes
+		fired[i] = w
+		live |= w
+	}
+	return live
+}
+
 // planesCase is one experiment of the plane-vs-map differential matrix.
 type planesCase struct {
 	name    string

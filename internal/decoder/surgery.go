@@ -83,8 +83,9 @@ func chainOf(rounds []*core.RoundResult, p *core.Plaquette) ([]int32, error) {
 // ExtractSurgery walks the per-region record tables of a compiled
 // lattice-surgery experiment and emits its detector/observable structure
 // under the region rules above. Every detector's reference value is read
-// from 64 noiseless lanes of the frame sampler and must agree on all of
-// them, which rejects any mis-stitched region boundary outright.
+// off the program's noiseless reference trace; NewPlan and WriteDEM prove
+// each detector deterministic, which rejects any mis-stitched region
+// boundary outright.
 func ExtractSurgery(s *verify.Surgery) (*Detectors, error) {
 	if s.Prog == nil {
 		return nil, fmt.Errorf("decoder: surgery experiment has no compiled program")
@@ -318,7 +319,7 @@ func ExtractSurgery(s *verify.Surgery) (*Detectors, error) {
 			return nil, fmt.Errorf("decoder: merged plaquette %v (%v) retired without closure", key.face(), key.T)
 		}
 	}
-	if err := d.referenceValues(s.Prog, s.Reference); err != nil {
+	if err := d.referenceValues(s.Prog); err != nil {
 		return nil, err
 	}
 	return d, nil

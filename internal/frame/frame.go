@@ -4,11 +4,13 @@
 // reference shot only by a Pauli operator — the frame — that faults inject
 // and Clifford gates merely conjugate. The program's one noiseless
 // reference trace (orqcs.Program.Reference: a shot on the engine's inverse
-// tableau, run once per program and shared with experiment set-up) records
-// everything shot-invariant (each measurement's deterministic/random
+// tableau, run once per program; experiment set-up reads its detector and
+// outcome reference values off the same trace without walking frames)
+// records everything shot-invariant (each measurement's deterministic/random
 // character, its reference outcome, and for a random measurement a
-// stabilizer that anticommutes with it, its collapse row); after that, shots cost O(fault sites +
-// measurements) instead of O(instructions × tableau words).
+// stabilizer that anticommutes with it, its collapse row); after that,
+// shots cost O(fault sites + measurements) instead of O(instructions ×
+// tableau words).
 //
 // Frames are stored as bit-planes over shots: fx[q] and fz[q] are 64-bit
 // words whose bit i is shot-lane i's X/Z frame component on tableau qubit q,
@@ -38,12 +40,11 @@
 //     site's slot.
 //
 // The instruction walk (Batch.Run) produces records and operator values,
-// and they serve only EstimateMany, experiment set-up (detector and
-// outcome reference checks) and the record-level oracles. No logical-error
-// estimate reads records: its batches come from Batch.Draw — lane seeds,
-// then FiredBatch — and never walk the program (SampleFired), and the
-// estimator turns their firings into outcome and detector flips through a
-// fault-effect table (noise.Effects).
+// and they serve only EstimateMany and the record-level oracles; set-up
+// runs no frame walk. No logical-error estimate reads records: its batches
+// come from Batch.Draw — lane seeds, then FiredBatch — and never walk the
+// program (SampleFired), and the estimator turns their firings into
+// outcome and detector flips through a fault-effect table (noise.Effects).
 package frame
 
 import (

@@ -2,6 +2,7 @@ package noise_test
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,8 +138,12 @@ func recordOracleErrors(t *testing.T, c rawCase, sched *noise.Schedule, shots in
 // effect pass: a raw estimate whose outcome formula reads a lone random
 // measurement (Z on |+⟩) is an error — its noiseless value is a coin, so
 // no fault-effect table can say when it is wrong — instead of a rate near
-// zero. Every memory and surgery outcome and detector passes the check:
-// CompileGraph runs it over the detectors and the observable.
+// zero. So is a surgery joint parity (d=3, both bases) with one random
+// record XORed in: set-up reads the joint parity's reference off the trace
+// without proving it, so the raw estimate and CompileGraph's observable
+// lane must each reject it. Every memory and surgery outcome and detector
+// passes the check: CompileGraph runs it over the detectors and the
+// observable.
 func TestEstimateRejectsRandomOutcome(t *testing.T) {
 	c, err := circuit.Parse("Prepare_Z 0.1\nY_pi/4 0.1\nMeasure_Z 0.1 m=0\n")
 	if err != nil {
@@ -152,6 +157,33 @@ func TestEstimateRejectsRandomOutcome(t *testing.T) {
 	res, err := noise.EstimateLogicalError(sched, expr.FromID(0), false, withFrame(t, sched, noise.Options{Shots: 2000, Seed: 1}))
 	if err == nil || !strings.Contains(err.Error(), "not deterministic") {
 		t.Fatalf("got %+v, %v; want a nondeterministic-outcome error", res, err)
+	}
+	for _, basis := range []pauli.Kind{pauli.Z, pauli.X} {
+		s, err := verify.SurgeryExperiment(3, 1, 3, 1, basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dets, err := decoder.ExtractSurgery(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := s.Prog.Reference()
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := slices.IndexFunc(ref.Events, func(ev orqcs.RefEvent) bool { return !ev.Det && !ev.Reset })
+		bad := s.Outcome.Xor(expr.FromID(ref.Events[i].Rec))
+		sched := noise.Compile(noise.Depolarizing(1e-3), s.Prog)
+		const want = "the observable is not deterministic"
+		res, err := noise.EstimateLogicalError(sched, bad, s.Reference, withFrame(t, sched, noise.Options{Shots: 2000, Seed: 1}))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("surgery-d3-%v raw: got %+v, %v; want %q", basis, res, err, want)
+		}
+		badDets := *dets
+		badDets.Obs = bad.IDs
+		if _, err := decoder.CompileGraph(&badDets, sched); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("surgery-d3-%v decoded: got %v; want %q", basis, err, want)
+		}
 	}
 	for _, basis := range []pauli.Kind{pauli.Z, pauli.X} {
 		for _, d := range []int{3, 5} {

@@ -40,8 +40,9 @@ type CollapseSite struct {
 // a stabilizer that anticommutes with a random measurement (its collapse
 // row) — plus the final state.
 // The Pauli-frame sampler replays it per lane; experiment set-up reads the
-// noiseless outcome and detector values from Words. A Reference is
-// immutable and safe for concurrent use.
+// noiseless outcome and detector values from Words and walks no frames
+// (the backward effect pass, noise.CompileEffects, proves those values
+// deterministic). A Reference is immutable and safe for concurrent use.
 type Reference struct {
 	Events   []RefEvent     // every measurement, in instruction order
 	Collapse []CollapseSite // concatenated collapse-row supports

@@ -330,10 +330,11 @@ func CompileMemoryExperiment(d, rounds int) (*MemoryExperiment, error) {
 }
 
 // EstimateLogicalErrorRate estimates the logical error rate of a distance-d
-// memory experiment under a noise model: noisy shots are sampled on the
-// Pauli-frame engine, each shot's logical outcome is decoded from its
-// measurement records, and the rate of disagreement with the noiseless
-// reference is reported with a 95% Wilson confidence interval. rounds counts
+// memory experiment under a noise model: fault firings are sampled on the
+// Pauli-frame engine, each shot's logical outcome flip is the XOR of the
+// fired faults' effects on the readout formula (no record is read), and the
+// rate of flipped outcomes is reported with a 95% Wilson confidence
+// interval. rounds counts
 // the syndrome rounds (0 selects d; negative rounds are an error). The
 // result is deterministic in (d, rounds, model, options) for every worker
 // count.
@@ -369,7 +370,9 @@ func EstimateLogicalError(s *FaultSchedule, outcome Expr, reference bool, opt Lo
 // ExtractDetectors walks a compiled memory experiment's record tables and
 // returns its detector/observable structure: per-plaquette XORs of
 // consecutive syndrome rounds, preparation and readout time boundaries, and
-// the logical observable's record set.
+// the logical observable's record set. Reference values are read off the
+// program's noiseless reference trace; CompileDecoder and
+// WriteDetectorErrorModel prove every detector deterministic.
 func ExtractDetectors(mem *MemoryExperiment) (*Detectors, error) { return decoder.Extract(mem) }
 
 // CompileDecoder compiles a noise schedule against a memory experiment into
@@ -431,7 +434,8 @@ func CompileSurgeryExperiment(d, rounds int) (*SurgeryExperiment, error) {
 // plaquettes grow by absorbing seam qubits), a merge-parity detector over
 // the seam-crossing plaquettes that carry the joint measurement, split
 // close-out detectors folding the transversal seam records, and readout
-// time boundaries per patch.
+// time boundaries per patch. As with ExtractDetectors, reference values come
+// off the reference trace and CompileSurgeryDecoder proves them.
 func ExtractSurgeryDetectors(s *SurgeryExperiment) (*Detectors, error) {
 	return decoder.ExtractSurgery(s)
 }
