@@ -605,11 +605,17 @@ func BenchmarkCompileSurgeryGraph(b *testing.B) {
 // BenchmarkCompileDecoderGraph measures the one-time detector-error-model
 // compilation that the decoded shot loop amortizes (the backward effect
 // pass over the instruction stream plus graph construction): memory
-// experiments at d=5, 9 and 13 with rounds = d, and the d=5 merge/split
-// cycle (pre 1, merge 5, post 1), all under the paper's Table 5 model.
+// experiments at d=5, 9 and 13 with rounds = d and the d=5 merge/split
+// cycle (pre 1, merge 5, post 1) under the paper's Table 5 model, and
+// memory d=9 under Depolarizing(1e-3), the memory-d9-dense benchmark
+// point. Alternating -cpu 1 runs on a shared 2-core Xeon, per-branch plan
+// → per-site plan: memory/d=9/depolarizing 15–22 → 9–15 ms and 10.4 → 6.6
+// MB per op (four runs of 150); d=5 2.6–3.6 → 2.0–2.7 ms, d=9 20–25 →
+// 12–18 ms, d=13 65–81 → 55–61 ms and surgery/d=5 8.6–12.8 → 5.8–8.6 ms
+// (three runs of 20), with 30–40% fewer bytes per op in each.
 func BenchmarkCompileDecoderGraph(b *testing.B) {
-	bench := func(b *testing.B, prog *orqcs.Program, dets *decoder.Detectors) {
-		sched := noise.Compile(noise.PaperTable5(hardware.Default()), prog)
+	bench := func(b *testing.B, prog *orqcs.Program, dets *decoder.Detectors, m noise.Model) {
+		sched := noise.Compile(m, prog)
 		b.ReportAllocs()
 		for b.Loop() {
 			if _, err := decoder.CompileGraph(dets, sched); err != nil {
@@ -617,19 +623,21 @@ func BenchmarkCompileDecoderGraph(b *testing.B) {
 			}
 		}
 	}
-	for _, d := range []int{5, 9, 13} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			mem, err := verify.MemoryExperiment(d, d, pauli.Z)
-			if err != nil {
-				b.Fatal(err)
-			}
-			dets, err := decoder.Extract(mem)
-			if err != nil {
-				b.Fatal(err)
-			}
-			bench(b, mem.Prog, dets)
-		})
+	memory := func(b *testing.B, d int, m noise.Model) {
+		mem, err := verify.MemoryExperiment(d, d, pauli.Z)
+		if err != nil {
+			b.Fatal(err)
+		}
+		dets, err := decoder.Extract(mem)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bench(b, mem.Prog, dets, m)
 	}
+	for _, d := range []int{5, 9, 13} {
+		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) { memory(b, d, noise.PaperTable5(hardware.Default())) })
+	}
+	b.Run("memory/d=9/depolarizing", func(b *testing.B) { memory(b, 9, noise.Depolarizing(1e-3)) })
 	b.Run("surgery/d=5", func(b *testing.B) {
 		s, err := verify.SurgeryExperiment(5, 1, 5, 1, pauli.Z)
 		if err != nil {
@@ -639,7 +647,7 @@ func BenchmarkCompileDecoderGraph(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		bench(b, s.Prog, dets)
+		bench(b, s.Prog, dets, noise.PaperTable5(hardware.Default()))
 	})
 }
 
@@ -649,9 +657,10 @@ func BenchmarkCompileDecoderGraph(b *testing.B) {
 // raw at depolarizing(1e-3), and the decoded d=5 merge/split cycle at
 // depolarizing(5e-5). Every Compile builds a fresh program, so each
 // iteration pays for its one noiseless reference pass. Three alternating
-// -cpu 1 runs of 20 iterations on a shared 2-core Xeon: 20–29 ms and
-// 15.5 MB per op at d=9 decoded, 17–26 ms and 14.4 MB at d=13 raw, 10–16
-// ms and 7.0 MB for surgery d=5. In the d=13 profile, lowering
+// -cpu 1 runs of 20 iterations on a shared 2-core Xeon, per-branch →
+// per-site decoding-graph plan: 34–35 → 25–26 ms and 15.5 → 11.9 MB per
+// op at d=9 decoded, 30–31 → 29–30 ms and 14.4 MB at d=13 raw, and 17–18 →
+// 13 ms and 7.0 → 5.7 MB for surgery d=5. In the d=13 profile, lowering
 // (orqcs.Lower, ~22%), the event keys' radix sort (~14%) and memory
 // clearing (~12%) are the largest parts left.
 func BenchmarkSetup(b *testing.B) {

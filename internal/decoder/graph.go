@@ -114,16 +114,16 @@ func mergeP(a, b float64) float64 { return a + b - 2*a*b }
 
 // CompileGraph compiles a noise schedule against a detector structure into a
 // union-find decoding graph: it plans the graph (NewPlan) and weighs the
-// schedule's probabilities along the plan (Plan.Weigh). The graph keeps the
-// plan's effect table for decoded batches to read. Edges are ordered by
-// (u, v, obs).
+// schedule's probabilities along the plan, byte for byte what Plan.Weigh
+// gives, folding them in the same pass that picks the plan's winning
+// variants. The graph keeps the plan's effect table for decoded batches to
+// read. Edges are ordered by (u, v, obs).
 func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
-	pl, err := NewPlan(d, s)
+	pl, P, err := newPlan(d, s)
 	if err != nil {
 		return nil, err
 	}
-	g, _, err := pl.Weigh(s)
-	return g, err
+	return pl.graph(P), nil
 }
 
 // finish builds the adjacency CSR and scratch prototypes.

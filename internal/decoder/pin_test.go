@@ -12,7 +12,7 @@ import (
 )
 
 // TestDEMBytesPinned pins the exact bytes of the detector error model and of
-// the serialized decoding graph for four compiled experiments: the graph's
+// the serialized decoding graph for five compiled experiments: the graph's
 // detectors and edges, and the effect table AppendGraph appends after
 // them. Any change to mechanism enumeration order, branch probabilities,
 // edge merging, weight quantization or branch symptoms shows up here as a
@@ -33,6 +33,13 @@ func TestDEMBytesPinned(t *testing.T) {
 			"cef4274ad906012e6acc062c38444777d277bcf0a9e590a4f68d59bc2fb61b96",
 			"515096a69bb010fe3ad01e9749747337be66229d719a003c7d2faf944ceb2703",
 			"06c172046b3128646303535ff0bbbb7e4ae8b76460ac9f8b40d78ee3d9696108"},
+		{"memory-d9-Z-depol", func(t *testing.T) (*Detectors, *noise.Schedule) {
+			mem := mustMemory(t, 9, 9, pauli.Z)
+			return mustDetectors(t, mem), noise.Compile(noise.Depolarizing(1e-3), mem.Prog)
+		},
+			"1dde7ccbabfea12a755f52eee17978bbf925f836456aee9095c664135d1e8068",
+			"19cdee8eb2129ba4f96a7c85b41531239f39d9d11f61b3381fcb5bb7bf3ab9de",
+			"66c7afb3ca2a33d7ff3c5e5b82ec805f6fac4c30e0f3749927d32b6f2f3d4207"},
 		{"memory-d3-X-table5", func(t *testing.T) (*Detectors, *noise.Schedule) {
 			mem := mustMemory(t, 3, 3, pauli.X)
 			return mustDetectors(t, mem), noise.Compile(noise.PaperTable5(hardware.Default()), mem.Prog)

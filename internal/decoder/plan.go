@@ -1,7 +1,6 @@
 package decoder
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -68,19 +67,30 @@ func edgeKeyOf(u, v int32, obs bool) uint64 {
 // NewPlan plans the decoding graph of s against d. One backward pass
 // (noise.CompileEffects) compiles the effect table of the detectors and
 // the observable, and each fault branch's mechanism is the XOR of its
-// components' symptoms in it (noise.Effects.EachMechanism). Branches
-// flipping ≤ 2 detectors are edges; rarer hyper mechanisms (e.g. Y-type or
-// correlated two-qubit branches touching both stabilizer types) are
-// decomposed per stabilizer type into the graphlike edges simpler branches
-// define, each component taking the observable effect of the pair's most
-// probable graphlike variant. A decomposition is kept only when every
-// component matched a known edge and the components reproduce the
-// mechanism's observable effect exactly; otherwise dropping the (rare,
-// P/15-scale) branch is safer than poisoning an edge's correction parity.
+// components' symptoms in it (noise.Effects.EachMechanism, which hands a
+// single-component branch the table's own symptom slice). A site's
+// branches are equiprobable, so every pass reads and tests a site's
+// probability once. Branches flipping ≤ 2 detectors are edges; rarer hyper
+// mechanisms (e.g. Y-type or correlated two-qubit branches touching both
+// stabilizer types) are decomposed per stabilizer type into the graphlike
+// edges simpler branches define, each component taking the observable
+// effect of the pair's most probable graphlike variant. A decomposition is
+// kept only when every component matched a known edge and the components
+// reproduce the mechanism's observable effect exactly; otherwise dropping
+// the (rare, P/15-scale) branch is safer than poisoning an edge's
+// correction parity.
 func NewPlan(d *Detectors, s *noise.Schedule) (*Plan, error) {
+	pl, _, err := newPlan(d, s)
+	return pl, err
+}
+
+// newPlan is NewPlan that also returns the probabilities fold gives for s,
+// so a graph weighed from a fresh plan folds s once: a plan fits the
+// schedule it was built from by construction.
+func newPlan(d *Detectors, s *noise.Schedule) (*Plan, []float64, error) {
 	eff, err := compileEffects(d, s)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pl := &Plan{det: d, sched: s, eff: eff}
 	boundary := int32(len(d.Dets))
@@ -92,25 +102,30 @@ func NewPlan(d *Detectors, s *noise.Schedule) (*Plan, error) {
 	pl.ref = make([]int32, 0, branches)
 	for k := range s.NumFaultSites() {
 		f := s.SiteFault(k)
-		for b := range f.NumBranches() {
-			ref := refNone
-			if p, _, _, _, _ := f.Branch(b); !(p > 0) {
-				ref = refSkip
-			}
+		ref := refNone
+		if !(f.BranchP() > 0) {
+			ref = refSkip
+		}
+		for range f.NumBranches() {
 			pl.ref = append(pl.ref, ref)
 		}
 	}
 
 	// Pass 1: graphlike mechanisms define the edge set; hyper mechanisms
-	// keep their symptoms in one arena.
+	// keep their symptoms in one arena. The arenas are sized from the
+	// table's bounds.
 	type pending struct {
-		at, lo, hi int32 // branch number; its symptom is hyperDets[lo:hi]
-		obs        bool
+		at, lo, site int32 // branch number, its symptom's start in hyperDets and its site
+		obs          bool
+	}
+	nMech, nHyper, nHyperDets, err := eff.MechanismBounds(s)
+	if err != nil {
+		return nil, nil, err
 	}
 	var (
-		gl         = make([]graphlike, 0, branches)
-		hyper      []pending
-		hyperDets  []int32
+		gl         = make([]graphlike, 0, nMech)
+		hyper      = make([]pending, 0, nHyper+1) // then an end marker
+		hyperDets  = make([]int32, 0, nHyperDets)
 		site, base int // the branch number of site's branch 0
 	)
 	err = eff.EachMechanism(s, func(m noise.Mechanism) error {
@@ -127,52 +142,77 @@ func NewPlan(d *Detectors, s *noise.Schedule) (*Plan, error) {
 		case 2:
 			gl = append(gl, graphlike{edgeKeyOf(m.Dets[0], m.Dets[1], m.Obs), at})
 		default:
-			lo := int32(len(hyperDets))
+			hyper = append(hyper, pending{at, int32(len(hyperDets)), int32(m.Site), m.Obs})
 			hyperDets = append(hyperDets, m.Dets...)
-			hyper = append(hyper, pending{at, lo, int32(len(hyperDets)), m.Obs})
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
+	hyper = append(hyper, pending{lo: int32(len(hyperDets))})
 	pl.numberEdges(gl, boundary)
 
 	// Node pairs, each with its variants' edge ids (−1 when absent), and
 	// every pair's winning variant: the observable effect of its most
-	// probable graphlike mechanism, the first one on ties.
+	// probable graphlike mechanism, the first one on ties. The pairs are
+	// sorted, so pairAt indexes them by lower node: node u's pairs are
+	// pairs[pairAt[u]:pairAt[u+1]], ascending in the upper node.
 	var pairs []uint64
 	var variant [][2]int32
 	pairOf := make([]int32, len(pl.keys))
+	pairAt := make([]int32, boundary+2)
 	for e, k := range pl.keys {
 		if n := len(pairs); n == 0 || pairs[n-1] != k>>1 {
 			pairs = append(pairs, k>>1)
 			variant = append(variant, [2]int32{-1, -1})
+			pairAt[k>>33+1]++
 		}
 		pairOf[e] = int32(len(pairs) - 1)
 		variant[len(pairs)-1][k&1] = int32(e)
 	}
-	win, _ := pl.fold(s, pairOf, len(pairs), nil)
+	for u := range boundary + 1 {
+		pairAt[u+1] += pairAt[u]
+	}
+	P := make([]float64, len(pl.keys), len(pl.keys)+len(hyper)-1)
+	win, _ := pl.fold(s, pairOf, len(pairs), P)
 	known := func(u, v int32) (int, bool) {
-		return slices.BinarySearch(pairs, uint64(u)<<32|uint64(v))
+		for c := pairAt[u]; c < pairAt[u+1]; c++ {
+			if w := int32(uint32(pairs[c])); w >= v {
+				return int(c), w == v
+			}
+		}
+		return 0, false
+	}
+	// sameType[di] reports whether detector di has the basis's stabilizer
+	// type.
+	sameType := make([]bool, len(d.Dets))
+	for i := range d.Dets {
+		sameType[i] = d.Dets[i].Type == d.basis
 	}
 
 	// Pass 2: decompose hyper mechanisms against the known pairs, grouping
-	// each one's detectors by stabilizer type (sorted within a group).
+	// each one's detectors by stabilizer type (sorted within a group): the
+	// basis type first.
 	read := make([]bool, len(pairs)) // pairs some decomposition's parity reads
-	pl.hyper = []int32{0}
-	var grp []int32
+	// Most decompositions are kept, one edge per stabilizer type.
+	pl.hyper = append(make([]int32, 0, len(hyper)), 0)
+	pl.comps = make([]int32, 0, 2*(len(hyper)-1))
+	var grps [2][]int32
 	var used []bool
-	for _, h := range hyper {
+	pSite, p := int32(-1), 0.0 // the last kept hyper branch's site and its branches' probability
+	for j, h := range hyper[:len(hyper)-1] {
 		lo := int32(len(pl.comps))
 		obsSum, ok := false, true
-		for _, wantX := range [2]bool{false, true} {
-			grp = grp[:0]
-			for _, di := range hyperDets[h.lo:h.hi] {
-				if (d.Dets[di].Type == d.basis) != wantX {
-					grp = append(grp, di)
-				}
+		grps[0], grps[1] = grps[0][:0], grps[1][:0]
+		for _, di := range hyperDets[h.lo:hyper[j+1].lo] {
+			g := 1
+			if sameType[di] {
+				g = 0
 			}
+			grps[g] = append(grps[g], di)
+		}
+		for _, grp := range grps {
 			used = slices.Grow(used[:0], len(grp))[:len(grp)]
 			clear(used)
 			for i := range grp {
@@ -206,8 +246,13 @@ func NewPlan(d *Detectors, s *noise.Schedule) (*Plan, error) {
 		}
 		pl.ref[h.at] = refHyper
 		pl.hyper = append(pl.hyper, int32(len(pl.comps)))
+		if h.site != pSite { // hyper branches come in site order
+			f := s.SiteFault(int(h.site))
+			pSite, p = h.site, f.BranchP()
+		}
+		P = append(P, p)
 	}
-	pl.undecomposed = len(hyper) - (len(pl.hyper) - 1)
+	pl.undecomposed = len(hyper) - len(pl.hyper)
 
 	// A reweighing must leave the winner of every contested pair a
 	// decomposition read unchanged.
@@ -223,7 +268,7 @@ func NewPlan(d *Detectors, s *noise.Schedule) (*Plan, error) {
 		pairOf[e] = contested[c]
 	}
 	pl.pairOf = pairOf
-	return pl, nil
+	return pl, P, nil
 }
 
 // graphlike is one graphlike mechanism: its edge key and branch number.
@@ -282,10 +327,11 @@ func (pl *Plan) numberEdges(gl []graphlike, boundary int32) {
 // one per decomposed hyper branch.
 func (pl *Plan) probs() []float64 { return make([]float64, len(pl.keys)+len(pl.hyper)-1) }
 
-// fold walks s's fault branches in plan order. It reports false unless
-// the branches with positive probability are the plan's. When P (from
-// probs) is non-nil it merges each graphlike branch's probability into
-// its edge's, in mechanism order, and keeps each decomposed hyper
+// fold walks s's fault branches in plan order, reading each site's
+// probability once (a site's branches are equiprobable). It reports false
+// unless the branches with positive probability are the plan's. When P
+// (from probs) is non-nil it merges each graphlike branch's probability
+// into its edge's, in mechanism order, and keeps each decomposed hyper
 // branch's. It returns, per pair index of pairOf (< n), the observable
 // effect of the pair's most probable graphlike variant, the first one on
 // ties.
@@ -298,11 +344,12 @@ func (pl *Plan) fold(s *noise.Schedule, pairOf []int32, n int, P []float64) ([]b
 	i, h := 0, len(pl.keys) // h: P's slot of the next decomposed hyper branch
 	for k := range s.NumFaultSites() {
 		f := s.SiteFault(k)
-		for b := range f.NumBranches() {
-			p, _, _, _, _ := f.Branch(b)
-			r := pl.ref[i]
-			i++
-			if p > 0 == (r == refSkip) {
+		p := f.BranchP()
+		skip := !(p > 0)
+		refs := pl.ref[i : i+f.NumBranches()]
+		i += len(refs)
+		for _, r := range refs {
+			if skip != (r == refSkip) {
 				return nil, false
 			}
 			if r == refHyper {
@@ -350,18 +397,14 @@ func (pl *Plan) Covers(s *noise.Schedule) bool { return pl.sched.SameSites(s) }
 // then decomposed hyper branches), and the weights are quantized the same
 // way. The graph shares the plan's effect table.
 func (pl *Plan) Weigh(s *noise.Schedule) (*Graph, *Plan, error) {
-	P := pl.probs()
-	if !pl.fits(s, P) {
-		fresh, err := NewPlan(pl.det, s)
-		if err != nil {
-			return nil, nil, err
-		}
-		pl, P = fresh, fresh.probs()
-		if !pl.fits(s, P) {
-			return nil, nil, fmt.Errorf("decoder: a plan does not fit the schedule it was built from")
-		}
+	if P := pl.probs(); pl.fits(s, P) {
+		return pl.graph(P), pl, nil
 	}
-	return pl.graph(P), pl, nil
+	fresh, P, err := newPlan(pl.det, s)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fresh.graph(P), fresh, nil
 }
 
 // graph merges each decomposed hyper branch's probability into its

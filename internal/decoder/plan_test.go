@@ -3,6 +3,7 @@ package decoder
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -146,5 +147,55 @@ func TestReweighFallsBackOnWinnerFlip(t *testing.T) {
 	}
 	if bytes.Equal(AppendGraph(nil, pl.graph(P)), AppendGraph(nil, want)) {
 		t.Fatal("the stale plan weighs to the fresh graph")
+	}
+}
+
+// TestFreshPlanFitsItsSchedule pins what lets CompileGraph skip Weigh's
+// check: a plan fits the schedule it was built from, and the probabilities
+// newPlan folds while planning are the ones fits folds, bit for bit. The
+// hand-built program of TestReweighFallsBackOnWinnerFlip covers contested
+// pairs and undecomposed hyper branches.
+func TestFreshPlanFitsItsSchedule(t *testing.T) {
+	c, err := circuit.Parse("Prepare_Z 0.0 t=0 d=10\nPrepare_Z 0.1 t=0 d=10\nPrepare_Z 0.2 t=0 d=10\n" +
+		"ZZ 0.1 0.2 t=10 d=10\nMeasure_Z 0.0 t=20 d=10 m=0\nMeasure_Z 0.1 t=30 d=10 m=1\nMeasure_Z 0.2 t=40 d=10 m=2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := orqcs.Compile(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiny := &Detectors{basis: pauli.Z, Obs: []int32{0}, Dets: []Detector{
+		{Recs: []int32{0, 1}, Type: pauli.Z}, {Recs: []int32{0, 1}, Type: pauli.Z}, {Recs: []int32{2}, Type: pauli.Z}}}
+	mem := mustMemory(t, 5, 5, pauli.X)
+	surg := mustSurgery(t, 3, 1, 1, 1, pauli.Z)
+	for _, tc := range []struct {
+		name string
+		det  *Detectors
+		s    *noise.Schedule
+	}{
+		{"gate-heavy", tiny, noise.Compile(noise.Model{P2: 3e-2, PPrep: 1e-5, PMeas: 1e-4}, prog)},
+		{"meas-heavy", tiny, noise.Compile(noise.Model{P2: 1e-4, PPrep: 1e-5, PMeas: 3e-2}, prog)},
+		{"memory-d5-X-zero-classes", mustDetectors(t, mem), noise.Compile(noise.Model{P1: 1e-3, PMeas: 2e-3, T2: 5e8}, mem.Prog)},
+		{"surgery-d3-table5", mustSurgeryDetectors(t, surg), noise.Compile(noise.PaperTable5(hardware.Default()), surg.Prog)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pl, fresh, err := newPlan(tc.det, tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			P := pl.probs()
+			if !pl.fits(tc.s, P) {
+				t.Fatal("a fresh plan does not fit its own schedule")
+			}
+			if len(fresh) != len(P) {
+				t.Fatalf("newPlan folds %d probabilities, fits %d", len(fresh), len(P))
+			}
+			for i := range P {
+				if math.Float64bits(fresh[i]) != math.Float64bits(P[i]) {
+					t.Fatalf("probability %d: newPlan folds %g, fits %g", i, fresh[i], P[i])
+				}
+			}
+		})
 	}
 }

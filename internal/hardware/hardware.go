@@ -7,6 +7,8 @@ package hardware
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"tiscc/internal/circuit"
 	"tiscc/internal/grid"
@@ -378,26 +380,19 @@ func (b *Builder) vacate(s grid.Site, t int64) {
 }
 
 // reserveJunction finds the earliest start ≥ t such that [start, start+d)
-// does not overlap an existing reservation, inserts it, and returns it.
+// does not overlap an existing reservation, inserts it, and returns it. A
+// junction's windows never overlap and stay sorted by start, hence by end:
+// the walk starts at the first window ending after t and stops at the
+// first gap wide enough.
 func (b *Builder) reserveJunction(j grid.Site, t, d int64) int64 {
-	wins := b.jwin[b.G.Index(j)]
+	k := b.G.Index(j)
+	wins := b.jwin[k]
+	i := sort.Search(len(wins), func(i int) bool { return wins[i].end > t })
 	start := t
-	for {
-		conflict := false
-		for _, w := range wins {
-			if start < w.end && w.start < start+d {
-				conflict = true
-				if w.end > start {
-					start = w.end
-				}
-			}
-		}
-		if !conflict {
-			break
-		}
+	for ; i < len(wins) && wins[i].start < start+d; i++ {
+		start = max(start, wins[i].end)
 	}
-	wins = append(wins, window{start, start + d})
-	b.jwin[b.G.Index(j)] = wins
+	b.jwin[k] = slices.Insert(wins, i, window{start, start + d})
 	return start
 }
 

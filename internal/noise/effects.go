@@ -70,34 +70,46 @@ var branchPaulis, compOf, compBranch, kindComps = func() (branch [NumFaultKinds]
 
 // recordIndex is the dense measurement → check map of one (checks,
 // program) pair: for a Measure_Z at instruction slot i, of(i) lists the
-// checks whose record sets contain its record, with id len(checks)
-// standing for the observable. Built once by sorted search, so the
-// backward pass never touches a map.
+// checks whose record sets contain its record, ascending, with id
+// len(checks) standing for the observable. Built by one counting pass
+// over the record ids, so the backward pass never touches a map.
 type recordIndex struct {
 	start []int32
 	ids   []int32
 }
 
-func newRecordIndex(checks [][]int32, obs []int32, instrs []orqcs.Instr) *recordIndex {
-	type entry struct{ rec, id int32 }
-	var byRec []entry
-	for i, recs := range checks {
-		for _, rec := range recs {
-			byRec = append(byRec, entry{rec, int32(i)})
+// newRecordIndex indexes checks and obs over instrs, whose Measure_Z record
+// ids are dense in [0, nrec); a record id outside that range no Measure_Z
+// writes, so it contributes nothing.
+func newRecordIndex(checks [][]int32, obs []int32, instrs []orqcs.Instr, nrec int) *recordIndex {
+	// byRec[at[r]:at[r+1]] are the ids reading record r, ascending: they
+	// are filled in id order.
+	at := make([]int32, nrec+1)
+	each := func(visit func(rec, id int32)) {
+		for i, recs := range checks {
+			for _, rec := range recs {
+				if rec >= 0 && int(rec) < nrec {
+					visit(rec, int32(i))
+				}
+			}
+		}
+		for _, rec := range obs {
+			if rec >= 0 && int(rec) < nrec {
+				visit(rec, int32(len(checks)))
+			}
 		}
 	}
-	for _, rec := range obs {
-		byRec = append(byRec, entry{rec, int32(len(checks))})
+	each(func(rec, _ int32) { at[rec+1]++ })
+	for r := range nrec {
+		at[r+1] += at[r]
 	}
-	// Ties in rec keep append order, which is ascending id.
-	slices.SortFunc(byRec, func(a, b entry) int { return cmp.Or(cmp.Compare(a.rec, b.rec), cmp.Compare(a.id, b.id)) })
+	byRec := make([]int32, at[nrec])
+	fill := slices.Clone(at[:nrec])
+	each(func(rec, id int32) { byRec[fill[rec]] = id; fill[rec]++ })
 	ix := &recordIndex{start: make([]int32, len(instrs)+1)}
 	for i := range instrs {
 		if in := &instrs[i]; in.Op == orqcs.OpMeasureZ {
-			j, _ := slices.BinarySearchFunc(byRec, in.Rec, func(e entry, rec int32) int { return cmp.Compare(e.rec, rec) })
-			for ; j < len(byRec) && byRec[j].rec == in.Rec; j++ {
-				ix.ids = append(ix.ids, byRec[j].id)
-			}
+			ix.ids = append(ix.ids, byRec[at[in.Rec]:at[in.Rec+1]]...)
 		}
 		ix.start[i+1] = int32(len(ix.ids))
 	}
@@ -152,7 +164,7 @@ func CompileEffects(s *Schedule, checks [][]int32, obs []int32) (*Effects, error
 		return nil, fmt.Errorf("noise: schedule program contains non-Clifford gates")
 	}
 	instrs := prog.Instructions()
-	ix := newRecordIndex(checks, obs, instrs)
+	ix := newRecordIndex(checks, obs, instrs, prog.NumRecords())
 	obsID := int32(len(checks))
 	e := &Effects{checks: len(checks), kind: make([]FaultKind, len(s.faults)), comp: make([]int32, len(s.faults)+1)}
 	for k := range s.faults {
@@ -299,11 +311,11 @@ func (g *laneGroup) nz(q int32) int {
 func (e *Effects) appendSlot(rev []int32, s *Schedule, i int, active []*laneGroup, lanes []int32, obsID int32) []int32 {
 	for k := int(s.start[i+1]) - 1; k >= int(s.start[i]); k-- {
 		f := &s.faults[k]
+		if f.BranchP() <= 0 {
+			continue
+		}
 		for j := int(kindComps[f.Kind]) - 1; j >= 0; j-- {
 			b := int(compBranch[f.Kind][j])
-			if p, _, _, _, _ := f.Branch(b); p <= 0 {
-				continue
-			}
 			q, z := f.Q1, false
 			switch branchPaulis[f.Kind][b] {
 			case 1 << 1:
@@ -408,37 +420,86 @@ type Mechanism struct {
 // EachMechanism hands visit the mechanism of every fault branch of s, the
 // schedule the table covers, in (site, branch) order — the order of
 // Fault.Branch within a site — skipping branches with p ≤ 0 and branches
-// that flip nothing. A branch's checks are the XOR of its components'.
-// m.Dets is only valid during the call; a non-nil error from visit stops
-// the walk and is returned.
+// that flip nothing. A site's branches are equiprobable, so p is read and
+// tested once per site (Fault.BranchP). A branch's checks are the XOR of its
+// components': a single-component branch hands over the table's own
+// symptom slice, and only a multi-component branch XORs into scratch.
+// m.Dets is read-only and only valid during the call; a non-nil error from
+// visit stops the walk and is returned.
 func (e *Effects) EachMechanism(s *Schedule, visit func(m Mechanism) error) error {
 	if err := e.CheckSchedule(s); err != nil {
 		return err
 	}
-	var buf, tmp []int32
+	var scratch [2][]int32
 	for k := range s.faults {
 		f := &s.faults[k]
+		p := f.BranchP()
+		if p <= 0 {
+			continue
+		}
+		comps := &compOf[f.Kind]
 		for b := range f.NumBranches() {
-			p, _, _, _, _ := f.Branch(b)
-			if p <= 0 {
+			m := branchPaulis[f.Kind][b]
+			dets, obs := e.symptom(e.comp[k] + int32(comps[bits.TrailingZeros8(m)]))
+			for n := 0; m&(m-1) != 0; n++ {
+				m &= m - 1
+				cd, co := e.symptom(e.comp[k] + int32(comps[bits.TrailingZeros8(m)]))
+				scratch[n&1] = xorSorted(scratch[n&1][:0], dets, cd)
+				dets, obs = scratch[n&1], obs != co
+			}
+			if len(dets) == 0 && !obs {
 				continue
 			}
-			buf = buf[:0]
-			obs := false
-			for m := branchPaulis[f.Kind][b]; m != 0; m &= m - 1 {
-				c := e.comp[k] + int32(compOf[f.Kind][bits.TrailingZeros8(m)])
-				tmp, buf = buf, xorSorted(tmp[:0], buf, e.dets[e.start[c]:e.start[c+1]])
-				obs = obs != (e.obs[c>>6]>>uint(c&63)&1 == 1)
-			}
-			if len(buf) == 0 && !obs {
-				continue
-			}
-			if err := visit(Mechanism{Site: k, Branch: b, P: p, Dets: buf, Obs: obs}); err != nil {
+			if err := visit(Mechanism{Site: k, Branch: b, P: p, Dets: dets, Obs: obs}); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// MechanismBounds bounds the stream EachMechanism hands visit for s, the
+// schedule the table covers: at most n mechanisms flip a check, at most wide
+// of them flip more than two (a decoding graph's hyperedges), and those
+// flip at most wideChecks checks in total. A branch's symptom is no longer
+// than its components' together, so the bounds read symptom lengths off the
+// table and XOR nothing; a caller sizes its arenas from them.
+func (e *Effects) MechanismBounds(s *Schedule) (n, wide, wideChecks int, err error) {
+	if err := e.CheckSchedule(s); err != nil {
+		return 0, 0, 0, err
+	}
+	var lens [4]int
+	for site := range s.faults {
+		f := &s.faults[site]
+		if f.BranchP() <= 0 {
+			continue
+		}
+		c0 := e.comp[site]
+		for j := range int(kindComps[f.Kind]) {
+			lens[j] = int(e.start[c0+int32(j)+1] - e.start[c0+int32(j)])
+		}
+		for b := range f.NumBranches() {
+			l := 0
+			for m := branchPaulis[f.Kind][b]; m != 0; m &= m - 1 {
+				l += lens[compOf[f.Kind][bits.TrailingZeros8(m)]]
+			}
+			if l > 0 {
+				n++
+			}
+			if l > 2 {
+				wide++
+				wideChecks += l
+			}
+		}
+	}
+	return n, wide, wideChecks, nil
+}
+
+// symptom returns component c's checks, capped so that an append cannot
+// write into the table, and whether it flips the observable.
+func (e *Effects) symptom(c int32) ([]int32, bool) {
+	lo, hi := e.start[c], e.start[c+1]
+	return e.dets[lo:hi:hi], e.obs[c>>6]>>uint(c&63)&1 == 1
 }
 
 // xorSorted appends to dst the symmetric difference of the ascending,

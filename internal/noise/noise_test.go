@@ -89,6 +89,23 @@ func TestScheduleFaultSiteLayout(t *testing.T) {
 	}
 }
 
+// TestBranchesEquiprobable guards what the decoding-graph compile and the
+// effect table rely on to read a site's probability once (Fault.BranchP):
+// every branch of every fault kind fires with that probability, bit for
+// bit. A biased kind fails here instead of silently mis-weighing edges.
+func TestBranchesEquiprobable(t *testing.T) {
+	for k := range noise.FaultKind(noise.NumFaultKinds) {
+		for _, P := range []float64{0, 1e-300, 5e-5, 1e-3, 1.0 / 7, 0.3, 1} {
+			f := noise.Fault{Kind: k, P: P}
+			for b := range f.NumBranches() {
+				if p, _, _, _, _ := f.Branch(b); math.Float64bits(p) != math.Float64bits(f.BranchP()) {
+					t.Errorf("%v at P=%g: branch %d fires with %g, BranchP is %g", k, P, b, p, f.BranchP())
+				}
+			}
+		}
+	}
+}
+
 // TestFiredFaultsDeterministic pins the per-seed fault schedule: identical
 // seeds replay bit-identical schedules, distinct seeds diverge.
 func TestFiredFaultsDeterministic(t *testing.T) {

@@ -331,6 +331,14 @@ func (f *Fault) Branch(b int) (p float64, x1, z1, x2, z2 bool) {
 	panic("noise: unknown fault kind")
 }
 
+// BranchP returns the probability each branch of the fault fires with. A
+// fault's branches are equiprobable (TestBranchesEquiprobable), so code that
+// weighs every branch of a site reads Branch(0)'s probability once.
+func (f *Fault) BranchP() float64 {
+	p, _, _, _, _ := f.Branch(0)
+	return p
+}
+
 // branch maps a fired draw u < p to one of n equiprobable branches.
 func branch(u, p float64, n int) int {
 	b := int(u * float64(n) / p)
