@@ -609,10 +609,11 @@ func BenchmarkCompileSurgeryGraph(b *testing.B) {
 // cycle (pre 1, merge 5, post 1) under the paper's Table 5 model, and
 // memory d=9 under Depolarizing(1e-3), the memory-d9-dense benchmark
 // point. Alternating -cpu 1 runs on a shared 2-core Xeon, per-branch plan
-// → per-site plan: memory/d=9/depolarizing 15–22 → 9–15 ms and 10.4 → 6.6
-// MB per op (four runs of 150); d=5 2.6–3.6 → 2.0–2.7 ms, d=9 20–25 →
-// 12–18 ms, d=13 65–81 → 55–61 ms and surgery/d=5 8.6–12.8 → 5.8–8.6 ms
-// (three runs of 20), with 30–40% fewer bytes per op in each.
+// → per-site plan: memory/d=9/depolarizing 14–25 → 12–17 ms (medians of
+// 20 two-second runs 21.1 → 14.5 ms) and 10.4 → 9.3 MB per op; d=5
+// 2.4–3.9 → 2.7–2.8 ms, d=9 17–27 → 17–19 ms, d=13 65–96 → 59–66 ms and
+// surgery/d=5 11–14 → 6.5–9.3 ms (four runs of 20), with 10–14% fewer
+// bytes per op in each.
 func BenchmarkCompileDecoderGraph(b *testing.B) {
 	bench := func(b *testing.B, prog *orqcs.Program, dets *decoder.Detectors, m noise.Model) {
 		sched := noise.Compile(m, prog)
@@ -656,13 +657,13 @@ func BenchmarkCompileDecoderGraph(b *testing.B) {
 // sampler — on the benchmark's workload shapes: memory d=9 decoded and d=13
 // raw at depolarizing(1e-3), and the decoded d=5 merge/split cycle at
 // depolarizing(5e-5). Every Compile builds a fresh program, so each
-// iteration pays for its one noiseless reference pass. Three alternating
+// iteration pays for its one noiseless reference pass. Four alternating
 // -cpu 1 runs of 20 iterations on a shared 2-core Xeon, per-branch →
-// per-site decoding-graph plan: 34–35 → 25–26 ms and 15.5 → 11.9 MB per
-// op at d=9 decoded, 30–31 → 29–30 ms and 14.4 MB at d=13 raw, and 17–18 →
-// 13 ms and 7.0 → 5.7 MB for surgery d=5. In the d=13 profile, lowering
-// (orqcs.Lower, ~22%), the event keys' radix sort (~14%) and memory
-// clearing (~12%) are the largest parts left.
+// per-site decoding-graph plan: 26–34 → 18–25 ms and 15.5 → 14.4 MB per
+// op at d=9 decoded, 24–30 → 18–31 ms and 14.4 MB at d=13 raw, and 12–17
+// → 8.5–13.6 ms and 7.0 → 6.6 MB for surgery d=5. In the d=13 profile,
+// lowering (orqcs.Lower, ~22%), the event keys' radix sort (~14%) and
+// memory clearing (~12%) are the largest parts left.
 func BenchmarkSetup(b *testing.B) {
 	for _, c := range []struct {
 		name     string

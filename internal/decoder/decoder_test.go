@@ -145,8 +145,9 @@ func TestDetectorExtraction(t *testing.T) {
 // caught: a detector on the random first-round record of a plaquette the
 // preparation does not fix (memory and surgery, d=3) passes extraction,
 // which only reads Refs off the reference trace, and the exact backward
-// pass then rejects it, naming its index, in NewPlan, CompileGraph and
-// WriteDEM, the paths by which detectors reach a decoder or a DEM.
+// pass then rejects it, naming its index, in CompileGraph (every plan's
+// route) and WriteDEM, the paths by which detectors reach a decoder or a
+// DEM.
 func TestExtractRejectsNondeterministicDetector(t *testing.T) {
 	mem := mustMemory(t, 3, 3, pauli.Z)
 	s := mustSurgery(t, 3, 1, 3, 1, pauli.Z)
@@ -170,13 +171,12 @@ func TestExtractRejectsNondeterministicDetector(t *testing.T) {
 			}
 			sched := noise.Compile(noise.Depolarizing(1e-3), c.prog)
 			want := fmt.Sprintf("check %d is not deterministic", n)
-			_, errPlan := NewPlan(c.det, sched)
 			_, errGraph := CompileGraph(c.det, sched)
 			errDEM := WriteDEM(io.Discard, c.det, sched)
 			for _, e := range []struct {
 				site string
 				err  error
-			}{{"NewPlan", errPlan}, {"CompileGraph", errGraph}, {"WriteDEM", errDEM}} {
+			}{{"CompileGraph", errGraph}, {"WriteDEM", errDEM}} {
 				if e.err == nil || !strings.Contains(e.err.Error(), want) {
 					t.Errorf("%s accepted the random first-round record of %v as detector %d: %v", e.site, p.Face, n, e.err)
 				}

@@ -147,8 +147,8 @@ func (d *Detectors) Syndrome(records map[int32]bool, buf []int32) []int32 {
 //
 // Every detector's reference value is read off the program's shared
 // noiseless reference trace. Extraction does not prove the values
-// deterministic: NewPlan and WriteDEM run the exact backward pass over the
-// detectors before any use, and it rejects any non-deterministic parity
+// deterministic: CompileGraph and WriteDEM run the exact backward pass over
+// the detectors before any use, and it rejects any non-deterministic parity
 // combination — a compiler/decoder mismatch — by detector index.
 func Extract(mem *verify.Memory) (*Detectors, error) {
 	if mem.Prog == nil {
@@ -219,8 +219,8 @@ func Extract(mem *verify.Memory) (*Detectors, error) {
 
 // referenceValues checks the detectors' record ids against the program and
 // sets each detector's Ref to its parity on the program's noiseless
-// reference trace. It does not prove the parity deterministic: NewPlan and
-// WriteDEM, which every use of the detectors goes through, do that exactly
+// reference trace. It does not prove the parity deterministic: CompileGraph
+// and WriteDEM, which every use of the detectors goes through, do that exactly
 // (noise.CompileEffects).
 func (d *Detectors) referenceValues(prog *orqcs.Program) error {
 	if err := d.CheckRecords(prog.NumRecords()); err != nil {

@@ -74,6 +74,10 @@ type Graph struct {
 // Detectors returns the detector structure the graph decodes.
 func (g *Graph) Detectors() *Detectors { return g.det }
 
+// Plan returns the plan the graph was weighed from, for re-weighing the
+// graph's shape at other probabilities (Plan.Weigh).
+func (g *Graph) Plan() *Plan { return g.plan }
+
 // Edges returns the compiled edge list (read-only).
 func (g *Graph) Edges() []Edge { return g.edges }
 
@@ -113,11 +117,12 @@ func (g *Graph) CheckSchedule(s *noise.Schedule) error {
 func mergeP(a, b float64) float64 { return a + b - 2*a*b }
 
 // CompileGraph compiles a noise schedule against a detector structure into a
-// union-find decoding graph: it plans the graph (NewPlan) and weighs the
-// schedule's probabilities along the plan, byte for byte what Plan.Weigh
-// gives, folding them in the same pass that picks the plan's winning
-// variants. The graph keeps the plan's effect table for decoded batches to
-// read. Edges are ordered by (u, v, obs).
+// union-find decoding graph: it plans the graph (the effect table, the edge
+// set and the hyper decompositions; see Plan) and weighs the schedule's
+// probabilities along the plan, byte for byte what Plan.Weigh gives,
+// folding them in the same pass that picks the plan's winning variants.
+// The graph keeps the plan (Graph.Plan) and its effect table for decoded
+// batches to read. Edges are ordered by (u, v, obs).
 func CompileGraph(d *Detectors, s *noise.Schedule) (*Graph, error) {
 	pl, P, err := newPlan(d, s)
 	if err != nil {

@@ -109,7 +109,7 @@ func TestGraphDEMMatchesWriteDEM(t *testing.T) {
 		{"surgery-d3-table5", surgDet, noise.Compile(noise.PaperTable5(hardware.Default()), surg.Prog), noise.Compile(noise.PaperTable5(hardware.Default()), surg.Prog)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pl, err := NewPlan(tc.det, tc.planned)
+			pl, _, err := newPlan(tc.det, tc.planned)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,7 +64,7 @@ func edgeKeyOf(u, v int32, obs bool) uint64 {
 	return k
 }
 
-// NewPlan plans the decoding graph of s against d. One backward pass
+// newPlan plans the decoding graph of s against d. One backward pass
 // (noise.CompileEffects) compiles the effect table of the detectors and
 // the observable, and each fault branch's mechanism is the XOR of its
 // components' symptoms in it (noise.Effects.EachMechanism, which hands a
@@ -78,15 +78,10 @@ func edgeKeyOf(u, v int32, obs bool) uint64 {
 // kept only when every component matched a known edge and the components
 // reproduce the mechanism's observable effect exactly; otherwise dropping
 // the (rare, P/15-scale) branch is safer than poisoning an edge's
-// correction parity.
-func NewPlan(d *Detectors, s *noise.Schedule) (*Plan, error) {
-	pl, _, err := newPlan(d, s)
-	return pl, err
-}
-
-// newPlan is NewPlan that also returns the probabilities fold gives for s,
-// so a graph weighed from a fresh plan folds s once: a plan fits the
-// schedule it was built from by construction.
+// correction parity. It also returns the probabilities fold gives for s,
+// folded while picking the winning variants, so a graph weighed from a
+// fresh plan folds s once: a plan fits the schedule it was built from by
+// construction.
 func newPlan(d *Detectors, s *noise.Schedule) (*Plan, []float64, error) {
 	eff, err := compileEffects(d, s)
 	if err != nil {
@@ -112,20 +107,15 @@ func newPlan(d *Detectors, s *noise.Schedule) (*Plan, []float64, error) {
 	}
 
 	// Pass 1: graphlike mechanisms define the edge set; hyper mechanisms
-	// keep their symptoms in one arena. The arenas are sized from the
-	// table's bounds.
+	// keep their symptoms in one arena. gl has room for every branch.
 	type pending struct {
 		at, lo, site int32 // branch number, its symptom's start in hyperDets and its site
 		obs          bool
 	}
-	nMech, nHyper, nHyperDets, err := eff.MechanismBounds(s)
-	if err != nil {
-		return nil, nil, err
-	}
 	var (
-		gl         = make([]graphlike, 0, nMech)
-		hyper      = make([]pending, 0, nHyper+1) // then an end marker
-		hyperDets  = make([]int32, 0, nHyperDets)
+		gl         = make([]graphlike, 0, branches)
+		hyper      []pending // then an end marker
+		hyperDets  []int32
 		site, base int // the branch number of site's branch 0
 	)
 	err = eff.EachMechanism(s, func(m noise.Mechanism) error {

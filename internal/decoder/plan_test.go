@@ -64,7 +64,7 @@ func TestReweighMatchesCompile(t *testing.T) {
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			pl, err := NewPlan(sh.det, noise.Compile(noise.Depolarizing(reweighPs[0]), sh.prog))
+			pl, _, err := newPlan(sh.det, noise.Compile(noise.Depolarizing(reweighPs[0]), sh.prog))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +118,7 @@ func TestReweighFallsBackOnWinnerFlip(t *testing.T) {
 		{Recs: []int32{0, 1}, Type: pauli.Z}, {Recs: []int32{0, 1}, Type: pauli.Z}, {Recs: []int32{2}, Type: pauli.Z}}}
 	gateHeavy := noise.Model{Name: "gate-heavy", P2: 3e-2, PPrep: 1e-5, PMeas: 1e-4}
 	measHeavy := noise.Model{Name: "meas-heavy", P2: 1e-4, PPrep: 1e-5, PMeas: 3e-2}
-	pl, err := NewPlan(det, noise.Compile(gateHeavy, prog))
+	pl, _, err := newPlan(det, noise.Compile(gateHeavy, prog))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,8 +186,7 @@ func collectMechanisms(t *testing.T, each func(*Detectors, *noise.Schedule, func
 // TestBackwardMatchesForwardSweep pins the backward effect pass against the
 // forward sweep it replaced: the same mechanisms — probability, sorted
 // detectors, observable flag — in the same order, on memory and surgery
-// experiments under uniform depolarizing and the paper's Table 5 noise —
-// and checks the stream against the table's MechanismBounds.
+// experiments under uniform depolarizing and the paper's Table 5 noise.
 func TestBackwardMatchesForwardSweep(t *testing.T) {
 	models := []noise.Model{noise.Depolarizing(1e-3), noise.PaperTable5(hardware.Default())}
 	mems, surgs := []int{3, 5, 7, 9}, []int{3, 5}
@@ -233,28 +232,6 @@ func TestBackwardMatchesForwardSweep(t *testing.T) {
 				}
 				if len(fwd) != len(bwd) {
 					t.Fatalf("forward sweep yields %d mechanisms, backward pass %d", len(fwd), len(bwd))
-				}
-				// The table's bounds, which size NewPlan's arenas, hold.
-				var n, wide, wideChecks int
-				for _, m := range bwd {
-					if len(m.Dets) > 0 {
-						n++
-					}
-					if len(m.Dets) > 2 {
-						wide++
-						wideChecks += len(m.Dets)
-					}
-				}
-				eff, err := compileEffects(c.det, sched)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bn, bwide, bchecks, err := eff.MechanismBounds(sched)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n > bn || wide > bwide || wideChecks > bchecks {
-					t.Fatalf("stream has %d/%d/%d mechanisms/wide/wide checks, bounds %d/%d/%d", n, wide, wideChecks, bn, bwide, bchecks)
 				}
 			})
 		}

@@ -224,8 +224,9 @@ func (c *Circuit) Compile(m noise.Model, decode bool, sp *telemetry.Spans) (*Com
 }
 
 // graph compiles the decoding graph of s, re-weighing a kept plan when one
-// fits (see Circuit). A plan is built under the lock, so concurrent
-// compiles of a circuit with no plan for s build one and share it.
+// fits (see Circuit). With no plan covering s it compiles afresh under the
+// lock and keeps the graph's plan, so concurrent compiles of a circuit with
+// no plan for s build one and share it.
 func (c *Circuit) graph(s *noise.Schedule) (*decoder.Graph, error) {
 	if c.plans == nil {
 		return decoder.CompileGraph(c.Detectors, s)
@@ -234,13 +235,13 @@ func (c *Circuit) graph(s *noise.Schedule) (*decoder.Graph, error) {
 	ps.mu.Lock()
 	i := slices.IndexFunc(ps.list, func(pl *decoder.Plan) bool { return pl.Covers(s) })
 	if i < 0 {
-		pl, err := decoder.NewPlan(c.Detectors, s)
+		defer ps.mu.Unlock()
+		g, err := decoder.CompileGraph(c.Detectors, s)
 		if err != nil {
-			ps.mu.Unlock()
 			return nil, err
 		}
-		ps.keep(pl)
-		i = 0
+		ps.keep(g.Plan())
+		return g, nil
 	}
 	pl := ps.list[i]
 	ps.mu.Unlock()

@@ -458,43 +458,6 @@ func (e *Effects) EachMechanism(s *Schedule, visit func(m Mechanism) error) erro
 	return nil
 }
 
-// MechanismBounds bounds the stream EachMechanism hands visit for s, the
-// schedule the table covers: at most n mechanisms flip a check, at most wide
-// of them flip more than two (a decoding graph's hyperedges), and those
-// flip at most wideChecks checks in total. A branch's symptom is no longer
-// than its components' together, so the bounds read symptom lengths off the
-// table and XOR nothing; a caller sizes its arenas from them.
-func (e *Effects) MechanismBounds(s *Schedule) (n, wide, wideChecks int, err error) {
-	if err := e.CheckSchedule(s); err != nil {
-		return 0, 0, 0, err
-	}
-	var lens [4]int
-	for site := range s.faults {
-		f := &s.faults[site]
-		if f.BranchP() <= 0 {
-			continue
-		}
-		c0 := e.comp[site]
-		for j := range int(kindComps[f.Kind]) {
-			lens[j] = int(e.start[c0+int32(j)+1] - e.start[c0+int32(j)])
-		}
-		for b := range f.NumBranches() {
-			l := 0
-			for m := branchPaulis[f.Kind][b]; m != 0; m &= m - 1 {
-				l += lens[compOf[f.Kind][bits.TrailingZeros8(m)]]
-			}
-			if l > 0 {
-				n++
-			}
-			if l > 2 {
-				wide++
-				wideChecks += l
-			}
-		}
-	}
-	return n, wide, wideChecks, nil
-}
-
 // symptom returns component c's checks, capped so that an append cannot
 // write into the table, and whether it flips the observable.
 func (e *Effects) symptom(c int32) ([]int32, bool) {
