@@ -305,12 +305,14 @@ func runExperiment(workload, dspec string, noiseP float64, decode bool, demFile,
 		if err != nil {
 			fatal(err)
 		}
-		// A decoded run has compiled the graph, and with it the effect
-		// table the DEM is written from.
-		if c.Graph != nil {
-			err = c.Graph.WriteDEM(f, c.Sched)
-		} else {
-			err = decoder.WriteDEM(f, c.Detectors, c.Sched)
+		// A decoded run has compiled the graph the DEM is written from; a
+		// raw run compiles one for the DEM only and stays raw.
+		g := c.Graph
+		if g == nil {
+			g, err = decoder.CompileGraph(c.Detectors, c.Sched)
+		}
+		if err == nil {
+			err = g.WriteDEM(f, c.Sched)
 		}
 		if err != nil {
 			fatal(err)

@@ -8,10 +8,9 @@ import (
 	"tiscc/internal/noise"
 )
 
-// WriteDEM writes the detector error model of a noise schedule compiled
-// against a memory experiment's detector structure in a Stim-compatible
-// text form, so external decoders (PyMatching et al.) can consume TISCC
-// memory experiments directly:
+// WriteDEM writes the detector error model of s, the schedule the graph was
+// compiled against, in a Stim-compatible text form, so external decoders
+// (PyMatching et al.) can consume TISCC experiments directly:
 //
 //	error(1.3e-05) D0 D4 L0
 //	detector(0, -1, 2, 0) D7
@@ -21,31 +20,14 @@ import (
 // branch, merged across branches with identical symptoms; detector
 // coordinates are (face row, face column, round, stabilizer type) with type
 // 0 for the basis-deterministic stabilizers and 1 for the opposite type.
-// Output is deterministic for a fixed (detectors, schedule) pair. WriteDEM
-// compiles the effect table with one backward pass; Graph.WriteDEM writes
-// the same text from a compiled graph's table.
-func WriteDEM(w io.Writer, d *Detectors, s *noise.Schedule) error {
-	eff, err := compileEffects(d, s)
-	if err != nil {
-		return err
-	}
-	return writeDEM(w, d, s, eff)
-}
-
-// WriteDEM writes the detector error model of s, the schedule the graph was
-// compiled against, exactly as the package-level WriteDEM does, but reads
-// the graph's retained effect table instead of running the backward pass
-// again.
+// Output is deterministic for a fixed (detectors, schedule) pair, and the
+// same for every graph of s, fresh or re-weighed: it reads the graph's
+// retained effect table and runs no backward pass.
 func (g *Graph) WriteDEM(w io.Writer, s *noise.Schedule) error {
 	if err := g.CheckSchedule(s); err != nil {
 		return err
 	}
-	return writeDEM(w, g.det, s, &g.eff)
-}
-
-// writeDEM writes the detector error model of s over d from the effect
-// table eff (see WriteDEM).
-func writeDEM(w io.Writer, d *Detectors, s *noise.Schedule, eff *noise.Effects) error {
+	d := g.det
 	type sym struct {
 		dets []int32
 		obs  bool
@@ -54,7 +36,7 @@ func writeDEM(w io.Writer, d *Detectors, s *noise.Schedule, eff *noise.Effects) 
 	var ordered []sym
 	index := map[string]int{}
 	keyBuf := make([]byte, 0, 64)
-	err := eff.EachMechanism(s, func(m noise.Mechanism) error {
+	err := g.eff.EachMechanism(s, func(m noise.Mechanism) error {
 		keyBuf = keyBuf[:0]
 		for _, di := range m.Dets {
 			keyBuf = append(keyBuf,

@@ -52,11 +52,7 @@ func TestDEMRoundTrip(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			det, sched := tc.det(t)
-			var text strings.Builder
-			if err := WriteDEM(&text, det, sched); err != nil {
-				t.Fatal(err)
-			}
-			dem, err := ParseDEM(strings.NewReader(text.String()))
+			dem, err := ParseDEM(strings.NewReader(demText(t, det, sched)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,16 +157,13 @@ func TestWriteDEMSkipsZeroProbability(t *testing.T) {
 		t.Fatal("test premise broken: the saturated SPAM model produced no zero-probability merges")
 	}
 
-	var text strings.Builder
-	if err := WriteDEM(&text, det, sched); err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(text.String(), "\n") {
+	text := demText(t, det, sched)
+	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, "error(0)") {
 			t.Fatalf("WriteDEM emitted a zero-probability mechanism: %q", line)
 		}
 	}
-	dem, err := ParseDEM(strings.NewReader(text.String()))
+	dem, err := ParseDEM(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +180,7 @@ func TestWriteDEMSkipsZeroProbability(t *testing.T) {
 		}
 	}
 	// Round trip of the fixed writer is the identity on the parse output.
-	var again strings.Builder
-	fmt.Fprint(&again, text.String())
-	dem2, err := ParseDEM(strings.NewReader(again.String()))
+	dem2, err := ParseDEM(strings.NewReader(text))
 	if err != nil {
 		t.Fatal(err)
 	}

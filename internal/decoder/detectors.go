@@ -19,11 +19,12 @@
 //     effect table of a compiled noise Schedule — the detectors each fault
 //     component flips and whether it flips the observable — and proves
 //     every detector and the observable deterministic, the one
-//     determinism proof (WriteDEM runs the same pass); each branch's
-//     mechanism, the XOR of its components', compiles into a weighted
-//     matching graph, cached once per (program, model) exactly like the
-//     fault schedule itself, whose graphlike circuit distance
-//     Graph.Distance certifies;
+//     determinism proof; each branch's mechanism, the XOR of its
+//     components', compiles into a weighted matching graph, cached once
+//     per (program, model) exactly like the fault schedule itself, whose
+//     graphlike circuit distance Graph.Distance certifies and whose
+//     Graph.WriteDEM exports the detector error model; Plans re-weighs a
+//     kept graph plan across the noise points of a sweep;
 //   - union-find decoding (Graph.DecodePlanes): per 64-shot batch of fault
 //     firings, each detector's word is the XOR of the symptoms the graph's
 //     retained effect table gives the fired branches — no record is read and no
@@ -147,8 +148,8 @@ func (d *Detectors) Syndrome(records map[int32]bool, buf []int32) []int32 {
 //
 // Every detector's reference value is read off the program's shared
 // noiseless reference trace. Extraction does not prove the values
-// deterministic: CompileGraph and WriteDEM run the exact backward pass over
-// the detectors before any use, and it rejects any non-deterministic parity
+// deterministic: planning a graph (CompileGraph, Plans.Graph) runs the exact
+// backward pass over the detectors before any use, and it rejects any non-deterministic parity
 // combination — a compiler/decoder mismatch — by detector index.
 func Extract(mem *verify.Memory) (*Detectors, error) {
 	if mem.Prog == nil {
@@ -219,8 +220,8 @@ func Extract(mem *verify.Memory) (*Detectors, error) {
 
 // referenceValues checks the detectors' record ids against the program and
 // sets each detector's Ref to its parity on the program's noiseless
-// reference trace. It does not prove the parity deterministic: CompileGraph
-// and WriteDEM, which every use of the detectors goes through, do that exactly
+// reference trace. It does not prove the parity deterministic: planning a
+// graph, which every use of the detectors goes through, does that exactly
 // (noise.CompileEffects).
 func (d *Detectors) referenceValues(prog *orqcs.Program) error {
 	if err := d.CheckRecords(prog.NumRecords()); err != nil {

@@ -4,17 +4,6 @@ import (
 	"tiscc/internal/noise"
 )
 
-// compileEffects compiles the fault-effect table of the detectors and the
-// logical observable over s: one backward pass (noise.CompileEffects),
-// which also proves every detector and the observable deterministic.
-func compileEffects(d *Detectors, s *noise.Schedule) (*noise.Effects, error) {
-	checks := make([][]int32, len(d.Dets))
-	for i := range d.Dets {
-		checks[i] = d.Dets[i].Recs
-	}
-	return noise.CompileEffects(s, checks, d.Obs)
-}
-
 // PredictedDetectorRates returns, per detector, the fire probability the
 // detector error model of the graph's schedule s predicts: the odd-fire
 // combination (p ⊕ q = p + q − 2pq) of every mechanism whose symptom

@@ -22,7 +22,7 @@ func TestDEMBytesPinned(t *testing.T) {
 	cases := []struct {
 		name string
 		det  func(t *testing.T) (*Detectors, *noise.Schedule)
-		// SHA-256 of WriteDEM text, of the AppendGraph bytes before the
+		// SHA-256 of Graph.WriteDEM text, of the AppendGraph bytes before the
 		// effect table, and of the effect table's bytes.
 		dem, grph, sym string
 	}{
@@ -69,11 +69,11 @@ func TestDEMBytesPinned(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			det, sched := tc.det(t)
+			g := mustGraph(t, det, sched)
 			var text strings.Builder
-			if err := WriteDEM(&text, det, sched); err != nil {
+			if err := g.WriteDEM(&text, sched); err != nil {
 				t.Fatal(err)
 			}
-			g := mustGraph(t, det, sched)
 			if got := sum([]byte(text.String())); got != tc.dem {
 				t.Errorf("WriteDEM sha256 %s, pinned %s", got, tc.dem)
 			}
@@ -88,11 +88,10 @@ func TestDEMBytesPinned(t *testing.T) {
 	}
 }
 
-// TestGraphDEMMatchesWriteDEM checks that the two DEM routes write the same
-// bytes: WriteDEM, which compiles the effect table, and Graph.WriteDEM,
-// which reads a compiled graph's table. It covers a freshly compiled graph
-// and one re-weighed from a plan made at another error rate, as a decoded
-// run's cached plans produce, on the shapes TestDEMBytesPinned pins.
+// TestGraphDEMMatchesWriteDEM checks that a re-weighed graph writes the same
+// DEM as a fresh CompileGraph's: Plans re-weighs a plan made on the same
+// schedule or at another error rate, as a decoded run's cached plans do,
+// on the shapes TestDEMBytesPinned pins.
 func TestGraphDEMMatchesWriteDEM(t *testing.T) {
 	mem := mustMemory(t, 5, 5, pauli.Z)
 	memDet := mustDetectors(t, mem)
@@ -109,23 +108,23 @@ func TestGraphDEMMatchesWriteDEM(t *testing.T) {
 		{"surgery-d3-table5", surgDet, noise.Compile(noise.PaperTable5(hardware.Default()), surg.Prog), noise.Compile(noise.PaperTable5(hardware.Default()), surg.Prog)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			pl, _, err := newPlan(tc.det, tc.planned)
+			ps := NewPlans(tc.det)
+			if _, err := ps.Graph(tc.planned); err != nil {
+				t.Fatal(err)
+			}
+			g, err := ps.Graph(tc.s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, _, err := pl.Weigh(tc.s)
-			if err != nil {
-				t.Fatal(err)
+			if len(ps.plans()) != 1 {
+				t.Fatalf("%d plans kept, want the re-weighed one only", len(ps.plans()))
 			}
-			var want, got strings.Builder
-			if err := WriteDEM(&want, tc.det, tc.s); err != nil {
-				t.Fatal(err)
-			}
+			var got strings.Builder
 			if err := g.WriteDEM(&got, tc.s); err != nil {
 				t.Fatal(err)
 			}
-			if got.String() != want.String() {
-				t.Fatalf("Graph.WriteDEM differs from WriteDEM (%d vs %d bytes)", got.Len(), want.Len())
+			if want := demText(t, tc.det, tc.s); got.String() != want {
+				t.Fatalf("a re-weighed graph's DEM differs from a fresh graph's (%d vs %d bytes)", got.Len(), len(want))
 			}
 			// A schedule the graph was not compiled against is refused.
 			other := noise.Compile(noise.Depolarizing(1e-3), mustMemory(t, 3, 3, pauli.Z).Prog)

@@ -4,22 +4,100 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"tiscc/internal/noise"
 )
 
-// Plan is the probability-independent half of a compiled decoding graph:
+// Plans compiles the decoding graphs of one detector structure against
+// many schedules of its program. A sweep compiles one circuit against many
+// noise models, and only the probabilities change from point to point, so
+// Plans keeps the plans its compiles built and Graph re-weighs the first
+// one that fits the new schedule instead of re-running the backward pass
+// and the hyper decomposition. A plan fits when the schedule has its fault
+// sites and positive branches and no pair a decomposition reads changes
+// its winning variant; otherwise Graph plans afresh and keeps the new plan
+// too (at most maxPlans, most recent first). Plans are never chosen by
+// model name. Every graph is byte-identical to a fresh CompileGraph's, so
+// tiscc-bench -plist, orqcs sweeps and the estimation service's cached
+// shapes all plan once per circuit and model family. Plans is safe for
+// concurrent use: re-weighs run unlocked, and concurrent misses of one
+// model family build one plan.
+type Plans struct {
+	det  *Detectors
+	mu   sync.Mutex              // serializes misses
+	list atomic.Pointer[[]*plan] // replaced, never written in place: readers keep a snapshot
+}
+
+// maxPlans bounds the plans a Plans keeps: one per noise-model family a
+// cached circuit serves (every depolarizing p shares one).
+const maxPlans = 4
+
+// NewPlans returns an empty plan set for d.
+func NewPlans(d *Detectors) *Plans {
+	ps := &Plans{det: d}
+	ps.list.Store(new([]*plan))
+	return ps
+}
+
+// plans returns the kept plans, most recent first.
+func (ps *Plans) plans() []*plan { return *ps.list.Load() }
+
+// Graph compiles the decoding graph of s. It re-weighs the first kept plan
+// that fits s, on a snapshot of the list and without the lock. On a miss it
+// takes the lock, re-tries the plans kept since the snapshot, and otherwise
+// plans s as CompileGraph does and keeps the plan first, dropping the least
+// recent beyond maxPlans.
+func (ps *Plans) Graph(s *noise.Schedule) (*Graph, error) {
+	seen := ps.plans()
+	for _, pl := range seen {
+		if g, ok := pl.weigh(s); ok {
+			return g, nil
+		}
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	kept := ps.plans()
+	for _, pl := range kept {
+		if slices.Contains(seen, pl) {
+			continue
+		}
+		if g, ok := pl.weigh(s); ok {
+			return g, nil
+		}
+	}
+	pl, P, err := newPlan(ps.det, s)
+	if err != nil {
+		return nil, err
+	}
+	kept = append([]*plan{pl}, kept[:min(len(kept), maxPlans-1)]...)
+	ps.list.Store(&kept)
+	return pl.graph(P), nil
+}
+
+// Bytes approximates the memory the kept plans hold: per plan, its effect
+// table, its per-branch, per-edge and per-decomposition arrays, and the
+// schedule it was planned on, which it keeps for the site check.
+func (ps *Plans) Bytes() int {
+	n := 0
+	for _, pl := range ps.plans() {
+		n += pl.eff.Bytes() + pl.sched.Bytes() + 4*len(pl.ref) + 12*len(pl.keys) + 4*len(pl.hyper) + 4*len(pl.comps) + len(pl.win)
+	}
+	return n
+}
+
+// plan is the probability-independent half of a compiled decoding graph:
 // everything CompileGraph derives from a schedule's fault sites and their
 // symptoms, none of it from the sites' probabilities. It holds the effect
 // table, the sorted edge set, what each fault branch contributes to it —
 // an edge, nothing (undetectable, empty or hyper), or a decomposition into
 // edges — and, for every pair whose observable variant a decomposition
-// reads, which variant won. Weigh folds a schedule's probabilities into
+// reads, which variant won. weigh folds a schedule's probabilities into
 // edge weights along the plan, so a sweep over physical error rates runs
 // the backward pass and the decomposition once per shape instead of once
-// per point. A Plan is immutable once built (its distance memo aside) and
+// per point. A plan is immutable once built (its distance memo aside) and
 // safe for concurrent use.
-type Plan struct {
+type plan struct {
 	det   *Detectors
 	sched *noise.Schedule // the schedule planned: a plan fits schedules with its sites
 	eff   *noise.Effects
@@ -47,11 +125,11 @@ type Plan struct {
 	dist     int
 }
 
-// Branch contributions in Plan.ref that are not an edge id.
+// Branch contributions in plan.ref that are not an edge id.
 const (
 	refNone  int32 = -1 // positive, adds to no edge
 	refSkip  int32 = -2 // probability ≤ 0: not a mechanism
-	refHyper int32 = -3 // a decomposed hyper branch (Plan.hyper)
+	refHyper int32 = -3 // a decomposed hyper branch (plan.hyper)
 )
 
 // edgeKeyOf packs an edge's node pair and observable effect so that the
@@ -66,7 +144,7 @@ func edgeKeyOf(u, v int32, obs bool) uint64 {
 
 // newPlan plans the decoding graph of s against d. One backward pass
 // (noise.CompileEffects) compiles the effect table of the detectors and
-// the observable, and each fault branch's mechanism is the XOR of its
+// the observable, which also proves them all deterministic, and each fault branch's mechanism is the XOR of its
 // components' symptoms in it (noise.Effects.EachMechanism, which hands a
 // single-component branch the table's own symptom slice). A site's
 // branches are equiprobable, so every pass reads and tests a site's
@@ -82,12 +160,16 @@ func edgeKeyOf(u, v int32, obs bool) uint64 {
 // folded while picking the winning variants, so a graph weighed from a
 // fresh plan folds s once: a plan fits the schedule it was built from by
 // construction.
-func newPlan(d *Detectors, s *noise.Schedule) (*Plan, []float64, error) {
-	eff, err := compileEffects(d, s)
+func newPlan(d *Detectors, s *noise.Schedule) (*plan, []float64, error) {
+	checks := make([][]int32, len(d.Dets))
+	for i := range d.Dets {
+		checks[i] = d.Dets[i].Recs
+	}
+	eff, err := noise.CompileEffects(s, checks, d.Obs)
 	if err != nil {
 		return nil, nil, err
 	}
-	pl := &Plan{det: d, sched: s, eff: eff}
+	pl := &plan{det: d, sched: s, eff: eff}
 	boundary := int32(len(d.Dets))
 	branches := 0
 	for k := range s.NumFaultSites() {
@@ -272,7 +354,7 @@ type graphlike struct {
 // their lower node u (nodes are at most boundary) and numbers each
 // bucket's few distinct (v, obs) with a stamp array indexed by them, so the
 // cost is linear but for the sort of each node's distinct neighbours.
-func (pl *Plan) numberEdges(gl []graphlike, boundary int32) {
+func (pl *plan) numberEdges(gl []graphlike, boundary int32) {
 	n := int(boundary) + 1
 	start := make([]int32, n+1)
 	for _, e := range gl {
@@ -313,19 +395,15 @@ func (pl *Plan) numberEdges(gl []graphlike, boundary int32) {
 	pl.keys = slices.Clip(pl.keys)
 }
 
-// probs returns the zeroed probabilities fold fills: one per edge, then
-// one per decomposed hyper branch.
-func (pl *Plan) probs() []float64 { return make([]float64, len(pl.keys)+len(pl.hyper)-1) }
-
 // fold walks s's fault branches in plan order, reading each site's
 // probability once (a site's branches are equiprobable). It reports false
-// unless the branches with positive probability are the plan's. When P
-// (from probs) is non-nil it merges each graphlike branch's probability
-// into its edge's, in mechanism order, and keeps each decomposed hyper
-// branch's. It returns, per pair index of pairOf (< n), the observable
-// effect of the pair's most probable graphlike variant, the first one on
-// ties.
-func (pl *Plan) fold(s *noise.Schedule, pairOf []int32, n int, P []float64) ([]bool, bool) {
+// unless the branches with positive probability are the plan's. It merges
+// each graphlike branch's probability into its edge's in P (one slot per
+// edge, then one per decomposed hyper branch), in mechanism order, and
+// keeps each decomposed hyper branch's. It returns, per pair index of
+// pairOf (< n), the observable effect of the pair's most probable
+// graphlike variant, the first one on ties.
+func (pl *plan) fold(s *noise.Schedule, pairOf []int32, n int, P []float64) ([]bool, bool) {
 	best := make([]float64, n)
 	for i := range best {
 		best[i] = -1 // any mechanism's probability beats it
@@ -343,17 +421,13 @@ func (pl *Plan) fold(s *noise.Schedule, pairOf []int32, n int, P []float64) ([]b
 				return nil, false
 			}
 			if r == refHyper {
-				if P != nil {
-					P[h] = p
-				}
+				P[h] = p
 				h++
 			}
 			if r < 0 {
 				continue
 			}
-			if P != nil {
-				P[r] = mergeP(P[r], p)
-			}
+			P[r] = mergeP(P[r], p)
 			if c := pairOf[r]; c >= 0 && p > best[c] {
 				best[c], win[c] = p, pl.keys[r]&1 == 1
 			}
@@ -364,44 +438,35 @@ func (pl *Plan) fold(s *noise.Schedule, pairOf []int32, n int, P []float64) ([]b
 
 // fits reports whether pl fits s: s has the plan's fault sites and
 // positive branches, and every contested pair a decomposition read keeps
-// its winning variant. When it does, P holds what fold gives.
-func (pl *Plan) fits(s *noise.Schedule, P []float64) bool {
+// its winning variant. When it does, it returns what fold gives.
+func (pl *plan) fits(s *noise.Schedule) ([]float64, bool) {
 	if !pl.sched.SameSites(s) {
-		return false
+		return nil, false
 	}
+	P := make([]float64, len(pl.keys)+len(pl.hyper)-1)
 	win, ok := pl.fold(s, pl.pairOf, len(pl.win), P)
-	return ok && slices.Equal(win, pl.win)
+	return P, ok && slices.Equal(win, pl.win)
 }
 
-// Covers reports whether s has the plan's fault sites (noise.Schedule.SameSites),
-// the first condition of Weigh reusing the plan: a caller keeping several
-// plans picks the one to weigh with.
-func (pl *Plan) Covers(s *noise.Schedule) bool { return pl.sched.SameSites(s) }
-
-// Weigh compiles the decoding graph of s from pl when pl fits s — s has
-// the plan's fault sites and positive branches, and no pair a
-// decomposition reads changes its winning variant — and from a fresh plan
-// of s otherwise. It returns the graph and the plan it was weighed from.
-// The graph is CompileGraph's byte for byte: each edge folds its branches'
-// probabilities in the same order (graphlike branches in mechanism order,
-// then decomposed hyper branches), and the weights are quantized the same
-// way. The graph shares the plan's effect table.
-func (pl *Plan) Weigh(s *noise.Schedule) (*Graph, *Plan, error) {
-	if P := pl.probs(); pl.fits(s, P) {
-		return pl.graph(P), pl, nil
+// weigh compiles the decoding graph of s from pl when pl fits s, and
+// reports false otherwise. The graph is CompileGraph's byte for byte: each
+// edge folds its branches' probabilities in the same order (graphlike
+// branches in mechanism order, then decomposed hyper branches), and the
+// weights are quantized the same way. The graph shares the plan's effect
+// table.
+func (pl *plan) weigh(s *noise.Schedule) (*Graph, bool) {
+	P, ok := pl.fits(s)
+	if !ok {
+		return nil, false
 	}
-	fresh, P, err := newPlan(pl.det, s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fresh.graph(P), fresh, nil
+	return pl.graph(P), true
 }
 
 // graph merges each decomposed hyper branch's probability into its
 // components' edges, after every graphlike one (P is fold's), and builds
 // the graph: edges with their merged probabilities and quantized growth
 // lengths.
-func (pl *Plan) graph(P []float64) *Graph {
+func (pl *plan) graph(P []float64) *Graph {
 	for j := range len(pl.hyper) - 1 {
 		p := P[len(pl.keys)+j]
 		for _, e := range pl.comps[pl.hyper[j]:pl.hyper[j+1]] {
@@ -447,16 +512,10 @@ func (pl *Plan) graph(P []float64) *Graph {
 	return g
 }
 
-// Bytes approximates the memory the plan holds: its effect table and its
-// per-branch, per-edge and per-decomposition arrays.
-func (pl *Plan) Bytes() int {
-	return pl.eff.Bytes() + 4*len(pl.ref) + 12*len(pl.keys) + 4*len(pl.hyper) + 4*len(pl.comps) + len(pl.win)
-}
-
 // distance is the graphlike distance of every graph weighed from the plan
 // (it depends on the edges' nodes and observable effects only), searched
 // on g once.
-func (pl *Plan) distance(g *Graph) int {
+func (pl *plan) distance(g *Graph) int {
 	pl.distOnce.Do(func() { pl.dist = g.search() })
 	return pl.dist
 }

@@ -83,8 +83,8 @@ func chainOf(rounds []*core.RoundResult, p *core.Plaquette) ([]int32, error) {
 // ExtractSurgery walks the per-region record tables of a compiled
 // lattice-surgery experiment and emits its detector/observable structure
 // under the region rules above. Every detector's reference value is read
-// off the program's noiseless reference trace; CompileGraph and WriteDEM prove
-// each detector deterministic, which rejects any mis-stitched region
+// off the program's noiseless reference trace; planning a graph proves each
+// detector deterministic, which rejects any mis-stitched region
 // boundary outright.
 func ExtractSurgery(s *verify.Surgery) (*Detectors, error) {
 	if s.Prog == nil {

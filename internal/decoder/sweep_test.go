@@ -159,14 +159,14 @@ func forEachMechanismForward(d *Detectors, s *noise.Schedule, visit func(m noise
 }
 
 // forEachMechanism is the production mechanism stream: the effect table of
-// d over s (compileEffects), each branch's mechanism read off it in (slot,
+// d over s (CompileGraph's), each branch's mechanism read off it in (slot,
 // fault, branch) order.
 func forEachMechanism(d *Detectors, s *noise.Schedule, visit func(m noise.Mechanism) error) error {
-	eff, err := compileEffects(d, s)
+	g, err := CompileGraph(d, s)
 	if err != nil {
 		return err
 	}
-	return eff.EachMechanism(s, visit)
+	return g.eff.EachMechanism(s, visit)
 }
 
 // collectMechanisms returns the mechanism stream of one enumerator, with

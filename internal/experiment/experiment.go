@@ -14,23 +14,14 @@
 // the same way and reports the same p_L.
 //
 // A sweep compiles one Circuit against many models, and only the
-// probabilities change from point to point. So a Circuit keeps the
-// decoding-graph plans (decoder.Plan) its compiles built, and Compile
-// re-weighs the plan that covers the new schedule's fault sites instead of
-// re-running the backward pass and the hyper decomposition. Plan.Weigh
-// reuses a plan only when the positive branches match and no pair a
-// decomposition reads changes its winning variant; otherwise it plans
-// afresh and the circuit keeps the new plan too (at most maxPlans, most
-// recent first). Plans are never chosen by model name. Every graph is
-// byte-identical to a fresh decoder.CompileGraph's, so tiscc-bench -plist,
-// orqcs sweeps and the estimation service's cached shapes all plan once
-// per circuit and model family.
+// probabilities change from point to point. So a circuit built with
+// detectors keeps a decoder.Plans, and Compile takes each decoding graph
+// from it: a re-weighed kept plan when one fits, a fresh plan otherwise.
+// Every graph is byte-identical to a fresh decoder.CompileGraph's.
 package experiment
 
 import (
 	"fmt"
-	"slices"
-	"sync"
 
 	"tiscc/internal/decoder"
 	"tiscc/internal/expr"
@@ -120,8 +111,9 @@ func (s Spec) String() string {
 // detector structure. A sweep builds it once per (workload, distance,
 // rounds) and compiles it against each noise model.
 //
-// A built circuit also keeps the decoding-graph plans its compiles built,
-// safe for concurrent compiles (see the package doc); copies share them.
+// A circuit built with detectors also keeps the decoding-graph plans its
+// compiles built, safe for concurrent compiles (see the package doc);
+// copies share them.
 type Circuit struct {
 	Spec      Spec // Rounds resolved (never 0); Model set by Compile only
 	Prog      *orqcs.Program
@@ -129,18 +121,8 @@ type Circuit struct {
 	Reference bool               // the outcome's value on Prog's reference trace
 	Detectors *decoder.Detectors // nil unless built with detectors
 
-	plans *plans // nil compiles every graph afresh
+	plans *decoder.Plans // nil unless built with detectors
 }
-
-// plans is a circuit's decoding-graph plans, most recent first.
-type plans struct {
-	mu   sync.Mutex
-	list []*decoder.Plan
-}
-
-// maxPlans bounds the plans a circuit keeps: one per noise-model family a
-// cached circuit serves (every depolarizing p shares one).
-const maxPlans = 4
 
 // Compiled is a compiled experiment: a circuit with a noise model's fault
 // schedule and, for decoded runs, its decoding graph — everything an
@@ -171,7 +153,7 @@ func Build(s Spec, detectors bool, sp *telemetry.Spans) (*Circuit, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Circuit{Spec: s, plans: &plans{}}
+	c := &Circuit{Spec: s}
 	defer sp.Start("compile")()
 	if s.Workload == Surgery {
 		surg, err := verify.SurgeryExperiment(s.Distance, 1, s.Rounds, 1, pauli.Z)
@@ -181,6 +163,7 @@ func Build(s Spec, detectors bool, sp *telemetry.Spans) (*Circuit, error) {
 		c.Prog, c.Outcome, c.Reference = surg.Prog, surg.Outcome, surg.Reference
 		if detectors {
 			c.Detectors, err = decoder.ExtractSurgery(surg)
+			c.plans = decoder.NewPlans(c.Detectors)
 		}
 		return c, err
 	}
@@ -191,14 +174,16 @@ func Build(s Spec, detectors bool, sp *telemetry.Spans) (*Circuit, error) {
 	c.Prog, c.Outcome, c.Reference = mem.Prog, mem.Outcome, mem.Reference
 	if detectors {
 		c.Detectors, err = decoder.Extract(mem)
+		c.plans = decoder.NewPlans(c.Detectors)
 	}
 	return c, err
 }
 
 // Compile flattens noise model m over the circuit into a fault schedule and,
 // when decode is set, compiles the union-find decoding graph from the
-// detectors Build extracted. sp, when non-nil, records the stages as the
-// "noise-compile" and "decoder-compile" spans.
+// detectors Build extracted, re-weighing a kept plan when one fits. sp,
+// when non-nil, records the stages as the "noise-compile" and
+// "decoder-compile" spans.
 func (c *Circuit) Compile(m noise.Model, decode bool, sp *telemetry.Spans) (*Compiled, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -214,7 +199,7 @@ func (c *Circuit) Compile(m noise.Model, decode bool, sp *telemetry.Spans) (*Com
 	if decode {
 		var err error
 		endGraph := sp.Start("decoder-compile")
-		cc.Graph, err = c.graph(cc.Sched)
+		cc.Graph, err = c.plans.Graph(cc.Sched)
 		endGraph()
 		if err != nil {
 			return nil, err
@@ -223,60 +208,13 @@ func (c *Circuit) Compile(m noise.Model, decode bool, sp *telemetry.Spans) (*Com
 	return cc, nil
 }
 
-// graph compiles the decoding graph of s, re-weighing a kept plan when one
-// fits (see Circuit). With no plan covering s it compiles afresh under the
-// lock and keeps the graph's plan, so concurrent compiles of a circuit with
-// no plan for s build one and share it.
-func (c *Circuit) graph(s *noise.Schedule) (*decoder.Graph, error) {
-	if c.plans == nil {
-		return decoder.CompileGraph(c.Detectors, s)
-	}
-	ps := c.plans
-	ps.mu.Lock()
-	i := slices.IndexFunc(ps.list, func(pl *decoder.Plan) bool { return pl.Covers(s) })
-	if i < 0 {
-		defer ps.mu.Unlock()
-		g, err := decoder.CompileGraph(c.Detectors, s)
-		if err != nil {
-			return nil, err
-		}
-		ps.keep(g.Plan())
-		return g, nil
-	}
-	pl := ps.list[i]
-	ps.mu.Unlock()
-	g, used, err := pl.Weigh(s)
-	if err == nil && used != pl {
-		ps.mu.Lock()
-		ps.keep(used)
-		ps.mu.Unlock()
-	}
-	return g, err
-}
-
-// keep puts pl first, dropping the least recent plan beyond maxPlans.
-// Called with ps.mu held.
-func (ps *plans) keep(pl *decoder.Plan) {
-	ps.list = slices.Insert(ps.list, 0, pl)
-	if len(ps.list) > maxPlans {
-		clear(ps.list[maxPlans:])
-		ps.list = ps.list[:maxPlans]
-	}
-}
-
 // PlanBytes returns the memory the circuit's kept plans hold
-// (decoder.Plan.Bytes).
+// (decoder.Plans.Bytes).
 func (c *Circuit) PlanBytes() int {
 	if c.plans == nil {
 		return 0
 	}
-	c.plans.mu.Lock()
-	defer c.plans.mu.Unlock()
-	n := 0
-	for _, pl := range c.plans.list {
-		n += pl.Bytes()
-	}
-	return n
+	return c.plans.Bytes()
 }
 
 // Estimate estimates the compiled experiment's logical error rate (see the

@@ -110,7 +110,8 @@ func TestCompileStages(t *testing.T) {
 // against several models gives, model for model, the same estimate as a
 // fresh Compile of each spec, and records one compile span in all. The
 // circuit keeps its first graph's plan and weighs the next depolarizing
-// point from it.
+// point from it, so its plan bytes grow at the first compile and at Table 5
+// only.
 func TestCircuitSharedAcrossModels(t *testing.T) {
 	sp := telemetry.NewSpans()
 	circ, err := Build(Spec{Workload: Surgery, Distance: 3}, true, sp)
@@ -118,17 +119,17 @@ func TestCircuitSharedAcrossModels(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := noise.Options{Shots: 200, Seed: 1, Workers: 2}
+	planBytes := 0
 	for i, m := range []noise.Model{noise.Depolarizing(2e-3), noise.Depolarizing(5e-3), noise.PaperTable5(hardware.Default())} {
 		shared, err := circ.Compile(m, true, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i < 2 && shared.Graph.Plan() != circ.plans.list[0] {
-			t.Fatalf("%s: graph weighed from a plan the circuit does not keep first", m.Name)
+		n := circ.PlanBytes()
+		if (n == planBytes) != (i == 1) {
+			t.Fatalf("%s: plan bytes %d after %d, want growth on a new plan only", m.Name, n, planBytes)
 		}
-		if i == 1 && len(circ.plans.list) != 1 {
-			t.Fatalf("%s: circuit keeps %d plans, want the first compile's only", m.Name, len(circ.plans.list))
-		}
+		planBytes = n
 		fresh, err := Compile(Spec{Workload: Surgery, Distance: 3, Model: m}, true, nil)
 		if err != nil {
 			t.Fatal(err)

@@ -151,6 +151,13 @@ func (s *Schedule) SameSites(o *Schedule) bool {
 	return true
 }
 
+// Bytes approximates the memory the schedule's tables hold: its fault
+// sites (24 bytes each), their gate classes, the slot offsets and the
+// reject bounds. The program is not counted.
+func (s *Schedule) Bytes() int {
+	return 24*len(s.faults) + len(s.class) + 4*len(s.start) + 8*len(s.reject)
+}
+
 // SiteClass returns the gate class of fault site k: which model channel
 // charged the site at compile time. Together with SiteFault(k).Kind it names
 // the site's error-budget channel.

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"tiscc/internal/noise"
 	"tiscc/internal/telemetry"
 )
 
@@ -267,6 +268,39 @@ func TestCacheConcurrentShape(t *testing.T) {
 	}
 	if n, bytes := c.Stats(); n != len(ps) || bytes <= 0 {
 		t.Fatalf("Stats = %d artifacts, %d bytes", n, bytes)
+	}
+}
+
+// TestShapeCostChargesPlanSchedule checks that a shape's charge against the
+// byte budget counts what its first compile's plan keeps: the effect table
+// and the schedule it keeps for the site check. The cost grows by at least
+// both.
+func TestShapeCostChargesPlanSchedule(t *testing.T) {
+	k := Key{Workload: WorkloadMemory, Distance: 5, Model: ModelDepolarizing, P: 1e-3}.Normalize()
+	sh, err := newShape(shapeKey(k))
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sh.cost()
+	if _, err := sh.compile(k); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := k.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := noise.Compile(spec.Model, sh.circ.Prog)
+	det := sh.circ.Detectors
+	checks := make([][]int32, len(det.Dets))
+	for i := range det.Dets {
+		checks[i] = det.Dets[i].Recs
+	}
+	eff, err := noise.CompileEffects(sched, checks, det.Obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown := sh.cost() - before; grown < sched.Bytes()+eff.Bytes() {
+		t.Fatalf("shape cost grew by %d bytes after its first compile, less than the %d-byte schedule and %d-byte effect table its plan keeps", grown, sched.Bytes(), eff.Bytes())
 	}
 }
 

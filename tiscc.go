@@ -403,11 +403,11 @@ func EstimateDecodedLogicalErrorRate(d, rounds int, m NoiseModel, opt LogicalErr
 // a noise schedule compiled against a memory experiment, so external
 // decoders (PyMatching et al.) can consume TISCC circuits directly.
 func WriteDetectorErrorModel(w io.Writer, mem *MemoryExperiment, s *FaultSchedule) error {
-	det, err := decoder.Extract(mem)
+	g, err := CompileDecoder(mem, s)
 	if err != nil {
 		return err
 	}
-	return decoder.WriteDEM(w, det, s)
+	return g.WriteDEM(w, s)
 }
 
 // --- Lattice-surgery decoding --------------------------------------------------
@@ -468,11 +468,11 @@ func EstimateDecodedSurgeryErrorRate(d, rounds int, m NoiseModel, opt LogicalErr
 // model of a noise schedule compiled against a surgery experiment, so
 // external decoders can consume TISCC lattice-surgery workloads directly.
 func WriteSurgeryDetectorErrorModel(w io.Writer, s *SurgeryExperiment, sched *FaultSchedule) error {
-	det, err := decoder.ExtractSurgery(s)
+	g, err := CompileSurgeryDecoder(s, sched)
 	if err != nil {
 		return err
 	}
-	return decoder.WriteDEM(w, det, sched)
+	return g.WriteDEM(w, sched)
 }
 
 // RunCircuit executes one simulation shot of a compiled circuit (a thin
