@@ -505,7 +505,8 @@ func BenchmarkNoisyVsNoiselessShot(b *testing.B) {
 // BenchmarkDecodedShot measures the per-shot overhead of union-find
 // syndrome decoding on a d=5 memory experiment under the paper's Table 5
 // noise: the noisy sub-benchmark runs the fault-injecting shot loop alone,
-// the decoded one adds detector evaluation plus cluster growth and peeling.
+// the decoded one adds detector evaluation plus cluster growth and the
+// correction's parity.
 // The decoder subsystem's acceptance target is that the decoded loop stays
 // within 3× of the noisy loop.
 func BenchmarkDecodedShot(b *testing.B) {

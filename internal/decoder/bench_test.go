@@ -16,10 +16,10 @@ import (
 // = d, depolarizing p = 1e-3) pre-sampled by the Pauli-frame sampler, so
 // neither sampling nor compilation is in the loop. The records subcase
 // times DecodeOutcome on one shot's record table per op — syndrome
-// evaluation plus union-find growth and peeling, the record oracle; the
-// planes subcase times the production path, DecodePlanes on one 64-shot
-// batch of fault firings per op — symptom XORs into detector words,
-// empty-lane skipping and the same union-find core.
+// evaluation plus union-find growth and the merge-label parity, the record
+// oracle; the planes subcase times the production path, DecodePlanes on
+// one 64-shot batch of fault firings per op — symptom XORs into detector
+// words, empty-lane skipping and the same union-find core.
 func BenchmarkDecode(b *testing.B) {
 	for _, d := range []int{5, 9} {
 		mem := mustMemory(b, d, d, pauli.Z)

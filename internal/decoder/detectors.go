@@ -30,9 +30,10 @@
 //     retained effect table gives the fired branches — no record is read and no
 //     instruction walked; lanes with an empty syndrome skip decoding, and
 //     each other lane's fired detectors are clustered by
-//     Delfosse–Nickerson-style growth with boundary absorption and peeled
-//     for the correction's observable parity, with zero allocations in the
-//     hot loop via pooled per-worker scratch state.
+//     Delfosse–Nickerson-style growth with boundary absorption, and the
+//     correction's observable parity is read off the merge labels (a peel
+//     only when a grown edge closes an odd cycle), with zero allocations in
+//     the hot loop via pooled per-worker scratch state.
 package decoder
 
 import (

@@ -236,7 +236,11 @@ func newUFPair(g *Graph) *ufPair {
 
 // decode returns both decoders' correction parities for the fired
 // detectors in defects (sorted ascending), failing t if their grown-edge
-// orders differ. An empty syndrome needs no correction.
+// orders differ. An empty syndrome needs no correction. The boundary must
+// end as its cluster's root with a false merge label. When the merge labels
+// gave the parity (no odd cycle, no fallback), the fallback forest is built
+// and peeled on the intact scratch, and its parity must equal the labels';
+// either way the forest must be the full scan's, node by node.
 func (p *ufPair) decode(t *testing.T, defects []int32) (fast, ref bool) {
 	t.Helper()
 	if len(defects) == 0 {
@@ -248,8 +252,16 @@ func (p *ufPair) decode(t *testing.T, defects []int32) (fast, ref bool) {
 	if !equalIDs(p.fast.grownList, p.ref.grownList) {
 		t.Fatalf("defects %v: event-driven decoder grew edges %v, full scan %v", defects, p.fast.grownList, p.ref.grownList)
 	}
+	if b := p.g.boundary; p.fast.find(b) != b || p.fast.label[b] {
+		t.Fatalf("defects %v: boundary cluster root %d, boundary label %v", defects, p.fast.find(b), p.fast.label[b])
+	}
+	if !p.fast.fellBack && !p.fast.oddCycle {
+		if peeled := p.g.peel(p.fast); peeled != fast {
+			t.Fatalf("defects %v: merge labels give parity %v, peel %v", defects, fast, peeled)
+		}
+	}
 	if !equalIDs(p.fast.order, p.ref.order) {
-		t.Fatalf("defects %v: peeling forest visits %v, full scan %v", defects, p.fast.order, p.ref.order)
+		t.Fatalf("defects %v: fallback forest visits %v, full scan %v", defects, p.fast.order, p.ref.order)
 	}
 	for _, v := range p.fast.order {
 		if p.fast.fparent[v] != p.ref.fparent[v] || p.fast.fedge[v] != p.ref.fedge[v] {
@@ -521,20 +533,87 @@ func TestFrontierGrowthMatchesFullScan(t *testing.T) {
 	})
 }
 
+// TestMergeLabelFallback decodes hand-built graphs whose grown edges close
+// cycles. Edges 0 and 1 both join detectors 0 and 1, and detector 1 reaches
+// the boundary (node 2) by a long edge, so a lone defect at 0 stays odd
+// while the cycle grows: edge 1 merges the pair, then edge 0 closes the
+// cycle. With only edge 0 flipping the observable the cycle is odd: the
+// merge forest holds edge 1 and the BFS forest edge 0, their parities
+// differ, and decode must fall back to the peel. With both edges flipping
+// it the cycle is even and the merge labels decide. A third graph absorbs
+// defects into the boundary over observable edges, with the boundary as
+// either end of an edge. Every parity must match the full scan's (and,
+// through ufPair.decode, the peel's), with the boundary left as its
+// cluster's root.
+func TestMergeLabelFallback(t *testing.T) {
+	labelParity := func(sc *scratch) bool {
+		obs := false
+		for _, d := range sc.seeded {
+			obs = obs != sc.label[d]
+		}
+		return obs
+	}
+	boundary := []Edge{{U: 0, V: 3, Len: 2, Obs: true}, {U: 3, V: 1, Len: 2, Obs: true}, {U: 1, V: 2, Len: 2}, {U: 0, V: 1, Len: 8}}
+	cases := []struct {
+		name            string
+		n               int
+		edges           []Edge
+		defects         []int32
+		cycle, oddCycle bool // the grown edges close a cycle, of odd parity
+		want            bool
+	}{
+		{"odd-cycle", 2, []Edge{{U: 0, V: 1, Len: 4, Obs: true}, {U: 0, V: 1, Len: 2}, {U: 1, V: 2, Len: 8}}, []int32{0}, true, true, true},
+		{"even-cycle", 2, []Edge{{U: 0, V: 1, Len: 4, Obs: true}, {U: 0, V: 1, Len: 2, Obs: true}, {U: 1, V: 2, Len: 8}}, []int32{0}, true, false, true},
+		{"boundary", 3, boundary, []int32{0, 1}, false, false, false},
+		{"boundary-odd", 3, boundary, []int32{0}, false, false, true},
+		{"boundary-chain", 3, boundary, []int32{2}, false, false, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			g := &Graph{det: &Detectors{Dets: make([]Detector, c.n)}, boundary: int32(c.n)}
+			g.finish(c.edges)
+			p := newUFPair(g)
+			fast, ref := p.decode(t, c.defects)
+			if fast != ref || fast != c.want {
+				t.Fatalf("defects %v: parity %v, full scan %v, want %v", c.defects, fast, ref, c.want)
+			}
+			p.checkTelemetry(t, c.name)
+			if p.fast.fellBack || p.fast.oddCycle != c.oddCycle {
+				t.Fatalf("defects %v: oddCycle %v (fell back %v), want %v", c.defects, p.fast.oddCycle, p.fast.fellBack, c.oddCycle)
+			}
+			if c.cycle && len(p.fast.grownList) != len(c.edges) {
+				t.Fatalf("grew edges %v, want all %d", p.fast.grownList, len(c.edges))
+			}
+			if c.oddCycle && labelParity(p.fast) == fast {
+				t.Fatalf("merge labels agree with the peel (%v): the cycle decides nothing", fast)
+			}
+		})
+	}
+}
+
 // FuzzFrontierGrowth builds a small graph from the fuzz input and decodes
 // a few syndromes on it through the event-driven decoder and the full-scan
 // oracle, which must agree on parity, grown-edge order, counters and
-// histograms. The input's first byte sets the detector count (1..16) and
-// the second the edge count; each edge takes three bytes, two endpoints
-// (the boundary included) and a growth length of 1..8, so lengths tie
-// often, self-loops and duplicate edges between one node pair occur, and
-// components can lack a boundary edge. The remaining bytes are syndromes,
-// one detector bitmask of two bytes each, decoded in turn on one scratch.
+// histograms; ufPair.decode also holds the merge-label parity against the
+// peel. The input's first byte sets the detector count (1..16) and the
+// second the edge count; each edge takes three bytes, two endpoints (the
+// boundary included) and a length byte whose low three bits give a growth
+// length of 1..8 and whose high bit sets the edge's observable flip (Obs),
+// so lengths tie often, self-loops, duplicate edges between one node pair
+// and cycles of either observable parity occur, and components can lack a
+// boundary edge. The remaining bytes are syndromes, one detector bitmask of
+// two bytes each, decoded in turn on one scratch.
 func FuzzFrontierGrowth(f *testing.F) {
 	f.Add([]byte{4, 4, 0, 4, 2, 1, 2, 2, 2, 3, 2, 3, 4, 6, 0x0f, 0, 0x05, 0, 0x02, 0})
 	f.Add([]byte{5, 4, 0, 5, 6, 1, 2, 4, 2, 3, 10, 3, 4, 2, 0x04, 0, 0x1a, 0, 0x05, 0, 0x10, 0})
 	f.Add([]byte{3, 6, 0, 1, 1, 0, 1, 1, 1, 2, 2, 1, 2, 2, 2, 3, 1, 0, 3, 1, 0x07, 0, 0x03, 0, 0x01, 0})
 	f.Add([]byte{8, 10, 0, 1, 3, 1, 2, 3, 2, 3, 3, 3, 8, 3, 4, 5, 5, 5, 6, 5, 6, 7, 5, 7, 8, 5, 0, 2, 7, 4, 7, 1, 0xff, 0, 0x81, 0, 0x3c, 0})
+	// Observable edges: an odd cycle between nodes 0 and 1 that grows
+	// while its cluster is still odd (the peel fallback), then an even one,
+	// then defects absorbed by the boundary over observable edges.
+	f.Add([]byte{1, 3, 0, 1, 0x83, 0, 1, 1, 1, 2, 7, 0x01, 0, 0x03, 0})
+	f.Add([]byte{1, 3, 0, 1, 0x83, 0, 1, 0x81, 1, 2, 7, 0x01, 0, 0x03, 0})
+	f.Add([]byte{2, 4, 0, 3, 0x81, 3, 1, 0x81, 1, 2, 1, 0, 1, 7, 0x01, 0, 0x03, 0, 0x06, 0, 0x07, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
@@ -544,7 +623,8 @@ func FuzzFrontierGrowth(f *testing.F) {
 		data = data[2:]
 		edges := make([]Edge, 0, m)
 		for ; m > 0 && len(data) >= 3; m, data = m-1, data[3:] {
-			edges = append(edges, Edge{U: int32(data[0]) % int32(n+1), V: int32(data[1]) % int32(n+1), Len: 1 + int32(data[2])%8})
+			edges = append(edges, Edge{U: int32(data[0]) % int32(n+1), V: int32(data[1]) % int32(n+1),
+				Len: 1 + int32(data[2])%8, Obs: data[2]&0x80 != 0})
 		}
 		g := &Graph{det: &Detectors{Dets: make([]Detector, n)}, boundary: int32(n)}
 		g.finish(edges)

@@ -1,11 +1,16 @@
 package decoder
 
 // Union-find decoding in the style of Delfosse & Nickerson: fired detectors
-// seed odd clusters, clusters grow along incident edges in half-edge units
-// until they merge even or absorb the boundary, and a spanning forest of the
-// grown edges is peeled leaf-first to read off the correction's observable
-// parity. Decoding is a pure function of the syndrome — no randomness — so
-// decoded estimates stay bit-identical for any worker count.
+// seed odd clusters, and clusters grow along incident edges in half-edge
+// units until they merge even or absorb the boundary. The merge edges form a
+// spanning forest of the grown edges, and peeling a spanning forest leaves
+// the XOR over the defects of each one's tree-path parity to its root as the
+// correction's observable parity; each node carries that path parity as its
+// merge label, so the result is read off the labels with no forest built.
+// Only a grown edge that closes a cycle of odd observable parity lets two
+// spanning forests disagree: such a shot is peeled over the BFS forest that
+// defines the result. Decoding is a pure function of the syndrome — no
+// randomness — so decoded estimates stay bit-identical for any worker count.
 //
 // Growth is event-driven (Dial's bucket queue, as in Sparse Blossom's
 // flooding): an edge grows by one half-edge unit per round for each active
@@ -39,7 +44,7 @@ type edgeState struct {
 	qnext, qprev int32 // links in the bucket of round key (−1 ends)
 	rate         uint8 // active clusters at its ends: 0, 1 or 2
 	grown        bool  // fully grown
-	tree         bool  // in the peeling forest
+	tree         bool  // in the fallback forest
 }
 
 // scratch is the per-worker decoder state: every slice is allocated once at
@@ -53,6 +58,9 @@ type scratch struct {
 	bnd    []bool  // root-indexed: cluster absorbed the boundary
 	defect []bool  // node-indexed: detector fired (mutated during peeling)
 	next   []int32 // node-indexed: circular member list of each cluster
+	// label is node-indexed: the observable parity of the node's
+	// merge-forest path to its cluster root (the merge label).
+	label []bool
 
 	es   []edgeState // edge-indexed
 	head []int32     // bucket queue: round&mask → first edge (−1 empty)
@@ -71,11 +79,12 @@ type scratch struct {
 	grownList []int32 // edges grown, in growth order
 	defects   []int32 // fired detector ids
 	fellBack  bool    // the decode fell back to the raw readout
+	oddCycle  bool    // a grown edge closed a cycle of odd observable parity
 
 	// Batch syndrome (DecodePlanes).
 	firing []int32 // detectors firing on at least one lane
 
-	// Peeling forest.
+	// Fallback forest: the BFS forest peeled when oddCycle is set.
 	visited  []bool
 	fparent  []int32 // node → tree-parent node (−1 for roots)
 	fedge    []int32 // node → edge to tree parent
@@ -102,6 +111,7 @@ func (g *Graph) newScratch() *scratch {
 		bnd:       make([]bool, n),
 		defect:    make([]bool, n),
 		next:      slices.Clone(g.protoParent),
+		label:     make([]bool, n),
 		es:        make([]edgeState, e),
 		head:      make([]int32, buckets),
 		mask:      int32(buckets - 1),
@@ -188,14 +198,14 @@ func (sc *scratch) reset(g *Graph) {
 	sc.order = sc.order[:0]
 	sc.nodes = sc.nodes[:0]
 	sc.live = 0
-	sc.fellBack = false
+	sc.fellBack, sc.oddCycle = false, false
 }
 
 // clearNode returns node v to a singleton cluster outside any forest.
 func (sc *scratch) clearNode(v int32) {
 	sc.parent[v], sc.next[v] = v, v
 	sc.parity[v] = 0
-	sc.bnd[v], sc.defect[v], sc.visited[v], sc.inForest[v] = false, false, false, false
+	sc.bnd[v], sc.defect[v], sc.label[v], sc.visited[v], sc.inForest[v] = false, false, false, false, false
 }
 
 // find returns the root of x's cluster, one step away at most (see union).
@@ -301,8 +311,12 @@ func (g *Graph) decodeShot(sc *scratch) (flip, ok bool) {
 	return flip, !sc.fellBack
 }
 
-// decode grows and peels the clusters of the syndrome in sc.defects,
-// returning the correction's observable parity.
+// decode grows the clusters of the syndrome in sc.defects and returns the
+// correction's observable parity: the XOR of the defects' merge labels, or
+// the peel's parity when a grown edge closed an odd cycle (sc.oddCycle).
+// The boundary node is never walked by union, so it stays the root of its
+// cluster with a false label: a defect's label is then its path parity to
+// the boundary that absorbed it, and no boundary term is needed.
 //
 //tiscc:hotpath
 func (g *Graph) decode(sc *scratch) bool {
@@ -317,7 +331,7 @@ func (g *Graph) decode(sc *scratch) bool {
 	sc.bnd[g.boundary] = true
 	sc.round, sc.cursor = 0, math.MaxInt32
 	for _, d := range sc.defects {
-		g.rekeyCluster(sc, d, d)
+		g.rekeyCluster(sc, d, d, false)
 	}
 
 	// Rounds are bounded by the quantized edge lengths times the cluster
@@ -347,7 +361,14 @@ func (g *Graph) decode(sc *scratch) bool {
 	}
 	sc.tel.Add(ctrEdgesGrown, uint64(len(sc.grownList)))
 	sc.finishDecode(uint64(sc.round), uint64(peakFrontier))
-	return g.peel(sc)
+	if sc.oddCycle {
+		return g.peel(sc)
+	}
+	obs := false
+	for _, d := range sc.seeded {
+		obs = obs != sc.label[d]
+	}
+	return obs
 }
 
 // active reports whether the cluster rooted at r still drives growth.
@@ -357,7 +378,8 @@ func (sc *scratch) active(r int32) bool { return sc.parity[r] == 1 && !sc.bnd[r]
 // edge index, merging clusters as they complete, and returns the number of
 // edges that grew in the round. A merge re-keys the edges whose rate it
 // changes; those above the cursor that now complete in round r are added to
-// cur in order.
+// cur in order. An edge that completes inside one cluster closes a cycle,
+// and sets oddCycle when the cycle's observable parity is odd.
 //
 //tiscc:hotpath
 func (g *Graph) growRound(sc *scratch, r int32, odd *int) int {
@@ -383,25 +405,29 @@ func (g *Graph) growRound(sc *scratch, r int32, odd *int) int {
 		sc.grownList = append(sc.grownList, ei)
 		e := &g.edges[ei]
 		if ru, rv := sc.find(e.U), sc.find(e.V); ru != rv {
-			g.union(sc, ru, rv, odd)
+			g.union(sc, ru, rv, e, odd)
+		} else if sc.label[e.U] != sc.label[e.V] != e.Obs {
+			sc.oddCycle = true
 		}
 	}
 	sc.cursor = math.MaxInt32
 	return sc.front
 }
 
-// union merges the clusters rooted at ru and rv, updates the active-cluster
-// count and re-keys the edges at the members of each side whose activity
-// changed: both sides when two active clusters neutralize each other, the
-// active side when it absorbs the boundary, and the even side when an
-// active cluster absorbs it. The boundary cluster never changes activity,
-// so its high-degree node is never walked. The root of a side that is not
-// walked survives, and the walk points every member of the other side
-// straight at it, so every member of every cluster points straight at its
-// root.
+// union merges the clusters rooted at ru and rv over the grown edge e,
+// updates the active-cluster count and re-keys the edges at the members of
+// each side whose activity changed: both sides when two active clusters
+// neutralize each other, the active side when it absorbs the boundary, and
+// the even side when an active cluster absorbs it. The boundary cluster
+// never changes activity, so its high-degree node is never walked. The root
+// of a side that is not walked survives, and the walk points every member
+// of the other side straight at it, so every member of every cluster points
+// straight at its root. That walk also flips the side's merge labels by
+// the parity of the path through e to the surviving root.
 //
 //tiscc:hotpath
-func (g *Graph) union(sc *scratch, ru, rv int32, odd *int) {
+func (g *Graph) union(sc *scratch, ru, rv int32, e *Edge, odd *int) {
+	flip := sc.label[e.U] != sc.label[e.V] != e.Obs
 	au, av := sc.active(ru), sc.active(rv)
 	a := sc.parity[ru] != sc.parity[rv] && !sc.bnd[ru] && !sc.bnd[rv]
 	if av == a { // side v is not walked: its root survives
@@ -412,9 +438,9 @@ func (g *Graph) union(sc *scratch, ru, rv int32, odd *int) {
 	sc.bnd[ru] = sc.bnd[ru] || sc.bnd[rv]
 	// Each side is still its own member ring until the splice below.
 	if au != a {
-		g.rekeyCluster(sc, ru, ru)
+		g.rekeyCluster(sc, ru, ru, false)
 	}
-	g.rekeyCluster(sc, rv, ru)
+	g.rekeyCluster(sc, rv, ru, flip)
 	sc.next[ru], sc.next[rv] = sc.next[rv], sc.next[ru]
 	sc.tel.Inc(ctrMerges)
 	*odd += b2i(a) - b2i(au) - b2i(av)
@@ -429,13 +455,14 @@ func b2i(b bool) int {
 
 // rekeyCluster re-keys the ungrown edges at the members of the ring that
 // starts at v, all of which belong to the cluster rooted at root; it points
-// each member straight at root on the way.
+// each member straight at root on the way and XORs flip into its label.
 //
 //tiscc:hotpath
-func (g *Graph) rekeyCluster(sc *scratch, v, root int32) {
+func (g *Graph) rekeyCluster(sc *scratch, v, root int32, flip bool) {
 	a := sc.active(root)
 	for m := v; ; {
 		sc.parent[m] = root
+		sc.label[m] = sc.label[m] != flip
 		for _, ei := range g.adj[g.adjStart[m]:g.adjStart[m+1]] {
 			if sc.es[ei].grown {
 				continue
@@ -535,10 +562,12 @@ func (sc *scratch) finishDecode(rounds, peakFrontier uint64) {
 	sc.tel.Observe(histFrontierEdges, peakFrontier)
 }
 
-// peel builds a spanning forest of the grown edges (rooted at the boundary
-// where a cluster reached it) and peels it leaf-first: a node carrying odd
-// defect parity selects its parent edge into the correction and hands the
-// parity to its parent.
+// peel is decode's fallback for a shot whose grown edges close an odd
+// cycle, where the choice of spanning forest decides the parity. It builds
+// a BFS forest of the grown edges (rooted at the boundary where a cluster
+// reached it) and peels it leaf-first: a node carrying odd defect parity
+// selects its parent edge into the correction and hands the parity to its
+// parent.
 func (g *Graph) peel(sc *scratch) bool {
 	sc.bgrown = sc.bgrown[:0]
 	for _, ei := range sc.grownList {
