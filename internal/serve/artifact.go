@@ -6,15 +6,17 @@
 //
 // Determinism is the load-bearing property: artifacts are pure functions of
 // (workload, distance, rounds, model), per-shot seeds derive from
-// orqcs.ShotSeed(base, shot) independent of worker scheduling, and every
-// served artifact round-trips through the wire format, so any batch of any
-// sweep is recomputable anywhere — concurrent requests can share one warm
-// cache and still answer byte-for-byte identically.
+// orqcs.ShotSeed(base, shot) independent of worker scheduling, and a served
+// artifact — which shares its shape's program and its plan's effect table —
+// estimates exactly as its decoded bundle does, so any batch of any sweep is
+// recomputable anywhere from the bytes — concurrent requests can share one
+// warm cache and still answer byte-for-byte identically.
 package serve
 
 import (
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"tiscc/internal/decoder"
 	"tiscc/internal/experiment"
@@ -58,16 +60,19 @@ func kindName(k uint8) string {
 // version, kind, payload length, checksum.
 const containerHeader = len(artifactMagic) + 2 + 1 + 8 + 4
 
-// encodeContainer wraps a payload in the self-describing artifact header:
-// magic, format version, kind, payload length, CRC-32 (IEEE) checksum.
+// encodeContainer wraps a payload in the self-describing artifact header.
 func encodeContainer(kind uint8, payload []byte) []byte {
-	buf := make([]byte, 0, containerHeader+len(payload))
+	return append(appendHeader(make([]byte, 0, containerHeader+len(payload)), kind, payload), payload...)
+}
+
+// appendHeader appends the container header of payload: magic, format
+// version, kind, payload length, CRC-32 (IEEE) checksum.
+func appendHeader(buf []byte, kind uint8, payload []byte) []byte {
 	buf = append(buf, artifactMagic...)
 	buf = wire.AppendU16(buf, FormatVersion)
 	buf = wire.AppendU8(buf, kind)
 	buf = wire.AppendU64(buf, uint64(len(payload)))
-	buf = wire.AppendU32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	return wire.AppendU32(buf, crc32.ChecksumIEEE(payload))
 }
 
 // decodeContainer unwraps one container, verifying magic, version, kind,
@@ -152,7 +157,10 @@ func DecodeGraph(data []byte) (*decoder.Graph, error) {
 }
 
 // Artifact is one cached compilation: everything a request needs to run
-// shots, plus the deterministic wire accounting the server reports.
+// shots, plus the deterministic wire accounting the server reports. An
+// artifact compiled on a shape shares the shape's program, and its graph
+// shares the effect table of the plan it was weighed on; nothing in it is
+// written after compile, so concurrent requests read it freely.
 type Artifact struct {
 	Key Key
 
@@ -177,13 +185,16 @@ type Artifact struct {
 // reference bit, and the three nested sub-containers — into one bundle
 // container.
 func EncodeBundle(a *Artifact) []byte {
-	return encodeContainer(kindBundle, bundlePayload(a, EncodeProgram(a.Prog), EncodeSchedule(a.Sched), EncodeGraph(a.Graph)))
+	buf := appendBundleHead(make([]byte, 0, a.BundleBytes), a)
+	buf = wire.AppendBytes(buf, EncodeProgram(a.Prog))
+	buf = wire.AppendBytes(buf, EncodeSchedule(a.Sched))
+	buf = wire.AppendBytes(buf, EncodeGraph(a.Graph))
+	return encodeContainer(kindBundle, buf)
 }
 
-// bundlePayload is the payload of a's bundle container, given its three
-// encoded sub-containers.
-func bundlePayload(a *Artifact, prog, sched, graph []byte) []byte {
-	buf := make([]byte, 0, 64+4*len(a.Outcome.IDs)+len(prog)+len(sched)+len(graph))
+// appendBundleHead appends what a's bundle payload holds before its
+// sub-containers: the key, the reference bit and the outcome formula.
+func appendBundleHead(buf []byte, a *Artifact) []byte {
 	buf = wire.AppendString(buf, a.Key.Workload)
 	buf = wire.AppendU32(buf, uint32(a.Key.Distance))
 	buf = wire.AppendU32(buf, uint32(a.Key.Rounds))
@@ -194,9 +205,6 @@ func bundlePayload(a *Artifact, prog, sched, graph []byte) []byte {
 	buf = wire.AppendU32(buf, uint32(len(a.Outcome.IDs)))
 	for _, id := range a.Outcome.IDs {
 		buf = wire.AppendI32(buf, id)
-	}
-	for _, sub := range [][]byte{prog, sched, graph} {
-		buf = wire.AppendBytes(buf, sub)
 	}
 	return buf
 }
@@ -225,47 +233,80 @@ func DecodeBundle(data []byte) (*Artifact, error) {
 			a.Outcome.IDs[i] = r.I32()
 		}
 	}
-	subs := make([][]byte, 3)
-	for i := range subs {
-		subs[i] = r.Bytes()
-	}
+	prog, sched, graph := r.Bytes(), r.Bytes(), r.Bytes()
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("serve: decode bundle: %w", err)
 	}
-	if a.Prog, err = DecodeProgram(subs[0]); err != nil {
+	if a.Prog, err = DecodeProgram(prog); err != nil {
 		return nil, fmt.Errorf("serve: bundle program: %w", err)
 	}
-	if err := a.decodeParts(subs[0], subs[1], subs[2], payload); err != nil {
+	if a.Sched, err = DecodeSchedule(sched, a.Prog); err != nil {
+		return nil, fmt.Errorf("serve: bundle schedule: %w", err)
+	}
+	if a.Graph, err = DecodeGraph(graph); err != nil {
+		return nil, fmt.Errorf("serve: bundle graph: %w", err)
+	}
+	if err := a.check(); err != nil {
 		return nil, err
 	}
+	a.ProgBytes, a.SchedBytes, a.GraphBytes = len(prog), len(sched), len(graph)
+	a.BundleBytes = containerHeader + len(payload)
+	a.BundleCRC = crc32.ChecksumIEEE(payload)
 	return a, nil
 }
 
-// decodeParts decodes a bundle's schedule and graph sub-containers against
-// a.Prog, the program decoded from prog, checks that the parts fit
-// together and fills in the wire accounting of the bundle payload.
-func (a *Artifact) decodeParts(prog, sched, graph, payload []byte) error {
-	var err error
-	if a.Sched, err = DecodeSchedule(sched, a.Prog); err != nil {
-		return fmt.Errorf("serve: bundle schedule: %w", err)
-	}
-	if a.Graph, err = DecodeGraph(graph); err != nil {
-		return fmt.Errorf("serve: bundle graph: %w", err)
-	}
-	// Raw estimates compile the outcome's effect table from its record
-	// ids, so every id must name one of the program's records; decoded
-	// estimates index the graph's effect table by the schedule's fault
-	// sites, so the graph must have been compiled against it.
+// check reports an error unless a's parts fit together. Raw estimates
+// compile the outcome's effect table from its record ids, so every id must
+// name one of the program's records; decoded estimates index the graph's
+// effect table by the schedule's fault sites, so the graph must have been
+// compiled against it.
+func (a *Artifact) check() error {
 	if err := a.Outcome.CheckRecords(a.Prog.NumRecords()); err != nil {
 		return fmt.Errorf("serve: bundle outcome: %w", err)
 	}
 	if err := a.Graph.CheckSchedule(a.Sched); err != nil {
 		return fmt.Errorf("serve: bundle graph: %w", err)
 	}
-	a.ProgBytes, a.SchedBytes, a.GraphBytes = len(prog), len(sched), len(graph)
-	a.BundleBytes = containerHeader + len(payload)
-	a.BundleCRC = crc32.ChecksumIEEE(payload)
 	return nil
+}
+
+// accountScratch holds account's scratch buffers between misses.
+var accountScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// account fills in a's wire accounting — the sub-container sizes, the
+// bundle size and its checksum — in one streaming pass that keeps no
+// encoding: the checksum runs over the bundle payload piece by piece, the
+// head, prog (the program's container, which the shape keeps encoded),
+// then the schedule and graph sub-containers, each payload encoded in turn
+// into one scratch buffer, which later misses reuse.
+func (a *Artifact) account(prog []byte) {
+	var crc uint32
+	n := 0
+	add := func(b []byte) {
+		crc = crc32.Update(crc, crc32.IEEETable, b)
+		n += len(b)
+	}
+	// sub adds a sub-container of payload behind its wire.AppendBytes
+	// length prefix and returns the container's size.
+	var head [4 + containerHeader]byte
+	sub := func(kind uint8, payload []byte) int {
+		add(appendHeader(wire.AppendU32(head[:0], uint32(containerHeader+len(payload))), kind, payload))
+		add(payload)
+		return containerHeader + len(payload)
+	}
+	scratch := accountScratch.Get().(*[]byte)
+	defer accountScratch.Put(scratch)
+	buf := wire.AppendU32(appendBundleHead((*scratch)[:0], a), uint32(len(prog)))
+	add(buf)
+	add(prog)
+	buf = noise.AppendSchedule(buf[:0], a.Sched)
+	a.SchedBytes = sub(kindSchedule, buf)
+	buf = decoder.AppendGraph(buf[:0], a.Graph)
+	a.GraphBytes = sub(kindGraph, buf)
+	*scratch = buf
+	a.ProgBytes = len(prog)
+	a.BundleBytes = containerHeader + n
+	a.BundleCRC = crc
 }
 
 // Workload and model names accepted by CompileArtifact and the HTTP API
@@ -281,9 +322,10 @@ const (
 // CompileArtifact compiles the artifact for one cache key through the
 // experiment pipeline — the workload's circuit lowered to a program, the
 // noise model flattened to a fault schedule, and the detector structure
-// compiled to a union-find decoding graph — then round-trips the result
-// through the wire format, so every served artifact is a decoded one and
-// serialization is exercised on the production path, not only in tests.
+// compiled to a union-find decoding graph — and sizes and checksums its
+// bundle without encoding it whole (see shape.compile). Its bundle decodes
+// to an artifact that estimates bit-identically; the serve tests check
+// that on every key of a mixed sweep.
 // It builds the key's shape afresh; the cache compiles on cached shapes.
 func CompileArtifact(k Key) (*Artifact, error) {
 	sh, err := newShape(k)
@@ -296,14 +338,14 @@ func CompileArtifact(k Key) (*Artifact, error) {
 // shape is the model-independent part of every artifact of one
 // (workload, distance, rounds): the circuit built for decoding, which
 // keeps its decoding-graph plans (experiment.Circuit), and its program's
-// encoded container. The circuit's program is the one decoded from that
-// container, so the shape holds one program, which every artifact compiled
-// on it shares. Compiling a key on a cached shape flattens the noise
-// model, re-weighs a plan and round-trips only the schedule and the graph;
+// encoded container, kept only as bundle size and checksum input. Every
+// artifact compiled on the shape shares the circuit's program, and its
+// graph shares the effect table of the plan it was weighed on. Compiling
+// a key on a cached shape flattens the noise model and re-weighs a plan;
 // the bytes are CompileArtifact's on a fresh shape.
 type shape struct {
 	circ *experiment.Circuit
-	prog []byte // EncodeProgram of the built circuit's program
+	prog []byte // EncodeProgram of the circuit's program
 }
 
 // shapeKey names k's shape: k normalized, with its model and p cleared.
@@ -319,17 +361,14 @@ func newShape(k Key) (*shape, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &shape{circ: c, prog: EncodeProgram(c.Prog)}
-	if c.Prog, err = DecodeProgram(sh.prog); err != nil {
-		return nil, fmt.Errorf("serve: artifact round-trip failed: %w", err)
-	}
-	return sh, nil
+	return &shape{circ: c, prog: EncodeProgram(c.Prog)}, nil
 }
 
 // compile compiles k's artifact on the shape: the circuit compiled against
-// k's model, its schedule and graph encoded beside the shape's program
-// container into the bundle payload and decoded back against the circuit's
-// (decoded) program. The graph distance is searched once per plan.
+// k's model, keeping the schedule and the graph decoder.Plans weighed,
+// checked to fit together as DecodeBundle checks a decoded bundle, and
+// accounted in one streaming pass over its bundle's bytes. The graph
+// distance is searched once per plan.
 func (sh *shape) compile(k Key) (*Artifact, error) {
 	spec, err := k.Spec()
 	if err != nil {
@@ -339,16 +378,16 @@ func (sh *shape) compile(k Key) (*Artifact, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &Artifact{Key: k, Prog: c.Prog, Outcome: c.Outcome, Reference: c.Reference}
-	sched, graph := EncodeSchedule(c.Sched), EncodeGraph(c.Graph)
-	if err := a.decodeParts(sh.prog, sched, graph, bundlePayload(a, sh.prog, sched, graph)); err != nil {
-		return nil, fmt.Errorf("serve: artifact round-trip failed: %w", err)
+	a := &Artifact{Key: k, Prog: c.Prog, Sched: c.Sched, Graph: c.Graph, Outcome: c.Outcome, Reference: c.Reference}
+	if err := a.check(); err != nil {
+		return nil, fmt.Errorf("serve: compiled artifact: %w", err)
 	}
+	a.account(sh.prog)
 	a.Distance = c.Graph.Distance()
 	return a, nil
 }
 
 // cost is the shape's charge against the cache's byte budget: its encoded
-// program twice (the container and the decoded program) plus the tables
-// of the plans its circuit keeps.
+// program twice (the container and the program it encodes) plus the
+// tables of the plans its circuit keeps.
 func (sh *shape) cost() int { return 2*len(sh.prog) + sh.circ.PlanBytes() }

@@ -8,6 +8,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"tiscc/internal/decoder"
@@ -22,7 +23,7 @@ import (
 )
 
 // compileFresh builds the artifact for k straight from the compiler, without
-// the encode/decode round-trip CompileArtifact performs — the reference side
+// the shapes and plans CompileArtifact compiles through — the reference side
 // of the golden bit-identity tests.
 func compileFresh(t *testing.T, k Key) *Artifact {
 	t.Helper()
@@ -242,6 +243,119 @@ func TestDecodedArtifactBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// serveMixedKeys are perfbench's serve-mixed keys (perfbench/main.go), one
+// slice per client in the order the client asks for them.
+var serveMixedKeys = [][]Key{{
+	{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: 1e-3},
+	{Workload: WorkloadMemory, Distance: 5, Model: ModelDepolarizing, P: 1e-3},
+	{Workload: WorkloadSurgery, Distance: 3, Model: ModelDepolarizing, P: 1e-3},
+	{Workload: WorkloadMemory, Distance: 5, Model: ModelDepolarizing, P: 2e-3},
+	{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: 2e-3},
+	{Workload: WorkloadSurgery, Distance: 3, Model: ModelDepolarizing, P: 2e-3},
+	{Workload: WorkloadMemory, Distance: 5, Model: ModelTable5},
+}, {
+	{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: 3e-3},
+	{Workload: WorkloadMemory, Distance: 5, Model: ModelDepolarizing, P: 3e-3},
+	{Workload: WorkloadSurgery, Distance: 3, Model: ModelDepolarizing, P: 3e-3},
+	{Workload: WorkloadMemory, Distance: 5, Model: ModelDepolarizing, P: 5e-3},
+	{Workload: WorkloadMemory, Distance: 3, Model: ModelDepolarizing, P: 5e-3},
+	{Workload: WorkloadSurgery, Distance: 3, Model: ModelDepolarizing, P: 5e-3},
+	{Workload: WorkloadSurgery, Distance: 3, Model: ModelTable5},
+}}
+
+// TestServedArtifactsRoundTrip compiles every serve-mixed key on one cache,
+// one goroutine per client asking for its keys in order, so most keys
+// compile on a cached shape while the other client estimates on artifacts
+// of that shape. A served artifact shares its shape's program and its
+// plan's effect table and no miss decodes it, so this is where each one
+// meets the wire format: its bundle must decode to the same sizes and
+// checksum, and the decoded artifact must estimate exactly as the served
+// one for both seeds and both worker counts. Run under -race in CI.
+func TestServedArtifactsRoundTrip(t *testing.T) {
+	c := NewCache(64<<20, nil, nil)
+	var wg sync.WaitGroup
+	for _, keys := range serveMixedKeys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, k := range keys {
+				if err := checkServedRoundTrip(c, k); err != nil {
+					t.Errorf("%v: %v", k, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// checkServedRoundTrip serves k from c and compares the artifact with its
+// decoded bundle.
+func checkServedRoundTrip(c *Cache, k Key) error {
+	const shots = 256
+	served, _, err := c.Get(k)
+	if err != nil {
+		return err
+	}
+	dec, err := DecodeBundle(EncodeBundle(served))
+	if err != nil {
+		return err
+	}
+	type accounting struct {
+		prog, sched, graph, bundle int
+		crc                        uint32
+	}
+	want := accounting{served.ProgBytes, served.SchedBytes, served.GraphBytes, served.BundleBytes, served.BundleCRC}
+	if got := (accounting{dec.ProgBytes, dec.SchedBytes, dec.GraphBytes, dec.BundleBytes, dec.BundleCRC}); got != want {
+		return fmt.Errorf("decoded bundle accounts %+v, served artifact %+v", got, want)
+	}
+	for _, seed := range []int64{1, 424242} {
+		for _, workers := range []int{1, 4} {
+			var res [2]noise.Result
+			for i, a := range []*Artifact{served, dec} {
+				if res[i], err = experiment.Estimate(a.Sched, a.Outcome, a.Reference, noise.Options{
+					Shots: shots, Seed: seed, Workers: workers, Decoder: a.Graph}); err != nil {
+					return err
+				}
+			}
+			if res[0] != res[1] {
+				return fmt.Errorf("seed %d workers %d: result differs:\nserved:  %+v\ndecoded: %+v", seed, workers, res[0], res[1])
+			}
+		}
+	}
+	return nil
+}
+
+// BenchmarkShapeCompile times a miss on a cached shape: with the shape
+// built and its plan kept by a first compile, each op compiles another p
+// on it, as a sweep's later points do.
+func BenchmarkShapeCompile(b *testing.B) {
+	for _, k := range []Key{
+		{Workload: WorkloadMemory, Distance: 5, Model: ModelDepolarizing, P: 2e-3},
+		{Workload: WorkloadSurgery, Distance: 3, Model: ModelDepolarizing, P: 2e-3},
+	} {
+		b.Run(fmt.Sprintf("%s/d=%d", k.Workload, k.Distance), func(b *testing.B) {
+			k = k.Normalize()
+			sh, err := newShape(shapeKey(k))
+			if err != nil {
+				b.Fatal(err)
+			}
+			warm := k
+			warm.P = 1e-3
+			if _, err := sh.compile(warm); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sh.compile(k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
